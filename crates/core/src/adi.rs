@@ -17,6 +17,24 @@ pub enum AdiEstimator {
     MeanNdet,
 }
 
+impl AdiEstimator {
+    /// Aggregates `ndet(u)` over the vectors `d` of one fault's `D(f)`; 0
+    /// when `d` is empty.
+    pub(crate) fn aggregate(self, d: impl Iterator<Item = usize>, ndet: &[u32]) -> u32 {
+        match self {
+            AdiEstimator::MinNdet => d.map(|u| ndet[u]).min().unwrap_or(0),
+            AdiEstimator::MeanNdet => {
+                let (mut sum, mut count) = (0u64, 0u64);
+                for u in d {
+                    sum += u64::from(ndet[u]);
+                    count += 1;
+                }
+                sum.checked_div(count).unwrap_or(0) as u32
+            }
+        }
+    }
+}
+
 /// Configuration for [`AdiAnalysis::for_circuit`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct AdiConfig {
@@ -102,26 +120,12 @@ impl AdiAnalysis {
     /// Builds the analysis from a precomputed detection matrix.
     pub fn from_matrix(matrix: DetectionMatrix, config: AdiConfig) -> Self {
         let ndet = matrix.ndet_counts();
-        let n_faults = matrix.num_faults();
-        let mut adi = vec![0u32; n_faults];
-        for (f, slot) in adi.iter_mut().enumerate() {
-            let id = FaultId::new(f);
-            *slot = match config.estimator {
-                AdiEstimator::MinNdet => matrix
-                    .detecting_patterns(id)
-                    .map(|u| ndet[u])
-                    .min()
-                    .unwrap_or(0),
-                AdiEstimator::MeanNdet => {
-                    let (mut sum, mut count) = (0u64, 0u64);
-                    for u in matrix.detecting_patterns(id) {
-                        sum += u64::from(ndet[u]);
-                        count += 1;
-                    }
-                    sum.checked_div(count).unwrap_or(0) as u32
-                }
-            };
-        }
+        let adi = (0..matrix.num_faults())
+            .map(|f| {
+                let d = matrix.detecting_patterns(FaultId::new(f));
+                config.estimator.aggregate(d, &ndet)
+            })
+            .collect();
         AdiAnalysis {
             matrix,
             ndet,

@@ -12,7 +12,7 @@
 //!   mentions.
 //! * [`FaultOrdering`] — the six fault orders of Section 3 (`Forig`,
 //!   `Fincr0`, `Fdecr`, `F0decr`, `Fdynm`, `F0dynm`), with the dynamic
-//!   orders built by a monotone bucket queue ([`dynamic`]).
+//!   orders built by a lazy level queue ([`dynamic`]).
 //! * [`metrics`] — the fault-coverage curve `n_ord(i)` and the steepness
 //!   metric `AVE_ord` of Section 4.
 //! * [`pipeline`] — the end-to-end experiment of the paper: pick `U`,

@@ -282,13 +282,15 @@ y = OR(t0, t1)
     #[test]
     fn compile_levelizes_exactly_once() {
         let netlist = bench_format::parse(MUX, "mux").unwrap();
-        // Other tests build views concurrently, so assert only on the
-        // lazy accessors: none of them may trigger further builds.
+        // Other tests build views on parallel threads, so count only this
+        // thread's builds: compile levelizes once, and no lazy accessor
+        // or clone levelizes again.
+        let before = LevelizedCsr::thread_build_count();
         let c = CompiledCircuit::compile(netlist);
-        let before = LevelizedCsr::build_count();
-        let _ = (c.view(), c.ffr(), c.collapsed_faults(), c.full_faults(), c.scoap());
-        let _ = c.clone();
-        assert_eq!(LevelizedCsr::build_count(), before);
+        assert_eq!(LevelizedCsr::thread_build_count() - before, 1);
+        let _ = (c.view(), c.ffr(), c.collapsed_faults(), c.full_faults());
+        let _ = (c.scoap(), c.post_dominators(), c.content_hash(), c.clone());
+        assert_eq!(LevelizedCsr::thread_build_count() - before, 1);
     }
 
     #[test]

@@ -30,6 +30,14 @@ use crate::{GateKind, Netlist, NodeId};
 /// pipeline performs exactly one levelization.
 static BUILD_COUNT: AtomicU64 = AtomicU64::new(0);
 
+#[cfg(test)]
+thread_local! {
+    /// The calling thread's share of [`BUILD_COUNT`]. Unit tests assert on
+    /// it because other tests of the same binary build views on parallel
+    /// threads.
+    static THREAD_BUILD_COUNT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// A flattened, levelized, position-indexed CSR encoding of a [`Netlist`].
 ///
 /// # Examples
@@ -88,6 +96,8 @@ impl LevelizedCsr {
     /// Builds the levelized view of `netlist`.
     pub fn build(netlist: &Netlist) -> Self {
         BUILD_COUNT.fetch_add(1, Ordering::Relaxed);
+        #[cfg(test)]
+        THREAD_BUILD_COUNT.with(|c| c.set(c.get() + 1));
         let n = netlist.num_nodes();
         let n_levels = netlist.max_level() as usize + 1;
 
@@ -176,6 +186,13 @@ impl LevelizedCsr {
     /// assertions are only meaningful while no concurrent builds happen.
     pub fn build_count() -> u64 {
         BUILD_COUNT.load(Ordering::Relaxed)
+    }
+
+    /// Number of [`LevelizedCsr::build`] calls so far on the calling
+    /// thread.
+    #[cfg(test)]
+    pub(crate) fn thread_build_count() -> u64 {
+        THREAD_BUILD_COUNT.with(std::cell::Cell::get)
     }
 
     /// Total number of nodes (= positions).

@@ -1,8 +1,8 @@
 //! Property-based tests of the accidental detection index itself and of
 //! the fault orders built from it.
 
-use adi::circuits::{random_circuit, RandomCircuitConfig};
-use adi::core::dynamic::dynamic_order_traced;
+use adi::circuits::{embedded, random_circuit, RandomCircuitConfig};
+use adi::core::dynamic::{dynamic_order_traced, DynamicTrace};
 use adi::core::metrics::average_detection_position;
 use adi::core::{order_faults, AdiAnalysis, AdiConfig, AdiEstimator, FaultOrdering};
 use adi::netlist::fault::{FaultId, FaultList};
@@ -22,6 +22,63 @@ fn analysis_for(netlist: &Netlist, seed: u64) -> (FaultList, AdiAnalysis) {
     let patterns = PatternSet::random(netlist.num_inputs(), 96, seed);
     let analysis = AdiAnalysis::for_circuit(&circuit, &faults, &patterns, AdiConfig::default());
     (faults, analysis)
+}
+
+const ESTIMATORS: [AdiEstimator; 2] = [AdiEstimator::MinNdet, AdiEstimator::MeanNdet];
+
+fn analysis_with(netlist: &Netlist, patterns: &PatternSet, estimator: AdiEstimator) -> AdiAnalysis {
+    AdiAnalysis::for_circuit(
+        &CompiledCircuit::compile(netlist.clone()),
+        &FaultList::collapsed(netlist),
+        patterns,
+        AdiConfig {
+            estimator,
+            ..AdiConfig::default()
+        },
+    )
+}
+
+/// Reference for the dynamic orders: the naive O(n²) greedy. After every
+/// selection it recomputes the ADI of each remaining detected fault under
+/// `estimator` from the decremented counts, and selects the highest, ties
+/// to the smallest fault index.
+fn naive_dynamic(analysis: &AdiAnalysis, estimator: AdiEstimator) -> DynamicTrace {
+    let mut ndet: Vec<u32> = analysis.ndet_counts().to_vec();
+    let current = |f: FaultId, ndet: &[u32]| -> u32 {
+        let counts = analysis.detecting_patterns(f).map(|u| ndet[u]);
+        match estimator {
+            AdiEstimator::MinNdet => counts.min().unwrap(),
+            AdiEstimator::MeanNdet => {
+                let sum: u32 = counts.sum();
+                sum / analysis.detecting_patterns(f).count() as u32
+            }
+        }
+    };
+    let mut remaining: Vec<FaultId> = (0..analysis.num_faults())
+        .map(FaultId::new)
+        .filter(|&f| analysis.detected(f))
+        .collect();
+    let mut trace = DynamicTrace {
+        order: Vec::new(),
+        selected_adi: Vec::new(),
+    };
+    while !remaining.is_empty() {
+        let mut best = 0;
+        let mut best_adi = current(remaining[0], &ndet);
+        for (i, &f) in remaining.iter().enumerate().skip(1) {
+            let a = current(f, &ndet);
+            if a > best_adi {
+                (best, best_adi) = (i, a);
+            }
+        }
+        let f = remaining.remove(best);
+        for u in analysis.detecting_patterns(f) {
+            ndet[u] -= 1;
+        }
+        trace.order.push(f);
+        trace.selected_adi.push(best_adi);
+    }
+    trace
 }
 
 proptest! {
@@ -106,6 +163,23 @@ proptest! {
     }
 
     #[test]
+    fn dynamic_order_matches_naive_greedy(netlist in tiny_circuit(), seed in any::<u64>()) {
+        // Rows of two (96 vectors) and four (200) words, each ending in a
+        // partial word.
+        for vectors in [96, 200] {
+            let patterns = PatternSet::random(netlist.num_inputs(), vectors, seed);
+            for estimator in ESTIMATORS {
+                let analysis = analysis_with(&netlist, &patterns, estimator);
+                prop_assert_eq!(
+                    dynamic_order_traced(&analysis),
+                    naive_dynamic(&analysis, estimator),
+                    "{:?} over {} vectors", estimator, vectors
+                );
+            }
+        }
+    }
+
+    #[test]
     fn ndet_counts_are_column_sums(netlist in tiny_circuit(), seed in any::<u64>()) {
         let (faults, analysis) = analysis_for(&netlist, seed);
         let total_from_ndet: u64 = analysis.ndet_counts().iter().map(|&c| u64::from(c)).sum();
@@ -148,6 +222,19 @@ proptest! {
             prop_assert_eq!(capped.detected(f), exact.detected(f));
             prop_assert!(capped.detecting_patterns(f).count() as u32 <= cap);
         }
+    }
+}
+
+#[test]
+fn matches_naive_reference_on_c17() {
+    let c17 = embedded::c17();
+    for estimator in ESTIMATORS {
+        let analysis = analysis_with(&c17, &PatternSet::exhaustive(5), estimator);
+        assert_eq!(
+            dynamic_order_traced(&analysis),
+            naive_dynamic(&analysis, estimator),
+            "{estimator:?}"
+        );
     }
 }
 
