@@ -11,14 +11,15 @@
 //! * [`Podem`] — the path-oriented decision making test generator with
 //!   X-path checking and a backtrack limit, returning a [`TestCube`]
 //!   (possibly partial input assignment), an untestability proof, or an
-//!   abort. Two bit-identical simulation backends are selected by
-//!   [`PodemEngine`]: the default incremental event-driven evaluator
-//!   over the compiled position space, and the classic full-netlist
-//!   resimulation kept as the differential oracle.
+//!   abort. [`Podem::generate`] runs on the incremental event-driven
+//!   evaluator over the compiled position space;
+//!   [`Podem::generate_reference`], the classic full-netlist
+//!   resimulation, is its bit-identical differential oracle.
 //! * [`FillStrategy`] — completion of unspecified cube inputs.
 //! * [`testgen`] — the ordered-fault-list driver with fault dropping:
 //!   exactly the "test generation procedure without dynamic compaction
-//!   heuristics" of the paper's Section 4.
+//!   heuristics" of the paper's Section 4 ([`TestGenerator::run`]), with
+//!   the scalar [`TestGenerator::run_reference`] as its oracle.
 //! * [`speculate`] — the speculative multi-target parallel form of that
 //!   driver ([`TestGenConfig::atpg_threads`] `> 1`): a worker pool runs
 //!   PODEM ahead of the commit position and a deterministic first-win
@@ -68,10 +69,9 @@ pub mod value;
 pub use cnf::{EquivError, EquivVerdict, FaultVerdict};
 pub use cube::TestCube;
 pub use fill::FillStrategy;
-pub use podem::{Podem, PodemConfig, PodemEngine, PodemOutcome, PodemStats, SatFallback, SatResolved};
+pub use podem::{Podem, PodemConfig, PodemOutcome, PodemStats, SatFallback, SatResolved};
 pub use testgen::{
-    DropLoopKind, FaultStatus, PhaseTimings, TestGenConfig, TestGenResult, TestGenSummary,
-    TestGenerator,
+    FaultStatus, PhaseTimings, TestGenConfig, TestGenResult, TestGenSummary, TestGenerator,
 };
 pub use value::T3;
 

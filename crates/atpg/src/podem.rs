@@ -14,86 +14,44 @@
 //!    (fault unexcitable, empty D-frontier, or no X-path to any output)
 //!    trigger chronological backtracking with a configurable limit.
 //!
-//! Step 4 is where the two [`PodemEngine`]s differ:
+//! [`Podem::generate`] updates both machines in step 4 with
+//! [`adi_sim::t3event::DualMachineSim`], the incremental dual-machine
+//! evaluator over the compiled [`LevelizedCsr`](adi_netlist::LevelizedCsr)
+//! position space: an assignment seeds one event wave from the changed
+//! primary input, a backtrack retracts exactly the nodes the decision
+//! changed (an undo trail, not a resimulation), detection and the
+//! D-frontier are maintained incrementally, and the X-path check walks
+//! only the still-X region pruned by output-cone reachability masks.
 //!
-//! * [`PodemEngine::EventDriven`] (the default) runs on
-//!   [`adi_sim::t3event::DualMachineSim`], the incremental dual-machine
-//!   evaluator over the compiled [`LevelizedCsr`](adi_netlist::LevelizedCsr)
-//!   position space: an assignment seeds one event wave from the changed
-//!   primary input, a backtrack retracts exactly the nodes the decision
-//!   changed (an undo trail, not a resimulation), detection and the
-//!   D-frontier are maintained incrementally, and the X-path check walks
-//!   only the still-X region pruned by output-cone reachability masks.
-//! * `PodemEngine::FullResim` (behind the `oracle` cargo feature, off by
-//!   default) re-simulates both machines over the whole netlist in
-//!   node-id order on every decision and backtrack — the classic
-//!   implementation, kept as the differential-testing oracle. Release
-//!   serving binaries build without it; `adi-bench` and the facade's
-//!   default features force it on so every differential gate still runs.
-//!
-//! Both engines produce **bit-identical** outcomes, test cubes, and
-//! decision/backtrack counts (asserted by the `podem_equivalence`
-//! differential suite and gated in `perf_report`); only the
-//! [`PodemStats::sim_events`] / [`PodemStats::sim_updates`] diagnostics
-//! reflect the backend actually doing the work.
+//! [`Podem::generate_reference`] is the classic implementation kept as
+//! the differential oracle: it re-simulates both machines over the whole
+//! netlist in node-id order on every decision and backtrack. The two
+//! produce **bit-identical** outcomes, test cubes, and decision/backtrack
+//! counts (asserted by the `podem_equivalence` differential suite and
+//! gated in `perf_report`); only the [`PodemStats::sim_events`] /
+//! [`PodemStats::sim_updates`] diagnostics reflect the simulation work
+//! each one actually did. Production code calls only `generate`.
 
-use adi_netlist::fault::Fault;
-#[cfg(feature = "oracle")]
-use adi_netlist::fault::FaultSite;
+use adi_netlist::fault::{Fault, FaultSite};
 use adi_netlist::{CompiledCircuit, GateKind, Netlist, NodeId};
 use adi_sim::t3event::DualMachineSim;
 
-#[cfg(feature = "oracle")]
-use crate::value::{eval_t3, eval_t3_branch};
-use crate::value::T3;
+use crate::value::{eval_t3, eval_t3_branch, T3};
 use crate::{Scoap, TestCube};
-
-/// Which simulation backend drives the PODEM search.
-///
-/// The full-resimulation oracle is compiled in only with the `oracle`
-/// cargo feature (off by default): it exists for differential testing
-/// and `perf_report` gating, and release serving binaries ship without
-/// it. `adi-bench` forces the feature on; so does the facade's default
-/// feature set.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum PodemEngine {
-    /// Re-simulate both 3-valued machines over the whole netlist after
-    /// every decision and backtrack. Kept as the differential-testing
-    /// oracle (requires the `oracle` cargo feature).
-    #[cfg(feature = "oracle")]
-    FullResim,
-    /// Incremental event-driven evaluation on the compiled position
-    /// space ([`adi_sim::t3event::DualMachineSim`]): events propagate
-    /// only from the changed input, and backtracks retract via an undo
-    /// trail. Bit-identical to the full-resim oracle, asymptotically
-    /// faster.
-    #[default]
-    EventDriven,
-}
-
-impl std::fmt::Display for PodemEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            #[cfg(feature = "oracle")]
-            PodemEngine::FullResim => write!(f, "full-resim"),
-            PodemEngine::EventDriven => write!(f, "event-driven"),
-        }
-    }
-}
 
 /// When the SAT formal layer ([`crate::cnf`]) backs up the PODEM search.
 ///
-/// Orthogonal to [`PodemEngine`]: the engine picks *how the search
-/// simulates*, this picks *what happens when the search gives up*. The
-/// SAT resolution is a pure function of `(circuit, fault, conflict
-/// limit)` — deterministic across engines, threads, and the speculative
-/// pool — so enabling it never breaks an outcome-parity or
-/// first-win-determinism contract.
+/// This picks *what happens when the search gives up*. The SAT
+/// resolution is a pure function of `(circuit, fault, conflict limit)` —
+/// deterministic across [`Podem::generate`] and
+/// [`Podem::generate_reference`], threads, and the speculative pool — so
+/// enabling it never breaks an outcome-parity or first-win-determinism
+/// contract.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum SatFallback {
     /// Never consult the solver; backtrack-limited targets stay
     /// [`PodemOutcome::Aborted`]. The `PodemConfig` default, so direct
-    /// [`Podem`] users (and the engine-parity suites) see the raw
+    /// [`Podem`] users (and the reference-parity suites) see the raw
     /// search.
     #[default]
     Off,
@@ -127,10 +85,6 @@ pub struct PodemConfig {
     /// Maximum number of backtracks before the target is abandoned as
     /// [`PodemOutcome::Aborted`].
     pub backtrack_limit: u32,
-    /// Which simulation backend drives the search
-    /// ([`PodemEngine::EventDriven`] by default; both backends are
-    /// bit-identical in outcomes, cubes, and decision/backtrack counts).
-    pub engine: PodemEngine,
     /// Whether aborted targets are handed to the SAT layer for a
     /// definitive verdict ([`SatFallback::Off`] here; the test-generation
     /// driver defaults it to [`SatFallback::AbortedOnly`]).
@@ -142,11 +96,10 @@ pub struct PodemConfig {
 
 impl Default for PodemConfig {
     /// 1000 backtracks (a generous budget for circuits of the paper's
-    /// scale) on the event-driven engine, SAT fallback off.
+    /// scale), SAT fallback off.
     fn default() -> Self {
         PodemConfig {
             backtrack_limit: 1000,
-            engine: PodemEngine::default(),
             sat_fallback: SatFallback::default(),
             sat_conflict_limit: crate::cnf::DEFAULT_CONFLICT_LIMIT,
         }
@@ -177,10 +130,11 @@ impl PodemOutcome {
 /// Counters accumulated across [`Podem::generate`] calls.
 ///
 /// The search counters (`targets` through `decisions`) are part of the
-/// engine-parity contract: both [`PodemEngine`]s produce the same values
-/// for the same targets. `sim_events` / `sim_updates` are backend
-/// diagnostics — they measure how much simulation work the configured
-/// engine actually performed and naturally differ between engines.
+/// reference-parity contract: [`Podem::generate`] and
+/// [`Podem::generate_reference`] produce the same values for the same
+/// targets. `sim_events` / `sim_updates` are simulation diagnostics —
+/// they measure how much simulation work each one actually performed and
+/// naturally differ between the two.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PodemStats {
     /// Total targets attempted.
@@ -195,12 +149,12 @@ pub struct PodemStats {
     pub backtracks: u64,
     /// Total primary-input decisions across all targets.
     pub decisions: u64,
-    /// Node evaluations performed by the simulation backend (for the
-    /// full-resim oracle, every node of both machines per resimulation;
-    /// for the event engine, nodes actually visited by event waves).
+    /// Node evaluations performed by the simulation (for the full-resim
+    /// reference, every node of both machines per resimulation; for the
+    /// event engine, nodes actually visited by event waves).
     pub sim_events: u64,
     /// Node value changes applied by the event engine's waves (zero for
-    /// the full-resim oracle, which overwrites rather than tracks).
+    /// the full-resim reference, which overwrites rather than tracks).
     pub sim_updates: u64,
     /// Speculative `generate` runs whose result was discarded by the
     /// first-win committer (always zero for a single [`Podem`]; filled
@@ -253,12 +207,13 @@ impl PodemStats {
         }
     }
 
-    /// The engine-parity counters as one tuple — everything except the
-    /// backend-specific `sim_events`/`sim_updates` diagnostics and the
-    /// scheduling-dependent `wasted_speculations` counter. Both
-    /// [`PodemEngine`]s must produce equal values here; every parity
-    /// gate (the equivalence suite, `perf_report`) compares through this
-    /// single accessor so the contract cannot drift.
+    /// The reference-parity counters as one tuple — everything except
+    /// the simulation-specific `sim_events`/`sim_updates` diagnostics and
+    /// the scheduling-dependent `wasted_speculations` counter.
+    /// [`Podem::generate`] and [`Podem::generate_reference`] must produce
+    /// equal values here; every parity gate (the equivalence suite,
+    /// `perf_report`) compares through this single accessor so the
+    /// contract cannot drift.
     pub fn search_counters(self) -> (u64, u64, u64, u64, u64, u64) {
         (
             self.targets,
@@ -282,15 +237,13 @@ pub struct Podem {
     stats: PodemStats,
     pi_values: Vec<T3>,
     pi_index_of: Vec<usize>,
-    /// Full-resim machine state, node-indexed (the oracle backend);
-    /// sized on first full-resim target so the event engine never pays
-    /// for it.
-    #[cfg(feature = "oracle")]
+    /// Full-resim machine state, node-indexed (the reference search);
+    /// sized on the first reference target so `generate` never pays for
+    /// it.
     good: Vec<T3>,
-    #[cfg(feature = "oracle")]
     faulty: Vec<T3>,
-    /// Event-driven backend, built on first event-driven target so the
-    /// full-resim oracle never pays its setup.
+    /// Event-driven simulator, built on the first `generate` target so
+    /// the reference never pays its setup.
     sim: Option<DualMachineSim>,
     /// Scratch for the event path's frontier snapshot.
     frontier_buf: Vec<NodeId>,
@@ -328,9 +281,7 @@ impl Podem {
             stats: PodemStats::default(),
             pi_values: vec![T3::X; netlist.num_inputs()],
             pi_index_of,
-            #[cfg(feature = "oracle")]
             good: Vec::new(),
-            #[cfg(feature = "oracle")]
             faulty: Vec::new(),
             sim: None,
             frontier_buf: Vec::new(),
@@ -349,11 +300,6 @@ impl Podem {
         self.circuit.scoap()
     }
 
-    /// The engine driving this generator's simulation.
-    pub fn engine(&self) -> PodemEngine {
-        self.config.engine
-    }
-
     /// Attempts to generate a test for `fault`.
     ///
     /// # Panics
@@ -362,11 +308,33 @@ impl Podem {
     pub fn generate(&mut self, fault: Fault) -> PodemOutcome {
         self.stats.targets += 1;
         self.pi_values.fill(T3::X);
-        let outcome = match self.config.engine {
-            #[cfg(feature = "oracle")]
-            PodemEngine::FullResim => self.generate_full(fault),
-            PodemEngine::EventDriven => self.generate_event(fault),
-        };
+        let outcome = self.generate_event(fault);
+        self.fall_back(fault, outcome)
+    }
+
+    /// The full-resimulation reference for [`generate`](Self::generate):
+    /// the same search, re-simulating both machines over the whole
+    /// netlist on every decision and backtrack, followed by the same SAT
+    /// fallback step. Bit-identical outcomes and
+    /// [`search_counters`](PodemStats::search_counters); only the
+    /// simulation diagnostics differ. The differential oracle of the
+    /// `podem_equivalence` suite and `perf_report`, not a production
+    /// path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fault references nodes outside the netlist.
+    pub fn generate_reference(&mut self, fault: Fault) -> PodemOutcome {
+        self.stats.targets += 1;
+        self.pi_values.fill(T3::X);
+        let outcome = self.generate_full(fault);
+        self.fall_back(fault, outcome)
+    }
+
+    /// The SAT-fallback step shared by both searches: under
+    /// [`SatFallback::AbortedOnly`] an aborted outcome goes to the
+    /// formal layer.
+    fn fall_back(&mut self, fault: Fault, outcome: PodemOutcome) -> PodemOutcome {
         match (outcome, self.config.sat_fallback) {
             (PodemOutcome::Aborted, SatFallback::AbortedOnly) => self.resolve_aborted(fault),
             (outcome, _) => outcome,
@@ -505,15 +473,14 @@ impl Podem {
 
 }
 
-// ----- full-resimulation oracle (the `oracle` cargo feature) ------------
+// ----- full-resimulation reference --------------------------------------
 
-#[cfg(feature = "oracle")]
 impl Podem {
     fn generate_full(&mut self, fault: Fault) -> PodemOutcome {
         let circuit = self.circuit.clone();
         let nl = circuit.netlist();
         let scoap = circuit.scoap();
-        // Lazily sized: the event engine never pays for the oracle's
+        // Lazily sized: the event engine never pays for the reference's
         // node-indexed arrays. `simulate` overwrites every entry.
         self.good.resize(nl.num_nodes(), T3::X);
         self.faulty.resize(nl.num_nodes(), T3::X);
@@ -725,8 +692,7 @@ impl Podem {
 }
 
 /// The good-machine node whose value excites the fault, with the value
-/// it must take (oracle-only: the event engine asks its simulator).
-#[cfg(feature = "oracle")]
+/// it must take (reference-only: the event engine asks its simulator).
 fn excitation(nl: &Netlist, fault: Fault) -> (NodeId, bool) {
     match fault.site() {
         FaultSite::Stem(n) => (n, !fault.stuck_value()),
@@ -739,7 +705,8 @@ fn excitation(nl: &Netlist, fault: Fault) -> (NodeId, bool) {
 /// Chooses the next objective `(node, value)` from a D-frontier: the
 /// easiest-to-observe gate that still has an unassigned side input, in
 /// ascending SCOAP observability (stable, so ties keep node-id order —
-/// the engine-parity contract depends on this). Shared by both engines.
+/// the reference-parity contract depends on this). Shared by both
+/// searches.
 fn objective_from_frontier(
     nl: &Netlist,
     scoap: &Scoap,
@@ -785,8 +752,8 @@ fn objective_from_frontier(
 }
 
 /// Maps an objective to a primary-input assignment along X-valued lines.
-/// Shared by both engines; `good` abstracts over the backend's value
-/// storage (node-indexed arrays or position-mapped event state).
+/// Shared by both searches; `good` abstracts over their value storage
+/// (node-indexed arrays or position-mapped event state).
 fn backtrace_from(
     nl: &Netlist,
     scoap: &Scoap,
@@ -855,10 +822,13 @@ mod tests {
         CompiledCircuit::compile(netlist.clone())
     }
 
-    #[cfg(feature = "oracle")]
-    const ENGINES: [PodemEngine; 2] = [PodemEngine::FullResim, PodemEngine::EventDriven];
-    #[cfg(not(feature = "oracle"))]
-    const ENGINES: [PodemEngine; 1] = [PodemEngine::EventDriven];
+    /// The production search and its full-resim reference: every
+    /// soundness test below runs against both.
+    type Generate = fn(&mut Podem, Fault) -> PodemOutcome;
+    const SEARCHES: [(&str, Generate); 2] = [
+        ("event-driven", Podem::generate),
+        ("reference", Podem::generate_reference),
+    ];
 
     const C17: &str = "
 INPUT(G1)
@@ -883,27 +853,21 @@ G23 = NAND(G16, G19)
         let circuit = compile(&n);
         let sim = FaultSimulator::for_circuit(&circuit, &faults);
         let mut scratch = SimScratch::for_circuit(&circuit);
-        for engine in ENGINES {
-            let mut podem = Podem::for_circuit(
-                &circuit,
-                PodemConfig {
-                    engine,
-                    ..PodemConfig::default()
-                },
-            );
+        for (label, generate) in SEARCHES {
+            let mut podem = Podem::for_circuit(&circuit, PodemConfig::default());
             for (id, fault) in faults.iter() {
-                match podem.generate(fault) {
+                match generate(&mut podem, fault) {
                     PodemOutcome::Test(cube) => {
                         // Every completion must detect the fault; check two.
                         for fill in [crate::FillStrategy::Zeros, crate::FillStrategy::Ones] {
                             let pattern = fill.fill(&cube, 0);
                             assert!(
                                 sim.detects(&pattern, id, Some(&mut scratch)),
-                                "[{engine}] cube {cube} (filled {fill:?}) misses fault {fault}"
+                                "[{label}] cube {cube} (filled {fill:?}) misses fault {fault}"
                             );
                         }
                     }
-                    other => panic!("[{engine}] c17 fault {fault} not tested: {other:?}"),
+                    other => panic!("[{label}] c17 fault {fault} not tested: {other:?}"),
                 }
             }
             let stats = podem.stats();
@@ -913,22 +877,19 @@ G23 = NAND(G16, G19)
         }
     }
 
-    #[cfg(feature = "oracle")]
     #[test]
     fn engines_agree_bit_for_bit_on_c17() {
         let n = bench_format::parse(C17, "c17").unwrap();
         let faults = FaultList::full(&n);
         let circuit = compile(&n);
-        let mut full = Podem::for_circuit(
-            &circuit,
-            PodemConfig {
-                engine: PodemEngine::FullResim,
-                ..PodemConfig::default()
-            },
-        );
+        let mut full = Podem::for_circuit(&circuit, PodemConfig::default());
         let mut event = Podem::for_circuit(&circuit, PodemConfig::default());
         for (_, fault) in faults.iter() {
-            assert_eq!(full.generate(fault), event.generate(fault), "{fault}");
+            assert_eq!(
+                full.generate_reference(fault),
+                event.generate(fault),
+                "{fault}"
+            );
         }
         let (fs, es) = (full.stats(), event.stats());
         assert_eq!(fs.search_counters(), es.search_counters());
@@ -942,22 +903,16 @@ G23 = NAND(G16, G19)
         let src = "INPUT(a)\nOUTPUT(y)\nna = NOT(a)\ny = OR(a, na)\n";
         let n = bench_format::parse(src, "taut").unwrap();
         let y = n.find_node("y").unwrap();
-        for engine in ENGINES {
-            let mut podem = Podem::new(
-                &n,
-                PodemConfig {
-                    engine,
-                    ..PodemConfig::default()
-                },
-            );
+        for (label, generate) in SEARCHES {
+            let mut podem = Podem::new(&n, PodemConfig::default());
             assert_eq!(
-                podem.generate(Fault::stem_at(y, true)),
+                generate(&mut podem, Fault::stem_at(y, true)),
                 PodemOutcome::Untestable,
-                "[{engine}]"
+                "[{label}]"
             );
             // But y s-a-0 is testable (any pattern works).
             assert!(matches!(
-                podem.generate(Fault::stem_at(y, false)),
+                generate(&mut podem, Fault::stem_at(y, false)),
                 PodemOutcome::Test(_)
             ));
         }
@@ -980,20 +935,14 @@ y = XOR(p, q)
         let circuit = compile(&n);
         let sim = FaultSimulator::for_circuit(&circuit, &faults);
         let mut scratch = SimScratch::for_circuit(&circuit);
-        for engine in ENGINES {
-            let mut podem = Podem::for_circuit(
-                &circuit,
-                PodemConfig {
-                    engine,
-                    ..PodemConfig::default()
-                },
-            );
+        for (label, generate) in SEARCHES {
+            let mut podem = Podem::for_circuit(&circuit, PodemConfig::default());
             for (id, fault) in faults.iter() {
-                if let PodemOutcome::Test(cube) = podem.generate(fault) {
+                if let PodemOutcome::Test(cube) = generate(&mut podem, fault) {
                     let pattern = crate::FillStrategy::Zeros.fill(&cube, 0);
                     assert!(
                         sim.detects(&pattern, id, Some(&mut scratch)),
-                        "[{engine}] fault {fault}"
+                        "[{label}] fault {fault}"
                     );
                 }
             }
@@ -1021,30 +970,30 @@ y = OR(t, v)
         let sim = FaultSimulator::for_circuit(&circuit, &faults);
         let mut scratch = SimScratch::for_circuit(&circuit);
         let matrix = sim.no_drop_matrix(&patterns);
-        for engine in ENGINES {
-            let mut podem = Podem::for_circuit(
-                &circuit,
-                PodemConfig {
-                    engine,
-                    ..PodemConfig::default()
-                },
-            );
+        for (label, generate) in SEARCHES {
+            let mut podem = Podem::for_circuit(&circuit, PodemConfig::default());
             for (id, fault) in faults.iter() {
                 let testable = matrix.detected_any(id);
-                match podem.generate(fault) {
+                match generate(&mut podem, fault) {
                     PodemOutcome::Test(cube) => {
-                        assert!(testable, "[{engine}] PODEM found test for undetectable {fault}");
+                        assert!(
+                            testable,
+                            "[{label}] PODEM found test for undetectable {fault}"
+                        );
                         let p = crate::FillStrategy::Random.fill(&cube, 5);
                         assert!(
                             sim.detects(&p, id, Some(&mut scratch)),
-                            "[{engine}] bad test for {fault}"
+                            "[{label}] bad test for {fault}"
                         );
                     }
                     PodemOutcome::Untestable => {
-                        assert!(!testable, "[{engine}] PODEM wrongly proved {fault} redundant");
+                        assert!(
+                            !testable,
+                            "[{label}] PODEM wrongly proved {fault} redundant"
+                        );
                     }
                     PodemOutcome::Aborted => {
-                        panic!("[{engine}] abort on tiny circuit for {fault}")
+                        panic!("[{label}] abort on tiny circuit for {fault}")
                     }
                 }
             }
@@ -1058,21 +1007,20 @@ y = OR(t, v)
         let circuit = compile(&n);
         let sim = FaultSimulator::for_circuit(&circuit, &faults);
         let mut scratch = SimScratch::for_circuit(&circuit);
-        for engine in ENGINES {
+        for (label, generate) in SEARCHES {
             let mut podem = Podem::for_circuit(
                 &circuit,
                 PodemConfig {
                     backtrack_limit: 0,
-                    engine,
                     ..PodemConfig::default()
                 },
             );
             // With zero backtracks allowed, every outcome must still be
             // sound: any Test produced must be correct.
             for (id, fault) in faults.iter() {
-                if let PodemOutcome::Test(cube) = podem.generate(fault) {
+                if let PodemOutcome::Test(cube) = generate(&mut podem, fault) {
                     let p = crate::FillStrategy::Zeros.fill(&cube, 0);
-                    assert!(sim.detects(&p, id, Some(&mut scratch)), "[{engine}]");
+                    assert!(sim.detects(&p, id, Some(&mut scratch)), "[{label}]");
                 }
             }
         }
@@ -1083,15 +1031,9 @@ y = OR(t, v)
         let src = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = XOR(a, b)\n";
         let n = bench_format::parse(src, "x2").unwrap();
         let a = n.find_node("a").unwrap();
-        for engine in ENGINES {
-            let mut podem = Podem::new(
-                &n,
-                PodemConfig {
-                    engine,
-                    ..PodemConfig::default()
-                },
-            );
-            let outcome = podem.generate(Fault::stem_at(a, false));
+        for (_, generate) in SEARCHES {
+            let mut podem = Podem::new(&n, PodemConfig::default());
+            let outcome = generate(&mut podem, Fault::stem_at(a, false));
             let cube = outcome.test().expect("a/0 is testable through XOR");
             assert_eq!(cube.get(0), Some(true)); // a must be 1 to excite s-a-0
         }
@@ -1103,31 +1045,12 @@ y = OR(t, v)
         let src = "INPUT(a)\nOUTPUT(a)\n";
         let n = bench_format::parse(src, "wire").unwrap();
         let a = n.find_node("a").unwrap();
-        for engine in ENGINES {
-            let mut podem = Podem::new(
-                &n,
-                PodemConfig {
-                    engine,
-                    ..PodemConfig::default()
-                },
-            );
-            let cube = podem
-                .generate(Fault::stem_at(a, false))
+        for (_, generate) in SEARCHES {
+            let mut podem = Podem::new(&n, PodemConfig::default());
+            let cube = generate(&mut podem, Fault::stem_at(a, false))
                 .test()
                 .expect("testable");
             assert_eq!(cube.get(0), Some(true));
         }
-    }
-
-    #[test]
-    fn default_engine_is_event_driven() {
-        assert_eq!(PodemEngine::default(), PodemEngine::EventDriven);
-        assert_eq!(PodemConfig::default().engine, PodemEngine::EventDriven);
-        assert_eq!(PodemEngine::EventDriven.to_string(), "event-driven");
-        #[cfg(feature = "oracle")]
-        assert_eq!(PodemEngine::FullResim.to_string(), "full-resim");
-        let n = bench_format::parse(C17, "c17").unwrap();
-        let podem = Podem::new(&n, PodemConfig::default());
-        assert_eq!(podem.engine(), PodemEngine::EventDriven);
     }
 }

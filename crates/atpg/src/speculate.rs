@@ -473,9 +473,9 @@ fn commit_loop<const N: usize>(
 mod tests {
     use adi_netlist::fault::FaultList;
     use adi_netlist::{bench_format, CompiledCircuit};
-    use adi_sim::SimWidth;
+    use adi_sim::{PatternSet, SimWidth};
 
-    use crate::{DropLoopKind, TestGenConfig, TestGenerator};
+    use crate::{TestGenConfig, TestGenerator};
 
     const C17: &str = "
 INPUT(G1)
@@ -535,7 +535,7 @@ G23 = NAND(G16, G19)
 
     #[test]
     fn speculation_requires_the_batched_loop() {
-        // The scalar oracle loop ignores `atpg_threads` entirely.
+        // The scalar reference loop ignores `atpg_threads` entirely.
         let n = bench_format::parse(C17, "c17").unwrap();
         let circuit = CompiledCircuit::compile(n);
         let faults = FaultList::collapsed(circuit.netlist());
@@ -545,12 +545,11 @@ G23 = NAND(G16, G19)
                 &circuit,
                 &faults,
                 TestGenConfig {
-                    drop_loop: DropLoopKind::Scalar,
                     atpg_threads,
                     ..TestGenConfig::default()
                 },
             )
-            .run(&order)
+            .run_reference(&order, &PatternSet::new(5))
         };
         let seq = mk(1);
         let spec = mk(4);

@@ -7,23 +7,25 @@
 //! dropped. The per-test newly-detected counts form the fault-coverage
 //! curve that Figure 1 and Table 7 are built from.
 //!
-//! Two drop loops implement that procedure, selected by
-//! [`DropLoopKind`] and producing **bit-identical** [`TestGenResult`]s:
-//! the scalar loop (one
-//! [`detect_pattern`](adi_sim::FaultSimulator::detect_pattern) call per
-//! generated test, kept as the differential oracle) and the default
-//! batched loop, which accumulates generated tests into 64-wide blocks
-//! through an [`adi_sim::DropSession`] and pays the stem-region engine's
-//! per-region propagation once per block instead of one per-fault cone
-//! walk per test.
-//!
-//! With [`TestGenConfig::atpg_threads`] above one, the batched loop runs
+//! [`TestGenerator::run`] drops faults in batches: generated tests
+//! accumulate into wide blocks of an [`adi_sim::DropSession`], which pays
+//! the stem-region engine's per-region propagation once per block
+//! instead of one per-fault cone walk per test. With
+//! [`TestGenConfig::atpg_threads`] above one the loop runs
 //! **speculatively**: a pool of worker threads generates tests for
 //! upcoming targets while the calling thread commits outcomes strictly
 //! in ordering position under the first-win rule (see the
-//! [`speculate`] module docs for the invariants).
-//! Every knob combination — drop loop, width, threads, speculation —
-//! produces the same [`TestGenResult`].
+//! [`speculate`] module docs for the invariants). Every knob
+//! combination — width, threads, speculation — produces the same
+//! [`TestGenResult`].
+//!
+//! [`TestGenerator::run_reference`] is the differential oracle for both
+//! `run` and [`run_with_random_phase`](TestGenerator::run_with_random_phase):
+//! the scalar loop, one
+//! [`detect_pattern`](adi_sim::FaultSimulator::detect_pattern) call per
+//! generated test, over [`Podem::generate_reference`]. Its tests,
+//! classifications, per-test detection counts and PODEM search counters
+//! are bit-identical to `run`'s; production code does not call it.
 
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -36,38 +38,15 @@ use adi_sim::{CoverageCurve, DropSession, FaultSimulator, Pattern, SimWidth};
 
 use crate::{speculate, FillStrategy, Podem, PodemConfig, PodemOutcome, PodemStats, SatFallback, SatResolved};
 
-/// Per-target PODEM span (both drop loops enter it around
+/// Per-target PODEM span (the drop loop enters it around
 /// `podem.generate`, so a traced `atpg` request shows every target).
 static SPAN_PODEM: SpanSite = SpanSite::new("atpg.podem");
-
-/// Which drop loop [`TestGenerator`] runs generated tests through. Both
-/// produce bit-identical results.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum DropLoopKind {
-    /// One scalar `detect_pattern` call (one cone walk per active fault)
-    /// per generated test. Kept as the differential-testing oracle.
-    Scalar,
-    /// Generated tests batched into 64-wide blocks and dropped through
-    /// the stem-region engine ([`adi_sim::DropSession`]). Bit-identical
-    /// to [`Scalar`](DropLoopKind::Scalar), asymptotically faster.
-    #[default]
-    Batched,
-}
-
-impl std::fmt::Display for DropLoopKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DropLoopKind::Scalar => write!(f, "scalar"),
-            DropLoopKind::Batched => write!(f, "batched"),
-        }
-    }
-}
 
 /// Configuration for a [`TestGenerator`] run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TestGenConfig {
-    /// PODEM backtrack limit, engine, and SAT-fallback policy per
-    /// target. The driver's default turns the fallback **on**
+    /// PODEM backtrack limit and SAT-fallback policy per target. The
+    /// driver's default turns the fallback **on**
     /// ([`SatFallback::AbortedOnly`]): every backtrack-aborted target is
     /// handed to the formal layer for a redundancy proof or a test cube.
     pub podem: PodemConfig,
@@ -75,22 +54,19 @@ pub struct TestGenConfig {
     pub fill: FillStrategy,
     /// Seed for random fill (each test uses `seed + test_index`).
     pub fill_seed: u64,
-    /// Which drop loop simulates generated tests against the active
-    /// faults ([`DropLoopKind::Batched`] by default).
-    pub drop_loop: DropLoopKind,
-    /// Simulation word width of the batched drop loop (blocks hold
+    /// Simulation word width of the drop loop (blocks hold
     /// `width.bits()` pending tests). All widths are bit-identical; the
-    /// scalar loop ignores this.
+    /// reference loop ignores this.
     pub width: SimWidth,
-    /// Threads the batched drop loop's flushes split across
-    /// (region-parallel; results identical at every count).
+    /// Threads the drop loop's flushes split across (region-parallel;
+    /// results identical at every count).
     pub threads: usize,
-    /// Total threads of the batched ATPG loop itself. `1` runs the
-    /// sequential loop; `>= 2` runs the speculative first-win loop with
+    /// Total threads of the ATPG loop itself. `1` runs the sequential
+    /// loop; `>= 2` runs the speculative first-win loop with
     /// `atpg_threads - 1` PODEM workers plus the committing caller.
     /// Results are **bit-identical** at every value (the determinism
-    /// contract of the [`speculate`] module); the
-    /// scalar oracle loop ignores this. Defaults to the
+    /// contract of the [`speculate`] module); the reference loop
+    /// ignores this. Defaults to the
     /// `ADI_ATPG_THREADS` environment variable (read once and cached),
     /// falling back to `1`.
     pub atpg_threads: usize,
@@ -127,7 +103,6 @@ impl Default for TestGenConfig {
             },
             fill: FillStrategy::Random,
             fill_seed: 0x0AD1_F111,
-            drop_loop: DropLoopKind::default(),
             width: SimWidth::default(),
             threads: 1,
             atpg_threads: atpg_threads_from_env(),
@@ -173,9 +148,9 @@ impl FaultStatus {
 /// carried in [`TestGenResult::timing`].
 ///
 /// Timing is a measurement, not an output: it is **excluded from
-/// [`TestGenResult`] equality** so the differential contracts (scalar vs
-/// batched, sequential vs speculative, every width and thread count)
-/// can keep comparing whole results.
+/// [`TestGenResult`] equality** so the determinism contracts (sequential
+/// vs speculative, every width and thread count) can keep comparing
+/// whole results.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTimings {
     /// Nanoseconds inside `Podem::generate`. Under speculation this sums
@@ -213,7 +188,7 @@ impl PhaseTimings {
 /// (wall-clock measurement) and the scheduling-dependent
 /// [`PodemStats::wasted_speculations`] diagnostic are excluded, which is
 /// what lets the determinism lattice assert whole-result equality
-/// across drop loops, widths, and thread counts.
+/// across widths and thread counts.
 ///
 /// [`timing`]: TestGenResult::timing
 #[derive(Clone, Debug)]
@@ -427,106 +402,17 @@ impl<'a> TestGenerator<'a> {
     /// [`run_with_random_phase`](Self::run_with_random_phase):
     /// `predropped` faults are excluded from simulation and left
     /// unclassified (reported as [`FaultStatus::Aborted`] unless the
-    /// caller overwrites them). Dispatches on the configured
-    /// [`DropLoopKind`]; both variants are bit-identical.
+    /// caller overwrites them).
+    ///
+    /// Generated tests accumulate into a wide [`DropSession`] block
+    /// (`width.bits()` lanes); before each target is handed to PODEM a
+    /// single per-fault cone walk checks whether a *pending* test
+    /// already covers it (the batched equivalent of the reference loop's
+    /// already-dropped skip), and full blocks are drained through the
+    /// stem-region engine. The resulting test set, classifications, and
+    /// per-test detection counts are bit-identical to the reference
+    /// loop's at every width and thread count.
     fn run_phase(&self, order: &[FaultId], predropped: &[bool]) -> TestGenResult {
-        match self.config.drop_loop {
-            DropLoopKind::Scalar => self.run_phase_scalar(order, predropped),
-            DropLoopKind::Batched => self.run_phase_batched(order, predropped),
-        }
-    }
-
-    /// The scalar drop loop: one `detect_pattern` call (a cone walk per
-    /// active fault) per generated test.
-    fn run_phase_scalar(&self, order: &[FaultId], predropped: &[bool]) -> TestGenResult {
-        let n_faults = self.faults.len();
-        assert_eq!(predropped.len(), n_faults);
-        self.validate_order(order);
-
-        let mut podem = Podem::for_circuit(&self.circuit, self.config.podem);
-        let sim = FaultSimulator::for_circuit(&self.circuit, self.faults);
-        let mut scratch = SimScratch::for_circuit(&self.circuit);
-
-        // `status[f]` is None while f is undetected and unresolved.
-        let mut status: Vec<Option<FaultStatus>> = vec![None; n_faults];
-        let mut active: Vec<FaultId> = self
-            .faults
-            .ids()
-            .filter(|id| !predropped[id.index()])
-            .collect();
-        let mut tests: Vec<Pattern> = Vec::new();
-        let mut targets: Vec<FaultId> = Vec::new();
-        let mut new_detections: Vec<u32> = Vec::new();
-        let mut timing = PhaseTimings::default();
-
-        for &target in order {
-            if status[target.index()].is_some() {
-                continue; // already detected or resolved
-            }
-            let fault = self.faults.fault(target);
-            let t0 = Instant::now();
-            let outcome = {
-                let _span = SPAN_PODEM.enter();
-                podem.generate(fault)
-            };
-            timing.generate_ns += t0.elapsed().as_nanos() as u64;
-            match outcome {
-                PodemOutcome::Test(cube) => {
-                    let test_index = tests.len() as u32;
-                    let seed = self
-                        .config
-                        .fill_seed
-                        .wrapping_add(u64::from(test_index));
-                    let pattern = self.config.fill.fill(&cube, seed);
-                    let t0 = Instant::now();
-                    let detected = sim.detect_pattern(&pattern, &active, &mut scratch);
-                    timing.drop_ns += t0.elapsed().as_nanos() as u64;
-                    debug_assert!(
-                        detected.contains(&target),
-                        "generated test {pattern} does not detect its target {fault}"
-                    );
-                    for &d in &detected {
-                        status[d.index()] = Some(if d == target {
-                            FaultStatus::DetectedAsTarget { test: test_index }
-                        } else {
-                            FaultStatus::DetectedAccidentally { test: test_index }
-                        });
-                    }
-                    active.retain(|id| status[id.index()].is_none());
-                    new_detections.push(detected.len() as u32);
-                    tests.push(pattern);
-                    targets.push(target);
-                }
-                PodemOutcome::Untestable => {
-                    status[target.index()] = Some(FaultStatus::Redundant);
-                    active.retain(|&id| id != target);
-                }
-                PodemOutcome::Aborted => {
-                    status[target.index()] = Some(FaultStatus::Aborted);
-                    active.retain(|&id| id != target);
-                }
-            }
-        }
-
-        TestGenResult {
-            tests,
-            targets,
-            new_detections,
-            status: finalize_status(status),
-            podem_stats: podem.stats(),
-            timing,
-        }
-    }
-
-    /// The batched drop loop: generated tests accumulate into a wide
-    /// [`DropSession`] block (`width.bits()` lanes); before each target
-    /// is handed to PODEM a single per-fault cone walk checks whether a
-    /// *pending* test already covers it (the batched equivalent of the
-    /// scalar loop's already-dropped skip), and full blocks are drained
-    /// through the stem-region engine. The resulting test set,
-    /// classifications, and per-test detection counts are bit-identical
-    /// to the scalar loop's at every width and thread count.
-    fn run_phase_batched(&self, order: &[FaultId], predropped: &[bool]) -> TestGenResult {
         if self.config.atpg_threads > 1 {
             return match self.config.width {
                 SimWidth::W1 => speculate::run_speculative::<1>(self, order, predropped),
@@ -536,18 +422,14 @@ impl<'a> TestGenerator<'a> {
             };
         }
         match self.config.width {
-            SimWidth::W1 => self.run_phase_batched_w::<1>(order, predropped),
-            SimWidth::W2 => self.run_phase_batched_w::<2>(order, predropped),
-            SimWidth::W4 => self.run_phase_batched_w::<4>(order, predropped),
-            SimWidth::W8 => self.run_phase_batched_w::<8>(order, predropped),
+            SimWidth::W1 => self.run_phase_w::<1>(order, predropped),
+            SimWidth::W2 => self.run_phase_w::<2>(order, predropped),
+            SimWidth::W4 => self.run_phase_w::<4>(order, predropped),
+            SimWidth::W8 => self.run_phase_w::<8>(order, predropped),
         }
     }
 
-    fn run_phase_batched_w<const N: usize>(
-        &self,
-        order: &[FaultId],
-        predropped: &[bool],
-    ) -> TestGenResult {
+    fn run_phase_w<const N: usize>(&self, order: &[FaultId], predropped: &[bool]) -> TestGenResult {
         let n_faults = self.faults.len();
         assert_eq!(predropped.len(), n_faults);
         self.validate_order(order);
@@ -666,75 +548,213 @@ impl<'a> TestGenerator<'a> {
         order: &[FaultId],
         warmup: &adi_sim::PatternSet,
     ) -> TestGenResult {
-        let mut dropped = vec![false; self.faults.len()];
-        let mut active: Vec<FaultId> = self.faults.ids().collect();
-        let mut warm_tests: Vec<Pattern> = Vec::new();
-        let mut warm_targets: Vec<FaultId> = Vec::new();
-        let mut warm_news: Vec<u32> = Vec::new();
-        let mut warm_status: Vec<(FaultId, u32)> = Vec::new();
         let warm_start = Instant::now();
+        let mut warm = Warmup::new(self.faults);
+        match self.config.width {
+            SimWidth::W1 => self.warmup_w::<1>(warmup, &mut warm),
+            SimWidth::W2 => self.warmup_w::<2>(warmup, &mut warm),
+            SimWidth::W4 => self.warmup_w::<4>(warmup, &mut warm),
+            SimWidth::W8 => self.warmup_w::<8>(warmup, &mut warm),
+        }
+        let warm_ns = warm_start.elapsed().as_nanos() as u64;
+        let tail = self.run_phase(&warm.remaining(order), &warm.dropped);
+        warm.stitch(tail, warm_ns)
+    }
 
-        // Admit every warm-up vector that detects at least one new
-        // fault. Detection of a fault by a vector is independent of what
-        // was dropped before, so the batched path can simulate whole
-        // 64-vector blocks at once and replay the admission bookkeeping
-        // lane by lane — bit-identical to the scalar per-vector loop.
-        match self.config.drop_loop {
-            DropLoopKind::Scalar => {
-                let sim = FaultSimulator::for_circuit(&self.circuit, self.faults);
-                let mut scratch = SimScratch::for_circuit(&self.circuit);
-                for p in 0..warmup.len() {
-                    let pattern = warmup.get(p);
-                    let detected = sim.detect_pattern(&pattern, &active, &mut scratch);
-                    if detected.is_empty() {
-                        continue;
-                    }
-                    let test_index = warm_tests.len() as u32;
-                    for &d in &detected {
-                        dropped[d.index()] = true;
-                        warm_status.push((d, test_index));
-                    }
-                    active.retain(|id| !dropped[id.index()]);
-                    warm_targets.push(detected[0]);
-                    warm_news.push(detected.len() as u32);
-                    warm_tests.push(pattern);
-                }
+    /// The warm-up admission loop at width `N`. Detection of a fault by a
+    /// vector is independent of what was dropped before, so whole wide
+    /// blocks are simulated at once and the admission bookkeeping is
+    /// replayed lane by lane — bit-identical to the reference loop's
+    /// per-vector admission at every width.
+    fn warmup_w<const N: usize>(&self, warmup: &adi_sim::PatternSet, warm: &mut Warmup) {
+        let mut session = DropSession::<N>::for_circuit(&self.circuit, self.faults)
+            .with_threads(self.config.threads.max(1));
+        let mut p = 0;
+        while p < warmup.len() {
+            let base = p;
+            while p < warmup.len() && !session.is_full() {
+                session.push(&warmup.get(p));
+                p += 1;
             }
-            DropLoopKind::Batched => {
-                let mut warm = WarmupState {
-                    active: &mut active,
-                    dropped: &mut dropped,
-                    tests: &mut warm_tests,
-                    targets: &mut warm_targets,
-                    news: &mut warm_news,
-                    status: &mut warm_status,
-                };
-                match self.config.width {
-                    SimWidth::W1 => self.warmup_batched_w::<1>(warmup, &mut warm),
-                    SimWidth::W2 => self.warmup_batched_w::<2>(warmup, &mut warm),
-                    SimWidth::W4 => self.warmup_batched_w::<4>(warmup, &mut warm),
-                    SimWidth::W8 => self.warmup_batched_w::<8>(warmup, &mut warm),
+            let lists = session.flush(&warm.active);
+            for (off, detected) in lists.iter().enumerate() {
+                warm.admit(warmup.get(base + off), detected);
+            }
+            warm.prune();
+        }
+    }
+
+    /// The reference for both [`run`](Self::run) (pass an empty
+    /// `warmup`) and [`run_with_random_phase`](Self::run_with_random_phase):
+    /// the scalar drop loop, one
+    /// [`detect_pattern`](adi_sim::FaultSimulator::detect_pattern) call
+    /// (a cone walk per active fault) per warm-up vector and per
+    /// generated test, with every target searched by
+    /// [`Podem::generate_reference`]. `width`, `threads`, `atpg_threads`
+    /// and `speculation_depth` are ignored.
+    ///
+    /// Tests, targets, per-test detection counts, classifications and
+    /// the PODEM [`search_counters`](PodemStats::search_counters) and
+    /// SAT resolutions are bit-identical to the production loops'; the
+    /// simulation diagnostics (`sim_events`, `sim_updates`) describe the
+    /// full-resim search and differ. The differential oracle of the
+    /// equivalence suites and `perf_report`, not a production path.
+    ///
+    /// # Panics
+    ///
+    /// As [`run_with_random_phase`](Self::run_with_random_phase).
+    pub fn run_reference(&self, order: &[FaultId], warmup: &adi_sim::PatternSet) -> TestGenResult {
+        let warm_start = Instant::now();
+        let mut warm = Warmup::new(self.faults);
+        let sim = FaultSimulator::for_circuit(&self.circuit, self.faults);
+        let mut scratch = SimScratch::for_circuit(&self.circuit);
+        for p in 0..warmup.len() {
+            let pattern = warmup.get(p);
+            let detected = sim.detect_pattern(&pattern, &warm.active, &mut scratch);
+            warm.admit(pattern, &detected);
+            warm.prune();
+        }
+        let warm_ns = warm_start.elapsed().as_nanos() as u64;
+        let tail = self.run_phase_reference(&warm.remaining(order), &warm.dropped);
+        warm.stitch(tail, warm_ns)
+    }
+
+    /// The reference loop's deterministic phase: one `detect_pattern`
+    /// call (a cone walk per active fault) per generated test.
+    fn run_phase_reference(&self, order: &[FaultId], predropped: &[bool]) -> TestGenResult {
+        let n_faults = self.faults.len();
+        assert_eq!(predropped.len(), n_faults);
+        self.validate_order(order);
+
+        let mut podem = Podem::for_circuit(&self.circuit, self.config.podem);
+        let sim = FaultSimulator::for_circuit(&self.circuit, self.faults);
+        let mut scratch = SimScratch::for_circuit(&self.circuit);
+
+        // `status[f]` is None while f is undetected and unresolved.
+        let mut status: Vec<Option<FaultStatus>> = vec![None; n_faults];
+        let mut active: Vec<FaultId> = self
+            .faults
+            .ids()
+            .filter(|id| !predropped[id.index()])
+            .collect();
+        let mut tests: Vec<Pattern> = Vec::new();
+        let mut targets: Vec<FaultId> = Vec::new();
+        let mut new_detections: Vec<u32> = Vec::new();
+        let mut timing = PhaseTimings::default();
+
+        for &target in order {
+            if status[target.index()].is_some() {
+                continue; // already detected or resolved
+            }
+            let fault = self.faults.fault(target);
+            let t0 = Instant::now();
+            let outcome = podem.generate_reference(fault);
+            timing.generate_ns += t0.elapsed().as_nanos() as u64;
+            match outcome {
+                PodemOutcome::Test(cube) => {
+                    let test_index = tests.len() as u32;
+                    let seed = self.config.fill_seed.wrapping_add(u64::from(test_index));
+                    let pattern = self.config.fill.fill(&cube, seed);
+                    let t0 = Instant::now();
+                    let detected = sim.detect_pattern(&pattern, &active, &mut scratch);
+                    timing.drop_ns += t0.elapsed().as_nanos() as u64;
+                    debug_assert!(
+                        detected.contains(&target),
+                        "generated test {pattern} does not detect its target {fault}"
+                    );
+                    for &d in &detected {
+                        status[d.index()] = Some(if d == target {
+                            FaultStatus::DetectedAsTarget { test: test_index }
+                        } else {
+                            FaultStatus::DetectedAccidentally { test: test_index }
+                        });
+                    }
+                    active.retain(|id| status[id.index()].is_none());
+                    new_detections.push(detected.len() as u32);
+                    tests.push(pattern);
+                    targets.push(target);
+                }
+                PodemOutcome::Untestable => {
+                    status[target.index()] = Some(FaultStatus::Redundant);
+                    active.retain(|&id| id != target);
+                }
+                PodemOutcome::Aborted => {
+                    status[target.index()] = Some(FaultStatus::Aborted);
+                    active.retain(|&id| id != target);
                 }
             }
         }
 
-        // The warm-up admission phase is all fault simulation: book it
-        // under the drop phase.
-        let mut timing = PhaseTimings {
-            drop_ns: warm_start.elapsed().as_nanos() as u64,
-            ..PhaseTimings::default()
-        };
+        TestGenResult {
+            tests,
+            targets,
+            new_detections,
+            status: finalize_status(status),
+            podem_stats: podem.stats(),
+            timing,
+        }
+    }
+}
 
-        // Deterministic ATPG on the survivors.
-        let remaining: Vec<FaultId> = order
+/// The warm-up admission phase's bookkeeping: the faults still active,
+/// and the admitted vectors with the faults each one dropped.
+struct Warmup {
+    active: Vec<FaultId>,
+    dropped: Vec<bool>,
+    tests: Vec<Pattern>,
+    targets: Vec<FaultId>,
+    news: Vec<u32>,
+    status: Vec<(FaultId, u32)>,
+}
+
+impl Warmup {
+    fn new(faults: &FaultList) -> Self {
+        Warmup {
+            active: faults.ids().collect(),
+            dropped: vec![false; faults.len()],
+            tests: Vec::new(),
+            targets: Vec::new(),
+            news: Vec::new(),
+            status: Vec::new(),
+        }
+    }
+
+    /// Admits `pattern` if it detects at least one still-active fault
+    /// (`detected`, in fault order); the first one stands as its target.
+    fn admit(&mut self, pattern: Pattern, detected: &[FaultId]) {
+        let Some(&first) = detected.first() else {
+            return;
+        };
+        let test_index = self.tests.len() as u32;
+        for &d in detected {
+            self.dropped[d.index()] = true;
+            self.status.push((d, test_index));
+        }
+        self.targets.push(first);
+        self.news.push(detected.len() as u32);
+        self.tests.push(pattern);
+    }
+
+    /// Removes the dropped faults from the active list.
+    fn prune(&mut self) {
+        let dropped = &self.dropped;
+        self.active.retain(|id| !dropped[id.index()]);
+    }
+
+    /// The targets of `order` the warm-up left for deterministic ATPG.
+    fn remaining(&self, order: &[FaultId]) -> Vec<FaultId> {
+        order
             .iter()
             .copied()
-            .filter(|id| !dropped[id.index()])
-            .collect();
-        let tail = self.run_phase(&remaining, &dropped);
+            .filter(|id| !self.dropped[id.index()])
+            .collect()
+    }
 
-        // Stitch the two phases together, offsetting the tail's test ids.
-        let offset = warm_tests.len() as u32;
+    /// Puts the admitted vectors in front of the deterministic phase's
+    /// `tail`, offsetting the tail's test ids. The warm-up's `warm_ns`
+    /// is all fault simulation, so it is booked under the drop phase.
+    fn stitch(self, tail: TestGenResult, warm_ns: u64) -> TestGenResult {
+        let offset = self.tests.len() as u32;
         let mut status: Vec<FaultStatus> = tail
             .status
             .iter()
@@ -748,17 +768,21 @@ impl<'a> TestGenerator<'a> {
                 other => other,
             })
             .collect();
-        for (id, test) in warm_status {
+        for (id, test) in self.status {
             status[id.index()] = FaultStatus::DetectedAccidentally { test };
         }
-
-        let mut tests = warm_tests;
-        tests.extend(tail.tests);
-        let mut targets = warm_targets;
-        targets.extend(tail.targets);
-        let mut new_detections = warm_news;
-        new_detections.extend(tail.new_detections);
+        let mut timing = PhaseTimings {
+            drop_ns: warm_ns,
+            ..PhaseTimings::default()
+        };
         timing.absorb(tail.timing);
+
+        let mut tests = self.tests;
+        tests.extend(tail.tests);
+        let mut targets = self.targets;
+        targets.extend(tail.targets);
+        let mut new_detections = self.news;
+        new_detections.extend(tail.new_detections);
 
         TestGenResult {
             tests,
@@ -767,55 +791,6 @@ impl<'a> TestGenerator<'a> {
             status,
             podem_stats: tail.podem_stats,
             timing,
-        }
-    }
-}
-
-/// Mutable bookkeeping of the warm-up admission loop, bundled so the
-/// width-dispatched batched variant has one parameter instead of six.
-struct WarmupState<'s> {
-    active: &'s mut Vec<FaultId>,
-    dropped: &'s mut [bool],
-    tests: &'s mut Vec<Pattern>,
-    targets: &'s mut Vec<FaultId>,
-    news: &'s mut Vec<u32>,
-    status: &'s mut Vec<(FaultId, u32)>,
-}
-
-impl<'a> TestGenerator<'a> {
-    /// The batched warm-up admission loop at width `N`: whole wide
-    /// blocks are simulated at once and the admission bookkeeping is
-    /// replayed lane by lane — bit-identical to the scalar per-vector
-    /// loop at every width.
-    fn warmup_batched_w<const N: usize>(
-        &self,
-        warmup: &adi_sim::PatternSet,
-        w: &mut WarmupState<'_>,
-    ) {
-        let mut session = DropSession::<N>::for_circuit(&self.circuit, self.faults)
-            .with_threads(self.config.threads.max(1));
-        let mut p = 0;
-        while p < warmup.len() {
-            let base = p;
-            while p < warmup.len() && !session.is_full() {
-                session.push(&warmup.get(p));
-                p += 1;
-            }
-            let lists = session.flush(w.active);
-            for (off, detected) in lists.iter().enumerate() {
-                if detected.is_empty() {
-                    continue;
-                }
-                let test_index = w.tests.len() as u32;
-                for &d in detected {
-                    w.dropped[d.index()] = true;
-                    w.status.push((d, test_index));
-                }
-                w.targets.push(detected[0]);
-                w.news.push(detected.len() as u32);
-                w.tests.push(warmup.get(base + off));
-            }
-            w.active.retain(|id| !w.dropped[id.index()]);
         }
     }
 }
@@ -834,7 +809,7 @@ pub(crate) fn finalize_status(status: Vec<Option<FaultStatus>>) -> Vec<FaultStat
 /// lanes: lane `j` of the block is test `new_detections.len() + j`, its
 /// detected faults are classified against that test (as-target for the
 /// lane's own target, accidental otherwise), and `active` is pruned —
-/// exactly the per-test bookkeeping the scalar loop performs inline.
+/// exactly the per-test bookkeeping the reference loop performs inline.
 ///
 /// `resolved` is the speculative loop's shared pruning hints: every
 /// fault classified here is flagged so in-flight workers stop targeting
@@ -1095,6 +1070,20 @@ G23 = NAND(G16, G19)
         );
     }
 
+    /// `r` with the simulation diagnostics zeroed: the reference loop's
+    /// full-resim search does different simulation work for the same
+    /// outputs and search counters.
+    fn outputs(r: TestGenResult) -> TestGenResult {
+        TestGenResult {
+            podem_stats: PodemStats {
+                sim_events: 0,
+                sim_updates: 0,
+                ..r.podem_stats
+            },
+            ..r
+        }
+    }
+
     #[test]
     fn batched_and_scalar_drop_loops_are_bit_identical() {
         let n = c17();
@@ -1102,26 +1091,11 @@ G23 = NAND(G16, G19)
         let faults = FaultList::collapsed(&n);
         let fwd: Vec<FaultId> = faults.ids().collect();
         let rev: Vec<FaultId> = fwd.iter().rev().copied().collect();
+        let gen = TestGenerator::for_circuit(&circuit, &faults, TestGenConfig::default());
         for order in [&fwd, &rev] {
-            let batched = TestGenerator::for_circuit(
-                &circuit,
-                &faults,
-                TestGenConfig {
-                    drop_loop: DropLoopKind::Batched,
-                    ..TestGenConfig::default()
-                },
-            )
-            .run(order);
-            let scalar = TestGenerator::for_circuit(
-                &circuit,
-                &faults,
-                TestGenConfig {
-                    drop_loop: DropLoopKind::Scalar,
-                    ..TestGenConfig::default()
-                },
-            )
-            .run(order);
-            assert_eq!(batched, scalar);
+            let batched = gen.run(order);
+            let scalar = gen.run_reference(order, &PatternSet::new(5));
+            assert_eq!(outputs(batched), outputs(scalar));
         }
     }
 
@@ -1131,29 +1105,25 @@ G23 = NAND(G16, G19)
         let circuit = compile(&n);
         let faults = FaultList::collapsed(&n);
         let order: Vec<FaultId> = faults.ids().collect();
-        let scalar = TestGenerator::for_circuit(
-            &circuit,
-            &faults,
-            TestGenConfig {
-                drop_loop: DropLoopKind::Scalar,
-                ..TestGenConfig::default()
-            },
-        )
-        .run(&order);
+        let scalar = TestGenerator::for_circuit(&circuit, &faults, TestGenConfig::default())
+            .run_reference(&order, &PatternSet::new(5));
         for width in SimWidth::ALL {
             for threads in [1usize, 2, 4] {
                 let batched = TestGenerator::for_circuit(
                     &circuit,
                     &faults,
                     TestGenConfig {
-                        drop_loop: DropLoopKind::Batched,
                         width,
                         threads,
                         ..TestGenConfig::default()
                     },
                 )
                 .run(&order);
-                assert_eq!(batched, scalar, "width {width} threads {threads}");
+                assert_eq!(
+                    outputs(batched),
+                    outputs(scalar.clone()),
+                    "width {width} threads {threads}"
+                );
             }
         }
     }
@@ -1164,27 +1134,12 @@ G23 = NAND(G16, G19)
         let circuit = compile(&n);
         let faults = FaultList::collapsed(&n);
         let order: Vec<FaultId> = faults.ids().collect();
+        let gen = TestGenerator::for_circuit(&circuit, &faults, TestGenConfig::default());
         for seed in [0u64, 7, 19] {
             let warmup = PatternSet::random(5, 100, seed);
-            let batched = TestGenerator::for_circuit(
-                &circuit,
-                &faults,
-                TestGenConfig {
-                    drop_loop: DropLoopKind::Batched,
-                    ..TestGenConfig::default()
-                },
-            )
-            .run_with_random_phase(&order, &warmup);
-            let scalar = TestGenerator::for_circuit(
-                &circuit,
-                &faults,
-                TestGenConfig {
-                    drop_loop: DropLoopKind::Scalar,
-                    ..TestGenConfig::default()
-                },
-            )
-            .run_with_random_phase(&order, &warmup);
-            assert_eq!(batched, scalar, "seed {seed}");
+            let batched = gen.run_with_random_phase(&order, &warmup);
+            let scalar = gen.run_reference(&order, &warmup);
+            assert_eq!(outputs(batched), outputs(scalar), "seed {seed}");
         }
     }
 

@@ -1,8 +1,8 @@
-//! Throughput of stuck-at fault simulation: no-drop (the ADI workload),
-//! with dropping, serial vs. parallel, and per-fault vs. stem-region.
+//! Throughput of stuck-at fault simulation: no-drop (the ADI workload)
+//! serial vs. parallel, and with dropping.
 
 use adi_circuits::paper_suite;
-use adi_sim::{EngineKind, FaultSimulator, PatternSet, StemRegionEngine};
+use adi_sim::{FaultSimulator, PatternSet, StemRegionEngine};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_no_drop(c: &mut Criterion) {
@@ -13,15 +13,13 @@ fn bench_no_drop(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("fault_sim_no_drop_irs208_512v");
     group.sample_size(20);
-    for engine in [EngineKind::PerFault, EngineKind::StemRegion] {
-        let sim = FaultSimulator::for_circuit_with_engine(&compiled, faults, engine);
-        group.bench_function(format!("{engine}/serial"), |b| {
-            b.iter(|| sim.no_drop_matrix(&patterns))
-        });
-        group.bench_function(format!("{engine}/parallel4"), |b| {
-            b.iter(|| sim.no_drop_matrix_parallel(&patterns, 4))
-        });
-    }
+    let sim = FaultSimulator::for_circuit(&compiled, faults);
+    group.bench_function("stem-region/serial", |b| {
+        b.iter(|| sim.no_drop_matrix(&patterns))
+    });
+    group.bench_function("stem-region/parallel4", |b| {
+        b.iter(|| sim.no_drop_matrix_parallel(&patterns, 4))
+    });
     // Amortized stem-region: setup (fault grouping) hoisted out too.
     let engine = StemRegionEngine::for_circuit(&compiled, faults);
     group.bench_function("stem-region/prebuilt", |b| {
@@ -37,12 +35,10 @@ fn bench_dropping(c: &mut Criterion) {
         let compiled = circuit.compiled();
         let faults = compiled.collapsed_faults();
         let patterns = PatternSet::random(compiled.netlist().num_inputs(), 512, 3);
-        for engine in [EngineKind::PerFault, EngineKind::StemRegion] {
-            let sim = FaultSimulator::for_circuit_with_engine(&compiled, faults, engine);
-            group.bench_function(format!("{}/{engine}", circuit.name), |b| {
-                b.iter(|| sim.with_dropping(&patterns))
-            });
-        }
+        let sim = FaultSimulator::for_circuit(&compiled, faults);
+        group.bench_function(format!("{}/stem-region", circuit.name), |b| {
+            b.iter(|| sim.with_dropping(&patterns))
+        });
     }
     group.finish();
 }

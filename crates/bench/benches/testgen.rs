@@ -1,7 +1,7 @@
 //! End-to-end ordered test generation — the measured quantity behind the
 //! paper's Table 6 (run-time ratios between fault orders).
 
-use adi_atpg::{DropLoopKind, TestGenConfig, TestGenerator};
+use adi_atpg::{TestGenConfig, TestGenerator};
 use adi_circuits::paper_suite;
 use adi_core::uset::select_u_for;
 use adi_core::{order_faults, AdiAnalysis, AdiConfig, FaultOrdering, USetConfig};
@@ -33,26 +33,5 @@ fn bench_testgen_orders(c: &mut Criterion) {
     group.finish();
 }
 
-/// Scalar vs 64-wide batched drop loop, end to end (bit-identical by
-/// construction; the interesting number is the wall-clock ratio).
-fn bench_testgen_drop_loops(c: &mut Criterion) {
-    let circuit = paper_suite().into_iter().find(|s| s.name == "irs208").unwrap();
-    let compiled = circuit.compiled();
-    let faults = compiled.collapsed_faults();
-    let order: Vec<_> = faults.ids().collect();
-    let mut group = c.benchmark_group("testgen_drop_loop_irs208");
-    group.sample_size(10);
-    for drop_loop in [DropLoopKind::Scalar, DropLoopKind::Batched] {
-        let cfg = TestGenConfig {
-            drop_loop,
-            ..TestGenConfig::default()
-        };
-        group.bench_function(drop_loop.to_string(), |b| {
-            b.iter(|| TestGenerator::for_circuit(&compiled, faults, cfg).run(&order))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_testgen_orders, bench_testgen_drop_loops);
+criterion_group!(benches, bench_testgen_orders);
 criterion_main!(benches);

@@ -101,19 +101,22 @@
 //! phase comparable to earlier snapshots) and switched on for the
 //! observability and open-loop phases.
 //!
-//! The engine column of `entries` maps per phase:
+//! The engine column of `entries` names the reference implementation
+//! (`per-fault`) or the production path (`stem-region`) per phase:
 //!
-//! * `no-drop` / `dropping` / `adi` — the fault-simulation engines
-//!   (per-fault PPSFP vs the stem-region engine).
+//! * `no-drop` / `dropping` / `adi` — fault simulation: the per-fault
+//!   PPSFP reference (`adi_sim::reference`) vs the stem-region engine.
 //! * `atpg` — end-to-end ordered generation: the `per-fault` row is the
-//!   classic stack (full-resim PODEM + scalar drop loop), the
-//!   `stem-region` row the current stack (event-driven PODEM + 64-wide
-//!   batched drop loop).
+//!   classic stack (`TestGenerator::run_reference`: full-resim PODEM +
+//!   scalar drop loop), the `stem-region` row the production stack
+//!   (`TestGenerator::run`: event-driven PODEM + 64-wide batched drop
+//!   loop).
 //! * `drop-loop` — the isolated drop primitive: scalar `detect_pattern`
 //!   replay vs the batched `DropSession`.
 //! * `podem` — raw PODEM generation over a fixed target sample, no
-//!   dropping: full-resim vs event-driven engine. These entries carry
-//!   two extra fields, `targets_per_s` and `events_per_decision`.
+//!   dropping: `Podem::generate_reference` (full resim) vs
+//!   `Podem::generate` (event driven). These entries carry two extra
+//!   fields, `targets_per_s` and `events_per_decision`.
 //!
 //! Every paired implementation is verified **before the report is
 //! written**: detection matrices, ATPG results, drop-loop replays, and
@@ -130,8 +133,8 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use adi_atpg::cnf::{prove_fault, DEFAULT_CONFLICT_LIMIT};
 use adi_atpg::{
-    DropLoopKind, FaultVerdict, Podem, PodemConfig, PodemEngine, PodemOutcome, PodemStats,
-    TestCube, TestGenConfig, TestGenResult, TestGenerator,
+    FaultVerdict, Podem, PodemConfig, PodemOutcome, PodemStats, TestCube, TestGenConfig,
+    TestGenResult, TestGenerator,
 };
 use adi_bench::TextTable;
 use adi_circuits::paper_suite;
@@ -139,9 +142,7 @@ use adi_core::{AdiAnalysis, AdiConfig};
 use adi_netlist::fault::{Fault, FaultId, FaultList};
 use adi_netlist::{bench_format, CompiledCircuit, Netlist};
 use adi_service::{serve_tcp, ServerConfig, ServiceState, StoreConfig};
-use adi_sim::{
-    DropSession, EngineKind, FaultSimulator, Pattern, PatternSet, SimScratch, SimWidth,
-};
+use adi_sim::{reference, DropSession, FaultSimulator, Pattern, PatternSet, SimScratch, SimWidth};
 use json::{Object, Value};
 
 /// Seed for the shared random pattern set (fixed so runs are comparable
@@ -154,7 +155,8 @@ const PATTERN_SEED: u64 = 0xBE9C_2005;
 const PODEM_SAMPLE: usize = 128;
 
 const PHASES: [&str; 6] = ["no-drop", "dropping", "adi", "atpg", "drop-loop", "podem"];
-const ENGINES: [EngineKind; 2] = [EngineKind::PerFault, EngineKind::StemRegion];
+/// The `engine` column: the reference row, then the production row.
+const ENGINES: [&str; 2] = ["per-fault", "stem-region"];
 
 /// Non-quick runs fail unless a cache-hit service request on the
 /// largest circuit beats a cold compile by at least this factor.
@@ -377,7 +379,7 @@ fn today_utc() -> String {
 
 struct Entry {
     circuit: String,
-    engine: EngineKind,
+    engine: &'static str,
     phase: &'static str,
     wall_ns: u128,
     speedup: f64,
@@ -1045,8 +1047,7 @@ fn observability_phase(
     }
 
     // ---- timings (only after the gate above has passed) --------------
-    let sim = FaultSimulator::for_circuit_with_engine(compiled, faults, EngineKind::StemRegion)
-        .with_width(SimWidth::W1);
+    let sim = FaultSimulator::for_circuit(compiled, faults).with_width(SimWidth::W1);
     adi_obs::set_enabled(false);
     let disabled_ns = time_ns_reps(3, || {
         std::hint::black_box(sim.no_drop_matrix(patterns));
@@ -1249,13 +1250,10 @@ fn main() {
         // Correctness gate: the engines must agree bit for bit before
         // their timings are worth recording. The stem-region result at
         // one lane on one thread doubles as the wide-word oracle.
-        let reference =
-            FaultSimulator::for_circuit_with_engine(&compiled, faults, EngineKind::PerFault)
-                .no_drop_matrix(&patterns);
-        let oracle =
-            FaultSimulator::for_circuit_with_engine(&compiled, faults, EngineKind::StemRegion)
-                .with_width(SimWidth::W1)
-                .no_drop_matrix(&patterns);
+        let reference = reference::no_drop_matrix(&compiled, faults, &patterns);
+        let oracle = FaultSimulator::for_circuit(&compiled, faults)
+            .with_width(SimWidth::W1)
+            .no_drop_matrix(&patterns);
         assert_eq!(
             reference, oracle,
             "{}: engines disagree — refusing to write a perf report",
@@ -1267,12 +1265,7 @@ fn main() {
         // bit-identical to the 64-bit single-thread oracle before its
         // timing is written.
         for &width in &lattice_widths {
-            let sim = FaultSimulator::for_circuit_with_engine(
-                &compiled,
-                faults,
-                EngineKind::StemRegion,
-            )
-            .with_width(width);
+            let sim = FaultSimulator::for_circuit(&compiled, faults).with_width(width);
             let mut serial_pps = None;
             for &threads in &lattice_threads {
                 let gate_matrix = if inject_pending {
@@ -1317,56 +1310,58 @@ fn main() {
 
         let mut wall = [[0u128; PHASES.len()]; ENGINES.len()];
         let mut podem_metrics: [Option<(f64, f64)>; 2] = [None, None];
-        for (ei, &engine) in ENGINES.iter().enumerate() {
-            let sim = FaultSimulator::for_circuit_with_engine(&compiled, faults, engine)
-                .with_width(SimWidth::W1);
-            wall[ei][0] = time_ns(|| {
-                std::hint::black_box(sim.no_drop_matrix(&patterns));
-            });
-            wall[ei][1] = time_ns(|| {
-                std::hint::black_box(sim.with_dropping(&patterns));
-            });
-            let config = AdiConfig {
-                engine,
-                width: SimWidth::W1,
-                ..AdiConfig::default()
-            };
-            wall[ei][2] = time_ns(|| {
-                std::hint::black_box(AdiAnalysis::for_circuit(
-                    &compiled, faults, &patterns, config,
-                ));
-            });
-        }
+        let config = AdiConfig {
+            width: SimWidth::W1,
+            ..AdiConfig::default()
+        };
+        wall[0][0] = time_ns(|| {
+            std::hint::black_box(reference::no_drop_matrix(&compiled, faults, &patterns));
+        });
+        wall[0][1] = time_ns(|| {
+            std::hint::black_box(reference::with_dropping(&compiled, faults, &patterns));
+        });
+        wall[0][2] = time_ns(|| {
+            std::hint::black_box(AdiAnalysis::from_matrix(
+                reference::no_drop_matrix(&compiled, faults, &patterns),
+                config,
+            ));
+        });
+        let sim = FaultSimulator::for_circuit(&compiled, faults).with_width(SimWidth::W1);
+        wall[1][0] = time_ns(|| {
+            std::hint::black_box(sim.no_drop_matrix(&patterns));
+        });
+        wall[1][1] = time_ns(|| {
+            std::hint::black_box(sim.with_dropping(&patterns));
+        });
+        wall[1][2] = time_ns(|| {
+            std::hint::black_box(AdiAnalysis::for_circuit(
+                &compiled, faults, &patterns, config,
+            ));
+        });
 
-        // ATPG end-to-end: the classic stack (full-resim PODEM + scalar
-        // drop loop, the per-fault row) vs the current stack
-        // (event-driven PODEM + batched drop loop, the stem-region row),
-        // with a bit-identical gate on the full result before the
-        // timings count.
+        // ATPG end-to-end: the classic stack (`run_reference`: full-resim
+        // PODEM + scalar drop loop, the per-fault row) vs the current
+        // stack (`run`: event-driven PODEM + batched drop loop, the
+        // stem-region row), SAT fallback off in both, with a
+        // bit-identical gate on the full result before the timings count.
         let order: Vec<FaultId> = faults.ids().collect();
         let mut results: [Option<TestGenResult>; 2] = [None, None];
-        let stacks = [
-            (PodemEngine::FullResim, DropLoopKind::Scalar),
-            (PodemEngine::EventDriven, DropLoopKind::Batched),
-        ];
-        for (li, (podem_engine, drop_loop)) in stacks.into_iter().enumerate() {
-            let gen = TestGenerator::for_circuit(
-                &compiled,
-                faults,
-                TestGenConfig {
-                    drop_loop,
-                    width: SimWidth::W1,
-                    podem: PodemConfig {
-                        engine: podem_engine,
-                        ..PodemConfig::default()
-                    },
-                    ..TestGenConfig::default()
-                },
-            );
-            wall[li][3] = time_ns(|| {
-                results[li] = Some(std::hint::black_box(gen.run(&order)));
-            });
-        }
+        let gen = TestGenerator::for_circuit(
+            &compiled,
+            faults,
+            TestGenConfig {
+                width: SimWidth::W1,
+                podem: PodemConfig::default(),
+                ..TestGenConfig::default()
+            },
+        );
+        let no_warmup = PatternSet::new(compiled.netlist().num_inputs());
+        wall[0][3] = time_ns(|| {
+            results[0] = Some(std::hint::black_box(gen.run_reference(&order, &no_warmup)));
+        });
+        wall[1][3] = time_ns(|| {
+            results[1] = Some(std::hint::black_box(gen.run(&order)));
+        });
         let (a, b) = (
             results[0].as_ref().expect("timed"),
             results[1].as_ref().expect("timed"),
@@ -1443,29 +1438,25 @@ fn main() {
             circuit.name
         );
 
-        // Raw PODEM over a fixed fault sample, no dropping: full-resim
-        // vs event-driven engine, outcome-for-outcome gated. Generator
-        // construction happens *outside* the timed region (a fresh one
-        // per repetition, so stats always reflect exactly one pass) —
-        // the O(n) setup must not dilute the per-target throughput.
+        // Raw PODEM over a fixed fault sample, no dropping: the
+        // full-resim reference vs the event-driven search,
+        // outcome-for-outcome gated. Generator construction happens
+        // *outside* the timed region (a fresh one per repetition, so
+        // stats always reflect exactly one pass) — the O(n) setup must
+        // not dilute the per-target throughput.
         let sample: Vec<Fault> = faults.iter().take(PODEM_SAMPLE).map(|(_, f)| f).collect();
         let mut outcomes: [Option<Vec<PodemOutcome>>; 2] = [None, None];
         let mut stats = [PodemStats::default(); 2];
-        let podem_engines = [PodemEngine::FullResim, PodemEngine::EventDriven];
-        for (ei, &engine) in podem_engines.iter().enumerate() {
+        let searches: [fn(&mut Podem, Fault) -> PodemOutcome; 2] =
+            [Podem::generate_reference, Podem::generate];
+        for (ei, &search) in searches.iter().enumerate() {
             let mut best = u128::MAX;
             let mut spent = 0u128;
             for _ in 0..15 {
-                let mut podem = Podem::for_circuit(
-                    &compiled,
-                    PodemConfig {
-                        engine,
-                        ..PodemConfig::default()
-                    },
-                );
+                let mut podem = Podem::for_circuit(&compiled, PodemConfig::default());
                 let t0 = Instant::now();
                 let outs: Vec<PodemOutcome> =
-                    sample.iter().map(|&f| podem.generate(f)).collect();
+                    sample.iter().map(|&f| search(&mut podem, f)).collect();
                 let ns = t0.elapsed().as_nanos();
                 best = best.min(ns);
                 spent += ns;
@@ -1689,15 +1680,15 @@ fn main() {
         "drop-loop speedup",
         "podem speedup",
     ]);
-    let find = |circuit: &str, engine: EngineKind, phase: &str| {
+    let find = |circuit: &str, engine: &str, phase: &str| {
         entries
             .iter()
             .find(|e| e.circuit == circuit && e.engine == engine && e.phase == phase)
             .expect("entry recorded")
     };
     for circuit in &circuits {
-        let pf = find(circuit.name, EngineKind::PerFault, "no-drop");
-        let st = find(circuit.name, EngineKind::StemRegion, "no-drop");
+        let pf = find(circuit.name, "per-fault", "no-drop");
+        let st = find(circuit.name, "stem-region", "no-drop");
         table.row(vec![
             circuit.name.to_string(),
             format!("{:.2}", pf.wall_ns as f64 / 1e6),
@@ -1705,24 +1696,15 @@ fn main() {
             format!("{:.2}x", st.speedup),
             format!(
                 "{:.2}x",
-                find(circuit.name, EngineKind::StemRegion, "dropping").speedup
+                find(circuit.name, "stem-region", "dropping").speedup
             ),
+            format!("{:.2}x", find(circuit.name, "stem-region", "adi").speedup),
+            format!("{:.2}x", find(circuit.name, "stem-region", "atpg").speedup),
             format!(
                 "{:.2}x",
-                find(circuit.name, EngineKind::StemRegion, "adi").speedup
+                find(circuit.name, "stem-region", "drop-loop").speedup
             ),
-            format!(
-                "{:.2}x",
-                find(circuit.name, EngineKind::StemRegion, "atpg").speedup
-            ),
-            format!(
-                "{:.2}x",
-                find(circuit.name, EngineKind::StemRegion, "drop-loop").speedup
-            ),
-            format!(
-                "{:.2}x",
-                find(circuit.name, EngineKind::StemRegion, "podem").speedup
-            ),
+            format!("{:.2}x", find(circuit.name, "stem-region", "podem").speedup),
         ]);
     }
     println!("{}", table.render());
@@ -1906,7 +1888,7 @@ fn main() {
     // counts, CI smoke) are exempt.
     if !opts.quick {
         if let Some(largest) = circuits.iter().max_by_key(|c| c.gates) {
-            let speedup = find(largest.name, EngineKind::StemRegion, "no-drop").speedup;
+            let speedup = find(largest.name, "stem-region", "no-drop").speedup;
             if speedup < opts.min_speedup {
                 eprintln!(
                     "error: stem-region no-drop speedup on {} is {:.2}x, below the \
@@ -2118,7 +2100,7 @@ fn render_report(
                 .map(|e| {
                     let mut o = Object::new();
                     o.insert("circuit", e.circuit.as_str());
-                    o.insert("engine", e.engine.to_string());
+                    o.insert("engine", e.engine);
                     o.insert("phase", e.phase);
                     o.insert("wall_ns", Value::from_u128(e.wall_ns));
                     if let Some((tps, epd)) = e.podem_metrics {
@@ -2295,7 +2277,7 @@ mod tests {
         let entries = vec![
             Entry {
                 circuit: "irs208".into(),
-                engine: EngineKind::StemRegion,
+                engine: "stem-region",
                 phase: "no-drop",
                 wall_ns: 12345,
                 speedup: 2.5,
@@ -2303,7 +2285,7 @@ mod tests {
             },
             Entry {
                 circuit: "irs208".into(),
-                engine: EngineKind::StemRegion,
+                engine: "stem-region",
                 phase: "podem",
                 wall_ns: 999,
                 speedup: 8.0,

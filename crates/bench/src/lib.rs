@@ -20,7 +20,7 @@ use std::fmt::Write as _;
 use adi_circuits::{paper_suite, PaperCircuit};
 use adi_core::pipeline::Experiment;
 use adi_core::{ExperimentConfig, FaultOrdering};
-use adi_sim::{EngineKind, SimWidth};
+use adi_sim::SimWidth;
 
 /// Command-line options shared by all table binaries.
 #[derive(Clone, Debug)]
@@ -31,9 +31,7 @@ pub struct HarnessOptions {
     pub threads: usize,
     /// Shrink the random-vector pool (quick smoke runs).
     pub quick: bool,
-    /// Fault-simulation engine behind the ADI computation.
-    pub engine: EngineKind,
-    /// Simulation word width (lanes) for the stem-region engine.
+    /// Simulation word width (lanes) of the fault simulation.
     pub width: SimWidth,
 }
 
@@ -45,7 +43,6 @@ impl Default for HarnessOptions {
             max_gates: 600,
             threads: default_threads(),
             quick: false,
-            engine: EngineKind::default(),
             width: SimWidth::default(),
         }
     }
@@ -96,17 +93,6 @@ impl HarnessOptions {
                         .and_then(|s| s.parse().ok())
                         .ok_or_else(|| "--threads requires a number".to_string())?;
                 }
-                "--engine" => {
-                    opts.engine = match args.next().as_deref() {
-                        Some("per-fault") => EngineKind::PerFault,
-                        Some("stem-region") | Some("stem") => EngineKind::StemRegion,
-                        _ => {
-                            return Err(
-                                "--engine requires `per-fault` or `stem-region`".to_string()
-                            )
-                        }
-                    };
-                }
                 "--width" => {
                     opts.width = args
                         .next()
@@ -124,7 +110,6 @@ impl HarnessOptions {
     pub fn experiment_config(&self) -> ExperimentConfig {
         let mut cfg = ExperimentConfig::default();
         cfg.adi.threads = self.threads;
-        cfg.adi.engine = self.engine;
         cfg.adi.width = self.width;
         if self.quick {
             cfg.uset.max_vectors = 1000;
@@ -145,7 +130,7 @@ fn usage(message: &str) -> ! {
     eprintln!("error: {message}");
     eprintln!(
         "usage: <table-binary> [--max-gates N | --all] [--quick] [--threads N] \
-         [--engine per-fault|stem-region] [--width 1|2|4|8]"
+         [--width 1|2|4|8]"
     );
     std::process::exit(2);
 }
@@ -287,10 +272,6 @@ mod tests {
         assert_eq!(ok(&["--threads", "2"]).threads, 2);
         let combo = ok(&["--quick", "--max-gates", "9", "--threads", "3"]);
         assert!(combo.quick && combo.max_gates == 9 && combo.threads == 3);
-        assert_eq!(ok(&["--engine", "per-fault"]).engine, EngineKind::PerFault);
-        assert_eq!(ok(&["--engine", "stem-region"]).engine, EngineKind::StemRegion);
-        assert_eq!(ok(&["--engine", "stem"]).engine, EngineKind::StemRegion);
-        assert_eq!(ok(&[]).engine, EngineKind::StemRegion);
         assert_eq!(ok(&["--width", "8"]).width, SimWidth::W8);
         assert_eq!(ok(&[]).width, SimWidth::default());
         let err = HarnessOptions::try_from_iter(
@@ -298,11 +279,12 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("1, 2, 4, or 8"));
+        // `--engine` is rejected like any unknown flag.
         let err = HarnessOptions::try_from_iter(
-            ["--engine", "warp"].iter().map(|s| s.to_string()),
+            ["--engine", "per-fault"].iter().map(|s| s.to_string()),
         )
         .unwrap_err();
-        assert!(err.contains("per-fault"));
+        assert!(err.contains("unknown argument `--engine`"));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use adi_netlist::fault::{FaultId, FaultList};
 use adi_netlist::CompiledCircuit;
-use adi_sim::{DetectionMatrix, EngineKind, FaultSimulator, PatternSet, SimWidth};
+use adi_sim::{DetectionMatrix, FaultSimulator, PatternSet, SimWidth};
 
 /// How `ADI(f)` is aggregated from the detection counts of the vectors in
 /// `D(f)`.
@@ -48,14 +48,9 @@ pub struct AdiConfig {
     /// Number of OS threads for the underlying no-drop fault simulation
     /// (0 or 1 = serial).
     pub threads: usize,
-    /// Which fault-simulation engine computes the detection matrix. The
-    /// engines are bit-identical; [`EngineKind::StemRegion`] (the
-    /// default) pays the propagation cost per fanout-free region instead
-    /// of per fault.
-    pub engine: EngineKind,
-    /// Simulation word width of the stem-region engine (every width is
+    /// Simulation word width of the fault simulation (every width is
     /// bit-identical; wider words amortize the per-block sweeps over
-    /// more patterns). The per-fault engine ignores this.
+    /// more patterns).
     pub width: SimWidth,
 }
 
@@ -104,8 +99,7 @@ impl AdiAnalysis {
         patterns: &PatternSet,
         config: AdiConfig,
     ) -> Self {
-        let sim = FaultSimulator::for_circuit_with_engine(circuit, faults, config.engine)
-            .with_width(config.width);
+        let sim = FaultSimulator::for_circuit(circuit, faults).with_width(config.width);
         let mut matrix = if config.threads > 1 {
             sim.no_drop_matrix_parallel(patterns, config.threads)
         } else {
@@ -368,14 +362,9 @@ mod tests {
     fn per_fault_engine_matches_default() {
         let (n, faults, stem) = and2_analysis();
         let u = PatternSet::exhaustive(2);
-        let per_fault = AdiAnalysis::for_circuit(
-            &CompiledCircuit::compile(n.clone()),
-            &faults,
-            &u,
-            AdiConfig {
-                engine: EngineKind::PerFault,
-                ..AdiConfig::default()
-            },
+        let per_fault = AdiAnalysis::from_matrix(
+            adi_sim::reference::no_drop_matrix(&CompiledCircuit::compile(n.clone()), &faults, &u),
+            AdiConfig::default(),
         );
         assert_eq!(stem.matrix(), per_fault.matrix());
         assert_eq!(stem.adi_values(), per_fault.adi_values());

@@ -35,10 +35,9 @@ use adi_sim::{FaultSimulator, PatternSet};
 use json::{Object, Value};
 
 use crate::protocol::{
-    error_response, invalid_json_response, opt_bool, opt_str, opt_u64,
-    parse_adi_config, parse_engine, parse_ordering, parse_pattern_spec, parse_testgen_config,
-    parse_uset_config, parse_width, pattern_to_string, require_patterns, PatternSpec,
-    RequestError, RequestResult,
+    error_response, invalid_json_response, opt_bool, opt_str, opt_u64, parse_adi_config,
+    parse_ordering, parse_pattern_spec, parse_testgen_config, parse_uset_config, parse_width,
+    pattern_to_string, require_patterns, PatternSpec, RequestError, RequestResult,
 };
 use crate::scenario::{FpHasher, Fingerprint, ScenarioCache, ScenarioConfig, ScenarioOutcome};
 use crate::store::{CacheOutcome, CircuitStore, StoreConfig};
@@ -393,7 +392,6 @@ impl ServiceState {
                 let num_inputs = circuit.netlist().num_inputs();
                 h.write_str(&circuit.content_hash().to_hex());
                 h.write_bool(opt_bool(req, "collapse", true)?);
-                h.write_str(&parse_engine(req)?.to_string());
                 h.write_u64(parse_width(req)?.lanes() as u64);
                 fp_pattern_spec(&mut h, &parse_pattern_spec(req, num_inputs)?);
                 h.write_bool(opt_bool(req, "include_detail", false)?);
@@ -403,7 +401,6 @@ impl ServiceState {
                 let num_inputs = circuit.netlist().num_inputs();
                 h.write_str(&circuit.content_hash().to_hex());
                 h.write_bool(opt_bool(req, "collapse", true)?);
-                h.write_str(&parse_engine(req)?.to_string());
                 h.write_u64(parse_width(req)?.lanes() as u64);
                 fp_pattern_spec(&mut h, &parse_pattern_spec(req, num_inputs)?);
                 h.write_u64(opt_u64(req, "n", 0)?);
@@ -540,13 +537,10 @@ impl ServiceState {
         let faults = self.resolve_faults(req, &circuit)?;
         let num_inputs = circuit.netlist().num_inputs();
         let patterns = require_patterns(parse_pattern_spec(req, num_inputs)?, num_inputs)?;
-        let engine = parse_engine(req)?;
-        let sim = FaultSimulator::for_circuit_with_engine(&circuit, faults, engine)
-            .with_width(parse_width(req)?);
+        let sim = FaultSimulator::for_circuit(&circuit, faults).with_width(parse_width(req)?);
         let drop = sim.with_dropping(&patterns);
         let mut o = Object::new();
         o.insert("hash", circuit.content_hash().to_hex());
-        o.insert("engine", engine.to_string());
         o.insert("num_patterns", patterns.len());
         o.insert("num_faults", faults.len());
         o.insert("num_detected", drop.num_detected());
@@ -760,9 +754,7 @@ impl ServiceState {
         if n == 0 || n > u32::MAX as u64 {
             return Err(RequestError::new("`n` must be a positive integer"));
         }
-        let engine = parse_engine(req)?;
-        let sim = FaultSimulator::for_circuit_with_engine(&circuit, faults, engine)
-            .with_width(parse_width(req)?);
+        let sim = FaultSimulator::for_circuit(&circuit, faults).with_width(parse_width(req)?);
         let outcome = sim.n_detect(&patterns, n as u32);
         let mut o = Object::new();
         o.insert("hash", circuit.content_hash().to_hex());
@@ -1062,7 +1054,6 @@ fn fp_adi_config(h: &mut FpHasher, c: &AdiConfig) {
     h.write_opt_u64(c.n_detect_cap.map(u64::from));
     h.write_u64(c.threads as u64);
     h.write_u64(c.width.lanes() as u64);
-    h.write_str(&c.engine.to_string());
 }
 
 fn fp_testgen_config(h: &mut FpHasher, c: &TestGenConfig) {
@@ -1071,7 +1062,6 @@ fn fp_testgen_config(h: &mut FpHasher, c: &TestGenConfig) {
     h.write_u64(c.podem.sat_conflict_limit);
     h.write_str(&format!("{:?}", c.fill));
     h.write_u64(c.fill_seed);
-    h.write_str(&format!("{:?}", c.drop_loop));
     h.write_u64(c.width.lanes() as u64);
     h.write_u64(c.threads as u64);
     h.write_u64(c.atpg_threads as u64);

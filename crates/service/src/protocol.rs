@@ -19,10 +19,10 @@
 //! helpers (circuit references, pattern specifications, enum labels)
 //! used by every handler.
 
-use adi_atpg::{DropLoopKind, FillStrategy, PodemConfig, SatFallback, TestGenConfig};
+use adi_atpg::{FillStrategy, PodemConfig, SatFallback, TestGenConfig};
 use adi_core::uset::USetConfig;
 use adi_core::{AdiConfig, AdiEstimator, FaultOrdering};
-use adi_sim::{EngineKind, Pattern, PatternSet, SimWidth};
+use adi_sim::{Pattern, PatternSet, SimWidth};
 use json::{Object, Value};
 
 /// A request-level failure, reported to the client as the `error`
@@ -130,15 +130,18 @@ pub(crate) fn opt_bool(req: &Value, key: &str, default: bool) -> RequestResult<b
     }
 }
 
-/// Parses a fault-simulation engine label (`"engine"` field).
-pub(crate) fn parse_engine(req: &Value) -> RequestResult<EngineKind> {
-    match opt_str(req, "engine", "stem-region")? {
-        "stem-region" => Ok(EngineKind::StemRegion),
-        "per-fault" => Ok(EngineKind::PerFault),
-        other => Err(RequestError::new(format!(
-            "unknown engine `{other}` (expected `stem-region` or `per-fault`)"
-        ))),
-    }
+/// The most threads one request may use: the host's available
+/// parallelism. Every thread count gives bit-identical results, so the
+/// clamp changes no answer; it stops one request from spawning
+/// thousands of threads and aborting the whole server.
+fn max_request_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// A thread-count field, with a default when absent, clamped to
+/// [`max_request_threads`].
+fn opt_threads(spec: &Value, key: &str, default: u64) -> RequestResult<usize> {
+    Ok(opt_u64(spec, key, default)?.min(max_request_threads() as u64) as usize)
 }
 
 /// Parses a simulation word width from `spec`'s `"width"` field
@@ -168,8 +171,8 @@ pub(crate) fn parse_ordering(req: &Value, default: FaultOrdering) -> RequestResu
 }
 
 /// Parses the per-request ATPG configuration (`"atpg"` object:
-/// `backtrack_limit`, `fill`, `fill_seed`, `drop_loop`, `width`,
-/// `threads`, `atpg_threads`, `speculation_depth`, `sat_fallback`,
+/// `backtrack_limit`, `fill`, `fill_seed`, `width`, `threads`,
+/// `atpg_threads`, `speculation_depth`, `sat_fallback`,
 /// `sat_conflict_limit`), defaulting to [`TestGenConfig::default`]
 /// (which resolves backtrack-aborted faults through the SAT layer —
 /// pass `"sat_fallback": "off"` for raw PODEM aborts).
@@ -178,7 +181,8 @@ pub(crate) fn parse_ordering(req: &Value, default: FaultOrdering) -> RequestResu
 /// explicit `atpg_threads` key, which wins) the speculative ATPG loop's
 /// total thread count, so a client can say `"threads": 4` once and get
 /// the whole pipeline parallel. Either way the response is bit-identical
-/// to the sequential loop (the `speculate` determinism contract).
+/// to the sequential loop (the `speculate` determinism contract). Both
+/// counts are clamped to [`max_request_threads`].
 pub(crate) fn parse_testgen_config(req: &Value) -> RequestResult<TestGenConfig> {
     let mut config = TestGenConfig::default();
     let Some(spec) = req.get("atpg") else {
@@ -202,7 +206,6 @@ pub(crate) fn parse_testgen_config(req: &Value) -> RequestResult<TestGenConfig> 
             .map_err(|_| RequestError::new("`atpg.backtrack_limit` too large"))?,
         sat_fallback,
         sat_conflict_limit: opt_u64(spec, "sat_conflict_limit", config.podem.sat_conflict_limit)?,
-        ..config.podem
     };
     config.fill = match opt_str(spec, "fill", "random")? {
         "random" => FillStrategy::Random,
@@ -216,26 +219,15 @@ pub(crate) fn parse_testgen_config(req: &Value) -> RequestResult<TestGenConfig> 
         }
     };
     config.fill_seed = opt_u64(spec, "fill_seed", config.fill_seed)?;
-    config.drop_loop = match opt_str(spec, "drop_loop", "batched")? {
-        "batched" => DropLoopKind::Batched,
-        "scalar" => DropLoopKind::Scalar,
-        other => {
-            return Err(RequestError::new(format!(
-                "unknown drop_loop `{other}` (expected batched or scalar)"
-            )))
-        }
-    };
     config.width = parse_width(spec)?;
-    config.threads = (opt_u64(spec, "threads", 1)? as usize).max(1);
+    config.threads = opt_threads(spec, "threads", 1)?.max(1);
     // An explicit `atpg_threads` wins; otherwise an explicit `threads`
     // parallelizes the whole loop; otherwise keep the config default
-    // (the `ADI_ATPG_THREADS` environment fallback).
-    let atpg_default = if spec.get("threads").is_some() {
-        config.threads as u64
-    } else {
-        config.atpg_threads as u64
-    };
-    config.atpg_threads = (opt_u64(spec, "atpg_threads", atpg_default)? as usize).max(1);
+    // (the `ADI_ATPG_THREADS` environment fallback, server
+    // configuration rather than a request field, so left unclamped).
+    if spec.get("atpg_threads").is_some() || spec.get("threads").is_some() {
+        config.atpg_threads = opt_threads(spec, "atpg_threads", config.threads as u64)?.max(1);
+    }
     config.speculation_depth =
         (opt_u64(spec, "speculation_depth", config.speculation_depth as u64)? as usize).max(1);
     Ok(config)
@@ -243,12 +235,10 @@ pub(crate) fn parse_testgen_config(req: &Value) -> RequestResult<TestGenConfig> 
 
 /// Parses the ADI configuration (`"adi"` object: `estimator`,
 /// `n_detect_cap`, `threads`, `width`), defaulting to
-/// [`AdiConfig::default`] with the requested simulation engine.
+/// [`AdiConfig::default`]. `threads` is clamped to
+/// [`max_request_threads`].
 pub(crate) fn parse_adi_config(req: &Value) -> RequestResult<AdiConfig> {
-    let mut config = AdiConfig {
-        engine: parse_engine(req)?,
-        ..AdiConfig::default()
-    };
+    let mut config = AdiConfig::default();
     let Some(spec) = req.get("adi") else {
         return Ok(config);
     };
@@ -271,7 +261,7 @@ pub(crate) fn parse_adi_config(req: &Value) -> RequestResult<AdiConfig> {
             .ok_or_else(|| RequestError::new("`adi.n_detect_cap` must be a positive integer"))?;
         config.n_detect_cap = Some(cap as u32);
     }
-    config.threads = opt_u64(spec, "threads", 0)? as usize;
+    config.threads = opt_threads(spec, "threads", 0)?;
     config.width = parse_width(spec)?;
     Ok(config)
 }
@@ -427,43 +417,53 @@ mod tests {
 
     #[test]
     fn testgen_config_parses_and_validates() {
-        let req = json::parse(
-            r#"{"atpg": {"backtrack_limit": 50, "fill": "zeros", "drop_loop": "scalar"}}"#,
-        )
-        .unwrap();
+        let req = json::parse(r#"{"atpg": {"backtrack_limit": 50, "fill": "zeros"}}"#).unwrap();
         let cfg = parse_testgen_config(&req).unwrap();
         assert_eq!(cfg.podem.backtrack_limit, 50);
         assert_eq!(cfg.fill, FillStrategy::Zeros);
-        assert_eq!(cfg.drop_loop, DropLoopKind::Scalar);
+        // The retired `drop_loop` selector is ignored like any unknown
+        // field.
+        let stale = json::parse(
+            r#"{"atpg": {"backtrack_limit": 50, "fill": "zeros", "drop_loop": "scalar"}}"#,
+        )
+        .unwrap();
+        assert_eq!(parse_testgen_config(&stale).unwrap(), cfg);
         let bad = json::parse(r#"{"atpg": {"fill": "sideways"}}"#).unwrap();
         assert!(parse_testgen_config(&bad).is_err());
     }
 
     #[test]
     fn width_and_threads_parse() {
+        // Thread counts are clamped to the host's parallelism.
+        let max = max_request_threads();
         let req = json::parse(r#"{"atpg": {"width": 4, "threads": 3}}"#).unwrap();
         let cfg = parse_testgen_config(&req).unwrap();
         assert_eq!(cfg.width, SimWidth::W4);
-        assert_eq!(cfg.threads, 3);
+        assert_eq!(cfg.threads, 3.min(max));
         // `threads` parallelizes the ATPG loop too unless an explicit
         // `atpg_threads` overrides it; `speculation_depth` is clamped.
-        assert_eq!(cfg.atpg_threads, 3);
+        assert_eq!(cfg.atpg_threads, 3.min(max));
         assert_eq!(cfg.speculation_depth, TestGenConfig::default().speculation_depth);
         let req = json::parse(
             r#"{"atpg": {"threads": 3, "atpg_threads": 2, "speculation_depth": 0}}"#,
         )
         .unwrap();
         let cfg = parse_testgen_config(&req).unwrap();
-        assert_eq!(cfg.threads, 3);
-        assert_eq!(cfg.atpg_threads, 2);
+        assert_eq!(cfg.threads, 3.min(max));
+        assert_eq!(cfg.atpg_threads, 2.min(max));
         assert_eq!(cfg.speculation_depth, 1);
         let req = json::parse(r#"{"atpg": {"width": 2}}"#).unwrap();
         let cfg = parse_testgen_config(&req).unwrap();
         assert_eq!(cfg.atpg_threads, TestGenConfig::default().atpg_threads);
+        let bomb = json::parse(r#"{"atpg": {"threads": 20000, "atpg_threads": 20000}}"#).unwrap();
+        let cfg = parse_testgen_config(&bomb).unwrap();
+        assert_eq!((cfg.threads, cfg.atpg_threads), (max, max));
         let adi = json::parse(r#"{"adi": {"width": 8, "threads": 2}}"#).unwrap();
         let cfg = parse_adi_config(&adi).unwrap();
         assert_eq!(cfg.width, SimWidth::W8);
-        assert_eq!(cfg.threads, 2);
+        assert_eq!(cfg.threads, 2.min(max));
+        let bomb = json::parse(r#"{"adi": {"threads": 20000}}"#).unwrap();
+        assert_eq!(parse_adi_config(&bomb).unwrap().threads, max);
         let absent = json::parse("{}").unwrap();
         assert_eq!(parse_adi_config(&absent).unwrap().width, SimWidth::default());
         for bad in [r#"{"adi": {"width": 3}}"#, r#"{"adi": {"width": "wide"}}"#] {

@@ -16,18 +16,19 @@
 //!   by the store's concurrency tests.
 //! * **Cost-bounded.** Each shard holds at most `⌈capacity / shards⌉`
 //!   entries; inserting past that evicts the entry with the lowest
-//!   *replacement cost* — `compile_ns × resident_bytes`, the product of
-//!   how long the compilation took and how much memory it holds — so a
-//!   cheap throwaway circuit is always sacrificed before an expensive
-//!   one, regardless of which was touched last. Recency (a global
-//!   atomic clock) only breaks cost ties.
+//!   *replacement cost* — the netlist's node count plus its fanin-edge
+//!   count, the size that compile time and resident memory both grow
+//!   with — so a cheap throwaway circuit is always sacrificed before an
+//!   expensive one, regardless of which was touched last. The cost is
+//!   known at insert, so entries still compiling are ranked by it too,
+//!   and the ranking never depends on timing. Recency (a global atomic
+//!   clock) only breaks cost ties.
 //! * **Counted.** Hits, misses (compilations), coalesced waiters, and
 //!   evictions are tracked and reported in every `compile` response.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
 
 use adi_netlist::{CompiledCircuit, Netlist, NetlistHash};
 
@@ -84,25 +85,26 @@ pub struct StoreStats {
     pub bytes: usize,
 }
 
-/// A settled compilation plus the cost facts eviction scores it by.
+/// A settled compilation and its resident size.
 struct Compiled {
     circuit: CompiledCircuit,
-    /// Wall-clock nanoseconds the compile took.
-    compile_ns: u64,
     /// Estimated resident size when compiled.
     bytes: usize,
 }
 
-impl Compiled {
-    /// The replacement cost: what evicting this entry would throw away.
-    fn cost(&self) -> u128 {
-        u128::from(self.compile_ns) * self.bytes.max(1) as u128
-    }
-}
-
 struct Entry {
     cell: Arc<OnceLock<Compiled>>,
+    /// The replacement cost (see [`replacement_cost`]).
+    cost: usize,
     last_used: u64,
+}
+
+/// What evicting `netlist`'s compilation would throw away: its node
+/// count plus its fanin-edge count, which compile time and resident
+/// bytes both grow with. Known before the compile starts.
+fn replacement_cost(netlist: &Netlist) -> usize {
+    let edges: usize = netlist.node_ids().map(|n| netlist.fanins(n).len()).sum();
+    netlist.num_nodes() + edges
 }
 
 type Shard = HashMap<NetlistHash, Entry>;
@@ -174,6 +176,26 @@ impl CircuitStore {
     /// it (exactly once per distinct [`NetlistHash`], however many
     /// threads race here) on first request.
     pub fn get_or_compile(&self, netlist: Netlist) -> (CompiledCircuit, CacheOutcome) {
+        let (cell, outcome) = self.claim(&netlist);
+        // Compile (or wait for the thread that is compiling) outside the
+        // shard lock: a slow compile must not block unrelated circuits
+        // that happen to share the shard.
+        let circuit = cell
+            .get_or_init(|| {
+                let circuit = CompiledCircuit::compile(netlist);
+                let bytes = circuit.resident_bytes();
+                Compiled { circuit, bytes }
+            })
+            .circuit
+            .clone();
+        (circuit, outcome)
+    }
+
+    /// The locked half of [`get_or_compile`](Self::get_or_compile):
+    /// finds or inserts `netlist`'s cell (evicting the cheapest entry of
+    /// a full shard first) and counts the outcome. The cell is left for
+    /// the caller to initialize.
+    fn claim(&self, netlist: &Netlist) -> (Arc<OnceLock<Compiled>>, CacheOutcome) {
         let hash = netlist.content_hash();
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let (cell, outcome) = {
@@ -197,6 +219,7 @@ impl CircuitStore {
                         hash,
                         Entry {
                             cell: Arc::clone(&cell),
+                            cost: replacement_cost(netlist),
                             last_used: stamp,
                         },
                     );
@@ -209,25 +232,7 @@ impl CircuitStore {
             CacheOutcome::Miss => self.misses.fetch_add(1, Ordering::Relaxed),
             CacheOutcome::Coalesced => self.coalesced.fetch_add(1, Ordering::Relaxed),
         };
-        // Compile (or wait for the thread that is compiling) outside the
-        // shard lock: a slow compile must not block unrelated circuits
-        // that happen to share the shard. The compile is timed and sized
-        // in place — those facts are this entry's eviction score.
-        let circuit = cell
-            .get_or_init(|| {
-                let start = Instant::now();
-                let circuit = CompiledCircuit::compile(netlist);
-                let compile_ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                let bytes = circuit.resident_bytes();
-                Compiled {
-                    circuit,
-                    compile_ns,
-                    bytes,
-                }
-            })
-            .circuit
-            .clone();
-        (circuit, outcome)
+        (cell, outcome)
     }
 
     /// The cached compilation for `hash`, if present **and** fully
@@ -252,24 +257,16 @@ impl CircuitStore {
         found
     }
 
-    /// Evicts the entry of `shard` with the lowest replacement cost
-    /// (`compile_ns × resident_bytes`), breaking ties by least-recent
-    /// use. Prefers settled entries; an in-flight entry is only evicted
-    /// when the whole shard is in flight (waiters keep their `Arc`, so
-    /// eviction never breaks an ongoing compile — the slot is just
-    /// forgotten, and recency is the only score it has).
+    /// Evicts the entry of `shard` with the lowest replacement cost,
+    /// breaking ties by least-recent use. Settled and in-flight entries
+    /// are ranked alike (waiters on an evicted in-flight entry keep their
+    /// `Arc`, so eviction never breaks an ongoing compile — the slot is
+    /// just forgotten).
     fn evict_cheapest(&self, shard: &mut Shard) {
         let victim = shard
             .iter()
-            .filter_map(|(h, e)| e.cell.get().map(|c| (h, e, c)))
-            .min_by_key(|(_, e, c)| (c.cost(), e.last_used))
-            .map(|(&h, _, _)| h)
-            .or_else(|| {
-                shard
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(&h, _)| h)
-            });
+            .min_by_key(|(_, e)| (e.cost, e.last_used))
+            .map(|(&h, _)| h);
         if let Some(h) = victim {
             shard.remove(&h);
             self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -360,10 +357,8 @@ mod tests {
     #[test]
     fn cost_aware_eviction_sacrifices_the_cheap_entry_over_the_recent_one() {
         // One shard, capacity 2: deterministic eviction. A single
-        // inverter vs a 400-gate chain — the chain's compile-time ×
-        // resident-bytes product dominates the inverter's by orders of
-        // magnitude, so jitter in the timed compile cannot flip the
-        // ranking.
+        // inverter vs a 400-gate chain — the chain's node-plus-edge cost
+        // dominates the inverter's.
         let store = CircuitStore::new(StoreConfig {
             shards: 1,
             capacity: 2,
@@ -383,6 +378,33 @@ mod tests {
         assert!(store.lookup(h_next).is_some(), "new entry present");
         assert!(store.lookup(h_cheap).is_none(), "cheapest entry evicted");
         assert_eq!(store.stats().evictions, 1);
+    }
+
+    #[test]
+    fn in_flight_entries_are_ranked_by_cost_too() {
+        // One shard, capacity 3. The expensive chain is settled; two
+        // cheap chains are claimed but still compiling, as when their
+        // compiling threads are preempted. Inserting a fourth circuit
+        // must evict a cheap in-flight entry, never the expensive one.
+        let store = CircuitStore::new(StoreConfig {
+            shards: 1,
+            capacity: 3,
+        });
+        let costly = inv(400);
+        let h_costly = costly.content_hash();
+        store.get_or_compile(costly);
+        for n in [inv(1), inv(2)] {
+            let (cell, outcome) = store.claim(&n);
+            assert!(cell.get().is_none());
+            assert_eq!(outcome, CacheOutcome::Miss);
+        }
+        store.get_or_compile(inv(3));
+        assert_eq!(store.len(), 3);
+        assert_eq!(store.stats().evictions, 1);
+        assert!(
+            store.lookup(h_costly).is_some(),
+            "the settled expensive entry survives in-flight cheap ones"
+        );
     }
 
     #[test]

@@ -249,6 +249,61 @@ fn atpg_is_thread_count_invariant_and_reports_timing() {
     }
 }
 
+/// The result fields that do not depend on scheduling: everything but
+/// the wall-clock `timing` and the `wasted_speculations` diagnostic.
+fn deterministic_fields(result: &Value) -> Vec<(String, String)> {
+    result
+        .as_object()
+        .unwrap()
+        .iter()
+        .filter(|(key, _)| !matches!(*key, "timing" | "wasted_speculations"))
+        .map(|(key, value)| (key.to_string(), value.to_string()))
+        .collect()
+}
+
+/// Thread counts are clamped to the host's parallelism: a request
+/// asking for 20 000 threads in any thread field answers like a
+/// 1-thread request instead of aborting the whole process.
+#[test]
+fn absurd_thread_counts_are_clamped_instead_of_aborting() {
+    let _guard = BUILD_COUNT_LOCK.lock().unwrap();
+    let s = state();
+    let (text, _) = medium();
+    let hash = compile_via_service(&s, &text, "svc_medium");
+    let run = |atpg: &str, adi: &str| {
+        request_ok(
+            &s,
+            &format!(
+                r#"{{"op": "atpg", "hash": "{hash}", "ordering": "0dynm", "random": {{"count": 256, "seed": 21}}, "include_tests": true, "cache": "bypass", "atpg": {atpg}, "adi": {adi}}}"#
+            ),
+        )
+    };
+    let one = deterministic_fields(&run(
+        r#"{"threads": 1, "atpg_threads": 1}"#,
+        r#"{"threads": 1}"#,
+    ));
+    for (atpg, adi) in [
+        (
+            r#"{"threads": 20000, "atpg_threads": 1}"#,
+            r#"{"threads": 1}"#,
+        ),
+        (
+            r#"{"threads": 1, "atpg_threads": 20000}"#,
+            r#"{"threads": 1}"#,
+        ),
+        (
+            r#"{"threads": 1, "atpg_threads": 1}"#,
+            r#"{"threads": 20000}"#,
+        ),
+    ] {
+        assert_eq!(
+            deterministic_fields(&run(atpg, adi)),
+            one,
+            "atpg {atpg} adi {adi}"
+        );
+    }
+}
+
 /// The `atpg` response reports the SAT-fallback resolution counts, and
 /// they obey the books: every backtrack-aborted target is either
 /// resolved (redundant/testable) or stays in `num_aborted`, and turning

@@ -85,6 +85,36 @@ fn spelling_variants_collapse_to_one_scenario() {
     assert_eq!(stat(&stats, "misses"), 1, "one cold computation");
     assert_eq!(stat(&stats, "hits"), 3, "every respelling is a hit");
     assert_eq!(stat(&stats, "entries"), 1);
+
+    // The retired `engine` and `atpg.drop_loop` selectors are ignored
+    // like any unknown field: a request naming one answers
+    // byte-identically to, and hits the entry of, the request without it.
+    let retired = [
+        (
+            format!(r#"{{"id": 1, "op": "coverage", "hash": "{hash}", "exhaustive": true}}"#),
+            format!(
+                r#"{{"id": 1, "op": "coverage", "hash": "{hash}", "exhaustive": true, "engine": "per-fault"}}"#
+            ),
+        ),
+        (
+            format!(r#"{{"id": 1, "op": "atpg", "hash": "{hash}"}}"#),
+            format!(
+                r#"{{"id": 1, "op": "atpg", "hash": "{hash}", "atpg": {{"drop_loop": "scalar"}}}}"#
+            ),
+        ),
+    ];
+    for (plain, stale) in &retired {
+        let cold = raw(&s, plain);
+        assert_eq!(
+            raw(&s, stale),
+            cold,
+            "a retired selector must not change the answer"
+        );
+    }
+    let stats = scenario_stats(&s);
+    assert_eq!(stat(&stats, "misses"), 1 + retired.len() as u64);
+    assert_eq!(stat(&stats, "hits"), 3 + retired.len() as u64);
+    assert_eq!(stat(&stats, "entries"), 1 + retired.len() as u64);
 }
 
 #[test]

@@ -165,15 +165,6 @@ impl DetectionMatrix {
             self.num_detected_faults() as f64 / self.n_faults as f64
         }
     }
-
-    /// Mutable row access for parallel construction: splits the matrix
-    /// into per-fault-range chunks.
-    pub(crate) fn rows_chunks_mut(
-        &mut self,
-        faults_per_chunk: usize,
-    ) -> impl Iterator<Item = &mut [u64]> + '_ {
-        self.data.chunks_mut(faults_per_chunk * self.n_blocks)
-    }
 }
 
 #[cfg(test)]

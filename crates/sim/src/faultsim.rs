@@ -1,23 +1,17 @@
-//! Stuck-at fault simulation over two interchangeable engines.
+//! Stuck-at fault simulation.
 //!
-//! For each 64-pattern block the good machine is simulated once; fault
-//! effects are then propagated to the primary outputs. Two engines are
-//! offered behind [`EngineKind`], both running on the cache-friendly
-//! [`LevelizedCsr`] position space and producing **bit-identical**
-//! results:
-//!
-//! * [`EngineKind::PerFault`] — classic PPSFP: each fault is injected
-//!   individually and its effect walked through its fanout cone with
-//!   event-driven word operations. Cost: one cone walk *per fault* per
-//!   block. This engine doubles as the differential-testing oracle for
-//!   the stem-region engine.
-//! * [`EngineKind::StemRegion`] — the two-level engine (the default):
-//!   inside each fanout-free region every fault's detectability at the
-//!   FFR stem is computed bit-parallelly from forward sensitization
-//!   words (no event queue), then a single observability propagation
-//!   *per stem* carries the effect to the outputs. Cost: one cone walk
-//!   *per FFR* per block, an asymptotic win since regions average
-//!   several faults each. See [`StemRegionEngine`].
+//! [`FaultSimulator`] drives the two-level stem-region engine
+//! ([`StemRegionEngine`]) on the cache-friendly [`LevelizedCsr`]
+//! position space: inside each fanout-free region every fault's
+//! detectability at the FFR stem is computed bit-parallelly from forward
+//! sensitization words (no event queue), then a single observability
+//! propagation *per stem* carries the effect to the outputs. Cost: one
+//! cone walk *per FFR* per block, an asymptotic win over classic PPSFP
+//! (one cone walk *per fault* per block) since regions average several
+//! faults each. PPSFP survives as the differential oracle in
+//! [`reference`](mod@crate::reference), and as the single-pattern
+//! [`FaultSimulator::detect_pattern`] primitive, where a lone vector
+//! cannot amortize the stem-region engine's per-block sweeps.
 //!
 //! Three drive modes are offered by [`FaultSimulator`]:
 //!
@@ -35,32 +29,10 @@ use std::collections::BinaryHeap;
 use adi_netlist::fault::{Fault, FaultId, FaultList, FaultSite};
 use adi_netlist::{CompiledCircuit, GateKind, LevelizedCsr, Netlist};
 
-use crate::logic::{self, eval_with_pos, eval_with_pos_w, PosGood};
+use crate::logic::{self, eval_with_pos, eval_with_pos_w};
 use crate::stem::StemRegionEngine;
 use crate::word::{SimWord, SimWidth};
 use crate::{DetectionMatrix, Pattern, PatternSet};
-
-/// Which fault-propagation engine a [`FaultSimulator`] drives.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum EngineKind {
-    /// One event-driven cone propagation per fault per block (the
-    /// classic PPSFP engine, kept as the differential-testing oracle).
-    PerFault,
-    /// Bit-parallel fault detectability per fanout-free region plus one
-    /// observability propagation per stem per block. Bit-identical to
-    /// [`PerFault`](EngineKind::PerFault), asymptotically faster.
-    #[default]
-    StemRegion,
-}
-
-impl std::fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EngineKind::PerFault => write!(f, "per-fault"),
-            EngineKind::StemRegion => write!(f, "stem-region"),
-        }
-    }
-}
 
 /// Reusable per-thread scratch buffers for per-fault injection, bound to
 /// one compiled circuit (whose [`LevelizedCsr`] view the hot loops run
@@ -172,19 +144,15 @@ impl NDetectOutcome {
 /// A stuck-at fault simulator bound to one compiled circuit and fault
 /// list.
 ///
-/// [`FaultSimulator::for_circuit`] selects the default engine
-/// ([`EngineKind::StemRegion`]); use
-/// [`FaultSimulator::for_circuit_with_engine`] to pick one explicitly.
-/// Both engines produce bit-identical results. Construction is cheap
-/// (an `Arc` bump of the compilation), so building one simulator per
-/// pattern set is fine — the expensive artifacts live in the
-/// [`CompiledCircuit`].
+/// Construction is cheap (an `Arc` bump of the compilation), so building
+/// one simulator per pattern set is fine — the expensive artifacts live
+/// in the [`CompiledCircuit`].
 ///
 /// # Examples
 ///
 /// ```
 /// use adi_netlist::{bench_format, CompiledCircuit, fault::FaultList};
-/// use adi_sim::{EngineKind, FaultSimulator, PatternSet};
+/// use adi_sim::{FaultSimulator, PatternSet};
 ///
 /// # fn main() -> Result<(), adi_netlist::NetlistError> {
 /// let n = bench_format::parse("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = OR(a, b)\n", "or2")?;
@@ -194,10 +162,12 @@ impl NDetectOutcome {
 /// let drop = sim.with_dropping(&PatternSet::exhaustive(2));
 /// assert_eq!(drop.coverage(), 1.0); // exhaustive patterns detect everything
 ///
-/// // The two engines agree bit for bit.
-/// let oracle = FaultSimulator::for_circuit_with_engine(&circuit, faults, EngineKind::PerFault);
+/// // The per-fault reference agrees bit for bit.
 /// let patterns = PatternSet::exhaustive(2);
-/// assert_eq!(sim.no_drop_matrix(&patterns), oracle.no_drop_matrix(&patterns));
+/// assert_eq!(
+///     sim.no_drop_matrix(&patterns),
+///     adi_sim::reference::no_drop_matrix(&circuit, faults, &patterns)
+/// );
 /// # Ok(())
 /// # }
 /// ```
@@ -205,32 +175,16 @@ impl NDetectOutcome {
 pub struct FaultSimulator<'a> {
     circuit: CompiledCircuit,
     faults: &'a FaultList,
-    engine: EngineKind,
     width: SimWidth,
 }
 
 impl<'a> FaultSimulator<'a> {
-    /// Creates a simulator for `faults` of `circuit` with the default
-    /// engine ([`EngineKind::StemRegion`]).
+    /// Creates a simulator for `faults` of `circuit`.
     ///
     /// # Panics
     ///
     /// Panics if any fault references a node outside the circuit.
     pub fn for_circuit(circuit: &CompiledCircuit, faults: &'a FaultList) -> Self {
-        Self::for_circuit_with_engine(circuit, faults, EngineKind::default())
-    }
-
-    /// Creates a simulator for `faults` of `circuit` driving the given
-    /// `engine`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any fault references a node outside the circuit.
-    pub fn for_circuit_with_engine(
-        circuit: &CompiledCircuit,
-        faults: &'a FaultList,
-        engine: EngineKind,
-    ) -> Self {
         for (_, f) in faults.iter() {
             assert!(
                 f.effect_node().index() < circuit.netlist().num_nodes(),
@@ -240,14 +194,12 @@ impl<'a> FaultSimulator<'a> {
         FaultSimulator {
             circuit: circuit.clone(),
             faults,
-            engine,
             width: SimWidth::default(),
         }
     }
 
-    /// Returns the simulator with its stem-region simulation word width
-    /// set to `width` (builder style). All widths are bit-identical;
-    /// the per-fault oracle engine always runs 64-bit words regardless.
+    /// Returns the simulator with its simulation word width set to
+    /// `width` (builder style). All widths are bit-identical.
     #[must_use]
     pub fn with_width(mut self, width: SimWidth) -> Self {
         self.width = width;
@@ -274,47 +226,19 @@ impl<'a> FaultSimulator<'a> {
         self.faults
     }
 
-    /// The engine this simulator drives.
-    pub fn engine_kind(&self) -> EngineKind {
-        self.engine
+    fn engine(&self) -> StemRegionEngine<'a> {
+        StemRegionEngine::for_circuit(&self.circuit, self.faults).with_width(self.width)
     }
 
     /// Simulates every fault under every pattern **without dropping** and
     /// returns the full detection matrix.
     pub fn no_drop_matrix(&self, patterns: &PatternSet) -> DetectionMatrix {
-        match self.engine {
-            EngineKind::PerFault => self.no_drop_matrix_per_fault(patterns),
-            EngineKind::StemRegion => StemRegionEngine::for_circuit(&self.circuit, self.faults)
-                .with_width(self.width)
-                .no_drop_matrix(patterns),
-        }
-    }
-
-    fn no_drop_matrix_per_fault(&self, patterns: &PatternSet) -> DetectionMatrix {
-        // One span for the whole call: the per-fault engine's inner
-        // loop (fault x block) is far too fine-grained to span.
-        static SPAN_NO_DROP: adi_obs::SpanSite = adi_obs::SpanSite::new("sim.no_drop");
-        let _span = SPAN_NO_DROP.enter();
-        let view = self.circuit.view();
-        let mut buf = ScratchBuf::new(view);
-        let good = PosGood::compute(view, patterns);
-        let mut matrix = DetectionMatrix::new(self.faults.len(), patterns.len());
-        let n_blocks = patterns.num_blocks();
-        for (id, fault) in self.faults.iter() {
-            for block in 0..n_blocks {
-                let mask = patterns.valid_mask(block);
-                let w = detect_block_impl(view, good.block(block), fault, mask, &mut buf);
-                if w != 0 {
-                    matrix.or_word(id, block, w);
-                }
-            }
-        }
-        matrix
+        self.engine().no_drop_matrix(patterns)
     }
 
     /// Like [`no_drop_matrix`](Self::no_drop_matrix) but splits the work
-    /// across `threads` OS threads — by fault range for the per-fault
-    /// engine, by pattern-block range for the stem-region engine.
+    /// across `threads` OS threads (see
+    /// [`StemRegionEngine::no_drop_matrix_parallel`]).
     ///
     /// The result is identical to the serial version.
     ///
@@ -327,96 +251,13 @@ impl<'a> FaultSimulator<'a> {
         threads: usize,
     ) -> DetectionMatrix {
         assert!(threads > 0, "at least one thread required");
-        match self.engine {
-            EngineKind::PerFault => self.no_drop_matrix_parallel_per_fault(patterns, threads),
-            EngineKind::StemRegion => StemRegionEngine::for_circuit(&self.circuit, self.faults)
-                .with_width(self.width)
-                .no_drop_matrix_parallel(patterns, threads),
-        }
-    }
-
-    fn no_drop_matrix_parallel_per_fault(
-        &self,
-        patterns: &PatternSet,
-        threads: usize,
-    ) -> DetectionMatrix {
-        let n_faults = self.faults.len();
-        if threads == 1 || n_faults < 2 * threads {
-            return self.no_drop_matrix_per_fault(patterns);
-        }
-        let view = self.circuit.view();
-        let good = PosGood::compute(view, patterns);
-        let mut matrix = DetectionMatrix::new(n_faults, patterns.len());
-        let n_blocks = patterns.num_blocks();
-        let chunk = n_faults.div_ceil(threads);
-        let faults = self.faults;
-        let (view_ref, good_ref, patterns_ref) = (view, &good, patterns);
-        std::thread::scope(|scope| {
-            for (ci, rows) in matrix.rows_chunks_mut(chunk).enumerate() {
-                scope.spawn(move || {
-                    let mut buf = ScratchBuf::new(view_ref);
-                    let base = ci * chunk;
-                    let count = rows.len() / n_blocks.max(1);
-                    for k in 0..count {
-                        let fault = faults.fault(FaultId::new(base + k));
-                        for block in 0..n_blocks {
-                            let mask = patterns_ref.valid_mask(block);
-                            let w = detect_block_impl(
-                                view_ref,
-                                good_ref.block(block),
-                                fault,
-                                mask,
-                                &mut buf,
-                            );
-                            rows[k * n_blocks + block] = w;
-                        }
-                    }
-                });
-            }
-        });
-        matrix
+        self.engine().no_drop_matrix_parallel(patterns, threads)
     }
 
     /// Simulates with fault dropping: each fault is retired at its first
     /// detecting pattern.
     pub fn with_dropping(&self, patterns: &PatternSet) -> DropOutcome {
-        match self.engine {
-            EngineKind::PerFault => self.with_dropping_per_fault(patterns),
-            EngineKind::StemRegion => StemRegionEngine::for_circuit(&self.circuit, self.faults)
-                .with_width(self.width)
-                .with_dropping(patterns),
-        }
-    }
-
-    fn with_dropping_per_fault(&self, patterns: &PatternSet) -> DropOutcome {
-        let view = self.circuit.view();
-        let buf = &mut ScratchBuf::new(view);
-        let mut good = vec![0u64; view.num_nodes()];
-        let mut input_words = vec![0u64; patterns.num_inputs()];
-        let mut first: Vec<Option<u32>> = vec![None; self.faults.len()];
-        let mut active: Vec<FaultId> = self.faults.ids().collect();
-        for block in 0..patterns.num_blocks() {
-            if active.is_empty() {
-                break;
-            }
-            logic::load_input_words(patterns, block, &mut input_words);
-            logic::simulate_block_csr(view, &input_words, &mut good);
-            let mask = patterns.valid_mask(block);
-            active.retain(|&id| {
-                let fault = self.faults.fault(id);
-                let w = detect_block_impl(view, &good, fault, mask, buf);
-                if w != 0 {
-                    first[id.index()] =
-                        Some((block * 64) as u32 + w.trailing_zeros());
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        DropOutcome {
-            first_detection: first,
-        }
+        self.engine().with_dropping(patterns)
     }
 
     /// n-detection simulation: a fault is retired once detected by `n`
@@ -427,46 +268,17 @@ impl<'a> FaultSimulator<'a> {
     /// Panics if `n == 0`.
     pub fn n_detect(&self, patterns: &PatternSet, n: u32) -> NDetectOutcome {
         assert!(n > 0, "n-detection requires n >= 1");
-        match self.engine {
-            EngineKind::PerFault => self.n_detect_per_fault(patterns, n),
-            EngineKind::StemRegion => StemRegionEngine::for_circuit(&self.circuit, self.faults)
-                .with_width(self.width)
-                .n_detect(patterns, n),
-        }
-    }
-
-    fn n_detect_per_fault(&self, patterns: &PatternSet, n: u32) -> NDetectOutcome {
-        let view = self.circuit.view();
-        let buf = &mut ScratchBuf::new(view);
-        let mut good = vec![0u64; view.num_nodes()];
-        let mut input_words = vec![0u64; patterns.num_inputs()];
-        let mut counts = vec![0u32; self.faults.len()];
-        let mut active: Vec<FaultId> = self.faults.ids().collect();
-        for block in 0..patterns.num_blocks() {
-            if active.is_empty() {
-                break;
-            }
-            logic::load_input_words(patterns, block, &mut input_words);
-            logic::simulate_block_csr(view, &input_words, &mut good);
-            let mask = patterns.valid_mask(block);
-            active.retain(|&id| {
-                let fault = self.faults.fault(id);
-                let w = detect_block_impl(view, &good, fault, mask, buf);
-                let c = &mut counts[id.index()];
-                *c = (*c + w.count_ones()).min(n);
-                *c < n
-            });
-        }
-        NDetectOutcome { counts, n }
+        self.engine().n_detect(patterns, n)
     }
 
     /// Simulates a single input vector against a subset of faults and
     /// returns the detected ones, preserving `active` order.
     ///
-    /// This is the primitive used by the test-generation driver to drop
-    /// faults after each new test. It always runs the per-fault engine:
-    /// for a single vector the stem-region engine's per-block setup cost
-    /// cannot amortize.
+    /// This is the single-pattern primitive (used by test-set
+    /// reordering and the reference ATPG drop loop). It runs per-fault
+    /// propagation: for a single vector the stem-region engine's
+    /// per-block setup cost cannot amortize.
+    ///
     /// # Panics
     ///
     /// Panics if the pattern width does not match the circuit, or if
@@ -665,7 +477,8 @@ pub(crate) fn detect_block_impl(
 
 /// Wide-word sibling of [`ScratchBuf`]: reusable buffers for
 /// [`detect_superblock_impl`], generic over the lane count. The 64-bit
-/// oracle path keeps its own scalar buffers so it stays byte-identical.
+/// per-fault path keeps its own scalar buffers so it stays
+/// byte-identical.
 #[derive(Clone, Debug)]
 pub(crate) struct WideScratchBuf<const N: usize> {
     faulty: Vec<SimWord<N>>,
@@ -830,6 +643,7 @@ pub(crate) fn detect_superblock_impl<const N: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
     use adi_netlist::bench_format;
     use adi_netlist::fault::Fault;
 
@@ -903,18 +717,27 @@ G23 = NAND(G16, G19)
     #[test]
     fn matches_oracle_on_c17_exhaustive() {
         let n = c17();
+        let circuit = compile(&n);
         let faults = FaultList::full(&n);
         let patterns = PatternSet::exhaustive(5);
-        for engine in [EngineKind::PerFault, EngineKind::StemRegion] {
-            let sim = FaultSimulator::for_circuit_with_engine(&compile(&n), &faults, engine);
-            let matrix = sim.no_drop_matrix(&patterns);
+        let matrices = [
+            (
+                "stem-region",
+                FaultSimulator::for_circuit(&circuit, &faults).no_drop_matrix(&patterns),
+            ),
+            (
+                "reference",
+                reference::no_drop_matrix(&circuit, &faults, &patterns),
+            ),
+        ];
+        for (label, matrix) in matrices {
             for (id, fault) in faults.iter() {
                 for p in 0..patterns.len() {
                     let pattern = patterns.get(p);
                     assert_eq!(
                         matrix.detected(id, p),
                         oracle_detects(&n, fault, &pattern),
-                        "[{engine}] fault {fault} pattern {p}"
+                        "[{label}] fault {fault} pattern {p}"
                     );
                 }
             }
@@ -925,11 +748,14 @@ G23 = NAND(G16, G19)
     fn c17_exhaustive_full_coverage() {
         // c17 is irredundant: every collapsed fault is detectable.
         let n = c17();
+        let circuit = compile(&n);
         let faults = FaultList::collapsed(&n);
-        for engine in [EngineKind::PerFault, EngineKind::StemRegion] {
-            let sim = FaultSimulator::for_circuit_with_engine(&compile(&n), &faults, engine);
-            let drop = sim.with_dropping(&PatternSet::exhaustive(5));
-            assert_eq!(drop.num_detected(), faults.len(), "[{engine}]");
+        let patterns = PatternSet::exhaustive(5);
+        for drop in [
+            FaultSimulator::for_circuit(&circuit, &faults).with_dropping(&patterns),
+            reference::with_dropping(&circuit, &faults, &patterns),
+        ] {
+            assert_eq!(drop.num_detected(), faults.len());
             assert!((drop.coverage() - 1.0).abs() < 1e-12);
         }
     }
@@ -939,44 +765,41 @@ G23 = NAND(G16, G19)
         let n = c17();
         let faults = FaultList::full(&n);
         let patterns = PatternSet::random(5, 100, 3);
-        for engine in [EngineKind::PerFault, EngineKind::StemRegion] {
-            let sim = FaultSimulator::for_circuit_with_engine(&compile(&n), &faults, engine);
-            let serial = sim.no_drop_matrix(&patterns);
-            for threads in [2, 3, 8] {
-                let par = sim.no_drop_matrix_parallel(&patterns, threads);
-                assert_eq!(serial, par, "[{engine}] threads={threads}");
-            }
+        let sim = FaultSimulator::for_circuit(&compile(&n), &faults);
+        let serial = sim.no_drop_matrix(&patterns);
+        for threads in [2, 3, 8] {
+            let par = sim.no_drop_matrix_parallel(&patterns, threads);
+            assert_eq!(serial, par, "threads={threads}");
         }
     }
 
     #[test]
     fn engines_agree_on_c17() {
         let n = c17();
+        let circuit = compile(&n);
         let faults = FaultList::full(&n);
         let patterns = PatternSet::random(5, 200, 77);
-        let a = FaultSimulator::for_circuit_with_engine(&compile(&n), &faults, EngineKind::PerFault)
-            .no_drop_matrix(&patterns);
-        let b = FaultSimulator::for_circuit_with_engine(&compile(&n), &faults, EngineKind::StemRegion)
-            .no_drop_matrix(&patterns);
-        assert_eq!(a, b);
+        assert_eq!(
+            reference::no_drop_matrix(&circuit, &faults, &patterns),
+            FaultSimulator::for_circuit(&circuit, &faults).no_drop_matrix(&patterns)
+        );
     }
 
     #[test]
     fn dropping_matches_no_drop_first_detection() {
         let n = c17();
+        let circuit = compile(&n);
         let faults = FaultList::collapsed(&n);
         let patterns = PatternSet::random(5, 70, 9);
-        for engine in [EngineKind::PerFault, EngineKind::StemRegion] {
-            let sim = FaultSimulator::for_circuit_with_engine(&compile(&n), &faults, engine);
-            let matrix = sim.no_drop_matrix(&patterns);
-            let drop = sim.with_dropping(&patterns);
+        let sim = FaultSimulator::for_circuit(&circuit, &faults);
+        let matrix = sim.no_drop_matrix(&patterns);
+        for drop in [
+            sim.with_dropping(&patterns),
+            reference::with_dropping(&circuit, &faults, &patterns),
+        ] {
             for id in faults.ids() {
                 let expect = matrix.detecting_patterns(id).next().map(|p| p as u32);
-                assert_eq!(
-                    drop.first_detection[id.index()],
-                    expect,
-                    "[{engine}] fault {id}"
-                );
+                assert_eq!(drop.first_detection[id.index()], expect, "fault {id}");
             }
         }
     }
@@ -984,15 +807,18 @@ G23 = NAND(G16, G19)
     #[test]
     fn n_detect_counts_match_matrix() {
         let n = c17();
+        let circuit = compile(&n);
         let faults = FaultList::collapsed(&n);
         let patterns = PatternSet::exhaustive(5);
-        for engine in [EngineKind::PerFault, EngineKind::StemRegion] {
-            let sim = FaultSimulator::for_circuit_with_engine(&compile(&n), &faults, engine);
-            let matrix = sim.no_drop_matrix(&patterns);
-            let nd = sim.n_detect(&patterns, 4);
+        let sim = FaultSimulator::for_circuit(&circuit, &faults);
+        let matrix = sim.no_drop_matrix(&patterns);
+        for nd in [
+            sim.n_detect(&patterns, 4),
+            reference::n_detect(&circuit, &faults, &patterns, 4),
+        ] {
             for id in faults.ids() {
                 let full = matrix.detection_count(id) as u32;
-                assert_eq!(nd.counts[id.index()], full.min(4), "[{engine}] fault {id}");
+                assert_eq!(nd.counts[id.index()], full.min(4), "fault {id}");
             }
             assert_eq!(nd.num_detected(), faults.len());
         }
@@ -1022,12 +848,15 @@ G23 = NAND(G16, G19)
         // y = OR(a, NOT(a)) is constant 1: y s-a-1 is undetectable.
         let src = "INPUT(a)\nOUTPUT(y)\nna = NOT(a)\ny = OR(a, na)\n";
         let n = bench_format::parse(src, "taut").unwrap();
+        let circuit = compile(&n);
         let y = n.find_node("y").unwrap();
         let faults = FaultList::from_faults(vec![Fault::stem_at(y, true)]);
-        for engine in [EngineKind::PerFault, EngineKind::StemRegion] {
-            let sim = FaultSimulator::for_circuit_with_engine(&compile(&n), &faults, engine);
-            let drop = sim.with_dropping(&PatternSet::exhaustive(1));
-            assert_eq!(drop.num_detected(), 0, "[{engine}]");
+        let patterns = PatternSet::exhaustive(1);
+        for drop in [
+            FaultSimulator::for_circuit(&circuit, &faults).with_dropping(&patterns),
+            reference::with_dropping(&circuit, &faults, &patterns),
+        ] {
+            assert_eq!(drop.num_detected(), 0);
         }
     }
 
@@ -1083,23 +912,16 @@ G23 = NAND(G16, G19)
             Fault::stem_at(x, false),
             Fault::stem_at(x, true),
         ]);
-        for engine in [EngineKind::PerFault, EngineKind::StemRegion] {
-            let sim = FaultSimulator::for_circuit_with_engine(&compile(&n), &faults, engine);
-            let matrix = sim.no_drop_matrix(&PatternSet::exhaustive(2));
+        let circuit = compile(&n);
+        let patterns = PatternSet::exhaustive(2);
+        for matrix in [
+            FaultSimulator::for_circuit(&circuit, &faults).no_drop_matrix(&patterns),
+            reference::no_drop_matrix(&circuit, &faults, &patterns),
+        ] {
             for id in faults.ids() {
-                assert!(!matrix.detected_any(id), "[{engine}] fault {id}");
+                assert!(!matrix.detected_any(id), "fault {id}");
             }
         }
-    }
-
-    #[test]
-    fn default_engine_is_stem_region() {
-        let n = c17();
-        let faults = FaultList::collapsed(&n);
-        let sim = FaultSimulator::for_circuit(&compile(&n), &faults);
-        assert_eq!(sim.engine_kind(), EngineKind::StemRegion);
-        assert_eq!(EngineKind::default().to_string(), "stem-region");
-        assert_eq!(EngineKind::PerFault.to_string(), "per-fault");
     }
 
     #[test]

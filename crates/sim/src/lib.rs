@@ -8,16 +8,16 @@
 //!   ([`GoodValues`]) and a scalar evaluator, with the hot path running
 //!   on the flattened levelized CSR view
 //!   ([`LevelizedCsr`](adi_netlist::LevelizedCsr)).
-//! * [`EventSim`] — an incremental event-driven single-pattern simulator
-//!   used for cross-checking and interactive tooling.
-//! * [`FaultSimulator`] — stuck-at fault simulation behind two
-//!   bit-identical engines selected by [`EngineKind`]: the classic
-//!   per-fault PPSFP propagation, and the default two-level
-//!   [`stem`]-region engine that computes in-region detectability
+//! * [`FaultSimulator`] — stuck-at fault simulation on the two-level
+//!   [`stem`]-region engine, which computes in-region detectability
 //!   bit-parallelly and pays the cone walk once per fanout-free region
 //!   instead of once per fault. Drive modes: with dropping, without
 //!   dropping (producing the [`DetectionMatrix`] that the accidental
 //!   detection index is computed from), and n-detection.
+//! * [`reference`](mod@reference) — the classic per-fault PPSFP implementations of the
+//!   same three drive modes: the bit-identical oracle the differential
+//!   tests and `perf_report` hold the stem-region engine to. Production
+//!   code never calls them.
 //! * [`SimWord`] / [`SimWidth`] — the configurable simulation word:
 //!   every stem-region hot path is generic over the lane count
 //!   (64/128/256/512 patterns per word) and runtime-dispatched, so one
@@ -38,18 +38,17 @@
 //! and thread the compilation through all entry points (the legacy
 //! `&Netlist` compile-per-call wrappers were removed in 0.3.0).
 //!
-//! ## Choosing an engine
+//! ## One engine
 //!
-//! [`EngineKind::StemRegion`] (the default) wins whenever several faults
-//! share a fanout-free region — true for every realistic circuit, and
+//! The stem-region engine wins whenever several faults share a
+//! fanout-free region — true for every realistic circuit, and
 //! increasingly so for no-drop workloads where no fault ever retires:
 //! its per-block cost is `O(circuit)` for the good-value and
 //! sensitization sweeps plus one cone propagation per *region* with an
-//! active fault, versus one cone propagation per *fault* for
-//! [`EngineKind::PerFault`]. The per-fault engine remains the reference
-//! oracle for differential testing, and is what the single-pattern
-//! [`FaultSimulator::detect_pattern`] primitive always uses (a lone
-//! vector cannot amortize the per-block sweeps).
+//! active fault, versus one cone propagation per *fault* for the
+//! [`reference`](mod@reference) PPSFP functions. Per-fault propagation remains what the
+//! single-pattern [`FaultSimulator::detect_pattern`] primitive uses (a
+//! lone vector cannot amortize the per-block sweeps).
 //!
 //! # Examples
 //!
@@ -77,11 +76,11 @@
 
 pub mod coverage;
 mod detection;
-mod event;
 pub mod faultsim;
 pub mod logic;
 mod pattern;
 pub mod probability;
+pub mod reference;
 pub mod session;
 pub mod stem;
 pub mod t3;
@@ -90,8 +89,7 @@ pub mod word;
 
 pub use coverage::CoverageCurve;
 pub use detection::DetectionMatrix;
-pub use event::EventSim;
-pub use faultsim::{DropOutcome, EngineKind, FaultSimulator, NDetectOutcome, SimScratch};
+pub use faultsim::{DropOutcome, FaultSimulator, NDetectOutcome, SimScratch};
 pub use logic::GoodValues;
 pub use pattern::{Pattern, PatternSet};
 pub use session::DropSession;

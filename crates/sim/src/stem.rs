@@ -45,7 +45,8 @@
 //!
 //! The combination is bit-identical to per-fault simulation at every
 //! width and thread count (asserted by differential tests against both
-//! the per-fault engine and a scalar brute-force oracle) while the
+//! the per-fault [`reference`](mod@crate::reference) and a scalar
+//! brute-force oracle) while the
 //! expensive cone walk is paid once per stem with a non-zero difference
 //! word — an asymptotic win since FFRs average several faults each.
 //!
@@ -94,10 +95,9 @@ struct FaultInfo {
 /// one compiled circuit and fault list.
 ///
 /// [`FaultSimulator`](crate::FaultSimulator) builds one of these per
-/// call when driving [`EngineKind::StemRegion`](crate::EngineKind); hold
-/// an instance directly to amortize the per-fault-list setup over many
-/// pattern sets. The per-circuit artifacts (levelized view, FFR
-/// decomposition, post-dominators) come from the [`CompiledCircuit`]
+/// call; hold an instance directly to amortize the per-fault-list setup
+/// over many pattern sets. The per-circuit artifacts (levelized view,
+/// FFR decomposition, post-dominators) come from the [`CompiledCircuit`]
 /// and are shared, not rebuilt.
 ///
 /// The engine carries a [`SimWidth`] (default: the process-wide
@@ -1305,7 +1305,7 @@ fn compute_stem_obs_cone<const N: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EngineKind, FaultSimulator};
+    use crate::reference;
     use adi_netlist::bench_format;
     use adi_netlist::fault::Fault;
     use adi_netlist::{Netlist, NetlistBuilder};
@@ -1318,8 +1318,7 @@ mod tests {
         let n = bench_format::parse(src, name).unwrap();
         let faults = FaultList::full(&n);
         let patterns = PatternSet::exhaustive(inputs);
-        let per_fault = FaultSimulator::for_circuit_with_engine(&compile(&n), &faults, EngineKind::PerFault)
-            .no_drop_matrix(&patterns);
+        let per_fault = reference::no_drop_matrix(&compile(&n), &faults, &patterns);
         for width in SimWidth::ALL {
             let stem = StemRegionEngine::for_circuit(&compile(&n), &faults)
                 .with_width(width)
@@ -1387,8 +1386,7 @@ mod tests {
         let n = b.build().unwrap();
         let faults = FaultList::full(&n);
         let patterns = PatternSet::exhaustive(1);
-        let per_fault = FaultSimulator::for_circuit_with_engine(&compile(&n), &faults, EngineKind::PerFault)
-            .no_drop_matrix(&patterns);
+        let per_fault = reference::no_drop_matrix(&compile(&n), &faults, &patterns);
         let stem = StemRegionEngine::for_circuit(&compile(&n), &faults).no_drop_matrix(&patterns);
         assert_eq!(per_fault, stem);
     }
@@ -1424,8 +1422,7 @@ mod tests {
             Fault::branch_at(y, 0, true),
         ]);
         let patterns = PatternSet::exhaustive(1);
-        let per_fault = FaultSimulator::for_circuit_with_engine(&compile(&n), &faults, EngineKind::PerFault)
-            .no_drop_matrix(&patterns);
+        let per_fault = reference::no_drop_matrix(&compile(&n), &faults, &patterns);
         let stem = StemRegionEngine::for_circuit(&compile(&n), &faults).no_drop_matrix(&patterns);
         assert_eq!(per_fault, stem);
     }

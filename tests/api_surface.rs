@@ -12,9 +12,9 @@
 use std::time::Duration;
 
 use adi::atpg::{
-    DropLoopKind, EquivVerdict, FaultStatus, FaultVerdict, FillStrategy, PhaseTimings, Podem,
-    PodemConfig, PodemEngine, PodemOutcome, PodemStats, SatFallback, SatResolved, Scoap,
-    TestGenConfig, TestGenResult, TestGenSummary, TestGenerator,
+    EquivVerdict, FaultStatus, FaultVerdict, FillStrategy, PhaseTimings, Podem, PodemConfig,
+    PodemOutcome, PodemStats, SatFallback, SatResolved, Scoap, TestGenConfig, TestGenResult,
+    TestGenSummary, TestGenerator,
 };
 use adi::circuits::PaperCircuit;
 use adi::core::{
@@ -24,9 +24,8 @@ use adi::core::{
 use adi::netlist::fault::{Fault, FaultId, FaultList};
 use adi::netlist::{CompiledCircuit, FfrPartition, LevelizedCsr, Netlist};
 use adi::sim::{
-    DetectionMatrix, DropOutcome, DropSession, DualMachineSim, EngineKind, FaultSimulator,
-    GoodValues, NDetectOutcome, Pattern, PatternSet, SimScratch, SimWidth, SimWord,
-    StemRegionEngine,
+    DetectionMatrix, DropOutcome, DropSession, DualMachineSim, FaultSimulator, GoodValues,
+    NDetectOutcome, Pattern, PatternSet, SimScratch, SimWidth, SimWord, StemRegionEngine,
 };
 
 /// The content-hash and serving surface added in 0.4.0: the canonical
@@ -86,8 +85,6 @@ fn pin_compiled_entry_points<'a>(_: &'a ()) {
     let _: fn(&CompiledCircuit, &PatternSet) -> GoodValues = GoodValues::for_circuit;
     let _: fn(&'a CompiledCircuit, &'a FaultList) -> FaultSimulator<'a> =
         FaultSimulator::for_circuit;
-    let _: fn(&'a CompiledCircuit, &'a FaultList, EngineKind) -> FaultSimulator<'a> =
-        FaultSimulator::for_circuit_with_engine;
     let _: fn(&'a CompiledCircuit, &'a FaultList) -> StemRegionEngine<'a> =
         StemRegionEngine::for_circuit;
     let _: fn(&CompiledCircuit) -> SimScratch = SimScratch::for_circuit;
@@ -173,20 +170,26 @@ fn pin_simulation_surface<'a>(_: &'a ()) {
     let _: fn(&TestGenResult) -> usize = TestGenResult::num_tests;
     let _: fn(&TestGenResult) -> TestGenSummary = TestGenResult::summary;
     let _: fn(&AdiAnalysis, FaultOrdering) -> Vec<FaultId> = |a, o| order_faults(a, o);
+    // The bit-identical references the differential suites and
+    // `perf_report` hold the production paths to.
+    let _: fn(&CompiledCircuit, &FaultList, &PatternSet) -> DetectionMatrix =
+        adi::sim::reference::no_drop_matrix;
+    let _: fn(&CompiledCircuit, &FaultList, &PatternSet) -> DropOutcome =
+        adi::sim::reference::with_dropping;
+    let _: fn(&CompiledCircuit, &FaultList, &PatternSet, u32) -> NDetectOutcome =
+        adi::sim::reference::n_detect;
+    let _: fn(&TestGenerator<'a>, &[FaultId], &PatternSet) -> TestGenResult =
+        TestGenerator::run_reference;
 }
 
 #[test]
 fn simulation_surface_is_stable() {
     pin_simulation_surface(&());
-    // Config enums and their defaults.
-    assert_eq!(EngineKind::default(), EngineKind::StemRegion);
-    assert_eq!(DropLoopKind::default(), DropLoopKind::Batched);
     // The wide-word surface: runtime width selection and its bounds.
     assert_eq!(SimWidth::from_lanes(4), Some(SimWidth::W4));
     assert_eq!(SimWidth::from_lanes(3), None);
     assert_eq!(SimWidth::ALL.len(), 4);
     assert_eq!(SimWord::<4>::ZERO.0, [0u64; 4]);
-    assert_eq!(TestGenConfig::default().drop_loop, DropLoopKind::Batched);
     // Auto width selection (0.7.0): thread- and pattern-aware pickers.
     let _: fn() -> SimWidth = SimWidth::auto;
     let _: fn(usize, usize) -> SimWidth = SimWidth::auto_for;
@@ -240,21 +243,15 @@ fn simulation_surface_is_stable() {
     let _ = EquivVerdict::Equivalent;
 }
 
-/// The event-driven PODEM core: the engine switch (event-driven by
-/// default), the generator's reusable surface, and the incremental
-/// dual-machine evaluator it is built on.
+/// The event-driven PODEM core: the generator's reusable surface, its
+/// full-resim reference, and the incremental dual-machine evaluator it
+/// is built on.
 #[test]
 fn podem_engine_surface_is_stable() {
-    assert_eq!(PodemEngine::default(), PodemEngine::EventDriven);
-    assert_eq!(PodemConfig::default().engine, PodemEngine::EventDriven);
-    // The full-resim oracle is part of the surface only with the
-    // `oracle` feature (a facade default).
-    #[cfg(feature = "oracle")]
-    let _ = PodemEngine::FullResim;
     let _: fn(&Netlist, PodemConfig) -> Podem = Podem::new;
     let _: fn(&mut Podem, Fault) -> PodemOutcome = Podem::generate;
+    let _: fn(&mut Podem, Fault) -> PodemOutcome = Podem::generate_reference;
     let _: fn(&Podem) -> PodemStats = Podem::stats;
-    let _: fn(&Podem) -> PodemEngine = Podem::engine;
     fn stats_fields(s: &PodemStats) -> (u64, u64, u64, u64, u64, u64, u64, u64) {
         (
             s.targets,

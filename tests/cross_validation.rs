@@ -1,12 +1,12 @@
 //! Property-based cross-validation between independent implementations:
-//! the bit-parallel simulator vs. the event-driven simulator vs. scalar
-//! evaluation, and PODEM vs. exhaustive fault simulation.
+//! the bit-parallel simulator vs. scalar evaluation, and PODEM vs.
+//! exhaustive fault simulation.
 
 use adi::atpg::{FillStrategy, Podem, PodemConfig, PodemOutcome};
 use adi::circuits::{random_circuit, RandomCircuitConfig};
 use adi::netlist::fault::FaultList;
 use adi::netlist::{CompiledCircuit, Netlist};
-use adi::sim::{logic, EventSim, FaultSimulator, GoodValues, PatternSet};
+use adi::sim::{logic, FaultSimulator, GoodValues, PatternSet};
 use proptest::prelude::*;
 
 /// Strategy: a random circuit recipe small enough for exhaustive checks.
@@ -27,20 +27,6 @@ proptest! {
             let scalar = logic::evaluate(&netlist, patterns.get(p).as_slice());
             for node in netlist.node_ids() {
                 prop_assert_eq!(good.value(node, p), scalar[node.index()]);
-            }
-        }
-    }
-
-    #[test]
-    fn event_driven_simulation_agrees(netlist in tiny_circuit(), seed in any::<u64>()) {
-        let patterns = PatternSet::random(netlist.num_inputs(), 16, seed);
-        let mut sim = EventSim::new(&netlist, patterns.get(0).as_slice());
-        for p in 1..patterns.len() {
-            let pattern = patterns.get(p);
-            sim.set_inputs(pattern.as_slice());
-            let reference = logic::evaluate(&netlist, pattern.as_slice());
-            for node in netlist.node_ids() {
-                prop_assert_eq!(sim.value(node), reference[node.index()]);
             }
         }
     }

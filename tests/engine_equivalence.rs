@@ -1,12 +1,13 @@
-//! Exact-equivalence obligations of the stem-region engine: its
-//! `DetectionMatrix` (and dropping / n-detection outcomes) must be
-//! bit-identical to the per-fault engine on every circuit, and both must
-//! match a scalar brute-force oracle on small cases.
+//! Exact-equivalence obligations of the stem-region engine behind
+//! `FaultSimulator`: its `DetectionMatrix` (and dropping / n-detection
+//! outcomes) must be bit-identical to the per-fault PPSFP reference
+//! (`adi::sim::reference`) on every circuit, and both must match a
+//! scalar brute-force oracle on small cases.
 
 use adi::circuits::{embedded, paper_suite, random_circuit, RandomCircuitConfig};
 use adi::netlist::fault::{Fault, FaultList, FaultSite};
 use adi::netlist::{CompiledCircuit, GateKind, Netlist};
-use adi::sim::{logic, EngineKind, FaultSimulator, Pattern, PatternSet, StemRegionEngine};
+use adi::sim::{logic, reference, FaultSimulator, Pattern, PatternSet, StemRegionEngine};
 use proptest::prelude::*;
 
 fn matrices_for(
@@ -15,10 +16,8 @@ fn matrices_for(
     patterns: &PatternSet,
 ) -> (adi::sim::DetectionMatrix, adi::sim::DetectionMatrix) {
     let circuit = CompiledCircuit::compile(netlist.clone());
-    let per_fault = FaultSimulator::for_circuit_with_engine(&circuit, faults, EngineKind::PerFault)
-        .no_drop_matrix(patterns);
-    let stem = FaultSimulator::for_circuit_with_engine(&circuit, faults, EngineKind::StemRegion)
-        .no_drop_matrix(patterns);
+    let per_fault = reference::no_drop_matrix(&circuit, faults, patterns);
+    let stem = FaultSimulator::for_circuit(&circuit, faults).no_drop_matrix(patterns);
     (per_fault, stem)
 }
 
@@ -103,19 +102,16 @@ fn drive_modes_identical_on_suite_sample() {
         let faults = FaultList::collapsed(&netlist);
         let patterns = PatternSet::random(netlist.num_inputs(), 256, 7);
         let compiled = CompiledCircuit::compile(netlist.clone());
-        let per_fault =
-            FaultSimulator::for_circuit_with_engine(&compiled, &faults, EngineKind::PerFault);
-        let stem =
-            FaultSimulator::for_circuit_with_engine(&compiled, &faults, EngineKind::StemRegion);
+        let stem = FaultSimulator::for_circuit(&compiled, &faults);
         assert_eq!(
-            per_fault.with_dropping(&patterns),
+            reference::with_dropping(&compiled, &faults, &patterns),
             stem.with_dropping(&patterns),
             "{} dropping",
             circuit.name
         );
         for n in [1, 3, 16] {
             assert_eq!(
-                per_fault.n_detect(&patterns, n),
+                reference::n_detect(&compiled, &faults, &patterns, n),
                 stem.n_detect(&patterns, n),
                 "{} n_detect({n})",
                 circuit.name
@@ -132,15 +128,13 @@ fn parallel_identical_across_engines_and_threads() {
     let patterns = PatternSet::random(netlist.num_inputs(), 300, 13);
     let (serial, _) = matrices_for(&netlist, &faults, &patterns);
     let circuit = CompiledCircuit::compile(netlist.clone());
-    for engine in [EngineKind::PerFault, EngineKind::StemRegion] {
-        let sim = FaultSimulator::for_circuit_with_engine(&circuit, &faults, engine);
-        for threads in [1, 2, 5, 16] {
-            assert_eq!(
-                serial,
-                sim.no_drop_matrix_parallel(&patterns, threads),
-                "{engine} x{threads}"
-            );
-        }
+    let sim = FaultSimulator::for_circuit(&circuit, &faults);
+    for threads in [1, 2, 5, 16] {
+        assert_eq!(
+            serial,
+            sim.no_drop_matrix_parallel(&patterns, threads),
+            "x{threads}"
+        );
     }
 }
 
@@ -153,8 +147,7 @@ fn prebuilt_engine_is_reusable() {
     let engine = StemRegionEngine::for_circuit(&circuit, &faults);
     for seed in [1u64, 2, 3] {
         let patterns = PatternSet::random(netlist.num_inputs(), 100, seed);
-        let fresh = FaultSimulator::for_circuit_with_engine(&circuit, &faults, EngineKind::PerFault)
-            .no_drop_matrix(&patterns);
+        let fresh = reference::no_drop_matrix(&circuit, &faults, &patterns);
         assert_eq!(engine.no_drop_matrix(&patterns), fresh, "seed {seed}");
     }
 }
@@ -169,7 +162,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Random circuits, random patterns: the three implementations (stem
-    /// region, per fault, scalar oracle) must agree everywhere.
+    /// region, per-fault reference, scalar oracle) must agree everywhere.
     #[test]
     fn differential_stem_vs_per_fault_vs_oracle(
         netlist in tiny_circuit(),
@@ -200,10 +193,14 @@ proptest! {
         let faults = FaultList::collapsed(&netlist);
         let patterns = PatternSet::random(netlist.num_inputs(), 130, seed);
         let circuit = CompiledCircuit::compile(netlist.clone());
-        let per_fault =
-            FaultSimulator::for_circuit_with_engine(&circuit, &faults, EngineKind::PerFault);
-        let stem = FaultSimulator::for_circuit_with_engine(&circuit, &faults, EngineKind::StemRegion);
-        prop_assert_eq!(per_fault.with_dropping(&patterns), stem.with_dropping(&patterns));
-        prop_assert_eq!(per_fault.n_detect(&patterns, 4), stem.n_detect(&patterns, 4));
+        let stem = FaultSimulator::for_circuit(&circuit, &faults);
+        prop_assert_eq!(
+            reference::with_dropping(&circuit, &faults, &patterns),
+            stem.with_dropping(&patterns)
+        );
+        prop_assert_eq!(
+            reference::n_detect(&circuit, &faults, &patterns, 4),
+            stem.n_detect(&patterns, 4)
+        );
     }
 }

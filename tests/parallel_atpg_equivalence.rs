@@ -6,10 +6,11 @@
 //! embedded circuits, the paper-suite stand-ins, and random circuits.
 //!
 //! The oracle is the sequential batched loop (`atpg_threads: 1`) at
-//! `SimWidth::W1`; `wide_word_equivalence.rs` and
-//! `podem_equivalence.rs` pin that loop to the scalar and oracle
-//! engines, so this suite extends the chain of equivalence to the
-//! speculative first-win committer of `adi::atpg::speculate`.
+//! `SimWidth::W1`; `compiled_circuit.rs` and `podem_equivalence.rs` pin
+//! that loop to `TestGenerator::run_reference` (scalar drop loop over
+//! the full-resim PODEM reference), so this suite extends the chain of
+//! equivalence to the speculative first-win committer of
+//! `adi::atpg::speculate`.
 
 use adi::atpg::{TestGenConfig, TestGenResult, TestGenerator};
 use adi::circuits::{embedded, paper_suite, random_circuit, RandomCircuitConfig};

@@ -1,50 +1,37 @@
-//! Exact-equivalence obligations of the event-driven PODEM engine: for
-//! every target fault it must produce the **same outcome** (test cube,
-//! untestability proof, or abort), and the same decision/backtrack
-//! counts, as the full-resimulation oracle — on embedded circuits, the
-//! synthetic paper suite, and arbitrary random circuits under arbitrary
-//! backtrack limits. The whole ordered-ATPG driver must likewise be
-//! bit-identical across engines.
-//!
-//! The oracle engine lives behind the `oracle` cargo feature (a default
-//! feature of this facade, disabled for the lean serving binaries), so
-//! this whole suite compiles away under `--no-default-features`.
-#![cfg(feature = "oracle")]
+//! Exact-equivalence obligations of the event-driven PODEM search
+//! (`Podem::generate`): for every target fault it must produce the
+//! **same outcome** (test cube, untestability proof, or abort), and the
+//! same decision/backtrack counts, as the full-resimulation reference
+//! (`Podem::generate_reference`) — on embedded circuits, the synthetic
+//! paper suite, and arbitrary random circuits under arbitrary backtrack
+//! limits. The whole ordered-ATPG driver (`TestGenerator::run`) must
+//! likewise be bit-identical to its reference
+//! (`TestGenerator::run_reference`).
 
-use adi::atpg::{
-    Podem, PodemConfig, PodemEngine, TestGenConfig, TestGenResult, TestGenerator,
-};
+use adi::atpg::{Podem, PodemConfig, TestGenConfig, TestGenResult, TestGenerator};
 use adi::circuits::{embedded, paper_suite, random_circuit, RandomCircuitConfig};
 use adi::netlist::fault::{FaultId, FaultList};
 use adi::netlist::{CompiledCircuit, Netlist};
+use adi::sim::PatternSet;
 use proptest::prelude::*;
 
-/// Runs every fault through both engines and asserts outcome-for-outcome
-/// (and cumulative-stats) equality. Returns the shared stats.
+/// Runs every fault through both searches and asserts
+/// outcome-for-outcome (and cumulative-stats) equality. Returns the two
+/// searches' simulation event counts.
 fn assert_engine_parity(
     circuit: &CompiledCircuit,
     faults: &FaultList,
     backtrack_limit: u32,
     label: &str,
 ) -> (u64, u64) {
-    let mut full = Podem::for_circuit(
-        circuit,
-        PodemConfig {
-            backtrack_limit,
-            engine: PodemEngine::FullResim,
-            ..PodemConfig::default()
-        },
-    );
-    let mut event = Podem::for_circuit(
-        circuit,
-        PodemConfig {
-            backtrack_limit,
-            engine: PodemEngine::EventDriven,
-            ..PodemConfig::default()
-        },
-    );
+    let config = PodemConfig {
+        backtrack_limit,
+        ..PodemConfig::default()
+    };
+    let mut full = Podem::for_circuit(circuit, config);
+    let mut event = Podem::for_circuit(circuit, config);
     for (_, fault) in faults.iter() {
-        let a = full.generate(fault);
+        let a = full.generate_reference(fault);
         let b = event.generate(fault);
         assert_eq!(a, b, "{label}: outcome differs for {fault}");
         assert_eq!(
@@ -56,7 +43,7 @@ fn assert_engine_parity(
     (event.stats().sim_events, full.stats().sim_events)
 }
 
-/// Bit-identical `TestGenResult`s modulo the backend diagnostics.
+/// Bit-identical `TestGenResult`s modulo the simulation diagnostics.
 fn assert_testgen_parity(a: &TestGenResult, b: &TestGenResult, label: &str) {
     assert_eq!(a.tests, b.tests, "{label}: test sets differ");
     assert_eq!(a.targets, b.targets, "{label}: targets differ");
@@ -123,19 +110,15 @@ fn testgen_bit_identical_across_podem_engines() {
     let faults = circuit.collapsed_faults();
     let fwd: Vec<FaultId> = faults.ids().collect();
     let rev: Vec<FaultId> = fwd.iter().rev().copied().collect();
+    let config = TestGenConfig {
+        podem: PodemConfig::default(),
+        ..TestGenConfig::default()
+    };
+    let gen = TestGenerator::for_circuit(&circuit, faults, config);
+    let no_warmup = PatternSet::new(circuit.netlist().num_inputs());
     for order in [&fwd, &rev] {
-        let mut results = Vec::new();
-        for engine in [PodemEngine::FullResim, PodemEngine::EventDriven] {
-            let config = TestGenConfig {
-                podem: PodemConfig {
-                    engine,
-                    ..PodemConfig::default()
-                },
-                ..TestGenConfig::default()
-            };
-            results.push(TestGenerator::for_circuit(&circuit, faults, config).run(order));
-        }
-        assert_testgen_parity(&results[0], &results[1], "c17 ordered run");
+        let reference = gen.run_reference(order, &no_warmup);
+        assert_testgen_parity(&reference, &gen.run(order), "c17 ordered run");
     }
 }
 
@@ -161,19 +144,15 @@ proptest! {
         let faults = FaultList::from_faults(
             all.iter().step_by(stride).map(|(_, f)| f).collect(),
         );
-        let mut full = Podem::for_circuit(&circuit, PodemConfig {
+        let config = PodemConfig {
             backtrack_limit: limit,
-            engine: PodemEngine::FullResim,
             ..PodemConfig::default()
-        });
-        let mut event = Podem::for_circuit(&circuit, PodemConfig {
-            backtrack_limit: limit,
-            engine: PodemEngine::EventDriven,
-            ..PodemConfig::default()
-        });
+        };
+        let mut full = Podem::for_circuit(&circuit, config);
+        let mut event = Podem::for_circuit(&circuit, config);
         for (_, fault) in faults.iter() {
             prop_assert_eq!(
-                full.generate(fault),
+                full.generate_reference(fault),
                 event.generate(fault),
                 "fault {} limit {}", fault, limit
             );
@@ -182,21 +161,19 @@ proptest! {
     }
 
     /// The whole ordered ATPG driver (PODEM + drop loop + bookkeeping)
-    /// stays bit-identical when only the PODEM engine changes.
+    /// stays bit-identical to its reference.
     #[test]
     fn differential_testgen_across_engines(netlist in tiny_circuit(), seed in any::<u64>()) {
         let circuit = CompiledCircuit::compile(netlist.clone());
         let faults = FaultList::collapsed(&netlist);
         let order: Vec<FaultId> = faults.ids().collect();
-        let mut results = Vec::new();
-        for engine in [PodemEngine::FullResim, PodemEngine::EventDriven] {
-            let config = TestGenConfig {
-                podem: PodemConfig { engine, ..PodemConfig::default() },
-                fill_seed: seed,
-                ..TestGenConfig::default()
-            };
-            results.push(TestGenerator::for_circuit(&circuit, &faults, config).run(&order));
-        }
-        assert_testgen_parity(&results[0], &results[1], "random circuit");
+        let config = TestGenConfig {
+            podem: PodemConfig::default(),
+            fill_seed: seed,
+            ..TestGenConfig::default()
+        };
+        let gen = TestGenerator::for_circuit(&circuit, &faults, config);
+        let reference = gen.run_reference(&order, &PatternSet::new(netlist.num_inputs()));
+        assert_testgen_parity(&reference, &gen.run(&order), "random circuit");
     }
 }

@@ -3,7 +3,8 @@
 //! computable.
 //!
 //! * On every embedded circuit (all ≤ 16 inputs) the per-fault miter
-//!   verdict must match **exhaustive fault simulation**: `Testable` iff
+//!   verdict must match **exhaustive fault simulation** (the per-fault
+//!   PPSFP reference, `adi::sim::reference`): `Testable` iff
 //!   some input pattern detects the fault, `Redundant` otherwise — and
 //!   every extracted cube must actually detect its fault under both the
 //!   all-zero and all-one completions of its unspecified inputs.
@@ -20,7 +21,7 @@ use adi::atpg::{EquivVerdict, FaultVerdict, Podem, PodemConfig, PodemOutcome, Te
 use adi::circuits::{embedded, paper_suite, random_circuit, RandomCircuitConfig};
 use adi::netlist::fault::{Fault, FaultList};
 use adi::netlist::{bench_format, CompiledCircuit, Netlist};
-use adi::sim::{FaultSimulator, GoodValues, Pattern, PatternSet};
+use adi::sim::{reference, FaultSimulator, GoodValues, Pattern, PatternSet};
 use proptest::prelude::*;
 
 /// Completes `cube` with `fill` in every unspecified position.
@@ -45,7 +46,7 @@ fn assert_matches_exhaustive(netlist: &Netlist, label: &str) {
     let circuit = CompiledCircuit::compile(netlist.clone());
     let faults = FaultList::collapsed(netlist);
     let patterns = PatternSet::exhaustive(netlist.num_inputs());
-    let matrix = FaultSimulator::for_circuit(&circuit, &faults).no_drop_matrix(&patterns);
+    let matrix = reference::no_drop_matrix(&circuit, &faults, &patterns);
     for (id, fault) in faults.iter() {
         let truth = matrix.detected_any(id);
         match prove_fault(&circuit, fault, DEFAULT_CONFLICT_LIMIT) {

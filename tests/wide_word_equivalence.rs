@@ -5,7 +5,7 @@
 //! paper-suite stand-ins, and random circuits.
 //!
 //! The oracle is the stem-region engine at `SimWidth::W1` on one thread
-//! (itself pinned to the per-fault engine and the scalar oracle by
+//! (itself pinned to the per-fault reference and the scalar oracle by
 //! `engine_equivalence.rs`), so this suite extends that chain of
 //! equivalence to the whole (width × threads) lattice, including the
 //! region-parallel split and dominator-based stem merging.
@@ -13,9 +13,7 @@
 use adi::circuits::{embedded, paper_suite, random_circuit, RandomCircuitConfig};
 use adi::netlist::fault::FaultList;
 use adi::netlist::{CompiledCircuit, Netlist};
-use adi::sim::{
-    DetectionMatrix, EngineKind, FaultSimulator, PatternSet, SimWidth, StemRegionEngine,
-};
+use adi::sim::{DetectionMatrix, FaultSimulator, PatternSet, SimWidth, StemRegionEngine};
 use proptest::prelude::*;
 
 const THREADS: [usize; 3] = [1, 2, 4];
@@ -27,8 +25,7 @@ fn oracle(
     patterns: &PatternSet,
     n: u32,
 ) -> (DetectionMatrix, adi::sim::DropOutcome, adi::sim::NDetectOutcome) {
-    let sim = FaultSimulator::for_circuit_with_engine(circuit, faults, EngineKind::StemRegion)
-        .with_width(SimWidth::W1);
+    let sim = FaultSimulator::for_circuit(circuit, faults).with_width(SimWidth::W1);
     (
         sim.no_drop_matrix(patterns),
         sim.with_dropping(patterns),
@@ -48,8 +45,7 @@ fn assert_lattice(netlist: &Netlist, patterns: &PatternSet, collapse: bool, labe
     };
     let (matrix, drop, ndet) = oracle(&circuit, &faults, patterns, 3);
     for width in SimWidth::ALL {
-        let sim = FaultSimulator::for_circuit_with_engine(&circuit, &faults, EngineKind::StemRegion)
-            .with_width(width);
+        let sim = FaultSimulator::for_circuit(&circuit, &faults).with_width(width);
         assert_eq!(sim.no_drop_matrix(patterns), matrix, "{label} {width} serial");
         assert_eq!(sim.with_dropping(patterns), drop, "{label} {width} dropping");
         assert_eq!(sim.n_detect(patterns, 3), ndet, "{label} {width} n-detect");
