@@ -80,7 +80,7 @@ impl std::fmt::Display for SatFallback {
 }
 
 /// Tuning knobs for [`Podem`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct PodemConfig {
     /// Maximum number of backtracks before the target is abandoned as
     /// [`PodemOutcome::Aborted`].

@@ -43,7 +43,7 @@ use crate::{speculate, FillStrategy, Podem, PodemConfig, PodemOutcome, PodemStat
 static SPAN_PODEM: SpanSite = SpanSite::new("atpg.podem");
 
 /// Configuration for a [`TestGenerator`] run.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct TestGenConfig {
     /// PODEM backtrack limit and SAT-fallback policy per target. The
     /// driver's default turns the fallback **on**

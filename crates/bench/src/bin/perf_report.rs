@@ -822,12 +822,19 @@ fn scenario_phase(
     out
 }
 
+/// Connects to `addr` with Nagle off: every request below goes out as
+/// one write of the whole line, so none waits on a delayed ACK.
+fn tcp_connect(addr: std::net::SocketAddr) -> (BufReader<TcpStream>, TcpStream) {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("TCP_NODELAY");
+    let writer = stream.try_clone().expect("clone connection");
+    (BufReader::new(stream), writer)
+}
+
 /// One blocking request/response line pair over a TCP connection.
 fn tcp_round_trip(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, request: &str) -> Value {
     writer
-        .write_all(request.as_bytes())
-        .and_then(|_| writer.write_all(b"\n"))
-        .and_then(|_| writer.flush())
+        .write_all(format!("{request}\n").as_bytes())
         .expect("service request");
     let mut line = String::new();
     reader.read_line(&mut line).expect("service response");
@@ -860,9 +867,7 @@ fn open_loop_phase(name: &str, netlist_text: &str, quick: bool) -> OpenLoopStats
 
     // Control connection: compile, prime the sweep, and (later) stop
     // the server.
-    let control_stream = TcpStream::connect(addr).expect("connect control");
-    let mut control_writer = control_stream.try_clone().expect("clone control");
-    let mut control = BufReader::new(control_stream);
+    let (mut control, mut control_writer) = tcp_connect(addr);
     let compile_req = {
         let mut o = Object::new();
         o.insert("op", "compile");
@@ -889,9 +894,7 @@ fn open_loop_phase(name: &str, netlist_text: &str, quick: bool) -> OpenLoopStats
 
     // Measurement connection: a sender thread on the fixed schedule, the
     // reader here tallying latency (from scheduled send) and sheds.
-    let stream = TcpStream::connect(addr).expect("connect measurement");
-    let mut writer = stream.try_clone().expect("clone measurement");
-    let mut reader = BufReader::new(stream);
+    let (mut reader, mut writer) = tcp_connect(addr);
     let start = Instant::now() + Duration::from_millis(50);
     let (latencies, shed) = std::thread::scope(|scope| {
         let hash = &hash;
@@ -907,9 +910,7 @@ fn open_loop_phase(name: &str, netlist_text: &str, quick: bool) -> OpenLoopStats
                     r#"{{"id":{i},"op":"ndetect","hash":"{hash}","random":{{"count":64,"seed":{AGREEMENT_SEED}}},"n":{n}}}"#
                 );
                 writer
-                    .write_all(req.as_bytes())
-                    .and_then(|_| writer.write_all(b"\n"))
-                    .and_then(|_| writer.flush())
+                    .write_all(format!("{req}\n").as_bytes())
                     .expect("open-loop send");
             }
         });

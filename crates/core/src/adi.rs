@@ -36,7 +36,7 @@ impl AdiEstimator {
 }
 
 /// Configuration for [`AdiAnalysis::for_circuit`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub struct AdiConfig {
     /// Aggregation over `D(f)`.
     pub estimator: AdiEstimator,

@@ -6,6 +6,8 @@
 //! `N` vectors. Optionally, vectors that detected no new fault during the
 //! dropping simulation can be removed as a further speed-up.
 
+use std::hash::{Hash, Hasher};
+
 use adi_netlist::fault::FaultList;
 use adi_netlist::CompiledCircuit;
 use adi_sim::{FaultSimulator, PatternSet};
@@ -38,6 +40,18 @@ impl Default for USetConfig {
             exhaustive_threshold: 6,
             strip_useless: false,
         }
+    }
+}
+
+/// Hashes `target_coverage` by bit pattern, with `-0.0` folded onto
+/// `0.0` so that equal configs hash equally.
+impl Hash for USetConfig {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.max_vectors.hash(state);
+        (self.target_coverage + 0.0).to_bits().hash(state);
+        self.seed.hash(state);
+        self.exhaustive_threshold.hash(state);
+        self.strip_useless.hash(state);
     }
 }
 
@@ -256,5 +270,25 @@ mod tests {
             },
         );
         assert_eq!(sel.len(), 8);
+    }
+
+    #[test]
+    fn equal_configs_hash_equally() {
+        let hash = |config: &USetConfig| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            config.hash(&mut h);
+            h.finish()
+        };
+        let zero = USetConfig {
+            target_coverage: 0.0,
+            ..USetConfig::default()
+        };
+        let negative_zero = USetConfig {
+            target_coverage: -0.0,
+            ..zero
+        };
+        assert_eq!(zero, negative_zero);
+        assert_eq!(hash(&zero), hash(&negative_zero));
+        assert_ne!(hash(&zero), hash(&USetConfig::default()));
     }
 }

@@ -19,6 +19,7 @@
 //! lists and the SCOAP measures are lazily initialized behind
 //! [`OnceLock`]s on first use and shared from then on.
 
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
 use adi_obs::SpanSite;
@@ -78,6 +79,14 @@ struct Compilation {
     scoap: OnceLock<Scoap>,
     hash: OnceLock<NetlistHash>,
     post_dominators: OnceLock<Vec<u32>>,
+}
+
+/// A compilation hashes as its [`content_hash`](CompiledCircuit::content_hash):
+/// every compilation of one structure hashes alike.
+impl Hash for CompiledCircuit {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.content_hash().hash(state);
+    }
 }
 
 impl CompiledCircuit {

@@ -100,6 +100,13 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
+/// Sends `request` and its newline in one write.
+fn send_line(writer: &mut TcpStream, request: &str) -> Result<(), String> {
+    writer
+        .write_all(format!("{request}\n").as_bytes())
+        .map_err(|e| format!("send: {e}"))
+}
+
 /// One client connection: blocking request/response over a line each.
 struct Client {
     reader: BufReader<TcpStream>,
@@ -109,8 +116,11 @@ struct Client {
 impl Client {
     fn connect(addr: &str) -> Result<Client, String> {
         let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+        // Requests go out as whole lines (see `send_line`) with Nagle
+        // off, so no request waits on the server's delayed ACK.
         stream
-            .set_read_timeout(Some(Duration::from_secs(120)))
+            .set_nodelay(true)
+            .and_then(|()| stream.set_read_timeout(Some(Duration::from_secs(120))))
             .map_err(|e| e.to_string())?;
         let writer = stream.try_clone().map_err(|e| e.to_string())?;
         Ok(Client {
@@ -122,11 +132,7 @@ impl Client {
     /// Sends one request line and reads back the raw response line
     /// (the form that can check byte-identity of cache hits).
     fn roundtrip_raw(&mut self, request: &str) -> Result<String, String> {
-        self.writer
-            .write_all(request.as_bytes())
-            .and_then(|_| self.writer.write_all(b"\n"))
-            .and_then(|_| self.writer.flush())
-            .map_err(|e| format!("send: {e}"))?;
+        send_line(&mut self.writer, request)?;
         let mut line = String::new();
         let n = self
             .reader
@@ -470,11 +476,7 @@ fn open_loop(opts: &Options, rate: f64) -> Result<(), String> {
                                 let req = format!(
                                     r#"{{"id": {i}, "op": "ndetect", "hash": "{hash}", "random": {{"count": 64, "seed": 12}}, "n": {n}}}"#
                                 );
-                                writer
-                                    .write_all(req.as_bytes())
-                                    .and_then(|_| writer.write_all(b"\n"))
-                                    .and_then(|_| writer.flush())
-                                    .map_err(|e| format!("send: {e}"))?;
+                                send_line(&mut writer, &req)?;
                             }
                             Ok(())
                         });

@@ -1,17 +1,19 @@
-//! The request handlers: each endpoint is a thin adapter from protocol
-//! fields onto the library's compiled-circuit session APIs.
+//! The request handlers: each endpoint is a thin adapter from a parsed
+//! request onto the library's compiled-circuit session APIs.
 //!
-//! Every handler resolves its circuit through the shared
-//! [`CircuitStore`], so any number of scenario requests against the
-//! same structure reuse one compilation — a cache-hit request performs
+//! A request is parsed once (the `service.resolve` span) into a typed
+//! request whose circuit is resolved through the shared
+//! [`CircuitStore`], so any number of scenario requests against the same
+//! structure reuse one compilation — a cache-hit request performs
 //! **zero** levelizations (asserted by the endpoint test suite via
 //! [`LevelizedCsr::build_count`](adi_netlist::LevelizedCsr::build_count)).
 //!
 //! On top of the circuit store sits the [`ScenarioCache`]: the pure
 //! endpoints (`coverage`, `adi`, `atpg`, `ndetect`, `reorder`,
-//! `equiv`) fingerprint their *resolved* request — circuit hash,
-//! materialized pattern words, every config field after defaulting —
-//! and serve repeats from the cached serialized result, spliced
+//! `equiv`) are keyed by the hash of their parsed, *resolved* request —
+//! circuit hash, decoded pattern words or generator parameters, every
+//! config field after defaulting — the same value the executor runs.
+//! Repeats are served from the cached serialized result, spliced
 //! byte-identically around the caller's own `id`. A request opts out
 //! with `"cache": "bypass"`. Cached `atpg` responses replay the
 //! populating run's wall-clock `timing` fields verbatim (every other
@@ -22,24 +24,22 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use adi_atpg::{EquivVerdict, TestGenConfig, TestGenerator};
+use adi_atpg::{EquivVerdict, TestGenerator};
 use adi_obs::{Field, Level, SpanSite, TraceGuard};
 use adi_core::metrics::average_detection_position;
 use adi_core::reorder::{reorder_tests_for, reverse_order_compaction_for};
 use adi_core::uset::select_u_for;
-use adi_core::uset::USetConfig;
-use adi_core::{order_faults, AdiAnalysis, AdiConfig, AdiEstimator, FaultOrdering};
-use adi_netlist::fault::FaultList;
-use adi_netlist::{bench_format, CompiledCircuit, NetlistHash};
+use adi_core::{order_faults, AdiAnalysis};
+use adi_netlist::CompiledCircuit;
 use adi_sim::{FaultSimulator, PatternSet};
 use json::{Object, Value};
 
 use crate::protocol::{
-    error_response, invalid_json_response, opt_bool, opt_str, opt_u64, parse_adi_config,
-    parse_ordering, parse_pattern_spec, parse_testgen_config, parse_uset_config, parse_width,
-    pattern_to_string, require_patterns, PatternSpec, RequestError, RequestResult,
+    error_response, invalid_json_response, opt_bool, opt_str, parse_request, pattern_to_string,
+    Adi, Atpg, Coverage, Equiv, Ndetect, PatternSpec, Reorder, Request, RequestError,
+    RequestResult, Scenario, Target, Vectors,
 };
-use crate::scenario::{FpHasher, Fingerprint, ScenarioCache, ScenarioConfig, ScenarioOutcome};
+use crate::scenario::{panic_message, Fingerprint, ScenarioCache, ScenarioConfig, ScenarioOutcome};
 use crate::store::{CacheOutcome, CircuitStore, StoreConfig};
 
 /// Everything a request needs to be answered: the circuit cache (and,
@@ -110,9 +110,10 @@ impl ServiceMetrics {
     }
 }
 
-/// Execute/serialize split of every request (the queue-wait third of
-/// the split is measured by the transport and passed into
+/// Resolve/execute/serialize split of every request (the queue wait
+/// before it is measured by the transport and passed into
 /// [`ServiceState::respond_queued`]).
+static SPAN_RESOLVE: SpanSite = SpanSite::new("service.resolve");
 static SPAN_EXECUTE: SpanSite = SpanSite::new("service.execute");
 static SPAN_SERIALIZE: SpanSite = SpanSite::new("service.serialize");
 
@@ -233,14 +234,7 @@ impl ServiceState {
         let outcome = catch_unwind(AssertUnwindSafe(|| self.answer(op, id, request)));
         let answered = match outcome {
             Ok(a) => a,
-            Err(panic) => {
-                let message = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "unknown panic".to_string());
-                answered_error(id, &format!("internal error: {message}"))
-            }
+            Err(panic) => answered_error(id, &format!("internal error: {}", panic_message(&*panic))),
         };
         let trace = trace_guard.map(TraceGuard::finish);
         self.finish_request(op, queue_wait_ns, started, trace, answered)
@@ -294,9 +288,9 @@ impl ServiceState {
         body
     }
 
-    /// Routes one validated request: cacheable ops go through the
-    /// scenario cache (unless disabled or bypassed), everything else
-    /// dispatches directly.
+    /// Routes one validated request: parses it (resolving its circuits)
+    /// once, then runs a scenario through the scenario cache (unless
+    /// disabled or bypassed) and everything else directly.
     fn answer(&self, op: &str, id: Option<&Value>, req: &Value) -> Answered {
         let use_cache = match opt_str(req, "cache", "use") {
             Ok("use") => true,
@@ -307,216 +301,71 @@ impl ServiceState {
             }
             Err(e) => return answered_error(id, &e.0),
         };
-        if use_cache && !self.scenario.is_disabled() {
-            // A fingerprinting error falls through to the direct path so
-            // the client sees exactly the error a cold dispatch reports.
-            if let Ok(Some(fp)) = self.fingerprint(op, req) {
-                let (result, outcome) =
-                    self.scenario.get_or_compute(fp, || self.compute_payload(op, req));
-                return match result {
-                    Ok(payload) => Answered {
-                        body: spliced_ok(id, &payload),
-                        ok: true,
-                        cache: cache_label(outcome),
-                    },
-                    Err(e) => answered_error(id, &e.0),
-                };
+        let parsed = {
+            let _span = SPAN_RESOLVE.enter();
+            parse_request(op, req, &self.store)
+        };
+        let request = match parsed {
+            Ok(request) => request,
+            Err(e) => return answered_error(id, &e.0),
+        };
+        let (payload, cache) = match request {
+            Request::Scenario(scenario) if use_cache && !self.scenario.is_disabled() => {
+                let fp = Fingerprint::of(&scenario);
+                let (payload, outcome) = self
+                    .scenario
+                    .get_or_compute(fp, || self.compute_payload(Request::Scenario(scenario)));
+                (payload, cache_label(outcome))
             }
-        } else if !use_cache && is_cacheable(op) {
-            self.scenario.note_bypass();
-        }
-        match self.compute_payload(op, req) {
+            request => {
+                let bypass = !use_cache && matches!(request, Request::Scenario(_));
+                if bypass {
+                    self.scenario.note_bypass();
+                }
+                let payload = self.compute_payload(request).map(Arc::new);
+                (payload, if bypass { "bypass" } else { "uncached" })
+            }
+        };
+        match payload {
             Ok(payload) => Answered {
                 body: spliced_ok(id, &payload),
                 ok: true,
-                cache: if !use_cache && is_cacheable(op) { "bypass" } else { "uncached" },
+                cache,
             },
             Err(e) => answered_error(id, &e.0),
         }
     }
 
-    /// Dispatches one request and serializes its result payload, under
+    /// Executes one request and serializes its result payload, under
     /// the execute/serialize spans. Both the cached and the direct path
     /// produce their payload here, so a response's `result` bytes are
     /// identical whichever path served it.
-    fn compute_payload(&self, op: &str, req: &Value) -> RequestResult<String> {
+    fn compute_payload(&self, request: Request) -> RequestResult<String> {
         let result = {
             let _span = SPAN_EXECUTE.enter();
-            self.dispatch(op, req)?
+            self.execute(request)?
         };
         let _span = SPAN_SERIALIZE.enter();
         Ok(Value::Object(result).to_string())
     }
 
-    fn dispatch(&self, op: &str, req: &Value) -> RequestResult<Object> {
-        match op {
-            "compile" => self.op_compile(req),
-            "coverage" => self.op_coverage(req),
-            "adi" => self.op_adi(req),
-            "atpg" => self.op_atpg(req),
-            "equiv" => self.op_equiv(req),
-            "ndetect" => self.op_ndetect(req),
-            "reorder" => self.op_reorder(req),
-            "ping" => self.op_ping(),
-            "stats" => self.op_stats(),
-            "metrics" => self.op_metrics(req),
-            "shutdown" => {
-                let mut o = Object::new();
-                o.insert("stopping", true);
-                Ok(o)
-            }
-            other => Err(RequestError::new(format!(
-                "unknown op `{other}` (expected compile, coverage, adi, atpg, equiv, \
-                 ndetect, reorder, ping, stats, metrics, or shutdown)"
-            ))),
-        }
-    }
-
-    /// Computes the canonical scenario fingerprint for a cacheable op:
-    /// `Ok(None)` for ops whose results are not pure functions of the
-    /// request (`compile` reports live store state, `ping`/`stats` are
-    /// live by definition), `Err` when the request fails to resolve —
-    /// the caller then falls back to the direct path, which reports the
-    /// identical error a cold dispatch would.
-    ///
-    /// Everything hashed here is *resolved*: the circuit's content
-    /// hash (not its `bench` text), the pattern spec's materialized
-    /// words, and each config field after defaulting. JSON field
-    /// order, whitespace, and spelled-out defaults therefore hash
-    /// identically, while every semantic difference separates keys.
-    fn fingerprint(&self, op: &str, req: &Value) -> RequestResult<Option<Fingerprint>> {
-        let mut h = FpHasher::new(op);
-        match op {
-            "coverage" => {
-                let (circuit, _) = self.resolve_circuit(req)?;
-                let num_inputs = circuit.netlist().num_inputs();
-                h.write_str(&circuit.content_hash().to_hex());
-                h.write_bool(opt_bool(req, "collapse", true)?);
-                h.write_u64(parse_width(req)?.lanes() as u64);
-                fp_pattern_spec(&mut h, &parse_pattern_spec(req, num_inputs)?);
-                h.write_bool(opt_bool(req, "include_detail", false)?);
-            }
-            "ndetect" => {
-                let (circuit, _) = self.resolve_circuit(req)?;
-                let num_inputs = circuit.netlist().num_inputs();
-                h.write_str(&circuit.content_hash().to_hex());
-                h.write_bool(opt_bool(req, "collapse", true)?);
-                h.write_u64(parse_width(req)?.lanes() as u64);
-                fp_pattern_spec(&mut h, &parse_pattern_spec(req, num_inputs)?);
-                h.write_u64(opt_u64(req, "n", 0)?);
-            }
-            "adi" => {
-                let (circuit, _) = self.resolve_circuit(req)?;
-                let num_inputs = circuit.netlist().num_inputs();
-                h.write_str(&circuit.content_hash().to_hex());
-                h.write_bool(opt_bool(req, "collapse", true)?);
-                let spec = parse_pattern_spec(req, num_inputs)?;
-                if matches!(spec, PatternSpec::Absent) {
-                    fp_uset_config(&mut h, &parse_uset_config(req)?);
-                }
-                fp_pattern_spec(&mut h, &spec);
-                fp_adi_config(&mut h, &parse_adi_config(req)?);
-                h.write_bool(opt_bool(req, "include_values", false)?);
-                match req.get("ordering") {
-                    None => h.write_bool(false),
-                    Some(_) => {
-                        h.write_bool(true);
-                        h.write_str(parse_ordering(req, FaultOrdering::Original)?.label());
-                    }
-                }
-            }
-            "atpg" => {
-                let (circuit, _) = self.resolve_circuit(req)?;
-                let num_inputs = circuit.netlist().num_inputs();
-                h.write_str(&circuit.content_hash().to_hex());
-                h.write_bool(opt_bool(req, "collapse", true)?);
-                let ordering = parse_ordering(req, FaultOrdering::Original)?;
-                h.write_str(ordering.label());
-                if ordering != FaultOrdering::Original {
-                    let spec = parse_pattern_spec(req, num_inputs)?;
-                    if matches!(spec, PatternSpec::Absent) {
-                        fp_uset_config(&mut h, &parse_uset_config(req)?);
-                    }
-                    fp_pattern_spec(&mut h, &spec);
-                    fp_adi_config(&mut h, &parse_adi_config(req)?);
-                }
-                fp_testgen_config(&mut h, &parse_testgen_config(req)?);
-                h.write_bool(opt_bool(req, "include_tests", false)?);
-                h.write_bool(opt_bool(req, "include_detail", false)?);
-            }
-            "reorder" => {
-                let (circuit, _) = self.resolve_circuit(req)?;
-                let num_inputs = circuit.netlist().num_inputs();
-                h.write_str(&circuit.content_hash().to_hex());
-                h.write_bool(opt_bool(req, "collapse", true)?);
-                fp_pattern_spec(&mut h, &parse_pattern_spec(req, num_inputs)?);
-                h.write_str(opt_str(req, "mode", "steepest")?);
-            }
-            "equiv" => {
-                for key in ["left", "right"] {
-                    let spec = req
-                        .get(key)
-                        .filter(|s| s.as_object().is_some())
-                        .ok_or_else(|| RequestError::new("fingerprint: bad side"))?;
-                    let (circuit, _) = self.resolve_circuit(spec)?;
-                    h.write_str(&circuit.content_hash().to_hex());
-                }
-                h.write_u64(opt_u64(
-                    req,
-                    "conflict_limit",
-                    adi_atpg::cnf::DEFAULT_CONFLICT_LIMIT,
-                )?);
-            }
-            _ => return Ok(None),
-        }
-        Ok(Some(h.finish()))
-    }
-
-    /// Resolves the request's circuit reference: `"hash"` (must already
-    /// be cached) or `"bench"` text (compiled through the store, so
-    /// repeats are cache hits).
-    fn resolve_circuit(&self, req: &Value) -> RequestResult<(CompiledCircuit, CacheOutcome)> {
-        if let Some(hex) = req.get("hash") {
-            let hex = hex
-                .as_str()
-                .ok_or_else(|| RequestError::new("`hash` must be a string"))?;
-            let hash = NetlistHash::from_hex(hex)
-                .ok_or_else(|| RequestError::new("`hash` must be 32 hex digits"))?;
-            let circuit = self.store.lookup(hash).ok_or_else(|| {
-                RequestError::new(format!("unknown circuit hash {hex} (compile it first)"))
-            })?;
-            return Ok((circuit, CacheOutcome::Hit));
-        }
-        if let Some(bench) = req.get("bench") {
-            let bench = bench
-                .as_str()
-                .ok_or_else(|| RequestError::new("`bench` must be a string"))?;
-            let name = opt_str(req, "name", "circuit")?;
-            let netlist = bench_format::parse(bench, name)
-                .map_err(|e| RequestError::new(format!("bench parse error: {e}")))?;
-            return Ok(self.store.get_or_compile(netlist));
-        }
-        Err(RequestError::new(
-            "circuit reference required: provide `bench` (text) or `hash` (cached)",
-        ))
-    }
-
-    /// The request's target fault list (collapsed unless
-    /// `"collapse": false`).
-    fn resolve_faults<'c>(
-        &self,
-        req: &Value,
-        circuit: &'c CompiledCircuit,
-    ) -> RequestResult<&'c FaultList> {
-        Ok(if opt_bool(req, "collapse", true)? {
-            circuit.collapsed_faults()
-        } else {
-            circuit.full_faults()
+    fn execute(&self, request: Request) -> RequestResult<Object> {
+        Ok(match request {
+            Request::Compile(circuit, outcome) => self.op_compile(&circuit, outcome),
+            Request::Scenario(Scenario::Coverage(c)) => op_coverage(c)?,
+            Request::Scenario(Scenario::Ndetect(n)) => op_ndetect(n)?,
+            Request::Scenario(Scenario::Adi(a)) => op_adi(a),
+            Request::Scenario(Scenario::Atpg(a)) => op_atpg(a),
+            Request::Scenario(Scenario::Reorder(r)) => op_reorder(r)?,
+            Request::Scenario(Scenario::Equiv(e)) => op_equiv(e)?,
+            Request::Ping => self.op_ping(),
+            Request::Stats => self.op_stats(),
+            Request::Metrics { json } => self.op_metrics(json),
+            Request::Shutdown => [("stopping", true)].into_iter().collect(),
         })
     }
 
-    fn op_compile(&self, req: &Value) -> RequestResult<Object> {
-        let (circuit, outcome) = self.resolve_circuit(req)?;
+    fn op_compile(&self, circuit: &CompiledCircuit, outcome: CacheOutcome) -> Object {
         let netlist = circuit.netlist();
         let mut o = Object::new();
         o.insert("hash", circuit.content_hash().to_hex());
@@ -529,305 +378,20 @@ impl ServiceState {
         o.insert("collapsed_faults", circuit.collapsed_faults().len());
         o.insert("cached", outcome != CacheOutcome::Miss);
         o.insert("store", store_stats_object(&self.store));
-        Ok(o)
+        o
     }
 
-    fn op_coverage(&self, req: &Value) -> RequestResult<Object> {
-        let (circuit, _) = self.resolve_circuit(req)?;
-        let faults = self.resolve_faults(req, &circuit)?;
-        let num_inputs = circuit.netlist().num_inputs();
-        let patterns = require_patterns(parse_pattern_spec(req, num_inputs)?, num_inputs)?;
-        let sim = FaultSimulator::for_circuit(&circuit, faults).with_width(parse_width(req)?);
-        let drop = sim.with_dropping(&patterns);
-        let mut o = Object::new();
-        o.insert("hash", circuit.content_hash().to_hex());
-        o.insert("num_patterns", patterns.len());
-        o.insert("num_faults", faults.len());
-        o.insert("num_detected", drop.num_detected());
-        o.insert("coverage", drop.coverage());
-        if opt_bool(req, "include_detail", false)? {
-            let news = drop.new_detections(patterns.len());
-            o.insert(
-                "new_detections",
-                Value::Array(news.into_iter().map(Value::from).collect()),
-            );
-        }
-        Ok(o)
-    }
-
-    /// The ADI analysis over a vector set (explicit, random, exhaustive,
-    /// or — when absent — the paper's `U` selection), plus an optional
-    /// fault ordering built from it.
-    fn op_adi(&self, req: &Value) -> RequestResult<Object> {
-        let (circuit, _) = self.resolve_circuit(req)?;
-        let faults = self.resolve_faults(req, &circuit)?;
-        let num_inputs = circuit.netlist().num_inputs();
-        let mut o = Object::new();
-        o.insert("hash", circuit.content_hash().to_hex());
-        let patterns = match parse_pattern_spec(req, num_inputs)? {
-            PatternSpec::Absent => {
-                let selection = select_u_for(&circuit, faults, parse_uset_config(req)?);
-                o.insert("u_coverage", selection.coverage);
-                o.insert("u_exhaustive", selection.exhaustive);
-                selection.patterns
-            }
-            other => require_patterns(other, num_inputs)?,
-        };
-        o.insert("u_size", patterns.len());
-        let analysis = AdiAnalysis::for_circuit(&circuit, faults, &patterns, parse_adi_config(req)?);
-        let summary = analysis.summary();
-        let mut s = Object::new();
-        s.insert("min", summary.min);
-        s.insert("max", summary.max);
-        s.insert("ratio", summary.ratio);
-        s.insert("detected", summary.detected);
-        s.insert("total", summary.total);
-        o.insert("adi", s);
-        if opt_bool(req, "include_values", false)? {
-            o.insert(
-                "values",
-                Value::Array(analysis.adi_values().iter().map(|&v| Value::from(v)).collect()),
-            );
-        }
-        if req.get("ordering").is_some() {
-            let ordering = parse_ordering(req, FaultOrdering::Original)?;
-            let order = order_faults(&analysis, ordering);
-            o.insert("ordering", ordering.label());
-            o.insert(
-                "order",
-                Value::Array(order.into_iter().map(|f| Value::from(f.index())).collect()),
-            );
-        }
-        Ok(o)
-    }
-
-    /// Ordered test generation: builds the requested fault order (via
-    /// the ADI analysis unless the order is `orig`) and runs the
-    /// paper's dropping ATPG with the per-request [`TestGenConfig`].
-    ///
-    /// [`TestGenConfig`]: adi_atpg::TestGenConfig
-    fn op_atpg(&self, req: &Value) -> RequestResult<Object> {
-        let (circuit, _) = self.resolve_circuit(req)?;
-        let faults = self.resolve_faults(req, &circuit)?;
-        let num_inputs = circuit.netlist().num_inputs();
-        let ordering = parse_ordering(req, FaultOrdering::Original)?;
-        let mut o = Object::new();
-        o.insert("hash", circuit.content_hash().to_hex());
-        o.insert("ordering", ordering.label());
-        let order = if ordering == FaultOrdering::Original {
-            faults.ids().collect()
-        } else {
-            let patterns = match parse_pattern_spec(req, num_inputs)? {
-                PatternSpec::Absent => {
-                    let selection = select_u_for(&circuit, faults, parse_uset_config(req)?);
-                    o.insert("u_coverage", selection.coverage);
-                    selection.patterns
-                }
-                other => require_patterns(other, num_inputs)?,
-            };
-            o.insert("u_size", patterns.len());
-            let analysis =
-                AdiAnalysis::for_circuit(&circuit, faults, &patterns, parse_adi_config(req)?);
-            order_faults(&analysis, ordering)
-        };
-        let config = parse_testgen_config(req)?;
-        let result = TestGenerator::for_circuit(&circuit, faults, config).run(&order);
-        o.insert("num_faults", faults.len());
-        o.insert("num_tests", result.num_tests());
-        o.insert("num_detected", result.num_detected());
-        o.insert("num_redundant", result.num_redundant());
-        o.insert("num_aborted", result.num_aborted());
-        o.insert("coverage", result.coverage());
-        o.insert("efficiency", result.efficiency());
-        o.insert("ave", average_detection_position(&result.coverage_curve()));
-        // Phase timings and speculation diagnostics (wall-clock only —
-        // every other response field is independent of `atpg_threads`).
-        let summary = result.summary();
-        let mut t = Object::new();
-        t.insert("generate_ns", summary.generate_ns);
-        t.insert("drop_ns", summary.drop_ns);
-        t.insert("commit_wait_ns", summary.commit_wait_ns);
-        o.insert("timing", t);
-        o.insert("wasted_speculations", summary.wasted_speculations);
-        // SAT-fallback diagnostics: how many targets hit the backtrack
-        // limit, and what the solver made of them. `num_aborted` above
-        // counts only the faults that stayed unresolved.
-        o.insert("aborted_faults", summary.aborted_faults);
-        let mut sr = Object::new();
-        sr.insert("redundant", summary.sat_resolved.redundant);
-        sr.insert("testable", summary.sat_resolved.testable);
-        sr.insert("undecided", summary.sat_resolved.undecided);
-        o.insert("sat_resolved", sr);
-        if opt_bool(req, "include_tests", false)? {
-            o.insert(
-                "tests",
-                Value::Array(
-                    result
-                        .tests
-                        .iter()
-                        .map(|t| Value::from(pattern_to_string(t)))
-                        .collect(),
-                ),
-            );
-            o.insert(
-                "targets",
-                Value::Array(
-                    result
-                        .targets
-                        .iter()
-                        .map(|f| Value::from(f.index()))
-                        .collect(),
-                ),
-            );
-        }
-        if opt_bool(req, "include_detail", false)? {
-            o.insert(
-                "new_detections",
-                Value::Array(
-                    result
-                        .new_detections
-                        .iter()
-                        .map(|&n| Value::from(n))
-                        .collect(),
-                ),
-            );
-        }
-        Ok(o)
-    }
-
-    /// Bounded equivalence checking: a full-circuit miter between two
-    /// cached/compiled circuits (`"left"` and `"right"` objects, each a
-    /// `bench`/`hash` circuit reference), decided by the vendored CDCL
-    /// solver. Interfaces are matched by declaration order; the
-    /// distinguishing witness (when one exists) comes back as a
-    /// protocol bit string.
-    fn op_equiv(&self, req: &Value) -> RequestResult<Object> {
-        let side = |key: &str| -> RequestResult<CompiledCircuit> {
-            let spec = req
-                .get(key)
-                .ok_or_else(|| RequestError::new(format!("`{key}` circuit reference required")))?;
-            if spec.as_object().is_none() {
-                return Err(RequestError::new(format!(
-                    "`{key}` must be an object with `bench` or `hash`"
-                )));
-            }
-            self.resolve_circuit(spec)
-                .map(|(circuit, _)| circuit)
-                .map_err(|e| RequestError::new(format!("{key}: {e}")))
-        };
-        let left = side("left")?;
-        let right = side("right")?;
-        let limit = opt_u64(req, "conflict_limit", adi_atpg::cnf::DEFAULT_CONFLICT_LIMIT)?;
-        let verdict = adi_atpg::cnf::check_equiv(&left, &right, limit)
-            .map_err(|e| RequestError::new(e.to_string()))?;
-        let mut o = Object::new();
-        o.insert("left_hash", left.content_hash().to_hex());
-        o.insert("right_hash", right.content_hash().to_hex());
-        o.insert("inputs", left.netlist().num_inputs());
-        o.insert("outputs", left.netlist().num_outputs());
-        match verdict {
-            EquivVerdict::Equivalent => {
-                o.insert("verdict", "equivalent");
-            }
-            EquivVerdict::Inequivalent(witness) => {
-                o.insert("verdict", "inequivalent");
-                o.insert(
-                    "witness",
-                    witness.iter().map(|&b| if b { '1' } else { '0' }).collect::<String>(),
-                );
-            }
-            EquivVerdict::Undecided => {
-                o.insert("verdict", "undecided");
-            }
-        }
-        Ok(o)
-    }
-
-    /// The n-detection matrix: per-fault detection counts saturated at
-    /// `n`, the companion-paper workload.
-    fn op_ndetect(&self, req: &Value) -> RequestResult<Object> {
-        let (circuit, _) = self.resolve_circuit(req)?;
-        let faults = self.resolve_faults(req, &circuit)?;
-        let num_inputs = circuit.netlist().num_inputs();
-        let patterns = require_patterns(parse_pattern_spec(req, num_inputs)?, num_inputs)?;
-        let n = opt_u64(req, "n", 0)?;
-        if n == 0 || n > u32::MAX as u64 {
-            return Err(RequestError::new("`n` must be a positive integer"));
-        }
-        let sim = FaultSimulator::for_circuit(&circuit, faults).with_width(parse_width(req)?);
-        let outcome = sim.n_detect(&patterns, n as u32);
-        let mut o = Object::new();
-        o.insert("hash", circuit.content_hash().to_hex());
-        o.insert("n", n);
-        o.insert("num_patterns", patterns.len());
-        o.insert("num_faults", faults.len());
-        o.insert("num_detected", outcome.num_detected());
-        o.insert("num_saturated", outcome.num_saturated());
-        o.insert(
-            "counts",
-            Value::Array(outcome.counts.iter().map(|&c| Value::from(c)).collect()),
-        );
-        Ok(o)
-    }
-
-    /// Post-generation test-set transforms: `"mode": "steepest"` (the
-    /// greedy reordering baseline) or `"mode": "compact"`
-    /// (reverse-order static compaction).
-    fn op_reorder(&self, req: &Value) -> RequestResult<Object> {
-        let (circuit, _) = self.resolve_circuit(req)?;
-        let faults = self.resolve_faults(req, &circuit)?;
-        let num_inputs = circuit.netlist().num_inputs();
-        let tests = match parse_pattern_spec(req, num_inputs)? {
-            PatternSpec::Explicit(set) => set,
-            _ => {
-                return Err(RequestError::new(
-                    "`reorder` requires an explicit `patterns` test list",
-                ))
-            }
-        };
-        let mut o = Object::new();
-        o.insert("hash", circuit.content_hash().to_hex());
-        o.insert("num_tests", tests.len());
-        o.insert("num_faults", faults.len());
-        match opt_str(req, "mode", "steepest")? {
-            "steepest" => {
-                let r = reorder_tests_for(&circuit, faults, &tests);
-                o.insert("mode", "steepest");
-                o.insert("final_detected", r.curve.final_detected());
-                o.insert(
-                    "permutation",
-                    Value::Array(r.permutation.into_iter().map(Value::from).collect()),
-                );
-            }
-            "compact" => {
-                let kept = reverse_order_compaction_for(&circuit, faults, &tests);
-                o.insert("mode", "compact");
-                o.insert("num_kept", kept.len());
-                o.insert(
-                    "kept",
-                    Value::Array(kept.into_iter().map(Value::from).collect()),
-                );
-            }
-            other => {
-                return Err(RequestError::new(format!(
-                    "unknown mode `{other}` (expected steepest or compact)"
-                )))
-            }
-        }
-        Ok(o)
-    }
-
-    fn op_ping(&self) -> RequestResult<Object> {
+    fn op_ping(&self) -> Object {
         let mut o = Object::new();
         o.insert("pong", true);
         o.insert("version", env!("CARGO_PKG_VERSION"));
         o.insert("store", store_stats_object(&self.store));
-        Ok(o)
+        o
     }
 
     /// The observability endpoint: transport admission counters, the
     /// circuit store, and the scenario cache in one snapshot.
-    fn op_stats(&self) -> RequestResult<Object> {
+    fn op_stats(&self) -> Object {
         let mut o = Object::new();
         let mut svc = Object::new();
         svc.insert("shed", self.metrics.shed.load(Ordering::Relaxed));
@@ -849,47 +413,39 @@ impl ServiceState {
         sc.insert("bytes", s.bytes);
         sc.insert("budget_bytes", s.budget_bytes);
         o.insert("scenario", sc);
-        Ok(o)
+        o
     }
 
     /// The metrics endpoint: refreshes the registry's gauges from live
     /// service state, then renders every metric — Prometheus exposition
     /// text by default, or structured JSON with `"format": "json"`.
-    fn op_metrics(&self, req: &Value) -> RequestResult<Object> {
+    fn op_metrics(&self, json: bool) -> Object {
         self.refresh_gauges();
         let mut o = Object::new();
         o.insert("enabled", adi_obs::is_enabled());
-        match opt_str(req, "format", "prometheus")? {
-            "prometheus" => {
-                o.insert("text", adi_obs::registry().render_prometheus());
+        if json {
+            let mut hists = Object::new();
+            for (name, s) in adi_obs::registry().histogram_snapshots() {
+                let mut h = Object::new();
+                h.insert("count", s.count);
+                h.insert("sum", s.sum);
+                h.insert("max", s.max);
+                h.insert("p50", s.p50);
+                h.insert("p90", s.p90);
+                h.insert("p99", s.p99);
+                h.insert("p999", s.p999);
+                hists.insert(name, Value::Object(h));
             }
-            "json" => {
-                let mut hists = Object::new();
-                for (name, s) in adi_obs::registry().histogram_snapshots() {
-                    let mut h = Object::new();
-                    h.insert("count", s.count);
-                    h.insert("sum", s.sum);
-                    h.insert("max", s.max);
-                    h.insert("p50", s.p50);
-                    h.insert("p90", s.p90);
-                    h.insert("p99", s.p99);
-                    h.insert("p999", s.p999);
-                    hists.insert(name, Value::Object(h));
-                }
-                o.insert("histograms", hists);
-                let mut scalars = Object::new();
-                for (name, value, _is_counter) in adi_obs::registry().scalar_values() {
-                    scalars.insert(name, value);
-                }
-                o.insert("scalars", scalars);
+            o.insert("histograms", hists);
+            let mut scalars = Object::new();
+            for (name, value, _is_counter) in adi_obs::registry().scalar_values() {
+                scalars.insert(name, value);
             }
-            other => {
-                return Err(RequestError::new(format!(
-                    "unknown metrics format `{other}` (expected prometheus or json)"
-                )))
-            }
+            o.insert("scalars", scalars);
+        } else {
+            o.insert("text", adi_obs::registry().render_prometheus());
         }
-        Ok(o)
+        o
     }
 
     /// Pushes the live transport/store/scenario state into the
@@ -917,10 +473,217 @@ impl ServiceState {
     }
 }
 
-/// Returns `true` for the ops whose results the scenario cache may
-/// store (pure functions of the resolved request).
-fn is_cacheable(op: &str) -> bool {
-    matches!(op, "coverage" | "adi" | "atpg" | "ndetect" | "reorder" | "equiv")
+/// The vectors of an endpoint that has no default set.
+fn required_vectors(vectors: Option<PatternSpec>, target: &Target) -> RequestResult<PatternSet> {
+    vectors.map(|spec| spec.into_set(target.num_inputs())).ok_or_else(|| {
+        RequestError::new("vectors required: provide `patterns`, `random`, or `exhaustive`")
+    })
+}
+
+/// A JSON array of `items`.
+fn array<T: Into<Value>>(items: impl IntoIterator<Item = T>) -> Value {
+    Value::Array(items.into_iter().map(Into::into).collect())
+}
+
+fn op_coverage(c: Coverage) -> RequestResult<Object> {
+    let faults = c.target.faults();
+    let patterns = required_vectors(c.vectors, &c.target)?;
+    let sim = FaultSimulator::for_circuit(&c.target.circuit, faults).with_width(c.width);
+    let drop = sim.with_dropping(&patterns);
+    let mut o = Object::new();
+    o.insert("hash", c.target.circuit.content_hash().to_hex());
+    o.insert("num_patterns", patterns.len());
+    o.insert("num_faults", faults.len());
+    o.insert("num_detected", drop.num_detected());
+    o.insert("coverage", drop.coverage());
+    if c.include_detail {
+        o.insert("new_detections", array(drop.new_detections(patterns.len())));
+    }
+    Ok(o)
+}
+
+/// The ADI analysis over a vector set (given, or the paper's `U`
+/// selection), plus an optional fault ordering built from it.
+fn op_adi(a: Adi) -> Object {
+    let mut o = Object::new();
+    o.insert("hash", a.target.circuit.content_hash().to_hex());
+    let faults = a.target.faults();
+    let patterns = match a.vectors {
+        Vectors::Given(spec) => spec.into_set(a.target.num_inputs()),
+        Vectors::Select(config) => {
+            let selection = select_u_for(&a.target.circuit, faults, config);
+            o.insert("u_coverage", selection.coverage);
+            o.insert("u_exhaustive", selection.exhaustive);
+            selection.patterns
+        }
+    };
+    o.insert("u_size", patterns.len());
+    let analysis = AdiAnalysis::for_circuit(&a.target.circuit, faults, &patterns, a.config);
+    let summary = analysis.summary();
+    let mut s = Object::new();
+    s.insert("min", summary.min);
+    s.insert("max", summary.max);
+    s.insert("ratio", summary.ratio);
+    s.insert("detected", summary.detected);
+    s.insert("total", summary.total);
+    o.insert("adi", s);
+    if a.include_values {
+        o.insert("values", array(analysis.adi_values().iter().copied()));
+    }
+    if let Some(ordering) = a.ordering {
+        let order = order_faults(&analysis, ordering);
+        o.insert("ordering", ordering.label());
+        o.insert("order", array(order.into_iter().map(|f| f.index())));
+    }
+    o
+}
+
+/// Ordered test generation: builds the requested fault order (via the
+/// ADI analysis unless the order is `orig`) and runs the paper's
+/// dropping ATPG with the per-request [`TestGenConfig`].
+///
+/// [`TestGenConfig`]: adi_atpg::TestGenConfig
+fn op_atpg(a: Atpg) -> Object {
+    let faults = a.target.faults();
+    let mut o = Object::new();
+    o.insert("hash", a.target.circuit.content_hash().to_hex());
+    o.insert("ordering", a.ordering.label());
+    let order = match a.analysis {
+        None => faults.ids().collect(),
+        Some((vectors, config)) => {
+            let patterns = match vectors {
+                Vectors::Given(spec) => spec.into_set(a.target.num_inputs()),
+                Vectors::Select(config) => {
+                    let selection = select_u_for(&a.target.circuit, faults, config);
+                    o.insert("u_coverage", selection.coverage);
+                    selection.patterns
+                }
+            };
+            o.insert("u_size", patterns.len());
+            let analysis = AdiAnalysis::for_circuit(&a.target.circuit, faults, &patterns, config);
+            order_faults(&analysis, a.ordering)
+        }
+    };
+    let result = TestGenerator::for_circuit(&a.target.circuit, faults, a.config).run(&order);
+    o.insert("num_faults", faults.len());
+    o.insert("num_tests", result.num_tests());
+    o.insert("num_detected", result.num_detected());
+    o.insert("num_redundant", result.num_redundant());
+    o.insert("num_aborted", result.num_aborted());
+    o.insert("coverage", result.coverage());
+    o.insert("efficiency", result.efficiency());
+    o.insert("ave", average_detection_position(&result.coverage_curve()));
+    // Phase timings and speculation diagnostics (wall-clock only —
+    // every other response field is independent of `atpg_threads`).
+    let summary = result.summary();
+    let mut t = Object::new();
+    t.insert("generate_ns", summary.generate_ns);
+    t.insert("drop_ns", summary.drop_ns);
+    t.insert("commit_wait_ns", summary.commit_wait_ns);
+    o.insert("timing", t);
+    o.insert("wasted_speculations", summary.wasted_speculations);
+    // SAT-fallback diagnostics: how many targets hit the backtrack
+    // limit, and what the solver made of them. `num_aborted` above
+    // counts only the faults that stayed unresolved.
+    o.insert("aborted_faults", summary.aborted_faults);
+    let mut sr = Object::new();
+    sr.insert("redundant", summary.sat_resolved.redundant);
+    sr.insert("testable", summary.sat_resolved.testable);
+    sr.insert("undecided", summary.sat_resolved.undecided);
+    o.insert("sat_resolved", sr);
+    if a.include_tests {
+        o.insert("tests", array(result.tests.iter().map(pattern_to_string)));
+        o.insert("targets", array(result.targets.iter().map(|f| f.index())));
+    }
+    if a.include_detail {
+        o.insert("new_detections", array(result.new_detections.iter().copied()));
+    }
+    o
+}
+
+/// Bounded equivalence checking: a full-circuit miter between two
+/// cached/compiled circuits, decided by the vendored CDCL solver.
+/// Interfaces are matched by declaration order; the distinguishing
+/// witness (when one exists) comes back as a protocol bit string.
+fn op_equiv(e: Equiv) -> RequestResult<Object> {
+    let verdict = adi_atpg::cnf::check_equiv(&e.left, &e.right, e.conflict_limit)
+        .map_err(|e| RequestError::new(e.to_string()))?;
+    let mut o = Object::new();
+    o.insert("left_hash", e.left.content_hash().to_hex());
+    o.insert("right_hash", e.right.content_hash().to_hex());
+    o.insert("inputs", e.left.netlist().num_inputs());
+    o.insert("outputs", e.left.netlist().num_outputs());
+    match verdict {
+        EquivVerdict::Equivalent => {
+            o.insert("verdict", "equivalent");
+        }
+        EquivVerdict::Inequivalent(witness) => {
+            o.insert("verdict", "inequivalent");
+            o.insert(
+                "witness",
+                witness.iter().map(|&b| if b { '1' } else { '0' }).collect::<String>(),
+            );
+        }
+        EquivVerdict::Undecided => {
+            o.insert("verdict", "undecided");
+        }
+    }
+    Ok(o)
+}
+
+/// The n-detection matrix: per-fault detection counts saturated at
+/// `n`, the companion-paper workload.
+fn op_ndetect(nd: Ndetect) -> RequestResult<Object> {
+    let faults = nd.target.faults();
+    let patterns = required_vectors(nd.vectors, &nd.target)?;
+    if nd.n == 0 || nd.n > u32::MAX as u64 {
+        return Err(RequestError::new("`n` must be a positive integer"));
+    }
+    let sim = FaultSimulator::for_circuit(&nd.target.circuit, faults).with_width(nd.width);
+    let outcome = sim.n_detect(&patterns, nd.n as u32);
+    let mut o = Object::new();
+    o.insert("hash", nd.target.circuit.content_hash().to_hex());
+    o.insert("n", nd.n);
+    o.insert("num_patterns", patterns.len());
+    o.insert("num_faults", faults.len());
+    o.insert("num_detected", outcome.num_detected());
+    o.insert("num_saturated", outcome.num_saturated());
+    o.insert("counts", array(outcome.counts.iter().copied()));
+    Ok(o)
+}
+
+/// Post-generation test-set transforms: `"mode": "steepest"` (the
+/// greedy reordering baseline) or `"mode": "compact"` (reverse-order
+/// static compaction).
+fn op_reorder(r: Reorder) -> RequestResult<Object> {
+    let faults = r.target.faults();
+    let Some(PatternSpec::Explicit(tests)) = r.tests else {
+        return Err(RequestError::new("`reorder` requires an explicit `patterns` test list"));
+    };
+    let mut o = Object::new();
+    o.insert("hash", r.target.circuit.content_hash().to_hex());
+    o.insert("num_tests", tests.len());
+    o.insert("num_faults", faults.len());
+    match r.mode.as_str() {
+        "steepest" => {
+            let reordered = reorder_tests_for(&r.target.circuit, faults, &tests);
+            o.insert("mode", "steepest");
+            o.insert("final_detected", reordered.curve.final_detected());
+            o.insert("permutation", array(reordered.permutation));
+        }
+        "compact" => {
+            let kept = reverse_order_compaction_for(&r.target.circuit, faults, &tests);
+            o.insert("mode", "compact");
+            o.insert("num_kept", kept.len());
+            o.insert("kept", array(kept));
+        }
+        other => {
+            return Err(RequestError::new(format!(
+                "unknown mode `{other}` (expected steepest or compact)"
+            )))
+        }
+    }
+    Ok(o)
 }
 
 /// Wraps an error response line with its request labels.
@@ -1005,67 +768,6 @@ fn spliced_ok(id: Option<&Value>, result_json: &str) -> String {
     s.push_str(result_json);
     s.push('}');
     s
-}
-
-/// Hashes a resolved pattern specification. Explicit sets contribute
-/// their packed words (two textually different encodings of the same
-/// vectors collide — which is exactly right); generated specs
-/// contribute their generator parameters.
-fn fp_pattern_spec(h: &mut FpHasher, spec: &PatternSpec) {
-    match spec {
-        PatternSpec::Explicit(set) => {
-            h.write_u8_tag(1);
-            fp_pattern_set(h, set);
-        }
-        PatternSpec::Random { count, seed } => {
-            h.write_u8_tag(2);
-            h.write_u64(*count as u64);
-            h.write_u64(*seed);
-        }
-        PatternSpec::Exhaustive => h.write_u8_tag(3),
-        PatternSpec::Absent => h.write_u8_tag(4),
-    }
-}
-
-/// Hashes a pattern set by its packed words.
-fn fp_pattern_set(h: &mut FpHasher, set: &PatternSet) {
-    h.write_u64(set.num_inputs() as u64);
-    h.write_u64(set.len() as u64);
-    for input in 0..set.num_inputs() {
-        for block in 0..set.num_blocks() {
-            h.write_u64(set.input_word(input, block));
-        }
-    }
-}
-
-fn fp_uset_config(h: &mut FpHasher, c: &USetConfig) {
-    h.write_u64(c.max_vectors as u64);
-    h.write_f64(c.target_coverage);
-    h.write_u64(c.seed);
-    h.write_u64(c.exhaustive_threshold as u64);
-    h.write_bool(c.strip_useless);
-}
-
-fn fp_adi_config(h: &mut FpHasher, c: &AdiConfig) {
-    h.write_str(match c.estimator {
-        AdiEstimator::MinNdet => "min",
-        AdiEstimator::MeanNdet => "mean",
-    });
-    h.write_opt_u64(c.n_detect_cap.map(u64::from));
-    h.write_u64(c.threads as u64);
-    h.write_u64(c.width.lanes() as u64);
-}
-
-fn fp_testgen_config(h: &mut FpHasher, c: &TestGenConfig) {
-    h.write_u64(u64::from(c.podem.backtrack_limit));
-    h.write_str(c.podem.sat_fallback.label());
-    h.write_u64(c.podem.sat_conflict_limit);
-    h.write_str(&format!("{:?}", c.fill));
-    h.write_u64(c.fill_seed);
-    h.write_u64(c.width.lanes() as u64);
-    h.write_u64(c.threads as u64);
-    h.write_u64(c.atpg_threads as u64);
-    h.write_u64(c.speculation_depth as u64);
 }
 
 /// The store's counters as a response fragment.

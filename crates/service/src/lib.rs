@@ -11,15 +11,16 @@
 //!   [`NetlistHash`](adi_netlist::NetlistHash)es to compiled circuits,
 //!   with single-flight compilation (concurrent first requests for the
 //!   same structure trigger exactly one compile), hit/miss/eviction
-//!   accounting, and eviction ordered by replacement cost
-//!   (compile time × resident bytes) so the cheapest-to-recreate entry
-//!   goes first.
+//!   accounting, and eviction ordered by replacement cost (the
+//!   netlist's node plus fanin-edge count, known at insert) so the
+//!   cheapest-to-recreate entry goes first.
 //! * [`ScenarioCache`] — a second cache layer over *whole responses*:
-//!   cacheable requests are canonicalized into a [`Fingerprint`] over
-//!   their resolved inputs (circuit hash, materialized patterns,
-//!   defaulted config), and repeat scenarios are answered from a
-//!   byte-budgeted, single-flight payload cache without recomputing
-//!   anything. Cache hits are byte-identical to cold computation.
+//!   a cacheable request's [`Fingerprint`] hashes its parsed, resolved
+//!   value (circuit hash, decoded patterns, defaulted config) — the
+//!   value its computation runs on — and repeat scenarios are answered
+//!   from a byte-budgeted, single-flight payload cache without
+//!   recomputing anything. Cache hits are byte-identical to cold
+//!   computation.
 //! * [`WorkerPool`] — a fixed-size worker pool with a bounded queue and
 //!   graceful drain-on-shutdown.
 //! * [`ServiceState`] — the request handlers: `compile`, `coverage`,

@@ -15,15 +15,18 @@
 //!
 //! Failures answer `{"id": …, "ok": false, "error": "…"}` and keep the
 //! connection open. See the repository README for the per-endpoint
-//! field reference; this module holds the shared request-side parsing
-//! helpers (circuit references, pattern specifications, enum labels)
-//! used by every handler.
+//! field reference; this module holds the one request parser, which
+//! turns a request into the typed value the handlers cache and execute.
 
 use adi_atpg::{FillStrategy, PodemConfig, SatFallback, TestGenConfig};
 use adi_core::uset::USetConfig;
 use adi_core::{AdiConfig, AdiEstimator, FaultOrdering};
+use adi_netlist::fault::FaultList;
+use adi_netlist::{bench_format, CompiledCircuit, NetlistHash};
 use adi_sim::{Pattern, PatternSet, SimWidth};
 use json::{Object, Value};
+
+use crate::store::{CacheOutcome, CircuitStore};
 
 /// A request-level failure, reported to the client as the `error`
 /// string of a `"ok": false` response.
@@ -51,7 +54,8 @@ pub(crate) type RequestResult<T> = Result<T, RequestError>;
 /// memory.
 pub(crate) const MAX_PATTERNS: usize = 1 << 20;
 
-/// Widest circuit `"exhaustive": true` accepts (2^20 vectors).
+/// Widest circuit an exhaustive vector set may cover (2^20 vectors):
+/// the limit of `"exhaustive": true` and of `u.exhaustive_threshold`.
 pub(crate) const MAX_EXHAUSTIVE_INPUTS: usize = 20;
 
 /// Builds the success envelope for `id` around `result`.
@@ -100,6 +104,295 @@ pub fn error_response(id: Option<&Value>, error: &str) -> Value {
     Value::Object(o)
 }
 
+/// One parsed request: every field its op reads, read once, with its
+/// circuits resolved (`id`, `trace` and `cache` are the handler's).
+pub(crate) enum Request {
+    /// `compile`: the circuit and how the store supplied it.
+    Compile(CompiledCircuit, CacheOutcome),
+    Scenario(Scenario),
+    Ping,
+    Stats,
+    /// `metrics`; `json` for `"format": "json"`.
+    Metrics { json: bool },
+    Shutdown,
+}
+
+/// A cacheable request, resolved: the values its op computes from,
+/// after defaulting and clamping. Its derived `Hash` is the
+/// scenario-cache key, so a field added here enters the key by
+/// construction. Fields an op ignores are never read (`u` when vectors
+/// are given; vectors, `u` and `adi` for an `orig` `atpg` ordering).
+/// Checks that need the computation (vectors present, `n` in range,
+/// reorder `mode` and tests, `equiv` interfaces) are the executor's.
+#[derive(Hash)]
+pub(crate) enum Scenario {
+    Coverage(Coverage),
+    Ndetect(Ndetect),
+    Adi(Adi),
+    Atpg(Atpg),
+    Reorder(Reorder),
+    Equiv(Equiv),
+}
+
+#[derive(Hash)]
+pub(crate) struct Coverage {
+    pub(crate) target: Target,
+    pub(crate) vectors: Option<PatternSpec>,
+    pub(crate) width: SimWidth,
+    pub(crate) include_detail: bool,
+}
+
+#[derive(Hash)]
+pub(crate) struct Ndetect {
+    pub(crate) target: Target,
+    pub(crate) vectors: Option<PatternSpec>,
+    pub(crate) n: u64,
+    pub(crate) width: SimWidth,
+}
+
+#[derive(Hash)]
+pub(crate) struct Adi {
+    pub(crate) target: Target,
+    pub(crate) vectors: Vectors,
+    pub(crate) config: AdiConfig,
+    pub(crate) include_values: bool,
+    /// Absent unless the request names an ordering.
+    pub(crate) ordering: Option<FaultOrdering>,
+}
+
+#[derive(Hash)]
+pub(crate) struct Atpg {
+    pub(crate) target: Target,
+    pub(crate) ordering: FaultOrdering,
+    /// The ADI inputs of a non-`orig` ordering.
+    pub(crate) analysis: Option<(Vectors, AdiConfig)>,
+    pub(crate) config: TestGenConfig,
+    pub(crate) include_tests: bool,
+    pub(crate) include_detail: bool,
+}
+
+#[derive(Hash)]
+pub(crate) struct Reorder {
+    pub(crate) target: Target,
+    pub(crate) tests: Option<PatternSpec>,
+    pub(crate) mode: String,
+}
+
+#[derive(Hash)]
+pub(crate) struct Equiv {
+    pub(crate) left: CompiledCircuit,
+    pub(crate) right: CompiledCircuit,
+    pub(crate) conflict_limit: u64,
+}
+
+/// A resolved circuit with its fault-list choice (`collapse`).
+#[derive(Hash)]
+pub(crate) struct Target {
+    pub(crate) circuit: CompiledCircuit,
+    collapse: bool,
+}
+
+impl Target {
+    /// The target fault list: collapsed unless `"collapse": false`.
+    pub(crate) fn faults(&self) -> &FaultList {
+        if self.collapse {
+            self.circuit.collapsed_faults()
+        } else {
+            self.circuit.full_faults()
+        }
+    }
+
+    pub(crate) fn num_inputs(&self) -> usize {
+        self.circuit.netlist().num_inputs()
+    }
+}
+
+/// How a request described its input vectors.
+#[derive(Hash)]
+pub(crate) enum PatternSpec {
+    /// Explicit `"patterns": ["0101…", …]` bit strings (bit `i` drives
+    /// primary input `i`), decoded at parse time.
+    Explicit(PatternSet),
+    /// `"random": {"count": N, "seed": S}`.
+    Random { count: usize, seed: u64 },
+    /// `"exhaustive": true`.
+    Exhaustive,
+}
+
+impl PatternSpec {
+    /// The vectors, generating `random`/`exhaustive` sets now.
+    pub(crate) fn into_set(self, num_inputs: usize) -> PatternSet {
+        match self {
+            PatternSpec::Explicit(set) => set,
+            PatternSpec::Random { count, seed } => PatternSet::random(num_inputs, count, seed),
+            PatternSpec::Exhaustive => PatternSet::exhaustive(num_inputs),
+        }
+    }
+}
+
+/// The vectors an ADI analysis runs on: the request's own, or (none
+/// given) the paper's `U` selection under this configuration.
+#[derive(Hash)]
+pub(crate) enum Vectors {
+    Given(PatternSpec),
+    Select(USetConfig),
+}
+
+/// Parses request `req` for endpoint `op`, resolving its circuits
+/// through `store`. Each op reads its fields in the order it uses them,
+/// so a request with one bad field fails with that field's message.
+pub(crate) fn parse_request(op: &str, req: &Value, store: &CircuitStore) -> RequestResult<Request> {
+    let scenario = match op {
+        "compile" => {
+            let (circuit, outcome) = resolve_circuit(req, store)?;
+            return Ok(Request::Compile(circuit, outcome));
+        }
+        "ping" => return Ok(Request::Ping),
+        "stats" => return Ok(Request::Stats),
+        "shutdown" => return Ok(Request::Shutdown),
+        "metrics" => {
+            let json = match opt_str(req, "format", "prometheus")? {
+                "prometheus" => false,
+                "json" => true,
+                other => {
+                    return Err(RequestError::new(format!(
+                        "unknown metrics format `{other}` (expected prometheus or json)"
+                    )))
+                }
+            };
+            return Ok(Request::Metrics { json });
+        }
+        "coverage" => {
+            let target = parse_target(req, store)?;
+            Scenario::Coverage(Coverage {
+                vectors: parse_pattern_spec(req, target.num_inputs())?,
+                width: parse_width(req)?,
+                include_detail: opt_bool(req, "include_detail", false)?,
+                target,
+            })
+        }
+        "ndetect" => {
+            let target = parse_target(req, store)?;
+            Scenario::Ndetect(Ndetect {
+                vectors: parse_pattern_spec(req, target.num_inputs())?,
+                n: opt_u64(req, "n", 0)?,
+                width: parse_width(req)?,
+                target,
+            })
+        }
+        "adi" => {
+            let target = parse_target(req, store)?;
+            Scenario::Adi(Adi {
+                vectors: parse_vectors(req, &target)?,
+                config: parse_adi_config(req)?,
+                include_values: opt_bool(req, "include_values", false)?,
+                ordering: req.get("ordering").map(|_| parse_ordering(req)).transpose()?,
+                target,
+            })
+        }
+        "atpg" => {
+            let target = parse_target(req, store)?;
+            let ordering = parse_ordering(req)?;
+            let analysis = if ordering == FaultOrdering::Original {
+                None
+            } else {
+                Some((parse_vectors(req, &target)?, parse_adi_config(req)?))
+            };
+            Scenario::Atpg(Atpg {
+                config: parse_testgen_config(req)?,
+                include_tests: opt_bool(req, "include_tests", false)?,
+                include_detail: opt_bool(req, "include_detail", false)?,
+                target,
+                ordering,
+                analysis,
+            })
+        }
+        "reorder" => {
+            let target = parse_target(req, store)?;
+            Scenario::Reorder(Reorder {
+                tests: parse_pattern_spec(req, target.num_inputs())?,
+                mode: opt_str(req, "mode", "steepest")?.to_string(),
+                target,
+            })
+        }
+        "equiv" => Scenario::Equiv(Equiv {
+            left: parse_side(req, "left", store)?,
+            right: parse_side(req, "right", store)?,
+            conflict_limit: opt_u64(req, "conflict_limit", adi_atpg::cnf::DEFAULT_CONFLICT_LIMIT)?,
+        }),
+        other => {
+            return Err(RequestError::new(format!(
+                "unknown op `{other}` (expected compile, coverage, adi, atpg, equiv, \
+                 ndetect, reorder, ping, stats, metrics, or shutdown)"
+            )))
+        }
+    };
+    Ok(Request::Scenario(scenario))
+}
+
+/// Resolves a circuit reference: `"hash"` (must already be cached) or
+/// `"bench"` text (compiled through the store, so repeats are cache
+/// hits).
+fn resolve_circuit(
+    spec: &Value,
+    store: &CircuitStore,
+) -> RequestResult<(CompiledCircuit, CacheOutcome)> {
+    if let Some(hex) = spec.get("hash") {
+        let hex = hex
+            .as_str()
+            .ok_or_else(|| RequestError::new("`hash` must be a string"))?;
+        let hash = NetlistHash::from_hex(hex)
+            .ok_or_else(|| RequestError::new("`hash` must be 32 hex digits"))?;
+        let circuit = store.lookup(hash).ok_or_else(|| {
+            RequestError::new(format!("unknown circuit hash {hex} (compile it first)"))
+        })?;
+        return Ok((circuit, CacheOutcome::Hit));
+    }
+    if let Some(bench) = spec.get("bench") {
+        let bench = bench
+            .as_str()
+            .ok_or_else(|| RequestError::new("`bench` must be a string"))?;
+        let name = opt_str(spec, "name", "circuit")?;
+        let netlist = bench_format::parse(bench, name)
+            .map_err(|e| RequestError::new(format!("bench parse error: {e}")))?;
+        return Ok(store.get_or_compile(netlist));
+    }
+    Err(RequestError::new(
+        "circuit reference required: provide `bench` (text) or `hash` (cached)",
+    ))
+}
+
+/// The request's circuit and its `collapse` choice.
+fn parse_target(req: &Value, store: &CircuitStore) -> RequestResult<Target> {
+    let (circuit, _) = resolve_circuit(req, store)?;
+    let collapse = opt_bool(req, "collapse", true)?;
+    Ok(Target { circuit, collapse })
+}
+
+/// One side of an `equiv` miter: the `key` object's circuit reference.
+fn parse_side(req: &Value, key: &str, store: &CircuitStore) -> RequestResult<CompiledCircuit> {
+    let spec = req
+        .get(key)
+        .ok_or_else(|| RequestError::new(format!("`{key}` circuit reference required")))?;
+    if spec.as_object().is_none() {
+        return Err(RequestError::new(format!(
+            "`{key}` must be an object with `bench` or `hash`"
+        )));
+    }
+    resolve_circuit(spec, store)
+        .map(|(circuit, _)| circuit)
+        .map_err(|e| RequestError::new(format!("{key}: {e}")))
+}
+
+/// The ADI vectors: the request's own, or (none given) its `u` config.
+fn parse_vectors(req: &Value, target: &Target) -> RequestResult<Vectors> {
+    let num_inputs = target.num_inputs();
+    Ok(match parse_pattern_spec(req, num_inputs)? {
+        Some(spec) => Vectors::Given(spec),
+        None => Vectors::Select(parse_uset_config(req, num_inputs)?),
+    })
+}
+
 /// A string field, with a default when absent.
 pub(crate) fn opt_str<'a>(req: &'a Value, key: &str, default: &'a str) -> RequestResult<&'a str> {
     match req.get(key) {
@@ -111,7 +404,7 @@ pub(crate) fn opt_str<'a>(req: &'a Value, key: &str, default: &'a str) -> Reques
 }
 
 /// An unsigned integer field, with a default when absent.
-pub(crate) fn opt_u64(req: &Value, key: &str, default: u64) -> RequestResult<u64> {
+fn opt_u64(req: &Value, key: &str, default: u64) -> RequestResult<u64> {
     match req.get(key) {
         None => Ok(default),
         Some(v) => v
@@ -147,7 +440,7 @@ fn opt_threads(spec: &Value, key: &str, default: u64) -> RequestResult<usize> {
 /// Parses a simulation word width from `spec`'s `"width"` field
 /// (lane count: 1, 2, 4, or 8; default = process environment default).
 /// Every width is bit-identical.
-pub(crate) fn parse_width(spec: &Value) -> RequestResult<SimWidth> {
+fn parse_width(spec: &Value) -> RequestResult<SimWidth> {
     match spec.get("width") {
         None => Ok(SimWidth::default()),
         Some(v) => {
@@ -160,9 +453,10 @@ pub(crate) fn parse_width(spec: &Value) -> RequestResult<SimWidth> {
     }
 }
 
-/// Parses a fault-ordering label (`"ordering"` field, paper spelling).
-pub(crate) fn parse_ordering(req: &Value, default: FaultOrdering) -> RequestResult<FaultOrdering> {
-    let label = opt_str(req, "ordering", default.label())?;
+/// Parses a fault-ordering label (`"ordering"` field, paper spelling;
+/// `orig` when absent).
+fn parse_ordering(req: &Value) -> RequestResult<FaultOrdering> {
+    let label = opt_str(req, "ordering", FaultOrdering::Original.label())?;
     FaultOrdering::from_label(label).ok_or_else(|| {
         RequestError::new(format!(
             "unknown ordering `{label}` (expected one of orig, incr0, decr, 0decr, dynm, 0dynm)"
@@ -183,7 +477,7 @@ pub(crate) fn parse_ordering(req: &Value, default: FaultOrdering) -> RequestResu
 /// the whole pipeline parallel. Either way the response is bit-identical
 /// to the sequential loop (the `speculate` determinism contract). Both
 /// counts are clamped to [`max_request_threads`].
-pub(crate) fn parse_testgen_config(req: &Value) -> RequestResult<TestGenConfig> {
+fn parse_testgen_config(req: &Value) -> RequestResult<TestGenConfig> {
     let mut config = TestGenConfig::default();
     let Some(spec) = req.get("atpg") else {
         return Ok(config);
@@ -237,7 +531,7 @@ pub(crate) fn parse_testgen_config(req: &Value) -> RequestResult<TestGenConfig> 
 /// `n_detect_cap`, `threads`, `width`), defaulting to
 /// [`AdiConfig::default`]. `threads` is clamped to
 /// [`max_request_threads`].
-pub(crate) fn parse_adi_config(req: &Value) -> RequestResult<AdiConfig> {
+fn parse_adi_config(req: &Value) -> RequestResult<AdiConfig> {
     let mut config = AdiConfig::default();
     let Some(spec) = req.get("adi") else {
         return Ok(config);
@@ -267,8 +561,11 @@ pub(crate) fn parse_adi_config(req: &Value) -> RequestResult<AdiConfig> {
 }
 
 /// Parses the `U`-selection configuration (`"u"` object mirroring
-/// [`USetConfig`]), defaulting to the paper's procedure.
-pub(crate) fn parse_uset_config(req: &Value) -> RequestResult<USetConfig> {
+/// [`USetConfig`]) for a circuit with `num_inputs` inputs, defaulting to
+/// the paper's procedure. An `exhaustive_threshold` that would make the
+/// selection enumerate more than [`MAX_EXHAUSTIVE_INPUTS`] inputs is
+/// rejected, like `"exhaustive": true` on such a circuit.
+fn parse_uset_config(req: &Value, num_inputs: usize) -> RequestResult<USetConfig> {
     let mut config = USetConfig::default();
     let Some(spec) = req.get("u") else {
         return Ok(config);
@@ -292,27 +589,20 @@ pub(crate) fn parse_uset_config(req: &Value) -> RequestResult<USetConfig> {
     config.seed = opt_u64(spec, "seed", config.seed)?;
     config.exhaustive_threshold =
         opt_u64(spec, "exhaustive_threshold", config.exhaustive_threshold as u64)? as usize;
+    if num_inputs > MAX_EXHAUSTIVE_INPUTS && config.exhaustive_threshold >= num_inputs {
+        return Err(RequestError::new(format!(
+            "`u.exhaustive_threshold` reaches this circuit's {num_inputs} inputs, but \
+             exhaustive sets are limited to circuits with at most {MAX_EXHAUSTIVE_INPUTS} inputs"
+        )));
+    }
     config.strip_useless = opt_bool(spec, "strip_useless", config.strip_useless)?;
     Ok(config)
 }
 
-/// How a request described its input vectors.
-pub(crate) enum PatternSpec {
-    /// Explicit `"patterns": ["0101…", …]` bit strings (bit `i` drives
-    /// primary input `i`).
-    Explicit(PatternSet),
-    /// `"random": {"count": N, "seed": S}`.
-    Random { count: usize, seed: u64 },
-    /// `"exhaustive": true`.
-    Exhaustive,
-    /// None of the above was present.
-    Absent,
-}
-
-/// Extracts the pattern specification from a request (without resolving
-/// it against a circuit width yet — explicit patterns are validated
-/// here, width-dependent specs later).
-pub(crate) fn parse_pattern_spec(req: &Value, num_inputs: usize) -> RequestResult<PatternSpec> {
+/// Extracts the pattern specification from a request, `None` when it
+/// names no vectors. Explicit patterns are decoded for a circuit with
+/// `num_inputs` inputs; generated sets are kept as their parameters.
+fn parse_pattern_spec(req: &Value, num_inputs: usize) -> RequestResult<Option<PatternSpec>> {
     if let Some(list) = req.get("patterns") {
         let list = list
             .as_array()
@@ -333,7 +623,7 @@ pub(crate) fn parse_pattern_spec(req: &Value, num_inputs: usize) -> RequestResul
             set.push_bits(bits)
                 .map_err(|e| RequestError::new(format!("`patterns[{i}]`: {e}")))?;
         }
-        return Ok(PatternSpec::Explicit(set));
+        return Ok(Some(PatternSpec::Explicit(set)));
     }
     if let Some(spec) = req.get("random") {
         if spec.as_object().is_none() {
@@ -346,7 +636,7 @@ pub(crate) fn parse_pattern_spec(req: &Value, num_inputs: usize) -> RequestResul
             )));
         }
         let seed = opt_u64(spec, "seed", 0xAD1_5EED)?;
-        return Ok(PatternSpec::Random { count, seed });
+        return Ok(Some(PatternSpec::Random { count, seed }));
     }
     if opt_bool(req, "exhaustive", false)? {
         if num_inputs > MAX_EXHAUSTIVE_INPUTS {
@@ -355,23 +645,9 @@ pub(crate) fn parse_pattern_spec(req: &Value, num_inputs: usize) -> RequestResul
                  {MAX_EXHAUSTIVE_INPUTS} inputs (this one has {num_inputs})"
             )));
         }
-        return Ok(PatternSpec::Exhaustive);
+        return Ok(Some(PatternSpec::Exhaustive));
     }
-    Ok(PatternSpec::Absent)
-}
-
-/// Resolves a [`PatternSpec`] into concrete vectors; `Absent` is an
-/// error here (endpoints with a default `U` selection handle `Absent`
-/// themselves).
-pub(crate) fn require_patterns(spec: PatternSpec, num_inputs: usize) -> RequestResult<PatternSet> {
-    match spec {
-        PatternSpec::Explicit(set) => Ok(set),
-        PatternSpec::Random { count, seed } => Ok(PatternSet::random(num_inputs, count, seed)),
-        PatternSpec::Exhaustive => Ok(PatternSet::exhaustive(num_inputs)),
-        PatternSpec::Absent => Err(RequestError::new(
-            "vectors required: provide `patterns`, `random`, or `exhaustive`",
-        )),
-    }
+    Ok(None)
 }
 
 /// Renders a [`Pattern`] as the protocol's bit-string form.
@@ -386,7 +662,7 @@ mod tests {
     #[test]
     fn explicit_patterns_stream_into_packed_words() {
         let req = json::parse(r#"{"patterns": ["0110", "1001"]}"#).unwrap();
-        let PatternSpec::Explicit(set) = parse_pattern_spec(&req, 4).unwrap() else {
+        let Some(PatternSpec::Explicit(set)) = parse_pattern_spec(&req, 4).unwrap() else {
             panic!("explicit spec expected");
         };
         assert_eq!(set.len(), 2);
@@ -402,17 +678,11 @@ mod tests {
     #[test]
     fn ordering_labels_parse() {
         let req = json::parse(r#"{"ordering": "0dynm"}"#).unwrap();
-        assert_eq!(
-            parse_ordering(&req, FaultOrdering::Original).unwrap(),
-            FaultOrdering::Dynamic0
-        );
+        assert_eq!(parse_ordering(&req).unwrap(), FaultOrdering::Dynamic0);
         let bad = json::parse(r#"{"ordering": "bogus"}"#).unwrap();
-        assert!(parse_ordering(&bad, FaultOrdering::Original).is_err());
+        assert!(parse_ordering(&bad).is_err());
         let absent = json::parse("{}").unwrap();
-        assert_eq!(
-            parse_ordering(&absent, FaultOrdering::Original).unwrap(),
-            FaultOrdering::Original
-        );
+        assert_eq!(parse_ordering(&absent).unwrap(), FaultOrdering::Original);
     }
 
     #[test]
@@ -477,6 +747,12 @@ mod tests {
         let req = json::parse(r#"{"exhaustive": true}"#).unwrap();
         assert!(parse_pattern_spec(&req, 10).is_ok());
         assert!(parse_pattern_spec(&req, 64).is_err());
+        // A `U` selection would enumerate every input below its
+        // threshold: a large one is fine up to the same 20-input limit.
+        let u = json::parse(r#"{"u": {"exhaustive_threshold": 64}}"#).unwrap();
+        assert_eq!(parse_uset_config(&u, 20).unwrap().exhaustive_threshold, 64);
+        assert!(parse_uset_config(&u, 21).is_err());
+        assert!(parse_uset_config(&u, 65).is_ok(), "below the threshold: random vectors");
     }
 
     #[test]

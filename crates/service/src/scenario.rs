@@ -11,10 +11,10 @@
 //!
 //! Design points, mirroring [`CircuitStore`](crate::CircuitStore):
 //!
-//! * **Canonical keys.** A [`Fingerprint`] is computed (by the
-//!   handlers) over *resolved* request values — the circuit's
-//!   `NetlistHash`, the materialized pattern words, and every config
-//!   field after defaulting — never over request text. JSON field
+//! * **Canonical keys.** A [`Fingerprint`] is the [`Hash`] of the
+//!   handlers' *resolved* request — the circuit's `NetlistHash`, the
+//!   decoded pattern words or generator parameters, and every config
+//!   field after defaulting — never of request text. JSON field
 //!   order, whitespace, and spelled-out defaults all collapse onto one
 //!   key; any semantic difference separates keys.
 //! * **Single-flight.** Entries are `Arc<OnceLock<…>>` cells created
@@ -31,9 +31,14 @@
 //!   would have produced.
 //! * **Error-transparent.** A computation that fails settles its cell
 //!   with the error, hands it to every coalesced waiter, and then
-//!   forgets the entry — errors are never served from cache.
+//!   forgets the entry — errors are never served from cache. A
+//!   computation that panics settles its cell with the panic's message,
+//!   forgets the entry, and re-raises the panic in its caller.
 
+use std::any::Any;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -41,42 +46,48 @@ use crate::protocol::RequestError;
 
 /// A 128-bit canonical request digest, used as the scenario-cache key.
 ///
-/// Build one with [`FpHasher`]; equality means "same resolved request".
+/// Build one with [`Fingerprint::of`]; equality means "same resolved
+/// request".
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Fingerprint(u128);
 
 impl Fingerprint {
+    /// The fingerprint of `value`'s [`Hash`] stream, digested by an
+    /// [`FpHasher`]: equal values fingerprint equally, and any hashed
+    /// difference separates them.
+    pub fn of<T: Hash + ?Sized>(value: &T) -> Self {
+        let mut hasher = FpHasher::default();
+        value.hash(&mut hasher);
+        hasher.digest()
+    }
+
     /// The low 64 bits (shard selection, logging).
     pub fn low64(self) -> u64 {
         self.0 as u64
     }
 }
 
-/// A streaming 128-bit digest builder for canonical request values.
+/// A streaming 128-bit [`Hasher`] for canonical request values.
 ///
-/// Two independently seeded/multiplied 64-bit FNV-style lanes; every
-/// value is written with a length or tag prefix so field sequences
-/// cannot alias (`"ab","c"` hashes differently from `"a","bc"`). This
-/// is a stable fingerprint, not a cryptographic hash — collisions are
-/// a cache-correctness risk only at the ~2⁻⁶⁴ birthday scale of the
-/// entry count, far below any realistic working set.
+/// Two independently seeded/multiplied 64-bit FNV-style lanes over the
+/// written bytes. The standard `Hash` impls prefix every sequence with
+/// its length and every enum with its variant, so field sequences
+/// cannot alias (`("ab", "c")` hashes differently from `("a", "bc")`).
+/// This is a stable fingerprint, not a cryptographic hash — collisions
+/// are a cache-correctness risk only at the ~2⁻⁶⁴ birthday scale of
+/// the entry count, far below any realistic working set.
 ///
 /// # Examples
 ///
 /// ```
-/// use adi_service::FpHasher;
+/// use std::hash::Hash;
 ///
-/// let mut a = FpHasher::new("coverage");
-/// a.write_str("deadbeef");
-/// a.write_u64(42);
-/// let mut b = FpHasher::new("coverage");
-/// b.write_str("deadbeef");
-/// b.write_u64(42);
-/// assert_eq!(a.finish(), b.finish());
-/// let mut c = FpHasher::new("coverage");
-/// c.write_str("deadbeef");
-/// c.write_u64(43);
-/// assert_ne!(a.finish(), c.finish());
+/// use adi_service::{Fingerprint, FpHasher};
+///
+/// let mut hasher = FpHasher::default();
+/// ("deadbeef", 42u64).hash(&mut hasher);
+/// assert_eq!(hasher.digest(), Fingerprint::of(&("deadbeef", 42u64)));
+/// assert_ne!(hasher.digest(), Fingerprint::of(&("deadbeef", 43u64)));
 /// ```
 #[derive(Clone, Debug)]
 pub struct FpHasher {
@@ -84,73 +95,19 @@ pub struct FpHasher {
     b: u64,
 }
 
-impl FpHasher {
-    /// Starts a digest for the endpoint named `op` (the op tag is part
-    /// of the key, so two endpoints never share an entry).
-    pub fn new(op: &str) -> Self {
-        let mut h = FpHasher {
+impl Default for FpHasher {
+    fn default() -> Self {
+        FpHasher {
             a: 0xcbf2_9ce4_8422_2325,
             b: 0x9e37_79b9_7f4a_7c15,
-        };
-        h.write_str(op);
-        h
-    }
-
-    fn write_u8(&mut self, byte: u8) {
-        self.a = (self.a ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-        self.b = self
-            .b
-            .rotate_left(29)
-            .wrapping_add(u64::from(byte))
-            .wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    }
-
-    /// Writes raw bytes (no length prefix — prefer the typed writers).
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u8(b);
         }
     }
+}
 
-    /// Writes one integer.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    /// Writes one float by bit pattern.
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    /// Writes one boolean.
-    pub fn write_bool(&mut self, v: bool) {
-        self.write_u8(u8::from(v));
-    }
-
-    /// Writes a one-byte variant tag (enum discriminants).
-    pub fn write_u8_tag(&mut self, tag: u8) {
-        self.write_u8(tag);
-    }
-
-    /// Writes a length-prefixed string (labels, hashes, enum names).
-    pub fn write_str(&mut self, s: &str) {
-        self.write_u64(s.len() as u64);
-        self.write_bytes(s.as_bytes());
-    }
-
-    /// Writes an optional integer, distinguishing `None` from any value.
-    pub fn write_opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            None => self.write_u8(0),
-            Some(v) => {
-                self.write_u8(1);
-                self.write_u64(v);
-            }
-        }
-    }
-
-    /// The accumulated fingerprint (the hasher can keep writing).
-    pub fn finish(&self) -> Fingerprint {
+impl FpHasher {
+    /// The 128-bit digest of everything written so far (the hasher can
+    /// keep writing).
+    pub fn digest(&self) -> Fingerprint {
         // splitmix64 finalizer on each lane so trailing writes diffuse.
         fn fmix(mut z: u64) -> u64 {
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -159,6 +116,34 @@ impl FpHasher {
         }
         Fingerprint((u128::from(fmix(self.a)) << 64) | u128::from(fmix(self.b ^ self.a)))
     }
+}
+
+impl Hasher for FpHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.a = (self.a ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            self.b = self
+                .b
+                .rotate_left(29)
+                .wrapping_add(u64::from(byte))
+                .wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        }
+    }
+
+    /// The low 64 bits of [`digest`](FpHasher::digest).
+    fn finish(&self) -> u64 {
+        self.digest().low64()
+    }
+}
+
+/// The message a panic was raised with (`"unknown panic"` for a
+/// non-string payload).
+pub(crate) fn panic_message(panic: &(dyn Any + Send)) -> String {
+    panic
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "unknown panic".to_string())
 }
 
 /// Sizing knobs for a [`ScenarioCache`].
@@ -284,7 +269,8 @@ impl ScenarioCache {
     /// a settled entry is returned directly, an in-flight one is waited
     /// on, and a fresh one runs `compute` on behalf of every concurrent
     /// caller. Successful payloads are cached (within the byte budget);
-    /// errors are handed to the waiters and forgotten.
+    /// errors are handed to the waiters and forgotten, and a panic in
+    /// `compute` forgets the entry before it propagates.
     pub fn get_or_compute<F>(
         &self,
         fp: Fingerprint,
@@ -331,13 +317,25 @@ impl ScenarioCache {
         };
         // Compute (or wait for the computing thread) outside the shard
         // lock. The thread whose closure runs accounts the payload.
-        let result = cell.get_or_init(|| match compute() {
-            Ok(payload) => {
+        let mut panicked = None;
+        let result = cell.get_or_init(|| match catch_unwind(AssertUnwindSafe(compute)) {
+            Ok(Ok(payload)) => {
                 self.bytes.fetch_add(payload.len(), Ordering::Relaxed);
                 Ok(Arc::new(payload))
             }
-            Err(e) => Err(e),
+            Ok(Err(e)) => Err(e),
+            Err(panic) => {
+                let message = format!("internal error: {}", panic_message(&*panic));
+                panicked = Some(panic);
+                Err(RequestError::new(message))
+            }
         });
+        if let Some(panic) = panicked {
+            // The cell settled with the panic's message for any waiter;
+            // forget it like any error, then let the panic go on.
+            self.forget(fp, &cell);
+            resume_unwind(panic);
+        }
         match result {
             Ok(payload) => {
                 let payload = Arc::clone(payload);
@@ -354,8 +352,8 @@ impl ScenarioCache {
         }
     }
 
-    /// Drops the entry for `fp` if it still holds `cell` (error
-    /// cleanup; racing callers make this a no-op after the first).
+    /// Drops the entry for `fp` if it still holds `cell` (error and
+    /// panic cleanup; racing callers make this a no-op after the first).
     fn forget(&self, fp: Fingerprint, cell: &Cell) {
         let mut shard = self.shard_of(fp).lock().expect("scenario shard poisoned");
         if shard.get(&fp).is_some_and(|e| Arc::ptr_eq(&e.cell, cell)) {
@@ -434,9 +432,7 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     fn fp(tag: u64) -> Fingerprint {
-        let mut h = FpHasher::new("test");
-        h.write_u64(tag);
-        h.finish()
+        Fingerprint::of(&tag)
     }
 
     #[test]
@@ -540,27 +536,39 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_separate_fields_and_sequences() {
+    fn a_panicking_computation_leaves_no_entry() {
+        let cache = ScenarioCache::new(ScenarioConfig::default());
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            cache.get_or_compute(fp(1), || panic!("compute panicked"))
+        }));
+        assert!(unwound.is_err(), "the panic reaches the caller");
+        assert_eq!(cache.stats().entries, 0, "no ghost entry");
+        let (r, o) = cache.get_or_compute(fp(1), || Ok("after".to_string()));
+        assert_eq!(o, ScenarioOutcome::Miss, "a repeat recomputes, not coalesces");
+        assert_eq!(*r.unwrap(), "after");
+        let s = cache.stats();
+        assert_eq!((s.misses, s.coalesced, s.entries), (2, 0, 1));
+    }
+
+    #[test]
+    fn distinct_values_get_distinct_fingerprints() {
         // Length-prefixing: the same bytes split differently must not
         // alias.
-        let mut a = FpHasher::new("op");
-        a.write_str("ab");
-        a.write_str("c");
-        let mut b = FpHasher::new("op");
-        b.write_str("a");
-        b.write_str("bc");
-        assert_ne!(a.finish(), b.finish());
-        // Op tags separate endpoints with identical bodies.
-        let mut x = FpHasher::new("coverage");
-        x.write_u64(1);
-        let mut y = FpHasher::new("ndetect");
-        y.write_u64(1);
-        assert_ne!(x.finish(), y.finish());
-        // Option writes distinguish None from zero.
-        let mut n = FpHasher::new("op");
-        n.write_opt_u64(None);
-        let mut z = FpHasher::new("op");
-        z.write_opt_u64(Some(0));
-        assert_ne!(n.finish(), z.finish());
+        assert_ne!(Fingerprint::of(&("ab", "c")), Fingerprint::of(&("a", "bc")));
+        // Variant tags separate enum values with identical bodies.
+        #[derive(Hash)]
+        enum Op {
+            Coverage(u64),
+            Ndetect(u64),
+        }
+        assert_ne!(Fingerprint::of(&Op::Coverage(1)), Fingerprint::of(&Op::Ndetect(1)));
+        // Options distinguish None from zero.
+        assert_ne!(Fingerprint::of(&None::<u64>), Fingerprint::of(&Some(0u64)));
+        // Equal values agree, and the 64-bit `finish` is the digest's
+        // low half.
+        let mut h = FpHasher::default();
+        (7u64, "x").hash(&mut h);
+        assert_eq!(h.digest(), Fingerprint::of(&(7u64, "x")));
+        assert_eq!(h.finish(), h.digest().low64());
     }
 }

@@ -194,10 +194,7 @@ fn connection_loop(
             requests.fetch_add(1, Ordering::SeqCst);
             let id = parsed.as_ref().ok().and_then(|v| v.get("id"));
             let response = shed_response(id, max_inflight).to_string();
-            let mut w = writer.lock().expect("connection writer");
-            let _ = w.write_all(response.as_bytes());
-            let _ = w.write_all(b"\n");
-            let _ = w.flush();
+            let _ = write_line(&mut *writer.lock().expect("connection writer"), response);
             continue;
         }
         inflight.fetch_add(1, Ordering::SeqCst);
@@ -218,12 +215,9 @@ fn connection_loop(
             requests.fetch_add(1, Ordering::SeqCst);
             inflight.fetch_sub(1, Ordering::SeqCst);
             state.metrics().in_flight.fetch_sub(1, Ordering::SeqCst);
-            let mut w = writer.lock().expect("connection writer");
             // A vanished client is the client's problem, not the
             // server's: ignore write errors.
-            let _ = w.write_all(response.as_bytes());
-            let _ = w.write_all(b"\n");
-            let _ = w.flush();
+            let _ = write_line(&mut *writer.lock().expect("connection writer"), response);
             if stop_after {
                 shutdown_flag.store(true, Ordering::SeqCst);
             }
@@ -266,9 +260,7 @@ pub fn serve_stdio(
             for (seq, response) in rx {
                 pending.insert(seq, response);
                 while let Some(response) = pending.remove(&next) {
-                    output.write_all(response.as_bytes())?;
-                    output.write_all(b"\n")?;
-                    output.flush()?;
+                    write_line(&mut output, response)?;
                     next += 1;
                 }
             }
@@ -313,6 +305,14 @@ pub fn serve_stdio(
         pool.shutdown();
         writer.join().expect("stdio writer panicked")
     })
+}
+
+/// Writes `response` and its newline in one call, then flushes: a
+/// separate newline write would go out as its own segment.
+fn write_line(out: &mut impl Write, mut response: String) -> io::Result<()> {
+    response.push('\n');
+    out.write_all(response.as_bytes())?;
+    out.flush()
 }
 
 /// Pre-dispatch check for `"op": "shutdown"` on an already-parsed line

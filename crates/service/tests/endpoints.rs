@@ -343,12 +343,37 @@ fn atpg_reports_sat_resolution_counts() {
     }
     assert_eq!(off.get("num_aborted"), off.get("aborted_faults"));
 
-    // Unknown labels are clean request errors.
-    let bad = s.handle_line(&format!(
-        r#"{{"op": "atpg", "hash": "{hash}", "atpg": {{"sat_fallback": "sometimes"}}}}"#
-    ));
-    let v = json::parse(&bad).unwrap();
-    assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false));
+    // Unknown labels are clean request errors, and so is a `U`
+    // selection whose exhaustive threshold reaches a 24-input circuit
+    // (past the 20-input limit of exhaustive sets), through `adi` and
+    // through an ordered `atpg`.
+    let and24 = {
+        let inputs: Vec<String> = (0..24).map(|i| format!("a{i}")).collect();
+        let mut text: String = inputs.iter().map(|a| format!("INPUT({a})\n")).collect();
+        text.push_str(&format!("OUTPUT(y)\ny = AND({})\n", inputs.join(", ")));
+        Value::Str(text).to_string()
+    };
+    for (bad, field) in [
+        (
+            format!(r#"{{"op": "atpg", "hash": "{hash}", "atpg": {{"sat_fallback": "sometimes"}}}}"#),
+            "sat_fallback",
+        ),
+        (
+            format!(r#"{{"op": "adi", "bench": {and24}, "u": {{"exhaustive_threshold": 64}}}}"#),
+            "`u.exhaustive_threshold`",
+        ),
+        (
+            format!(
+                r#"{{"op": "atpg", "bench": {and24}, "ordering": "0dynm", "u": {{"exhaustive_threshold": 64}}}}"#
+            ),
+            "`u.exhaustive_threshold`",
+        ),
+    ] {
+        let v = json::parse(&s.handle_line(&bad)).unwrap();
+        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false), "{bad}");
+        let error = v.get("error").and_then(Value::as_str).unwrap();
+        assert!(error.contains(field), "{bad} -> {error}");
+    }
 }
 
 /// The `equiv` endpoint must tell an equivalent rewrite apart from a
@@ -520,16 +545,19 @@ fn tcp_transport_round_trips_and_shuts_down() {
     });
 
     let roundtrip = |stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, req: &str| {
-        stream.write_all(req.as_bytes()).unwrap();
-        stream.write_all(b"\n").unwrap();
-        stream.flush().unwrap();
+        stream.write_all(format!("{req}\n").as_bytes()).unwrap();
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
         json::parse(line.trim_end()).unwrap()
     };
 
-    let mut stream = TcpStream::connect(addr).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let connect = || {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        (stream, reader)
+    };
+    let (mut stream, mut reader) = connect();
     let bench = Value::Str(bench_format::to_bench(&embedded::c17())).to_string();
     let v = roundtrip(
         &mut stream,
@@ -547,8 +575,7 @@ fn tcp_transport_round_trips_and_shuts_down() {
         .to_string();
 
     // A second connection sees the same cache.
-    let mut second = TcpStream::connect(addr).unwrap();
-    let mut second_reader = BufReader::new(second.try_clone().unwrap());
+    let (mut second, mut second_reader) = connect();
     let v = roundtrip(
         &mut second,
         &mut second_reader,

@@ -43,8 +43,8 @@ fn traced_hit_extends_untraced_bytes_exactly() {
 }
 
 /// A *cold* traced request (the one that populates the cache) collects
-/// execute/serialize spans, and the entry it caches is still the plain
-/// payload: the next untraced request gets byte-identical results.
+/// resolve/execute/serialize spans, and the entry it caches is still the
+/// plain payload: the next untraced request gets byte-identical results.
 #[test]
 fn cold_traced_request_caches_only_the_result() {
     let s = ServiceState::new(StoreConfig::default());
@@ -57,10 +57,12 @@ fn cold_traced_request_caches_only_the_result() {
         .iter()
         .filter_map(|s| s.get("name").and_then(Value::as_str))
         .collect();
-    assert!(
-        names.contains(&"service.execute") && names.contains(&"service.serialize"),
-        "cold traced request must show the execute/serialize split, got {names:?}"
-    );
+    for stage in ["service.resolve", "service.execute", "service.serialize"] {
+        assert!(
+            names.contains(&stage),
+            "cold traced request must show the resolve/execute/serialize split, got {names:?}"
+        );
+    }
     let plain = s.handle_line(COVERAGE);
     assert!(!plain.contains("\"trace\""), "cached entry must not carry the trace");
     assert!(

@@ -1,8 +1,10 @@
 //! End-to-end obligations of the scenario (response) cache layer:
 //!
 //! 1. requests that differ only in JSON spelling — field order,
-//!    whitespace, defaults written out explicitly — collapse to one
-//!    scenario, while every semantic difference separates scenarios;
+//!    whitespace, defaults written out explicitly, a circuit sent as
+//!    `bench` text or addressed by `hash` — collapse to one scenario,
+//!    while every semantic difference separates scenarios, and every
+//!    field an op reads is part of its key;
 //! 2. a cache hit is **byte-identical** to the miss that populated it,
 //!    for every cacheable endpoint, and (for endpoints without
 //!    wall-clock fields) byte-identical to a `"cache": "bypass"`
@@ -12,7 +14,7 @@
 //!    recomputes to the same bytes;
 //! 4. `"cache": "bypass"` skips the cache entirely.
 
-use adi_circuits::embedded;
+use adi_circuits::{embedded, random_circuit, RandomCircuitConfig};
 use adi_netlist::bench_format;
 use adi_service::{ScenarioConfig, ServiceState, StoreConfig};
 use json::Value;
@@ -23,7 +25,12 @@ fn state() -> ServiceState {
 
 /// Compiles c17 through the service and returns its hash.
 fn compile_c17(state: &ServiceState) -> String {
-    let bench = Value::Str(bench_format::to_bench(&embedded::c17())).to_string();
+    compile(state, &bench_format::to_bench(&embedded::c17()))
+}
+
+/// Compiles bench `text` through the service and returns its hash.
+fn compile(state: &ServiceState, text: &str) -> String {
+    let bench = Value::Str(text.to_string()).to_string();
     let v = json::parse(&state.handle_line(&format!(
         r#"{{"op": "compile", "bench": {bench}, "name": "c17"}}"#
     )))
@@ -115,6 +122,197 @@ fn spelling_variants_collapse_to_one_scenario() {
     assert_eq!(stat(&stats, "misses"), 1 + retired.len() as u64);
     assert_eq!(stat(&stats, "hits"), 3 + retired.len() as u64);
     assert_eq!(stat(&stats, "entries"), 1 + retired.len() as u64);
+
+    // A circuit sent as `bench` text resolves to the same scenario as
+    // the compiled circuit addressed by `hash`.
+    let bench = Value::Str(bench_format::to_bench(&embedded::c17())).to_string();
+    let by_hash = raw(
+        &s,
+        &format!(r#"{{"id": 1, "op": "coverage", "hash": "{hash}", "random": {{"count": 8}}}}"#),
+    );
+    let by_bench = raw(
+        &s,
+        &format!(r#"{{"id": 1, "op": "coverage", "bench": {bench}, "random": {{"count": 8}}}}"#),
+    );
+    assert_eq!(by_bench, by_hash, "bench text must hit the hash-addressed entry");
+    let stats = scenario_stats(&s);
+    assert_eq!(stat(&stats, "misses"), 2 + retired.len() as u64);
+    assert_eq!(stat(&stats, "hits"), 4 + retired.len() as u64);
+    assert_eq!(stat(&stats, "entries"), 2 + retired.len() as u64);
+}
+
+/// `request` with the field at dotted `path` set to the JSON `value`.
+fn with_field(request: &Value, path: &str, value: &str) -> Value {
+    fn set(node: Option<&Value>, path: &[&str], value: Value) -> Value {
+        let Some((key, rest)) = path.split_first() else {
+            return value;
+        };
+        let mut o = node.and_then(Value::as_object).cloned().unwrap_or_default();
+        let child = set(o.get(key), rest, value);
+        o.insert(*key, child);
+        Value::Object(o)
+    }
+    let path: Vec<&str> = path.split('.').collect();
+    set(Some(request), &path, json::parse(value).unwrap())
+}
+
+/// The result of `request`, less `atpg`'s wall-clock `timing` and
+/// `wasted_speculations` (every other field is deterministic).
+fn deterministic_result(state: &ServiceState, request: &Value) -> Vec<(String, String)> {
+    let v = json::parse(&raw(state, &request.to_string())).unwrap();
+    v.get("result")
+        .and_then(Value::as_object)
+        .unwrap()
+        .iter()
+        .filter(|(key, _)| !matches!(*key, "timing" | "wasted_speculations"))
+        .map(|(key, value)| (key.to_string(), value.to_string()))
+        .collect()
+}
+
+/// For every cacheable op: starting from a request that sets every
+/// field the op reads, a copy that differs in one field alone (sent
+/// after the base, cache on) answers exactly like its own `bypass`
+/// recomputation. A key that forgot the field would replay the base's
+/// payload instead, and each variant marked as changing the answer
+/// proves the check can see that.
+#[test]
+fn every_field_an_op_reads_is_in_the_key() {
+    let s = state();
+    let c17 = compile_c17(&s);
+    // Same five inputs, different function: a drop-in circuit swap.
+    let mutant = compile(&s, &embedded::C17_BENCH.replace("G10 = NAND", "G10 = NOR"));
+    let rewrite = compile(
+        &s,
+        &embedded::C17_BENCH.replace("G10 = NAND(G1, G3)", "G10a = AND(G1, G3)\nG10 = NOT(G10a)"),
+    );
+    // Hard enough at `backtrack_limit: 1` to abort and reach SAT.
+    let medium = compile(
+        &s,
+        &bench_format::to_bench(&random_circuit(&RandomCircuitConfig::new(
+            "svc_medium",
+            12,
+            160,
+            0xC0FFEE,
+        ))),
+    );
+    let tests = r#"["00000", "11111", "10101", "01010", "11000", "00111", "10010", "01101"]"#;
+    let other_tests = r#"["00000", "11111", "10101", "01010"]"#;
+    // (base request, [(field, other value, changes the answer)]); the
+    // `false` fields are simulation knobs every value of which gives
+    // bit-identical results.
+    type Variants = Vec<(&'static str, String, bool)>;
+    let cases: Vec<(String, Variants)> = vec![
+        (
+            format!(
+                r#"{{"op": "coverage", "hash": "{c17}", "collapse": true, "random": {{"count": 32, "seed": 5}}, "width": 1, "include_detail": true}}"#
+            ),
+            vec![
+                ("hash", format!(r#""{mutant}""#), true),
+                ("collapse", "false".into(), true),
+                ("random.count", "33".into(), true),
+                ("random.seed", "6".into(), true),
+                ("patterns", tests.into(), true),
+                ("width", "2".into(), false),
+                ("include_detail", "false".into(), true),
+            ],
+        ),
+        (
+            format!(
+                r#"{{"op": "ndetect", "hash": "{c17}", "collapse": true, "patterns": {tests}, "n": 2, "width": 1}}"#
+            ),
+            vec![
+                ("hash", format!(r#""{mutant}""#), true),
+                ("collapse", "false".into(), true),
+                ("patterns", other_tests.into(), true),
+                ("n", "3".into(), true),
+                ("width", "4".into(), false),
+            ],
+        ),
+        (
+            format!(
+                r#"{{"op": "adi", "hash": "{c17}", "collapse": true, "u": {{"max_vectors": 64, "target_coverage": 0.9, "seed": 3, "exhaustive_threshold": 0, "strip_useless": false}}, "adi": {{"estimator": "min", "n_detect_cap": 8, "threads": 1, "width": 1}}, "include_values": true, "ordering": "0dynm"}}"#
+            ),
+            vec![
+                ("hash", format!(r#""{mutant}""#), true),
+                ("collapse", "false".into(), true),
+                ("random", r#"{"count": 16, "seed": 1}"#.into(), true),
+                ("u.max_vectors", "4".into(), true),
+                ("u.target_coverage", "0.5".into(), true),
+                ("u.seed", "4".into(), true),
+                ("u.exhaustive_threshold", "6".into(), true),
+                ("u.strip_useless", "true".into(), true),
+                ("adi.estimator", r#""mean""#.into(), true),
+                ("adi.n_detect_cap", "1".into(), true),
+                ("adi.threads", "2".into(), false),
+                ("adi.width", "2".into(), false),
+                ("include_values", "false".into(), true),
+                ("ordering", r#""dynm""#.into(), true),
+            ],
+        ),
+        (
+            format!(
+                r#"{{"op": "atpg", "hash": "{medium}", "collapse": true, "ordering": "0dynm", "random": {{"count": 64, "seed": 21}}, "adi": {{"estimator": "min", "n_detect_cap": 8, "threads": 1, "width": 1}}, "atpg": {{"backtrack_limit": 1, "fill": "random", "fill_seed": 7, "width": 1, "threads": 1, "atpg_threads": 1, "speculation_depth": 4, "sat_fallback": "aborted-only", "sat_conflict_limit": 100000}}, "include_tests": true, "include_detail": true}}"#
+            ),
+            vec![
+                ("hash", format!(r#""{c17}""#), true),
+                ("collapse", "false".into(), true),
+                ("ordering", r#""dynm""#.into(), true),
+                ("random.seed", "22".into(), true),
+                ("adi.estimator", r#""mean""#.into(), true),
+                ("adi.n_detect_cap", "1".into(), true),
+                ("adi.threads", "2".into(), false),
+                ("adi.width", "2".into(), false),
+                ("atpg.backtrack_limit", "1000".into(), true),
+                ("atpg.fill", r#""zeros""#.into(), true),
+                ("atpg.fill_seed", "8".into(), true),
+                ("atpg.width", "2".into(), false),
+                ("atpg.threads", "2".into(), false),
+                ("atpg.atpg_threads", "2".into(), false),
+                ("atpg.speculation_depth", "8".into(), false),
+                ("atpg.sat_fallback", r#""off""#.into(), true),
+                ("atpg.sat_conflict_limit", "0".into(), true),
+                ("include_tests", "false".into(), true),
+                ("include_detail", "false".into(), true),
+            ],
+        ),
+        (
+            format!(
+                r#"{{"op": "reorder", "hash": "{c17}", "collapse": true, "patterns": {tests}, "mode": "steepest"}}"#
+            ),
+            vec![
+                ("hash", format!(r#""{mutant}""#), true),
+                ("collapse", "false".into(), true),
+                ("patterns", other_tests.into(), true),
+                ("mode", r#""compact""#.into(), true),
+            ],
+        ),
+        (
+            format!(
+                r#"{{"op": "equiv", "left": {{"hash": "{c17}"}}, "right": {{"hash": "{rewrite}"}}, "conflict_limit": 100000}}"#
+            ),
+            vec![
+                ("left.hash", format!(r#""{mutant}""#), true),
+                ("right.hash", format!(r#""{mutant}""#), true),
+                ("conflict_limit", "0".into(), true),
+            ],
+        ),
+    ];
+    for (base, variants) in &cases {
+        let base = json::parse(base).unwrap();
+        let base_result = deterministic_result(&s, &base);
+        for (field, value, changes_answer) in variants {
+            let variant = with_field(&base, field, value);
+            let cached = deterministic_result(&s, &variant);
+            let fresh = deterministic_result(&s, &with_field(&variant, "cache", r#""bypass""#));
+            assert_eq!(cached, fresh, "`{field}`: {variant}");
+            assert_eq!(
+                cached != base_result,
+                *changes_answer,
+                "`{field}` = {value} must {}change the answer",
+                if *changes_answer { "" } else { "not " }
+            );
+        }
+    }
 }
 
 #[test]

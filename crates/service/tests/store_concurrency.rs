@@ -176,11 +176,10 @@ fn cost_aware_eviction_retains_the_expensive_entry_under_concurrent_overflow() {
         shards: 1,
         capacity: 3,
     });
-    // One deep chain — far more compile work *and* resident bytes than
-    // any of the shallow circuits, so its replacement cost
-    // (compile time × bytes) dominates by orders of magnitude even
-    // through timer noise. Compiled first and never touched again: pure
-    // LRU would evict it immediately.
+    // One deep chain — far more nodes and fanin edges than any of the
+    // shallow circuits, so its replacement cost (node plus fanin-edge
+    // count) exceeds theirs by over an order of magnitude. Compiled
+    // first and never touched again: pure LRU would evict it at once.
     let costly = chain(600);
     let costly_hash = costly.content_hash();
     store.get_or_compile(costly);

@@ -129,7 +129,7 @@ impl fmt::Display for Pattern {
 /// assert_eq!(set.len(), 2);
 /// assert_eq!(set.get(1).value(), Some(2));
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct PatternSet {
     num_inputs: usize,
     num_patterns: usize,
