@@ -42,9 +42,13 @@ use crate::cube::TestCube;
 
 /// Default conflict budget for one fault query or equivalence check.
 ///
-/// Circuit miters in this workload are shallow; the suite's hardest
-/// redundancy proofs finish within a few hundred conflicts, so this
-/// leaves ample headroom while still bounding a pathological query.
+/// Circuit miters in this workload are shallow, but not every proof is
+/// cheap: with only 20 backtracks of PODEM in front of the solver,
+/// irs13207's UNSAT proofs took up to 994 conflicts and 7 of its
+/// queries were still undecided at 1,000. This budget leaves room for
+/// those while still bounding a pathological query; PODEM's redundancy
+/// screen runs its proofs at `min(1_000, sat_conflict_limit)` and
+/// leaves whatever it cannot settle to a query at this limit.
 pub const DEFAULT_CONFLICT_LIMIT: u64 = 100_000;
 
 /// Verdict of a single-fault testability query ([`prove_fault`]).

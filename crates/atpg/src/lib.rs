@@ -28,7 +28,12 @@
 //!   position space, cone-restricted fault miters decided by the
 //!   vendored CDCL solver (redundancy proofs for the faults PODEM
 //!   aborts on, selected by [`SatFallback`]), and bounded two-netlist
-//!   equivalence checking for the service's `equiv` endpoint.
+//!   equivalence checking for the service's `equiv` endpoint. Under
+//!   [`SatFallback::AbortedOnly`] the formal layer also backs a
+//!   redundancy screen in front of PODEM's full budget: a 50-backtrack
+//!   search, then a proof of at most 1,000 conflicts, so most redundant
+//!   faults never reach the 1,000-backtrack search. The screen changes
+//!   only [`PodemStats`] counters, never an outcome.
 //!
 //! # Examples
 //!

@@ -36,8 +36,23 @@ use adi_netlist::fault::{Fault, FaultSite};
 use adi_netlist::{CompiledCircuit, GateKind, Netlist, NodeId};
 use adi_sim::t3event::DualMachineSim;
 
+use crate::cnf::FaultVerdict;
 use crate::value::{eval_t3, eval_t3_branch, T3};
 use crate::{Scoap, TestCube};
+
+/// Backtrack budget of the redundancy screen's short search
+/// ([`Podem::generate`]). The smallest budget that left irs13207's
+/// ATPG no slower: at 20, too many testable faults spill into the
+/// screen's proof, where they are far costlier than in PODEM.
+const SCREEN_BACKTRACKS: u32 = 50;
+
+/// Conflict ceiling of the redundancy screen's proof (capped by
+/// [`PodemConfig::sat_conflict_limit`]).
+const SCREEN_CONFLICTS: u64 = 1_000;
+
+/// One PODEM search from the all-X assignment at a backtrack limit:
+/// the event-driven engine or the full-resimulation reference.
+type Search = fn(&mut Podem, Fault, u32) -> PodemOutcome;
 
 /// When the SAT formal layer ([`crate::cnf`]) backs up the PODEM search.
 ///
@@ -60,6 +75,12 @@ pub enum SatFallback {
     /// proof), SAT ⇒ [`PodemOutcome::Test`] with the model as the
     /// cube, conflict-limit exhaustion ⇒ the abort stands. The
     /// [`TestGenConfig`](crate::TestGenConfig) default.
+    ///
+    /// With a `backtrack_limit` above 50 the full-budget search also
+    /// sits behind a redundancy screen — a 50-backtrack search, then a
+    /// query of at most 1,000 conflicts — that settles most redundant
+    /// targets cheaply (see [`Podem::generate`]). The screen never
+    /// changes an outcome, only the counters.
     AbortedOnly,
 }
 
@@ -83,14 +104,19 @@ impl std::fmt::Display for SatFallback {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct PodemConfig {
     /// Maximum number of backtracks before the target is abandoned as
-    /// [`PodemOutcome::Aborted`].
+    /// [`PodemOutcome::Aborted`]. Under [`SatFallback::AbortedOnly`] a
+    /// limit above 50 is the ceiling behind the redundancy screen: the
+    /// search at this limit runs only for targets the screen did not
+    /// settle ([`Podem::generate`]).
     pub backtrack_limit: u32,
     /// Whether aborted targets are handed to the SAT layer for a
     /// definitive verdict ([`SatFallback::Off`] here; the test-generation
     /// driver defaults it to [`SatFallback::AbortedOnly`]).
     pub sat_fallback: SatFallback,
     /// Conflict budget per SAT fallback query (counts toward
-    /// [`SatResolved::undecided`] when exhausted).
+    /// [`SatResolved::undecided`] when exhausted). Also the ceiling of
+    /// the redundancy screen's query, which runs at
+    /// `min(1_000, sat_conflict_limit)` conflicts.
     pub sat_conflict_limit: u64,
 }
 
@@ -129,6 +155,11 @@ impl PodemOutcome {
 
 /// Counters accumulated across [`Podem::generate`] calls.
 ///
+/// Behind the redundancy screen one target may run two searches, the
+/// screen's and the full-budget one: `backtracks` and `decisions` sum
+/// both, while `tests`, `untestable`, `aborted` and `screen_redundant`
+/// count each target once, by the step that settled it.
+///
 /// The search counters (`targets` through `decisions`) are part of the
 /// reference-parity contract: [`Podem::generate`] and
 /// [`Podem::generate_reference`] produce the same values for the same
@@ -141,13 +172,16 @@ pub struct PodemStats {
     pub targets: u64,
     /// Tests found.
     pub tests: u64,
-    /// Untestable proofs.
+    /// Untestable proofs by the search itself.
     pub untestable: u64,
-    /// Aborted targets.
+    /// Targets whose search at the full `backtrack_limit` aborted (the
+    /// SAT fallback's input; see [`sat_resolved`](Self::sat_resolved)).
     pub aborted: u64,
-    /// Total backtracks across all targets.
+    /// Total backtracks across all targets, the redundancy screen's
+    /// short searches included.
     pub backtracks: u64,
-    /// Total primary-input decisions across all targets.
+    /// Total primary-input decisions across all targets, the redundancy
+    /// screen's short searches included.
     pub decisions: u64,
     /// Node evaluations performed by the simulation (for the full-resim
     /// reference, every node of both machines per resimulation; for the
@@ -168,13 +202,25 @@ pub struct PodemStats {
     /// not a *search* counter: it describes the formal layer, so it is
     /// excluded from [`search_counters`](Self::search_counters).
     pub sat_resolved: SatResolved,
+    /// Targets the redundancy screen ([`Podem::generate`]) proved
+    /// redundant: its 50-backtrack search aborted and its bounded proof
+    /// came back UNSAT, so no full-budget search ran. They count in
+    /// neither `untestable` nor `aborted`, so `targets` is `tests +
+    /// untestable + aborted + screen_redundant`. Always zero under
+    /// [`SatFallback::Off`] or a `backtrack_limit` of 50 or less.
+    /// Deterministic, and like `sat_resolved` outside
+    /// [`search_counters`](Self::search_counters).
+    pub screen_redundant: u64,
 }
 
 /// Breakdown of SAT-fallback resolutions of PODEM aborts.
 ///
 /// `redundant + testable + undecided` equals the number of aborted
 /// targets the fallback examined ([`PodemStats::aborted`] when
-/// [`SatFallback::AbortedOnly`] is active).
+/// [`SatFallback::AbortedOnly`] is active). Targets the redundancy
+/// screen settles never reach the full-budget search, so they are not
+/// counted here but in [`PodemStats::screen_redundant`]; a verdict the
+/// fallback reuses from the screen counts here like a fresh one.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct SatResolved {
     /// Miter proved unsatisfiable: the fault is redundant and leaves
@@ -302,20 +348,31 @@ impl Podem {
 
     /// Attempts to generate a test for `fault`.
     ///
+    /// Under [`SatFallback::AbortedOnly`] with a `backtrack_limit` above
+    /// 50, a **redundancy screen** runs first: the search with 50
+    /// backtracks, and if that aborts, a cone-restricted miter at
+    /// `min(1_000, sat_conflict_limit)` conflicts. UNSAT settles the
+    /// target as [`PodemOutcome::Untestable`]
+    /// ([`PodemStats::screen_redundant`]). Otherwise the search restarts
+    /// at `backtrack_limit` and an abort goes to the SAT fallback at
+    /// `sat_conflict_limit`, which reuses the screen's verdict wherever
+    /// the larger budget would only repeat it (a test cube always).
+    /// Both the search and the solver are deterministic, so a run that
+    /// ends within the smaller budget ends the same way under the larger
+    /// one: the outcome is exactly the unscreened one, and only the
+    /// counters move.
+    ///
     /// # Panics
     ///
     /// Panics if the fault references nodes outside the netlist.
     pub fn generate(&mut self, fault: Fault) -> PodemOutcome {
-        self.stats.targets += 1;
-        self.pi_values.fill(T3::X);
-        let outcome = self.generate_event(fault);
-        self.fall_back(fault, outcome)
+        self.screen_then_search(fault, Self::generate_event)
     }
 
     /// The full-resimulation reference for [`generate`](Self::generate):
     /// the same search, re-simulating both machines over the whole
-    /// netlist on every decision and backtrack, followed by the same SAT
-    /// fallback step. Bit-identical outcomes and
+    /// netlist on every decision and backtrack, behind the same
+    /// redundancy screen and SAT fallback. Bit-identical outcomes and
     /// [`search_counters`](PodemStats::search_counters); only the
     /// simulation diagnostics differ. The differential oracle of the
     /// `podem_equivalence` suite and `perf_report`, not a production
@@ -325,37 +382,70 @@ impl Podem {
     ///
     /// Panics if the fault references nodes outside the netlist.
     pub fn generate_reference(&mut self, fault: Fault) -> PodemOutcome {
-        self.stats.targets += 1;
-        self.pi_values.fill(T3::X);
-        let outcome = self.generate_full(fault);
-        self.fall_back(fault, outcome)
+        self.screen_then_search(fault, Self::generate_full)
     }
 
-    /// The SAT-fallback step shared by both searches: under
-    /// [`SatFallback::AbortedOnly`] an aborted outcome goes to the
-    /// formal layer.
-    fn fall_back(&mut self, fault: Fault, outcome: PodemOutcome) -> PodemOutcome {
-        match (outcome, self.config.sat_fallback) {
-            (PodemOutcome::Aborted, SatFallback::AbortedOnly) => self.resolve_aborted(fault),
-            (outcome, _) => outcome,
+    /// The budget ladder shared by both searches: the redundancy screen
+    /// (when enabled), the search at `backtrack_limit`, then the SAT
+    /// fallback for an abort.
+    fn screen_then_search(&mut self, fault: Fault, search: Search) -> PodemOutcome {
+        self.stats.targets += 1;
+        let fallback = self.config.sat_fallback == SatFallback::AbortedOnly;
+        let conflict_limit = self.config.sat_conflict_limit;
+        let mut screened = None;
+        if fallback && self.config.backtrack_limit > SCREEN_BACKTRACKS {
+            match search(self, fault, SCREEN_BACKTRACKS) {
+                PodemOutcome::Aborted => {}
+                settled => return self.tally(settled),
+            }
+            let conflicts = SCREEN_CONFLICTS.min(conflict_limit);
+            match crate::cnf::prove_fault(&self.circuit, fault, conflicts) {
+                FaultVerdict::Redundant => {
+                    self.stats.screen_redundant += 1;
+                    return PodemOutcome::Untestable;
+                }
+                // Only a query at the full limit may repeat `Undecided`.
+                FaultVerdict::Undecided if conflicts < conflict_limit => {}
+                verdict => screened = Some(verdict),
+            }
+        }
+        let outcome = search(self, fault, self.config.backtrack_limit);
+        match self.tally(outcome) {
+            PodemOutcome::Aborted if fallback => {
+                let verdict = screened.unwrap_or_else(|| {
+                    crate::cnf::prove_fault(&self.circuit, fault, conflict_limit)
+                });
+                self.resolve_aborted(verdict)
+            }
+            outcome => outcome,
         }
     }
 
-    /// Hands a backtrack-aborted target to the formal layer. The search
-    /// counters (including [`PodemStats::aborted`]) keep describing the
-    /// raw PODEM search; the resolution lands in
-    /// [`PodemStats::sat_resolved`] and in the returned outcome.
-    fn resolve_aborted(&mut self, fault: Fault) -> PodemOutcome {
-        match crate::cnf::prove_fault(&self.circuit, fault, self.config.sat_conflict_limit) {
-            crate::cnf::FaultVerdict::Testable(cube) => {
+    /// Counts the outcome of a search that ran to its end or its limit.
+    fn tally(&mut self, outcome: PodemOutcome) -> PodemOutcome {
+        match outcome {
+            PodemOutcome::Test(_) => self.stats.tests += 1,
+            PodemOutcome::Untestable => self.stats.untestable += 1,
+            PodemOutcome::Aborted => self.stats.aborted += 1,
+        }
+        outcome
+    }
+
+    /// Turns the formal layer's verdict on a backtrack-aborted target
+    /// into its outcome. The search counters (including
+    /// [`PodemStats::aborted`]) keep describing the raw PODEM search;
+    /// the resolution lands in [`PodemStats::sat_resolved`].
+    fn resolve_aborted(&mut self, verdict: FaultVerdict) -> PodemOutcome {
+        match verdict {
+            FaultVerdict::Testable(cube) => {
                 self.stats.sat_resolved.testable += 1;
                 PodemOutcome::Test(cube)
             }
-            crate::cnf::FaultVerdict::Redundant => {
+            FaultVerdict::Redundant => {
                 self.stats.sat_resolved.redundant += 1;
                 PodemOutcome::Untestable
             }
-            crate::cnf::FaultVerdict::Undecided => {
+            FaultVerdict::Undecided => {
                 self.stats.sat_resolved.undecided += 1;
                 PodemOutcome::Aborted
             }
@@ -364,14 +454,15 @@ impl Podem {
 
     // ----- event-driven engine ------------------------------------------
 
-    fn generate_event(&mut self, fault: Fault) -> PodemOutcome {
+    fn generate_event(&mut self, fault: Fault, backtrack_limit: u32) -> PodemOutcome {
+        self.pi_values.fill(T3::X);
         let mut sim = self
             .sim
             .take()
             .unwrap_or_else(|| DualMachineSim::for_circuit(&self.circuit));
         let (events_before, updates_before) = sim.counters();
         sim.begin_target(fault);
-        let outcome = self.search_event(&mut sim);
+        let outcome = self.search_event(&mut sim, backtrack_limit);
         sim.end_target();
         let (events_after, updates_after) = sim.counters();
         self.stats.sim_events += events_after - events_before;
@@ -380,7 +471,7 @@ impl Podem {
         outcome
     }
 
-    fn search_event(&mut self, sim: &mut DualMachineSim) -> PodemOutcome {
+    fn search_event(&mut self, sim: &mut DualMachineSim, backtrack_limit: u32) -> PodemOutcome {
         let circuit = self.circuit.clone();
         let nl = circuit.netlist();
         let view = circuit.view();
@@ -390,7 +481,6 @@ impl Podem {
 
         loop {
             if sim.detected() {
-                self.stats.tests += 1;
                 return PodemOutcome::Test(TestCube::from_t3(&self.pi_values));
             }
 
@@ -441,15 +531,11 @@ impl Podem {
             // Conflict (or no objective reachable): chronological backtrack.
             loop {
                 match stack.pop() {
-                    None => {
-                        self.stats.untestable += 1;
-                        return PodemOutcome::Untestable;
-                    }
+                    None => return PodemOutcome::Untestable,
                     Some(d) if !d.flipped => {
                         backtracks += 1;
                         self.stats.backtracks += 1;
-                        if backtracks > self.config.backtrack_limit {
-                            self.stats.aborted += 1;
+                        if backtracks > backtrack_limit {
                             return PodemOutcome::Aborted;
                         }
                         sim.retract_frame();
@@ -470,13 +556,13 @@ impl Podem {
             }
         }
     }
-
 }
 
 // ----- full-resimulation reference --------------------------------------
 
 impl Podem {
-    fn generate_full(&mut self, fault: Fault) -> PodemOutcome {
+    fn generate_full(&mut self, fault: Fault, backtrack_limit: u32) -> PodemOutcome {
+        self.pi_values.fill(T3::X);
         let circuit = self.circuit.clone();
         let nl = circuit.netlist();
         let scoap = circuit.scoap();
@@ -490,7 +576,6 @@ impl Podem {
         loop {
             self.simulate(nl, fault);
             if self.detected_full(nl) {
-                self.stats.tests += 1;
                 return PodemOutcome::Test(TestCube::from_t3(&self.pi_values));
             }
 
@@ -531,15 +616,11 @@ impl Podem {
             // Conflict (or no objective reachable): chronological backtrack.
             loop {
                 match stack.pop() {
-                    None => {
-                        self.stats.untestable += 1;
-                        return PodemOutcome::Untestable;
-                    }
+                    None => return PodemOutcome::Untestable,
                     Some(d) if !d.flipped => {
                         backtracks += 1;
                         self.stats.backtracks += 1;
-                        if backtracks > self.config.backtrack_limit {
-                            self.stats.aborted += 1;
+                        if backtracks > backtrack_limit {
                             return PodemOutcome::Aborted;
                         }
                         self.pi_values[d.pi] = T3::from_bool(!d.value);

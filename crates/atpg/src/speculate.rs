@@ -128,6 +128,7 @@ fn stats_delta(after: PodemStats, before: PodemStats) -> PodemStats {
             testable: after.sat_resolved.testable - before.sat_resolved.testable,
             undecided: after.sat_resolved.undecided - before.sat_resolved.undecided,
         },
+        screen_redundant: after.screen_redundant - before.screen_redundant,
     }
 }
 
@@ -144,6 +145,7 @@ fn stats_add(acc: &mut PodemStats, d: PodemStats) {
     acc.sat_resolved.redundant += d.sat_resolved.redundant;
     acc.sat_resolved.testable += d.sat_resolved.testable;
     acc.sat_resolved.undecided += d.sat_resolved.undecided;
+    acc.screen_redundant += d.screen_redundant;
 }
 
 /// The speculative batched run (see the [module docs](self) for the

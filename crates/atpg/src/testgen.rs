@@ -48,7 +48,12 @@ pub struct TestGenConfig {
     /// PODEM backtrack limit and SAT-fallback policy per target. The
     /// driver's default turns the fallback **on**
     /// ([`SatFallback::AbortedOnly`]): every backtrack-aborted target is
-    /// handed to the formal layer for a redundancy proof or a test cube.
+    /// handed to the formal layer for a redundancy proof or a test cube,
+    /// and the default 1,000 backtracks and 100,000 conflicts are
+    /// ceilings behind the redundancy screen of [`Podem::generate`] (a
+    /// 50-backtrack search, then a proof of at most 1,000 conflicts),
+    /// which settles most redundant targets without the full budgets
+    /// and never changes a result.
     pub podem: PodemConfig,
     /// How unspecified cube inputs are completed.
     pub fill: FillStrategy,
@@ -127,7 +132,8 @@ pub enum FaultStatus {
     },
     /// Proven untestable — by the PODEM search itself or, under
     /// [`SatFallback::AbortedOnly`], by an UNSAT cone-restricted miter
-    /// after the search aborted.
+    /// after a search aborted (the redundancy screen's or the
+    /// full-budget one).
     Redundant,
     /// PODEM hit its backtrack limit and no SAT verdict rescued it
     /// (fallback off, or the solver's conflict limit also ran out).
@@ -320,10 +326,12 @@ pub struct TestGenSummary {
     /// Speculative PODEM runs whose result was discarded
     /// ([`PodemStats::wasted_speculations`]).
     pub wasted_speculations: u64,
-    /// Targets whose PODEM search hit the backtrack limit, **before**
-    /// any SAT fallback ([`PodemStats::aborted`]). Compare with
-    /// `num_aborted`, which counts the faults still unresolved after
-    /// the fallback had its say.
+    /// Targets whose PODEM search hit the full backtrack limit,
+    /// **before** any SAT fallback ([`PodemStats::aborted`]; targets the
+    /// redundancy screen settled never get there and are counted in
+    /// [`PodemStats::screen_redundant`]). Compare with `num_aborted`,
+    /// which counts the faults still unresolved after the fallback had
+    /// its say.
     pub aborted_faults: u64,
     /// How the SAT fallback resolved those aborts
     /// ([`PodemStats::sat_resolved`]; all-zero with the fallback off).

@@ -582,15 +582,18 @@ fn op_atpg(a: Atpg) -> Object {
     t.insert("commit_wait_ns", summary.commit_wait_ns);
     o.insert("timing", t);
     o.insert("wasted_speculations", summary.wasted_speculations);
-    // SAT-fallback diagnostics: how many targets hit the backtrack
+    // SAT-fallback diagnostics: how many targets hit the full backtrack
     // limit, and what the solver made of them. `num_aborted` above
-    // counts only the faults that stayed unresolved.
+    // counts only the faults that stayed unresolved. Targets the
+    // redundancy screen settled never reached that limit and are
+    // counted apart.
     o.insert("aborted_faults", summary.aborted_faults);
     let mut sr = Object::new();
     sr.insert("redundant", summary.sat_resolved.redundant);
     sr.insert("testable", summary.sat_resolved.testable);
     sr.insert("undecided", summary.sat_resolved.undecided);
     o.insert("sat_resolved", sr);
+    o.insert("screen_redundant", result.podem_stats.screen_redundant);
     if a.include_tests {
         o.insert("tests", array(result.tests.iter().map(pattern_to_string)));
         o.insert("targets", array(result.targets.iter().map(|f| f.index())));

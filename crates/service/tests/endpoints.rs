@@ -305,43 +305,73 @@ fn absurd_thread_counts_are_clamped_instead_of_aborting() {
 }
 
 /// The `atpg` response reports the SAT-fallback resolution counts, and
-/// they obey the books: every backtrack-aborted target is either
-/// resolved (redundant/testable) or stays in `num_aborted`, and turning
-/// the fallback off zeroes the resolution counts while restoring the
-/// raw aborts.
+/// they obey the books: every target aborted at the full backtrack
+/// limit is resolved redundant or testable or stays undecided, the
+/// undecided ones are exactly `num_aborted`, and turning the fallback
+/// off zeroes the resolution counts while restoring the raw aborts.
+/// Above 50 backtracks the redundancy screen settles targets before
+/// that limit, and its `screen_redundant` count joins the books.
 #[test]
 fn atpg_reports_sat_resolution_counts() {
     let _guard = BUILD_COUNT_LOCK.lock().unwrap();
     let s = state();
     let (text, _) = medium();
-    let hash = compile_via_service(&s, &text, "svc_medium");
-    // A starvation-level backtrack limit forces aborts so the fallback
-    // has real work.
-    let run = |atpg: &str| {
+    let medium_hash = compile_via_service(&s, &text, "svc_medium");
+    // Enough aborts at 50 backtracks for the screen to prove some
+    // faults redundant.
+    let spills = random_circuit(&RandomCircuitConfig::new("svc_spills", 40, 400, 7));
+    let spills_hash = compile_via_service(&s, &bench_format::to_bench(&spills), "svc_spills");
+    let run = |hash: &str, atpg: &str| {
         request_ok(
             &s,
             &format!(r#"{{"op": "atpg", "hash": "{hash}", "atpg": {atpg}}}"#),
         )
     };
-    let on = run(r#"{"backtrack_limit": 1}"#);
-    let aborted = on.get("aborted_faults").and_then(Value::as_u64).unwrap();
-    let unresolved = on.get("num_aborted").and_then(Value::as_u64).unwrap();
-    let sr = on.get("sat_resolved").expect("sat_resolved reported");
-    let count = |key: &str| sr.get(key).and_then(Value::as_u64).unwrap();
-    assert!(aborted > 0, "backtrack limit 1 must abort something");
-    assert_eq!(
-        count("redundant") + count("testable") + count("undecided") + unresolved,
-        aborted,
-        "every aborted fault is accounted for"
+    let field = |result: &Value, key: &str| result.get(key).and_then(Value::as_u64).unwrap();
+    // Checks the books of one response and returns its
+    // `screen_redundant` count.
+    let books = |result: &Value| {
+        let aborted = field(result, "aborted_faults");
+        let sr = result.get("sat_resolved").expect("sat_resolved reported");
+        let (redundant, testable, undecided) = (
+            field(sr, "redundant"),
+            field(sr, "testable"),
+            field(sr, "undecided"),
+        );
+        assert_eq!(
+            redundant + testable + undecided,
+            aborted,
+            "every aborted fault is accounted for"
+        );
+        assert_eq!(undecided, field(result, "num_aborted"));
+        let screened = field(result, "screen_redundant");
+        assert!(redundant + screened <= field(result, "num_redundant"));
+        screened
+    };
+    // A starvation-level backtrack limit forces aborts so the fallback
+    // has real work; it is below the screen's budget, so no screen runs.
+    let on = run(&medium_hash, r#"{"backtrack_limit": 1}"#);
+    assert!(
+        field(&on, "aborted_faults") > 0,
+        "backtrack limit 1 must abort something"
     );
-    assert_eq!(count("undecided"), unresolved);
+    assert_eq!(books(&on), 0);
+    let screened = books(&run(&spills_hash, r#"{"backtrack_limit": 1000}"#));
+    assert!(screened > 0, "the screen proved nothing redundant");
 
-    let off = run(r#"{"backtrack_limit": 1, "sat_fallback": "off"}"#);
-    let sr = off.get("sat_resolved").unwrap();
-    for key in ["redundant", "testable", "undecided"] {
-        assert_eq!(sr.get(key).and_then(Value::as_u64), Some(0), "{key}");
+    for (hash, limit) in [(&medium_hash, 1), (&spills_hash, 1000)] {
+        let off = run(
+            hash,
+            &format!(r#"{{"backtrack_limit": {limit}, "sat_fallback": "off"}}"#),
+        );
+        let sr = off.get("sat_resolved").unwrap();
+        for key in ["redundant", "testable", "undecided"] {
+            assert_eq!(sr.get(key).and_then(Value::as_u64), Some(0), "{key}");
+        }
+        assert_eq!(field(&off, "screen_redundant"), 0);
+        assert_eq!(off.get("num_aborted"), off.get("aborted_faults"));
     }
-    assert_eq!(off.get("num_aborted"), off.get("aborted_faults"));
+    let hash = medium_hash;
 
     // Unknown labels are clean request errors, and so is a `U`
     // selection whose exhaustive threshold reaches a 24-input circuit

@@ -252,7 +252,7 @@ fn podem_engine_surface_is_stable() {
     let _: fn(&mut Podem, Fault) -> PodemOutcome = Podem::generate;
     let _: fn(&mut Podem, Fault) -> PodemOutcome = Podem::generate_reference;
     let _: fn(&Podem) -> PodemStats = Podem::stats;
-    fn stats_fields(s: &PodemStats) -> (u64, u64, u64, u64, u64, u64, u64, u64) {
+    fn stats_fields(s: &PodemStats) -> (u64, u64, u64, u64, u64, u64, u64, u64, u64) {
         (
             s.targets,
             s.tests,
@@ -262,6 +262,7 @@ fn podem_engine_surface_is_stable() {
             s.decisions,
             s.sim_events,
             s.sim_updates,
+            s.screen_redundant,
         )
     }
     let _ = stats_fields;

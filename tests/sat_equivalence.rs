@@ -15,9 +15,14 @@
 //!   (proptest), as does the equivalence miter against brute-force
 //!   output comparison of circuit pairs.
 //! * A known-redundant fixture is proved UNSAT.
+//! * The redundancy screen in front of PODEM's full budget changes no
+//!   outcome: both searches return what the unscreened path returns.
 
 use adi::atpg::cnf::{check_equiv, prove_fault, DEFAULT_CONFLICT_LIMIT};
-use adi::atpg::{EquivVerdict, FaultVerdict, Podem, PodemConfig, PodemOutcome, TestCube};
+use adi::atpg::{
+    EquivVerdict, FaultVerdict, Podem, PodemConfig, PodemOutcome, SatFallback, TestCube,
+    TestGenConfig,
+};
 use adi::circuits::{embedded, paper_suite, random_circuit, RandomCircuitConfig};
 use adi::netlist::fault::{Fault, FaultList};
 use adi::netlist::{bench_format, CompiledCircuit, Netlist};
@@ -118,6 +123,108 @@ fn paper_suite_agrees_with_event_driven_podem() {
         }
     }
     assert!(compared > 100, "suite too small to be meaningful: {compared}");
+}
+
+/// The redundancy screen (a 50-backtrack search, then a proof of at most
+/// 1,000 conflicts) leaves every outcome as the unscreened path has it:
+/// under `TestGenConfig::default().podem`, `generate` and
+/// `generate_reference` return, for every collapsed fault, the search
+/// at `backtrack_limit` with the fallback off followed, on an abort, by
+/// `prove_fault` at `sat_conflict_limit`. At 50 backtracks or fewer no
+/// screen runs, so the search counters are the raw search's. The
+/// circuits are a suite stand-in and a scaled-down variant of the
+/// benchmark's `aborts800` recipe (60 inputs, 800 gates, seed 1001),
+/// which between them take every branch of the screen.
+#[test]
+fn redundancy_screen_matches_the_unscreened_path() {
+    let config = TestGenConfig::default().podem;
+    assert_eq!(config.sat_fallback, SatFallback::AbortedOnly);
+    let off = |backtrack_limit| PodemConfig {
+        backtrack_limit,
+        sat_fallback: SatFallback::Off,
+        ..config
+    };
+    let suite = paper_suite()
+        .into_iter()
+        .find(|c| c.name == "irs420")
+        .unwrap();
+    let circuits = [
+        suite.netlist(),
+        random_circuit(&RandomCircuitConfig::new("aborts400", 40, 400, 7)),
+    ];
+    // Screen UNSAT; screen SAT, then a test within the full budget;
+    // screen SAT, then a full-budget abort that reuses the screen's cube.
+    let mut branches = [0u64; 3];
+    for netlist in circuits {
+        let name = netlist.name().to_string();
+        let circuit = CompiledCircuit::compile(netlist);
+        let mut screened = Podem::for_circuit(&circuit, config);
+        let mut reference = Podem::for_circuit(&circuit, config);
+        let mut short = Podem::for_circuit(&circuit, off(50));
+        let mut short_with_fallback = Podem::for_circuit(
+            &circuit,
+            PodemConfig {
+                backtrack_limit: 50,
+                ..config
+            },
+        );
+        let mut full = Podem::for_circuit(&circuit, off(config.backtrack_limit));
+        let mut screen_unsat = 0;
+        for (_, fault) in circuit.collapsed_faults().iter() {
+            let raw = full.generate(fault);
+            let unscreened = match &raw {
+                PodemOutcome::Aborted => {
+                    match prove_fault(&circuit, fault, config.sat_conflict_limit) {
+                        FaultVerdict::Testable(cube) => PodemOutcome::Test(cube),
+                        FaultVerdict::Redundant => PodemOutcome::Untestable,
+                        FaultVerdict::Undecided => PodemOutcome::Aborted,
+                    }
+                }
+                settled => settled.clone(),
+            };
+            assert_eq!(screened.generate(fault), unscreened, "{name}: {fault}");
+            assert_eq!(
+                reference.generate_reference(fault),
+                unscreened,
+                "{name}: {fault} (reference)"
+            );
+            short_with_fallback.generate(fault);
+            if short.generate(fault) == PodemOutcome::Aborted {
+                match (prove_fault(&circuit, fault, 1_000), raw) {
+                    (FaultVerdict::Redundant, _) => screen_unsat += 1,
+                    (FaultVerdict::Testable(_), PodemOutcome::Aborted) => branches[2] += 1,
+                    (FaultVerdict::Testable(_), _) => branches[1] += 1,
+                    (FaultVerdict::Undecided, _) => {}
+                }
+            }
+        }
+        branches[0] += screen_unsat;
+        let (s, r) = (screened.stats(), reference.stats());
+        assert_eq!(s.search_counters(), r.search_counters(), "{name}");
+        assert_eq!(
+            (s.sat_resolved, s.screen_redundant),
+            (r.sat_resolved, r.screen_redundant),
+            "{name}"
+        );
+        assert_eq!(s.screen_redundant, screen_unsat, "{name}");
+        assert_eq!(s.aborted, s.sat_resolved.total(), "{name}");
+        assert_eq!(
+            s.targets,
+            s.tests + s.untestable + s.aborted + s.screen_redundant,
+            "{name}"
+        );
+        let unscreened = short_with_fallback.stats();
+        assert_eq!(
+            unscreened.search_counters(),
+            short.stats().search_counters(),
+            "{name}"
+        );
+        assert_eq!(unscreened.screen_redundant, 0, "{name}");
+    }
+    assert!(
+        branches.iter().all(|&n| n > 0),
+        "a screen branch never ran: {branches:?}"
+    );
 }
 
 /// Brute-force oracle for `check_equiv`: output vectors over all input
