@@ -796,33 +796,25 @@ fn objective_from_frontier(
 ) -> Option<(NodeId, bool)> {
     frontier.sort_by_key(|&g| scoap.co(g));
     for &gate in frontier.iter() {
-        let kind = nl.kind(gate);
-        let fanins = nl.fanins(gate);
-        let x_inputs: Vec<NodeId> = fanins
+        let mut x_inputs = nl
+            .fanins(gate)
             .iter()
             .copied()
-            .filter(|&f| good(f) == T3::X)
-            .collect();
-        let target = match kind.controlling_value() {
+            .filter(|&f| good(f) == T3::X);
+        let target = match nl.kind(gate).controlling_value() {
             Some(c) => {
                 // All X side-inputs eventually need the non-controlling
                 // value; pursue the hardest first (standard heuristic).
                 let v = !c;
-                x_inputs
-                    .into_iter()
-                    .max_by_key(|&f| scoap.cc(f, v))
-                    .map(|f| (f, v))
+                x_inputs.max_by_key(|&f| scoap.cc(f, v)).map(|f| (f, v))
             }
             None => {
                 // Parity / single-input gates: any X input propagates;
                 // choose the cheapest overall assignment.
-                x_inputs
-                    .into_iter()
-                    .map(|f| {
-                        let zero_cheaper = scoap.cc0(f) <= scoap.cc1(f);
-                        (f, !zero_cheaper)
-                    })
-                    .next()
+                x_inputs.next().map(|f| {
+                    let zero_cheaper = scoap.cc0(f) <= scoap.cc1(f);
+                    (f, !zero_cheaper)
+                })
             }
         };
         if target.is_some() {
@@ -857,36 +849,21 @@ fn backtrace_from(
         if matches!(kind, GateKind::Const0 | GateKind::Const1) {
             return None;
         }
-        let fanins = nl.fanins(node);
         let v_in = value != kind.is_inverting();
-        let x_fanins: Vec<NodeId> = fanins
+        let x_fanins = nl
+            .fanins(node)
             .iter()
             .copied()
-            .filter(|&f| good(f) == T3::X)
-            .collect();
-        if x_fanins.is_empty() {
-            return None;
-        }
+            .filter(|&f| good(f) == T3::X);
         let next = match kind.controlling_value() {
-            Some(c) => {
-                if v_in == c {
-                    // One input at the controlling value suffices:
-                    // easiest.
-                    x_fanins
-                        .into_iter()
-                        .min_by_key(|&f| scoap.cc(f, v_in))
-                } else {
-                    // All inputs must be non-controlling: hardest first.
-                    x_fanins
-                        .into_iter()
-                        .max_by_key(|&f| scoap.cc(f, v_in))
-                }
-            }
-            None => x_fanins
-                .into_iter()
-                .min_by_key(|&f| scoap.cc(f, v_in).min(scoap.cc(f, !v_in))),
+            // One input at the controlling value suffices: easiest.
+            Some(c) if v_in == c => x_fanins.min_by_key(|&f| scoap.cc(f, v_in)),
+            // All inputs must be non-controlling: hardest first.
+            Some(_) => x_fanins.max_by_key(|&f| scoap.cc(f, v_in)),
+            None => x_fanins.min_by_key(|&f| scoap.cc(f, v_in).min(scoap.cc(f, !v_in))),
         };
-        node = next.expect("nonempty X fanins");
+        // No X fanin left: the objective is already blocked.
+        node = next?;
         value = v_in;
     }
 }

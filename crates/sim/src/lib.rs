@@ -27,9 +27,10 @@
 //!   drop-for-drop scalar semantics.
 //! * [`t3`] / [`t3event`] — Kleene 3-valued logic and the incremental
 //!   dual-machine (good/faulty) evaluator PODEM's event engine runs on:
-//!   position-indexed value arrays, a level-bucket event frontier,
-//!   fault injection at the site, and an undo trail so a backtrack
-//!   retracts exactly the nodes it changed.
+//!   both machines packed into one dual-rail byte per position, a
+//!   position-bitset event queue drained in topological order, fault
+//!   injection at the site, and an undo trail so a backtrack retracts
+//!   exactly the nodes it changed.
 //! * [`CoverageCurve`] — fault-coverage-per-test bookkeeping.
 //!
 //! Every simulator takes an

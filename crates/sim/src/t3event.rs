@@ -7,17 +7,23 @@
 //! event-driven evaluator on the compiled [`LevelizedCsr`] position
 //! space:
 //!
-//! * **Position-indexed value arrays.** Good- and faulty-machine [`T3`]
-//!   values live in flat arrays indexed by CSR position, so a
-//!   propagation wave touches contiguous memory in evaluation order.
-//! * **Level-bucket event frontier.** Fanouts always sit on strictly
-//!   higher levels, so draining per-level buckets in ascending order
-//!   evaluates every node after all of its fanins — the same heap-free
-//!   event queue the stem-region fault simulator uses.
+//! * **One packed byte per node.** Each CSR position holds both machines
+//!   in a single `u8`, in dual-rail form: two bits per machine, `01` = 1,
+//!   `10` = 0, `00` = X, the good machine in bits 0–1 and the faulty
+//!   machine in bits 2–3. One pass over a gate's fanins with AND/OR/XOR
+//!   bit formulas yields both machines' outputs at once (Kleene logic per
+//!   machine, the [`eval_t3_pos`] truth table), and the undo trail stores
+//!   the old byte.
+//! * **Position-bitset event queue.** A wave's pending evaluations are
+//!   bits of a bitset over positions, drained lowest bit first. Positions
+//!   are level-major and every fanout sits on a strictly higher level, so
+//!   ascending position order is topological: each scheduled node is
+//!   evaluated once, after all of its fanins, and scheduling an
+//!   already-pending node is a no-op.
 //! * **Fault injection at the site.** [`begin_target`] pins the faulty
-//!   machine at the stem position (or re-evaluates the branch gate with
-//!   the faulty pin forced) and propagates the injection like any other
-//!   event wave; the pin stays in force for every later wave.
+//!   half at the stem position (or re-evaluates the branch gate with the
+//!   faulty read of its pin forced) and propagates the injection like any
+//!   other event wave; the pin stays in force for every later wave.
 //! * **Undo trail.** Every value change is recorded on a trail with
 //!   per-decision frame marks; [`retract_frame`] restores exactly the
 //!   nodes the retracted decision changed, instead of re-simulating.
@@ -33,7 +39,8 @@
 //!
 //! The evaluator's contract is *exact equivalence* with a full two-machine
 //! resimulation of the current assignment ([`is_consistent`] recomputes
-//! that reference state, and the PODEM differential suite asserts
+//! that reference state with the ternary [`eval_t3_pos`] and
+//! [`eval_t3_branch`], and the PODEM differential suite asserts
 //! bit-identical outcomes end to end).
 //!
 //! [`begin_target`]: DualMachineSim::begin_target
@@ -47,13 +54,120 @@ use adi_netlist::{CompiledCircuit, GateKind, LevelizedCsr, NodeId};
 
 use crate::t3::{eval_t3_branch, eval_t3_pos, T3};
 
-/// One restorable value change: the position and the pair it held
-/// *before* the change.
+/// The good machine's rails of a packed value (its faulty rails are the
+/// next two bits up).
+const GOOD: u8 = 0b0011;
+/// The "is 1" rail of both machines.
+const ONES: u8 = 0b0101;
+/// The "is 0" rail of both machines.
+const ZEROS: u8 = 0b1010;
+
+/// One machine's dual-rail code of a ternary value.
+#[inline]
+fn rail(v: T3) -> u8 {
+    match v {
+        T3::One => 0b01,
+        T3::Zero => 0b10,
+        T3::X => 0b00,
+    }
+}
+
+/// Decodes the machine in the low two bits of `bits`.
+#[inline]
+fn unrail(bits: u8) -> T3 {
+    match bits & GOOD {
+        0b01 => T3::One,
+        0b10 => T3::Zero,
+        _ => T3::X,
+    }
+}
+
+/// Ternary NOT of both machines: swaps each machine's two rails.
+#[inline]
+fn not(b: u8) -> u8 {
+    ((b & ONES) << 1) | ((b & ZEROS) >> 1)
+}
+
+/// Each rail set on every pin, and each rail set on some pin.
+#[inline]
+fn all_any(pins: impl Iterator<Item = u8>) -> (u8, u8) {
+    pins.fold((ONES | ZEROS, 0), |(all, any), b| (all & b, any | b))
+}
+
+/// Kleene AND per machine: 1 where every pin is 1, 0 where some pin is 0.
+#[inline]
+fn and(pins: impl Iterator<Item = u8>) -> u8 {
+    let (all, any) = all_any(pins);
+    (all & ONES) | (any & ZEROS)
+}
+
+/// Kleene OR per machine: 1 where some pin is 1, 0 where every pin is 0.
+#[inline]
+fn or(pins: impl Iterator<Item = u8>) -> u8 {
+    let (all, any) = all_any(pins);
+    (any & ONES) | (all & ZEROS)
+}
+
+/// XOR per machine: the parity of the 1 rails where every pin is binary,
+/// X elsewhere.
+#[inline]
+fn xor(pins: impl Iterator<Item = u8>) -> u8 {
+    let (parity, known) = pins.fold((0, ONES), |(parity, known), b| {
+        (parity ^ b, known & (b | b >> 1))
+    });
+    (parity & known) | ((!parity & known) << 1)
+}
+
+/// Evaluates `kind` for both machines at once over packed fanin values.
+///
+/// # Panics
+///
+/// Panics for [`GateKind::Input`], which has no logic function.
+#[inline(always)]
+fn eval_packed(kind: GateKind, mut pins: impl Iterator<Item = u8>) -> u8 {
+    match kind {
+        GateKind::Input => panic!("inputs are loaded, not evaluated"),
+        GateKind::Buf => pins.next().expect("BUF has a fanin"),
+        GateKind::Not => not(pins.next().expect("NOT has a fanin")),
+        GateKind::And => and(pins),
+        GateKind::Nand => not(and(pins)),
+        GateKind::Or => or(pins),
+        GateKind::Nor => not(or(pins)),
+        GateKind::Xor => xor(pins),
+        GateKind::Xnor => not(xor(pins)),
+        GateKind::Const0 => ZEROS,
+        GateKind::Const1 => ONES,
+    }
+}
+
+/// [`eval_packed`] with the faulty machine reading `stuck` (a faulty-rail
+/// code, `rail(value) << 2`) on fanin `pin`: branch-fault injection.
+#[inline]
+fn eval_branch(kind: GateKind, pins: impl Iterator<Item = u8>, pin: usize, stuck: u8) -> u8 {
+    let pins = pins
+        .enumerate()
+        .map(|(i, b)| if i == pin { (b & GOOD) | stuck } else { b });
+    eval_packed(kind, pins)
+}
+
+/// Good and faulty both binary and different: a fault effect.
+#[inline]
+fn carries_effect(b: u8) -> bool {
+    (b ^ (b >> 2)) & GOOD == GOOD
+}
+
+/// Some machine is still X.
+#[inline]
+fn has_x(b: u8) -> bool {
+    b & GOOD == 0 || b >> 2 == 0
+}
+
+/// One restorable value change: the position and the packed value it
+/// held *before* the change.
 #[derive(Clone, Copy, Debug)]
 struct Change {
     pos: u32,
-    good: T3,
-    faulty: T3,
+    old: u8,
 }
 
 /// The active target fault, resolved into position space.
@@ -63,8 +177,8 @@ struct Target {
     site_pos: u32,
     /// `Some(pin)` for a branch fault on that pin of the site gate.
     branch_pin: Option<u16>,
-    /// The stuck value as a ternary constant.
-    stuck: T3,
+    /// The stuck value as a faulty-rail code (`rail(stuck) << 2`).
+    stuck: u8,
     /// The good-machine node that must take [`Target::excite_val`] to
     /// excite the fault (the stem itself, or the branch pin's driver).
     excite_pos: u32,
@@ -107,10 +221,8 @@ struct Target {
 #[derive(Clone, Debug)]
 pub struct DualMachineSim {
     circuit: CompiledCircuit,
-    /// Good-machine value per position.
-    good: Vec<T3>,
-    /// Faulty-machine value per position.
-    faulty: Vec<T3>,
+    /// Both machines' values per position, packed (see the module docs).
+    vals: Vec<u8>,
     target: Option<Target>,
     /// Undo trail of value changes, oldest first.
     trail: Vec<Change>,
@@ -138,12 +250,11 @@ pub struct DualMachineSim {
     cand_limit: usize,
     /// Mid-target compactions performed (diagnostics).
     cand_compactions: u64,
-    /// Event-wave state: per-level buckets plus a queued stamp.
-    buckets: Vec<Vec<u32>>,
-    queued: Vec<u32>,
-    qversion: u32,
-    wave_lo: usize,
-    wave_hi: usize,
+    /// The running wave's pending evaluations: bit `p % 64` of word
+    /// `p / 64` per position. Empty between waves.
+    pending: Vec<u64>,
+    /// One past the highest word of `pending` the running wave has set.
+    pending_end: usize,
     /// Monotone state counter bumped on every value/target change, so
     /// frontier refreshes can be skipped when nothing moved.
     state_version: u64,
@@ -178,6 +289,9 @@ pub struct DualMachineSim {
     updates: u64,
 }
 
+/// The ternary fault-effect test of the [`is_consistent`] oracle.
+///
+/// [`is_consistent`]: DualMachineSim::is_consistent
 #[inline]
 fn is_effect(good: T3, faulty: T3) -> bool {
     good.is_binary() && faulty.is_binary() && good != faulty
@@ -194,19 +308,17 @@ impl DualMachineSim {
     pub fn for_circuit(circuit: &CompiledCircuit) -> Self {
         let view = circuit.view();
         let n = view.num_nodes();
-        let mut good = vec![T3::X; n];
+        let mut vals = vec![0u8; n];
         for p in 0..n {
             let kind = view.kind_at(p);
             if kind != GateKind::Input {
-                let v = eval_t3_pos(kind, view.fanins_at(p), |f| good[f as usize]);
-                good[p] = v;
+                let v = eval_packed(kind, view.fanins_at(p).iter().map(|&f| vals[f as usize]));
+                vals[p] = v;
             }
         }
-        let faulty = good.clone();
         DualMachineSim {
             circuit: circuit.clone(),
-            good,
-            faulty,
+            vals,
             target: None,
             trail: Vec::new(),
             frames: Vec::new(),
@@ -217,11 +329,8 @@ impl DualMachineSim {
             cand_version: 0,
             cand_limit: CAND_COMPACT_FLOOR,
             cand_compactions: 0,
-            buckets: vec![Vec::new(); view.num_levels()],
-            queued: vec![0; n],
-            qversion: 0,
-            wave_lo: usize::MAX,
-            wave_hi: 0,
+            pending: vec![0; n.div_ceil(64)],
+            pending_end: 0,
             state_version: 0,
             frontier_version: u64::MAX,
             frontier_pos: Vec::new(),
@@ -269,7 +378,7 @@ impl DualMachineSim {
             fault.effect_node().index() < view.num_nodes(),
             "fault {fault} outside netlist"
         );
-        let stuck = T3::from_bool(fault.stuck_value());
+        let stuck = rail(T3::from_bool(fault.stuck_value())) << 2;
         let target = match fault.site() {
             FaultSite::Stem(n) => {
                 let p = view.position(n) as u32;
@@ -300,11 +409,10 @@ impl DualMachineSim {
         self.frames.push(self.trail.len() as u32);
 
         let p = target.site_pos as usize;
-        let (g, f) = self.eval_pair(view, p);
-        self.start_wave();
-        if self.apply(view, p, g, f) {
+        let v = self.eval_site(view, target);
+        if self.apply(view, p, v) {
             self.schedule_fanouts(view, p);
-            self.run_wave(view);
+            self.run_wave(view, p);
         }
     }
 
@@ -341,18 +449,17 @@ impl DualMachineSim {
         let view = circuit.view();
         let p = view.inputs()[pi] as usize;
         self.frames.push(self.trail.len() as u32);
-        let new_good = T3::from_bool(value);
+        let good = rail(T3::from_bool(value));
         // A stem fault on this very input keeps the faulty machine
         // pinned at the stuck value.
-        let new_faulty = if target.site_pos as usize == p && target.branch_pin.is_none() {
+        let faulty = if target.site_pos as usize == p && target.branch_pin.is_none() {
             target.stuck
         } else {
-            new_good
+            good << 2
         };
-        self.start_wave();
-        if self.apply(view, p, new_good, new_faulty) {
+        if self.apply(view, p, good | faulty) {
             self.schedule_fanouts(view, p);
-            self.run_wave(view);
+            self.run_wave(view, p);
         }
     }
 
@@ -383,19 +490,19 @@ impl DualMachineSim {
     /// The good-machine value at CSR `position`.
     #[inline]
     pub fn good_at(&self, position: usize) -> T3 {
-        self.good[position]
+        unrail(self.vals[position])
     }
 
     /// The faulty-machine value at CSR `position`.
     #[inline]
     pub fn faulty_at(&self, position: usize) -> T3 {
-        self.faulty[position]
+        unrail(self.vals[position] >> 2)
     }
 
     /// The good-machine value of `node`.
     #[inline]
     pub fn good_of(&self, node: NodeId) -> T3 {
-        self.good[self.circuit.view().position(node)]
+        self.good_at(self.circuit.view().position(node))
     }
 
     /// The excitation obligation of the active target: the CSR position
@@ -499,10 +606,7 @@ impl DualMachineSim {
         if !self.is_member(view, root as usize) {
             return false;
         }
-        rest.iter().all(|&p| {
-            let p = p as usize;
-            self.good[p] == T3::X || self.faulty[p] == T3::X
-        })
+        rest.iter().all(|&p| has_x(self.vals[p as usize]))
     }
 
     /// The full X-region DFS from the current D-frontier, recording the
@@ -528,8 +632,7 @@ impl DualMachineSim {
             }
             self.xvisited[p] = v;
             self.xparent[p] = (packed >> 32) as u32;
-            let unknown = self.good[p] == T3::X || self.faulty[p] == T3::X;
-            if !unknown && self.xfrontier[p] != v {
+            if !has_x(self.vals[p]) && self.xfrontier[p] != v {
                 continue;
             }
             if view.is_output_at(p) {
@@ -584,16 +687,18 @@ impl DualMachineSim {
 
     /// Differential-oracle hook: recomputes both machines (and every
     /// derived counter) from scratch for the current assignment and
-    /// target, and compares against the incremental state. Intended for
-    /// tests; O(circuit).
+    /// target with the ternary truth tables ([`eval_t3_pos`],
+    /// [`eval_t3_branch`]), independently of the packed evaluator, and
+    /// compares against the incremental state. Intended for tests;
+    /// O(circuit).
     pub fn is_consistent(&self) -> bool {
         let view = self.circuit.view();
         let n = view.num_nodes();
         let mut good = vec![T3::X; n];
         let mut faulty = vec![T3::X; n];
         for &p in view.inputs() {
-            good[p as usize] = self.good[p as usize];
-            faulty[p as usize] = self.good[p as usize];
+            good[p as usize] = self.good_at(p as usize);
+            faulty[p as usize] = self.good_at(p as usize);
         }
         for p in 0..n {
             let kind = view.kind_at(p);
@@ -602,12 +707,12 @@ impl DualMachineSim {
             }
             faulty[p] = match self.target {
                 Some(t) if t.site_pos as usize == p => match t.branch_pin {
-                    None => t.stuck,
+                    None => unrail(t.stuck >> 2),
                     Some(pin) => eval_t3_branch(
                         kind,
                         view.fanins_at(p),
                         pin as usize,
-                        t.stuck,
+                        unrail(t.stuck >> 2),
                         |f| faulty[f as usize],
                     ),
                 },
@@ -620,7 +725,7 @@ impl DualMachineSim {
                 }
             };
         }
-        if good != self.good || faulty != self.faulty {
+        if (0..n).any(|p| self.good_at(p) != good[p] || self.faulty_at(p) != faulty[p]) {
             return false;
         }
         let mut effect_fanins = vec![0u32; n];
@@ -641,8 +746,7 @@ impl DualMachineSim {
     /// D-frontier membership of position `p` under the current state.
     #[inline]
     fn is_member(&self, view: &LevelizedCsr, p: usize) -> bool {
-        let out_unknown = self.good[p] == T3::X || self.faulty[p] == T3::X;
-        if !out_unknown || view.kind_at(p) == GateKind::Input {
+        if !has_x(self.vals[p]) || view.kind_at(p) == GateKind::Input {
             return false;
         }
         if self.effect_fanins[p] > 0 {
@@ -650,57 +754,53 @@ impl DualMachineSim {
         }
         match self.target {
             Some(t) if t.branch_pin.is_some() && t.site_pos as usize == p => {
-                self.good[t.excite_pos as usize] == T3::from_bool(t.excite_val)
+                self.good_at(t.excite_pos as usize) == T3::from_bool(t.excite_val)
             }
             _ => false,
         }
     }
 
-    /// Evaluates the pair a node *should* hold given current fanin
-    /// values and the active injection.
-    fn eval_pair(&self, view: &LevelizedCsr, p: usize) -> (T3, T3) {
-        let kind = view.kind_at(p);
-        let fanins = view.fanins_at(p);
-        let good = if kind == GateKind::Input {
-            self.good[p]
-        } else {
-            eval_t3_pos(kind, fanins, |f| self.good[f as usize])
-        };
-        let faulty = match self.target {
-            Some(t) if t.site_pos as usize == p => match t.branch_pin {
-                None => t.stuck,
-                Some(pin) => eval_t3_branch(kind, fanins, pin as usize, t.stuck, |f| {
-                    self.faulty[f as usize]
-                }),
-            },
-            _ => {
-                if kind == GateKind::Input {
-                    self.faulty[p]
-                } else {
-                    eval_t3_pos(kind, fanins, |f| self.faulty[f as usize])
-                }
-            }
-        };
-        (good, faulty)
+    /// The packed value position `p` should hold given its current fanin
+    /// values, without the injection.
+    #[inline(always)]
+    fn eval(&self, view: &LevelizedCsr, p: usize) -> u8 {
+        let pins = view.fanins_at(p).iter().map(|&f| self.vals[f as usize]);
+        eval_packed(view.kind_at(p), pins)
     }
 
-    /// Records and applies a value change; returns `false` if the pair
+    /// [`eval`](Self::eval) at the site of target `t`, with its injection:
+    /// a stem fault pins the faulty half, a branch fault the faulty
+    /// machine's read of its pin.
+    fn eval_site(&self, view: &LevelizedCsr, t: Target) -> u8 {
+        let p = t.site_pos as usize;
+        let kind = view.kind_at(p);
+        let pins = view.fanins_at(p).iter().map(|&f| self.vals[f as usize]);
+        match t.branch_pin {
+            Some(pin) => eval_branch(kind, pins, pin as usize, t.stuck),
+            None => {
+                let good = if kind == GateKind::Input {
+                    self.vals[p]
+                } else {
+                    eval_packed(kind, pins)
+                };
+                (good & GOOD) | t.stuck
+            }
+        }
+    }
+
+    /// Records and applies a value change; returns `false` if the value
     /// is unchanged. Keeps every derived counter in sync.
-    fn apply(&mut self, view: &LevelizedCsr, p: usize, new_good: T3, new_faulty: T3) -> bool {
-        let (old_good, old_faulty) = (self.good[p], self.faulty[p]);
-        if (old_good, old_faulty) == (new_good, new_faulty) {
+    #[inline]
+    fn apply(&mut self, view: &LevelizedCsr, p: usize, new: u8) -> bool {
+        let old = self.vals[p];
+        if old == new {
             return false;
         }
-        self.trail.push(Change {
-            pos: p as u32,
-            good: old_good,
-            faulty: old_faulty,
-        });
+        self.trail.push(Change { pos: p as u32, old });
         self.updates += 1;
         self.state_version += 1;
-        self.transition(view, p, is_effect(old_good, old_faulty), is_effect(new_good, new_faulty));
-        self.good[p] = new_good;
-        self.faulty[p] = new_faulty;
+        self.transition(view, p, carries_effect(old), carries_effect(new));
+        self.vals[p] = new;
         true
     }
 
@@ -709,18 +809,13 @@ impl DualMachineSim {
         let c = self.trail.pop().expect("trail entry present");
         let p = c.pos as usize;
         self.state_version += 1;
-        self.transition(
-            view,
-            p,
-            is_effect(self.good[p], self.faulty[p]),
-            is_effect(c.good, c.faulty),
-        );
-        self.good[p] = c.good;
-        self.faulty[p] = c.faulty;
+        self.transition(view, p, carries_effect(self.vals[p]), carries_effect(c.old));
+        self.vals[p] = c.old;
     }
 
     /// Derived-state bookkeeping for a value change at `p` whose effect
     /// status moves `was` → `now` (shared by apply and retract).
+    #[inline]
     fn transition(&mut self, view: &LevelizedCsr, p: usize, was: bool, now: bool) {
         if was != now {
             for &g in view.fanouts_at(p) {
@@ -801,49 +896,41 @@ impl DualMachineSim {
         }
     }
 
-    fn start_wave(&mut self) {
-        self.qversion = self.qversion.wrapping_add(1);
-        if self.qversion == 0 {
-            self.queued.fill(0);
-            self.qversion = 1;
-        }
-        self.wave_lo = usize::MAX;
-        self.wave_hi = 0;
-    }
-
+    /// Marks every fanout of `p` pending in the running wave.
+    #[inline]
     fn schedule_fanouts(&mut self, view: &LevelizedCsr, p: usize) {
         for &g in view.fanouts_at(p) {
-            if self.queued[g as usize] != self.qversion {
-                self.queued[g as usize] = self.qversion;
-                let lvl = view.level_at(g as usize) as usize;
-                self.buckets[lvl].push(g);
-                self.wave_lo = self.wave_lo.min(lvl);
-                self.wave_hi = self.wave_hi.max(lvl);
-            }
+            let w = g as usize / 64;
+            self.pending[w] |= 1 << (g % 64);
+            self.pending_end = self.pending_end.max(w + 1);
         }
     }
 
-    /// Drains the level buckets in ascending order, evaluating each
-    /// scheduled node once and rippling further changes forward.
-    fn run_wave(&mut self, view: &LevelizedCsr) {
-        if self.wave_lo == usize::MAX {
-            return;
-        }
-        let mut lvl = self.wave_lo;
-        while lvl <= self.wave_hi {
-            let mut bucket = std::mem::take(&mut self.buckets[lvl]);
-            for &p in &bucket {
-                let p = p as usize;
-                self.events += 1;
-                let (g, f) = self.eval_pair(view, p);
-                if self.apply(view, p, g, f) {
-                    self.schedule_fanouts(view, p);
-                }
+    /// Drains the pending bitset lowest position first, evaluating each
+    /// pending node once and rippling further changes forward. `from` is
+    /// the wave's seed position: every pending position lies above it.
+    fn run_wave(&mut self, view: &LevelizedCsr, from: usize) {
+        let target = self.target.expect("a wave runs under a target");
+        let mut w = from / 64;
+        while w < self.pending_end {
+            let bits = self.pending[w];
+            if bits == 0 {
+                w += 1;
+                continue;
             }
-            bucket.clear();
-            self.buckets[lvl] = bucket;
-            lvl += 1;
+            self.pending[w] = bits & (bits - 1);
+            let p = w * 64 + bits.trailing_zeros() as usize;
+            self.events += 1;
+            let v = if p == target.site_pos as usize {
+                self.eval_site(view, target)
+            } else {
+                self.eval(view, p)
+            };
+            if self.apply(view, p, v) {
+                self.schedule_fanouts(view, p);
+            }
         }
+        self.pending_end = 0;
     }
 }
 
@@ -944,7 +1031,10 @@ G23 = NAND(G16, G19)
             for value_bits in 0..(1u32 << n_inputs) {
                 for pi in 0..n_inputs {
                     sim.assign(pi, value_bits >> pi & 1 == 1);
-                    assert!(sim.is_consistent(), "{name}: {fault} bits={value_bits} pi={pi}");
+                    assert!(
+                        sim.is_consistent(),
+                        "{name}: {fault} bits={value_bits} pi={pi}"
+                    );
                     sim.refresh_frontier();
                     assert_eq!(
                         sim.frontier_ids(),
@@ -988,11 +1078,79 @@ G23 = NAND(G16, G19)
     }
 
     #[test]
+    fn exhaustive_walk_nor_xnor_wide_gates() {
+        // The parity and inverted formulas on 2- and 3-input gates, with
+        // a constant 0 feeding both an OR and a NOR.
+        exhaustive_walk(
+            "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(y)\nOUTPUT(z)\n\
+             k = CONST0()\nn = NOR(a, b)\nx = XOR(a, c, d)\ne = XNOR(n, x)\n\
+             g = NAND(e, b, d)\ny = OR(g, k)\nz = NOR(x, k, n)\n",
+            "wide",
+        );
+    }
+
+    /// The packed evaluator against the ternary truth table: every gate
+    /// kind with a logic function, every fanin count it allows up to 3,
+    /// and every (good, faulty) pair on every pin.
+    #[test]
+    fn packed_gates_match_the_ternary_truth_table() {
+        let values = [T3::Zero, T3::One, T3::X];
+        let pairs: Vec<(T3, T3)> = values
+            .iter()
+            .flat_map(|&g| values.iter().map(move |&f| (g, f)))
+            .collect();
+        for kind in GateKind::ALL {
+            if kind == GateKind::Input {
+                continue;
+            }
+            let (lo, hi) = kind.arity_range();
+            for arity in lo..=hi.min(3) {
+                let fanins: Vec<u32> = (0..arity as u32).collect();
+                for code in 0..pairs.len().pow(arity as u32) {
+                    let pins: Vec<(T3, T3)> = (0..arity)
+                        .map(|i| pairs[code / pairs.len().pow(i as u32) % pairs.len()])
+                        .collect();
+                    let packed: Vec<u8> =
+                        pins.iter().map(|&(g, f)| rail(g) | rail(f) << 2).collect();
+                    let good = eval_t3_pos(kind, &fanins, |p| pins[p as usize].0);
+                    let faulty = eval_t3_pos(kind, &fanins, |p| pins[p as usize].1);
+                    let out = eval_packed(kind, packed.iter().copied());
+                    // Only the codes 01, 10 and 00 per machine, nothing
+                    // above the faulty machine's two bits.
+                    assert!(
+                        out < 16 && out & GOOD != GOOD && out >> 2 != GOOD,
+                        "{kind:?} {pins:?}: invalid code {out:#06b}"
+                    );
+                    assert_eq!(
+                        (unrail(out), unrail(out >> 2)),
+                        (good, faulty),
+                        "{kind:?} {pins:?}"
+                    );
+                    for pin in 0..arity {
+                        for stuck in [T3::Zero, T3::One] {
+                            let out =
+                                eval_branch(kind, packed.iter().copied(), pin, rail(stuck) << 2);
+                            let faulty =
+                                eval_t3_branch(kind, &fanins, pin, stuck, |p| pins[p as usize].1);
+                            assert_eq!(
+                                (unrail(out), unrail(out >> 2)),
+                                (good, faulty),
+                                "{kind:?} {pins:?} pin {pin} stuck at {stuck}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn detection_matches_fault_simulation() {
         let circuit = compile(C17, "c17");
         let faults = adi_netlist::fault::FaultList::full(circuit.netlist());
         let patterns = crate::PatternSet::exhaustive(5);
-        let matrix = crate::FaultSimulator::for_circuit(&circuit, &faults).no_drop_matrix(&patterns);
+        let matrix =
+            crate::FaultSimulator::for_circuit(&circuit, &faults).no_drop_matrix(&patterns);
         let mut sim = DualMachineSim::for_circuit(&circuit);
         for (id, fault) in faults.iter() {
             sim.begin_target(fault);
@@ -1032,7 +1190,6 @@ G23 = NAND(G16, G19)
         sim.end_target();
     }
 
-
     #[test]
     fn x_path_cache_skips_repeat_walks() {
         // Same-state queries hit the version cache; after a state change
@@ -1049,7 +1206,11 @@ G23 = NAND(G16, G19)
         // G22 survives, so the state change costs a revalidation only.
         sim.assign(1, true);
         assert!(sim.x_path_exists());
-        assert_eq!(sim.xpath_counters(), (3, 1), "witness revalidation, no walk");
+        assert_eq!(
+            sim.xpath_counters(),
+            (3, 1),
+            "witness revalidation, no walk"
+        );
         // Retract back to just the excitation: the cache is invalidated
         // by the trail, and the answer stays exact.
         sim.retract_frame();
