@@ -11,33 +11,56 @@
 //! **lazy level queue**: each fault waits at the level of its last-known
 //! ADI, and the levels are processed from the highest down. A level's
 //! faults are visited in original fault order. A visited fault whose ADI
-//! still equals the level is selected; one whose ADI fell is refiled at
-//! its exact current ADI. Refiles always go to a strictly lower level, so
-//! no fault joins a level while it is being processed: each level is a
+//! still equals the level is selected; one whose ADI fell is refiled at a
+//! lower level that is still at least its current ADI (its exact ADI, or
+//! the witness bound below). Refiles always go to a strictly lower level,
+//! so no fault joins a level while it is being processed: each level is a
 //! plain `Vec`, sorted once when it is reached and freed after it. The
 //! result is the naive greedy's (after every selection, the remaining
 //! fault with the highest current ADI, ties to the smallest fault index).
 //!
-//! Under [`AdiEstimator::MinNdet`] a visit is a word-parallel staleness
-//! test. While level `l` is processed, a `|U|`-bit mask `low` holds the
-//! vectors with `ndet(u) < l`. The mask is rebuilt from `ndet` when `l` is
-//! reached and gains a bit whenever a selection drops an `ndet(u)` below
-//! `l`. A fault at level `l` is stale iff its row of the detection matrix
-//! intersects `low`. Its exact ADI is then the minimum `ndet(u)` over just
-//! that intersection, because every other vector of its row still has
-//! `ndet(u) >= l`. A visit thus costs `O(|U|/64 + |D(f) ∩ low|)` instead of
-//! a read of all of `D(f)`. Under [`AdiEstimator::MeanNdet`] a visit
-//! recomputes `⌊Σ ndet(u) / |D(f)|⌋` over the row.
+//! Under [`AdiEstimator::MinNdet`] a visit first reads one count. Each
+//! fault keeps a **witness**: the vector of `D(f)` that had the least
+//! `ndet(u)` at the fault's last row scan. The witness is in `D(f)`, so
+//! `ndet(witness)` bounds the fault's current ADI from above. A fault
+//! visited at level `l` with `ndet(witness) < l` is therefore stale, and
+//! it is refiled at `ndet(witness)` without its row being read. The queue
+//! needs only two things to reproduce the greedy: every fault waits at a
+//! level at least its current ADI, and every refile goes strictly lower. A
+//! witness refile keeps both, because `ADI <= ndet(witness) < l`, so it
+//! cannot change the order. It only defers the exact ADI: a fault refiled
+//! above its ADI is visited again at that level, and either its witness
+//! settles it again or its row is scanned there.
 //!
-//! Visits still outnumber selections by two orders of magnitude, which is
-//! why their cost matters: with the `irs820` stand-in and a 10,000-vector
-//! `U` the queue makes 95,870 visits for 919 selections, and on a
-//! 60-input, 800-gate generated circuit 838,406 visits for 2,643
-//! selections.
+//! When the witness does not settle a visit (`ndet(witness) >= l`, or the
+//! fault has not been scanned yet), the row is scanned with a
+//! word-parallel staleness test. While level `l` is processed, a
+//! `|U|`-bit mask `low` holds the vectors with `ndet(u) < l`. The mask is
+//! rebuilt from `ndet` when `l` is reached and gains a bit whenever a
+//! selection drops an `ndet(u)` below `l`. A fault at level `l` is stale
+//! iff its row of the detection matrix intersects `low`. Its exact ADI is
+//! then the minimum `ndet(u)` over just that intersection, because every
+//! other vector of its row still has `ndet(u) >= l`. It is refiled there,
+//! and the vector with that minimum becomes its new witness; a fault whose
+//! row misses `low` is selected. A scan costs `O(|U|/64 + |D(f) ∩ low|)`.
+//! Under [`AdiEstimator::MeanNdet`] a visit recomputes
+//! `⌊Σ ndet(u) / |D(f)|⌋` over the row.
+//!
+//! Visits outnumber selections by two orders of magnitude, because a
+//! fault's ADI usually falls one level at a time and each fall costs a
+//! visit. Most of those visits are settled by the witness. On a 60-input,
+//! 800-gate generated circuit the queue makes 838,406 visits for 2,643
+//! selections; the witness settles 714,250 of them and 124,156 scan a
+//! row. With the `irs820` stand-in and a 10,000-vector `U` it makes
+//! 95,870 visits for 919 selections, of which 15,563 scan a row. On the
+//! `irs13207` stand-in the witness settles 57.1M of 67.7M visits.
 
 use adi_netlist::fault::FaultId;
 
 use crate::{AdiAnalysis, AdiEstimator};
+
+/// `witness[f]` before `f`'s first row scan: no vector's index.
+const NO_WITNESS: u32 = u32::MAX;
 
 /// Computes the dynamic decreasing-ADI order over the faults **detected**
 /// by `U` (zero-ADI faults are excluded; callers append or prepend them
@@ -98,9 +121,16 @@ pub fn dynamic_order_traced(analysis: &AdiAnalysis) -> DynamicTrace {
 
     let mut order = Vec::with_capacity(detected);
     let mut selected_adi = Vec::with_capacity(detected);
-    // Bit u is set iff ndet(u) is below the level being processed. Only the
-    // MinNdet test reads it.
+    // Bit u is set iff ndet(u) is below the level being processed, and
+    // witness[f] is the vector of D(f) with the least ndet(u) at f's last
+    // row scan (NO_WITNESS before its first). Only the MinNdet test reads
+    // them.
     let mut low = vec![0u64; matrix.num_blocks()];
+    let mut witness = vec![NO_WITNESS; matrix.num_faults()];
+    assert!(
+        ndet.len() < NO_WITNESS as usize,
+        "a witness holds a vector index in a u32"
+    );
     for level in (1..=top).rev() {
         let mut queue = std::mem::take(&mut levels[level as usize]);
         if queue.is_empty() {
@@ -118,7 +148,27 @@ pub fn dynamic_order_traced(analysis: &AdiAnalysis) -> DynamicTrace {
         while let Some(f) = queue.pop() {
             let row = matrix.row(f);
             let a = match estimator {
-                AdiEstimator::MinNdet => masked_min(row, &low, &ndet).min(level),
+                AdiEstimator::MinNdet => {
+                    let w = &mut witness[f.index()];
+                    match ndet.get(*w as usize) {
+                        // Stale by its witness alone: ndet(w) bounds the
+                        // ADI from above, so the row need not be read.
+                        Some(&bound) if bound < level => {
+                            debug_assert!(
+                                estimator.aggregate(matrix.detecting_patterns(f), &ndet) <= bound,
+                                "a witness must bound its fault's ADI from above"
+                            );
+                            bound
+                        }
+                        _ => match masked_min(row, &low, &ndet) {
+                            Some((u, min)) => {
+                                *w = u as u32;
+                                min
+                            }
+                            None => level,
+                        },
+                    }
+                }
                 AdiEstimator::MeanNdet => estimator.aggregate(matrix.detecting_patterns(f), &ndet),
             };
             debug_assert!(a <= level, "ADI must be monotone non-increasing");
@@ -158,18 +208,21 @@ pub fn dynamic_order_traced(analysis: &AdiAnalysis) -> DynamicTrace {
     }
 }
 
-/// The minimum `ndet(u)` over the vectors set in both `row` and `low`, or
-/// `u32::MAX` when they share none.
-fn masked_min(row: &[u64], low: &[u64], ndet: &[u32]) -> u32 {
-    let mut min = u32::MAX;
+/// Among the vectors set in both `row` and `low`, the first with the least
+/// `ndet(u)`, and that count; `None` when they share none.
+fn masked_min(row: &[u64], low: &[u64], ndet: &[u32]) -> Option<(usize, u32)> {
+    let (mut at, mut min) = (0, u32::MAX);
     for (b, (&r, &m)) in row.iter().zip(low).enumerate() {
         let mut w = r & m;
         while w != 0 {
-            min = min.min(ndet[b * 64 + w.trailing_zeros() as usize]);
+            let u = b * 64 + w.trailing_zeros() as usize;
+            if ndet[u] < min {
+                (at, min) = (u, ndet[u]);
+            }
             w &= w - 1;
         }
     }
-    min
+    (min != u32::MAX).then_some((at, min))
 }
 
 #[cfg(test)]

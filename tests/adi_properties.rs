@@ -7,8 +7,10 @@ use adi::core::metrics::average_detection_position;
 use adi::core::{order_faults, AdiAnalysis, AdiConfig, AdiEstimator, FaultOrdering};
 use adi::netlist::fault::{FaultId, FaultList};
 use adi::netlist::{CompiledCircuit, Netlist};
-use adi::sim::{CoverageCurve, PatternSet};
+use adi::sim::{CoverageCurve, DetectionMatrix, PatternSet};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn tiny_circuit() -> impl Strategy<Value = Netlist> {
     (2usize..=8, 4usize..=30, any::<u64>()).prop_map(|(inputs, gates, seed)| {
@@ -262,5 +264,56 @@ fn zero_adi_faults_keep_relative_order() {
             .filter(|f| analysis.adi(*f) == 0)
             .collect();
         assert_eq!(in_order, zeros, "{ordering}");
+    }
+}
+
+/// A seeded detection matrix of `faults` rows over `vectors` columns at
+/// density about 1/3, close to that of `U` on the benchmark's `flow`
+/// circuits. About one row in ten repeats an earlier row (equal ADI all
+/// the way down) and one in twenty detects a single vector.
+fn random_matrix(faults: usize, vectors: usize, seed: u64) -> DetectionMatrix {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut m = DetectionMatrix::new(faults, vectors);
+    for f in (0..faults).map(FaultId::new) {
+        let row: Vec<usize> = match rng.gen_range(0..20u32) {
+            0 | 1 if f.index() > 0 => {
+                let earlier = FaultId::new(rng.gen_range(0..f.index()));
+                m.detecting_patterns(earlier).collect()
+            }
+            2 => vec![rng.gen_range(0..vectors)],
+            _ => (0..vectors)
+                .filter(|_| rng.gen_range(0..3u32) == 0)
+                .collect(),
+        };
+        for u in row {
+            m.set(f, u);
+        }
+    }
+    m
+}
+
+/// Long refile chains: with hundreds of faults on each vector, a fault's
+/// ADI falls through dozens of levels before it is selected, so the
+/// level queue refiles each fault 22 to 56 times on average here, against
+/// about 11 on the small circuits of `dynamic_order_matches_naive_greedy`.
+/// Rows span 1, 3, 7 and 11 words; all but the first end in a partial
+/// word.
+#[test]
+fn long_refile_chains_match_naive_greedy() {
+    for (faults, vectors, seed) in [(500, 64, 1), (300, 150, 2), (250, 420, 3), (200, 700, 4)] {
+        for estimator in ESTIMATORS {
+            let analysis = AdiAnalysis::from_matrix(
+                random_matrix(faults, vectors, seed),
+                AdiConfig {
+                    estimator,
+                    ..AdiConfig::default()
+                },
+            );
+            assert_eq!(
+                dynamic_order_traced(&analysis),
+                naive_dynamic(&analysis, estimator),
+                "{estimator:?}, {faults} faults over {vectors} vectors"
+            );
+        }
     }
 }
