@@ -27,10 +27,10 @@
 //! the differential oracle: it re-simulates both machines over the whole
 //! netlist in node-id order on every decision and backtrack. The two
 //! produce **bit-identical** outcomes, test cubes, and decision/backtrack
-//! counts (asserted by the `podem_equivalence` differential suite and
-//! gated in `perf_report`); only the [`PodemStats::sim_events`] /
-//! [`PodemStats::sim_updates`] diagnostics reflect the simulation work
-//! each one actually did. Production code calls only `generate`.
+//! counts (asserted by the `podem_equivalence` differential suite); only
+//! the [`PodemStats::sim_events`] / [`PodemStats::sim_updates`]
+//! diagnostics reflect the simulation work each one actually did.
+//! Production code calls only `generate`.
 
 use adi_netlist::fault::{Fault, FaultSite};
 use adi_netlist::{CompiledCircuit, GateKind, Netlist, NodeId};
@@ -257,9 +257,9 @@ impl PodemStats {
     /// the simulation-specific `sim_events`/`sim_updates` diagnostics and
     /// the scheduling-dependent `wasted_speculations` counter.
     /// [`Podem::generate`] and [`Podem::generate_reference`] must produce
-    /// equal values here; every parity gate (the equivalence suite,
-    /// `perf_report`) compares through this single accessor so the
-    /// contract cannot drift.
+    /// equal values here; every parity check of the equivalence suites
+    /// compares through this single accessor so the contract cannot
+    /// drift.
     pub fn search_counters(self) -> (u64, u64, u64, u64, u64, u64) {
         (
             self.targets,
@@ -375,8 +375,7 @@ impl Podem {
     /// redundancy screen and SAT fallback. Bit-identical outcomes and
     /// [`search_counters`](PodemStats::search_counters); only the
     /// simulation diagnostics differ. The differential oracle of the
-    /// `podem_equivalence` suite and `perf_report`, not a production
-    /// path.
+    /// `podem_equivalence` suite, not a production path.
     ///
     /// # Panics
     ///

@@ -606,7 +606,7 @@ impl<'a> TestGenerator<'a> {
     /// SAT resolutions are bit-identical to the production loops'; the
     /// simulation diagnostics (`sim_events`, `sim_updates`) describe the
     /// full-resim search and differ. The differential oracle of the
-    /// equivalence suites and `perf_report`, not a production path.
+    /// equivalence suites, not a production path.
     ///
     /// # Panics
     ///

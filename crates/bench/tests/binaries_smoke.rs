@@ -2,8 +2,9 @@
 //! print its headline. The fast binaries run on their real (small)
 //! workload; the ATPG-heavy ones are exercised with `--max-gates 0`
 //! (argument handling, empty-suite rendering) to keep debug-mode test
-//! time bounded — their real outputs are validated by the recorded
-//! `EXPERIMENTS.md` run.
+//! time bounded. Their real outputs come from the release runs the
+//! README's "Regenerating the paper's tables and figures" section
+//! describes.
 
 use std::process::Command;
 
@@ -53,269 +54,6 @@ fn table6_and_7_render_empty_suite() {
         assert!(ok, "{bin}");
         assert!(stdout.contains(headline), "{bin}");
     }
-}
-
-#[test]
-fn perf_report_writes_json() {
-    let dir = std::env::temp_dir().join("adi_perf_report_smoke");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let out_path = dir.join("BENCH_smoke.json");
-    let _ = std::fs::remove_file(&out_path);
-    // `--quick` exempts the ratio gate: debug-mode timings on a tiny
-    // circuit say nothing about the release-mode perf trajectory.
-    let (ok, stdout) = run(
-        env!("CARGO_BIN_EXE_perf_report"),
-        &[
-            "--quick",
-            "--max-gates",
-            "150",
-            "--patterns",
-            "64",
-            "--out",
-            out_path.to_str().expect("utf-8 temp path"),
-        ],
-    );
-    assert!(ok);
-    assert!(stdout.contains("speedup"));
-    let json = std::fs::read_to_string(&out_path).expect("report written");
-    assert!(json.contains("\"schema\": \"adi-perf-report/v9\""));
-    assert!(json.contains("\"circuit\": \"irs208\""));
-    assert!(json.contains("\"engine\": \"per-fault\""));
-    assert!(json.contains("\"engine\": \"stem-region\""));
-    for phase in ["no-drop", "dropping", "adi", "atpg", "drop-loop", "podem", "service"] {
-        assert!(json.contains(&format!("\"phase\": \"{phase}\"")), "{phase}");
-    }
-    // v3: raw-PODEM throughput metrics on the podem entries.
-    assert!(json.contains("\"targets_per_s\""));
-    assert!(json.contains("\"events_per_decision\""));
-    // compile-once vs compile-per-call accounting per circuit (since v2).
-    assert!(json.contains("\"compile_ns\""));
-    assert!(json.contains("\"adi_compile_once_ns\""));
-    assert!(json.contains("\"adi_per_call_ns\""));
-    // v4: the service phase (cold vs cache-hit request latency).
-    assert!(json.contains("\"cold_compile_ns\""));
-    assert!(json.contains("\"cache_hit_ns\""));
-    assert!(json.contains("\"hit_speedup\""));
-    assert!(json.contains("\"throughput_rps\""));
-    // v5: the wide-word lattice, one cell per (circuit, lanes, threads).
-    for lanes in [1, 2, 4, 8] {
-        assert!(json.contains(&format!("\"lanes\": {lanes}")), "lanes {lanes}");
-    }
-    assert!(json.contains("\"patterns_per_s\""));
-    assert!(json.contains("\"patterns_per_s_per_core\""));
-    assert!(json.contains("\"scaling_efficiency\""));
-    // v6: the speculative-ATPG lattice, one cell per (circuit, threads).
-    assert!(json.contains("\"atpg_scaling\""));
-    assert!(json.contains("\"host_parallelism\""));
-    assert!(json.contains("\"wasted_speculations\""));
-    assert!(json.contains("\"generate_ns\""));
-    assert!(json.contains("\"drop_ns\""));
-    assert!(json.contains("\"commit_wait_ns\""));
-    // v7: the SAT proof phase (proofs/s + aborted-fault resolution).
-    assert!(json.contains("\"sat\""));
-    assert!(json.contains("\"proofs_per_s\""));
-    assert!(json.contains("\"aborted_faults\""));
-    assert!(json.contains("\"resolved_redundant\""));
-    assert!(json.contains("\"resolved_testable\""));
-    assert!(json.contains("\"resolved_undecided\""));
-    // v8: the scenario-cache phase and the open-loop service phase.
-    assert!(json.contains("\"scenario_cache\""));
-    assert!(json.contains("\"endpoint\""));
-    assert!(json.contains("\"cold_ns\""));
-    assert!(json.contains("\"hit_ns\""));
-    assert!(json.contains("\"open_loop\""));
-    assert!(json.contains("\"offered_rps\""));
-    assert!(json.contains("\"achieved_rps\""));
-    assert!(json.contains("\"shed\""));
-    assert!(json.contains("\"p99_ms\""));
-    assert!(json.contains("\"p999_ms\""));
-    // v9: the observability phase and the server-side queue-wait scrape.
-    assert!(json.contains("\"observability\""));
-    assert!(json.contains("\"disabled_ns\""));
-    assert!(json.contains("\"enabled_ns\""));
-    assert!(json.contains("\"overhead\""));
-    assert!(json.contains("\"queue_wait_count\""));
-    assert!(json.contains("\"queue_wait_p99_ms\""));
-    let _ = std::fs::remove_file(&out_path);
-}
-
-#[test]
-fn perf_report_obs_overhead_gate_fires_on_injected_inflation() {
-    let dir = std::env::temp_dir().join("adi_perf_report_obs_gate");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let out_path = dir.join("BENCH_obs_gate.json");
-    let _ = std::fs::remove_file(&out_path);
-    // The hidden flag inflates the tracing-enabled wall; the relative
-    // overhead gate must catch it and refuse to write any report.
-    let out = Command::new(env!("CARGO_BIN_EXE_perf_report"))
-        .args([
-            "--quick",
-            "--max-gates",
-            "150",
-            "--patterns",
-            "64",
-            "--inject-obs-overhead",
-            "--out",
-            out_path.to_str().expect("utf-8 temp path"),
-        ])
-        .output()
-        .expect("spawn");
-    assert!(!out.status.success(), "injected inflation must fail the run");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("observability overhead gate fired"),
-        "stderr: {stderr}"
-    );
-    assert!(!out_path.exists(), "no report may be written on a gate failure");
-}
-
-#[test]
-fn perf_report_scenario_agreement_gate_fires_on_injected_mismatch() {
-    let dir = std::env::temp_dir().join("adi_perf_report_scenario_gate");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let out_path = dir.join("BENCH_scenario_gate.json");
-    let _ = std::fs::remove_file(&out_path);
-    // The hidden flag corrupts one cached payload; the byte-identity
-    // gate must catch it and refuse to write any report.
-    let out = Command::new(env!("CARGO_BIN_EXE_perf_report"))
-        .args([
-            "--quick",
-            "--max-gates",
-            "150",
-            "--patterns",
-            "64",
-            "--inject-scenario-mismatch",
-            "--out",
-            out_path.to_str().expect("utf-8 temp path"),
-        ])
-        .output()
-        .expect("spawn");
-    assert!(!out.status.success(), "injected mismatch must fail the run");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("scenario agreement gate fired"),
-        "stderr: {stderr}"
-    );
-    assert!(!out_path.exists(), "no report may be written on a mismatch");
-}
-
-#[test]
-fn perf_report_atpg_agreement_gate_fires_on_injected_mismatch() {
-    let dir = std::env::temp_dir().join("adi_perf_report_atpg_gate");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let out_path = dir.join("BENCH_atpg_gate.json");
-    let _ = std::fs::remove_file(&out_path);
-    // The hidden flag skews one speculative cell's fill seed; the
-    // sequential-agreement gate must catch it and refuse to write any
-    // report.
-    let out = Command::new(env!("CARGO_BIN_EXE_perf_report"))
-        .args([
-            "--quick",
-            "--max-gates",
-            "150",
-            "--patterns",
-            "64",
-            "--inject-atpg-mismatch",
-            "--out",
-            out_path.to_str().expect("utf-8 temp path"),
-        ])
-        .output()
-        .expect("spawn");
-    assert!(!out.status.success(), "injected mismatch must fail the run");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("atpg agreement gate fired"),
-        "stderr: {stderr}"
-    );
-    assert!(!out_path.exists(), "no report may be written on a mismatch");
-}
-
-#[test]
-fn perf_report_sat_agreement_gate_fires_on_injected_mismatch() {
-    let dir = std::env::temp_dir().join("adi_perf_report_sat_gate");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let out_path = dir.join("BENCH_sat_gate.json");
-    let _ = std::fs::remove_file(&out_path);
-    // The hidden flag flips one decided SAT verdict; the PODEM-agreement
-    // gate must catch it and refuse to write any report.
-    let out = Command::new(env!("CARGO_BIN_EXE_perf_report"))
-        .args([
-            "--quick",
-            "--max-gates",
-            "150",
-            "--patterns",
-            "64",
-            "--inject-sat-mismatch",
-            "--out",
-            out_path.to_str().expect("utf-8 temp path"),
-        ])
-        .output()
-        .expect("spawn");
-    assert!(!out.status.success(), "injected mismatch must fail the run");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("sat agreement gate fired"),
-        "stderr: {stderr}"
-    );
-    assert!(!out_path.exists(), "no report may be written on a mismatch");
-}
-
-#[test]
-fn perf_report_width_agreement_gate_fires_on_injected_mismatch() {
-    let dir = std::env::temp_dir().join("adi_perf_report_width_gate");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let out_path = dir.join("BENCH_width_gate.json");
-    let _ = std::fs::remove_file(&out_path);
-    // The hidden flag corrupts one lattice cell's pattern set; the
-    // agreement gate must catch it and refuse to write any report.
-    let out = Command::new(env!("CARGO_BIN_EXE_perf_report"))
-        .args([
-            "--quick",
-            "--max-gates",
-            "150",
-            "--patterns",
-            "64",
-            "--inject-width-mismatch",
-            "--out",
-            out_path.to_str().expect("utf-8 temp path"),
-        ])
-        .output()
-        .expect("spawn");
-    assert!(!out.status.success(), "injected mismatch must fail the run");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("width agreement gate fired"),
-        "stderr: {stderr}"
-    );
-    assert!(!out_path.exists(), "no report may be written on a mismatch");
-}
-
-#[test]
-fn perf_report_ratio_gate_fires() {
-    let dir = std::env::temp_dir().join("adi_perf_report_gate");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let out_path = dir.join("BENCH_gate.json");
-    let _ = std::fs::remove_file(&out_path);
-    // An unreachable floor must fail the (non-quick) run with exit 1,
-    // after the JSON snapshot was still written.
-    let out = Command::new(env!("CARGO_BIN_EXE_perf_report"))
-        .args([
-            "--max-gates",
-            "150",
-            "--patterns",
-            "64",
-            "--min-speedup",
-            "1000000",
-            "--out",
-            out_path.to_str().expect("utf-8 temp path"),
-        ])
-        .output()
-        .expect("spawn");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("below the"), "stderr: {stderr}");
-    assert!(out_path.exists(), "snapshot written before the gate fires");
-    let _ = std::fs::remove_file(&out_path);
 }
 
 #[test]

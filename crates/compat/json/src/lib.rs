@@ -1,9 +1,9 @@
 //! Offline JSON stand-in: a serde-free value model, parser, and writer.
 //!
 //! The build environment has no crates.io access, so this crate provides
-//! the JSON subset the workspace actually needs — the `adi-service` wire
-//! protocol (newline-delimited JSON over TCP/stdio) and the
-//! `perf_report` snapshot writer. It is deliberately small:
+//! the JSON subset the workspace actually needs: the `adi-service` wire
+//! protocol (newline-delimited JSON over TCP/stdio), on the server and
+//! client side. It is deliberately small:
 //!
 //! * [`Value`] — the usual JSON data model. Numbers distinguish
 //!   integers ([`Value::Int`], `i64`) from floats ([`Value::Float`]) so
@@ -14,9 +14,9 @@
 //!   depth limit (the service feeds it untrusted bytes), full string
 //!   escapes including `\uXXXX` surrogate pairs, and byte-offset error
 //!   positions.
-//! * [`Value::to_string`](std::string::ToString) / [`Value::pretty`] —
-//!   compact and 2-space-indented writers. Non-finite floats serialize
-//!   as `null` (there is no JSON spelling for them).
+//! * [`Value::to_string`](std::string::ToString) — a compact writer.
+//!   Non-finite floats serialize as `null` (there is no JSON spelling
+//!   for them).
 //!
 //! # Examples
 //!
@@ -183,65 +183,6 @@ impl Value {
         self.as_object().and_then(|o| o.get(key))
     }
 
-    /// An integer that may exceed `i64` (e.g. nanosecond totals held in
-    /// a `u128`): exact as [`Value::Int`] when it fits, lossily rounded
-    /// to [`Value::Float`] otherwise.
-    pub fn from_u128(n: u128) -> Value {
-        match i64::try_from(n) {
-            Ok(v) => Value::Int(v),
-            Err(_) => Value::Float(n as f64),
-        }
-    }
-
-    /// `value` rounded to `digits` decimal places, as a float. Keeps
-    /// written reports stable and diff-friendly.
-    pub fn rounded(value: f64, digits: u32) -> Value {
-        let scale = 10f64.powi(digits as i32);
-        Value::Float((value * scale).round() / scale)
-    }
-
-    /// Serializes with 2-space indentation and `"key": value` spacing.
-    pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write_pretty(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write_pretty(&self, out: &mut String, depth: usize) {
-        match self {
-            Value::Array(items) if !items.is_empty() => {
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    push_indent(out, depth + 1);
-                    item.write_pretty(out, depth + 1);
-                    if i + 1 != items.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                push_indent(out, depth);
-                out.push(']');
-            }
-            Value::Object(o) if !o.is_empty() => {
-                out.push_str("{\n");
-                for (i, (k, v)) in o.iter().enumerate() {
-                    push_indent(out, depth + 1);
-                    write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write_pretty(out, depth + 1);
-                    if i + 1 != o.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                push_indent(out, depth);
-                out.push('}');
-            }
-            other => other.write_compact(out),
-        }
-    }
-
     fn write_compact(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
@@ -275,12 +216,6 @@ impl Value {
                 out.push('}');
             }
         }
-    }
-}
-
-fn push_indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
     }
 }
 
@@ -757,28 +692,7 @@ mod tests {
     }
 
     #[test]
-    fn pretty_output_is_stable_and_reparsable() {
-        let mut inner = Object::new();
-        inner.insert("name", "irs208");
-        inner.insert("wall_ns", Value::from_u128(1_234_567));
-        let mut root = Object::new();
-        root.insert("schema", "test/v1");
-        root.insert("entries", Value::Array(vec![inner.into()]));
-        root.insert("empty", Value::Array(vec![]));
-        let doc = Value::Object(root);
-        let text = doc.pretty();
-        assert_eq!(
-            text,
-            "{\n  \"schema\": \"test/v1\",\n  \"entries\": [\n    {\n      \
-             \"name\": \"irs208\",\n      \"wall_ns\": 1234567\n    }\n  ],\n  \
-             \"empty\": []\n}\n"
-        );
-        assert_eq!(parse(&text).unwrap(), doc);
-    }
-
-    #[test]
     fn floats_round_and_serialize_json_legal() {
-        assert_eq!(Value::rounded(2.53456, 3).to_string(), "2.535");
         assert_eq!(Value::Float(2.0).to_string(), "2.0");
         assert_eq!(Value::Float(f64::NAN).to_string(), "null");
         assert_eq!(Value::Float(f64::INFINITY).to_string(), "null");
@@ -796,11 +710,5 @@ mod tests {
         assert!(v.get("n").unwrap().is_null());
         assert!(v.get("missing").is_none());
         assert_eq!(Value::Float(3.0).as_i64(), Some(3));
-    }
-
-    #[test]
-    fn from_u128_exact_within_i64() {
-        assert_eq!(Value::from_u128(170_000_000_000), Value::Int(170_000_000_000));
-        assert!(matches!(Value::from_u128(u128::MAX), Value::Float(_)));
     }
 }

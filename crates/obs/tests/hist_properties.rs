@@ -15,7 +15,7 @@ fn serial_reference(values: &[u64]) -> HistogramSnapshot {
 
 proptest! {
     /// Per-thread histograms merged into one equal the serial result —
-    /// the pattern perf_report and the sim workers use.
+    /// the pattern the sim workers use.
     #[test]
     fn concurrent_merge_equals_serial(
         chunks in proptest::collection::vec(proptest::collection::vec(any::<u64>(), 0..200), 1..8)

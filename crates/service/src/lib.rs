@@ -47,8 +47,8 @@
 //!
 //! # Examples
 //!
-//! In-process use (the same path `perf_report`'s `service` phase
-//! measures):
+//! In-process use (the same path the `crates/service/tests` agreement
+//! checks drive):
 //!
 //! ```
 //! use adi_service::{ServiceState, StoreConfig};

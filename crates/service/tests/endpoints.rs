@@ -1,7 +1,9 @@
 //! End-to-end obligations of the service endpoints:
 //!
 //! 1. every endpoint's response is **bit-identical** to the direct
-//!    library computation it wraps (same defaults, same seeds);
+//!    library computation it wraps (same defaults, same seeds), on the
+//!    test's own circuit and on every paper-suite circuit up to 300
+//!    gates;
 //! 2. hash-addressed (cache-hit) requests perform **zero**
 //!    levelizations — the whole point of the hash-cached store;
 //! 3. the TCP transport serves the same protocol and shuts down
@@ -15,7 +17,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 
 use adi_atpg::{TestGenConfig, TestGenerator};
-use adi_circuits::{embedded, random_circuit, RandomCircuitConfig};
+use adi_circuits::{embedded, paper_suite_up_to, random_circuit, RandomCircuitConfig};
 use adi_core::reorder::reorder_tests_for;
 use adi_core::uset::{select_u_for, USetConfig};
 use adi_core::{order_faults, AdiAnalysis, AdiConfig, FaultOrdering};
@@ -26,17 +28,28 @@ use json::Value;
 
 static BUILD_COUNT_LOCK: Mutex<()> = Mutex::new(());
 
-/// A mid-size circuit where random vectors leave real work to do.
-///
-/// Returned as `(bench text, parsed netlist)` with the netlist parsed
+/// `netlist` as `(bench text, parsed netlist)`, with the netlist parsed
 /// from that exact text: the `.bench` parser numbers nodes by first
 /// mention, so the direct-library comparison must run on the same
 /// parse the service performs, not on the generator's original netlist.
-fn medium() -> (String, Netlist) {
-    let generated = random_circuit(&RandomCircuitConfig::new("svc_medium", 12, 160, 0xC0FFEE));
-    let text = bench_format::to_bench(&generated);
-    let parsed = bench_format::parse(&text, "svc_medium").unwrap();
+fn reparsed(netlist: &Netlist) -> (String, Netlist) {
+    let text = bench_format::to_bench(netlist);
+    let parsed = bench_format::parse(&text, netlist.name()).unwrap();
     (text, parsed)
+}
+
+/// A mid-size circuit where random vectors leave real work to do.
+fn medium() -> (String, Netlist) {
+    reparsed(&random_circuit(&RandomCircuitConfig::new("svc_medium", 12, 160, 0xC0FFEE)))
+}
+
+/// `first`, then every paper-suite circuit up to 300 gates, each
+/// reparsed like `first`.
+fn and_suite(first: (String, Netlist)) -> Vec<(String, Netlist)> {
+    let suite = paper_suite_up_to(300)
+        .into_iter()
+        .map(|c| reparsed(&c.netlist()));
+    std::iter::once(first).chain(suite).collect()
 }
 
 fn state() -> ServiceState {
@@ -78,138 +91,194 @@ fn u64s(result: &Value, key: &str) -> Vec<u64> {
 fn compile_reports_structure_and_cache_state() {
     let _guard = BUILD_COUNT_LOCK.lock().unwrap();
     let s = state();
-    let text = bench_format::to_bench(&embedded::c17());
-    let c17 = bench_format::parse(&text, "c17").unwrap();
-    let hash = compile_via_service(&s, &text, "c17");
-    assert_eq!(hash, c17.content_hash().to_hex());
-    let r = request_ok(&s, &format!(r#"{{"op": "compile", "hash": "{hash}"}}"#));
-    assert_eq!(r.get("cached").and_then(Value::as_bool), Some(true));
-    assert_eq!(r.get("nodes").and_then(Value::as_u64), Some(c17.num_nodes() as u64));
-    assert_eq!(
-        r.get("collapsed_faults").and_then(Value::as_u64),
-        Some(CompiledCircuit::compile(c17.clone()).collapsed_faults().len() as u64)
-    );
-    let store = r.get("store").unwrap();
-    assert_eq!(store.get("misses").and_then(Value::as_u64), Some(1));
+    for (misses, (text, netlist)) in (1..).zip(and_suite(reparsed(&embedded::c17()))) {
+        let name = netlist.name();
+        let hash = compile_via_service(&s, &text, name);
+        assert_eq!(hash, netlist.content_hash().to_hex(), "{name}");
+        let r = request_ok(&s, &format!(r#"{{"op": "compile", "hash": "{hash}"}}"#));
+        assert_eq!(r.get("cached").and_then(Value::as_bool), Some(true), "{name}");
+        assert_eq!(
+            r.get("nodes").and_then(Value::as_u64),
+            Some(netlist.num_nodes() as u64),
+            "{name}"
+        );
+        assert_eq!(
+            r.get("collapsed_faults").and_then(Value::as_u64),
+            Some(CompiledCircuit::compile(netlist.clone()).collapsed_faults().len() as u64),
+            "{name}"
+        );
+        let store = r.get("store").unwrap();
+        assert_eq!(store.get("misses").and_then(Value::as_u64), Some(misses), "{name}");
+    }
 }
 
 #[test]
 fn coverage_matches_direct_simulation() {
     let _guard = BUILD_COUNT_LOCK.lock().unwrap();
     let s = state();
-    let (text, netlist) = medium();
-    let hash = compile_via_service(&s, &text, "svc_medium");
-    let r = request_ok(
-        &s,
-        &format!(
-            r#"{{"op": "coverage", "hash": "{hash}", "random": {{"count": 200, "seed": 9}}, "include_detail": true}}"#
-        ),
-    );
+    for (text, netlist) in and_suite(medium()) {
+        let name = netlist.name().to_string();
+        let hash = compile_via_service(&s, &text, &name);
+        let r = request_ok(
+            &s,
+            &format!(
+                r#"{{"op": "coverage", "hash": "{hash}", "random": {{"count": 200, "seed": 9}}, "include_detail": true}}"#
+            ),
+        );
 
-    let circuit = CompiledCircuit::compile(netlist);
-    let faults = circuit.collapsed_faults();
-    let patterns = PatternSet::random(circuit.netlist().num_inputs(), 200, 9);
-    let direct = FaultSimulator::for_circuit(&circuit, faults).with_dropping(&patterns);
+        let circuit = CompiledCircuit::compile(netlist);
+        let faults = circuit.collapsed_faults();
+        let patterns = PatternSet::random(circuit.netlist().num_inputs(), 200, 9);
+        let direct = FaultSimulator::for_circuit(&circuit, faults).with_dropping(&patterns);
 
-    assert_eq!(
-        r.get("num_detected").and_then(Value::as_u64),
-        Some(direct.num_detected() as u64)
-    );
-    assert_eq!(r.get("num_faults").and_then(Value::as_u64), Some(faults.len() as u64));
-    assert_eq!(r.get("coverage").and_then(Value::as_f64), Some(direct.coverage()));
-    let news: Vec<u64> = direct
-        .new_detections(patterns.len())
-        .into_iter()
-        .map(u64::from)
-        .collect();
-    assert_eq!(u64s(&r, "new_detections"), news);
+        assert_eq!(
+            r.get("num_detected").and_then(Value::as_u64),
+            Some(direct.num_detected() as u64),
+            "{name}"
+        );
+        assert_eq!(
+            r.get("num_faults").and_then(Value::as_u64),
+            Some(faults.len() as u64),
+            "{name}"
+        );
+        assert_eq!(
+            r.get("coverage").and_then(Value::as_f64),
+            Some(direct.coverage()),
+            "{name}"
+        );
+        let news: Vec<u64> = direct
+            .new_detections(patterns.len())
+            .into_iter()
+            .map(u64::from)
+            .collect();
+        assert_eq!(u64s(&r, "new_detections"), news, "{name}");
+    }
 }
 
 #[test]
 fn adi_and_ordering_match_direct_analysis() {
     let _guard = BUILD_COUNT_LOCK.lock().unwrap();
     let s = state();
-    let (text, netlist) = medium();
-    let hash = compile_via_service(&s, &text, "svc_medium");
-    // Default U selection, the paper's procedure.
-    let r = request_ok(
-        &s,
-        &format!(r#"{{"op": "adi", "hash": "{hash}", "ordering": "0dynm", "include_values": true}}"#),
-    );
+    for (text, netlist) in and_suite(medium()) {
+        let name = netlist.name().to_string();
+        let hash = compile_via_service(&s, &text, &name);
+        // Default U selection, the paper's procedure, on svc_medium. A
+        // debug build takes seconds per suite circuit to select U, so
+        // there 256 random vectors are U.
+        let select = name == "svc_medium";
+        let vectors = if select {
+            ""
+        } else {
+            r#", "random": {"count": 256, "seed": 17}"#
+        };
+        let r = request_ok(
+            &s,
+            &format!(
+                r#"{{"op": "adi", "hash": "{hash}", "ordering": "0dynm", "include_values": true{vectors}}}"#
+            ),
+        );
 
-    let circuit = CompiledCircuit::compile(netlist);
-    let faults = circuit.collapsed_faults();
-    let selection = select_u_for(&circuit, faults, USetConfig::default());
-    let analysis =
-        AdiAnalysis::for_circuit(&circuit, faults, &selection.patterns, AdiConfig::default());
-    let summary = analysis.summary();
-    let order: Vec<u64> = order_faults(&analysis, FaultOrdering::Dynamic0)
-        .into_iter()
-        .map(|f| f.index() as u64)
-        .collect();
+        let circuit = CompiledCircuit::compile(netlist);
+        let faults = circuit.collapsed_faults();
+        let (patterns, u_coverage) = if select {
+            let selection = select_u_for(&circuit, faults, USetConfig::default());
+            (selection.patterns, Some(selection.coverage))
+        } else {
+            (PatternSet::random(circuit.netlist().num_inputs(), 256, 17), None)
+        };
+        let analysis = AdiAnalysis::for_circuit(&circuit, faults, &patterns, AdiConfig::default());
+        let summary = analysis.summary();
+        let order: Vec<u64> = order_faults(&analysis, FaultOrdering::Dynamic0)
+            .into_iter()
+            .map(|f| f.index() as u64)
+            .collect();
 
-    assert_eq!(r.get("u_size").and_then(Value::as_u64), Some(selection.len() as u64));
-    assert_eq!(r.get("u_coverage").and_then(Value::as_f64), Some(selection.coverage));
-    let adi = r.get("adi").unwrap();
-    assert_eq!(adi.get("min").and_then(Value::as_u64), Some(summary.min as u64));
-    assert_eq!(adi.get("max").and_then(Value::as_u64), Some(summary.max as u64));
-    assert_eq!(adi.get("detected").and_then(Value::as_u64), Some(summary.detected as u64));
-    assert_eq!(
-        u64s(&r, "values"),
-        analysis.adi_values().iter().map(|&v| v as u64).collect::<Vec<_>>()
-    );
-    assert_eq!(u64s(&r, "order"), order);
+        assert_eq!(
+            r.get("u_size").and_then(Value::as_u64),
+            Some(patterns.len() as u64),
+            "{name}"
+        );
+        assert_eq!(r.get("u_coverage").and_then(Value::as_f64), u_coverage, "{name}");
+        let adi = r.get("adi").unwrap();
+        assert_eq!(adi.get("min").and_then(Value::as_u64), Some(summary.min as u64), "{name}");
+        assert_eq!(adi.get("max").and_then(Value::as_u64), Some(summary.max as u64), "{name}");
+        assert_eq!(
+            adi.get("detected").and_then(Value::as_u64),
+            Some(summary.detected as u64),
+            "{name}"
+        );
+        assert_eq!(
+            u64s(&r, "values"),
+            analysis.adi_values().iter().map(|&v| v as u64).collect::<Vec<_>>(),
+            "{name}"
+        );
+        assert_eq!(u64s(&r, "order"), order, "{name}");
+    }
 }
 
 #[test]
 fn atpg_matches_direct_generation_bit_for_bit() {
     let _guard = BUILD_COUNT_LOCK.lock().unwrap();
     let s = state();
-    let (text, netlist) = medium();
-    let hash = compile_via_service(&s, &text, "svc_medium");
-    let r = request_ok(
-        &s,
-        &format!(
-            r#"{{"op": "atpg", "hash": "{hash}", "ordering": "0dynm", "random": {{"count": 256, "seed": 21}}, "include_tests": true}}"#
-        ),
-    );
+    for (text, netlist) in and_suite(medium()) {
+        let name = netlist.name().to_string();
+        let hash = compile_via_service(&s, &text, &name);
+        let r = request_ok(
+            &s,
+            &format!(
+                r#"{{"op": "atpg", "hash": "{hash}", "ordering": "0dynm", "random": {{"count": 256, "seed": 21}}, "include_tests": true}}"#
+            ),
+        );
 
-    let circuit = CompiledCircuit::compile(netlist);
-    let faults = circuit.collapsed_faults();
-    let patterns = PatternSet::random(circuit.netlist().num_inputs(), 256, 21);
-    let analysis = AdiAnalysis::for_circuit(&circuit, faults, &patterns, AdiConfig::default());
-    let order = order_faults(&analysis, FaultOrdering::Dynamic0);
-    let direct = TestGenerator::for_circuit(&circuit, faults, TestGenConfig::default()).run(&order);
+        let circuit = CompiledCircuit::compile(netlist);
+        let faults = circuit.collapsed_faults();
+        let patterns = PatternSet::random(circuit.netlist().num_inputs(), 256, 21);
+        let analysis = AdiAnalysis::for_circuit(&circuit, faults, &patterns, AdiConfig::default());
+        let order = order_faults(&analysis, FaultOrdering::Dynamic0);
+        let direct =
+            TestGenerator::for_circuit(&circuit, faults, TestGenConfig::default()).run(&order);
 
-    assert_eq!(r.get("num_tests").and_then(Value::as_u64), Some(direct.num_tests() as u64));
-    assert_eq!(
-        r.get("num_detected").and_then(Value::as_u64),
-        Some(direct.num_detected() as u64)
-    );
-    assert_eq!(
-        r.get("num_redundant").and_then(Value::as_u64),
-        Some(direct.num_redundant() as u64)
-    );
-    assert_eq!(r.get("coverage").and_then(Value::as_f64), Some(direct.coverage()));
-    // The generated tests themselves, bit for bit.
-    let tests: Vec<String> = r
-        .get("tests")
-        .unwrap()
-        .as_array()
-        .unwrap()
-        .iter()
-        .map(|t| t.as_str().unwrap().to_string())
-        .collect();
-    let direct_tests: Vec<String> = direct
-        .tests
-        .iter()
-        .map(|p| p.iter().map(|b| if b { '1' } else { '0' }).collect())
-        .collect();
-    assert_eq!(tests, direct_tests);
-    assert_eq!(
-        u64s(&r, "targets"),
-        direct.targets.iter().map(|f| f.index() as u64).collect::<Vec<_>>()
-    );
+        assert_eq!(
+            r.get("num_tests").and_then(Value::as_u64),
+            Some(direct.num_tests() as u64),
+            "{name}"
+        );
+        assert_eq!(
+            r.get("num_detected").and_then(Value::as_u64),
+            Some(direct.num_detected() as u64),
+            "{name}"
+        );
+        assert_eq!(
+            r.get("num_redundant").and_then(Value::as_u64),
+            Some(direct.num_redundant() as u64),
+            "{name}"
+        );
+        assert_eq!(
+            r.get("coverage").and_then(Value::as_f64),
+            Some(direct.coverage()),
+            "{name}"
+        );
+        // The generated tests themselves, bit for bit.
+        let tests: Vec<String> = r
+            .get("tests")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|t| t.as_str().unwrap().to_string())
+            .collect();
+        let direct_tests: Vec<String> = direct
+            .tests
+            .iter()
+            .map(|p| p.iter().map(|b| if b { '1' } else { '0' }).collect())
+            .collect();
+        assert_eq!(tests, direct_tests, "{name}");
+        assert_eq!(
+            u64s(&r, "targets"),
+            direct.targets.iter().map(|f| f.index() as u64).collect::<Vec<_>>(),
+            "{name}"
+        );
+    }
 }
 
 /// A speculative (`atpg_threads: 4`) request must answer with exactly
@@ -458,61 +527,68 @@ fn equiv_separates_rewrite_from_mutation() {
 fn ndetect_matches_direct_counts() {
     let _guard = BUILD_COUNT_LOCK.lock().unwrap();
     let s = state();
-    let (text, netlist) = medium();
-    let hash = compile_via_service(&s, &text, "svc_medium");
-    let r = request_ok(
-        &s,
-        &format!(
-            r#"{{"op": "ndetect", "hash": "{hash}", "random": {{"count": 300, "seed": 4}}, "n": 5}}"#
-        ),
-    );
+    for (text, netlist) in and_suite(medium()) {
+        let name = netlist.name().to_string();
+        let hash = compile_via_service(&s, &text, &name);
+        let r = request_ok(
+            &s,
+            &format!(
+                r#"{{"op": "ndetect", "hash": "{hash}", "random": {{"count": 300, "seed": 4}}, "n": 5}}"#
+            ),
+        );
 
-    let circuit = CompiledCircuit::compile(netlist);
-    let faults = circuit.collapsed_faults();
-    let patterns = PatternSet::random(circuit.netlist().num_inputs(), 300, 4);
-    let direct = FaultSimulator::for_circuit(&circuit, faults).n_detect(&patterns, 5);
+        let circuit = CompiledCircuit::compile(netlist);
+        let faults = circuit.collapsed_faults();
+        let patterns = PatternSet::random(circuit.netlist().num_inputs(), 300, 4);
+        let direct = FaultSimulator::for_circuit(&circuit, faults).n_detect(&patterns, 5);
 
-    assert_eq!(
-        u64s(&r, "counts"),
-        direct.counts.iter().map(|&c| c as u64).collect::<Vec<_>>()
-    );
-    assert_eq!(
-        r.get("num_saturated").and_then(Value::as_u64),
-        Some(direct.num_saturated() as u64)
-    );
+        assert_eq!(
+            u64s(&r, "counts"),
+            direct.counts.iter().map(|&c| c as u64).collect::<Vec<_>>(),
+            "{name}"
+        );
+        assert_eq!(
+            r.get("num_saturated").and_then(Value::as_u64),
+            Some(direct.num_saturated() as u64),
+            "{name}"
+        );
+    }
 }
 
 #[test]
 fn reorder_matches_direct_permutation() {
     let _guard = BUILD_COUNT_LOCK.lock().unwrap();
     let s = state();
-    let text = bench_format::to_bench(&embedded::c17());
-    let c17 = bench_format::parse(&text, "c17").unwrap();
-    let hash = compile_via_service(&s, &text, "c17");
-    let patterns = PatternSet::random(c17.num_inputs(), 24, 77);
-    let list = patterns
-        .iter()
-        .map(|p| {
-            let bits: String = p.iter().map(|b| if b { '1' } else { '0' }).collect();
-            format!("\"{bits}\"")
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    let r = request_ok(
-        &s,
-        &format!(r#"{{"op": "reorder", "hash": "{hash}", "patterns": [{list}]}}"#),
-    );
+    for (text, netlist) in and_suite(reparsed(&embedded::c17())) {
+        let name = netlist.name().to_string();
+        let hash = compile_via_service(&s, &text, &name);
+        let patterns = PatternSet::random(netlist.num_inputs(), 24, 77);
+        let list = patterns
+            .iter()
+            .map(|p| {
+                let bits: String = p.iter().map(|b| if b { '1' } else { '0' }).collect();
+                format!("\"{bits}\"")
+            })
+            .collect::<Vec<_>>()
+            .join(", ");
+        let r = request_ok(
+            &s,
+            &format!(r#"{{"op": "reorder", "hash": "{hash}", "patterns": [{list}]}}"#),
+        );
 
-    let circuit = CompiledCircuit::compile(c17);
-    let direct = reorder_tests_for(&circuit, circuit.collapsed_faults(), &patterns);
-    assert_eq!(
-        u64s(&r, "permutation"),
-        direct.permutation.iter().map(|&i| i as u64).collect::<Vec<_>>()
-    );
-    assert_eq!(
-        r.get("final_detected").and_then(Value::as_u64),
-        Some(direct.curve.final_detected() as u64)
-    );
+        let circuit = CompiledCircuit::compile(netlist);
+        let direct = reorder_tests_for(&circuit, circuit.collapsed_faults(), &patterns);
+        assert_eq!(
+            u64s(&r, "permutation"),
+            direct.permutation.iter().map(|&i| i as u64).collect::<Vec<_>>(),
+            "{name}"
+        );
+        assert_eq!(
+            r.get("final_detected").and_then(Value::as_u64),
+            Some(direct.curve.final_detected() as u64),
+            "{name}"
+        );
+    }
 }
 
 #[test]

@@ -1,13 +1,16 @@
 //! Observability behavior of the service layer: the `"trace": true`
 //! request field must not perturb response bytes or the scenario
-//! cache, span stacks must survive panicking pool workers, and the
-//! `metrics`/`stats` endpoints must expose the new registry state.
+//! cache, span stacks must survive panicking pool workers, the
+//! `metrics`/`stats` endpoints must expose the new registry state, and
+//! the simulation kernels must open a fixed number of spans per call.
 
 use std::sync::mpsc;
 use std::time::Duration;
 
+use adi_circuits::paper_suite_up_to;
 use adi_obs::SpanSite;
 use adi_service::{ServiceState, StoreConfig, WorkerPool};
+use adi_sim::{FaultSimulator, PatternSet, SimWidth};
 use json::Value;
 
 const COVERAGE: &str = r#"{"id": 1, "op": "coverage", "bench": "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n", "exhaustive": true}"#;
@@ -138,4 +141,32 @@ fn metrics_endpoint_renders_both_formats() {
     let v = parsed(&s.handle_line(r#"{"op": "stats"}"#));
     let svc = v.get("result").and_then(|r| r.get("service")).expect("service stats");
     assert_eq!(svc.get("queued").and_then(Value::as_u64), Some(0));
+}
+
+/// Instrumentation stays out of the inner loops: a no-drop matrix opens
+/// one `sim.no_drop` span and one `sim.block` span per superblock,
+/// whatever the circuit's gate or fault count, so a span opened per
+/// fault or per gate shows up as extra nodes (or as dropped ones past
+/// the per-trace cap).
+#[test]
+fn no_drop_matrix_opens_one_span_per_superblock() {
+    const PATTERNS: usize = 2048;
+    for circuit in paper_suite_up_to(300) {
+        let compiled = circuit.compiled();
+        let faults = compiled.collapsed_faults();
+        let patterns = PatternSet::random(circuit.inputs, PATTERNS, circuit.seed);
+        for width in [SimWidth::W1, SimWidth::W4] {
+            let sim = FaultSimulator::for_circuit(&compiled, faults).with_width(width);
+            let guard = adi_obs::start_trace();
+            sim.no_drop_matrix(&patterns);
+            let trace = guard.finish();
+            let count = |name: &str| trace.nodes.iter().filter(|n| n.name == name).count();
+            let blocks = PATTERNS.div_ceil(64 * width.lanes());
+            let label = format!("{} {width}", circuit.name);
+            assert_eq!(trace.dropped, 0, "{label}");
+            assert_eq!(count("sim.no_drop"), 1, "{label}");
+            assert_eq!(count("sim.block"), blocks, "{label}");
+            assert_eq!(trace.nodes.len(), 1 + blocks, "{label}");
+        }
+    }
 }

@@ -14,7 +14,7 @@
 //!    recomputes to the same bytes;
 //! 4. `"cache": "bypass"` skips the cache entirely.
 
-use adi_circuits::{embedded, random_circuit, RandomCircuitConfig};
+use adi_circuits::{embedded, paper_suite_up_to, random_circuit, RandomCircuitConfig};
 use adi_netlist::bench_format;
 use adi_service::{ScenarioConfig, ServiceState, StoreConfig};
 use json::Value;
@@ -337,19 +337,45 @@ fn semantic_differences_separate_scenarios() {
     assert_eq!(stat(&stats, "entries"), distinct.len() as u64);
 }
 
+/// One request per cacheable endpoint on the compiled circuit `hash`
+/// with `inputs` primary inputs. With `random`, that vector spec is the
+/// coverage set and `U`; without it, coverage is exhaustive and `adi`
+/// selects `U` by default.
+fn cacheable_requests(hash: &str, inputs: usize, random: Option<&str>) -> Vec<String> {
+    let (vectors, u) = match random {
+        Some(spec) => (spec.to_string(), format!(", {spec}")),
+        None => (r#""exhaustive": true"#.to_string(), String::new()),
+    };
+    let alternating: String = (0..inputs).map(|i| if i % 2 == 0 { '1' } else { '0' }).collect();
+    let (zeros, ones) = ("0".repeat(inputs), "1".repeat(inputs));
+    vec![
+        format!(r#"{{"id": 3, "op": "coverage", "hash": "{hash}", {vectors}}}"#),
+        format!(r#"{{"id": 3, "op": "ndetect", "hash": "{hash}", "random": {{"count": 16, "seed": 2}}, "n": 2}}"#),
+        format!(r#"{{"id": 3, "op": "adi", "hash": "{hash}", "ordering": "0dynm"{u}}}"#),
+        format!(r#"{{"id": 3, "op": "atpg", "hash": "{hash}", "include_tests": true}}"#),
+        format!(r#"{{"id": 3, "op": "reorder", "hash": "{hash}", "patterns": ["{zeros}", "{ones}", "{alternating}"]}}"#),
+        format!(r#"{{"id": 3, "op": "equiv", "left": {{"hash": "{hash}"}}, "right": {{"hash": "{hash}"}}}}"#),
+    ]
+}
+
 #[test]
 fn every_cacheable_endpoint_hits_byte_identically() {
     let s = state();
-    let hash = compile_c17(&s);
-    // c17 has five inputs; explicit patterns for reorder.
-    let endpoints = [
-        format!(r#"{{"id": 3, "op": "coverage", "hash": "{hash}", "exhaustive": true}}"#),
-        format!(r#"{{"id": 3, "op": "ndetect", "hash": "{hash}", "random": {{"count": 16, "seed": 2}}, "n": 2}}"#),
-        format!(r#"{{"id": 3, "op": "adi", "hash": "{hash}", "ordering": "0dynm"}}"#),
-        format!(r#"{{"id": 3, "op": "atpg", "hash": "{hash}", "include_tests": true}}"#),
-        format!(r#"{{"id": 3, "op": "reorder", "hash": "{hash}", "patterns": ["00000", "11111", "10101"]}}"#),
-        format!(r#"{{"id": 3, "op": "equiv", "left": {{"hash": "{hash}"}}, "right": {{"hash": "{hash}"}}}}"#),
-    ];
+    // c17 exhaustively, with the default `U`; and the largest suite
+    // circuit up to 300 gates, whose inputs are too many for exhaustive
+    // sets, with random vectors as the coverage set and as `U`.
+    let mut endpoints = cacheable_requests(&compile_c17(&s), 5, None);
+    let suite = paper_suite_up_to(300)
+        .into_iter()
+        .max_by_key(|c| c.gates)
+        .unwrap()
+        .netlist();
+    let hash = compile(&s, &bench_format::to_bench(&suite));
+    endpoints.extend(cacheable_requests(
+        &hash,
+        suite.num_inputs(),
+        Some(r#""random": {"count": 256, "seed": 2}"#),
+    ));
     for request in &endpoints {
         let miss = raw(&s, request);
         let hit = raw(&s, request);
@@ -378,7 +404,8 @@ fn every_cacheable_endpoint_hits_byte_identically() {
     let stats = scenario_stats(&s);
     assert_eq!(stat(&stats, "misses"), endpoints.len() as u64);
     assert_eq!(stat(&stats, "hits"), 2 * endpoints.len() as u64);
-    assert_eq!(stat(&stats, "bypassed"), endpoints.len() as u64 - 1);
+    // Every request but the two `atpg` ones was also bypassed.
+    assert_eq!(stat(&stats, "bypassed"), endpoints.len() as u64 - 2);
     assert!(stat(&stats, "bytes") > 0, "cached payload bytes are accounted");
 }
 

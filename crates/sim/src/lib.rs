@@ -16,8 +16,8 @@
 //!   detection index is computed from), and n-detection.
 //! * [`reference`](mod@reference) — the classic per-fault PPSFP implementations of the
 //!   same three drive modes: the bit-identical oracle the differential
-//!   tests and `perf_report` hold the stem-region engine to. Production
-//!   code never calls them.
+//!   tests hold the stem-region engine to. Production code never calls
+//!   them.
 //! * [`SimWord`] / [`SimWidth`] — the configurable simulation word:
 //!   every stem-region hot path is generic over the lane count
 //!   (64/128/256/512 patterns per word) and runtime-dispatched, so one

@@ -8,8 +8,8 @@
 //! runs, and it is independent of everything that engine adds
 //! (fanout-free regions, sensitization words, dominator-based stem
 //! merging, wide words), which makes it the differential oracle:
-//! `tests/engine_equivalence.rs` and the `perf_report` agreement gates
-//! require the production engine to match these functions bit for bit.
+//! `tests/engine_equivalence.rs` requires the production engine to match
+//! these functions bit for bit.
 //!
 //! Production code does not call into this module.
 

@@ -63,8 +63,8 @@
 //!
 //! Every table and figure has a dedicated binary in the `adi-bench`
 //! crate (`table1`, `table4`, `table5`, `table6`, `table7`, `figure1`,
-//! `ablation`); see `EXPERIMENTS.md` at the repository root for the
-//! paper-vs-measured record.
+//! `ablation`); see "Regenerating the paper's tables and figures" in the
+//! repository's `README.md` for how to run them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -170,8 +170,8 @@ fn pin_simulation_surface<'a>(_: &'a ()) {
     let _: fn(&TestGenResult) -> usize = TestGenResult::num_tests;
     let _: fn(&TestGenResult) -> TestGenSummary = TestGenResult::summary;
     let _: fn(&AdiAnalysis, FaultOrdering) -> Vec<FaultId> = |a, o| order_faults(a, o);
-    // The bit-identical references the differential suites and
-    // `perf_report` hold the production paths to.
+    // The bit-identical references the differential suites hold the
+    // production paths to.
     let _: fn(&CompiledCircuit, &FaultList, &PatternSet) -> DetectionMatrix =
         adi::sim::reference::no_drop_matrix;
     let _: fn(&CompiledCircuit, &FaultList, &PatternSet) -> DropOutcome =

@@ -98,8 +98,7 @@ fn speculative_atpg_identical_on_embedded_circuits() {
 fn speculative_atpg_identical_on_suite_circuits() {
     for circuit in paper_suite() {
         // The largest stand-in (irs13207, ~8k gates) is too slow for a
-        // debug-build ATPG run here; its speculative determinism is
-        // enforced in release mode by the perf-report agreement gate.
+        // debug-build ATPG run here.
         if circuit.gates > 3000 {
             continue;
         }
