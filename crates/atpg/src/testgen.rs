@@ -73,7 +73,10 @@ pub struct TestGenConfig {
     /// contract of the [`speculate`] module); the reference loop
     /// ignores this. Defaults to the
     /// `ADI_ATPG_THREADS` environment variable (read once and cached),
-    /// falling back to `1`.
+    /// falling back to `1`. An `adi_core` experiment runs one loop per
+    /// ordering, on parallel threads by default, so `k` orderings at
+    /// `atpg_threads: t` can occupy `k * t` threads; run the orderings
+    /// serially when `t` already saturates the machine.
     pub atpg_threads: usize,
     /// How far past the commit position speculation workers may claim
     /// targets, in ordering positions — the **cap** of the adaptive

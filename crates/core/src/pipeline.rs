@@ -219,18 +219,6 @@ impl<'a> ExperimentBuilder<'a> {
         self
     }
 
-    /// Sets the total thread count of each per-ordering ATPG loop (the
-    /// speculative first-win loop when `>= 2`; results are bit-identical
-    /// at every value). Composes multiplicatively with
-    /// [`parallel_orderings`](Self::parallel_orderings) — an experiment
-    /// over `k` orderings at `atpg_threads: t` can occupy `k * t`
-    /// threads — so prefer `parallel_orderings(false)` when `t` already
-    /// saturates the machine.
-    pub fn atpg_threads(mut self, threads: usize) -> Self {
-        self.config.testgen.atpg_threads = threads.max(1);
-        self
-    }
-
     /// Sets the fault orders to run ATPG with.
     pub fn orderings(mut self, orderings: Vec<FaultOrdering>) -> Self {
         self.config.orderings = orderings;
@@ -431,14 +419,16 @@ G23 = NAND(G16, G19)
     fn speculative_atpg_matches_serial_experiment() {
         let n = bench_format::parse(C17, "c17").unwrap();
         let circuit = CompiledCircuit::compile(n);
-        let speculative = Experiment::on(&circuit)
-            .parallel_orderings(false)
-            .atpg_threads(4)
-            .run();
-        let sequential = Experiment::on(&circuit)
-            .parallel_orderings(false)
-            .atpg_threads(1)
-            .run();
+        let run = |atpg_threads| {
+            Experiment::on(&circuit)
+                .parallel_orderings(false)
+                .testgen(TestGenConfig {
+                    atpg_threads,
+                    ..TestGenConfig::default()
+                })
+                .run()
+        };
+        let (speculative, sequential) = (run(4), run(1));
         assert_eq!(speculative.runs.len(), sequential.runs.len());
         for (p, s) in speculative.runs.iter().zip(&sequential.runs) {
             assert_eq!(p.result, s.result, "{} differs under speculation", p.ordering);

@@ -385,7 +385,6 @@ impl ServiceState {
         let mut o = Object::new();
         o.insert("pong", true);
         o.insert("version", env!("CARGO_PKG_VERSION"));
-        o.insert("store", store_stats_object(&self.store));
         o
     }
 
@@ -488,8 +487,7 @@ fn array<T: Into<Value>>(items: impl IntoIterator<Item = T>) -> Value {
 fn op_coverage(c: Coverage) -> RequestResult<Object> {
     let faults = c.target.faults();
     let patterns = required_vectors(c.vectors, &c.target)?;
-    let sim = FaultSimulator::for_circuit(&c.target.circuit, faults).with_width(c.width);
-    let drop = sim.with_dropping(&patterns);
+    let drop = FaultSimulator::for_circuit(&c.target.circuit, faults).with_dropping(&patterns);
     let mut o = Object::new();
     o.insert("hash", c.target.circuit.content_hash().to_hex());
     o.insert("num_patterns", patterns.len());
@@ -574,7 +572,7 @@ fn op_atpg(a: Atpg) -> Object {
     o.insert("efficiency", result.efficiency());
     o.insert("ave", average_detection_position(&result.coverage_curve()));
     // Phase timings and speculation diagnostics (wall-clock only —
-    // every other response field is independent of `atpg_threads`).
+    // every other response field is independent of thread counts).
     let summary = result.summary();
     let mut t = Object::new();
     t.insert("generate_ns", summary.generate_ns);
@@ -642,8 +640,8 @@ fn op_ndetect(nd: Ndetect) -> RequestResult<Object> {
     if nd.n == 0 || nd.n > u32::MAX as u64 {
         return Err(RequestError::new("`n` must be a positive integer"));
     }
-    let sim = FaultSimulator::for_circuit(&nd.target.circuit, faults).with_width(nd.width);
-    let outcome = sim.n_detect(&patterns, nd.n as u32);
+    let outcome =
+        FaultSimulator::for_circuit(&nd.target.circuit, faults).n_detect(&patterns, nd.n as u32);
     let mut o = Object::new();
     o.insert("hash", nd.target.circuit.content_hash().to_hex());
     o.insert("n", nd.n);
@@ -850,33 +848,12 @@ mod tests {
     }
 
     #[test]
-    fn coverage_is_width_invariant() {
-        let s = state();
-        let base = ok_result(
-            &s,
-            &format!(r#"{{"op": "coverage", "bench": "{INV}", "exhaustive": true, "width": 1}}"#),
-        );
-        for lanes in [2, 4, 8] {
-            let wide = ok_result(
-                &s,
-                &format!(
-                    r#"{{"op": "coverage", "bench": "{INV}", "exhaustive": true, "width": {lanes}}}"#
-                ),
-            );
-            assert_eq!(
-                wide.get("num_detected").and_then(Value::as_u64),
-                base.get("num_detected").and_then(Value::as_u64),
-            );
-        }
-        let bad = format!(r#"{{"op": "coverage", "bench": "{INV}", "exhaustive": true, "width": 5}}"#);
-        let v = json::parse(&s.handle_line(&bad)).unwrap();
-        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false));
-    }
-
-    #[test]
     fn shutdown_and_ping_answer() {
         let s = state();
+        // `ping` is a liveness check only; counters live in `stats`.
         let r = ok_result(&s, r#"{"op": "ping"}"#);
+        let keys: Vec<&str> = r.as_object().unwrap().iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, ["pong", "version"]);
         assert_eq!(r.get("pong").and_then(Value::as_bool), Some(true));
         let r = ok_result(&s, r#"{"op": "shutdown"}"#);
         assert_eq!(r.get("stopping").and_then(Value::as_bool), Some(true));

@@ -23,7 +23,7 @@ use adi_core::uset::USetConfig;
 use adi_core::{AdiConfig, AdiEstimator, FaultOrdering};
 use adi_netlist::fault::FaultList;
 use adi_netlist::{bench_format, CompiledCircuit, NetlistHash};
-use adi_sim::{Pattern, PatternSet, SimWidth};
+use adi_sim::{Pattern, PatternSet};
 use json::{Object, Value};
 
 use crate::store::{CacheOutcome, CircuitStore};
@@ -118,10 +118,10 @@ pub(crate) enum Request {
 }
 
 /// A cacheable request, resolved: the values its op computes from,
-/// after defaulting and clamping. Its derived `Hash` is the
-/// scenario-cache key, so a field added here enters the key by
-/// construction. Fields an op ignores are never read (`u` when vectors
-/// are given; vectors, `u` and `adi` for an `orig` `atpg` ordering).
+/// after defaulting. Its derived `Hash` is the scenario-cache key, so a
+/// field added here enters the key by construction. Fields an op
+/// ignores are never read (`u` when vectors are given; vectors, `u` and
+/// `adi` for an `orig` `atpg` ordering).
 /// Checks that need the computation (vectors present, `n` in range,
 /// reorder `mode` and tests, `equiv` interfaces) are the executor's.
 #[derive(Hash)]
@@ -138,7 +138,6 @@ pub(crate) enum Scenario {
 pub(crate) struct Coverage {
     pub(crate) target: Target,
     pub(crate) vectors: Option<PatternSpec>,
-    pub(crate) width: SimWidth,
     pub(crate) include_detail: bool,
 }
 
@@ -147,7 +146,6 @@ pub(crate) struct Ndetect {
     pub(crate) target: Target,
     pub(crate) vectors: Option<PatternSpec>,
     pub(crate) n: u64,
-    pub(crate) width: SimWidth,
 }
 
 #[derive(Hash)]
@@ -266,7 +264,6 @@ pub(crate) fn parse_request(op: &str, req: &Value, store: &CircuitStore) -> Requ
             let target = parse_target(req, store)?;
             Scenario::Coverage(Coverage {
                 vectors: parse_pattern_spec(req, target.num_inputs())?,
-                width: parse_width(req)?,
                 include_detail: opt_bool(req, "include_detail", false)?,
                 target,
             })
@@ -276,7 +273,6 @@ pub(crate) fn parse_request(op: &str, req: &Value, store: &CircuitStore) -> Requ
             Scenario::Ndetect(Ndetect {
                 vectors: parse_pattern_spec(req, target.num_inputs())?,
                 n: opt_u64(req, "n", 0)?,
-                width: parse_width(req)?,
                 target,
             })
         }
@@ -423,36 +419,6 @@ pub(crate) fn opt_bool(req: &Value, key: &str, default: bool) -> RequestResult<b
     }
 }
 
-/// The most threads one request may use: the host's available
-/// parallelism. Every thread count gives bit-identical results, so the
-/// clamp changes no answer; it stops one request from spawning
-/// thousands of threads and aborting the whole server.
-fn max_request_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// A thread-count field, with a default when absent, clamped to
-/// [`max_request_threads`].
-fn opt_threads(spec: &Value, key: &str, default: u64) -> RequestResult<usize> {
-    Ok(opt_u64(spec, key, default)?.min(max_request_threads() as u64) as usize)
-}
-
-/// Parses a simulation word width from `spec`'s `"width"` field
-/// (lane count: 1, 2, 4, or 8; default = process environment default).
-/// Every width is bit-identical.
-fn parse_width(spec: &Value) -> RequestResult<SimWidth> {
-    match spec.get("width") {
-        None => Ok(SimWidth::default()),
-        Some(v) => {
-            let lanes = v
-                .as_u64()
-                .ok_or_else(|| RequestError::new("`width` must be 1, 2, 4, or 8"))?;
-            SimWidth::from_lanes(lanes as usize)
-                .ok_or_else(|| RequestError::new("`width` must be 1, 2, 4, or 8"))
-        }
-    }
-}
-
 /// Parses a fault-ordering label (`"ordering"` field, paper spelling;
 /// `orig` when absent).
 fn parse_ordering(req: &Value) -> RequestResult<FaultOrdering> {
@@ -465,18 +431,16 @@ fn parse_ordering(req: &Value) -> RequestResult<FaultOrdering> {
 }
 
 /// Parses the per-request ATPG configuration (`"atpg"` object:
-/// `backtrack_limit`, `fill`, `fill_seed`, `width`, `threads`,
-/// `atpg_threads`, `speculation_depth`, `sat_fallback`,
+/// `backtrack_limit`, `fill`, `fill_seed`, `sat_fallback`,
 /// `sat_conflict_limit`), defaulting to [`TestGenConfig::default`]
 /// (which resolves backtrack-aborted faults through the SAT layer —
 /// pass `"sat_fallback": "off"` for raw PODEM aborts).
 ///
-/// `threads` sets both the drop-loop flush parallelism and (absent an
-/// explicit `atpg_threads` key, which wins) the speculative ATPG loop's
-/// total thread count, so a client can say `"threads": 4` once and get
-/// the whole pipeline parallel. Either way the response is bit-identical
-/// to the sequential loop (the `speculate` determinism contract). Both
-/// counts are clamped to [`max_request_threads`].
+/// The performance fields (`width`, `threads`, `atpg_threads`,
+/// `speculation_depth`) are not read: no value changes a result, so
+/// every request runs the library defaults (which take `ADI_SIM_WIDTH`
+/// and `ADI_ATPG_THREADS` from the server's environment), and a request
+/// naming them is answered like one without them.
 fn parse_testgen_config(req: &Value) -> RequestResult<TestGenConfig> {
     let mut config = TestGenConfig::default();
     let Some(spec) = req.get("atpg") else {
@@ -513,24 +477,12 @@ fn parse_testgen_config(req: &Value) -> RequestResult<TestGenConfig> {
         }
     };
     config.fill_seed = opt_u64(spec, "fill_seed", config.fill_seed)?;
-    config.width = parse_width(spec)?;
-    config.threads = opt_threads(spec, "threads", 1)?.max(1);
-    // An explicit `atpg_threads` wins; otherwise an explicit `threads`
-    // parallelizes the whole loop; otherwise keep the config default
-    // (the `ADI_ATPG_THREADS` environment fallback, server
-    // configuration rather than a request field, so left unclamped).
-    if spec.get("atpg_threads").is_some() || spec.get("threads").is_some() {
-        config.atpg_threads = opt_threads(spec, "atpg_threads", config.threads as u64)?.max(1);
-    }
-    config.speculation_depth =
-        (opt_u64(spec, "speculation_depth", config.speculation_depth as u64)? as usize).max(1);
     Ok(config)
 }
 
 /// Parses the ADI configuration (`"adi"` object: `estimator`,
-/// `n_detect_cap`, `threads`, `width`), defaulting to
-/// [`AdiConfig::default`]. `threads` is clamped to
-/// [`max_request_threads`].
+/// `n_detect_cap`), defaulting to [`AdiConfig::default`]. Like the ATPG
+/// performance fields, `width` and `threads` are not read.
 fn parse_adi_config(req: &Value) -> RequestResult<AdiConfig> {
     let mut config = AdiConfig::default();
     let Some(spec) = req.get("adi") else {
@@ -555,8 +507,6 @@ fn parse_adi_config(req: &Value) -> RequestResult<AdiConfig> {
             .ok_or_else(|| RequestError::new("`adi.n_detect_cap` must be a positive integer"))?;
         config.n_detect_cap = Some(cap as u32);
     }
-    config.threads = opt_threads(spec, "threads", 0)?;
-    config.width = parse_width(spec)?;
     Ok(config)
 }
 
@@ -703,43 +653,54 @@ mod tests {
     }
 
     #[test]
-    fn width_and_threads_parse() {
-        // Thread counts are clamped to the host's parallelism.
-        let max = max_request_threads();
-        let req = json::parse(r#"{"atpg": {"width": 4, "threads": 3}}"#).unwrap();
-        let cfg = parse_testgen_config(&req).unwrap();
-        assert_eq!(cfg.width, SimWidth::W4);
-        assert_eq!(cfg.threads, 3.min(max));
-        // `threads` parallelizes the ATPG loop too unless an explicit
-        // `atpg_threads` overrides it; `speculation_depth` is clamped.
-        assert_eq!(cfg.atpg_threads, 3.min(max));
-        assert_eq!(cfg.speculation_depth, TestGenConfig::default().speculation_depth);
-        let req = json::parse(
-            r#"{"atpg": {"threads": 3, "atpg_threads": 2, "speculation_depth": 0}}"#,
-        )
-        .unwrap();
-        let cfg = parse_testgen_config(&req).unwrap();
-        assert_eq!(cfg.threads, 3.min(max));
-        assert_eq!(cfg.atpg_threads, 2.min(max));
-        assert_eq!(cfg.speculation_depth, 1);
-        let req = json::parse(r#"{"atpg": {"width": 2}}"#).unwrap();
-        let cfg = parse_testgen_config(&req).unwrap();
-        assert_eq!(cfg.atpg_threads, TestGenConfig::default().atpg_threads);
-        let bomb = json::parse(r#"{"atpg": {"threads": 20000, "atpg_threads": 20000}}"#).unwrap();
-        let cfg = parse_testgen_config(&bomb).unwrap();
-        assert_eq!((cfg.threads, cfg.atpg_threads), (max, max));
-        let adi = json::parse(r#"{"adi": {"width": 8, "threads": 2}}"#).unwrap();
-        let cfg = parse_adi_config(&adi).unwrap();
-        assert_eq!(cfg.width, SimWidth::W8);
-        assert_eq!(cfg.threads, 2.min(max));
-        let bomb = json::parse(r#"{"adi": {"threads": 20000}}"#).unwrap();
-        assert_eq!(parse_adi_config(&bomb).unwrap().threads, max);
+    fn adi_config_parses_and_validates() {
+        let req = json::parse(r#"{"adi": {"estimator": "mean", "n_detect_cap": 4}}"#).unwrap();
+        let cfg = parse_adi_config(&req).unwrap();
+        assert_eq!(cfg.estimator, AdiEstimator::MeanNdet);
+        assert_eq!(cfg.n_detect_cap, Some(4));
         let absent = json::parse("{}").unwrap();
-        assert_eq!(parse_adi_config(&absent).unwrap().width, SimWidth::default());
-        for bad in [r#"{"adi": {"width": 3}}"#, r#"{"adi": {"width": "wide"}}"#] {
-            let req = json::parse(bad).unwrap();
-            assert!(parse_adi_config(&req).is_err(), "{bad}");
+        assert_eq!(parse_adi_config(&absent).unwrap(), AdiConfig::default());
+        let bad = json::parse(r#"{"adi": {"n_detect_cap": 0}}"#).unwrap();
+        assert!(parse_adi_config(&bad).is_err());
+    }
+
+    #[test]
+    fn width_and_threads_parse() {
+        // The performance fields are accepted and ignored like any
+        // unknown field, whatever their values: the parsed config equals
+        // the one without them.
+        let base = json::parse(r#"{"atpg": {"backtrack_limit": 50, "fill": "zeros"}}"#).unwrap();
+        let cfg = parse_testgen_config(&base).unwrap();
+        for ignored in [
+            r#""width": 2, "threads": 3, "atpg_threads": 2, "speculation_depth": 8"#,
+            r#""width": 5, "threads": "many", "atpg_threads": -1, "speculation_depth": 0"#,
+            r#""threads": 20000, "atpg_threads": 20000"#,
+        ] {
+            let stale = json::parse(&format!(
+                r#"{{"atpg": {{"backtrack_limit": 50, "fill": "zeros", {ignored}}}}}"#
+            ))
+            .unwrap();
+            assert_eq!(parse_testgen_config(&stale).unwrap(), cfg, "{ignored}");
         }
+        let only = r#"{"atpg": {"width": 1, "threads": 4, "atpg_threads": 4}}"#;
+        let only = json::parse(only).unwrap();
+        assert_eq!(parse_testgen_config(&only).unwrap(), TestGenConfig::default());
+
+        let base = json::parse(r#"{"adi": {"estimator": "mean", "n_detect_cap": 4}}"#).unwrap();
+        let cfg = parse_adi_config(&base).unwrap();
+        for ignored in [
+            r#""width": 8, "threads": 2"#,
+            r#""width": 3, "threads": 20000"#,
+            r#""width": "wide", "threads": -1"#,
+        ] {
+            let stale = json::parse(&format!(
+                r#"{{"adi": {{"estimator": "mean", "n_detect_cap": 4, {ignored}}}}}"#
+            ))
+            .unwrap();
+            assert_eq!(parse_adi_config(&stale).unwrap(), cfg, "{ignored}");
+        }
+        let only = json::parse(r#"{"adi": {"width": 8, "threads": 2}}"#).unwrap();
+        assert_eq!(parse_adi_config(&only).unwrap(), AdiConfig::default());
     }
 
     #[test]

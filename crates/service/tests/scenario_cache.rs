@@ -14,10 +14,13 @@
 //!    recomputes to the same bytes;
 //! 4. `"cache": "bypass"` skips the cache entirely.
 
+use std::sync::OnceLock;
+
 use adi_circuits::{embedded, paper_suite_up_to, random_circuit, RandomCircuitConfig};
 use adi_netlist::bench_format;
 use adi_service::{ScenarioConfig, ServiceState, StoreConfig};
 use json::Value;
+use proptest::prelude::*;
 
 fn state() -> ServiceState {
     ServiceState::new(StoreConfig::default())
@@ -75,9 +78,8 @@ fn spelling_variants_collapse_to_one_scenario() {
     let s = state();
     let hash = compile_c17(&s);
     // Same scenario four ways: canonical; fields reordered; defaults
-    // (`collapse`, `cache`, `engine-less` width) written out; extra
-    // whitespace. All must produce one miss and three hits with
-    // byte-identical responses.
+    // (`collapse`, `cache`) written out; extra whitespace. All must
+    // produce one miss and three hits with byte-identical responses.
     let variants = [
         format!(r#"{{"id": 1, "op": "ndetect", "hash": "{hash}", "random": {{"count": 32, "seed": 5}}, "n": 3}}"#),
         format!(r#"{{"n": 3, "random": {{"seed": 5, "count": 32}}, "hash": "{hash}", "op": "ndetect", "id": 1}}"#),
@@ -93,34 +95,54 @@ fn spelling_variants_collapse_to_one_scenario() {
     assert_eq!(stat(&stats, "hits"), 3, "every respelling is a hit");
     assert_eq!(stat(&stats, "entries"), 1);
 
-    // The retired `engine` and `atpg.drop_loop` selectors are ignored
-    // like any unknown field: a request naming one answers
-    // byte-identically to, and hits the entry of, the request without it.
-    let retired = [
+    // The retired `engine` and `atpg.drop_loop` selectors and the
+    // performance fields (`width`, `threads`, `atpg_threads`,
+    // `speculation_depth`) are ignored like any unknown field, even at
+    // values that were once request errors: a request naming them
+    // answers byte-identically to, and hits the entry of, the request
+    // without them.
+    let retired: [(String, &[&str]); 4] = [
         (
-            format!(r#"{{"id": 1, "op": "coverage", "hash": "{hash}", "exhaustive": true}}"#),
-            format!(
-                r#"{{"id": 1, "op": "coverage", "hash": "{hash}", "exhaustive": true, "engine": "per-fault"}}"#
-            ),
+            format!(r#"{{"id": 1, "op": "coverage", "hash": "{hash}", "exhaustive": true"#),
+            &[r#""engine": "per-fault""#, r#""width": 2"#, r#""width": 5"#],
         ),
         (
-            format!(r#"{{"id": 1, "op": "atpg", "hash": "{hash}"}}"#),
-            format!(
-                r#"{{"id": 1, "op": "atpg", "hash": "{hash}", "atpg": {{"drop_loop": "scalar"}}}}"#
-            ),
+            format!(r#"{{"id": 1, "op": "ndetect", "hash": "{hash}", "exhaustive": true, "n": 2"#),
+            &[r#""width": 8"#, r#""width": "wide""#],
+        ),
+        (
+            format!(r#"{{"id": 1, "op": "adi", "hash": "{hash}", "ordering": "0dynm""#),
+            &[
+                r#""adi": {"width": 1, "threads": 2}"#,
+                r#""adi": {"width": 5, "threads": "many"}"#,
+                r#""adi": {"threads": 20000}"#,
+            ],
+        ),
+        (
+            format!(r#"{{"id": 1, "op": "atpg", "hash": "{hash}", "ordering": "0dynm""#),
+            &[
+                r#""atpg": {"drop_loop": "scalar"}"#,
+                r#""atpg": {"width": 2, "threads": 4, "atpg_threads": 4, "speculation_depth": 8}"#,
+                r#""atpg": {"width": 5, "threads": "many", "atpg_threads": -1, "speculation_depth": 0}"#,
+                r#""atpg": {"threads": 20000, "atpg_threads": 20000}, "adi": {"width": 2, "threads": 2}"#,
+            ],
         ),
     ];
+    let mut variants = 0;
     for (plain, stale) in &retired {
-        let cold = raw(&s, plain);
-        assert_eq!(
-            raw(&s, stale),
-            cold,
-            "a retired selector must not change the answer"
-        );
+        let cold = raw(&s, &format!("{plain}}}"));
+        for field in stale.iter() {
+            assert_eq!(
+                raw(&s, &format!("{plain}, {field}}}")),
+                cold,
+                "a retired or performance field must not change the answer: {field}"
+            );
+            variants += 1;
+        }
     }
     let stats = scenario_stats(&s);
     assert_eq!(stat(&stats, "misses"), 1 + retired.len() as u64);
-    assert_eq!(stat(&stats, "hits"), 3 + retired.len() as u64);
+    assert_eq!(stat(&stats, "hits"), 3 + variants);
     assert_eq!(stat(&stats, "entries"), 1 + retired.len() as u64);
 
     // A circuit sent as `bench` text resolves to the same scenario as
@@ -137,7 +159,7 @@ fn spelling_variants_collapse_to_one_scenario() {
     assert_eq!(by_bench, by_hash, "bench text must hit the hash-addressed entry");
     let stats = scenario_stats(&s);
     assert_eq!(stat(&stats, "misses"), 2 + retired.len() as u64);
-    assert_eq!(stat(&stats, "hits"), 4 + retired.len() as u64);
+    assert_eq!(stat(&stats, "hits"), 4 + variants);
     assert_eq!(stat(&stats, "entries"), 2 + retired.len() as u64);
 }
 
@@ -156,12 +178,11 @@ fn with_field(request: &Value, path: &str, value: &str) -> Value {
     set(Some(request), &path, json::parse(value).unwrap())
 }
 
-/// The result of `request`, less `atpg`'s wall-clock `timing` and
-/// `wasted_speculations` (every other field is deterministic).
-fn deterministic_result(state: &ServiceState, request: &Value) -> Vec<(String, String)> {
-    let v = json::parse(&raw(state, &request.to_string())).unwrap();
-    v.get("result")
-        .and_then(Value::as_object)
+/// `result` less `atpg`'s wall-clock `timing` and `wasted_speculations`
+/// (every other field is deterministic).
+fn deterministic(result: &Value) -> Vec<(String, String)> {
+    result
+        .as_object()
         .unwrap()
         .iter()
         .filter(|(key, _)| !matches!(*key, "timing" | "wasted_speculations"))
@@ -169,25 +190,29 @@ fn deterministic_result(state: &ServiceState, request: &Value) -> Vec<(String, S
         .collect()
 }
 
-/// For every cacheable op: starting from a request that sets every
-/// field the op reads, a copy that differs in one field alone (sent
-/// after the base, cache on) answers exactly like its own `bypass`
-/// recomputation. A key that forgot the field would replay the base's
-/// payload instead, and each variant marked as changing the answer
-/// proves the check can see that.
-#[test]
-fn every_field_an_op_reads_is_in_the_key() {
-    let s = state();
-    let c17 = compile_c17(&s);
+/// The deterministic result of `request`, which must succeed.
+fn deterministic_result(state: &ServiceState, request: &Value) -> Vec<(String, String)> {
+    let v = json::parse(&raw(state, &request.to_string())).unwrap();
+    deterministic(v.get("result").unwrap())
+}
+
+/// `(field path, another value that changes the answer)` pairs.
+type Variants = Vec<(&'static str, String)>;
+
+/// For every cacheable op, a request that sets every field the op reads
+/// and, per field, another value for it. Compiles the circuits they
+/// address into `s`.
+fn key_cases(s: &ServiceState) -> Vec<(Value, Variants)> {
+    let c17 = compile_c17(s);
     // Same five inputs, different function: a drop-in circuit swap.
-    let mutant = compile(&s, &embedded::C17_BENCH.replace("G10 = NAND", "G10 = NOR"));
+    let mutant = compile(s, &embedded::C17_BENCH.replace("G10 = NAND", "G10 = NOR"));
     let rewrite = compile(
-        &s,
+        s,
         &embedded::C17_BENCH.replace("G10 = NAND(G1, G3)", "G10a = AND(G1, G3)\nG10 = NOT(G10a)"),
     );
     // Hard enough at `backtrack_limit: 1` to abort and reach SAT.
     let medium = compile(
-        &s,
+        s,
         &bench_format::to_bench(&random_circuit(&RandomCircuitConfig::new(
             "svc_medium",
             12,
@@ -197,82 +222,68 @@ fn every_field_an_op_reads_is_in_the_key() {
     );
     let tests = r#"["00000", "11111", "10101", "01010", "11000", "00111", "10010", "01101"]"#;
     let other_tests = r#"["00000", "11111", "10101", "01010"]"#;
-    // (base request, [(field, other value, changes the answer)]); the
-    // `false` fields are simulation knobs every value of which gives
-    // bit-identical results.
-    type Variants = Vec<(&'static str, String, bool)>;
     let cases: Vec<(String, Variants)> = vec![
         (
             format!(
-                r#"{{"op": "coverage", "hash": "{c17}", "collapse": true, "random": {{"count": 32, "seed": 5}}, "width": 1, "include_detail": true}}"#
+                r#"{{"op": "coverage", "hash": "{c17}", "collapse": true, "random": {{"count": 32, "seed": 5}}, "include_detail": true}}"#
             ),
             vec![
-                ("hash", format!(r#""{mutant}""#), true),
-                ("collapse", "false".into(), true),
-                ("random.count", "33".into(), true),
-                ("random.seed", "6".into(), true),
-                ("patterns", tests.into(), true),
-                ("width", "2".into(), false),
-                ("include_detail", "false".into(), true),
+                ("hash", format!(r#""{mutant}""#)),
+                ("collapse", "false".into()),
+                ("random.count", "33".into()),
+                ("random.seed", "6".into()),
+                ("patterns", tests.into()),
+                ("include_detail", "false".into()),
             ],
         ),
         (
             format!(
-                r#"{{"op": "ndetect", "hash": "{c17}", "collapse": true, "patterns": {tests}, "n": 2, "width": 1}}"#
+                r#"{{"op": "ndetect", "hash": "{c17}", "collapse": true, "patterns": {tests}, "n": 2}}"#
             ),
             vec![
-                ("hash", format!(r#""{mutant}""#), true),
-                ("collapse", "false".into(), true),
-                ("patterns", other_tests.into(), true),
-                ("n", "3".into(), true),
-                ("width", "4".into(), false),
+                ("hash", format!(r#""{mutant}""#)),
+                ("collapse", "false".into()),
+                ("patterns", other_tests.into()),
+                ("n", "3".into()),
             ],
         ),
         (
             format!(
-                r#"{{"op": "adi", "hash": "{c17}", "collapse": true, "u": {{"max_vectors": 64, "target_coverage": 0.9, "seed": 3, "exhaustive_threshold": 0, "strip_useless": false}}, "adi": {{"estimator": "min", "n_detect_cap": 8, "threads": 1, "width": 1}}, "include_values": true, "ordering": "0dynm"}}"#
+                r#"{{"op": "adi", "hash": "{c17}", "collapse": true, "u": {{"max_vectors": 64, "target_coverage": 0.9, "seed": 3, "exhaustive_threshold": 0, "strip_useless": false}}, "adi": {{"estimator": "min", "n_detect_cap": 8}}, "include_values": true, "ordering": "0dynm"}}"#
             ),
             vec![
-                ("hash", format!(r#""{mutant}""#), true),
-                ("collapse", "false".into(), true),
-                ("random", r#"{"count": 16, "seed": 1}"#.into(), true),
-                ("u.max_vectors", "4".into(), true),
-                ("u.target_coverage", "0.5".into(), true),
-                ("u.seed", "4".into(), true),
-                ("u.exhaustive_threshold", "6".into(), true),
-                ("u.strip_useless", "true".into(), true),
-                ("adi.estimator", r#""mean""#.into(), true),
-                ("adi.n_detect_cap", "1".into(), true),
-                ("adi.threads", "2".into(), false),
-                ("adi.width", "2".into(), false),
-                ("include_values", "false".into(), true),
-                ("ordering", r#""dynm""#.into(), true),
+                ("hash", format!(r#""{mutant}""#)),
+                ("collapse", "false".into()),
+                ("random", r#"{"count": 16, "seed": 1}"#.into()),
+                ("u.max_vectors", "4".into()),
+                ("u.target_coverage", "0.5".into()),
+                ("u.seed", "4".into()),
+                ("u.exhaustive_threshold", "6".into()),
+                ("u.strip_useless", "true".into()),
+                ("adi.estimator", r#""mean""#.into()),
+                ("adi.n_detect_cap", "1".into()),
+                ("include_values", "false".into()),
+                ("ordering", r#""dynm""#.into()),
             ],
         ),
         (
             format!(
-                r#"{{"op": "atpg", "hash": "{medium}", "collapse": true, "ordering": "0dynm", "random": {{"count": 64, "seed": 21}}, "adi": {{"estimator": "min", "n_detect_cap": 8, "threads": 1, "width": 1}}, "atpg": {{"backtrack_limit": 1, "fill": "random", "fill_seed": 7, "width": 1, "threads": 1, "atpg_threads": 1, "speculation_depth": 4, "sat_fallback": "aborted-only", "sat_conflict_limit": 100000}}, "include_tests": true, "include_detail": true}}"#
+                r#"{{"op": "atpg", "hash": "{medium}", "collapse": true, "ordering": "0dynm", "random": {{"count": 64, "seed": 21}}, "adi": {{"estimator": "min", "n_detect_cap": 8}}, "atpg": {{"backtrack_limit": 1, "fill": "random", "fill_seed": 7, "sat_fallback": "aborted-only", "sat_conflict_limit": 100000}}, "include_tests": true, "include_detail": true}}"#
             ),
             vec![
-                ("hash", format!(r#""{c17}""#), true),
-                ("collapse", "false".into(), true),
-                ("ordering", r#""dynm""#.into(), true),
-                ("random.seed", "22".into(), true),
-                ("adi.estimator", r#""mean""#.into(), true),
-                ("adi.n_detect_cap", "1".into(), true),
-                ("adi.threads", "2".into(), false),
-                ("adi.width", "2".into(), false),
-                ("atpg.backtrack_limit", "1000".into(), true),
-                ("atpg.fill", r#""zeros""#.into(), true),
-                ("atpg.fill_seed", "8".into(), true),
-                ("atpg.width", "2".into(), false),
-                ("atpg.threads", "2".into(), false),
-                ("atpg.atpg_threads", "2".into(), false),
-                ("atpg.speculation_depth", "8".into(), false),
-                ("atpg.sat_fallback", r#""off""#.into(), true),
-                ("atpg.sat_conflict_limit", "0".into(), true),
-                ("include_tests", "false".into(), true),
-                ("include_detail", "false".into(), true),
+                ("hash", format!(r#""{c17}""#)),
+                ("collapse", "false".into()),
+                ("ordering", r#""dynm""#.into()),
+                ("random.seed", "22".into()),
+                ("adi.estimator", r#""mean""#.into()),
+                ("adi.n_detect_cap", "1".into()),
+                ("atpg.backtrack_limit", "1000".into()),
+                ("atpg.fill", r#""zeros""#.into()),
+                ("atpg.fill_seed", "8".into()),
+                ("atpg.sat_fallback", r#""off""#.into()),
+                ("atpg.sat_conflict_limit", "0".into()),
+                ("include_tests", "false".into()),
+                ("include_detail", "false".into()),
             ],
         ),
         (
@@ -280,10 +291,10 @@ fn every_field_an_op_reads_is_in_the_key() {
                 r#"{{"op": "reorder", "hash": "{c17}", "collapse": true, "patterns": {tests}, "mode": "steepest"}}"#
             ),
             vec![
-                ("hash", format!(r#""{mutant}""#), true),
-                ("collapse", "false".into(), true),
-                ("patterns", other_tests.into(), true),
-                ("mode", r#""compact""#.into(), true),
+                ("hash", format!(r#""{mutant}""#)),
+                ("collapse", "false".into()),
+                ("patterns", other_tests.into()),
+                ("mode", r#""compact""#.into()),
             ],
         ),
         (
@@ -291,27 +302,127 @@ fn every_field_an_op_reads_is_in_the_key() {
                 r#"{{"op": "equiv", "left": {{"hash": "{c17}"}}, "right": {{"hash": "{rewrite}"}}, "conflict_limit": 100000}}"#
             ),
             vec![
-                ("left.hash", format!(r#""{mutant}""#), true),
-                ("right.hash", format!(r#""{mutant}""#), true),
-                ("conflict_limit", "0".into(), true),
+                ("left.hash", format!(r#""{mutant}""#)),
+                ("right.hash", format!(r#""{mutant}""#)),
+                ("conflict_limit", "0".into()),
             ],
         ),
     ];
-    for (base, variants) in &cases {
-        let base = json::parse(base).unwrap();
-        let base_result = deterministic_result(&s, &base);
-        for (field, value, changes_answer) in variants {
-            let variant = with_field(&base, field, value);
+    cases
+        .into_iter()
+        .map(|(base, variants)| (json::parse(&base).unwrap(), variants))
+        .collect()
+}
+
+/// For every cacheable op: starting from a request that sets every
+/// field the op reads, a copy that differs in one field alone (sent
+/// after the base, cache on) answers exactly like its own `bypass`
+/// recomputation. A key that forgot the field would replay the base's
+/// payload instead, and every variant changes the answer, which proves
+/// the check can see that.
+#[test]
+fn every_field_an_op_reads_is_in_the_key() {
+    let s = state();
+    for (base, variants) in &key_cases(&s) {
+        let base_result = deterministic_result(&s, base);
+        for (field, value) in variants {
+            let variant = with_field(base, field, value);
             let cached = deterministic_result(&s, &variant);
             let fresh = deterministic_result(&s, &with_field(&variant, "cache", r#""bypass""#));
             assert_eq!(cached, fresh, "`{field}`: {variant}");
-            assert_eq!(
-                cached != base_result,
-                *changes_answer,
-                "`{field}` = {value} must {}change the answer",
-                if *changes_answer { "" } else { "not " }
-            );
+            assert_ne!(cached, base_result, "`{field}` = {value} must change the answer");
         }
+    }
+}
+
+/// `request` without the field at dotted `path` (unchanged if absent).
+fn without_field(request: &Value, path: &str) -> Value {
+    fn strip(node: &Value, path: &[&str]) -> Value {
+        let Some(o) = node.as_object() else {
+            return node.clone();
+        };
+        let kept = o.iter().filter(|(key, _)| path != [*key]).map(|(key, value)| {
+            let value = if path[0] == key {
+                strip(value, &path[1..])
+            } else {
+                value.clone()
+            };
+            (key, value)
+        });
+        Value::Object(kept.collect())
+    }
+    strip(request, &path.split('.').collect::<Vec<_>>())
+}
+
+/// A fuzz response line: one JSON object with a boolean `ok`, and no
+/// `internal error`. Returns `ok` with the deterministic result, or with
+/// the error message.
+fn fuzz_answer(line: &str) -> (bool, Vec<(String, String)>) {
+    let v = json::parse(line).unwrap_or_else(|e| panic!("not one JSON value ({e}): {line}"));
+    assert!(v.as_object().is_some() && !line.contains('\n'), "{line}");
+    match v.get("ok").and_then(Value::as_bool) {
+        Some(true) => (true, deterministic(v.get("result").unwrap())),
+        Some(false) => {
+            let error = v.get("error").and_then(Value::as_str).unwrap();
+            assert!(!error.starts_with("internal error"), "{line}");
+            (false, vec![("error".to_string(), error.to_string())])
+        }
+        None => panic!("no boolean `ok`: {line}"),
+    }
+}
+
+/// Values the fuzz writes into fields: every JSON kind, a negative
+/// number and one beyond every integer type.
+const JUNK: [&str; 7] = ["null", "true", "-1", "1e30", r#""x""#, "[]", "{}"];
+
+/// The performance fields requests no longer read, and where the fuzz
+/// adds them.
+const IGNORED: [&str; 4] = ["width", "threads", "atpg_threads", "speculation_depth"];
+const IGNORED_AT: [&str; 3] = ["", "adi.", "atpg."];
+
+/// The service state all fuzz cases share (so a mutant can hit an entry
+/// an earlier case filled), and its key cases.
+fn fuzz_fixture() -> &'static (ServiceState, Vec<(Value, Variants)>) {
+    static FIXTURE: OnceLock<(ServiceState, Vec<(Value, Variants)>)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let s = state();
+        let cases = key_cases(&s);
+        (s, cases)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A key case's base request under up to three mutations (drop a
+    /// field it reads, set one to junk, add an ignored field) answers
+    /// with the cache on exactly as its `bypass` recomputation does: a
+    /// cached payload is never one computed for another request.
+    #[test]
+    fn mutated_requests_answer_like_their_recomputation(
+        case in 0usize..6,
+        mutations in proptest::collection::vec((0usize..3, any::<u64>(), 0usize..JUNK.len()), 0..4),
+    ) {
+        let (s, cases) = fuzz_fixture();
+        let (base, fields) = &cases[case];
+        let mut request = base.clone();
+        for (kind, pick, junk) in mutations {
+            let pick = pick as usize;
+            let field = fields[pick % fields.len()].0;
+            request = match kind {
+                0 => without_field(&request, field),
+                1 => with_field(&request, field, JUNK[junk]),
+                _ => {
+                    let at = IGNORED_AT[pick / IGNORED.len() % IGNORED_AT.len()];
+                    let name = IGNORED[pick % IGNORED.len()];
+                    with_field(&request, &format!("{at}{name}"), JUNK[junk])
+                }
+            };
+        }
+        let cached = fuzz_answer(&s.handle_line(&request.to_string()));
+        let bypass = with_field(&request, "cache", r#""bypass""#);
+        let fresh = fuzz_answer(&s.handle_line(&bypass.to_string()));
+        prop_assert_eq!(cached, fresh, "{}", request);
     }
 }
 

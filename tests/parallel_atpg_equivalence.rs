@@ -98,7 +98,8 @@ fn speculative_atpg_identical_on_embedded_circuits() {
 fn speculative_atpg_identical_on_suite_circuits() {
     for circuit in paper_suite() {
         // The largest stand-in (irs13207, ~8k gates) is too slow for a
-        // debug-build ATPG run here.
+        // debug-build ATPG run; `speculative_atpg_identical_on_irs13207`
+        // checks it in release.
         if circuit.gates > 3000 {
             continue;
         }
@@ -129,6 +130,30 @@ fn speculative_atpg_identical_on_suite_circuits() {
             );
         }
     }
+}
+
+/// The largest stand-in, which the suite test skips: irs13207's
+/// collapsed faults in list order at 4 ATPG threads, depth 16 and W4,
+/// against the sequential loop. A sequential run takes about 5 s in a
+/// release build on a 2-vCPU host.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only")]
+fn speculative_atpg_identical_on_irs13207() {
+    let circuit = paper_suite()
+        .into_iter()
+        .find(|c| c.name == "irs13207")
+        .unwrap();
+    let netlist = circuit.netlist();
+    let compiled = CompiledCircuit::compile(netlist.clone());
+    let faults = FaultList::collapsed(&netlist);
+    let order: Vec<FaultId> = faults.ids().collect();
+    let oracle = run_once(&compiled, &faults, &order, 1, 16, SimWidth::W4);
+    let got = run_once(&compiled, &faults, &order, 4, 16, SimWidth::W4);
+    assert_eq!(got, oracle);
+    assert_eq!(
+        got.podem_stats.deterministic(),
+        oracle.podem_stats.deterministic()
+    );
 }
 
 /// The committer adapts the claim window inside `[1, speculation_depth]`
