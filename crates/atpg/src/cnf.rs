@@ -15,8 +15,11 @@
 //!   other line is shared, and fanout nodes whose cached reachability
 //!   mask ([`LevelizedCsr::out_mask_at`]) is zero are skipped outright
 //!   because nothing they compute can reach an output. SAT ⇒ the model
-//!   is a [`TestCube`]; UNSAT ⇒ the fault is **provably redundant**;
-//!   a conflict-limited run may also return
+//!   is a [`TestCube`] that specifies **every** input: each input has
+//!   a solver variable, and the solver answers SAT only once it has
+//!   assigned every variable, so inputs outside the fault's cone get a
+//!   value too (whatever the search left them at). UNSAT ⇒ the fault
+//!   is **provably redundant**; a conflict-limited run may also return
 //!   [`FaultVerdict::Undecided`].
 //! * [`check_equiv`] — *do two netlists compute the same outputs?*
 //!   A full-circuit miter over shared primary inputs (matched by
@@ -55,8 +58,9 @@ pub const DEFAULT_CONFLICT_LIMIT: u64 = 100_000;
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum FaultVerdict {
     /// The fault is testable; the cube is a satisfying input assignment
-    /// (unspecified entries are inputs outside the miter's support —
-    /// any completion detects the fault).
+    /// with every input specified (the solver assigns every variable,
+    /// including the inputs the miter does not constrain), so fill
+    /// leaves it unchanged.
     Testable(TestCube),
     /// The miter is unsatisfiable: no input assignment distinguishes
     /// the faulty circuit, i.e. the fault is provably redundant.
@@ -512,6 +516,23 @@ G23 = NAND(G16, G19)
             FaultVerdict::Testable(cube) => assert_eq!(cube.get(0), Some(false)),
             other => panic!("expected testable, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn testable_cubes_specify_every_input() {
+        // The solver assigns every variable before it answers SAT, so a
+        // cube leaves no input open, not even one outside the miter.
+        let circuit = adi_circuits::paper_suite()[0].compiled();
+        let faults = circuit.collapsed_faults();
+        let mut testable = 0;
+        for (_, fault) in faults.iter().step_by(7) {
+            if let FaultVerdict::Testable(cube) = prove_fault(&circuit, fault, DEFAULT_CONFLICT_LIMIT) {
+                assert_eq!(cube.len(), circuit.netlist().num_inputs(), "{fault}");
+                assert_eq!(cube.specified_count(), cube.len(), "{fault}: {cube:?}");
+                testable += 1;
+            }
+        }
+        assert!(testable > 10, "only {testable} testable faults sampled");
     }
 
     #[test]

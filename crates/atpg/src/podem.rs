@@ -270,6 +270,46 @@ impl PodemStats {
             self.decisions,
         )
     }
+
+    /// Field-wise `self - before` of two cumulative snapshots of one
+    /// [`Podem`]: the counters the searches in between added, with
+    /// `wasted_speculations` zero.
+    pub(crate) fn since(self, before: PodemStats) -> PodemStats {
+        PodemStats {
+            targets: self.targets - before.targets,
+            tests: self.tests - before.tests,
+            untestable: self.untestable - before.untestable,
+            aborted: self.aborted - before.aborted,
+            backtracks: self.backtracks - before.backtracks,
+            decisions: self.decisions - before.decisions,
+            sim_events: self.sim_events - before.sim_events,
+            sim_updates: self.sim_updates - before.sim_updates,
+            wasted_speculations: 0,
+            sat_resolved: SatResolved {
+                redundant: self.sat_resolved.redundant - before.sat_resolved.redundant,
+                testable: self.sat_resolved.testable - before.sat_resolved.testable,
+                undecided: self.sat_resolved.undecided - before.sat_resolved.undecided,
+            },
+            screen_redundant: self.screen_redundant - before.screen_redundant,
+        }
+    }
+
+    /// Adds a per-target delta ([`since`](Self::since)) field-wise,
+    /// leaving `wasted_speculations` alone.
+    pub(crate) fn accumulate(&mut self, delta: PodemStats) {
+        self.targets += delta.targets;
+        self.tests += delta.tests;
+        self.untestable += delta.untestable;
+        self.aborted += delta.aborted;
+        self.backtracks += delta.backtracks;
+        self.decisions += delta.decisions;
+        self.sim_events += delta.sim_events;
+        self.sim_updates += delta.sim_updates;
+        self.sat_resolved.redundant += delta.sat_resolved.redundant;
+        self.sat_resolved.testable += delta.sat_resolved.testable;
+        self.sat_resolved.undecided += delta.sat_resolved.undecided;
+        self.screen_redundant += delta.screen_redundant;
+    }
 }
 
 /// The PODEM test generator, reusable across many target faults of one

@@ -34,7 +34,9 @@
 //!    worker runs it, and after whatever target history, cannot matter.
 //!    (The one cross-target cache, the X-path witness, only short-cuts
 //!    a walk whose boolean answer is unchanged and whose cost is not a
-//!    `PodemStats` counter.)
+//!    `PodemStats` counter.) The same purity lets workers and the
+//!    committer read a target from the generator's memo instead of
+//!    searching it again.
 //! 2. **Committer-owned skip state.** Both skip checks — `status` and
 //!    the drop session's pending-cover word — read state mutated only
 //!    by the committer itself, in commit order. Workers never touch it.
@@ -73,16 +75,21 @@ use std::time::Instant;
 use adi_netlist::fault::FaultId;
 use adi_sim::DropSession;
 
-use crate::testgen::{apply_flush, finalize_status, PhaseTimings, TestGenResult, TestGenerator};
-use crate::{FaultStatus, Podem, PodemOutcome, PodemStats, SatResolved};
+use crate::testgen::{
+    apply_flush, finalize_status, PhaseTimings, Searched, TestGenResult, TestGenerator, SPAN_PODEM,
+};
+use crate::{FaultStatus, Podem, PodemOutcome, PodemStats};
+
+/// Per-target span of a worker's search.
+static SPAN_SPECULATE: adi_obs::SpanSite = adi_obs::SpanSite::new("atpg.speculate_podem");
 
 /// One ordering position's speculation slot.
-enum Slot {
+enum Slot<'g> {
     /// Not yet produced (unclaimed, or a worker is running it).
     Pending,
-    /// A worker finished PODEM: the outcome plus the worker's stats
-    /// delta for exactly this target.
-    Ready(PodemOutcome, PodemStats),
+    /// A worker has the target's outcome and stats delta, searched or
+    /// read from the generator's memo.
+    Ready(&'g Searched),
     /// A worker saw the target's resolved hint and skipped it.
     Skipped,
     /// The committer took the result.
@@ -90,20 +97,20 @@ enum Slot {
 }
 
 /// Mutex-guarded scheduler state shared by the committer and workers.
-struct SpecState {
+struct SpecState<'g> {
     /// Next unclaimed ordering position.
     next_claim: usize,
     /// The position the committer is currently at; claims are limited
     /// to `commit_pos + depth` (the speculation window).
     commit_pos: usize,
     /// Per-position speculation slots.
-    slots: Vec<Slot>,
+    slots: Vec<Slot<'g>>,
     /// Shutdown flag (set once the commit loop has finished).
     stop: bool,
 }
 
-struct Shared {
-    state: Mutex<SpecState>,
+struct Shared<'g> {
+    state: Mutex<SpecState<'g>>,
     /// Signaled when the claim window may have opened (commit advance,
     /// shutdown).
     work: Condvar,
@@ -111,46 +118,9 @@ struct Shared {
     done: Condvar,
 }
 
-/// Field-wise `after - before` of two cumulative stats snapshots.
-fn stats_delta(after: PodemStats, before: PodemStats) -> PodemStats {
-    PodemStats {
-        targets: after.targets - before.targets,
-        tests: after.tests - before.tests,
-        untestable: after.untestable - before.untestable,
-        aborted: after.aborted - before.aborted,
-        backtracks: after.backtracks - before.backtracks,
-        decisions: after.decisions - before.decisions,
-        sim_events: after.sim_events - before.sim_events,
-        sim_updates: after.sim_updates - before.sim_updates,
-        wasted_speculations: 0,
-        sat_resolved: SatResolved {
-            redundant: after.sat_resolved.redundant - before.sat_resolved.redundant,
-            testable: after.sat_resolved.testable - before.sat_resolved.testable,
-            undecided: after.sat_resolved.undecided - before.sat_resolved.undecided,
-        },
-        screen_redundant: after.screen_redundant - before.screen_redundant,
-    }
-}
-
-/// Field-wise accumulation of a per-target delta.
-fn stats_add(acc: &mut PodemStats, d: PodemStats) {
-    acc.targets += d.targets;
-    acc.tests += d.tests;
-    acc.untestable += d.untestable;
-    acc.aborted += d.aborted;
-    acc.backtracks += d.backtracks;
-    acc.decisions += d.decisions;
-    acc.sim_events += d.sim_events;
-    acc.sim_updates += d.sim_updates;
-    acc.sat_resolved.redundant += d.sat_resolved.redundant;
-    acc.sat_resolved.testable += d.sat_resolved.testable;
-    acc.sat_resolved.undecided += d.sat_resolved.undecided;
-    acc.screen_redundant += d.screen_redundant;
-}
-
 /// The speculative batched run (see the [module docs](self) for the
 /// commit rule and the determinism argument). Called by
-/// `TestGenerator::run_phase_batched` when
+/// `TestGenerator::run_phase` when
 /// `TestGenConfig::atpg_threads > 1`.
 pub(crate) fn run_speculative<const N: usize>(
     g: &TestGenerator<'_>,
@@ -218,12 +188,13 @@ pub(crate) fn run_speculative<const N: usize>(
 }
 
 /// A speculation worker: claim the next ordering position inside the
-/// window, run PODEM on it (unless its resolved hint is set), publish
-/// the slot, repeat until shutdown.
-fn worker_loop(
-    g: &TestGenerator<'_>,
+/// window, get its target's outcome from [`TestGenerator::search`]
+/// (unless its resolved hint is set), publish the slot, repeat until
+/// shutdown.
+fn worker_loop<'g>(
+    g: &'g TestGenerator<'_>,
     order: &[FaultId],
-    shared: &Shared,
+    shared: &Shared<'g>,
     resolved: &[AtomicBool],
     speculated: &AtomicU64,
     generate_ns: &AtomicU64,
@@ -255,18 +226,11 @@ fn worker_loop(
             shared.done.notify_all();
             continue;
         }
-        let before = podem.stats();
         let t0 = Instant::now();
-        let outcome = {
-            static SPAN_SPECULATE: adi_obs::SpanSite = adi_obs::SpanSite::new("atpg.speculate_podem");
-            let _span = SPAN_SPECULATE.enter();
-            podem.generate(g.faults.fault(target))
-        };
+        let searched = g.search(&mut podem, target, &SPAN_SPECULATE);
         generate_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         speculated.fetch_add(1, Ordering::Relaxed);
-        let delta = stats_delta(podem.stats(), before);
-        shared.state.lock().expect("scheduler lock poisoned").slots[pos] =
-            Slot::Ready(outcome, delta);
+        shared.state.lock().expect("scheduler lock poisoned").slots[pos] = Slot::Ready(searched);
         shared.done.notify_all();
     }
 }
@@ -314,11 +278,11 @@ fn adapt_window(window: &AtomicUsize, cap: usize, streak: &mut i64, useful: bool
 /// The committer: replays the sequential batched loop in ordering
 /// position, consuming speculated outcomes under the first-win rule.
 #[allow(clippy::too_many_arguments)]
-fn commit_loop<const N: usize>(
-    g: &TestGenerator<'_>,
+fn commit_loop<'g, const N: usize>(
+    g: &'g TestGenerator<'_>,
     order: &[FaultId],
     predropped: &[bool],
-    shared: &Shared,
+    shared: &Shared<'g>,
     resolved: &[AtomicBool],
     generate_ns: &AtomicU64,
     window: &AtomicUsize,
@@ -396,10 +360,10 @@ fn commit_loop<const N: usize>(
         };
         timing.commit_wait_ns += wait0.elapsed().as_nanos() as u64;
         let (outcome, delta) = match slot {
-            Slot::Ready(outcome, delta) => {
+            Slot::Ready(searched) => {
                 consumed += 1;
                 adapt_window(window, depth, &mut streak, true);
-                (outcome, delta)
+                searched
             }
             Slot::Pending => unreachable!("wait loop only exits on a settled slot"),
             Slot::Skipped | Slot::Consumed => {
@@ -411,20 +375,19 @@ fn commit_loop<const N: usize>(
                 debug_assert!(false, "speculation slot skipped for a live target");
                 let podem = fallback
                     .get_or_insert_with(|| Podem::for_circuit(&g.circuit, g.config.podem));
-                let before = podem.stats();
                 let t0 = Instant::now();
-                let outcome = podem.generate(g.faults.fault(target));
+                let searched = g.search(podem, target, &SPAN_PODEM);
                 generate_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                (outcome, stats_delta(podem.stats(), before))
+                searched
             }
         };
-        stats_add(&mut stats, delta);
+        stats.accumulate(*delta);
 
         match outcome {
             PodemOutcome::Test(cube) => {
                 let test_index = tests.len() as u32;
                 let seed = g.config.fill_seed.wrapping_add(u64::from(test_index));
-                let pattern = g.config.fill.fill(&cube, seed);
+                let pattern = g.config.fill.fill(cube, seed);
                 let t0 = Instant::now();
                 session.push(&pattern);
                 debug_assert!(

@@ -7,6 +7,9 @@
 //! dropped. The per-test newly-detected counts form the fault-coverage
 //! curve that Figure 1 and Table 7 are built from.
 //!
+//! A [`TestGenerator`] searches each target at most once: later runs,
+//! under any order, replay the memoized outcome and counter delta.
+//!
 //! [`TestGenerator::run`] drops faults in batches: generated tests
 //! accumulate into wide blocks of an [`adi_sim::DropSession`], which pays
 //! the stem-region engine's per-region propagation once per block
@@ -38,9 +41,15 @@ use adi_sim::{CoverageCurve, DropSession, FaultSimulator, Pattern, SimWidth};
 
 use crate::{speculate, FillStrategy, Podem, PodemConfig, PodemOutcome, PodemStats, SatFallback, SatResolved};
 
-/// Per-target PODEM span (the drop loop enters it around
-/// `podem.generate`, so a traced `atpg` request shows every target).
-static SPAN_PODEM: SpanSite = SpanSite::new("atpg.podem");
+/// Per-target PODEM span: the drop loop enters it around
+/// `podem.generate`, so a traced `atpg` request shows every target the
+/// generator searched for the first time. A target replayed from the
+/// memo ([`TestGenerator`]) opens no span.
+pub(crate) static SPAN_PODEM: SpanSite = SpanSite::new("atpg.podem");
+
+/// One target's search: the [`PodemOutcome`] and the [`PodemStats`]
+/// delta the search added.
+pub(crate) type Searched = (PodemOutcome, PodemStats);
 
 /// Configuration for a [`TestGenerator`] run.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -162,10 +171,13 @@ impl FaultStatus {
 /// whole results.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTimings {
-    /// Nanoseconds inside `Podem::generate`. Under speculation this sums
-    /// over every worker run — including discarded ones — so it can
-    /// exceed wall clock; the excess over the sequential run is the
-    /// price of the wasted speculation.
+    /// Nanoseconds spent getting each target's PODEM outcome: a
+    /// `Podem::generate` search for a target the generator had not
+    /// searched before, a memo lookup for one it had (see
+    /// [`TestGenerator`]). Under speculation this sums over every worker
+    /// run — including discarded ones — so it can exceed wall clock; the
+    /// excess over the sequential run is the price of the wasted
+    /// speculation.
     pub generate_ns: u64,
     /// Nanoseconds in the drop path: pending-cover checks, test pushes,
     /// and block flushes (plus the warm-up admission phase, for
@@ -210,10 +222,11 @@ pub struct TestGenResult {
     pub new_detections: Vec<u32>,
     /// Per-fault classification (indexed by `FaultId`).
     pub status: Vec<FaultStatus>,
-    /// PODEM counters for the whole run. Under speculation, the
-    /// committed counters (everything except
-    /// [`PodemStats::wasted_speculations`]) are the exact sums the
-    /// sequential loop would have produced.
+    /// PODEM counters for the whole run: the sum of each searched
+    /// target's counter delta, replayed from the memo for a target an
+    /// earlier run of the generator searched. Every counter except
+    /// [`PodemStats::wasted_speculations`] is therefore the same whether
+    /// a target was searched or replayed, and under speculation.
     pub podem_stats: PodemStats,
     /// Per-phase wall-clock breakdown (excluded from equality).
     pub timing: PhaseTimings,
@@ -343,6 +356,21 @@ pub struct TestGenSummary {
 
 /// Drives PODEM over an ordered fault list with fault dropping.
 ///
+/// A generator searches each target at most once. A target's PODEM
+/// outcome and counter delta depend only on the circuit, the
+/// [`PodemConfig`] and the fault (the same fact speculation relies on),
+/// and the configuration is fixed at construction. So the first search
+/// of a target fills the target's memo slot, and every later
+/// [`run`](Self::run) or [`run_with_random_phase`](Self::run_with_random_phase)
+/// of the same generator replays that outcome and adds the stored
+/// delta. Results, `PodemStats` included, are bit-identical to a fresh
+/// generator's; only [`PhaseTimings::generate_ns`] shrinks, and the
+/// `atpg.podem` span opens only for a search. A slot is one pointer
+/// until its target is searched. Running several orderings of one
+/// fault list on one generator, as the paper's Section 4 does, searches
+/// only the targets no earlier ordering reached.
+/// [`run_reference`](Self::run_reference) keeps no memo.
+///
 /// # Examples
 ///
 /// ```
@@ -367,6 +395,9 @@ pub struct TestGenerator<'a> {
     pub(crate) circuit: CompiledCircuit,
     pub(crate) faults: &'a FaultList,
     pub(crate) config: TestGenConfig,
+    /// Per-fault search memo, filled by [`search`](Self::search). Boxed,
+    /// so a fault never searched costs one pointer-sized slot.
+    memo: Vec<OnceLock<Box<Searched>>>,
 }
 
 impl<'a> TestGenerator<'a> {
@@ -382,7 +413,27 @@ impl<'a> TestGenerator<'a> {
             circuit: circuit.clone(),
             faults,
             config,
+            memo: (0..faults.len()).map(|_| OnceLock::new()).collect(),
         }
+    }
+
+    /// `target`'s PODEM outcome and counter delta: searched with `podem`
+    /// inside `span` the first time this generator meets the target,
+    /// read from the memo every later time.
+    pub(crate) fn search(
+        &self,
+        podem: &mut Podem,
+        target: FaultId,
+        span: &'static SpanSite,
+    ) -> &Searched {
+        self.memo[target.index()].get_or_init(|| {
+            let before = podem.stats();
+            let outcome = {
+                let _span = span.enter();
+                podem.generate(self.faults.fault(target))
+            };
+            Box::new((outcome, podem.stats().since(before)))
+        })
     }
 
     /// Runs test generation targeting faults in exactly `order`.
@@ -390,6 +441,10 @@ impl<'a> TestGenerator<'a> {
     /// Every fault id must belong to the fault list; ids may appear at most
     /// once. Faults missing from `order` are never targeted (but may still
     /// be detected accidentally and are counted in the totals).
+    ///
+    /// Targets an earlier run of this generator searched are replayed
+    /// from its memo, so repeated runs, in any order, search only new
+    /// targets and return what a fresh generator would.
     ///
     /// # Panics
     ///
@@ -459,6 +514,7 @@ impl<'a> TestGenerator<'a> {
         let mut targets: Vec<FaultId> = Vec::new();
         let mut new_detections: Vec<u32> = Vec::new();
         let mut timing = PhaseTimings::default();
+        let mut stats = PodemStats::default();
 
         for &target in order {
             if status[target.index()].is_some() {
@@ -470,13 +526,10 @@ impl<'a> TestGenerator<'a> {
             if covered {
                 continue; // a pending test covers it; classified at flush
             }
-            let fault = self.faults.fault(target);
             let t0 = Instant::now();
-            let outcome = {
-                let _span = SPAN_PODEM.enter();
-                podem.generate(fault)
-            };
+            let (outcome, delta) = self.search(&mut podem, target, &SPAN_PODEM);
             timing.generate_ns += t0.elapsed().as_nanos() as u64;
+            stats.accumulate(*delta);
             match outcome {
                 PodemOutcome::Test(cube) => {
                     let test_index = tests.len() as u32;
@@ -484,12 +537,13 @@ impl<'a> TestGenerator<'a> {
                         .config
                         .fill_seed
                         .wrapping_add(u64::from(test_index));
-                    let pattern = self.config.fill.fill(&cube, seed);
+                    let pattern = self.config.fill.fill(cube, seed);
                     let t0 = Instant::now();
                     session.push(&pattern);
                     debug_assert!(
                         session.pending_detections(target).bit(session.pending() - 1),
-                        "generated test {pattern} does not detect its target {fault}"
+                        "generated test {pattern} does not detect its target {}",
+                        self.faults.fault(target)
                     );
                     tests.push(pattern);
                     targets.push(target);
@@ -531,7 +585,7 @@ impl<'a> TestGenerator<'a> {
             targets,
             new_detections,
             status: finalize_status(status),
-            podem_stats: podem.stats(),
+            podem_stats: stats,
             timing,
         }
     }
@@ -549,6 +603,8 @@ impl<'a> TestGenerator<'a> {
     /// The warm-up vectors appear at the front of
     /// [`TestGenResult::tests`]; their entries in
     /// [`TestGenResult::targets`] are the first fault each one detected.
+    /// The deterministic phase shares the generator's memo with
+    /// [`run`](Self::run).
     ///
     /// # Panics
     ///
@@ -602,7 +658,8 @@ impl<'a> TestGenerator<'a> {
     /// (a cone walk per active fault) per warm-up vector and per
     /// generated test, with every target searched by
     /// [`Podem::generate_reference`]. `width`, `threads`, `atpg_threads`
-    /// and `speculation_depth` are ignored.
+    /// and `speculation_depth` are ignored, and every call searches every
+    /// target afresh: the oracle neither reads nor fills the memo.
     ///
     /// Tests, targets, per-test detection counts, classifications and
     /// the PODEM [`search_counters`](PodemStats::search_counters) and

@@ -80,7 +80,9 @@ pub struct OrderingRun {
     /// `AVE_ord` of the curve.
     pub ave: f64,
     /// Wall-clock test-generation time (ordering construction excluded,
-    /// matching the paper's `t.gen` accounting).
+    /// matching the paper's `t.gen` accounting). Each ordering runs on
+    /// its own [`TestGenerator`], so every target it reaches is searched
+    /// within this time, whichever ordering ran first.
     pub testgen_time: Duration,
     /// Wall-clock time spent building the fault order itself.
     pub ordering_time: Duration,
@@ -260,11 +262,14 @@ impl<'a> ExperimentBuilder<'a> {
         let analysis = AdiAnalysis::for_circuit(circuit, faults, &selection.patterns, config.adi);
         let adi_time = adi_start.elapsed();
 
-        let generator = TestGenerator::for_circuit(circuit, faults, config.testgen);
+        // One generator per ordering: a shared one would replay targets
+        // an earlier ordering searched, so each ordering's
+        // `testgen_time` (Table 6) would depend on which one ran first.
         let run_one = |ordering: FaultOrdering| -> OrderingRun {
             let t0 = Instant::now();
             let order = order_faults(&analysis, ordering);
             let ordering_time = t0.elapsed();
+            let generator = TestGenerator::for_circuit(circuit, faults, config.testgen);
             let t1 = Instant::now();
             let result = generator.run(&order);
             let testgen_time = t1.elapsed();
@@ -282,8 +287,8 @@ impl<'a> ExperimentBuilder<'a> {
         };
         let runs: Vec<OrderingRun> = if config.parallel_orderings && config.orderings.len() > 1 {
             // One thread per ordering: each pass only reads the shared
-            // analysis and generator (the compilation is Arc-backed), so
-            // request order is preserved by collecting joins in order.
+            // analysis (the compilation is Arc-backed), so request order
+            // is preserved by collecting joins in order.
             let run_one = &run_one;
             std::thread::scope(|scope| {
                 let handles: Vec<_> = config

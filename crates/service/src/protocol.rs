@@ -389,34 +389,43 @@ fn parse_vectors(req: &Value, target: &Target) -> RequestResult<Vectors> {
     })
 }
 
-/// A string field, with a default when absent.
-pub(crate) fn opt_str<'a>(req: &'a Value, key: &str, default: &'a str) -> RequestResult<&'a str> {
-    match req.get(key) {
+/// A string field, with a default when absent. `path` names the field
+/// in error messages; its last dotted segment is the key read from
+/// `req` (`"atpg.fill"` reads `fill` from the `atpg` object).
+pub(crate) fn opt_str<'a>(req: &'a Value, path: &str, default: &'a str) -> RequestResult<&'a str> {
+    match req.get(leaf(path)) {
         None => Ok(default),
         Some(v) => v
             .as_str()
-            .ok_or_else(|| RequestError::new(format!("`{key}` must be a string"))),
+            .ok_or_else(|| RequestError::new(format!("`{path}` must be a string"))),
     }
 }
 
-/// An unsigned integer field, with a default when absent.
-fn opt_u64(req: &Value, key: &str, default: u64) -> RequestResult<u64> {
-    match req.get(key) {
+/// An unsigned integer field, with a default when absent (`path` as in
+/// [`opt_str`]).
+fn opt_u64(req: &Value, path: &str, default: u64) -> RequestResult<u64> {
+    match req.get(leaf(path)) {
         None => Ok(default),
         Some(v) => v
             .as_u64()
-            .ok_or_else(|| RequestError::new(format!("`{key}` must be a non-negative integer"))),
+            .ok_or_else(|| RequestError::new(format!("`{path}` must be a non-negative integer"))),
     }
 }
 
-/// A boolean field, with a default when absent.
-pub(crate) fn opt_bool(req: &Value, key: &str, default: bool) -> RequestResult<bool> {
-    match req.get(key) {
+/// A boolean field, with a default when absent (`path` as in
+/// [`opt_str`]).
+pub(crate) fn opt_bool(req: &Value, path: &str, default: bool) -> RequestResult<bool> {
+    match req.get(leaf(path)) {
         None => Ok(default),
         Some(v) => v
             .as_bool()
-            .ok_or_else(|| RequestError::new(format!("`{key}` must be a boolean"))),
+            .ok_or_else(|| RequestError::new(format!("`{path}` must be a boolean"))),
     }
+}
+
+/// The key a dotted field path reads from its enclosing object.
+fn leaf(path: &str) -> &str {
+    path.rsplit('.').next().unwrap_or(path)
 }
 
 /// Parses a fault-ordering label (`"ordering"` field, paper spelling;
@@ -449,13 +458,13 @@ fn parse_testgen_config(req: &Value) -> RequestResult<TestGenConfig> {
     if spec.as_object().is_none() {
         return Err(RequestError::new("`atpg` must be an object"));
     }
-    let limit = opt_u64(spec, "backtrack_limit", config.podem.backtrack_limit as u64)?;
-    let sat_fallback = match opt_str(spec, "sat_fallback", config.podem.sat_fallback.label())? {
+    let limit = opt_u64(spec, "atpg.backtrack_limit", config.podem.backtrack_limit as u64)?;
+    let sat_fallback = match opt_str(spec, "atpg.sat_fallback", config.podem.sat_fallback.label())? {
         "off" => SatFallback::Off,
         "aborted-only" => SatFallback::AbortedOnly,
         other => {
             return Err(RequestError::new(format!(
-                "unknown sat_fallback `{other}` (expected off or aborted-only)"
+                "unknown atpg.sat_fallback `{other}` (expected off or aborted-only)"
             )))
         }
     };
@@ -463,20 +472,20 @@ fn parse_testgen_config(req: &Value) -> RequestResult<TestGenConfig> {
         backtrack_limit: u32::try_from(limit)
             .map_err(|_| RequestError::new("`atpg.backtrack_limit` too large"))?,
         sat_fallback,
-        sat_conflict_limit: opt_u64(spec, "sat_conflict_limit", config.podem.sat_conflict_limit)?,
+        sat_conflict_limit: opt_u64(spec, "atpg.sat_conflict_limit", config.podem.sat_conflict_limit)?,
     };
-    config.fill = match opt_str(spec, "fill", "random")? {
+    config.fill = match opt_str(spec, "atpg.fill", "random")? {
         "random" => FillStrategy::Random,
         "zeros" => FillStrategy::Zeros,
         "ones" => FillStrategy::Ones,
         "alternating" => FillStrategy::Alternating,
         other => {
             return Err(RequestError::new(format!(
-                "unknown fill `{other}` (expected random, zeros, ones, alternating)"
+                "unknown atpg.fill `{other}` (expected random, zeros, ones, alternating)"
             )))
         }
     };
-    config.fill_seed = opt_u64(spec, "fill_seed", config.fill_seed)?;
+    config.fill_seed = opt_u64(spec, "atpg.fill_seed", config.fill_seed)?;
     Ok(config)
 }
 
@@ -491,12 +500,12 @@ fn parse_adi_config(req: &Value) -> RequestResult<AdiConfig> {
     if spec.as_object().is_none() {
         return Err(RequestError::new("`adi` must be an object"));
     }
-    config.estimator = match opt_str(spec, "estimator", "min")? {
+    config.estimator = match opt_str(spec, "adi.estimator", "min")? {
         "min" => AdiEstimator::MinNdet,
         "mean" => AdiEstimator::MeanNdet,
         other => {
             return Err(RequestError::new(format!(
-                "unknown estimator `{other}` (expected min or mean)"
+                "unknown adi.estimator `{other}` (expected min or mean)"
             )))
         }
     };
@@ -523,7 +532,7 @@ fn parse_uset_config(req: &Value, num_inputs: usize) -> RequestResult<USetConfig
     if spec.as_object().is_none() {
         return Err(RequestError::new("`u` must be an object"));
     }
-    let max_vectors = opt_u64(spec, "max_vectors", config.max_vectors as u64)? as usize;
+    let max_vectors = opt_u64(spec, "u.max_vectors", config.max_vectors as u64)? as usize;
     if max_vectors == 0 || max_vectors > MAX_PATTERNS {
         return Err(RequestError::new(format!(
             "`u.max_vectors` must be in 1..={MAX_PATTERNS}"
@@ -536,16 +545,16 @@ fn parse_uset_config(req: &Value, num_inputs: usize) -> RequestResult<USetConfig
             .filter(|t| (0.0..=1.0).contains(t))
             .ok_or_else(|| RequestError::new("`u.target_coverage` must be in [0, 1]"))?;
     }
-    config.seed = opt_u64(spec, "seed", config.seed)?;
+    config.seed = opt_u64(spec, "u.seed", config.seed)?;
     config.exhaustive_threshold =
-        opt_u64(spec, "exhaustive_threshold", config.exhaustive_threshold as u64)? as usize;
+        opt_u64(spec, "u.exhaustive_threshold", config.exhaustive_threshold as u64)? as usize;
     if num_inputs > MAX_EXHAUSTIVE_INPUTS && config.exhaustive_threshold >= num_inputs {
         return Err(RequestError::new(format!(
             "`u.exhaustive_threshold` reaches this circuit's {num_inputs} inputs, but \
              exhaustive sets are limited to circuits with at most {MAX_EXHAUSTIVE_INPUTS} inputs"
         )));
     }
-    config.strip_useless = opt_bool(spec, "strip_useless", config.strip_useless)?;
+    config.strip_useless = opt_bool(spec, "u.strip_useless", config.strip_useless)?;
     Ok(config)
 }
 
@@ -579,13 +588,13 @@ fn parse_pattern_spec(req: &Value, num_inputs: usize) -> RequestResult<Option<Pa
         if spec.as_object().is_none() {
             return Err(RequestError::new("`random` must be an object"));
         }
-        let count = opt_u64(spec, "count", 256)? as usize;
+        let count = opt_u64(spec, "random.count", 256)? as usize;
         if count == 0 || count > MAX_PATTERNS {
             return Err(RequestError::new(format!(
                 "`random.count` must be in 1..={MAX_PATTERNS}"
             )));
         }
-        let seed = opt_u64(spec, "seed", 0xAD1_5EED)?;
+        let seed = opt_u64(spec, "random.seed", 0xAD1_5EED)?;
         return Ok(Some(PatternSpec::Random { count, seed }));
     }
     if opt_bool(req, "exhaustive", false)? {
@@ -701,6 +710,46 @@ mod tests {
         }
         let only = json::parse(r#"{"adi": {"width": 8, "threads": 2}}"#).unwrap();
         assert_eq!(parse_adi_config(&only).unwrap(), AdiConfig::default());
+    }
+
+    #[test]
+    fn nested_field_errors_name_the_dotted_path() {
+        // Every field read inside `random`, `atpg`, `adi` and `u`, given
+        // a value of the wrong type, with the parser that reads it.
+        type Parse = fn(&Value) -> Result<(), RequestError>;
+        let random: Parse = |r| parse_pattern_spec(r, 4).map(drop);
+        let atpg: Parse = |r| parse_testgen_config(r).map(drop);
+        let adi: Parse = |r| parse_adi_config(r).map(drop);
+        let u: Parse = |r| parse_uset_config(r, 30).map(drop);
+        let cases: [(&str, &str, &str, Parse); 14] = [
+            ("random", "count", r#""x""#, random),
+            ("random", "seed", "-1", random),
+            ("atpg", "backtrack_limit", "1.5", atpg),
+            ("atpg", "sat_fallback", "7", atpg),
+            ("atpg", "sat_conflict_limit", "true", atpg),
+            ("atpg", "fill", "[]", atpg),
+            ("atpg", "fill_seed", "-1", atpg),
+            ("adi", "estimator", "0", adi),
+            ("adi", "n_detect_cap", r#""x""#, adi),
+            ("u", "max_vectors", r#""x""#, u),
+            ("u", "target_coverage", r#""x""#, u),
+            ("u", "seed", "-1", u),
+            ("u", "exhaustive_threshold", "{}", u),
+            ("u", "strip_useless", "1", u),
+        ];
+        for (object, field, value, parse) in cases {
+            let req = json::parse(&format!(r#"{{"{object}": {{"{field}": {value}}}}}"#)).unwrap();
+            let err = parse(&req).expect_err("a wrong-typed value is a request error").0;
+            let path = format!("`{object}.{field}`");
+            assert!(err.contains(&path), "{object}.{field} = {value}: {err}");
+        }
+        // The two `seed`s no longer read alike.
+        let u_seed = parse_uset_config(&json::parse(r#"{"u": {"seed": -1}}"#).unwrap(), 30);
+        let random_seed = parse_pattern_spec(&json::parse(r#"{"random": {"seed": -1}}"#).unwrap(), 4);
+        assert_ne!(u_seed.err().unwrap().0, random_seed.err().unwrap().0);
+        // Unknown values of the string fields name their path too.
+        let unknown = parse_testgen_config(&json::parse(r#"{"atpg": {"fill": "sideways"}}"#).unwrap());
+        assert!(unknown.unwrap_err().0.contains("atpg.fill"));
     }
 
     #[test]
