@@ -76,7 +76,8 @@ use adi_netlist::fault::FaultId;
 use adi_sim::DropSession;
 
 use crate::testgen::{
-    apply_flush, finalize_status, PhaseTimings, Searched, TestGenResult, TestGenerator, SPAN_PODEM,
+    apply_flush, finalize_status, PhaseTimings, Searched, TestGenResult, TestGenerator,
+    FLUSH_PENDING, SPAN_PODEM,
 };
 use crate::{FaultStatus, Podem, PodemOutcome, PodemStats};
 
@@ -396,7 +397,7 @@ fn commit_loop<'g, const N: usize>(
                 );
                 tests.push(pattern);
                 targets.push(target);
-                if session.is_full() {
+                if session.pending() == FLUSH_PENDING {
                     apply_flush(
                         &mut session,
                         &targets,

@@ -11,9 +11,10 @@
 //! under any order, replay the memoized outcome and counter delta.
 //!
 //! [`TestGenerator::run`] drops faults in batches: generated tests
-//! accumulate into wide blocks of an [`adi_sim::DropSession`], which pays
-//! the stem-region engine's per-region propagation once per block
-//! instead of one per-fault cone walk per test. With
+//! accumulate into blocks of 32 lanes of an
+//! [`adi_sim::DropSession`], which pays the stem-region engine's
+//! per-region propagation once per block instead of one per-fault cone
+//! walk per test. With
 //! [`TestGenConfig::atpg_threads`] above one the loop runs
 //! **speculatively**: a pool of worker threads generates tests for
 //! upcoming targets while the calling thread commits outcomes strictly
@@ -470,14 +471,14 @@ impl<'a> TestGenerator<'a> {
     /// unclassified (reported as [`FaultStatus::Aborted`] unless the
     /// caller overwrites them).
     ///
-    /// Generated tests accumulate into a wide [`DropSession`] block
-    /// (`width.bits()` lanes); before each target is handed to PODEM a
-    /// single per-fault cone walk checks whether a *pending* test
-    /// already covers it (the batched equivalent of the reference loop's
-    /// already-dropped skip), and full blocks are drained through the
+    /// Generated tests accumulate into a [`DropSession`] block; before
+    /// each target is handed to PODEM a single per-fault cone walk
+    /// checks whether a *pending* test already covers it (the batched
+    /// equivalent of the reference loop's already-dropped skip), and
+    /// every [`FLUSH_PENDING`] tests the block is drained through the
     /// stem-region engine. The resulting test set, classifications, and
     /// per-test detection counts are bit-identical to the reference
-    /// loop's at every width and thread count.
+    /// loop's at every width, thread count and flush cadence.
     fn run_phase(&self, order: &[FaultId], predropped: &[bool]) -> TestGenResult {
         if self.config.atpg_threads > 1 {
             return match self.config.width {
@@ -547,7 +548,7 @@ impl<'a> TestGenerator<'a> {
                     );
                     tests.push(pattern);
                     targets.push(target);
-                    if session.is_full() {
+                    if session.pending() == FLUSH_PENDING {
                         apply_flush(
                             &mut session,
                             &targets,
@@ -872,6 +873,13 @@ pub(crate) fn finalize_status(status: Vec<Option<FaultStatus>>) -> Vec<FaultStat
         .map(|s| s.unwrap_or(FaultStatus::Aborted))
         .collect()
 }
+
+/// Pending tests at which the drop loops flush their [`DropSession`],
+/// well below its smallest capacity of 64. A flushed test settles every
+/// fault it detects, so later targets skip the pending-cover cone walk
+/// that a still-pending test costs them; results are the same at any
+/// cadence.
+pub(crate) const FLUSH_PENDING: usize = 32;
 
 /// Drains `session` and replays the drop bookkeeping for the flushed
 /// lanes: lane `j` of the block is test `new_detections.len() + j`, its

@@ -360,6 +360,7 @@ const MAX_DEPTH: usize = 128;
 /// ```
 pub fn parse(text: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -373,8 +374,48 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+}
+
+/// Returns `true` for a byte that ends a plain run inside a string:
+/// `"`, `\` or a control byte below 0x20.
+fn ends_run(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
+/// The offset of the first byte at or after `pos` that
+/// [ends a run](ends_run), or `bytes.len()`.
+///
+/// Whole 8-byte words are tested at once. For `n` ≤ 0x80,
+/// `(v - n·0x01…) & !v & 0x80…` flags every byte of the word `v` below
+/// `n`. A byte above a flagged one may be flagged too, through the
+/// borrow, but the lowest flag is always exact. With `n` = 1 on the word
+/// XOR `"` and on the word XOR `\`, and `n` = 0x20 on the word itself,
+/// the lowest of the three flags is the first byte that ends the run.
+fn plain_run_end(bytes: &[u8], mut pos: usize) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    const QUOTES: u64 = ONES * b'"' as u64;
+    const BACKSLASHES: u64 = ONES * b'\\' as u64;
+    const SPACES: u64 = ONES * 0x20;
+    while let Some(word) = bytes.get(pos..pos + 8) {
+        let x = u64::from_le_bytes(word.try_into().expect("an 8-byte slice"));
+        let (quote, backslash) = (x ^ QUOTES, x ^ BACKSLASHES);
+        let flags = ((quote.wrapping_sub(ONES) & !quote)
+            | (backslash.wrapping_sub(ONES) & !backslash)
+            | (x.wrapping_sub(SPACES) & !x))
+            & HIGHS;
+        if flags != 0 {
+            return pos + (flags.trailing_zeros() / 8) as usize;
+        }
+        pos += 8;
+    }
+    bytes[pos..]
+        .iter()
+        .position(|&b| ends_run(b))
+        .map_or(bytes.len(), |i| pos + i)
 }
 
 impl<'a> Parser<'a> {
@@ -481,25 +522,17 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parses a string literal. Runs of plain bytes are found 8 bytes at
+    /// a time ([`plain_run_end`]) and copied as slices of the input
+    /// `&str`: a run starts after an ASCII byte and ends at one (or at
+    /// the end of the input), so it never splits a character.
     fn string(&mut self) -> Result<String, ParseError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
             let start = self.pos;
-            // Fast path: copy a run of plain bytes at once.
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            if self.pos > start {
-                // The input is valid UTF-8 and the run stops at ASCII
-                // boundaries, so the slice is valid UTF-8 too.
-                out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).map_err(
-                    |_| self.err("invalid UTF-8 in string"),
-                )?);
-            }
+            self.pos = plain_run_end(self.bytes, start);
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -678,6 +711,67 @@ mod tests {
             "1e", "\"\\q\"", "\"\\ud800\"", "[1] garbage", "\"raw\nnewline\"",
         ] {
             assert!(parse(bad).is_err(), "`{bad}` should fail");
+        }
+    }
+
+    /// The byte loop [`plain_run_end`] replaced.
+    fn byte_loop_run_end(bytes: &[u8], pos: usize) -> usize {
+        let mut end = pos;
+        while end < bytes.len() && !ends_run(bytes[end]) {
+            end += 1;
+        }
+        end
+    }
+
+    #[test]
+    fn string_runs_end_where_the_byte_loop_ends_them() {
+        // Each special piece as it appears in the literal, and what it
+        // decodes to (`None`: the literal is an error there).
+        let pieces: [(&str, Option<&str>); 11] = [
+            ("\\\"", Some("\"")),
+            ("\\\\", Some("\\")),
+            ("\\n", Some("\n")),
+            ("\\u00e9", Some("é")),
+            ("\u{1}", None),
+            ("\n", None),
+            ("\u{1f}", None),
+            ("\u{7f}", Some("\u{7f}")),
+            ("é", Some("é")),
+            ("€", Some("€")),
+            ("😀", Some("😀")),
+        ];
+        for offset in 0..=16 {
+            for (piece, decoded) in pieces {
+                for tail in 0..=9 {
+                    let (head, rest) = ("a".repeat(offset), "z".repeat(tail));
+                    let doc = format!("[\"{head}{piece}{rest}\", \"{head}\"]");
+                    let bytes = doc.as_bytes();
+                    for pos in 0..=bytes.len() {
+                        assert_eq!(plain_run_end(bytes, pos), byte_loop_run_end(bytes, pos), "{doc:?} at {pos}");
+                    }
+                    match decoded {
+                        Some(d) => assert_eq!(
+                            parse(&doc).unwrap(),
+                            Value::Array(vec![
+                                Value::Str(format!("{head}{d}{rest}")),
+                                Value::Str(head.clone()),
+                            ]),
+                            "{doc:?}"
+                        ),
+                        None => {
+                            let err = parse(&doc).unwrap_err();
+                            assert_eq!(err.message, "raw control character in string", "{doc:?}");
+                            assert_eq!(err.offset, 2 + offset, "{doc:?}");
+                        }
+                    }
+                }
+            }
+        }
+        // An unterminated string ends its run at the end of the input.
+        for len in 0..=16 {
+            let doc = format!("\"{}", "é".repeat(len));
+            assert_eq!(plain_run_end(doc.as_bytes(), 1), doc.len());
+            assert_eq!(parse(&doc).unwrap_err().message, "unterminated string");
         }
     }
 

@@ -14,7 +14,8 @@
 //! circuit hash, decoded pattern words or generator parameters, every
 //! config field after defaulting — the same value the executor runs.
 //! Repeats are served from the cached serialized result, spliced
-//! byte-identically around the caller's own `id`. A request opts out
+//! byte-identically around the caller's own `id` (the fingerprint, the
+//! lookup and the splice are the `service.cache` span). A request opts out
 //! with `"cache": "bypass"`. Cached `atpg` responses replay the
 //! populating run's wall-clock `timing` fields verbatim (every other
 //! field is deterministic).
@@ -110,10 +111,11 @@ impl ServiceMetrics {
     }
 }
 
-/// Resolve/execute/serialize split of every request (the queue wait
-/// before it is measured by the transport and passed into
+/// Resolve/cache/execute/serialize split of every request (the queue
+/// wait before it is measured by the transport and passed into
 /// [`ServiceState::respond_queued`]).
 static SPAN_RESOLVE: SpanSite = SpanSite::new("service.resolve");
+static SPAN_CACHE: SpanSite = SpanSite::new("service.cache");
 static SPAN_EXECUTE: SpanSite = SpanSite::new("service.execute");
 static SPAN_SERIALIZE: SpanSite = SpanSite::new("service.serialize");
 
@@ -309,12 +311,18 @@ impl ServiceState {
             Ok(request) => request,
             Err(e) => return answered_error(id, &e.0),
         };
+        // `service.cache` times the fingerprint, the lookup and the
+        // splice. A miss closes it before computing, so the execute and
+        // serialize spans stay beside it in the trace, not under it.
+        let mut cache_span = None;
         let (payload, cache) = match request {
             Request::Scenario(scenario) if use_cache && !self.scenario.is_disabled() => {
+                cache_span = Some(SPAN_CACHE.enter());
                 let fp = Fingerprint::of(&scenario);
-                let (payload, outcome) = self
-                    .scenario
-                    .get_or_compute(fp, || self.compute_payload(Request::Scenario(scenario)));
+                let (payload, outcome) = self.scenario.get_or_compute(fp, || {
+                    cache_span = None;
+                    self.compute_payload(Request::Scenario(scenario))
+                });
                 (payload, cache_label(outcome))
             }
             request => {
@@ -326,14 +334,16 @@ impl ServiceState {
                 (payload, if bypass { "bypass" } else { "uncached" })
             }
         };
-        match payload {
+        let answered = match payload {
             Ok(payload) => Answered {
                 body: spliced_ok(id, &payload),
                 ok: true,
                 cache,
             },
             Err(e) => answered_error(id, &e.0),
-        }
+        };
+        drop(cache_span);
+        answered
     }
 
     /// Executes one request and serializes its result payload, under

@@ -560,7 +560,9 @@ fn parse_uset_config(req: &Value, num_inputs: usize) -> RequestResult<USetConfig
 
 /// Extracts the pattern specification from a request, `None` when it
 /// names no vectors. Explicit patterns are decoded for a circuit with
-/// `num_inputs` inputs; generated sets are kept as their parameters.
+/// `num_inputs` inputs by one [`PatternSet::from_bit_strs`] call, and an
+/// error names the first bad entry as `` `patterns[i]` ``; generated
+/// sets are kept as their parameters.
 fn parse_pattern_spec(req: &Value, num_inputs: usize) -> RequestResult<Option<PatternSpec>> {
     if let Some(list) = req.get("patterns") {
         let list = list
@@ -571,16 +573,17 @@ fn parse_pattern_spec(req: &Value, num_inputs: usize) -> RequestResult<Option<Pa
                 "`patterns` is limited to {MAX_PATTERNS} vectors"
             )));
         }
-        // Stream each bit string straight into the packed words — no
-        // per-pattern `Pattern`/`Vec<bool>` intermediates, so a million
-        // explicit vectors decode allocation-free beyond the set itself.
-        let mut set = PatternSet::new(num_inputs);
-        for (i, item) in list.iter().enumerate() {
-            let bits = item
-                .as_str()
-                .ok_or_else(|| RequestError::new(format!("`patterns[{i}]` must be a string")))?;
-            set.push_bits(bits)
-                .map_err(|e| RequestError::new(format!("`patterns[{i}]`: {e}")))?;
+        // One block ingest for the whole list: the bit strings are
+        // transposed 64 vectors at a time straight into the packed
+        // words, with no per-pattern `Pattern`/`Vec<bool>`. The strings
+        // before the first non-string go in, so an error still names the
+        // first bad entry, whichever way it is bad.
+        let bits: Vec<&str> = list.iter().map_while(Value::as_str).collect();
+        let set = PatternSet::from_bit_strs(num_inputs, &bits)
+            .map_err(|(i, e)| RequestError::new(format!("`patterns[{i}]`: {e}")))?;
+        if bits.len() < list.len() {
+            let i = bits.len();
+            return Err(RequestError::new(format!("`patterns[{i}]` must be a string")));
         }
         return Ok(Some(PatternSpec::Explicit(set)));
     }
@@ -631,6 +634,86 @@ mod tests {
         for bad in [r#"{"patterns": ["01"]}"#, r#"{"patterns": ["01x0"]}"#] {
             let req = json::parse(bad).unwrap();
             assert!(parse_pattern_spec(&req, 4).is_err(), "{bad}");
+        }
+    }
+
+    /// The per-vector loop the block ingest replaced: each entry in
+    /// order must be a string, then of `num_inputs` bytes, then all
+    /// `'0'`/`'1'`, and is pushed as a [`Pattern`].
+    fn per_vector_patterns(list: &[Value], num_inputs: usize) -> RequestResult<PatternSet> {
+        let mut set = PatternSet::new(num_inputs);
+        for (i, item) in list.iter().enumerate() {
+            let Some(bits) = item.as_str() else {
+                return Err(RequestError::new(format!("`patterns[{i}]` must be a string")));
+            };
+            if bits.len() != num_inputs {
+                return Err(RequestError::new(format!(
+                    "`patterns[{i}]`: pattern width {} does not match set width {num_inputs}",
+                    bits.len()
+                )));
+            }
+            if let Some(b) = bits.bytes().find(|&b| b != b'0' && b != b'1') {
+                return Err(RequestError::new(format!(
+                    "`patterns[{i}]`: invalid pattern character '{}' (want '0' or '1')",
+                    char::from(b)
+                )));
+            }
+            set.push(&Pattern::new(bits.bytes().map(|b| b == b'1').collect()));
+        }
+        Ok(set)
+    }
+
+    #[test]
+    fn explicit_patterns_decode_like_the_per_vector_loop() {
+        use crate::scenario::Fingerprint;
+        let check = |list: Vec<Value>, num_inputs: usize, label: &str| {
+            let want = per_vector_patterns(&list, num_inputs);
+            let req = Value::Object([("patterns", Value::Array(list))].into_iter().collect());
+            match (parse_pattern_spec(&req, num_inputs), want) {
+                (Ok(Some(PatternSpec::Explicit(set))), Ok(reference)) => {
+                    assert_eq!(Fingerprint::of(&set), Fingerprint::of(&reference), "{label}");
+                    assert_eq!(set, reference, "{label}");
+                }
+                (Err(e), Err(reference)) => assert_eq!(e, reference, "{label}"),
+                (got, want) => panic!("{label}: got {:?}, want {want:?}", got.map(|_| ())),
+            }
+        };
+        let strings = |width: usize, count: usize| -> Vec<Value> {
+            PatternSet::random(width, count, (7 * width + count) as u64)
+                .iter()
+                .map(|p| Value::Str(pattern_to_string(&p)))
+                .collect()
+        };
+        for width in [1usize, 9, 64, 214] {
+            for count in [0usize, 1, 63, 64, 65, 129, 512] {
+                check(strings(width, count), width, &format!("width {width}, {count} vectors"));
+            }
+        }
+        let bad_byte = Value::Str(format!("{}x", "0".repeat(213)));
+        let bad_width = Value::Str("1".repeat(215));
+        let bad_utf8 = Value::Str(format!("é{}", "1".repeat(212)));
+        for at in [0usize, 64, 128] {
+            for bad in [&bad_byte, &bad_width, &bad_utf8, &Value::Int(1), &Value::Null] {
+                let mut list = strings(214, 129);
+                list[at] = bad.clone();
+                check(list, 214, &format!("{bad} at {at}"));
+            }
+        }
+        // Two bad entries: the first one is named, whichever way each is
+        // bad.
+        for (first, second) in [
+            (&bad_byte, &Value::Int(1)),
+            (&Value::Int(1), &bad_byte),
+            (&bad_width, &Value::Null),
+            (&Value::Null, &bad_width),
+            (&bad_width, &bad_byte),
+        ] {
+            for (a, b) in [(5usize, 100usize), (70, 71)] {
+                let mut list = strings(214, 129);
+                list[a] = first.clone();
+                list[b] = second.clone();
+                check(list, 214, &format!("{first} at {a}, {second} at {b}"));
+            }
         }
     }
 

@@ -308,8 +308,12 @@ pub fn serve_stdio(
 }
 
 /// Writes `response` and its newline in one call, then flushes: a
-/// separate newline write would go out as its own segment.
+/// separate newline write would go out as its own segment. The write
+/// runs under the `service.write` span; the request's trace is already
+/// serialized by then, so the span reaches only its histogram.
 fn write_line(out: &mut impl Write, mut response: String) -> io::Result<()> {
+    static SPAN_WRITE: adi_obs::SpanSite = adi_obs::SpanSite::new("service.write");
+    let _span = SPAN_WRITE.enter();
     response.push('\n');
     out.write_all(response.as_bytes())?;
     out.flush()

@@ -23,6 +23,15 @@ fn parsed(line: &str) -> Value {
     json::parse(line).unwrap()
 }
 
+/// The names of a response trace's root spans, in start order.
+fn root_span_names(trace: &Value) -> Vec<&str> {
+    let spans = trace.get("spans").and_then(Value::as_array).expect("spans array");
+    spans
+        .iter()
+        .filter_map(|s| s.get("name").and_then(Value::as_str))
+        .collect()
+}
+
 /// A traced repeat of a cached scenario returns the untraced bytes
 /// plus a trailing `"trace"` field — and does not disturb the cached
 /// entry for later untraced requests.
@@ -38,7 +47,8 @@ fn traced_hit_extends_untraced_bytes_exactly() {
     let v = parsed(&traced_line);
     let trace = v.get("trace").expect("traced response has a trace field");
     assert_eq!(trace.get("cache").and_then(Value::as_str), Some("hit"));
-    assert!(trace.get("spans").and_then(Value::as_array).is_some());
+    // A hit is resolved, then fingerprinted, looked up and spliced.
+    assert_eq!(root_span_names(trace), ["service.resolve", "service.cache"]);
     // The cache still serves the original bytes, trace-free.
     let again = s.handle_line(COVERAGE);
     assert_eq!(again, plain, "traced request polluted the cached entry");
@@ -55,17 +65,15 @@ fn cold_traced_request_caches_only_the_result() {
     let v = parsed(&traced_line);
     let trace = v.get("trace").expect("trace field present");
     assert_eq!(trace.get("cache").and_then(Value::as_str), Some("miss"));
-    let spans = trace.get("spans").and_then(Value::as_array).expect("spans array");
-    let names: Vec<&str> = spans
-        .iter()
-        .filter_map(|s| s.get("name").and_then(Value::as_str))
-        .collect();
+    let names = root_span_names(trace);
     for stage in ["service.resolve", "service.execute", "service.serialize"] {
         assert!(
             names.contains(&stage),
             "cold traced request must show the resolve/execute/serialize split, got {names:?}"
         );
     }
+    // The miss closes its cache span before computing.
+    assert_eq!(names.iter().filter(|&&n| n == "service.cache").count(), 1, "{names:?}");
     let plain = s.handle_line(COVERAGE);
     assert!(!plain.contains("\"trace\""), "cached entry must not carry the trace");
     assert!(

@@ -234,59 +234,75 @@ impl PatternSet {
         self.num_patterns += 1;
     }
 
-    /// Appends one pattern decoded directly from an ASCII bit string
-    /// (`'0'`/`'1'`, first input first), without materializing an
-    /// intermediate [`Pattern`].
+    /// Builds a set from ASCII bit strings (`'0'`/`'1'`, first input
+    /// first), one per vector, without materializing any [`Pattern`].
     ///
-    /// This is the streaming ingest path for servers: request payloads
-    /// land straight in the packed `words` representation. The set is
-    /// unchanged on error.
+    /// This is the ingest path for servers: request payloads land
+    /// straight in the packed `words` representation, a block of 64
+    /// vectors at a time. Each string is read and validated 8 bytes (8
+    /// inputs) at a time. The low bit of each byte is the input's value,
+    /// so shifting vector `r`'s load by `r % 8` and OR-ing eight vectors
+    /// builds an 8×8 bit matrix already stored input-major: byte `k`
+    /// holds input `k` over those eight vectors. One 8×8 byte transpose
+    /// across the block's eight vector groups then yields the 64-bit word
+    /// of each input.
     ///
     /// # Errors
     ///
-    /// Returns a message if the string's length differs from the set's
-    /// input count or it contains a byte other than `'0'`/`'1'`.
+    /// Returns the index of the first malformed vector with a message: a
+    /// length other than `num_inputs` (checked first for each vector) or
+    /// a byte other than `'0'`/`'1'` (the first such byte is named).
     ///
     /// # Examples
     ///
     /// ```
     /// use adi_sim::PatternSet;
     ///
-    /// let mut set = PatternSet::new(3);
-    /// set.push_bits("101").unwrap();
+    /// let set = PatternSet::from_bit_strs(3, &["101", "010"]).unwrap();
     /// assert_eq!(set.get(0).value(), Some(5));
-    /// assert!(set.push_bits("10x").is_err());
-    /// assert_eq!(set.len(), 1);
+    /// assert_eq!(set.get(1).value(), Some(2));
+    /// let (index, message) = PatternSet::from_bit_strs(3, &["101", "10x"]).unwrap_err();
+    /// assert_eq!(index, 1);
+    /// assert_eq!(message, "invalid pattern character 'x' (want '0' or '1')");
     /// ```
-    pub fn push_bits(&mut self, bits: &str) -> Result<(), String> {
-        let bytes = bits.as_bytes();
-        if bytes.len() != self.num_inputs {
-            return Err(format!(
-                "pattern width {} does not match set width {}",
-                bytes.len(),
-                self.num_inputs
+    pub fn from_bit_strs(num_inputs: usize, vectors: &[&str]) -> Result<Self, (usize, String)> {
+        // Widths first: the block transposes read `num_inputs` bytes of
+        // every string before the first one of another length.
+        let sized = vectors
+            .iter()
+            .position(|v| v.len() != num_inputs)
+            .unwrap_or(vectors.len());
+        let mut words = vec![vec![0u64; vectors.len().div_ceil(64)]; num_inputs];
+        let mut groups = vec![[0u64; 8]; num_inputs.div_ceil(8)];
+        for (block, chunk) in vectors[..sized].chunks(64).enumerate() {
+            if !transpose_block(chunk, block, &mut groups, &mut words) {
+                let (index, byte) = chunk
+                    .iter()
+                    .enumerate()
+                    .find_map(|(i, v)| {
+                        v.bytes().find(|&b| b != b'0' && b != b'1').map(|b| (i, b))
+                    })
+                    .expect("a block that fails validation holds a bad byte");
+                return Err((
+                    block * 64 + index,
+                    format!(
+                        "invalid pattern character '{}' (want '0' or '1')",
+                        char::from(byte)
+                    ),
+                ));
+            }
+        }
+        if let Some(v) = vectors.get(sized) {
+            return Err((
+                sized,
+                format!("pattern width {} does not match set width {num_inputs}", v.len()),
             ));
         }
-        // Validate before mutating so a malformed string leaves the set
-        // untouched.
-        if let Some(bad) = bytes.iter().find(|&&b| b != b'0' && b != b'1') {
-            return Err(format!(
-                "invalid pattern character '{}' (want '0' or '1')",
-                char::from(*bad)
-            ));
-        }
-        let block = self.num_patterns / 64;
-        let bit = 1u64 << (self.num_patterns % 64);
-        for (w, &byte) in self.words.iter_mut().zip(bytes) {
-            if w.len() <= block {
-                w.push(0);
-            }
-            if byte == b'1' {
-                w[block] |= bit;
-            }
-        }
-        self.num_patterns += 1;
-        Ok(())
+        Ok(PatternSet {
+            num_inputs,
+            num_patterns: vectors.len(),
+            words,
+        })
     }
 
     /// Number of patterns in the set.
@@ -491,6 +507,62 @@ impl PatternSet {
     }
 }
 
+/// `'0'` in every byte.
+const ASCII_ZEROS: u64 = 0x3030_3030_3030_3030;
+/// The low bit of every byte: where `'0'`/`'1'` differ.
+const BYTE_LOW_BITS: u64 = 0x0101_0101_0101_0101;
+
+/// Transposes `chunk`, up to 64 bit strings of length `words.len()`,
+/// into block `block` of `words[input]`. `groups` holds one 8×8 matrix
+/// per run of 8 inputs; it is all zero on entry and on return. Returns
+/// `false` if some byte is neither `'0'` nor `'1'`, leaving the block's
+/// words unspecified.
+fn transpose_block(
+    chunk: &[&str],
+    block: usize,
+    groups: &mut [[u64; 8]],
+    words: &mut [Vec<u64>],
+) -> bool {
+    let mut bad = 0u64;
+    for (r, v) in chunk.iter().enumerate() {
+        let (row, shift) = (r / 8, r % 8);
+        for (group, run) in groups.iter_mut().zip(v.as_bytes().chunks(8)) {
+            let x = match <[u8; 8]>::try_from(run) {
+                Ok(bytes) => u64::from_le_bytes(bytes),
+                Err(_) => {
+                    let mut bytes = [b'0'; 8];
+                    bytes[..run.len()].copy_from_slice(run);
+                    u64::from_le_bytes(bytes)
+                }
+            };
+            bad |= (x ^ ASCII_ZEROS) & !BYTE_LOW_BITS;
+            group[row] |= (x & BYTE_LOW_BITS) << shift;
+        }
+    }
+    for (group, inputs) in groups.iter_mut().zip(words.chunks_mut(8)) {
+        let columns = transpose_bytes(*group);
+        *group = [0; 8];
+        for (w, column) in inputs.iter_mut().zip(columns) {
+            w[block] = column;
+        }
+    }
+    bad == 0
+}
+
+/// Transposes an 8×8 byte matrix: byte `k` of row `g` becomes byte `g`
+/// of row `k` (bytes little-endian), by three rounds of block swaps.
+fn transpose_bytes(mut m: [u64; 8]) -> [u64; 8] {
+    for (step, mask) in [(4, 0x0000_0000_FFFF_FFFF_u64), (2, 0x0000_FFFF_0000_FFFF), (1, 0x00FF_00FF_00FF_00FF)] {
+        let shift = 8 * step as u32;
+        for i in (0..8).filter(|i| i & step == 0) {
+            let t = ((m[i] >> shift) ^ m[i + step]) & mask;
+            m[i] ^= t << shift;
+            m[i + step] ^= t;
+        }
+    }
+    m
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -595,31 +667,126 @@ mod tests {
         set.push(&Pattern::from_value(2, 1));
     }
 
-    #[test]
-    fn push_bits_matches_push() {
-        let reference = PatternSet::random(9, 130, 23);
-        let mut streamed = PatternSet::new(9);
-        for p in reference.iter() {
-            streamed.push_bits(&p.to_string()).unwrap();
+    /// The per-vector reference for [`PatternSet::from_bit_strs`]: each
+    /// string in order is checked for its width, then for its first byte
+    /// other than `'0'`/`'1'`, and pushed as a [`Pattern`].
+    fn per_vector_bit_strs(num_inputs: usize, vectors: &[&str]) -> Result<PatternSet, (usize, String)> {
+        let mut set = PatternSet::new(num_inputs);
+        for (i, v) in vectors.iter().enumerate() {
+            if v.len() != num_inputs {
+                let message = format!("pattern width {} does not match set width {num_inputs}", v.len());
+                return Err((i, message));
+            }
+            let mut bits = Vec::with_capacity(num_inputs);
+            for b in v.bytes() {
+                match b {
+                    b'0' | b'1' => bits.push(b == b'1'),
+                    _ => {
+                        let message = format!(
+                            "invalid pattern character '{}' (want '0' or '1')",
+                            char::from(b)
+                        );
+                        return Err((i, message));
+                    }
+                }
+            }
+            set.push(&Pattern::new(bits));
         }
-        assert_eq!(streamed, reference);
+        Ok(set)
+    }
+
+    fn hash_of(set: &PatternSet) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        set.hash(&mut h);
+        h.finish()
+    }
+
+    /// Bit strings of `count` random vectors of `width` inputs.
+    fn random_bit_strs(width: usize, count: usize, seed: u64) -> Vec<String> {
+        PatternSet::random(width, count, seed).iter().map(|p| p.to_string()).collect()
     }
 
     #[test]
-    fn push_bits_rejects_bad_input_without_mutating() {
-        let mut set = PatternSet::new(3);
-        set.push_bits("101").unwrap();
-        assert!(set.push_bits("10").unwrap_err().contains("width 2"));
-        assert!(set
-            .push_bits("1x0")
-            .unwrap_err()
-            .contains("invalid pattern character 'x'"));
-        let reference = {
-            let mut s = PatternSet::new(3);
-            s.push(&Pattern::from_value(3, 0b101));
-            s
-        };
-        assert_eq!(set, reference, "failed pushes leave the set untouched");
+    fn bit_strs_match_per_vector_push() {
+        for width in [1usize, 7, 8, 9, 63, 64, 65, 214] {
+            for count in [0usize, 1, 63, 64, 65, 127, 128, 129, 511, 512] {
+                let strings = random_bit_strs(width, count, (width * 1000 + count) as u64);
+                let vectors: Vec<&str> = strings.iter().map(String::as_str).collect();
+                let block = PatternSet::from_bit_strs(width, &vectors).unwrap();
+                let reference = per_vector_bit_strs(width, &vectors).unwrap();
+                assert_eq!(block, reference, "width {width}, {count} vectors");
+                assert_eq!(hash_of(&block), hash_of(&reference), "width {width}, {count} vectors");
+                assert_eq!(block, PatternSet::random(width, count, (width * 1000 + count) as u64));
+            }
+        }
+        // No inputs: every vector is the empty string.
+        let empty = PatternSet::from_bit_strs(0, &[""; 70]).unwrap();
+        assert_eq!(empty, per_vector_bit_strs(0, &[""; 70]).unwrap());
+        assert_eq!(empty.len(), 70);
+    }
+
+    #[test]
+    fn bit_strs_name_the_first_bad_vector() {
+        // Each corruption of one string, with the byte offset it starts at.
+        fn corrupt(s: &str, kind: usize, offset: usize) -> String {
+            let mut bytes = s.as_bytes().to_vec();
+            match kind {
+                0 => bytes[offset] = b'x',
+                1 => bytes[offset] = b'2',
+                2 => bytes[offset] = 0x7f,
+                // A two-byte character over two inputs keeps the width.
+                3 => return format!("{}é{}", &s[..offset], &s[offset + 2..]),
+                4 => bytes.truncate(offset),
+                _ => bytes.insert(offset, b'1'),
+            }
+            String::from_utf8(bytes).unwrap()
+        }
+        for width in [9usize, 64, 214] {
+            for count in [1usize, 65, 129, 512] {
+                let clean = random_bit_strs(width, count, (width + count) as u64);
+                for at in [0, count / 2, count - 1] {
+                    for offset in (0..8).chain([width - 2]) {
+                        for kind in 0..6 {
+                            let mut strings = clean.clone();
+                            strings[at] = corrupt(&clean[at], kind, offset);
+                            let vectors: Vec<&str> = strings.iter().map(String::as_str).collect();
+                            let label = format!("width {width}, {count} vectors, vector {at}, offset {offset}, kind {kind}");
+                            let want = per_vector_bit_strs(width, &vectors).unwrap_err();
+                            assert_eq!(want.0, at, "{label}");
+                            assert_eq!(PatternSet::from_bit_strs(width, &vectors).unwrap_err(), want, "{label}");
+                        }
+                    }
+                }
+            }
+        }
+        // A bad byte before a bad width is named first, and the other way
+        // round.
+        let (x, short) = ("10x", "10");
+        for (vectors, want) in [
+            (vec!["101"; 70], None),
+            ([vec!["101"; 66], vec![x, short]].concat(), Some(66)),
+            ([vec!["101"; 66], vec![short, x]].concat(), Some(66)),
+            ([vec!["101"; 3], vec![x], vec!["101"; 70], vec![short]].concat(), Some(3)),
+            ([vec!["101"; 3], vec![short], vec!["101"; 70], vec![x]].concat(), Some(3)),
+        ] {
+            let got = PatternSet::from_bit_strs(3, &vectors);
+            assert_eq!(got, per_vector_bit_strs(3, &vectors));
+            assert_eq!(got.err().map(|e| e.0), want);
+        }
+    }
+
+    #[test]
+    fn byte_transpose_swaps_rows_and_columns() {
+        let m: [u64; 8] = std::array::from_fn(|g| {
+            u64::from_le_bytes(std::array::from_fn(|k| (16 * g + k) as u8))
+        });
+        let t = transpose_bytes(m);
+        for (g, row) in m.iter().enumerate() {
+            for (k, column) in t.iter().enumerate() {
+                assert_eq!(column.to_le_bytes()[g], row.to_le_bytes()[k], "row {g}, column {k}");
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,9 @@ use adi::netlist::{CompiledCircuit, FfrPartition, LevelizedCsr, Netlist};
 use adi::sim::{DropSession, FaultSimulator, PatternSet, SimScratch};
 use proptest::prelude::*;
 
+mod common;
+use common::assert_same_result;
+
 /// `result` with the simulation diagnostics zeroed: the reference loop's
 /// full-resim PODEM does different simulation work for the same outputs
 /// and search counters.
@@ -170,7 +173,7 @@ proptest! {
             order.reverse();
         }
         let (batched, reference) = batched_and_reference(&circuit, faults, &order);
-        prop_assert_eq!(batched, reference);
+        assert_same_result("random circuit", &batched, &reference);
     }
 }
 
@@ -181,6 +184,6 @@ fn batched_atpg_is_bit_identical_on_suite_sample() {
         let faults = compiled.collapsed_faults();
         let order: Vec<FaultId> = faults.ids().collect();
         let (batched, reference) = batched_and_reference(&compiled, faults, &order);
-        assert_eq!(batched, reference, "{}", circuit.name);
+        assert_same_result(circuit.name, &batched, &reference);
     }
 }

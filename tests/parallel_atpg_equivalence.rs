@@ -19,6 +19,9 @@ use adi::netlist::{CompiledCircuit, Netlist};
 use adi::sim::SimWidth;
 use proptest::prelude::*;
 
+mod common;
+use common::assert_same_result;
+
 const ATPG_THREADS: [usize; 3] = [1, 2, 4];
 const DEPTHS: [usize; 3] = [1, 4, 16];
 const WIDTHS: [SimWidth; 2] = [SimWidth::W1, SimWidth::W4];
@@ -53,14 +56,12 @@ fn assert_lattice(netlist: &Netlist, label: &str) {
         for threads in ATPG_THREADS {
             for depth in DEPTHS {
                 let got = run_once(&circuit, &faults, &order, threads, depth, width);
-                assert_eq!(
-                    got, oracle,
-                    "{label} {width} atpg x{threads} depth {depth}"
-                );
+                let context = format!("{label} {width} atpg x{threads} depth {depth}");
+                assert_same_result(&context, &got, &oracle);
                 assert_eq!(
                     got.podem_stats.deterministic(),
                     oracle.podem_stats.deterministic(),
-                    "{label} {width} atpg x{threads} depth {depth} stats"
+                    "{context} stats"
                 );
                 assert_eq!(
                     got.coverage_curve(),
@@ -86,7 +87,8 @@ fn speculative_atpg_identical_on_embedded_circuits() {
         let oracle = run_once(&circuit, &faults, &rev, 1, 1, SimWidth::W1);
         for threads in ATPG_THREADS {
             let got = run_once(&circuit, &faults, &rev, threads, 16, SimWidth::W4);
-            assert_eq!(got, oracle, "{} reversed atpg x{threads}", netlist.name());
+            let context = format!("{} reversed atpg x{threads}", netlist.name());
+            assert_same_result(&context, &got, &oracle);
         }
     }
 }
@@ -123,11 +125,8 @@ fn speculative_atpg_identical_on_suite_circuits() {
         };
         for &(threads, depth, width) in points {
             let got = run_once(&compiled, &faults, &order, threads, depth, width);
-            assert_eq!(
-                got, oracle,
-                "{} {width} atpg x{threads} depth {depth}",
-                circuit.name
-            );
+            let context = format!("{} {width} atpg x{threads} depth {depth}", circuit.name);
+            assert_same_result(&context, &got, &oracle);
         }
     }
 }
@@ -149,7 +148,7 @@ fn speculative_atpg_identical_on_irs13207() {
     let order: Vec<FaultId> = faults.ids().collect();
     let oracle = run_once(&compiled, &faults, &order, 1, 16, SimWidth::W4);
     let got = run_once(&compiled, &faults, &order, 4, 16, SimWidth::W4);
-    assert_eq!(got, oracle);
+    assert_same_result("irs13207 W4 atpg x4 depth 16", &got, &oracle);
     assert_eq!(
         got.podem_stats.deterministic(),
         oracle.podem_stats.deterministic()
@@ -187,11 +186,12 @@ fn adaptive_claim_window_never_changes_output() {
     for depth in [2usize, 8, 64, 256] {
         for threads in [2usize, 4] {
             let got = run_once(&circuit, &faults, &order, threads, depth, SimWidth::W4);
-            assert_eq!(got, oracle, "adaptive atpg x{threads} depth {depth}");
+            let context = format!("adaptive atpg x{threads} depth {depth}");
+            assert_same_result(&context, &got, &oracle);
             assert_eq!(
                 got.podem_stats.deterministic(),
                 oracle.podem_stats.deterministic(),
-                "adaptive atpg x{threads} depth {depth} stats"
+                "{context} stats"
             );
         }
     }
@@ -221,11 +221,8 @@ fn speculative_atpg_identical_after_random_warmup() {
     for width in WIDTHS {
         for threads in ATPG_THREADS {
             for depth in DEPTHS {
-                assert_eq!(
-                    run(threads, depth, width),
-                    oracle,
-                    "warmup {width} atpg x{threads} depth {depth}"
-                );
+                let context = format!("warmup {width} atpg x{threads} depth {depth}");
+                assert_same_result(&context, &run(threads, depth, width), &oracle);
             }
         }
     }
@@ -265,7 +262,7 @@ proptest! {
         };
         let oracle = run(1, 1, SimWidth::W1);
         let got = run(threads, depth, width);
-        prop_assert_eq!(&got, &oracle);
+        assert_same_result("random circuit", &got, &oracle);
         prop_assert_eq!(
             got.podem_stats.deterministic(),
             oracle.podem_stats.deterministic()

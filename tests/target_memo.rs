@@ -21,6 +21,9 @@ use adi::netlist::fault::{FaultId, FaultList};
 use adi::netlist::CompiledCircuit;
 use adi::sim::PatternSet;
 
+mod common;
+use common::assert_same_result;
+
 fn generator<'a>(
     circuit: &CompiledCircuit,
     faults: &'a FaultList,
@@ -74,13 +77,13 @@ fn assert_sequence<'a>(
     let (want_first, want_second) = (fresh().run(first_order), second(&fresh()));
     let g = fresh();
     let first = g.run(first_order);
-    assert_eq!(first, want_first, "{context}: first run");
+    assert_same_result(&format!("{context}: first run"), &first, &want_first);
     if !trace {
-        assert_eq!(second(&g), want_second, "{context}: second run");
+        assert_same_result(&format!("{context}: second run"), &second(&g), &want_second);
         return;
     }
     let (got, podem) = traced(|| second(&g));
-    assert_eq!(got, want_second, "{context}: second run");
+    assert_same_result(&format!("{context}: second run"), &got, &want_second);
     let new = searched(&got)
         .iter()
         .zip(searched(&first))
@@ -88,7 +91,7 @@ fn assert_sequence<'a>(
         .count();
     assert_eq!(podem, new, "{context}: searches in the second run");
     let (again, podem) = traced(|| g.run(first_order));
-    assert_eq!(again, want_first, "{context}: repeated first run");
+    assert_same_result(&format!("{context}: repeated first run"), &again, &want_first);
     assert_eq!(podem, 0, "{context}: a repeated order searched again");
 }
 
