@@ -69,7 +69,7 @@
 //! this across depth caps on both sides of the adaptation range.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use adi_netlist::fault::FaultId;
@@ -95,6 +95,8 @@ enum Slot<'g> {
     Skipped,
     /// The committer took the result.
     Consumed,
+    /// The worker searching this position panicked.
+    Failed,
 }
 
 /// Mutex-guarded scheduler state shared by the committer and workers.
@@ -106,7 +108,9 @@ struct SpecState<'g> {
     commit_pos: usize,
     /// Per-position speculation slots.
     slots: Vec<Slot<'g>>,
-    /// Shutdown flag (set once the commit loop has finished).
+    /// Shutdown flag: set once the commit loop has returned or unwound,
+    /// or when a worker panics (the run is then lost, and no pending
+    /// slot is sure to settle).
     stop: bool,
 }
 
@@ -117,6 +121,49 @@ struct Shared<'g> {
     work: Condvar,
     /// Signaled when a slot transitions out of `Pending`.
     done: Condvar,
+}
+
+impl<'g> Shared<'g> {
+    /// Locks the scheduler state, also after a panic elsewhere poisoned
+    /// the lock: the shutdown paths below must still get through.
+    fn lock(&self) -> MutexGuard<'_, SpecState<'g>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Sets `stop` and wakes every waiter on both condvars.
+    fn shut_down(&self) {
+        self.lock().stop = true;
+        self.work.notify_all();
+        self.done.notify_all();
+    }
+}
+
+/// Shuts the scheduler down when the commit loop returns *or unwinds*,
+/// so workers parked on `work` wake and `thread::scope` can join them
+/// (a committer panic then propagates instead of hanging the run).
+struct StopOnDrop<'s, 'g>(&'s Shared<'g>);
+
+impl Drop for StopOnDrop<'_, '_> {
+    fn drop(&mut self) {
+        self.0.shut_down();
+    }
+}
+
+/// Marks the worker's claimed slot `Failed` and shuts the scheduler
+/// down if the worker unwinds while searching it, so a committer
+/// waiting on any slot stops waiting and re-panics.
+struct FailOnUnwind<'s, 'g> {
+    shared: &'s Shared<'g>,
+    pos: usize,
+}
+
+impl Drop for FailOnUnwind<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.shared.lock().slots[self.pos] = Slot::Failed;
+            self.shared.shut_down();
+        }
+    }
 }
 
 /// The speculative batched run (see the [module docs](self) for the
@@ -160,11 +207,10 @@ pub(crate) fn run_speculative<const N: usize>(
         for _ in 0..workers {
             scope.spawn(|| worker_loop(g, order, &shared, &resolved, &speculated, &generate_ns, &window));
         }
+        let _stop = StopOnDrop(&shared);
         committed = Some(commit_loop::<N>(
             g, order, predropped, &shared, &resolved, &generate_ns, &window, depth,
         ));
-        shared.state.lock().expect("scheduler lock poisoned").stop = true;
-        shared.work.notify_all();
     });
     // All workers have joined: the speculation counters are final.
     let (tests, targets, new_detections, status, mut stats, mut timing, consumed) =
@@ -228,7 +274,12 @@ fn worker_loop<'g>(
             continue;
         }
         let t0 = Instant::now();
-        let searched = g.search(&mut podem, target, &SPAN_SPECULATE);
+        let searched = {
+            let _fail = FailOnUnwind { shared, pos };
+            #[cfg(test)]
+            tests::injected_panic(g, "worker");
+            g.search(&mut podem, target, &SPAN_SPECULATE)
+        };
         generate_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         speculated.fetch_add(1, Ordering::Relaxed);
         shared.state.lock().expect("scheduler lock poisoned").slots[pos] = Slot::Ready(searched);
@@ -344,6 +395,8 @@ fn commit_loop<'g, const N: usize>(
             continue;
         }
 
+        #[cfg(test)]
+        tests::injected_panic(g, "committer");
         // First win: the target is live at commit time, so this
         // position's speculation is the one that counts.
         let wait0 = Instant::now();
@@ -351,7 +404,8 @@ fn commit_loop<'g, const N: usize>(
             let mut s = shared.state.lock().expect("scheduler lock poisoned");
             loop {
                 match std::mem::replace(&mut s.slots[pos], Slot::Consumed) {
-                    Slot::Pending => {
+                    // `stop` is only set this early by a failed worker.
+                    Slot::Pending if !s.stop => {
                         s.slots[pos] = Slot::Pending;
                         s = shared.done.wait(s).expect("scheduler lock poisoned");
                     }
@@ -366,7 +420,9 @@ fn commit_loop<'g, const N: usize>(
                 adapt_window(window, depth, &mut streak, true);
                 searched
             }
-            Slot::Pending => unreachable!("wait loop only exits on a settled slot"),
+            Slot::Pending | Slot::Failed => {
+                panic!("a speculation worker panicked; the run cannot commit position {pos}")
+            }
             Slot::Skipped | Slot::Consumed => {
                 // Defensively unreachable: a worker only skips on a
                 // resolved hint, hints are only set for classified or
@@ -437,11 +493,59 @@ fn commit_loop<'g, const N: usize>(
 
 #[cfg(test)]
 mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
     use adi_netlist::fault::FaultList;
     use adi_netlist::{bench_format, CompiledCircuit};
     use adi_sim::{PatternSet, SimWidth};
 
     use crate::{TestGenConfig, TestGenerator};
+
+    /// Test-only fault injection: panics on `side` (`"worker"` or
+    /// `"committer"`) when the run's circuit is named `panic_in_<side>`.
+    /// Only the tests below name a circuit so, so tests running in
+    /// parallel never trip it.
+    pub(super) fn injected_panic(g: &TestGenerator<'_>, side: &str) {
+        if g.circuit.netlist().name().strip_prefix("panic_in_") == Some(side) {
+            panic!("injected {side} panic");
+        }
+    }
+
+    /// Runs speculative ATPG on c17 named `panic_in_<side>` on a thread
+    /// of its own and reports whether the run panicked; fails instead of
+    /// hanging when the run neither returns nor panics within a minute.
+    fn speculative_run_panics(side: &'static str) -> bool {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let n = bench_format::parse(C17, &format!("panic_in_{side}")).unwrap();
+            let circuit = CompiledCircuit::compile(n);
+            let faults = FaultList::collapsed(circuit.netlist());
+            let order: Vec<_> = faults.ids().collect();
+            let config = TestGenConfig {
+                atpg_threads: 2,
+                speculation_depth: 2,
+                ..TestGenConfig::default()
+            };
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                TestGenerator::for_circuit(&circuit, &faults, config).run(&order)
+            }));
+            let _ = tx.send(run.is_err());
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("the speculative run hung instead of panicking")
+    }
+
+    #[test]
+    fn committer_panic_fails_the_run_instead_of_hanging() {
+        assert!(speculative_run_panics("committer"));
+    }
+
+    #[test]
+    fn worker_panic_fails_the_run_instead_of_hanging() {
+        assert!(speculative_run_panics("worker"));
+    }
 
     const C17: &str = "
 INPUT(G1)

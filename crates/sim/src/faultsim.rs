@@ -29,9 +29,9 @@ use std::collections::BinaryHeap;
 use adi_netlist::fault::{Fault, FaultId, FaultList, FaultSite};
 use adi_netlist::{CompiledCircuit, GateKind, LevelizedCsr, Netlist};
 
-use crate::logic::{self, eval_with_pos, eval_with_pos_w};
+use crate::logic::{self, eval_with_pos};
 use crate::stem::StemRegionEngine;
-use crate::word::{SimWord, SimWidth};
+use crate::word::SimWidth;
 use crate::{DetectionMatrix, Pattern, PatternSet};
 
 /// Reusable per-thread scratch buffers for per-fault injection, bound to
@@ -459,171 +459,6 @@ pub(crate) fn detect_block_impl(
         });
         let d = (val ^ good[p]) & valid_mask;
         if d != 0 {
-            s.faulty[p] = val;
-            s.stamp[p] = v;
-            if view.is_output_at(p) {
-                detected |= d;
-            }
-            for &g in view.fanouts_at(p) {
-                if s.queued[g as usize] != v && view.reaches_output(g as usize) {
-                    s.queued[g as usize] = v;
-                    s.queue.push(Reverse(g));
-                }
-            }
-        }
-    }
-    detected
-}
-
-/// Wide-word sibling of [`ScratchBuf`]: reusable buffers for
-/// [`detect_superblock_impl`], generic over the lane count. The 64-bit
-/// per-fault path keeps its own scalar buffers so it stays
-/// byte-identical.
-#[derive(Clone, Debug)]
-pub(crate) struct WideScratchBuf<const N: usize> {
-    faulty: Vec<SimWord<N>>,
-    stamp: Vec<u32>,
-    queued: Vec<u32>,
-    version: u32,
-    queue: BinaryHeap<Reverse<u32>>,
-}
-
-impl<const N: usize> WideScratchBuf<N> {
-    pub(crate) fn new(view: &LevelizedCsr) -> Self {
-        let n = view.num_nodes();
-        WideScratchBuf {
-            faulty: vec![SimWord::ZERO; n],
-            stamp: vec![0; n],
-            queued: vec![0; n],
-            version: 0,
-            queue: BinaryHeap::new(),
-        }
-    }
-}
-
-/// Evaluates a gate with one pin overridden to a constant word, on wide
-/// words; `good` and `fanins` are in CSR position space.
-#[inline]
-pub(crate) fn eval_override_pos_w<const N: usize>(
-    good: &[SimWord<N>],
-    kind: GateKind,
-    fanins: &[u32],
-    pin: usize,
-    ov: SimWord<N>,
-) -> SimWord<N> {
-    match kind {
-        GateKind::Buf => {
-            debug_assert_eq!(pin, 0);
-            ov
-        }
-        GateKind::Not => {
-            debug_assert_eq!(pin, 0);
-            !ov
-        }
-        GateKind::And | GateKind::Nand => {
-            let mut acc = SimWord::ONES;
-            for (i, &f) in fanins.iter().enumerate() {
-                acc &= if i == pin { ov } else { good[f as usize] };
-            }
-            if kind == GateKind::Nand {
-                !acc
-            } else {
-                acc
-            }
-        }
-        GateKind::Or | GateKind::Nor => {
-            let mut acc = SimWord::ZERO;
-            for (i, &f) in fanins.iter().enumerate() {
-                acc |= if i == pin { ov } else { good[f as usize] };
-            }
-            if kind == GateKind::Nor {
-                !acc
-            } else {
-                acc
-            }
-        }
-        GateKind::Xor | GateKind::Xnor => {
-            let mut acc = SimWord::ZERO;
-            for (i, &f) in fanins.iter().enumerate() {
-                acc ^= if i == pin { ov } else { good[f as usize] };
-            }
-            if kind == GateKind::Xnor {
-                !acc
-            } else {
-                acc
-            }
-        }
-        GateKind::Input | GateKind::Const0 | GateKind::Const1 => {
-            panic!("{kind:?} has no fanin pins")
-        }
-    }
-}
-
-/// [`detect_block_impl`] on wide words: event-driven per-fault
-/// propagation over one superblock. Identical algorithm, lane-wise.
-pub(crate) fn detect_superblock_impl<const N: usize>(
-    view: &LevelizedCsr,
-    good: &[SimWord<N>],
-    fault: Fault,
-    valid_mask: SimWord<N>,
-    s: &mut WideScratchBuf<N>,
-) -> SimWord<N> {
-    s.version = s.version.wrapping_add(1);
-    if s.version == 0 {
-        s.stamp.fill(0);
-        s.queued.fill(0);
-        s.version = 1;
-    }
-    let v = s.version;
-    let stuck_word = SimWord::splat(if fault.stuck_value() { !0u64 } else { 0u64 });
-
-    let (inject, faulty_word) = match fault.site() {
-        FaultSite::Stem(n) => (view.position(n), stuck_word),
-        FaultSite::Branch { gate, pin } => {
-            let gp = view.position(gate);
-            let w = eval_override_pos_w(
-                good,
-                view.kind_at(gp),
-                view.fanins_at(gp),
-                pin as usize,
-                stuck_word,
-            );
-            (gp, w)
-        }
-    };
-
-    let diff = (faulty_word ^ good[inject]) & valid_mask;
-    if diff.is_zero() || !view.reaches_output(inject) {
-        return SimWord::ZERO;
-    }
-    s.faulty[inject] = faulty_word;
-    s.stamp[inject] = v;
-    let mut detected = if view.is_output_at(inject) {
-        diff
-    } else {
-        SimWord::ZERO
-    };
-
-    debug_assert!(s.queue.is_empty());
-    for &g in view.fanouts_at(inject) {
-        if s.queued[g as usize] != v && view.reaches_output(g as usize) {
-            s.queued[g as usize] = v;
-            s.queue.push(Reverse(g));
-        }
-    }
-
-    while let Some(Reverse(p)) = s.queue.pop() {
-        let p = p as usize;
-        let kind = view.kind_at(p);
-        let val = eval_with_pos_w(kind, view.fanins_at(p), |f| {
-            if s.stamp[f as usize] == v {
-                s.faulty[f as usize]
-            } else {
-                good[f as usize]
-            }
-        });
-        let d = (val ^ good[p]) & valid_mask;
-        if !d.is_zero() {
             s.faulty[p] = val;
             s.stamp[p] = v;
             if view.is_output_at(p) {

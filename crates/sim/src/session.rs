@@ -19,11 +19,14 @@
 //!   (one wide CSR sweep — the same cost the scalar loop paid for its
 //!   1-wide sweep).
 //! * [`DropSession::pending_detections`] answers "which pending tests
-//!   detect this fault?" with a single per-fault cone walk over the
-//!   pending block. The driver uses it to skip targets a pending test
-//!   already covers — the batched equivalent of the scalar loop's
-//!   "already dropped" check — so the *same targets* reach PODEM and the
-//!   generated test set is bit-identical.
+//!   detect this fault?" with a single per-fault walk over the pending
+//!   block: the stem-region engine's fault-effect walk, started at the
+//!   fault's site and seeded with the pending lanes that excite it there.
+//!   A lane stops propagating once an output observes it, and the walk
+//!   ends once every seeded lane is observed. The driver uses it to skip
+//!   targets a pending test already covers — the batched equivalent of
+//!   the scalar loop's "already dropped" check — so the *same targets*
+//!   reach PODEM and the generated test set is bit-identical.
 //! * [`DropSession::flush`] runs the stem-region engine once over the
 //!   pending block (one sensitization sweep plus one observability walk
 //!   per region with an active fault — instead of one walk per active
@@ -44,7 +47,6 @@
 use adi_netlist::fault::{FaultId, FaultList};
 use adi_netlist::CompiledCircuit;
 
-use crate::faultsim::{detect_superblock_impl, WideScratchBuf};
 use crate::logic;
 use crate::stem::{StemRegionEngine, StemScratch};
 use crate::word::SimWord;
@@ -85,11 +87,9 @@ use crate::Pattern;
 #[derive(Clone, Debug)]
 pub struct DropSession<'a, const N: usize = 1> {
     stem: StemRegionEngine<'a>,
-    faults: &'a FaultList,
-    /// Per-fault scratch for the pending-lane cone walks.
-    buf: WideScratchBuf<N>,
     /// Stem-region block scratch; `scratch.good` always holds the good
-    /// words of the pending block.
+    /// words of the pending block, and its walk buffers also serve
+    /// [`pending_detections`](Self::pending_detections).
     scratch: StemScratch<N>,
     /// Packed input words of the pending block, one per primary input.
     lane_words: Vec<SimWord<N>>,
@@ -123,13 +123,10 @@ impl<'a, const N: usize> DropSession<'a, N> {
     /// Panics if any fault references a node outside the circuit.
     pub fn for_circuit(circuit: &CompiledCircuit, faults: &'a FaultList) -> Self {
         let stem = StemRegionEngine::for_circuit(circuit, faults);
-        let buf = WideScratchBuf::new(circuit.view());
         let scratch = StemScratch::new(circuit.view());
         let sens_active = stem.sens_needed().to_vec();
         DropSession {
             stem,
-            faults,
-            buf,
             scratch,
             lane_words: vec![SimWord::ZERO; circuit.view().inputs().len()],
             lanes: 0,
@@ -211,7 +208,8 @@ impl<'a, const N: usize> DropSession<'a, N> {
 
     /// The word of pending lanes that detect `fault` (bit `j` set iff
     /// the `j`-th pending test detects it), computed with a single
-    /// per-fault cone walk. Zero when no tests are pending.
+    /// per-fault walk from the fault's site. Zero when no tests are
+    /// pending.
     ///
     /// The ATPG driver calls this before targeting a fault: a non-zero
     /// word means a pending test already covers it, exactly as the
@@ -221,13 +219,7 @@ impl<'a, const N: usize> DropSession<'a, N> {
             return SimWord::ZERO;
         }
         let mask = self.lane_mask();
-        detect_superblock_impl(
-            self.stem.view(),
-            &self.scratch.good,
-            self.faults.fault(fault),
-            mask,
-            &mut self.buf,
-        )
+        self.stem.detect_fault(fault, mask, &mut self.scratch)
     }
 
     /// Drains the pending block: runs the stem-region engine once over
@@ -350,6 +342,7 @@ impl<'a, const N: usize> DropSession<'a, N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stem::tests::random_netlist;
     use crate::{FaultSimulator, PatternSet};
     use adi_netlist::bench_format;
     use adi_netlist::Netlist;
@@ -445,27 +438,47 @@ G23 = NAND(G16, G19)
         assert_eq!(session_drop_lists::<4>(&circuit, faults, &patterns, 4), expected);
     }
 
+    /// After each of 40 pushes, every fault's pending word must equal
+    /// the scalar per-pattern verdicts of the tests pushed so far.
+    fn pending_detections_match_w<const N: usize>(circuit: &CompiledCircuit) {
+        const LANES: usize = 40;
+        let faults = circuit.full_faults();
+        let patterns = PatternSet::random(circuit.netlist().num_inputs(), LANES, 5);
+        let sim = FaultSimulator::for_circuit(circuit, faults);
+        let mut scratch = crate::faultsim::SimScratch::for_circuit(circuit);
+        let all: Vec<FaultId> = faults.ids().collect();
+        let scalar: Vec<Vec<FaultId>> = (0..LANES)
+            .map(|p| sim.detect_pattern(&patterns.get(p), &all, &mut scratch))
+            .collect();
+        let mut session = DropSession::<N>::for_circuit(circuit, faults);
+        let mut expect = vec![SimWord::<N>::ZERO; faults.len()];
+        for (p, detected) in scalar.iter().enumerate() {
+            session.push(&patterns.get(p));
+            for id in detected {
+                expect[id.index()].set_bit(p);
+            }
+            for id in faults.ids() {
+                assert_eq!(
+                    session.pending_detections(id),
+                    expect[id.index()],
+                    "{} W{N} {} pending, fault {id}",
+                    circuit.netlist().name(),
+                    p + 1
+                );
+            }
+        }
+    }
+
     #[test]
     fn pending_detections_match_scalar_detect_pattern() {
-        let circuit = c17();
-        let faults = circuit.collapsed_faults();
-        let patterns = PatternSet::exhaustive(5);
-        let sim = FaultSimulator::for_circuit(&circuit, faults);
-        let mut scratch = crate::faultsim::SimScratch::for_circuit(&circuit);
-        let all: Vec<FaultId> = faults.ids().collect();
-
-        let mut session: DropSession = DropSession::for_circuit(&circuit, faults);
-        for p in 0..8 {
-            session.push(&patterns.get(p));
-        }
-        for &id in &all {
-            let word = session.pending_detections(id);
-            for p in 0..8 {
-                let scalar = sim
-                    .detect_pattern(&patterns.get(p), &[id], &mut scratch)
-                    .contains(&id);
-                assert_eq!(word.bit(p), scalar, "fault {id} lane {p}");
-            }
+        let mut circuits = vec![c17()];
+        circuits.extend((0..6).map(|seed| {
+            CompiledCircuit::compile(random_netlist(seed, 7, 50 + 15 * seed as usize))
+        }));
+        for circuit in &circuits {
+            pending_detections_match_w::<1>(circuit);
+            pending_detections_match_w::<4>(circuit);
+            pending_detections_match_w::<8>(circuit);
         }
     }
 

@@ -20,6 +20,22 @@
 //!    stem's observability word `obs(stem)`; every fault in the region is
 //!    then detected exactly on `stem_diff(f) & obs(stem)`.
 //!
+//! Every observability walk, and the per-fault walk behind
+//! [`DropSession::pending_detections`](crate::DropSession::pending_detections),
+//! is one routine, `EffectWalk::run`:
+//!
+//! * **Position-bitset event queue.** Pending evaluations are bits of a
+//!   bitset over positions, drained lowest bit first. Positions are
+//!   level-major and every fanout sits on a strictly higher level, so
+//!   that order is topological: each scheduled gate is evaluated once,
+//!   after all of its faulty fanins, and re-scheduling is a no-op.
+//! * **Lane retirement.** A pattern (lane) retires as soon as a primary
+//!   output observes it: every later evaluation masks it out, so it
+//!   propagates no further, and the walk returns once every lane it was
+//!   seeded with has retired. The returned word stays exact: lanes
+//!   evaluate independently, and a lane propagates unchanged until an
+//!   output shows it.
+//!
 //! Three further multipliers sit on top of the two-level scheme:
 //!
 //! * **Wide words.** Every per-superblock kernel is generic over
@@ -30,10 +46,13 @@
 //!   serve `N * 64` patterns.
 //! * **Dominator-based stem merging.** When a node `d` lies on every
 //!   path from stem `s` to the outputs (its immediate post-dominator,
-//!   precomputed on the [`CompiledCircuit`]), the engine propagates the
-//!   flipped stem only as far as `d` and composes
+//!   precomputed on the [`CompiledCircuit`]), the engine walks the
+//!   flipped stem, seeded with `obs(d)`'s lanes, only as far as `d` (the
+//!   walk's stop position), which yields
 //!   `obs(s) = diff_at_d(s) & obs(d)` — stem chains share the memoized
-//!   `obs(d)` suffix instead of each re-walking the whole cone.
+//!   `obs(d)` suffix instead of each re-walking the whole cone. Few
+//!   stems have such a dominator in practice (at most one walking stem
+//!   per paper-suite circuit).
 //! * **Two-dimensional parallelism.** The block-parallel split carves
 //!   the superblock range across threads (best when there are plenty of
 //!   blocks); the region-parallel split carves the *stem-region groups*
@@ -52,8 +71,8 @@
 //!
 //! Everything runs in [`LevelizedCsr`] position space: the forward good
 //! sweep, the reverse sensitization sweep, and the observability
-//! propagation (which uses the position itself as its event priority)
-//! all touch contiguous arrays in evaluation order.
+//! propagation (whose event queue is the position bitset) all touch
+//! contiguous arrays in evaluation order.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -164,26 +183,38 @@ pub(crate) struct StemScratch<const N: usize> {
     sens: Vec<SimWord<N>>,
     /// Packed input words for the current superblock.
     input_words: Vec<SimWord<N>>,
-    /// Observability propagation state (shared across roots via stamps).
+    /// Observability state: the walk and the per-superblock memo.
     obs: ObsScratch<N>,
 }
 
+/// Observability state of one superblock: the fault-effect walk every
+/// observability word comes from, plus the memo that dominator chains
+/// share.
 #[derive(Clone, Debug)]
 struct ObsScratch<const N: usize> {
-    faulty: Vec<SimWord<N>>,
-    stamp: Vec<u32>,
-    queued: Vec<u32>,
-    version: u32,
-    /// Level-bucket frontier: positions are level-sorted, so draining
-    /// buckets in level order is a correct (and heap-free) event queue.
-    frontier: Vec<Vec<u32>>,
+    walk: EffectWalk<N>,
     /// Memoized `obs(position)` values for the current superblock
-    /// (roots and their dominator-chain ancestors).
+    /// (roots and their dominator-chain ancestors), each restricted to
+    /// the superblock's valid lanes.
     memo: Vec<SimWord<N>>,
     memo_stamp: Vec<u32>,
     memo_version: u32,
     /// Reusable dominator-chain buffer for the iterative memo fill.
     chain: Vec<u32>,
+}
+
+/// Reusable buffers of the fault-effect walk ([`EffectWalk::run`]).
+#[derive(Clone, Debug)]
+struct EffectWalk<const N: usize> {
+    /// Faulty-machine words, valid only where `stamp` holds the current
+    /// walk's `version`; everywhere else the faulty machine equals the
+    /// good one.
+    faulty: Vec<SimWord<N>>,
+    stamp: Vec<u32>,
+    version: u32,
+    /// Pending evaluations: bit `p % 64` of word `p / 64` schedules
+    /// position `p`. All zero between walks.
+    pending: Vec<u64>,
 }
 
 impl<const N: usize> StemScratch<N> {
@@ -194,16 +225,119 @@ impl<const N: usize> StemScratch<N> {
             sens: vec![SimWord::ZERO; n],
             input_words: vec![SimWord::ZERO; view.inputs().len()],
             obs: ObsScratch {
-                faulty: vec![SimWord::ZERO; n],
-                stamp: vec![0; n],
-                queued: vec![0; n],
-                version: 0,
-                frontier: vec![Vec::new(); view.num_levels()],
+                walk: EffectWalk {
+                    faulty: vec![SimWord::ZERO; n],
+                    stamp: vec![0; n],
+                    version: 0,
+                    pending: vec![0; n.div_ceil(64)],
+                },
                 memo: vec![SimWord::ZERO; n],
                 memo_stamp: vec![0; n],
                 memo_version: 0,
                 chain: Vec::new(),
             },
+        }
+    }
+}
+
+impl<const N: usize> EffectWalk<N> {
+    /// Propagates a fault effect from `start` through its fanout cone
+    /// and returns the lanes in which it reaches a primary output, or
+    /// `stop` when one is given.
+    ///
+    /// `seed` is the effect at `start`: the faulty machine there is
+    /// `good[start] ^ seed`. Events drain from the position bitset
+    /// lowest position first, a topological order, so each gate is
+    /// evaluated once after all of its faulty fanins; gates that reach
+    /// no output are never scheduled. Each evaluation keeps only the
+    /// difference `d` in lanes no output has observed yet and stores
+    /// `good ^ d`, so an observed lane propagates no further, and the
+    /// walk returns as soon as every seeded lane is observed. Lanes
+    /// evaluate independently and a lane propagates unchanged until an
+    /// output shows it, so the returned word is exact.
+    ///
+    /// `stop` is the dominator-merging cut: it is observed like an
+    /// output and nothing past it is expanded. The caller guarantees it
+    /// lies on every path from `start` to the outputs, so no output is
+    /// reached before it.
+    fn run(
+        &mut self,
+        view: &LevelizedCsr,
+        good: &[SimWord<N>],
+        start: usize,
+        seed: SimWord<N>,
+        stop: Option<usize>,
+    ) -> SimWord<N> {
+        if seed.is_zero() || !view.reaches_output(start) {
+            return SimWord::ZERO;
+        }
+        if view.is_output_at(start) {
+            return seed;
+        }
+        self.version = self.version.wrapping_add(1);
+        if self.version == 0 {
+            self.stamp.fill(0);
+            self.version = 1;
+        }
+        let v = self.version;
+        self.faulty[start] = good[start] ^ seed;
+        self.stamp[start] = v;
+        // One past the highest pending word.
+        let mut end = 0usize;
+        self.schedule_fanouts(view, start, &mut end);
+        let mut observed = SimWord::ZERO;
+        let mut w = start / 64;
+        while w < end {
+            let bits = self.pending[w];
+            if bits == 0 {
+                w += 1;
+                continue;
+            }
+            self.pending[w] = bits & (bits - 1);
+            let p = w * 64 + bits.trailing_zeros() as usize;
+            let (faulty, stamp) = (&self.faulty, &self.stamp);
+            let val = eval_with_pos_w(view.kind_at(p), view.fanins_at(p), |f| {
+                if stamp[f as usize] == v {
+                    faulty[f as usize]
+                } else {
+                    good[f as usize]
+                }
+            });
+            let d = (val ^ good[p]) & !observed;
+            if d.is_zero() {
+                continue;
+            }
+            if view.is_output_at(p) || stop == Some(p) {
+                debug_assert!(
+                    stop.is_none_or(|s| s == p),
+                    "output inside a dominator-restricted walk"
+                );
+                // Every lane of `d` retires here, so nothing propagates
+                // past this position.
+                observed |= d;
+                if observed == seed {
+                    self.pending[w..end].fill(0);
+                    break;
+                }
+                continue;
+            }
+            self.faulty[p] = good[p] ^ d;
+            self.stamp[p] = v;
+            self.schedule_fanouts(view, p, &mut end);
+        }
+        observed
+    }
+
+    /// Marks every fanout of `p` that reaches an output pending,
+    /// extending `end` past the highest word touched.
+    #[inline]
+    fn schedule_fanouts(&mut self, view: &LevelizedCsr, p: usize, end: &mut usize) {
+        for &g in view.fanouts_at(p) {
+            if view.reaches_output(g as usize) {
+                let w = g as usize / 64;
+                self.pending[w] |= 1 << (g % 64);
+                *end = (*end).max(w + 1);
+            }
         }
     }
 }
@@ -304,22 +438,29 @@ impl<'a> StemRegionEngine<'a> {
             }
         }
 
-        // Group faults by root position (the sort is stable, so fault
-        // ids stay ascending within each group).
-        let mut order: Vec<u32> = (0..faults.len() as u32).collect();
-        order.sort_by_key(|&f| root_pos_of[f as usize]);
+        // Group faults by root position with a counting sort: a count
+        // per root, prefix sums into group starts, then a scatter in
+        // fault-id order (so ids stay ascending within each group).
+        let mut next = vec![0u32; n + 1];
+        for &root in &root_pos_of {
+            next[root as usize + 1] += 1;
+        }
         let mut group_roots = Vec::new();
         let mut group_index = Vec::new();
-        let mut group_faults = Vec::with_capacity(faults.len());
-        for &f in &order {
-            let root = root_pos_of[f as usize];
-            if group_roots.last() != Some(&root) {
-                group_roots.push(root);
-                group_index.push(group_faults.len() as u32);
+        for p in 0..n {
+            if next[p + 1] > 0 {
+                group_roots.push(p as u32);
+                group_index.push(next[p]);
             }
-            group_faults.push(f);
+            next[p + 1] += next[p];
         }
-        group_index.push(group_faults.len() as u32);
+        group_index.push(faults.len() as u32);
+        let mut group_faults = vec![0u32; faults.len()];
+        for (f, &root) in root_pos_of.iter().enumerate() {
+            let slot = &mut next[root as usize];
+            group_faults[*slot as usize] = f as u32;
+            *slot += 1;
+        }
 
         // Fanout-cone size estimate per position (reverse-topological
         // accumulation; reconvergence double-counts, which is fine for a
@@ -725,7 +866,7 @@ impl<'a> StemRegionEngine<'a> {
                     if rd.is_zero() {
                         continue;
                     }
-                    let det = rd & self.stem_obs(good, root, obs);
+                    let det = rd & self.stem_obs(good, root, mask, obs);
                     if !det.is_zero() {
                         // Lanes are in pattern order, so the first set
                         // bit is the earliest detecting pattern — the
@@ -782,7 +923,7 @@ impl<'a> StemRegionEngine<'a> {
                     if rd.is_zero() {
                         continue;
                     }
-                    let det = rd & self.stem_obs(good, root, obs);
+                    let det = rd & self.stem_obs(good, root, mask, obs);
                     if !det.is_zero() {
                         // Saturating-min arithmetic is associative over
                         // the block split, so counting a superblock at
@@ -905,6 +1046,29 @@ impl<'a> StemRegionEngine<'a> {
         }
     }
 
+    /// The effect position of `fault` (its stem, or the gate reading
+    /// its branch) and the word of patterns (unmasked) on which the
+    /// fault flips that position.
+    #[inline]
+    fn site_diff<const N: usize>(&self, fault: u32, good: &[SimWord<N>]) -> (usize, SimWord<N>) {
+        let info = self.fault_info[fault as usize];
+        let stuck = SimWord::splat(info.stuck_word);
+        match info.site {
+            PosSite::Stem { pos } => {
+                let p = pos as usize;
+                (p, good[p] ^ stuck)
+            }
+            PosSite::Branch { gate_pos, pin } => {
+                let g = gate_pos as usize;
+                let fanins = self.view().fanins_at(g);
+                let src = fanins[pin as usize] as usize;
+                let diff = (good[src] ^ stuck)
+                    & pin_sens(good, self.view().kind_at(g), fanins, pin as usize);
+                (g, diff)
+            }
+        }
+    }
+
     /// The word of patterns (unmasked) on which `fault` flips its FFR
     /// stem.
     #[inline]
@@ -914,22 +1078,24 @@ impl<'a> StemRegionEngine<'a> {
         good: &[SimWord<N>],
         sens: &[SimWord<N>],
     ) -> SimWord<N> {
-        let info = self.fault_info[fault as usize];
-        let stuck = SimWord::splat(info.stuck_word);
-        match info.site {
-            PosSite::Stem { pos } => {
-                let p = pos as usize;
-                (good[p] ^ stuck) & sens[p]
-            }
-            PosSite::Branch { gate_pos, pin } => {
-                let g = gate_pos as usize;
-                let fanins = self.view().fanins_at(g);
-                let src = fanins[pin as usize] as usize;
-                (good[src] ^ stuck)
-                    & pin_sens(good, self.view().kind_at(g), fanins, pin as usize)
-                    & sens[g]
-            }
-        }
+        let (p, diff) = self.site_diff(fault, good);
+        diff & sens[p]
+    }
+
+    /// The lanes of `valid_mask` that detect `fault`, by one walk from
+    /// its effect site over the good words in `s.good`. Needs no
+    /// sensitization sweep, so it answers for a block whose good words
+    /// change between queries (the drop session's pending block).
+    pub(crate) fn detect_fault<const N: usize>(
+        &self,
+        fault: FaultId,
+        valid_mask: SimWord<N>,
+        s: &mut StemScratch<N>,
+    ) -> SimWord<N> {
+        let (p, diff) = self.site_diff(fault.index() as u32, &s.good);
+        s.obs
+            .walk
+            .run(self.view(), &s.good, p, diff & valid_mask, None)
     }
 
     /// Visits every `(fault, detection_word)` pair with a non-zero word
@@ -1020,7 +1186,7 @@ impl<'a> StemRegionEngine<'a> {
                 if rd.is_zero() {
                     continue;
                 }
-                let det = rd & self.stem_obs(good, root, obs);
+                let det = rd & self.stem_obs(good, root, valid_mask, obs);
                 if !det.is_zero() {
                     visit(fault, det);
                 }
@@ -1028,15 +1194,16 @@ impl<'a> StemRegionEngine<'a> {
         }
     }
 
-    /// The observability word of a stem: the patterns on which
-    /// complementing the stem's value changes at least one primary
-    /// output. Memoized per superblock in `s`; with stem merging, the
-    /// whole dominator chain above the stem is filled (and shared by
-    /// every stem whose chain passes through it).
+    /// The observability word of a stem within `valid_mask`: the valid
+    /// patterns on which complementing the stem's value changes at least
+    /// one primary output. Memoized per superblock in `s`; with stem
+    /// merging, the whole dominator chain above the stem is filled (and
+    /// shared by every stem whose chain passes through it).
     fn stem_obs<const N: usize>(
         &self,
         good: &[SimWord<N>],
         root: u32,
+        valid_mask: SimWord<N>,
         s: &mut ObsScratch<N>,
     ) -> SimWord<N> {
         let view = self.view();
@@ -1050,20 +1217,11 @@ impl<'a> StemRegionEngine<'a> {
             if s.memo_stamp[p] == s.memo_version {
                 break s.memo[p];
             }
-            // A stem that is itself a primary output is observed
-            // directly on every pattern; one that reaches no output is
-            // never observed.
-            let terminal = if view.is_output_at(p) {
-                Some(SimWord::ONES)
-            } else if !view.reaches_output(p) {
-                Some(SimWord::ZERO)
-            } else if !self.merge_stems || ipdom[p] == POST_DOM_SINK {
-                // No usable dominator: pay the full cone walk.
-                Some(compute_stem_obs_cone(view, good, p, s))
-            } else {
-                None
-            };
-            if let Some(o) = terminal {
+            // A stem without a usable dominator walks its whole cone.
+            // Outputs and stems that reach no output have none; the walk
+            // answers them without propagating (every lane, no lane).
+            if !self.merge_stems || ipdom[p] == POST_DOM_SINK {
+                let o = s.walk.run(view, good, p, valid_mask, None);
                 s.memo[p] = o;
                 s.memo_stamp[p] = s.memo_version;
                 break o;
@@ -1076,102 +1234,14 @@ impl<'a> StemRegionEngine<'a> {
             // obs(q) = (does the flip at q reach its dominator d?) AND
             // (does a flip at d reach an output?). The dominator is a
             // cut, so the factorization is exact — see the dominator
-            // module docs for the argument.
-            let o = if obs.is_zero() {
-                SimWord::ZERO
-            } else {
-                self.walk_to_dominator(good, q, ipdom[q] as usize, s) & obs
-            };
+            // module docs for the argument. Seeding the walk with
+            // obs(d)'s lanes and stopping it at d computes the AND.
+            let o = s.walk.run(view, good, q, obs, Some(ipdom[q] as usize));
             s.memo[q] = o;
             s.memo_stamp[q] = s.memo_version;
             obs = o;
         }
         obs
-    }
-
-    /// Propagates the complemented value of `start` through its fanout
-    /// cone **up to its immediate post-dominator `dom` only** and
-    /// returns the difference word observed at `dom`. Nothing past
-    /// `dom` is expanded: every affected position that reaches an
-    /// output does so through `dom`, so positions past it either equal
-    /// `dom` or are pruned by the reachability mask.
-    fn walk_to_dominator<const N: usize>(
-        &self,
-        good: &[SimWord<N>],
-        start: usize,
-        dom: usize,
-        s: &mut ObsScratch<N>,
-    ) -> SimWord<N> {
-        let view = self.view();
-        s.version = s.version.wrapping_add(1);
-        if s.version == 0 {
-            s.stamp.fill(0);
-            s.queued.fill(0);
-            s.version = 1;
-        }
-        let v = s.version;
-        s.faulty[start] = !good[start];
-        s.stamp[start] = v;
-        let mut result = SimWord::ZERO;
-
-        let mut lo = usize::MAX;
-        let mut hi = 0usize;
-        for &g in view.fanouts_at(start) {
-            if s.queued[g as usize] != v && view.reaches_output(g as usize) {
-                s.queued[g as usize] = v;
-                let lvl = view.level_at(g as usize) as usize;
-                s.frontier[lvl].push(g);
-                lo = lo.min(lvl);
-                hi = hi.max(lvl);
-            }
-        }
-        if lo == usize::MAX {
-            return SimWord::ZERO;
-        }
-        let mut lvl = lo;
-        while lvl <= hi {
-            let mut bucket = std::mem::take(&mut s.frontier[lvl]);
-            for &p in &bucket {
-                let p = p as usize;
-                let kind = view.kind_at(p);
-                let val = eval_with_pos_w(kind, view.fanins_at(p), |f| {
-                    if s.stamp[f as usize] == v {
-                        s.faulty[f as usize]
-                    } else {
-                        good[f as usize]
-                    }
-                });
-                if p == dom {
-                    // The dominator is where the restricted walk stops:
-                    // record its difference, expand nothing.
-                    result = val ^ good[p];
-                    continue;
-                }
-                let d = val ^ good[p];
-                if !d.is_zero() {
-                    // The dominator cut guarantees no other affected
-                    // position ahead of `dom` is an output.
-                    debug_assert!(
-                        !view.is_output_at(p),
-                        "output inside a dominator-restricted walk"
-                    );
-                    s.faulty[p] = val;
-                    s.stamp[p] = v;
-                    for &g in view.fanouts_at(p) {
-                        if s.queued[g as usize] != v && view.reaches_output(g as usize) {
-                            s.queued[g as usize] = v;
-                            let glvl = view.level_at(g as usize) as usize;
-                            s.frontier[glvl].push(g);
-                            hi = hi.max(glvl);
-                        }
-                    }
-                }
-            }
-            bucket.clear();
-            s.frontier[lvl] = bucket;
-            lvl += 1;
-        }
-        result
     }
 }
 
@@ -1227,91 +1297,160 @@ fn pin_sens<const N: usize>(
     }
 }
 
-/// The unrestricted observability walk: propagates the complemented
-/// stem through its whole fanout cone to the primary outputs. Used for
-/// stems whose immediate post-dominator is the virtual sink (and for
-/// everything when stem merging is disabled).
-fn compute_stem_obs_cone<const N: usize>(
-    view: &LevelizedCsr,
-    good: &[SimWord<N>],
-    root: usize,
-    s: &mut ObsScratch<N>,
-) -> SimWord<N> {
-    s.version = s.version.wrapping_add(1);
-    if s.version == 0 {
-        s.stamp.fill(0);
-        s.queued.fill(0);
-        s.version = 1;
-    }
-    let v = s.version;
-    s.faulty[root] = !good[root];
-    s.stamp[root] = v;
-    let mut obs = SimWord::ZERO;
-
-    // Fanouts always sit on strictly higher levels, so draining the
-    // level buckets in ascending order processes every event after all
-    // of its faulty fanins — no heap needed.
-    let mut lo = usize::MAX;
-    let mut hi = 0usize;
-    for &g in view.fanouts_at(root) {
-        if s.queued[g as usize] != v && view.reaches_output(g as usize) {
-            s.queued[g as usize] = v;
-            let lvl = view.level_at(g as usize) as usize;
-            s.frontier[lvl].push(g);
-            lo = lo.min(lvl);
-            hi = hi.max(lvl);
-        }
-    }
-    if lo == usize::MAX {
-        return SimWord::ZERO;
-    }
-    let mut lvl = lo;
-    while lvl <= hi {
-        let mut bucket = std::mem::take(&mut s.frontier[lvl]);
-        for &p in &bucket {
-            let p = p as usize;
-            let kind = view.kind_at(p);
-            let val = eval_with_pos_w(kind, view.fanins_at(p), |f| {
-                if s.stamp[f as usize] == v {
-                    s.faulty[f as usize]
-                } else {
-                    good[f as usize]
-                }
-            });
-            let d = val ^ good[p];
-            if !d.is_zero() {
-                s.faulty[p] = val;
-                s.stamp[p] = v;
-                if view.is_output_at(p) {
-                    obs |= d;
-                }
-                for &g in view.fanouts_at(p) {
-                    if s.queued[g as usize] != v && view.reaches_output(g as usize) {
-                        s.queued[g as usize] = v;
-                        let glvl = view.level_at(g as usize) as usize;
-                        s.frontier[glvl].push(g);
-                        hi = hi.max(glvl);
-                    }
-                }
-            }
-        }
-        bucket.clear();
-        s.frontier[lvl] = bucket;
-        lvl += 1;
-    }
-    obs
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::reference;
     use adi_netlist::bench_format;
     use adi_netlist::fault::Fault;
-    use adi_netlist::{Netlist, NetlistBuilder};
+    use adi_netlist::{Netlist, NetlistBuilder, NodeId};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn compile(netlist: &Netlist) -> CompiledCircuit {
         CompiledCircuit::compile(netlist.clone())
+    }
+
+    /// A random circuit of `inputs` inputs and `gates` gates, mostly
+    /// reading recent nodes (deep cones, much reconvergence). Nine in
+    /// ten sinks and one in twenty other gates are outputs, so some
+    /// outputs fan out and some logic is dead.
+    pub(crate) fn random_netlist(seed: u64, inputs: usize, gates: usize) -> Netlist {
+        const KINDS: [GateKind; 8] = [
+            GateKind::And,
+            GateKind::Nand,
+            GateKind::Or,
+            GateKind::Nor,
+            GateKind::Xor,
+            GateKind::Xnor,
+            GateKind::Not,
+            GateKind::Buf,
+        ];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = NetlistBuilder::new(format!("rand{seed}"));
+        let mut nodes: Vec<NodeId> = (0..inputs).map(|i| b.add_input(format!("i{i}"))).collect();
+        let mut read = vec![false; inputs];
+        for g in 0..gates {
+            let kind = KINDS[rng.gen_range(0..KINDS.len())];
+            let arity = match kind {
+                GateKind::Not | GateKind::Buf => 1,
+                _ => rng.gen_range(2..=3usize).min(nodes.len()),
+            };
+            let mut picks: Vec<usize> = Vec::with_capacity(arity);
+            while picks.len() < arity {
+                let n = nodes.len();
+                let i = if rng.gen_bool(0.7) {
+                    n - 1 - rng.gen_range(0..n.min(6))
+                } else {
+                    rng.gen_range(0..n)
+                };
+                if !picks.contains(&i) {
+                    picks.push(i);
+                }
+            }
+            let fanins: Vec<NodeId> = picks.iter().map(|&i| nodes[i]).collect();
+            for &i in &picks {
+                read[i] = true;
+            }
+            let node = b.add_gate(kind, format!("g{g}"), &fanins).unwrap();
+            if rng.gen_bool(0.05) {
+                b.mark_output(node);
+            }
+            nodes.push(node);
+            read.push(false);
+        }
+        for (i, &node) in nodes.iter().enumerate() {
+            if !read[i] && (i + 1 == nodes.len() || rng.gen_bool(0.9)) {
+                b.mark_output(node);
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// For every FFR root that reaches an output and is not one, the
+    /// whole-cone walk seeded with a superblock's valid lanes, and the
+    /// engine's (merged and unmerged) observability word, must equal
+    /// the OR of the reference detection words of the root's two stem
+    /// faults. Returns how many of those roots have a dominator to
+    /// merge at.
+    fn walk_matches_reference_w<const N: usize>(netlist: &Netlist, patterns: &PatternSet) -> usize {
+        let circuit = compile(netlist);
+        let faults = FaultList::full(netlist);
+        let matrix = reference::no_drop_matrix(&circuit, &faults, patterns);
+        let view = circuit.view();
+        let mut stem_faults = vec![Vec::new(); view.num_nodes()];
+        for (id, fault) in faults.iter() {
+            if let FaultSite::Stem(node) = fault.site() {
+                stem_faults[view.position(node)].push(id);
+            }
+        }
+        let merged = StemRegionEngine::for_circuit(&circuit, &faults);
+        let unmerged = merged.clone().with_stem_merging(false);
+        // One scratch per engine, so neither reads the other's memo.
+        let mut scratch = StemScratch::<N>::new(view);
+        let mut unmerged_scratch = StemScratch::<N>::new(view);
+        let mut walked = 0usize;
+        let mut dominated = 0usize;
+        for sb in 0..patterns.num_superblocks(N) {
+            merged.sim_superblock(patterns, sb, &mut scratch);
+            unmerged.sim_superblock(patterns, sb, &mut unmerged_scratch);
+            let valid = patterns.valid_mask_wide::<N>(sb);
+            for (p, ids) in stem_faults.iter().enumerate() {
+                if !merged.is_root[p] || view.is_output_at(p) || !view.reaches_output(p) {
+                    continue;
+                }
+                if sb == 0 && circuit.post_dominators()[p] != POST_DOM_SINK {
+                    dominated += 1;
+                }
+                assert_eq!(ids.len(), 2, "{} position {p}", netlist.name());
+                let mut expect = SimWord::<N>::ZERO;
+                for k in 0..N {
+                    let block = sb * N + k;
+                    if block < matrix.num_blocks() {
+                        expect.0[k] = ids
+                            .iter()
+                            .map(|&id| matrix.row(id)[block])
+                            .fold(0, |a, w| a | w);
+                    }
+                }
+                let label = format!("{} W{N} superblock {sb} position {p}", netlist.name());
+                let StemScratch { good, obs, .. } = &mut scratch;
+                assert_eq!(
+                    obs.walk.run(view, good, p, valid, None),
+                    expect,
+                    "walk {label}"
+                );
+                assert_eq!(
+                    merged.stem_obs(good, p as u32, valid, obs),
+                    expect,
+                    "merged {label}"
+                );
+                let StemScratch { good, obs, .. } = &mut unmerged_scratch;
+                assert_eq!(
+                    unmerged.stem_obs(good, p as u32, valid, obs),
+                    expect,
+                    "unmerged {label}"
+                );
+                walked += 1;
+            }
+        }
+        assert!(walked > 0, "{}: no root was walked", netlist.name());
+        dominated
+    }
+
+    #[test]
+    fn effect_walk_matches_reference_on_random_circuits() {
+        let mut dominated = 0;
+        for seed in 0..12u64 {
+            let netlist = random_netlist(seed, 6 + seed as usize % 5, 40 + 13 * seed as usize);
+            // 600 patterns: a partial last superblock at every width.
+            let patterns = PatternSet::random(netlist.num_inputs(), 600, seed);
+            dominated += walk_matches_reference_w::<1>(&netlist, &patterns);
+            walk_matches_reference_w::<2>(&netlist, &patterns);
+            walk_matches_reference_w::<4>(&netlist, &patterns);
+            walk_matches_reference_w::<8>(&netlist, &patterns);
+        }
+        assert!(dominated > 0, "no root exercised dominator merging");
     }
 
     fn equivalence(src: &str, name: &str, inputs: usize) {
