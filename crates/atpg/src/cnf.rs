@@ -1,6 +1,6 @@
 //! CNF encoding of the compiled position space: Tseitin clauses,
-//! per-fault miters with fault-injection networks, and full-circuit
-//! equivalence miters.
+//! per-fault miters with fault-injection networks and active-path
+//! clauses, and full-circuit equivalence miters.
 //!
 //! This is the formal side of the ATPG stack. Where PODEM searches the
 //! input space directly (and gives up at its backtrack limit), this
@@ -11,20 +11,39 @@
 //! * [`prove_fault`] — *is this stuck-at fault testable?* Builds a
 //!   **miter** between the good circuit and a fault-injected copy,
 //!   restricted to the fault's output cone: only positions in the
-//!   fault's transitive fanout get distinct "faulty" variables, every
-//!   other line is shared, and fanout nodes whose cached reachability
-//!   mask ([`LevelizedCsr::out_mask_at`]) is zero are skipped outright
-//!   because nothing they compute can reach an output. SAT ⇒ the model
-//!   is a [`TestCube`] that specifies **every** input: each input has
-//!   a solver variable, and the solver answers SAT only once it has
-//!   assigned every variable, so inputs outside the fault's cone get a
-//!   value too (whatever the search left them at). UNSAT ⇒ the fault
-//!   is **provably redundant**; a conflict-limited run may also return
-//!   [`FaultVerdict::Undecided`].
+//!   fault's transitive fanout (the faulty region F) get distinct
+//!   "faulty" variables, every other line is shared, and fanout nodes
+//!   whose cached reachability mask ([`LevelizedCsr::out_mask_at`]) is
+//!   zero are skipped outright because nothing they compute can reach
+//!   an output. On top of the miter it adds Larrabee-style
+//!   **active-path** clauses: one variable `s_p` per position `p` of F,
+//!   with `s_p → good_p ≠ faulty_p`, `s_p → ∨ s_q` over the fanouts `q`
+//!   of a non-output `p` that lie in F, and the unit clause `s_e` on the
+//!   effect site `e`. Any input assignment that makes an output differ
+//!   also differs along some path from `e` to that output, so the miter
+//!   implies these clauses and no verdict changes; what they add is
+//!   propagation, so a fault whose every path is blocked is refuted in
+//!   a handful of conflicts instead of an enumeration of side inputs.
+//!   SAT ⇒ the model is a [`TestCube`] that specifies **every** input:
+//!   each input has a solver variable, and the solver answers SAT only
+//!   once it has assigned every variable, so inputs outside the fault's
+//!   cone get a value too (whatever the search left them at). UNSAT ⇒
+//!   the fault is **provably redundant**; a conflict-limited run may
+//!   also return [`FaultVerdict::Undecided`].
+//! * [`prove_fault_reference`] — the same miter without the active-path
+//!   clauses, kept as the differential oracle: the encoding-agreement
+//!   suite requires both to return the same verdict on every fault it
+//!   covers. Its models may differ from `prove_fault`'s.
 //! * [`check_equiv`] — *do two netlists compute the same outputs?*
 //!   A full-circuit miter over shared primary inputs (matched by
 //!   declaration order). UNSAT ⇒ equivalent; SAT ⇒ a concrete
 //!   distinguishing input assignment.
+//!
+//! A fault query opens a `sat.prove` span with two children:
+//! `sat.encode` (the region walk and every clause) and `sat.solve` (the
+//! CDCL search and the model read-out). The rest of `sat.prove` is
+//! freeing the solver. A fault whose effect reaches no output is
+//! settled inside `sat.encode` and opens no `sat.solve`.
 //!
 //! The encoding walks positions of the [`LevelizedCsr`] in order — a
 //! node's fanins always sit at lower positions, so one forward sweep
@@ -45,13 +64,14 @@ use crate::cube::TestCube;
 
 /// Default conflict budget for one fault query or equivalence check.
 ///
-/// Circuit miters in this workload are shallow, but not every proof is
-/// cheap: with only 20 backtracks of PODEM in front of the solver,
-/// irs13207's UNSAT proofs took up to 994 conflicts and 7 of its
-/// queries were still undecided at 1,000. This budget leaves room for
-/// those while still bounding a pathological query; PODEM's redundancy
-/// screen runs its proofs at `min(1_000, sat_conflict_limit)` and
-/// leaves whatever it cannot settle to a query at this limit.
+/// With the active-path clauses, every fault query of the redundancy
+/// screen on the suite circuits (irs208 through irs13207) ends within 4
+/// conflicts, and all but one of them within 2, so at the defaults no
+/// query reaches this budget; without them, irs13207's proofs took up
+/// to 4,465 conflicts. The budget stays as the bound on a pathological
+/// query. PODEM's redundancy screen runs its proofs at
+/// `min(1_000, sat_conflict_limit)` and leaves whatever it cannot
+/// settle to a query at this limit.
 pub const DEFAULT_CONFLICT_LIMIT: u64 = 100_000;
 
 /// Verdict of a single-fault testability query ([`prove_fault`]).
@@ -242,26 +262,82 @@ fn encode_cone(
     lit
 }
 
-/// Builds and solves the cone-restricted fault miter for `fault`.
+/// Builds and solves the cone-restricted fault miter for `fault`, with
+/// the active-path clauses of the [module docs](self).
 ///
-/// See the [module docs](self) for the construction. The query is
-/// bounded by `conflict_limit` solver conflicts; pass
+/// The query is bounded by `conflict_limit` solver conflicts; pass
 /// [`DEFAULT_CONFLICT_LIMIT`] unless you have a reason not to.
 ///
 /// # Panics
 ///
 /// Panics if `fault` references nodes outside `circuit`.
 pub fn prove_fault(circuit: &CompiledCircuit, fault: Fault, conflict_limit: u64) -> FaultVerdict {
+    prove(circuit, fault, conflict_limit, true)
+}
+
+/// The plain miter of [`prove_fault`], without the active-path
+/// clauses: the differential oracle of the encoding-agreement suite,
+/// not a production path. Every verdict equals `prove_fault`'s (the
+/// miter implies the extra clauses); a `Testable` model may differ.
+///
+/// # Panics
+///
+/// Panics if `fault` references nodes outside `circuit`.
+pub fn prove_fault_reference(
+    circuit: &CompiledCircuit,
+    fault: Fault,
+    conflict_limit: u64,
+) -> FaultVerdict {
+    prove(circuit, fault, conflict_limit, false)
+}
+
+/// Encodes the miter for `fault` (timed as `sat.encode`) and solves it
+/// (`sat.solve`), both under one `sat.prove` span.
+fn prove(
+    circuit: &CompiledCircuit,
+    fault: Fault,
+    conflict_limit: u64,
+    active_paths: bool,
+) -> FaultVerdict {
     static SPAN_PROVE: adi_obs::SpanSite = adi_obs::SpanSite::new("sat.prove");
+    static SPAN_ENCODE: adi_obs::SpanSite = adi_obs::SpanSite::new("sat.encode");
+    static SPAN_SOLVE: adi_obs::SpanSite = adi_obs::SpanSite::new("sat.solve");
     let _span = SPAN_PROVE.enter();
-    let csr = circuit.view();
+    let encoded = {
+        let _encode = SPAN_ENCODE.enter();
+        encode_fault(circuit.view(), fault, active_paths)
+    };
+    let Some((mut solver, input_lits)) = encoded else {
+        return FaultVerdict::Redundant;
+    };
+    let _solve = SPAN_SOLVE.enter();
+    match solver.solve(conflict_limit) {
+        Verdict::Unsat => FaultVerdict::Redundant,
+        Verdict::Unknown => FaultVerdict::Undecided,
+        Verdict::Sat => {
+            let values: Vec<Option<bool>> =
+                input_lits.iter().map(|l| solver.value(l.var())).collect();
+            FaultVerdict::Testable(TestCube::from_options(values))
+        }
+    }
+}
+
+/// Builds the miter for `fault`, with active-path clauses when
+/// `active_paths` is set. Returns the solver and one literal per
+/// primary input, or `None` when no output lies in the fault's cone
+/// (the fault is redundant without a query).
+fn encode_fault(
+    csr: &LevelizedCsr,
+    fault: Fault,
+    active_paths: bool,
+) -> Option<(Solver, Vec<Lit>)> {
     let n = csr.num_nodes();
     let epos = csr.position(fault.effect_node());
 
     // A fault whose effect site reaches no output is redundant outright;
     // the cached reachability mask answers this without a solver.
     if !csr.reaches_output(epos) {
-        return FaultVerdict::Redundant;
+        return None;
     }
 
     // Faulty region F: the transitive fanout of the effect site, pruned
@@ -286,7 +362,7 @@ pub fn prove_fault(circuit: &CompiledCircuit, fault: Fault, conflict_limit: u64)
         .filter(|&p| csr.is_output_at(p))
         .collect();
     if miter_outputs.is_empty() {
-        return FaultVerdict::Redundant;
+        return None;
     }
 
     let mut solver = Solver::new();
@@ -381,17 +457,35 @@ pub fn prove_fault(circuit: &CompiledCircuit, fault: Fault, conflict_limit: u64)
     }
     solver.add_clause(&diff);
 
-    match solver.solve(conflict_limit) {
-        Verdict::Unsat => FaultVerdict::Redundant,
-        Verdict::Unknown => FaultVerdict::Undecided,
-        Verdict::Sat => {
-            let values: Vec<Option<bool>> = input_lits
-                .iter()
-                .map(|l| solver.value(l.var()))
-                .collect();
-            FaultVerdict::Testable(TestCube::from_options(values))
+    if active_paths {
+        // Active path: `s_p` marks a position the fault effect travels
+        // through. It differs in the two copies, and unless it is an
+        // output it hands the effect on to some fanout in F. Every
+        // input assignment that satisfies the miter has such a path
+        // from the effect site, so no verdict changes; the clauses let
+        // the solver refute a blocked cone without enumerating its side
+        // inputs.
+        let mut active: Vec<Option<Lit>> = vec![None; n];
+        for &p in &f_positions {
+            active[p] = Some(Lit::pos(solver.new_var()));
         }
+        let mut clause: Vec<Lit> = Vec::new();
+        for &p in &f_positions {
+            let s = active[p].expect("allocated for every position of F");
+            let g = good[p].expect("F lies in the good closure");
+            let f = faulty[p].expect("faulty region was just allocated");
+            solver.add_clause(&[!s, g, f]);
+            solver.add_clause(&[!s, !g, !f]);
+            if !csr.is_output_at(p) {
+                clause.clear();
+                clause.push(!s);
+                clause.extend(csr.fanouts_at(p).iter().filter_map(|&q| active[q as usize]));
+                solver.add_clause(&clause);
+            }
+        }
+        solver.add_clause(&[active[epos].expect("the effect site is in F")]);
     }
+    Some((solver, input_lits))
 }
 
 /// Checks bounded equivalence of two compiled circuits via a

@@ -31,9 +31,9 @@
 //!   equivalence checking for the service's `equiv` endpoint. Under
 //!   [`SatFallback::AbortedOnly`] the formal layer also backs a
 //!   redundancy screen in front of PODEM's full budget: a 50-backtrack
-//!   search, then a proof of at most 1,000 conflicts, so most redundant
-//!   faults never reach the 1,000-backtrack search. The screen changes
-//!   only [`PodemStats`] counters, never an outcome.
+//!   search, then a proof of at most 1,000 conflicts whose verdict is
+//!   final (a SAT model becomes the target's test), so only faults the
+//!   proof leaves undecided reach the 1,000-backtrack search.
 //!
 //! # Examples
 //!

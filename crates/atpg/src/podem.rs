@@ -78,9 +78,10 @@ pub enum SatFallback {
     ///
     /// With a `backtrack_limit` above 50 the full-budget search also
     /// sits behind a redundancy screen — a 50-backtrack search, then a
-    /// query of at most 1,000 conflicts — that settles most redundant
-    /// targets cheaply (see [`Podem::generate`]). The screen never
-    /// changes an outcome, only the counters.
+    /// query of at most 1,000 conflicts — whose verdict is final: UNSAT
+    /// settles the target as untestable and SAT as a test with the
+    /// model as the cube (see [`Podem::generate`]). Only a target the
+    /// screen leaves undecided pays the full budgets.
     AbortedOnly,
 }
 
@@ -106,8 +107,8 @@ pub struct PodemConfig {
     /// Maximum number of backtracks before the target is abandoned as
     /// [`PodemOutcome::Aborted`]. Under [`SatFallback::AbortedOnly`] a
     /// limit above 50 is the ceiling behind the redundancy screen: the
-    /// search at this limit runs only for targets the screen did not
-    /// settle ([`Podem::generate`]).
+    /// search at this limit runs only for targets the screen left
+    /// undecided ([`Podem::generate`]).
     pub backtrack_limit: u32,
     /// Whether aborted targets are handed to the SAT layer for a
     /// definitive verdict ([`SatFallback::Off`] here; the test-generation
@@ -156,9 +157,12 @@ impl PodemOutcome {
 /// Counters accumulated across [`Podem::generate`] calls.
 ///
 /// Behind the redundancy screen one target may run two searches, the
-/// screen's and the full-budget one: `backtracks` and `decisions` sum
-/// both, while `tests`, `untestable`, `aborted` and `screen_redundant`
-/// count each target once, by the step that settled it.
+/// screen's and the full-budget one (the latter only after the screen's
+/// proof came back undecided): `backtracks` and `decisions` sum both,
+/// while `tests`, `untestable`, `aborted`, `screen_redundant` and
+/// `screen_testable` count each target once, by the step that settled
+/// it, so `targets == tests + untestable + aborted + screen_redundant +
+/// screen_testable`.
 ///
 /// The search counters (`targets` through `decisions`) are part of the
 /// reference-parity contract: [`Podem::generate`] and
@@ -170,7 +174,8 @@ impl PodemOutcome {
 pub struct PodemStats {
     /// Total targets attempted.
     pub targets: u64,
-    /// Tests found.
+    /// Tests found by the search itself (the screen's short search or
+    /// the full-budget one).
     pub tests: u64,
     /// Untestable proofs by the search itself.
     pub untestable: u64,
@@ -205,12 +210,18 @@ pub struct PodemStats {
     /// Targets the redundancy screen ([`Podem::generate`]) proved
     /// redundant: its 50-backtrack search aborted and its bounded proof
     /// came back UNSAT, so no full-budget search ran. They count in
-    /// neither `untestable` nor `aborted`, so `targets` is `tests +
-    /// untestable + aborted + screen_redundant`. Always zero under
+    /// neither `untestable` nor `aborted`. Always zero under
     /// [`SatFallback::Off`] or a `backtrack_limit` of 50 or less.
     /// Deterministic, and like `sat_resolved` outside
     /// [`search_counters`](Self::search_counters).
     pub screen_redundant: u64,
+    /// Targets the redundancy screen proved testable: its 50-backtrack
+    /// search aborted and its bounded proof came back SAT, so the model
+    /// became the target's test and no full-budget search ran. They
+    /// count in neither `tests` nor `aborted`. Zero and outside
+    /// [`search_counters`](Self::search_counters) under the same terms
+    /// as `screen_redundant`.
+    pub screen_testable: u64,
 }
 
 /// Breakdown of SAT-fallback resolutions of PODEM aborts.
@@ -219,8 +230,8 @@ pub struct PodemStats {
 /// targets the fallback examined ([`PodemStats::aborted`] when
 /// [`SatFallback::AbortedOnly`] is active). Targets the redundancy
 /// screen settles never reach the full-budget search, so they are not
-/// counted here but in [`PodemStats::screen_redundant`]; a verdict the
-/// fallback reuses from the screen counts here like a fresh one.
+/// counted here but in [`PodemStats::screen_redundant`] and
+/// [`PodemStats::screen_testable`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct SatResolved {
     /// Miter proved unsatisfiable: the fault is redundant and leaves
@@ -291,6 +302,7 @@ impl PodemStats {
                 undecided: self.sat_resolved.undecided - before.sat_resolved.undecided,
             },
             screen_redundant: self.screen_redundant - before.screen_redundant,
+            screen_testable: self.screen_testable - before.screen_testable,
         }
     }
 
@@ -309,6 +321,7 @@ impl PodemStats {
         self.sat_resolved.testable += delta.sat_resolved.testable;
         self.sat_resolved.undecided += delta.sat_resolved.undecided;
         self.screen_redundant += delta.screen_redundant;
+        self.screen_testable += delta.screen_testable;
     }
 }
 
@@ -390,17 +403,17 @@ impl Podem {
     ///
     /// Under [`SatFallback::AbortedOnly`] with a `backtrack_limit` above
     /// 50, a **redundancy screen** runs first: the search with 50
-    /// backtracks, and if that aborts, a cone-restricted miter at
-    /// `min(1_000, sat_conflict_limit)` conflicts. UNSAT settles the
-    /// target as [`PodemOutcome::Untestable`]
-    /// ([`PodemStats::screen_redundant`]). Otherwise the search restarts
-    /// at `backtrack_limit` and an abort goes to the SAT fallback at
-    /// `sat_conflict_limit`, which reuses the screen's verdict wherever
-    /// the larger budget would only repeat it (a test cube always).
-    /// Both the search and the solver are deterministic, so a run that
-    /// ends within the smaller budget ends the same way under the larger
-    /// one: the outcome is exactly the unscreened one, and only the
-    /// counters move.
+    /// backtracks, and if that aborts, a cone-restricted miter
+    /// ([`cnf::prove_fault`](crate::cnf::prove_fault)) at
+    /// `min(1_000, sat_conflict_limit)` conflicts. Its verdict is final.
+    /// UNSAT settles the target as [`PodemOutcome::Untestable`]
+    /// ([`PodemStats::screen_redundant`]), and SAT as
+    /// [`PodemOutcome::Test`] with the model as the cube
+    /// ([`PodemStats::screen_testable`]). Only when the proof runs out of
+    /// conflicts does the search restart at `backtrack_limit`, and an
+    /// abort there goes to the SAT fallback at `sat_conflict_limit`.
+    /// With the fallback off, or at 50 backtracks or fewer, the search
+    /// runs once at `backtrack_limit`.
     ///
     /// # Panics
     ///
@@ -425,13 +438,12 @@ impl Podem {
     }
 
     /// The budget ladder shared by both searches: the redundancy screen
-    /// (when enabled), the search at `backtrack_limit`, then the SAT
-    /// fallback for an abort.
+    /// (when enabled), then, for a target it leaves undecided, the
+    /// search at `backtrack_limit` and the SAT fallback for an abort.
     fn screen_then_search(&mut self, fault: Fault, search: Search) -> PodemOutcome {
         self.stats.targets += 1;
         let fallback = self.config.sat_fallback == SatFallback::AbortedOnly;
         let conflict_limit = self.config.sat_conflict_limit;
-        let mut screened = None;
         if fallback && self.config.backtrack_limit > SCREEN_BACKTRACKS {
             match search(self, fault, SCREEN_BACKTRACKS) {
                 PodemOutcome::Aborted => {}
@@ -443,17 +455,17 @@ impl Podem {
                     self.stats.screen_redundant += 1;
                     return PodemOutcome::Untestable;
                 }
-                // Only a query at the full limit may repeat `Undecided`.
-                FaultVerdict::Undecided if conflicts < conflict_limit => {}
-                verdict => screened = Some(verdict),
+                FaultVerdict::Testable(cube) => {
+                    self.stats.screen_testable += 1;
+                    return PodemOutcome::Test(cube);
+                }
+                FaultVerdict::Undecided => {}
             }
         }
         let outcome = search(self, fault, self.config.backtrack_limit);
         match self.tally(outcome) {
             PodemOutcome::Aborted if fallback => {
-                let verdict = screened.unwrap_or_else(|| {
-                    crate::cnf::prove_fault(&self.circuit, fault, conflict_limit)
-                });
+                let verdict = crate::cnf::prove_fault(&self.circuit, fault, conflict_limit);
                 self.resolve_aborted(verdict)
             }
             outcome => outcome,

@@ -61,9 +61,10 @@ pub struct TestGenConfig {
     /// handed to the formal layer for a redundancy proof or a test cube,
     /// and the default 1,000 backtracks and 100,000 conflicts are
     /// ceilings behind the redundancy screen of [`Podem::generate`] (a
-    /// 50-backtrack search, then a proof of at most 1,000 conflicts),
-    /// which settles most redundant targets without the full budgets
-    /// and never changes a result.
+    /// 50-backtrack search, then a proof of at most 1,000 conflicts).
+    /// The screen's verdict is final, a SAT model becoming the target's
+    /// test, so only a target whose proof runs out of conflicts pays
+    /// the full budgets.
     pub podem: PodemConfig,
     /// How unspecified cube inputs are completed.
     pub fill: FillStrategy,
@@ -346,7 +347,8 @@ pub struct TestGenSummary {
     /// Targets whose PODEM search hit the full backtrack limit,
     /// **before** any SAT fallback ([`PodemStats::aborted`]; targets the
     /// redundancy screen settled never get there and are counted in
-    /// [`PodemStats::screen_redundant`]). Compare with `num_aborted`,
+    /// [`PodemStats::screen_redundant`] and
+    /// [`PodemStats::screen_testable`]). Compare with `num_aborted`,
     /// which counts the faults still unresolved after the fallback had
     /// its say.
     pub aborted_faults: u64,

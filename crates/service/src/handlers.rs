@@ -594,7 +594,7 @@ fn op_atpg(a: Atpg) -> Object {
     // limit, and what the solver made of them. `num_aborted` above
     // counts only the faults that stayed unresolved. Targets the
     // redundancy screen settled never reached that limit and are
-    // counted apart.
+    // counted apart, by the screen's verdict.
     o.insert("aborted_faults", summary.aborted_faults);
     let mut sr = Object::new();
     sr.insert("redundant", summary.sat_resolved.redundant);
@@ -602,6 +602,7 @@ fn op_atpg(a: Atpg) -> Object {
     sr.insert("undecided", summary.sat_resolved.undecided);
     o.insert("sat_resolved", sr);
     o.insert("screen_redundant", result.podem_stats.screen_redundant);
+    o.insert("screen_testable", result.podem_stats.screen_testable);
     if a.include_tests {
         o.insert("tests", array(result.tests.iter().map(pattern_to_string)));
         o.insert("targets", array(result.targets.iter().map(|f| f.index())));

@@ -387,7 +387,8 @@ fn absurd_thread_counts_are_ignored() {
 /// undecided ones are exactly `num_aborted`, and turning the fallback
 /// off zeroes the resolution counts while restoring the raw aborts.
 /// Above 50 backtracks the redundancy screen settles targets before
-/// that limit, and its `screen_redundant` count joins the books.
+/// that limit, and its `screen_redundant` and `screen_testable` counts
+/// join the books.
 #[test]
 fn atpg_reports_sat_resolution_counts() {
     let _guard = BUILD_COUNT_LOCK.lock().unwrap();
@@ -406,7 +407,7 @@ fn atpg_reports_sat_resolution_counts() {
     };
     let field = |result: &Value, key: &str| result.get(key).and_then(Value::as_u64).unwrap();
     // Checks the books of one response and returns its
-    // `screen_redundant` count.
+    // `(screen_redundant, screen_testable)` counts.
     let books = |result: &Value| {
         let aborted = field(result, "aborted_faults");
         let sr = result.get("sat_resolved").expect("sat_resolved reported");
@@ -423,7 +424,9 @@ fn atpg_reports_sat_resolution_counts() {
         assert_eq!(undecided, field(result, "num_aborted"));
         let screened = field(result, "screen_redundant");
         assert!(redundant + screened <= field(result, "num_redundant"));
-        screened
+        let screen_testable = field(result, "screen_testable");
+        assert!(testable + screen_testable <= field(result, "num_tests"));
+        (screened, screen_testable)
     };
     // A starvation-level backtrack limit forces aborts so the fallback
     // has real work; it is below the screen's budget, so no screen runs.
@@ -432,9 +435,10 @@ fn atpg_reports_sat_resolution_counts() {
         field(&on, "aborted_faults") > 0,
         "backtrack limit 1 must abort something"
     );
-    assert_eq!(books(&on), 0);
-    let screened = books(&run(&spills_hash, r#"{"backtrack_limit": 1000}"#));
+    assert_eq!(books(&on), (0, 0));
+    let (screened, screen_testable) = books(&run(&spills_hash, r#"{"backtrack_limit": 1000}"#));
     assert!(screened > 0, "the screen proved nothing redundant");
+    assert!(screen_testable > 0, "the screen found no test");
 
     for (hash, limit) in [(&medium_hash, 1), (&spills_hash, 1000)] {
         let off = run(
@@ -446,6 +450,7 @@ fn atpg_reports_sat_resolution_counts() {
             assert_eq!(sr.get(key).and_then(Value::as_u64), Some(0), "{key}");
         }
         assert_eq!(field(&off, "screen_redundant"), 0);
+        assert_eq!(field(&off, "screen_testable"), 0);
         assert_eq!(off.get("num_aborted"), off.get("aborted_faults"));
     }
     let hash = medium_hash;

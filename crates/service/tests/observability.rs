@@ -1,13 +1,17 @@
 //! Observability behavior of the service layer: the `"trace": true`
 //! request field must not perturb response bytes or the scenario
 //! cache, span stacks must survive panicking pool workers, the
-//! `metrics`/`stats` endpoints must expose the new registry state, and
-//! the simulation kernels must open a fixed number of spans per call.
+//! `metrics`/`stats` endpoints must expose the new registry state, the
+//! simulation kernels must open a fixed number of spans per call, and a
+//! traced `atpg` request must split each SAT proof into its encoding
+//! and its solve.
 
 use std::sync::mpsc;
 use std::time::Duration;
 
+use adi_atpg::TestGenConfig;
 use adi_circuits::paper_suite_up_to;
+use adi_netlist::bench_format;
 use adi_obs::SpanSite;
 use adi_service::{ServiceState, StoreConfig, WorkerPool};
 use adi_sim::{FaultSimulator, PatternSet, SimWidth};
@@ -176,5 +180,67 @@ fn no_drop_matrix_opens_one_span_per_superblock() {
             assert_eq!(count("sim.block"), blocks, "{label}");
             assert_eq!(trace.nodes.len(), 1 + blocks, "{label}");
         }
+    }
+}
+
+/// A traced `atpg` request shows each SAT proof as a `sat.prove` span
+/// under its target's `atpg.podem` span, with exactly one `sat.encode`
+/// and then one `sat.solve` child. irs420 has faults that PODEM's
+/// 50-backtrack screen search aborts on, so the screen's proofs run.
+/// With speculative ATPG (`ADI_ATPG_THREADS` above 1) the searches run
+/// on worker threads, outside the request's trace, so only the nesting
+/// of whatever proofs the trace holds is checked then.
+#[test]
+fn traced_atpg_splits_each_proof_into_encode_and_solve() {
+    fn visit<'a>(
+        span: &'a Value,
+        parent: &'a str,
+        found: &mut Vec<(&'a str, &'a str, Vec<&'a str>)>,
+    ) {
+        let name = span.get("name").and_then(Value::as_str).expect("span name");
+        let children = span.get("spans").and_then(Value::as_array).unwrap_or(&[]);
+        let names = children
+            .iter()
+            .filter_map(|c| c.get("name").and_then(Value::as_str))
+            .collect();
+        found.push((parent, name, names));
+        for child in children {
+            visit(child, name, found);
+        }
+    }
+    let irs420 = paper_suite_up_to(300)
+        .into_iter()
+        .find(|c| c.name == "irs420")
+        .unwrap();
+    let bench = Value::Str(bench_format::to_bench(&irs420.netlist())).to_string();
+    let s = ServiceState::new(StoreConfig::default());
+    let v = parsed(&s.handle_line(&format!(
+        r#"{{"id": 1, "trace": true, "op": "atpg", "bench": {bench}}}"#
+    )));
+    assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true), "{v}");
+    let trace = v.get("trace").expect("trace field present");
+    assert_eq!(trace.get("dropped").and_then(Value::as_u64), Some(0));
+    let mut found = Vec::new();
+    for root in trace
+        .get("spans")
+        .and_then(Value::as_array)
+        .expect("spans array")
+    {
+        visit(root, "", &mut found);
+    }
+    let mut proofs = 0;
+    for (parent, name, children) in &found {
+        match *name {
+            "sat.prove" => {
+                assert_eq!(*parent, "atpg.podem");
+                assert_eq!(children, &["sat.encode", "sat.solve"]);
+                proofs += 1;
+            }
+            "sat.encode" | "sat.solve" => assert_eq!(*parent, "sat.prove"),
+            _ => {}
+        }
+    }
+    if TestGenConfig::default().atpg_threads == 1 {
+        assert!(proofs > 0, "no proof in the trace");
     }
 }

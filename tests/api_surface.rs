@@ -233,6 +233,7 @@ fn simulation_surface_is_stable() {
     let _ = |r: SatResolved| (r.redundant, r.testable, r.undecided);
     // The cnf module: redundancy proofs and the equivalence miter.
     let _: fn(&CompiledCircuit, Fault, u64) -> FaultVerdict = adi::atpg::cnf::prove_fault;
+    let _: fn(&CompiledCircuit, Fault, u64) -> FaultVerdict = adi::atpg::cnf::prove_fault_reference;
     let _: fn(
         &CompiledCircuit,
         &CompiledCircuit,
@@ -252,7 +253,7 @@ fn podem_engine_surface_is_stable() {
     let _: fn(&mut Podem, Fault) -> PodemOutcome = Podem::generate;
     let _: fn(&mut Podem, Fault) -> PodemOutcome = Podem::generate_reference;
     let _: fn(&Podem) -> PodemStats = Podem::stats;
-    fn stats_fields(s: &PodemStats) -> (u64, u64, u64, u64, u64, u64, u64, u64, u64) {
+    fn stats_fields(s: &PodemStats) -> (u64, u64, u64, u64, u64, u64, u64, u64, u64, u64) {
         (
             s.targets,
             s.tests,
@@ -263,6 +264,7 @@ fn podem_engine_surface_is_stable() {
             s.sim_events,
             s.sim_updates,
             s.screen_redundant,
+            s.screen_testable,
         )
     }
     let _ = stats_fields;

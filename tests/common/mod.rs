@@ -90,7 +90,7 @@ fn vectors(left: &Pattern, right: &Pattern) -> String {
 }
 
 /// The deterministic counters by name, in declaration order.
-fn counters(s: &PodemStats) -> [(&'static str, u64); 12] {
+fn counters(s: &PodemStats) -> [(&'static str, u64); 13] {
     [
         ("targets", s.targets),
         ("tests", s.tests),
@@ -104,5 +104,6 @@ fn counters(s: &PodemStats) -> [(&'static str, u64); 12] {
         ("sat_resolved.testable", s.sat_resolved.testable),
         ("sat_resolved.undecided", s.sat_resolved.undecided),
         ("screen_redundant", s.screen_redundant),
+        ("screen_testable", s.screen_testable),
     ]
 }

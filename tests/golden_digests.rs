@@ -119,6 +119,7 @@ fn result_digest(r: &TestGenResult) -> String {
             wasted_speculations: _,
             sat_resolved,
             screen_redundant,
+            screen_testable,
         } = r.podem_stats;
         for v in [
             targets,
@@ -133,6 +134,7 @@ fn result_digest(r: &TestGenResult) -> String {
             sat_resolved.testable,
             sat_resolved.undecided,
             screen_redundant,
+            screen_testable,
         ] {
             h.u64(v);
         }

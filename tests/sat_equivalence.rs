@@ -15,8 +15,9 @@
 //!   (proptest), as does the equivalence miter against brute-force
 //!   output comparison of circuit pairs.
 //! * A known-redundant fixture is proved UNSAT.
-//! * The redundancy screen in front of PODEM's full budget changes no
-//!   outcome: both searches return what the unscreened path returns.
+//! * The redundancy screen in front of PODEM's full budget is final:
+//!   both searches return its verdict whenever its proof decides, and
+//!   the full-budget path only when the proof runs out of conflicts.
 
 use adi::atpg::cnf::{check_equiv, prove_fault, DEFAULT_CONFLICT_LIMIT};
 use adi::atpg::{
@@ -125,105 +126,169 @@ fn paper_suite_agrees_with_event_driven_podem() {
     assert!(compared > 100, "suite too small to be meaningful: {compared}");
 }
 
-/// The redundancy screen (a 50-backtrack search, then a proof of at most
-/// 1,000 conflicts) leaves every outcome as the unscreened path has it:
-/// under `TestGenConfig::default().podem`, `generate` and
-/// `generate_reference` return, for every collapsed fault, the search
-/// at `backtrack_limit` with the fallback off followed, on an abort, by
-/// `prove_fault` at `sat_conflict_limit`. At 50 backtracks or fewer no
-/// screen runs, so the search counters are the raw search's. The
-/// circuits are a suite stand-in and a scaled-down variant of the
-/// benchmark's `aborts800` recipe (60 inputs, 800 gates, seed 1001),
-/// which between them take every branch of the screen.
+/// The redundancy screen's verdict is final. For every fault,
+/// `generate` and `generate_reference` return:
+///
+/// 1. the search at 50 backtracks, if it settles the fault;
+/// 2. otherwise `prove_fault` at `min(1_000, sat_conflict_limit)`,
+///    UNSAT as untestable and SAT as a test whose cube is the model;
+/// 3. otherwise (the proof undecided) the search at `backtrack_limit`,
+///    followed on an abort by `prove_fault` at `sat_conflict_limit`.
+///
+/// Under `TestGenConfig::default().podem` every collapsed fault of a
+/// suite stand-in and of a scaled-down variant of the benchmark's
+/// `aborts800` recipe (40 inputs, 400 gates, seed 7) is checked. No
+/// proof there runs out of conflicts, so a second pass sets
+/// `sat_conflict_limit` to 1, which leaves the screen undecided on any
+/// query that needs a conflict. It covers the faults the 50-backtrack
+/// search aborts on (the only ones the limit can affect) of those two
+/// circuits and of the full `aborts800` recipe (60 inputs, 800 gates,
+/// seed 1001), where some full-budget searches abort too. At 50
+/// backtracks or fewer no screen runs, so the search counters are the
+/// raw search's.
 #[test]
-fn redundancy_screen_matches_the_unscreened_path() {
+fn redundancy_screen_verdicts_are_final() {
     let config = TestGenConfig::default().podem;
     assert_eq!(config.sat_fallback, SatFallback::AbortedOnly);
+    let starved = PodemConfig {
+        sat_conflict_limit: 1,
+        ..config
+    };
     let off = |backtrack_limit| PodemConfig {
         backtrack_limit,
         sat_fallback: SatFallback::Off,
         ..config
     };
+    let as_outcome = |verdict| match verdict {
+        FaultVerdict::Testable(cube) => PodemOutcome::Test(cube),
+        FaultVerdict::Redundant => PodemOutcome::Untestable,
+        FaultVerdict::Undecided => PodemOutcome::Aborted,
+    };
     let suite = paper_suite()
         .into_iter()
         .find(|c| c.name == "irs420")
         .unwrap();
+    // Each circuit with whether the default pass checks it.
     let circuits = [
-        suite.netlist(),
-        random_circuit(&RandomCircuitConfig::new("aborts400", 40, 400, 7)),
+        (suite.netlist(), true),
+        (
+            random_circuit(&RandomCircuitConfig::new("aborts400", 40, 400, 7)),
+            true,
+        ),
+        (
+            random_circuit(&RandomCircuitConfig::new("aborts800", 60, 800, 1001)),
+            false,
+        ),
     ];
-    // Screen UNSAT; screen SAT, then a test within the full budget;
-    // screen SAT, then a full-budget abort that reuses the screen's cube.
-    let mut branches = [0u64; 3];
-    for netlist in circuits {
+    // The search at 50 settles; screen UNSAT; screen SAT; screen
+    // undecided, then the full search settles; the full search aborts
+    // and the fallback answers.
+    let mut branches = [0u64; 5];
+    for (netlist, default_pass) in circuits {
         let name = netlist.name().to_string();
         let circuit = CompiledCircuit::compile(netlist);
-        let mut screened = Podem::for_circuit(&circuit, config);
-        let mut reference = Podem::for_circuit(&circuit, config);
+        let faults: Vec<Fault> = circuit.collapsed_faults().iter().map(|(_, f)| f).collect();
         let mut short = Podem::for_circuit(&circuit, off(50));
-        let mut short_with_fallback = Podem::for_circuit(
-            &circuit,
-            PodemConfig {
-                backtrack_limit: 50,
-                ..config
-            },
-        );
-        let mut full = Podem::for_circuit(&circuit, off(config.backtrack_limit));
-        let mut screen_unsat = 0;
-        for (_, fault) in circuit.collapsed_faults().iter() {
-            let raw = full.generate(fault);
-            let unscreened = match &raw {
-                PodemOutcome::Aborted => {
-                    match prove_fault(&circuit, fault, config.sat_conflict_limit) {
-                        FaultVerdict::Testable(cube) => PodemOutcome::Test(cube),
-                        FaultVerdict::Redundant => PodemOutcome::Untestable,
-                        FaultVerdict::Undecided => PodemOutcome::Aborted,
-                    }
-                }
-                settled => settled.clone(),
-            };
-            assert_eq!(screened.generate(fault), unscreened, "{name}: {fault}");
-            assert_eq!(
-                reference.generate_reference(fault),
-                unscreened,
-                "{name}: {fault} (reference)"
-            );
-            short_with_fallback.generate(fault);
-            if short.generate(fault) == PodemOutcome::Aborted {
-                match (prove_fault(&circuit, fault, 1_000), raw) {
-                    (FaultVerdict::Redundant, _) => screen_unsat += 1,
-                    (FaultVerdict::Testable(_), PodemOutcome::Aborted) => branches[2] += 1,
-                    (FaultVerdict::Testable(_), _) => branches[1] += 1,
-                    (FaultVerdict::Undecided, _) => {}
-                }
-            }
+        let spills: Vec<Fault> = faults
+            .iter()
+            .copied()
+            .filter(|&f| short.generate(f) == PodemOutcome::Aborted)
+            .collect();
+        let mut passes = vec![(starved, &spills)];
+        if default_pass {
+            passes.insert(0, (config, &faults));
         }
-        branches[0] += screen_unsat;
-        let (s, r) = (screened.stats(), reference.stats());
-        assert_eq!(s.search_counters(), r.search_counters(), "{name}");
-        assert_eq!(
-            (s.sat_resolved, s.screen_redundant),
-            (r.sat_resolved, r.screen_redundant),
-            "{name}"
-        );
-        assert_eq!(s.screen_redundant, screen_unsat, "{name}");
-        assert_eq!(s.aborted, s.sat_resolved.total(), "{name}");
-        assert_eq!(
-            s.targets,
-            s.tests + s.untestable + s.aborted + s.screen_redundant,
-            "{name}"
-        );
-        let unscreened = short_with_fallback.stats();
-        assert_eq!(
-            unscreened.search_counters(),
-            short.stats().search_counters(),
-            "{name}"
-        );
-        assert_eq!(unscreened.screen_redundant, 0, "{name}");
+        for (config, targets) in passes {
+            let label = format!("{name} at {} conflicts", config.sat_conflict_limit);
+            let mut screened = Podem::for_circuit(&circuit, config);
+            let mut reference = Podem::for_circuit(&circuit, config);
+            let mut full = Podem::for_circuit(&circuit, off(config.backtrack_limit));
+            let screen_conflicts = config.sat_conflict_limit.min(1_000);
+            let (mut screen_unsat, mut screen_sat) = (0, 0);
+            for &fault in targets {
+                let expected = match short.generate(fault) {
+                    PodemOutcome::Aborted => match prove_fault(&circuit, fault, screen_conflicts) {
+                        FaultVerdict::Redundant => {
+                            screen_unsat += 1;
+                            branches[1] += 1;
+                            PodemOutcome::Untestable
+                        }
+                        FaultVerdict::Testable(cube) => {
+                            screen_sat += 1;
+                            branches[2] += 1;
+                            PodemOutcome::Test(cube)
+                        }
+                        FaultVerdict::Undecided => match full.generate(fault) {
+                            PodemOutcome::Aborted => {
+                                branches[4] += 1;
+                                as_outcome(prove_fault(&circuit, fault, config.sat_conflict_limit))
+                            }
+                            settled => {
+                                branches[3] += 1;
+                                settled
+                            }
+                        },
+                    },
+                    settled => {
+                        branches[0] += 1;
+                        settled
+                    }
+                };
+                assert_eq!(screened.generate(fault), expected, "{label}: {fault}");
+                assert_eq!(
+                    reference.generate_reference(fault),
+                    expected,
+                    "{label}: {fault} (reference)"
+                );
+            }
+            let (s, r) = (screened.stats(), reference.stats());
+            assert_eq!(s.search_counters(), r.search_counters(), "{label}");
+            assert_eq!(
+                (s.sat_resolved, s.screen_redundant, s.screen_testable),
+                (r.sat_resolved, r.screen_redundant, r.screen_testable),
+                "{label}"
+            );
+            assert_eq!(
+                (s.screen_redundant, s.screen_testable),
+                (screen_unsat, screen_sat),
+                "{label}"
+            );
+            assert_eq!(s.aborted, s.sat_resolved.total(), "{label}");
+            assert_eq!(
+                s.targets,
+                s.tests + s.untestable + s.aborted + s.screen_redundant + s.screen_testable,
+                "{label}"
+            );
+        }
+        if default_pass {
+            let mut raw = Podem::for_circuit(&circuit, off(50));
+            let mut short_with_fallback = Podem::for_circuit(
+                &circuit,
+                PodemConfig {
+                    backtrack_limit: 50,
+                    ..config
+                },
+            );
+            for &fault in &faults {
+                raw.generate(fault);
+                short_with_fallback.generate(fault);
+            }
+            let unscreened = short_with_fallback.stats();
+            assert_eq!(
+                unscreened.search_counters(),
+                raw.stats().search_counters(),
+                "{name}"
+            );
+            assert_eq!(
+                (unscreened.screen_redundant, unscreened.screen_testable),
+                (0, 0),
+                "{name}"
+            );
+        }
     }
     assert!(
         branches.iter().all(|&n| n > 0),
-        "a screen branch never ran: {branches:?}"
+        "a branch of the ladder never ran: {branches:?}"
     );
 }
 
