@@ -382,7 +382,7 @@ fn commit_loop<'g, const N: usize>(
             continue;
         }
         let t0 = Instant::now();
-        let covered = !session.pending_detections(target).is_zero();
+        let covered = session.covers(target);
         timing.drop_ns += t0.elapsed().as_nanos() as u64;
         if covered {
             // A pending test covers it: the flush that drains the block

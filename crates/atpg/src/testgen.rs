@@ -524,7 +524,7 @@ impl<'a> TestGenerator<'a> {
                 continue; // resolved by a flushed block, or aborted/redundant
             }
             let t0 = Instant::now();
-            let covered = !session.pending_detections(target).is_zero();
+            let covered = session.covers(target);
             timing.drop_ns += t0.elapsed().as_nanos() as u64;
             if covered {
                 continue; // a pending test covers it; classified at flush

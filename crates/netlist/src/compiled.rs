@@ -25,7 +25,7 @@ use std::sync::{Arc, OnceLock};
 use adi_obs::SpanSite;
 
 use crate::fault::FaultList;
-use crate::{dominator, FfrPartition, LevelizedCsr, Netlist, NetlistHash, Scoap};
+use crate::{FfrPartition, LevelizedCsr, Netlist, NetlistHash, Scoap};
 
 // Compile-phase instrumentation sites (see `adi-obs`): the eager
 // levelize/FFR builds plus each lazy artifact, so a per-request trace
@@ -78,7 +78,6 @@ struct Compilation {
     full: OnceLock<FaultList>,
     scoap: OnceLock<Scoap>,
     hash: OnceLock<NetlistHash>,
-    post_dominators: OnceLock<Vec<u32>>,
 }
 
 /// A compilation hashes as its [`content_hash`](CompiledCircuit::content_hash):
@@ -115,7 +114,6 @@ impl CompiledCircuit {
                 full: OnceLock::new(),
                 scoap: OnceLock::new(),
                 hash: OnceLock::new(),
-                post_dominators: OnceLock::new(),
             }),
         }
     }
@@ -167,16 +165,6 @@ impl CompiledCircuit {
         })
     }
 
-    /// The immediate post-dominator position of every levelized
-    /// position (computed on first access, then shared) — the cut
-    /// structure the stem-region engine's dominator-based stem merging
-    /// runs on. See [`dominator::immediate_post_dominators`].
-    pub fn post_dominators(&self) -> &[u32] {
-        self.inner
-            .post_dominators
-            .get_or_init(|| dominator::immediate_post_dominators(&self.inner.view))
-    }
-
     /// The canonical content hash of the compiled netlist (computed on
     /// first access, then shared) — the key a [`NetlistHash`]-addressed
     /// circuit cache stores this compilation under.
@@ -217,9 +205,6 @@ impl CompiledCircuit {
         }
         if self.inner.scoap.get().is_some() {
             bytes += nodes * 12;
-        }
-        if let Some(pd) = self.inner.post_dominators.get() {
-            bytes += pd.len() * 4;
         }
         bytes
     }
@@ -268,10 +253,6 @@ y = OR(t0, t1)
         assert_eq!(c.collapsed_faults(), &FaultList::collapsed(&n));
         assert_eq!(c.full_faults(), &FaultList::full(&n));
         assert_eq!(c.scoap(), &Scoap::compute(&n));
-        assert_eq!(
-            c.post_dominators(),
-            dominator::immediate_post_dominators(c.view()).as_slice()
-        );
     }
 
     #[test]
@@ -298,7 +279,7 @@ y = OR(t0, t1)
         let c = CompiledCircuit::compile(netlist);
         assert_eq!(LevelizedCsr::thread_build_count() - before, 1);
         let _ = (c.view(), c.ffr(), c.collapsed_faults(), c.full_faults());
-        let _ = (c.scoap(), c.post_dominators(), c.content_hash(), c.clone());
+        let _ = (c.scoap(), c.content_hash(), c.clone());
         assert_eq!(LevelizedCsr::thread_build_count() - before, 1);
     }
 

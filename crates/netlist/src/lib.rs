@@ -51,7 +51,6 @@ pub mod bench_format;
 mod builder;
 mod compiled;
 mod cone;
-pub mod dominator;
 mod dot;
 mod error;
 pub mod fault;

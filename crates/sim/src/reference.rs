@@ -6,8 +6,8 @@
 //! *per fault* per 64-pattern block. That is asymptotically slower than
 //! the stem-region engine every [`FaultSimulator`](crate::FaultSimulator)
 //! runs, and it is independent of everything that engine adds
-//! (fanout-free regions, sensitization words, dominator-based stem
-//! merging, wide words), which makes it the differential oracle:
+//! (fanout-free regions, sensitization words, needs-driven lane
+//! retirement, wide words), which makes it the differential oracle:
 //! `tests/engine_equivalence.rs` requires the production engine to match
 //! these functions bit for bit.
 //!

@@ -18,21 +18,26 @@
 //!   the pending block and refreshes the block's good-machine words
 //!   (one wide CSR sweep — the same cost the scalar loop paid for its
 //!   1-wide sweep).
-//! * [`DropSession::pending_detections`] answers "which pending tests
-//!   detect this fault?" with a single per-fault walk over the pending
-//!   block: the stem-region engine's fault-effect walk, started at the
-//!   fault's site and seeded with the pending lanes that excite it there.
-//!   A lane stops propagating once an output observes it, and the walk
-//!   ends once every seeded lane is observed. The driver uses it to skip
-//!   targets a pending test already covers — the batched equivalent of
-//!   the scalar loop's "already dropped" check — so the *same targets*
-//!   reach PODEM and the generated test set is bit-identical.
+//! * [`DropSession::covers`] answers "does some pending test detect
+//!   this fault?" with a single per-fault walk over the pending block:
+//!   the stem-region engine's fault-effect walk, started at the fault's
+//!   site and seeded with the pending lanes that excite it there, which
+//!   ends at the first lane an output observes. The driver uses it to
+//!   skip targets a pending test already covers — the batched
+//!   equivalent of the scalar loop's "already dropped" check — so the
+//!   *same targets* reach PODEM and the generated test set is
+//!   bit-identical.
+//!   [`DropSession::pending_detections`] walks the same way until every
+//!   seeded lane is answered, and returns the whole word.
 //! * [`DropSession::flush`] runs the stem-region engine once over the
 //!   pending block (one sensitization sweep plus one observability walk
 //!   per region with an active fault — instead of one walk per active
 //!   fault per test) and replays the drop bookkeeping lane by lane:
 //!   each fault is credited to the *first* pending test that detects
-//!   it, in the order the scalar loop would have reported. With
+//!   it, in the order the scalar loop would have reported. Only that
+//!   first lane matters, so each region's walk retires every lane no
+//!   fault of the region still needs: a fault needs only its lanes
+//!   below its lowest observed one. With
 //!   [`with_threads`](DropSession::with_threads) the flush detection is
 //!   split region-parallel across threads (disjoint faults per thread,
 //!   merged without locks) — same results, useful when wide blocks make
@@ -48,7 +53,7 @@ use adi_netlist::fault::{FaultId, FaultList};
 use adi_netlist::CompiledCircuit;
 
 use crate::logic;
-use crate::stem::{StemRegionEngine, StemScratch};
+use crate::stem::{Need, StemRegionEngine, StemScratch};
 use crate::word::SimWord;
 use crate::Pattern;
 
@@ -89,6 +94,7 @@ pub struct DropSession<'a, const N: usize = 1> {
     stem: StemRegionEngine<'a>,
     /// Stem-region block scratch; `scratch.good` always holds the good
     /// words of the pending block, and its walk buffers also serve
+    /// [`covers`](Self::covers) and
     /// [`pending_detections`](Self::pending_detections).
     scratch: StemScratch<N>,
     /// Packed input words of the pending block, one per primary input.
@@ -99,7 +105,8 @@ pub struct DropSession<'a, const N: usize = 1> {
     threads: usize,
     /// Active flags by fault id, populated transiently per flush.
     active_flags: Vec<bool>,
-    /// Per-fault detection words of the current flush.
+    /// Per-fault detection words of the current flush, exact in their
+    /// lowest lane only.
     words: Vec<SimWord<N>>,
     /// Sensitization path marking used by flushes: the engine's
     /// whole-fault-list marking initially, lazily rebuilt for just the
@@ -208,18 +215,38 @@ impl<'a, const N: usize> DropSession<'a, N> {
 
     /// The word of pending lanes that detect `fault` (bit `j` set iff
     /// the `j`-th pending test detects it), computed with a single
-    /// per-fault walk from the fault's site. Zero when no tests are
-    /// pending.
+    /// per-fault walk from the fault's site that carries every pending
+    /// lane until an output observes it or its effect dies out. Zero
+    /// when no tests are pending.
     ///
-    /// The ATPG driver calls this before targeting a fault: a non-zero
-    /// word means a pending test already covers it, exactly as the
-    /// scalar loop's per-test dropping would have.
+    /// To ask only whether some pending test detects `fault`, use
+    /// [`covers`](Self::covers), whose walk stops at the first observed
+    /// lane.
     pub fn pending_detections(&mut self, fault: FaultId) -> SimWord<N> {
         if self.lanes == 0 {
             return SimWord::ZERO;
         }
         let mask = self.lane_mask();
-        self.stem.detect_fault(fault, mask, &mut self.scratch)
+        self.stem
+            .detect_fault(fault, mask, &mut self.scratch, |_| SimWord::ONES)
+    }
+
+    /// Returns `true` if some pending test detects `fault`: the same
+    /// answer as `!pending_detections(fault).is_zero()`, from a walk
+    /// that needs no lane once an output observes any.
+    ///
+    /// The ATPG driver calls this before targeting a fault: `true`
+    /// means a pending test already covers it, exactly as the scalar
+    /// loop's per-test dropping would have.
+    pub fn covers(&mut self, fault: FaultId) -> bool {
+        if self.lanes == 0 {
+            return false;
+        }
+        let mask = self.lane_mask();
+        !self
+            .stem
+            .detect_fault(fault, mask, &mut self.scratch, |_| SimWord::ZERO)
+            .is_zero()
     }
 
     /// Drains the pending block: runs the stem-region engine once over
@@ -228,7 +255,10 @@ impl<'a, const N: usize> DropSession<'a, N> {
     /// detecting lane, lists in `active` order) — exactly the sequence
     /// of detection lists the scalar per-test loop would have produced.
     ///
-    /// Faults outside `active` are skipped entirely. The session is
+    /// Only each fault's first detecting lane is read, so each region's
+    /// walk retires a lane once no active fault of the region still
+    /// needs it: a fault needs only its lanes below its lowest observed
+    /// one. Faults outside `active` are skipped entirely. The session is
     /// empty afterwards.
     pub fn flush(&mut self, active: &[FaultId]) -> Vec<Vec<FaultId>> {
         static SPAN_FLUSH: adi_obs::SpanSite = adi_obs::SpanSite::new("sim.drop_flush");
@@ -282,6 +312,7 @@ impl<'a, const N: usize> DropSession<'a, N> {
                             good,
                             marking,
                             Some(flags),
+                            Need::First,
                             &mut out,
                         );
                         out
@@ -298,7 +329,7 @@ impl<'a, const N: usize> DropSession<'a, N> {
             }
         } else {
             stem.prepare_block_with(scratch, sens_active);
-            stem.for_each_detection(mask, scratch, Some(active_flags), |fault, word| {
+            stem.for_each_detection(mask, scratch, Some(active_flags), Need::First, |fault, word| {
                 words[fault as usize] = word;
             });
         }
@@ -306,6 +337,8 @@ impl<'a, const N: usize> DropSession<'a, N> {
             active_flags[id.index()] = false;
         }
 
+        // A word's lanes above its lowest may be missing (the walks
+        // retired them), so only its lowest lane is read.
         for &id in active {
             let w = self.words[id.index()];
             if !w.is_zero() {
@@ -439,7 +472,8 @@ G23 = NAND(G16, G19)
     }
 
     /// After each of 40 pushes, every fault's pending word must equal
-    /// the scalar per-pattern verdicts of the tests pushed so far.
+    /// the scalar per-pattern verdicts of the tests pushed so far, and
+    /// `covers` must say whether that word is non-zero.
     fn pending_detections_match_w<const N: usize>(circuit: &CompiledCircuit) {
         const LANES: usize = 40;
         let faults = circuit.full_faults();
@@ -458,13 +492,10 @@ G23 = NAND(G16, G19)
                 expect[id.index()].set_bit(p);
             }
             for id in faults.ids() {
-                assert_eq!(
-                    session.pending_detections(id),
-                    expect[id.index()],
-                    "{} W{N} {} pending, fault {id}",
-                    circuit.netlist().name(),
-                    p + 1
-                );
+                let name = circuit.netlist().name();
+                let label = format!("{name} W{N} {} pending, fault {id}", p + 1);
+                assert_eq!(session.pending_detections(id), expect[id.index()], "{label}");
+                assert_eq!(session.covers(id), !expect[id.index()].is_zero(), "{label}");
             }
         }
     }
@@ -518,6 +549,7 @@ G23 = NAND(G16, G19)
         assert_eq!(session.pending(), 0);
         assert!(session.flush(&active).is_empty());
         assert!(session.pending_detections(active[0]).is_zero());
+        assert!(!session.covers(active[0]));
     }
 
     #[test]

@@ -20,23 +20,30 @@
 //!    stem's observability word `obs(stem)`; every fault in the region is
 //!    then detected exactly on `stem_diff(f) & obs(stem)`.
 //!
-//! Every observability walk, and the per-fault walk behind
-//! [`DropSession::pending_detections`](crate::DropSession::pending_detections),
-//! is one routine, `EffectWalk::run`:
+//! Every observability walk, and the per-fault walks behind
+//! [`DropSession::pending_detections`](crate::DropSession::pending_detections)
+//! and [`DropSession::covers`](crate::DropSession::covers), is one
+//! routine, `EffectWalk::run`:
 //!
 //! * **Position-bitset event queue.** Pending evaluations are bits of a
 //!   bitset over positions, drained lowest bit first. Positions are
 //!   level-major and every fanout sits on a strictly higher level, so
 //!   that order is topological: each scheduled gate is evaluated once,
 //!   after all of its faulty fanins, and re-scheduling is a no-op.
-//! * **Lane retirement.** A pattern (lane) retires as soon as a primary
-//!   output observes it: every later evaluation masks it out, so it
-//!   propagates no further, and the walk returns once every lane it was
-//!   seeded with has retired. The returned word stays exact: lanes
-//!   evaluate independently, and a lane propagates unchanged until an
-//!   output shows it.
+//! * **Needs-driven lane retirement.** A region walks once per
+//!   superblock, seeded with the union of its wanted faults'
+//!   stem-difference words. A pattern (lane) retires as soon as a
+//!   primary output observes it, and also as soon as no fault of the
+//!   region still needs it: after each observation the walk asks its
+//!   caller which lanes are still needed, masks every later evaluation
+//!   with them, and returns once none is left. The no-drop matrix needs
+//!   every lane; first detection needs each fault's lanes below its
+//!   lowest observed one; n-detection needs the lanes of faults still
+//!   short of `n`. Lanes evaluate independently and a live lane
+//!   propagates unchanged, so the walk's word is exact on every lane
+//!   the caller kept, and a retired lane cannot change any answer.
 //!
-//! Three further multipliers sit on top of the two-level scheme:
+//! Two further multipliers sit on top of the two-level scheme:
 //!
 //! * **Wide words.** Every per-superblock kernel is generic over
 //!   [`SimWord<N>`] (`N` ∈ {1, 2, 4, 8} lanes, selected at runtime by
@@ -44,15 +51,6 @@
 //!   dispatch strategy). A superblock is `N` consecutive 64-pattern
 //!   blocks, so one sensitization sweep and one observability walk
 //!   serve `N * 64` patterns.
-//! * **Dominator-based stem merging.** When a node `d` lies on every
-//!   path from stem `s` to the outputs (its immediate post-dominator,
-//!   precomputed on the [`CompiledCircuit`]), the engine walks the
-//!   flipped stem, seeded with `obs(d)`'s lanes, only as far as `d` (the
-//!   walk's stop position), which yields
-//!   `obs(s) = diff_at_d(s) & obs(d)` — stem chains share the memoized
-//!   `obs(d)` suffix instead of each re-walking the whole cone. Few
-//!   stems have such a dominator in practice (at most one walking stem
-//!   per paper-suite circuit).
 //! * **Two-dimensional parallelism.** The block-parallel split carves
 //!   the superblock range across threads (best when there are plenty of
 //!   blocks); the region-parallel split carves the *stem-region groups*
@@ -76,7 +74,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use adi_netlist::dominator::POST_DOM_SINK;
 use adi_netlist::fault::{FaultId, FaultList, FaultSite};
 use adi_obs::SpanSite;
 use adi_netlist::{CompiledCircuit, GateKind, LevelizedCsr};
@@ -116,8 +113,8 @@ struct FaultInfo {
 /// [`FaultSimulator`](crate::FaultSimulator) builds one of these per
 /// call; hold an instance directly to amortize the per-fault-list setup
 /// over many pattern sets. The per-circuit artifacts (levelized view,
-/// FFR decomposition, post-dominators) come from the [`CompiledCircuit`]
-/// and are shared, not rebuilt.
+/// FFR decomposition) come from the [`CompiledCircuit`] and are shared,
+/// not rebuilt.
 ///
 /// The engine carries a [`SimWidth`] (default: the process-wide
 /// environment default) selecting the lane count of every simulation;
@@ -168,9 +165,6 @@ pub struct StemRegionEngine<'a> {
     group_weights: Vec<u64>,
     /// Simulation word width every drive mode runs at.
     width: SimWidth,
-    /// Dominator-based stem merging (on by default; the off switch
-    /// exists for differential testing of the merged observability).
-    merge_stems: bool,
 }
 
 /// Reusable per-superblock buffers for the stem-region engine, generic
@@ -183,24 +177,62 @@ pub(crate) struct StemScratch<const N: usize> {
     sens: Vec<SimWord<N>>,
     /// Packed input words for the current superblock.
     input_words: Vec<SimWord<N>>,
-    /// Observability state: the walk and the per-superblock memo.
-    obs: ObsScratch<N>,
+    /// Buffers of one region's walk.
+    region: RegionScratch<N>,
 }
 
-/// Observability state of one superblock: the fault-effect walk every
-/// observability word comes from, plus the memo that dominator chains
-/// share.
+/// Buffers of one region's detection ([`StemRegionEngine::walk_region`]):
+/// the fault-effect walk and the region's stem-difference words.
 #[derive(Clone, Debug)]
-struct ObsScratch<const N: usize> {
+struct RegionScratch<const N: usize> {
     walk: EffectWalk<N>,
-    /// Memoized `obs(position)` values for the current superblock
-    /// (roots and their dominator-chain ancestors), each restricted to
-    /// the superblock's valid lanes.
-    memo: Vec<SimWord<N>>,
-    memo_stamp: Vec<u32>,
-    memo_version: u32,
-    /// Reusable dominator-chain buffer for the iterative memo fill.
-    chain: Vec<u32>,
+    /// `(fault, stem-difference word)` of the current region's wanted
+    /// faults whose word is non-zero, in fault-id order.
+    rds: Vec<(u32, SimWord<N>)>,
+}
+
+/// What a drive mode still needs from a region's walk: given the lanes
+/// an output has observed so far, the lanes some fault of the region
+/// could still use. The walk retires every other lane.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Need<'c> {
+    /// Every detecting lane (the no-drop matrix).
+    Every,
+    /// Each fault's lowest detecting lane (first detection): a fault
+    /// needs only its lanes below its lowest observed one.
+    First,
+    /// Detecting lanes until each fault reaches `n`, counting the
+    /// `counts` (by fault id) of earlier superblocks (n-detection).
+    Count { counts: &'c [u32], n: u32 },
+}
+
+impl Need<'_> {
+    /// The lanes of the difference words `rds` that some fault still
+    /// needs once the lanes of `observed` are known to be detecting.
+    fn lanes<const N: usize>(self, rds: &[(u32, SimWord<N>)], observed: SimWord<N>) -> SimWord<N> {
+        let mut need = SimWord::ZERO;
+        match self {
+            Need::Every => return SimWord::ONES,
+            Need::First => {
+                for &(_, rd) in rds {
+                    let hit = rd & observed;
+                    need |= if hit.is_zero() {
+                        rd
+                    } else {
+                        rd & SimWord::low_mask(hit.first_set_bit() as usize)
+                    };
+                }
+            }
+            Need::Count { counts, n } => {
+                for &(fault, rd) in rds {
+                    if counts[fault as usize] + (rd & observed).count_ones() < n {
+                        need |= rd;
+                    }
+                }
+            }
+        }
+        need
+    }
 }
 
 /// Reusable buffers of the fault-effect walk ([`EffectWalk::run`]).
@@ -224,17 +256,14 @@ impl<const N: usize> StemScratch<N> {
             good: vec![SimWord::ZERO; n],
             sens: vec![SimWord::ZERO; n],
             input_words: vec![SimWord::ZERO; view.inputs().len()],
-            obs: ObsScratch {
+            region: RegionScratch {
                 walk: EffectWalk {
                     faulty: vec![SimWord::ZERO; n],
                     stamp: vec![0; n],
                     version: 0,
                     pending: vec![0; n.div_ceil(64)],
                 },
-                memo: vec![SimWord::ZERO; n],
-                memo_stamp: vec![0; n],
-                memo_version: 0,
-                chain: Vec::new(),
+                rds: Vec::new(),
             },
         }
     }
@@ -242,31 +271,31 @@ impl<const N: usize> StemScratch<N> {
 
 impl<const N: usize> EffectWalk<N> {
     /// Propagates a fault effect from `start` through its fanout cone
-    /// and returns the lanes in which it reaches a primary output, or
-    /// `stop` when one is given.
+    /// and returns lanes in which it reaches a primary output.
     ///
     /// `seed` is the effect at `start`: the faulty machine there is
     /// `good[start] ^ seed`. Events drain from the position bitset
     /// lowest position first, a topological order, so each gate is
     /// evaluated once after all of its faulty fanins; gates that reach
-    /// no output are never scheduled. Each evaluation keeps only the
-    /// difference `d` in lanes no output has observed yet and stores
-    /// `good ^ d`, so an observed lane propagates no further, and the
-    /// walk returns as soon as every seeded lane is observed. Lanes
-    /// evaluate independently and a lane propagates unchanged until an
-    /// output shows it, so the returned word is exact.
+    /// no output are never scheduled. The walk keeps a word of live
+    /// lanes, at first `seed`. Each evaluation keeps only the difference
+    /// `d` in live lanes and stores `good ^ d`, so a retired lane
+    /// propagates no further. A lane retires once an output observes
+    /// it; after each new observation the walk passes every observed
+    /// lane to `need`, retires each lane `need` leaves out, and returns
+    /// once no lane is live.
     ///
-    /// `stop` is the dominator-merging cut: it is observed like an
-    /// output and nothing past it is expanded. The caller guarantees it
-    /// lies on every path from `start` to the outputs, so no output is
-    /// reached before it.
+    /// Lanes evaluate independently and a live lane propagates
+    /// unchanged, so every returned lane is a detecting lane, and the
+    /// word is exact on each lane `need` kept until it was observed or
+    /// the walk ran out of events.
     fn run(
         &mut self,
         view: &LevelizedCsr,
         good: &[SimWord<N>],
         start: usize,
         seed: SimWord<N>,
-        stop: Option<usize>,
+        mut need: impl FnMut(SimWord<N>) -> SimWord<N>,
     ) -> SimWord<N> {
         if seed.is_zero() || !view.reaches_output(start) {
             return SimWord::ZERO;
@@ -285,6 +314,7 @@ impl<const N: usize> EffectWalk<N> {
         // One past the highest pending word.
         let mut end = 0usize;
         self.schedule_fanouts(view, start, &mut end);
+        let mut live = seed;
         let mut observed = SimWord::ZERO;
         let mut w = start / 64;
         while w < end {
@@ -303,19 +333,16 @@ impl<const N: usize> EffectWalk<N> {
                     good[f as usize]
                 }
             });
-            let d = (val ^ good[p]) & !observed;
+            let d = (val ^ good[p]) & live;
             if d.is_zero() {
                 continue;
             }
-            if view.is_output_at(p) || stop == Some(p) {
-                debug_assert!(
-                    stop.is_none_or(|s| s == p),
-                    "output inside a dominator-restricted walk"
-                );
+            if view.is_output_at(p) {
                 // Every lane of `d` retires here, so nothing propagates
                 // past this position.
                 observed |= d;
-                if observed == seed {
+                live = live & !d & need(observed);
+                if live.is_zero() {
                     self.pending[w..end].fill(0);
                     break;
                 }
@@ -342,23 +369,10 @@ impl<const N: usize> EffectWalk<N> {
     }
 }
 
-impl<const N: usize> ObsScratch<N> {
-    /// Starts a fresh memo generation (all memoized observabilities of
-    /// the previous superblock become stale).
-    fn advance_memo(&mut self) {
-        self.memo_version = self.memo_version.wrapping_add(1);
-        if self.memo_version == 0 {
-            self.memo_stamp.fill(0);
-            self.memo_version = 1;
-        }
-    }
-}
-
 impl<'a> StemRegionEngine<'a> {
     /// Builds the engine for `circuit`: per-fault injection info and the
-    /// fault-per-region grouping. The levelized view, the FFR
-    /// decomposition, and the post-dominators are shared from the
-    /// compilation, not rebuilt.
+    /// fault-per-region grouping. The levelized view and the FFR
+    /// decomposition are shared from the compilation, not rebuilt.
     ///
     /// # Panics
     ///
@@ -368,9 +382,6 @@ impl<'a> StemRegionEngine<'a> {
         let view = circuit.view();
         let ffr = circuit.ffr();
         let n = netlist.num_nodes();
-        // Materialize the shared post-dominators now so the hot loops
-        // (possibly on several threads) never race the lazy init.
-        let _ = circuit.post_dominators();
 
         let mut is_root = vec![false; n];
         for id in netlist.node_ids() {
@@ -493,7 +504,6 @@ impl<'a> StemRegionEngine<'a> {
             group_faults,
             group_weights,
             width: SimWidth::default(),
-            merge_stems: true,
         }
     }
 
@@ -509,16 +519,6 @@ impl<'a> StemRegionEngine<'a> {
     /// The simulation word width every drive mode runs at.
     pub fn width(&self) -> SimWidth {
         self.width
-    }
-
-    /// Enables or disables dominator-based stem merging (builder
-    /// style). Merging is on by default and bit-identical to the full
-    /// cone walk; the switch exists so differential tests can pin
-    /// merged observability against unmerged.
-    #[must_use]
-    pub fn with_stem_merging(mut self, merge: bool) -> Self {
-        self.merge_stems = merge;
-        self
     }
 
     /// The levelized view the engine runs on.
@@ -557,7 +557,7 @@ impl<'a> StemRegionEngine<'a> {
             let _block_span = SPAN_BLOCK.enter();
             self.sim_superblock(patterns, sb, &mut scratch);
             let mask = patterns.valid_mask_wide::<N>(sb);
-            self.for_each_detection(mask, &mut scratch, None, |fault, word| {
+            self.for_each_detection(mask, &mut scratch, None, Need::Every, |fault, word| {
                 or_word_wide(&mut matrix, fault, sb, word);
             });
         }
@@ -647,9 +647,15 @@ impl<'a> StemRegionEngine<'a> {
                         self.sim_superblock(patterns, sb, &mut scratch);
                         let mask = patterns.valid_mask_wide::<N>(sb);
                         let off = sb - b0;
-                        self.for_each_detection(mask, &mut scratch, None, |fault, word| {
-                            local[fault as usize * len + off] |= word;
-                        });
+                        self.for_each_detection(
+                            mask,
+                            &mut scratch,
+                            None,
+                            Need::Every,
+                            |fault, word| {
+                                local[fault as usize * len + off] |= word;
+                            },
+                        );
                     }
                     (b0, local)
                 }));
@@ -771,12 +777,19 @@ impl<'a> StemRegionEngine<'a> {
                         for sb in 0..n_superblocks {
                             let good = &good_ref[sb * n_pos..(sb + 1) * n_pos];
                             self.prepare_sens(good, &mut scratch.sens, &marking);
-                            scratch.obs.advance_memo();
                             let mask = patterns.valid_mask_wide::<N>(sb);
-                            let StemScratch { sens, obs, .. } = &mut scratch;
-                            self.detect_groups(g0, g1, mask, good, sens, obs, None, &mut |f, det| {
-                                hits.push((f, sb as u32, det));
-                            });
+                            let StemScratch { sens, region, .. } = &mut scratch;
+                            self.detect_groups(
+                                g0,
+                                g1,
+                                mask,
+                                good,
+                                sens,
+                                region,
+                                None,
+                                Need::Every,
+                                &mut |f, det| hits.push((f, sb as u32, det)),
+                            );
                         }
                     }
                     hits
@@ -853,20 +866,12 @@ impl<'a> StemRegionEngine<'a> {
             }
             self.sim_superblock(patterns, sb, &mut scratch);
             let mask = patterns.valid_mask_wide::<N>(sb);
-            let StemScratch { good, sens, obs, .. } = &mut scratch;
+            let StemScratch { good, sens, region, .. } = &mut scratch;
             for g in 0..self.group_roots.len() {
-                let root = self.group_roots[g];
-                let lo = self.group_index[g] as usize;
-                let hi = self.group_index[g + 1] as usize;
-                for &fault in &self.group_faults[lo..hi] {
-                    if first[fault as usize].is_some() {
-                        continue;
-                    }
-                    let rd = self.stem_diff(fault, good, sens) & mask;
-                    if rd.is_zero() {
-                        continue;
-                    }
-                    let det = rd & self.stem_obs(good, root, mask, obs);
+                let wants = |f: u32| first[f as usize].is_none();
+                let (rds, obs) = self.walk_region(g, mask, good, sens, region, wants, Need::First);
+                for &(fault, rd) in rds {
+                    let det = rd & obs;
                     if !det.is_zero() {
                         // Lanes are in pattern order, so the first set
                         // bit is the earliest detecting pattern — the
@@ -910,24 +915,23 @@ impl<'a> StemRegionEngine<'a> {
             }
             self.sim_superblock(patterns, sb, &mut scratch);
             let mask = patterns.valid_mask_wide::<N>(sb);
-            let StemScratch { good, sens, obs, .. } = &mut scratch;
+            let StemScratch { good, sens, region, .. } = &mut scratch;
             for g in 0..self.group_roots.len() {
-                let root = self.group_roots[g];
-                let lo = self.group_index[g] as usize;
-                let hi = self.group_index[g + 1] as usize;
-                for &fault in &self.group_faults[lo..hi] {
-                    if counts[fault as usize] >= n {
-                        continue; // saturated: dropped
-                    }
-                    let rd = self.stem_diff(fault, good, sens) & mask;
-                    if rd.is_zero() {
-                        continue;
-                    }
-                    let det = rd & self.stem_obs(good, root, mask, obs);
+                // Saturated faults are dropped.
+                let wants = |f: u32| counts[f as usize] < n;
+                let need = Need::Count {
+                    counts: &counts,
+                    n,
+                };
+                let (rds, obs) = self.walk_region(g, mask, good, sens, region, wants, need);
+                for &(fault, rd) in rds {
+                    let det = rd & obs;
                     if !det.is_zero() {
                         // Saturating-min arithmetic is associative over
                         // the block split, so counting a superblock at
                         // once equals counting its blocks in sequence.
+                        // A fault the walk stopped serving has at least
+                        // its missing detections in `det`.
                         let c = &mut counts[fault as usize];
                         *c = (*c + det.count_ones()).min(n);
                         if *c >= n {
@@ -948,8 +952,9 @@ impl<'a> StemRegionEngine<'a> {
         );
     }
 
-    /// Loads one superblock: good-machine sweep forward, then
-    /// [`prepare_block`](Self::prepare_block).
+    /// Loads one superblock: good-machine sweep forward, then the
+    /// sensitization sweep backward with the engine's whole-fault-list
+    /// path marking.
     fn sim_superblock<const N: usize>(
         &self,
         patterns: &PatternSet,
@@ -958,18 +963,11 @@ impl<'a> StemRegionEngine<'a> {
     ) {
         logic::load_input_words_w(patterns, superblock, &mut s.input_words);
         logic::simulate_superblock_csr(self.view(), &s.input_words, &mut s.good);
-        self.prepare_block(s);
-    }
-
-    /// Prepares detection for a superblock whose good-machine words are
-    /// already in `s.good`: sensitization sweep backward plus a fresh
-    /// observability memo generation, using the engine's whole-fault-list
-    /// path marking.
-    pub(crate) fn prepare_block<const N: usize>(&self, s: &mut StemScratch<N>) {
         self.prepare_block_with(s, &self.sens_needed);
     }
 
-    /// Like [`prepare_block`](Self::prepare_block) but with a
+    /// Prepares detection for a superblock whose good-machine words are
+    /// already in `s.good`: the sensitization sweep backward with a
     /// caller-supplied path marking. `sens_needed` must cover (at least)
     /// every fault whose detection words will be read for this block —
     /// the batched ATPG drop session passes a marking restricted to its
@@ -980,7 +978,6 @@ impl<'a> StemRegionEngine<'a> {
         sens_needed: &[bool],
     ) {
         self.prepare_sens(&s.good, &mut s.sens, sens_needed);
-        s.obs.advance_memo();
     }
 
     /// The reverse sensitization sweep alone, reading good-machine
@@ -1082,8 +1079,9 @@ impl<'a> StemRegionEngine<'a> {
         diff & sens[p]
     }
 
-    /// The lanes of `valid_mask` that detect `fault`, by one walk from
-    /// its effect site over the good words in `s.good`. Needs no
+    /// Lanes of `valid_mask` that detect `fault`, by one walk from its
+    /// effect site over the good words in `s.good`, retiring the lanes
+    /// `need` leaves out (see [`EffectWalk::run`]). Needs no
     /// sensitization sweep, so it answers for a block whose good words
     /// change between queries (the drop session's pending block).
     pub(crate) fn detect_fault<const N: usize>(
@@ -1091,34 +1089,37 @@ impl<'a> StemRegionEngine<'a> {
         fault: FaultId,
         valid_mask: SimWord<N>,
         s: &mut StemScratch<N>,
+        need: impl FnMut(SimWord<N>) -> SimWord<N>,
     ) -> SimWord<N> {
         let (p, diff) = self.site_diff(fault.index() as u32, &s.good);
-        s.obs
+        s.region
             .walk
-            .run(self.view(), &s.good, p, diff & valid_mask, None)
+            .run(self.view(), &s.good, p, diff & valid_mask, need)
     }
 
     /// Visits every `(fault, detection_word)` pair with a non-zero word
-    /// for the current superblock. With `active`, faults whose flag is
-    /// `false` are skipped entirely (no stem-difference computation, and
-    /// regions with only inactive faults never pay an observability
-    /// walk).
+    /// for the current superblock, each word exact as far as `need`
+    /// asks. With `active`, faults whose flag is `false` are skipped
+    /// entirely (no stem-difference computation, and regions with only
+    /// inactive faults never pay an observability walk).
     pub(crate) fn for_each_detection<const N: usize>(
         &self,
         valid_mask: SimWord<N>,
         s: &mut StemScratch<N>,
         active: Option<&[bool]>,
+        need: Need<'_>,
         mut visit: impl FnMut(u32, SimWord<N>),
     ) {
-        let StemScratch { good, sens, obs, .. } = s;
+        let StemScratch { good, sens, region, .. } = s;
         self.detect_groups(
             0,
             self.group_roots.len(),
             valid_mask,
             good,
             sens,
-            obs,
+            region,
             active,
+            need,
             &mut visit,
         );
     }
@@ -1139,19 +1140,19 @@ impl<'a> StemRegionEngine<'a> {
         good: &[SimWord<N>],
         sens_needed: &[bool],
         active: Option<&[bool]>,
+        need: Need<'_>,
         out: &mut Vec<(u32, SimWord<N>)>,
     ) {
         let mut scratch = StemScratch::<N>::new(self.view());
         self.prepare_sens(good, &mut scratch.sens, sens_needed);
-        scratch.obs.advance_memo();
-        let StemScratch { sens, obs, .. } = &mut scratch;
+        let StemScratch { sens, region, .. } = &mut scratch;
         loop {
             let c = cursor.fetch_add(1, Ordering::Relaxed);
             if c >= chunks.len() {
                 break;
             }
             let (g0, g1) = chunks[c];
-            self.detect_groups(g0, g1, valid_mask, good, sens, obs, active, &mut |f, w| {
+            self.detect_groups(g0, g1, valid_mask, good, sens, region, active, need, &mut |f, w| {
                 out.push((f, w));
             });
         }
@@ -1168,25 +1169,16 @@ impl<'a> StemRegionEngine<'a> {
         valid_mask: SimWord<N>,
         good: &[SimWord<N>],
         sens: &[SimWord<N>],
-        obs: &mut ObsScratch<N>,
+        region: &mut RegionScratch<N>,
         active: Option<&[bool]>,
+        need: Need<'_>,
         visit: &mut impl FnMut(u32, SimWord<N>),
     ) {
+        let wants = |f: u32| active.is_none_or(|flags| flags[f as usize]);
         for g in g0..g1 {
-            let root = self.group_roots[g];
-            let lo = self.group_index[g] as usize;
-            let hi = self.group_index[g + 1] as usize;
-            for &fault in &self.group_faults[lo..hi] {
-                if let Some(flags) = active {
-                    if !flags[fault as usize] {
-                        continue;
-                    }
-                }
-                let rd = self.stem_diff(fault, good, sens) & valid_mask;
-                if rd.is_zero() {
-                    continue;
-                }
-                let det = rd & self.stem_obs(good, root, valid_mask, obs);
+            let (rds, obs) = self.walk_region(g, valid_mask, good, sens, region, wants, need);
+            for &(fault, rd) in rds {
+                let det = rd & obs;
                 if !det.is_zero() {
                     visit(fault, det);
                 }
@@ -1194,54 +1186,45 @@ impl<'a> StemRegionEngine<'a> {
         }
     }
 
-    /// The observability word of a stem within `valid_mask`: the valid
-    /// patterns on which complementing the stem's value changes at least
-    /// one primary output. Memoized per superblock in `s`; with stem
-    /// merging, the whole dominator chain above the stem is filled (and
-    /// shared by every stem whose chain passes through it).
-    fn stem_obs<const N: usize>(
+    /// Detects group `g`'s faults for one superblock with one walk. It
+    /// collects the non-zero stem-difference words (within
+    /// `valid_mask`) of the faults `wants` selects, walks the flipped
+    /// root seeded with their union, retiring each lane once `need` no
+    /// longer needs it, and returns the words with the walk's word
+    /// `obs`. Each fault is detected on `rd & obs` as far as `need`
+    /// asks: exactly (`Every`), at the same lowest lane (`First`), or
+    /// with at least its missing detections (`Count`).
+    #[allow(clippy::too_many_arguments)]
+    fn walk_region<'s, const N: usize>(
         &self,
-        good: &[SimWord<N>],
-        root: u32,
+        g: usize,
         valid_mask: SimWord<N>,
-        s: &mut ObsScratch<N>,
-    ) -> SimWord<N> {
-        let view = self.view();
-        let ipdom = self.circuit.post_dominators();
-        // Ascend the dominator chain to the first memoized or terminal
-        // position, stacking the unresolved ones; then fill downward.
-        // The chain ascends strictly in position, so this terminates.
-        debug_assert!(s.chain.is_empty());
-        let mut p = root as usize;
-        let mut obs = loop {
-            if s.memo_stamp[p] == s.memo_version {
-                break s.memo[p];
+        good: &[SimWord<N>],
+        sens: &[SimWord<N>],
+        s: &'s mut RegionScratch<N>,
+        wants: impl Fn(u32) -> bool,
+        need: Need<'_>,
+    ) -> (&'s [(u32, SimWord<N>)], SimWord<N>) {
+        let lo = self.group_index[g] as usize;
+        let hi = self.group_index[g + 1] as usize;
+        s.rds.clear();
+        let mut seed = SimWord::ZERO;
+        for &fault in &self.group_faults[lo..hi] {
+            if !wants(fault) {
+                continue;
             }
-            // A stem without a usable dominator walks its whole cone.
-            // Outputs and stems that reach no output have none; the walk
-            // answers them without propagating (every lane, no lane).
-            if !self.merge_stems || ipdom[p] == POST_DOM_SINK {
-                let o = s.walk.run(view, good, p, valid_mask, None);
-                s.memo[p] = o;
-                s.memo_stamp[p] = s.memo_version;
-                break o;
+            let rd = self.stem_diff(fault, good, sens) & valid_mask;
+            if !rd.is_zero() {
+                s.rds.push((fault, rd));
+                seed |= rd;
             }
-            s.chain.push(p as u32);
-            p = ipdom[p] as usize;
-        };
-        while let Some(q) = s.chain.pop() {
-            let q = q as usize;
-            // obs(q) = (does the flip at q reach its dominator d?) AND
-            // (does a flip at d reach an output?). The dominator is a
-            // cut, so the factorization is exact — see the dominator
-            // module docs for the argument. Seeding the walk with
-            // obs(d)'s lanes and stopping it at d computes the AND.
-            let o = s.walk.run(view, good, q, obs, Some(ipdom[q] as usize));
-            s.memo[q] = o;
-            s.memo_stamp[q] = s.memo_version;
-            obs = o;
         }
-        obs
+        let RegionScratch { walk, rds } = s;
+        let root = self.group_roots[g] as usize;
+        let obs = walk.run(self.view(), good, root, seed, |observed| {
+            need.lanes(rds, observed)
+        });
+        (rds, obs)
     }
 }
 
@@ -1368,12 +1351,13 @@ pub(crate) mod tests {
     }
 
     /// For every FFR root that reaches an output and is not one, the
-    /// whole-cone walk seeded with a superblock's valid lanes, and the
-    /// engine's (merged and unmerged) observability word, must equal
+    /// whole-cone walk seeded with a superblock's valid lanes must equal
     /// the OR of the reference detection words of the root's two stem
-    /// faults. Returns how many of those roots have a dominator to
-    /// merge at.
-    fn walk_matches_reference_w<const N: usize>(netlist: &Netlist, patterns: &PatternSet) -> usize {
+    /// faults. Walks that retire lanes early must stay inside that word
+    /// and keep what their `need` asks for: its emptiness when nothing
+    /// is needed after the first observation, and its lowest lane when
+    /// only the lanes below the lowest observed one are needed.
+    fn walk_matches_reference_w<const N: usize>(netlist: &Netlist, patterns: &PatternSet) {
         let circuit = compile(netlist);
         let faults = FaultList::full(netlist);
         let matrix = reference::no_drop_matrix(&circuit, &faults, patterns);
@@ -1384,23 +1368,15 @@ pub(crate) mod tests {
                 stem_faults[view.position(node)].push(id);
             }
         }
-        let merged = StemRegionEngine::for_circuit(&circuit, &faults);
-        let unmerged = merged.clone().with_stem_merging(false);
-        // One scratch per engine, so neither reads the other's memo.
+        let engine = StemRegionEngine::for_circuit(&circuit, &faults);
         let mut scratch = StemScratch::<N>::new(view);
-        let mut unmerged_scratch = StemScratch::<N>::new(view);
         let mut walked = 0usize;
-        let mut dominated = 0usize;
         for sb in 0..patterns.num_superblocks(N) {
-            merged.sim_superblock(patterns, sb, &mut scratch);
-            unmerged.sim_superblock(patterns, sb, &mut unmerged_scratch);
+            engine.sim_superblock(patterns, sb, &mut scratch);
             let valid = patterns.valid_mask_wide::<N>(sb);
             for (p, ids) in stem_faults.iter().enumerate() {
-                if !merged.is_root[p] || view.is_output_at(p) || !view.reaches_output(p) {
+                if !engine.is_root[p] || view.is_output_at(p) || !view.reaches_output(p) {
                     continue;
-                }
-                if sb == 0 && circuit.post_dominators()[p] != POST_DOM_SINK {
-                    dominated += 1;
                 }
                 assert_eq!(ids.len(), 2, "{} position {p}", netlist.name());
                 let mut expect = SimWord::<N>::ZERO;
@@ -1414,43 +1390,41 @@ pub(crate) mod tests {
                     }
                 }
                 let label = format!("{} W{N} superblock {sb} position {p}", netlist.name());
-                let StemScratch { good, obs, .. } = &mut scratch;
-                assert_eq!(
-                    obs.walk.run(view, good, p, valid, None),
-                    expect,
-                    "walk {label}"
-                );
-                assert_eq!(
-                    merged.stem_obs(good, p as u32, valid, obs),
-                    expect,
-                    "merged {label}"
-                );
-                let StemScratch { good, obs, .. } = &mut unmerged_scratch;
-                assert_eq!(
-                    unmerged.stem_obs(good, p as u32, valid, obs),
-                    expect,
-                    "unmerged {label}"
-                );
+                let StemScratch { good, region, .. } = &mut scratch;
+                let walk = &mut region.walk;
+                let every = walk.run(view, good, p, valid, |_| SimWord::ONES);
+                assert_eq!(every, expect, "walk {label}");
+                let any = walk.run(view, good, p, valid, |_| SimWord::ZERO);
+                assert_eq!(any & !expect, SimWord::ZERO, "any-lane walk {label}");
+                assert_eq!(any.is_zero(), expect.is_zero(), "any-lane walk {label}");
+                let first = walk.run(view, good, p, valid, |observed| {
+                    SimWord::low_mask(observed.first_set_bit() as usize)
+                });
+                assert_eq!(first & !expect, SimWord::ZERO, "first-lane walk {label}");
+                if !expect.is_zero() {
+                    assert_eq!(
+                        first.first_set_bit(),
+                        expect.first_set_bit(),
+                        "first-lane walk {label}"
+                    );
+                }
                 walked += 1;
             }
         }
         assert!(walked > 0, "{}: no root was walked", netlist.name());
-        dominated
     }
 
     #[test]
     fn effect_walk_matches_reference_on_random_circuits() {
-        let mut dominated = 0;
         for seed in 0..12u64 {
             let netlist = random_netlist(seed, 6 + seed as usize % 5, 40 + 13 * seed as usize);
             // 600 patterns: a partial last superblock at every width.
             let patterns = PatternSet::random(netlist.num_inputs(), 600, seed);
-            dominated += walk_matches_reference_w::<1>(&netlist, &patterns);
+            walk_matches_reference_w::<1>(&netlist, &patterns);
             walk_matches_reference_w::<2>(&netlist, &patterns);
             walk_matches_reference_w::<4>(&netlist, &patterns);
             walk_matches_reference_w::<8>(&netlist, &patterns);
         }
-        assert!(dominated > 0, "no root exercised dominator merging");
     }
 
     fn equivalence(src: &str, name: &str, inputs: usize) {
@@ -1473,6 +1447,19 @@ pub(crate) mod tests {
         equivalence(
             "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ns = AND(a, b)\np = NOT(s)\nq = BUF(s)\ny = AND(p, q)\n",
             "reconv",
+            2,
+        );
+    }
+
+    #[test]
+    fn chained_reconvergence() {
+        // Chained diamonds: the first stem's cone reconverges at the
+        // second stem, whose cone reconverges at the output.
+        equivalence(
+            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\n\
+             s1 = AND(a, b)\np1 = NOT(s1)\nq1 = BUF(s1)\nj1 = OR(p1, q1)\n\
+             p2 = NOT(j1)\nq2 = BUF(j1)\ny = XOR(p2, q2)\n",
+            "chained",
             2,
         );
     }
@@ -1580,24 +1567,6 @@ pub(crate) mod tests {
             let par = engine.no_drop_matrix_parallel(&PatternSet::new(1), 4);
             assert_eq!(par.num_detected_faults(), 0);
         }
-    }
-
-    #[test]
-    fn merged_and_unmerged_observability_agree() {
-        // Chained diamonds make long dominator chains; merged stems
-        // must produce the identical matrix.
-        let src = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\n\
-                   s1 = AND(a, b)\np1 = NOT(s1)\nq1 = BUF(s1)\nj1 = OR(p1, q1)\n\
-                   p2 = NOT(j1)\nq2 = BUF(j1)\ny = XOR(p2, q2)\n";
-        let n = bench_format::parse(src, "chained").unwrap();
-        let faults = FaultList::full(&n);
-        let patterns = PatternSet::exhaustive(2);
-        let circuit = compile(&n);
-        let merged = StemRegionEngine::for_circuit(&circuit, &faults).no_drop_matrix(&patterns);
-        let unmerged = StemRegionEngine::for_circuit(&circuit, &faults)
-            .with_stem_merging(false)
-            .no_drop_matrix(&patterns);
-        assert_eq!(merged, unmerged);
     }
 
     #[test]

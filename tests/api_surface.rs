@@ -166,6 +166,7 @@ fn pin_simulation_surface<'a>(_: &'a ()) {
     let _: fn(&DropSession<'a>) -> bool = DropSession::is_full;
     let _: fn(&mut DropSession<'a>, &Pattern) = DropSession::push;
     let _: fn(&mut DropSession<'a>, FaultId) -> SimWord<1> = DropSession::pending_detections;
+    let _: fn(&mut DropSession<'a>, FaultId) -> bool = DropSession::covers;
     let _: fn(&mut DropSession<'a>, &[FaultId]) -> Vec<Vec<FaultId>> = DropSession::flush;
     let _: fn(&TestGenResult) -> usize = TestGenResult::num_tests;
     let _: fn(&TestGenResult) -> TestGenSummary = TestGenResult::summary;

@@ -8,7 +8,7 @@
 //! (itself pinned to the per-fault reference and the scalar oracle by
 //! `engine_equivalence.rs`), so this suite extends that chain of
 //! equivalence to the whole (width × threads) lattice, including the
-//! region-parallel split and dominator-based stem merging.
+//! region-parallel split.
 
 use adi::circuits::{embedded, paper_suite, random_circuit, RandomCircuitConfig};
 use adi::netlist::fault::FaultList;
@@ -126,28 +126,5 @@ proptest! {
     ) {
         let patterns = PatternSet::random(netlist.num_inputs(), n_patterns, seed);
         assert_lattice(&netlist, &patterns, false, "prop");
-    }
-
-    /// Dominator-based stem merging is an internal rewrite of the
-    /// observability pipeline: disabling it must change nothing, at any
-    /// width.
-    #[test]
-    fn differential_merged_vs_unmerged_observability(
-        netlist in tiny_circuit(),
-        seed in any::<u64>(),
-    ) {
-        let circuit = CompiledCircuit::compile(netlist.clone());
-        let faults = FaultList::full(&netlist);
-        let patterns = PatternSet::random(netlist.num_inputs(), 130, seed);
-        for width in SimWidth::ALL {
-            let merged = StemRegionEngine::for_circuit(&circuit, &faults)
-                .with_width(width)
-                .no_drop_matrix(&patterns);
-            let unmerged = StemRegionEngine::for_circuit(&circuit, &faults)
-                .with_width(width)
-                .with_stem_merging(false)
-                .no_drop_matrix(&patterns);
-            prop_assert_eq!(merged, unmerged, "width {}", width);
-        }
     }
 }
