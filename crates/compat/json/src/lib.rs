@@ -188,9 +188,7 @@ impl Value {
             Value::Null => out.push_str("null"),
             Value::Bool(true) => out.push_str("true"),
             Value::Bool(false) => out.push_str("false"),
-            Value::Int(n) => {
-                let _ = fmt::Write::write_fmt(out, format_args!("{n}"));
-            }
+            Value::Int(n) => write_int(out, *n),
             Value::Float(f) => write_float(out, *f),
             Value::Str(s) => write_escaped(out, s),
             Value::Array(items) => {
@@ -217,6 +215,30 @@ impl Value {
             }
         }
     }
+}
+
+/// Writes an integer in decimal, byte-identical to `format!("{n}")`
+/// without the formatting machinery: one push for a single digit, else
+/// the digits right to left into a stack buffer.
+fn write_int(out: &mut String, n: i64) {
+    if (0..10).contains(&n) {
+        out.push(char::from(b'0' + n as u8));
+        return;
+    }
+    // `i64::MIN` takes 19 digits and a sign.
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    let mut m = n.unsigned_abs();
+    while m > 0 {
+        i -= 1;
+        buf[i] = b'0' + (m % 10) as u8;
+        m /= 10;
+    }
+    if n < 0 {
+        i -= 1;
+        buf[i] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("digits and a sign are ASCII"));
 }
 
 /// Writes a float in JSON-legal form: shortest-roundtrip decimal, with
@@ -667,6 +689,22 @@ mod tests {
         assert_eq!(parse("0").unwrap(), Value::Int(0));
         assert_eq!(parse("2.5e3").unwrap(), Value::Float(2500.0));
         assert_eq!(parse("\"hi\"").unwrap(), Value::Str("hi".into()));
+    }
+
+    #[test]
+    fn integers_write_like_format() {
+        let mut cases = vec![0, 9, 10, -1, -10, i64::MIN, i64::MAX];
+        let mut p: i64 = 1;
+        loop {
+            cases.extend([p - 1, p, p + 1, -p - 1, -p, -p + 1]);
+            match p.checked_mul(10) {
+                Some(q) => p = q,
+                None => break,
+            }
+        }
+        for n in cases {
+            assert_eq!(Value::Int(n).to_string(), format!("{n}"), "{n}");
+        }
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //!
 //! The eager part of a compilation is the [`LevelizedCsr`] view and the
 //! [`FfrPartition`] (both consumed by every fault simulation). The fault
-//! lists and the SCOAP measures are lazily initialized behind
-//! [`OnceLock`]s on first use and shared from then on.
+//! lists, the [`FaultRegionIndex`] of each of them (the stem-region fault
+//! simulator's grouping of a list by fanout-free region) and the SCOAP
+//! measures are lazily initialized behind [`OnceLock`]s on first use and
+//! shared from then on.
 
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
@@ -25,11 +27,13 @@ use std::sync::{Arc, OnceLock};
 use adi_obs::SpanSite;
 
 use crate::fault::FaultList;
-use crate::{FfrPartition, LevelizedCsr, Netlist, NetlistHash, Scoap};
+use crate::{FaultRegionIndex, FfrPartition, LevelizedCsr, Netlist, NetlistHash, Scoap};
 
 // Compile-phase instrumentation sites (see `adi-obs`): the eager
-// levelize/FFR builds plus each lazy artifact, so a per-request trace
-// shows exactly which compile work a cold request paid for.
+// levelize/FFR builds plus the lazy fault lists and SCOAP measures, so a
+// per-request trace shows which compile work a cold request paid for. A
+// fault-region index is built for its first engine and timed inside that
+// simulation's span.
 static SPAN_LEVELIZE: SpanSite = SpanSite::new("compile.levelize");
 static SPAN_FFR: SpanSite = SpanSite::new("compile.ffr");
 static SPAN_FAULT_LIST: SpanSite = SpanSite::new("compile.fault_list");
@@ -76,6 +80,9 @@ struct Compilation {
     ffr: FfrPartition,
     collapsed: OnceLock<FaultList>,
     full: OnceLock<FaultList>,
+    /// The fault-region indexes of `collapsed` and `full`.
+    collapsed_regions: OnceLock<Arc<FaultRegionIndex>>,
+    full_regions: OnceLock<Arc<FaultRegionIndex>>,
     scoap: OnceLock<Scoap>,
     hash: OnceLock<NetlistHash>,
 }
@@ -112,6 +119,8 @@ impl CompiledCircuit {
                 ffr,
                 collapsed: OnceLock::new(),
                 full: OnceLock::new(),
+                collapsed_regions: OnceLock::new(),
+                full_regions: OnceLock::new(),
                 scoap: OnceLock::new(),
                 hash: OnceLock::new(),
             }),
@@ -156,6 +165,31 @@ impl CompiledCircuit {
         })
     }
 
+    /// The [`FaultRegionIndex`] of `faults` over this compilation.
+    ///
+    /// When `faults` is this compilation's own collapsed or full list
+    /// (the same list, matched by address, not an equal copy), the index
+    /// is built on first request and shared from then on. Any other list
+    /// gets a fresh index, built by the same function.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any fault references a node outside the circuit.
+    pub fn fault_region_index(&self, faults: &FaultList) -> Arc<FaultRegionIndex> {
+        let inner = &*self.inner;
+        let build = || Arc::new(FaultRegionIndex::build(&inner.view, &inner.ffr, faults));
+        let memo = [
+            (&inner.collapsed, &inner.collapsed_regions),
+            (&inner.full, &inner.full_regions),
+        ]
+        .into_iter()
+        .find(|(list, _)| list.get().is_some_and(|list| std::ptr::eq(list, faults)));
+        match memo {
+            Some((_, index)) => Arc::clone(index.get_or_init(build)),
+            None => build(),
+        }
+    }
+
     /// The SCOAP controllability/observability measures guiding PODEM
     /// (built on first access, then shared).
     pub fn scoap(&self) -> &Scoap {
@@ -185,7 +219,7 @@ impl CompiledCircuit {
     /// cost-aware cache eviction.
     ///
     /// The estimate is structural — nodes, CSR edges, and whichever lazy
-    /// fault lists have been built — not an exact allocator measurement,
+    /// artifacts have been built — not an exact allocator measurement,
     /// but it orders circuits by footprint correctly: a 10× larger
     /// circuit reports a ~10× larger size.
     pub fn resident_bytes(&self) -> usize {
@@ -195,13 +229,22 @@ impl CompiledCircuit {
             edges += self.inner.view.fanins_at(p).len() + self.inner.view.fanouts_at(p).len();
         }
         // Per node: netlist node (~64B with name), CSR row metadata
-        // (~32B), FFR membership (~8B). Per edge: one u32 endpoint.
-        let mut bytes = nodes * 104 + edges * 4;
+        // (~32B), FFR root (~4B). Per edge: one u32 endpoint.
+        let mut bytes = nodes * 100 + edges * 4;
         for list in [self.inner.collapsed.get(), self.inner.full.get()]
             .into_iter()
             .flatten()
         {
             bytes += list.len() * 16;
+        }
+        for index in [
+            self.inner.collapsed_regions.get(),
+            self.inner.full_regions.get(),
+        ]
+        .into_iter()
+        .flatten()
+        {
+            bytes += index.resident_bytes();
         }
         if self.inner.scoap.get().is_some() {
             bytes += nodes * 12;
@@ -253,6 +296,10 @@ y = OR(t0, t1)
         assert_eq!(c.collapsed_faults(), &FaultList::collapsed(&n));
         assert_eq!(c.full_faults(), &FaultList::full(&n));
         assert_eq!(c.scoap(), &Scoap::compute(&n));
+        for list in [c.collapsed_faults(), c.full_faults()] {
+            let built = FaultRegionIndex::build(c.view(), c.ffr(), list);
+            assert_eq!(*c.fault_region_index(list), built);
+        }
     }
 
     #[test]
@@ -290,7 +337,15 @@ y = OR(t0, t1)
         assert!(base > 0);
         // Building lazy artifacts grows the footprint.
         let _ = small.collapsed_faults();
-        assert!(small.resident_bytes() > base);
+        let with_list = small.resident_bytes();
+        assert!(with_list > base);
+        // A memoized fault-region index counts once it is built; an
+        // index of a copied list is not kept, so it does not count.
+        let index = small.fault_region_index(small.collapsed_faults());
+        assert!(index.resident_bytes() > 0);
+        assert_eq!(small.resident_bytes(), with_list + index.resident_bytes());
+        let _ = small.fault_region_index(&small.collapsed_faults().clone());
+        assert_eq!(small.resident_bytes(), with_list + index.resident_bytes());
         // A structurally larger circuit reports a larger footprint.
         let mut text = String::from("INPUT(a)\nOUTPUT(y)\n");
         let mut prev = "a".to_string();

@@ -39,7 +39,6 @@ use crate::{Netlist, NodeId};
 pub struct FfrPartition {
     root_of: Vec<NodeId>,
     roots: Vec<NodeId>,
-    members: Vec<Vec<NodeId>>,
 }
 
 impl FfrPartition {
@@ -57,24 +56,11 @@ impl FfrPartition {
             }
         }
 
-        let mut roots: Vec<NodeId> = Vec::new();
-        let mut root_slot: Vec<Option<usize>> = vec![None; n];
-        for i in 0..n {
-            let id = NodeId::new(i);
-            if root_of[i] == id {
-                root_slot[i] = Some(roots.len());
-                roots.push(id);
-            }
-        }
-        let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); roots.len()];
-        for (i, r) in root_of.iter().enumerate() {
-            members[root_slot[r.index()].expect("root registered")].push(NodeId::new(i));
-        }
-        FfrPartition {
-            root_of,
-            roots,
-            members,
-        }
+        let roots = (0..n)
+            .map(NodeId::new)
+            .filter(|&id| root_of[id.index()] == id)
+            .collect();
+        FfrPartition { root_of, roots }
     }
 
     /// The FFR root that `node` belongs to.
@@ -91,16 +77,6 @@ impl FfrPartition {
         &self.roots
     }
 
-    /// The members of the FFR rooted at `roots()[ffr_index]`, including the
-    /// root itself.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ffr_index` is out of range.
-    pub fn members(&self, ffr_index: usize) -> &[NodeId] {
-        &self.members[ffr_index]
-    }
-
     /// Number of FFRs.
     pub fn len(&self) -> usize {
         self.roots.len()
@@ -109,16 +85,6 @@ impl FfrPartition {
     /// Returns `true` if the circuit has no nodes.
     pub fn is_empty(&self) -> bool {
         self.roots.is_empty()
-    }
-
-    /// Size of the FFR containing `node`.
-    pub fn region_size(&self, node: NodeId) -> usize {
-        let root = self.root_of(node);
-        let idx = self
-            .roots
-            .binary_search(&root)
-            .expect("root present in roots list");
-        self.members[idx].len()
     }
 }
 
@@ -156,31 +122,6 @@ mod tests {
         assert_eq!(ffr.root_of(y1), y1);
         assert_eq!(ffr.root_of(y2), y2);
         assert_eq!(ffr.len(), 3);
-    }
-
-    #[test]
-    fn members_partition_the_nodes() {
-        let (n, _) = fanout_circuit();
-        let ffr = FfrPartition::compute(&n);
-        let total: usize = (0..ffr.len()).map(|i| ffr.members(i).len()).sum();
-        assert_eq!(total, n.num_nodes());
-        // Every member maps back to its root.
-        for i in 0..ffr.len() {
-            let root = ffr.roots()[i];
-            for &m in ffr.members(i) {
-                assert_eq!(ffr.root_of(m), root);
-            }
-        }
-    }
-
-    #[test]
-    fn region_size() {
-        let (n, [a, _, s, y1, _]) = fanout_circuit();
-        let ffr = FfrPartition::compute(&n);
-        assert_eq!(ffr.region_size(s), 3); // a, b, s
-        assert_eq!(ffr.region_size(a), 3);
-        assert_eq!(ffr.region_size(y1), 1);
-        drop(n);
     }
 
     #[test]

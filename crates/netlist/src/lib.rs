@@ -11,8 +11,8 @@
 //! SCOAP testability measures ([`Scoap`]), and — the recommended entry
 //! point for whole pipelines — [`CompiledCircuit`], an `Arc`-backed
 //! bundle of every derived artifact (levelized view, FFR partition,
-//! fault lists, SCOAP) built once and threaded through all of
-//! `adi-sim`, `adi-atpg`, and `adi-core`.
+//! fault lists, their fault-region indexes, SCOAP) built once and
+//! threaded through all of `adi-sim`, `adi-atpg`, and `adi-core`.
 //!
 //! Full-scan sequential circuits are handled by treating flip-flop outputs as
 //! pseudo primary inputs and flip-flop inputs as pseudo primary outputs, so
@@ -54,6 +54,7 @@ mod cone;
 mod dot;
 mod error;
 pub mod fault;
+mod fault_regions;
 mod ffr;
 mod gate;
 mod hash;
@@ -68,6 +69,7 @@ pub use compiled::CompiledCircuit;
 pub use cone::{fanin_cone, fanout_cone, NodeSet};
 pub use dot::to_dot;
 pub use error::NetlistError;
+pub use fault_regions::FaultRegionIndex;
 pub use ffr::FfrPartition;
 pub use gate::GateKind;
 pub use hash::NetlistHash;

@@ -81,19 +81,13 @@ pub struct StoreStats {
     pub entries: usize,
     /// Configured total capacity.
     pub capacity: usize,
-    /// Estimated resident bytes of the settled compilations.
+    /// Estimated resident bytes of the settled compilations, including
+    /// the lazy artifacts built so far.
     pub bytes: usize,
 }
 
-/// A settled compilation and its resident size.
-struct Compiled {
-    circuit: CompiledCircuit,
-    /// Estimated resident size when compiled.
-    bytes: usize,
-}
-
 struct Entry {
-    cell: Arc<OnceLock<Compiled>>,
+    cell: Arc<OnceLock<CompiledCircuit>>,
     /// The replacement cost (see [`replacement_cost`]).
     cost: usize,
     last_used: u64,
@@ -181,12 +175,7 @@ impl CircuitStore {
         // shard lock: a slow compile must not block unrelated circuits
         // that happen to share the shard.
         let circuit = cell
-            .get_or_init(|| {
-                let circuit = CompiledCircuit::compile(netlist);
-                let bytes = circuit.resident_bytes();
-                Compiled { circuit, bytes }
-            })
-            .circuit
+            .get_or_init(|| CompiledCircuit::compile(netlist))
             .clone();
         (circuit, outcome)
     }
@@ -195,7 +184,7 @@ impl CircuitStore {
     /// finds or inserts `netlist`'s cell (evicting the cheapest entry of
     /// a full shard first) and counts the outcome. The cell is left for
     /// the caller to initialize.
-    fn claim(&self, netlist: &Netlist) -> (Arc<OnceLock<Compiled>>, CacheOutcome) {
+    fn claim(&self, netlist: &Netlist) -> (Arc<OnceLock<CompiledCircuit>>, CacheOutcome) {
         let hash = netlist.content_hash();
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let (cell, outcome) = {
@@ -246,7 +235,7 @@ impl CircuitStore {
             entry
                 .cell
                 .get()
-                .map(|c| c.circuit.clone())
+                .cloned()
                 .inspect(|_| entry.last_used = stamp)
         });
         drop(shard);
@@ -295,7 +284,7 @@ impl CircuitStore {
             bytes += shard
                 .values()
                 .filter_map(|e| e.cell.get())
-                .map(|c| c.bytes)
+                .map(CompiledCircuit::resident_bytes)
                 .sum::<usize>();
         }
         StoreStats {
@@ -412,6 +401,11 @@ mod tests {
         let store = CircuitStore::new(StoreConfig::default());
         assert_eq!(store.stats().bytes, 0);
         let (compiled, _) = store.get_or_compile(inv(3));
+        let settled = store.stats().bytes;
+        assert_eq!(settled, compiled.resident_bytes());
+        // Lazy artifacts built after the compile count too.
+        let _ = compiled.fault_region_index(compiled.collapsed_faults());
+        assert!(store.stats().bytes > settled);
         assert_eq!(store.stats().bytes, compiled.resident_bytes());
     }
 

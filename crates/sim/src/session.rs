@@ -101,8 +101,12 @@ pub struct DropSession<'a, const N: usize = 1> {
     lane_words: Vec<SimWord<N>>,
     /// Number of pending lanes (tests pushed since the last flush).
     lanes: u32,
-    /// Threads the flush detection splits across (region-parallel).
+    /// Threads the flush detection splits across (region-parallel),
+    /// at most one per fault region.
     threads: usize,
+    /// The weight-balanced group chunks those threads pull from, when
+    /// there are at least two of them.
+    chunks: Vec<(usize, usize)>,
     /// Active flags by fault id, populated transiently per flush.
     active_flags: Vec<bool>,
     /// Per-fault detection words of the current flush, exact in their
@@ -123,7 +127,8 @@ pub struct DropSession<'a, const N: usize = 1> {
 
 impl<'a, const N: usize> DropSession<'a, N> {
     /// Creates a session for `faults` of `circuit`, reusing the
-    /// compilation's levelized view and FFR decomposition.
+    /// compilation's levelized view, FFR decomposition and, for its own
+    /// fault lists, fault-region index.
     ///
     /// # Panics
     ///
@@ -131,13 +136,14 @@ impl<'a, const N: usize> DropSession<'a, N> {
     pub fn for_circuit(circuit: &CompiledCircuit, faults: &'a FaultList) -> Self {
         let stem = StemRegionEngine::for_circuit(circuit, faults);
         let scratch = StemScratch::new(circuit.view());
-        let sens_active = stem.sens_needed().to_vec();
+        let sens_active = stem.fault_regions().sens_needed().to_vec();
         DropSession {
             stem,
             scratch,
             lane_words: vec![SimWord::ZERO; circuit.view().inputs().len()],
             lanes: 0,
             threads: 1,
+            chunks: Vec::new(),
             active_flags: vec![false; faults.len()],
             words: vec![SimWord::ZERO; faults.len()],
             sens_active,
@@ -156,7 +162,12 @@ impl<'a, const N: usize> DropSession<'a, N> {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         assert!(threads > 0, "at least one thread required");
-        self.threads = threads;
+        self.threads = threads.min(self.stem.num_fault_regions()).max(1);
+        self.chunks = if self.threads > 1 {
+            self.stem.chunk_group_ranges(self.threads * 4)
+        } else {
+            Vec::new()
+        };
         self
     }
 
@@ -278,13 +289,14 @@ impl<'a, const N: usize> DropSession<'a, N> {
             words,
             sens_active,
             threads,
+            chunks,
             ..
         } = self;
         for &id in active {
             active_flags[id.index()] = true;
         }
         words.fill(SimWord::ZERO);
-        let threads = (*threads).min(stem.num_fault_regions());
+        let threads = *threads;
         if threads > 1 {
             // Work-stealing region-parallel flush: weight-balanced group
             // chunks pulled from a shared cursor read the shared good
@@ -292,7 +304,7 @@ impl<'a, const N: usize> DropSession<'a, N> {
             // merged serially (every fault lives in exactly one chunk,
             // so order within and across buckets is irrelevant).
             let good: &[SimWord<N>] = &scratch.good;
-            let chunks = stem.chunk_group_ranges(threads * 4);
+            let chunks: &[(usize, usize)] = chunks;
             let cursor = std::sync::atomic::AtomicUsize::new(0);
             let flags: &[bool] = active_flags;
             let marking: &[bool] = sens_active;
@@ -301,7 +313,6 @@ impl<'a, const N: usize> DropSession<'a, N> {
             std::thread::scope(|scope| {
                 let mut handles = Vec::with_capacity(threads);
                 for _ in 0..threads {
-                    let chunks = &chunks;
                     let cursor = &cursor;
                     handles.push(scope.spawn(move || {
                         let mut out = Vec::new();

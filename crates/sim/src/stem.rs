@@ -73,10 +73,11 @@
 //! contiguous arrays in evaluation order.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use adi_netlist::fault::{FaultId, FaultList, FaultSite};
 use adi_obs::SpanSite;
-use adi_netlist::{CompiledCircuit, GateKind, LevelizedCsr};
+use adi_netlist::{CompiledCircuit, FaultRegionIndex, GateKind, LevelizedCsr};
 
 /// Oversplit factor for the work-stealing region split: each thread's
 /// share of the stem-region groups is cut into this many weight-balanced
@@ -89,32 +90,14 @@ use crate::logic::{self, eval_with_pos_w};
 use crate::word::{SimWord, SimWidth};
 use crate::{DetectionMatrix, PatternSet};
 
-/// A fault site resolved into CSR position space.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum PosSite {
-    /// Stem fault at the node occupying this position.
-    Stem { pos: u32 },
-    /// Branch fault on pin `pin` of the gate occupying `gate_pos`.
-    Branch { gate_pos: u32, pin: u16 },
-}
-
-/// Per-fault precomputed injection info.
-#[derive(Clone, Copy, Debug)]
-struct FaultInfo {
-    site: PosSite,
-    /// The stuck value as a word (`!0` for s-a-1, `0` for s-a-0),
-    /// splatted across lanes at injection.
-    stuck_word: u64,
-}
-
-/// The two-level stem-region fault-simulation engine, precomputed for
-/// one compiled circuit and fault list.
+/// The two-level stem-region fault-simulation engine for one compiled
+/// circuit and fault list.
 ///
-/// [`FaultSimulator`](crate::FaultSimulator) builds one of these per
-/// call; hold an instance directly to amortize the per-fault-list setup
-/// over many pattern sets. The per-circuit artifacts (levelized view,
-/// FFR decomposition) come from the [`CompiledCircuit`] and are shared,
-/// not rebuilt.
+/// Building one is cheap for the compilation's own fault lists: the
+/// levelized view, the FFR decomposition and the list's
+/// [`FaultRegionIndex`] all come from the [`CompiledCircuit`], which
+/// builds the index once per list and shares it with every engine after.
+/// Any other list gets its index built with the engine.
 ///
 /// The engine carries a [`SimWidth`] (default: the process-wide
 /// environment default) selecting the lane count of every simulation;
@@ -140,29 +123,9 @@ struct FaultInfo {
 pub struct StemRegionEngine<'a> {
     circuit: CompiledCircuit,
     faults: &'a FaultList,
-    /// Per-fault injection info, indexed by fault id.
-    fault_info: Vec<FaultInfo>,
-    /// `true` at positions whose node roots its own FFR.
-    is_root: Vec<bool>,
-    /// For non-root positions: the unique reading gate's position and
-    /// the pin it reads through. Roots carry a sentinel.
-    reader: Vec<(u32, u16)>,
-    /// `true` at positions whose sensitization word is actually consumed:
-    /// fault sites and the nodes on their unique paths to their roots.
-    /// The per-block sensitization sweep skips everything else.
-    sens_needed: Vec<bool>,
-    /// Root position of each fault group, ascending.
-    group_roots: Vec<u32>,
-    /// CSR index over `group_faults`, one entry per group plus one.
-    group_index: Vec<u32>,
-    /// Fault ids grouped by FFR root, ascending fault id within a group.
-    group_faults: Vec<u32>,
-    /// Per-group work estimate: fault count plus the root's (capped)
-    /// fanout-cone size — the two terms the group's detection cost is
-    /// proportional to (stem-difference words per fault, one
-    /// observability cone walk per stem). Drives the weight-balanced
-    /// chunking behind the work-stealing region split.
-    group_weights: Vec<u64>,
+    /// The fault list grouped by FFR root, with its sensitization path
+    /// marks and the per-position readers.
+    regions: Arc<FaultRegionIndex>,
     /// Simulation word width every drive mode runs at.
     width: SimWidth,
 }
@@ -370,139 +333,19 @@ impl<const N: usize> EffectWalk<N> {
 }
 
 impl<'a> StemRegionEngine<'a> {
-    /// Builds the engine for `circuit`: per-fault injection info and the
-    /// fault-per-region grouping. The levelized view and the FFR
-    /// decomposition are shared from the compilation, not rebuilt.
+    /// Builds the engine for `faults` of `circuit`. The levelized view,
+    /// the FFR decomposition and, for the compilation's own fault lists,
+    /// the [`FaultRegionIndex`] are shared from the compilation (see
+    /// [`CompiledCircuit::fault_region_index`]).
     ///
     /// # Panics
     ///
     /// Panics if any fault references a node outside the circuit.
     pub fn for_circuit(circuit: &CompiledCircuit, faults: &'a FaultList) -> Self {
-        let netlist = circuit.netlist();
-        let view = circuit.view();
-        let ffr = circuit.ffr();
-        let n = netlist.num_nodes();
-
-        let mut is_root = vec![false; n];
-        for id in netlist.node_ids() {
-            if ffr.root_of(id) == id {
-                is_root[view.position(id)] = true;
-            }
-        }
-
-        // Unique reader (gate position, pin) per non-root position. A
-        // node reaching the same gate through two pins has two fanout
-        // entries and is therefore a root, so the pin is unambiguous.
-        let mut reader = vec![(u32::MAX, u16::MAX); n];
-        for p in 0..n {
-            if is_root[p] {
-                continue;
-            }
-            let fanouts = view.fanouts_at(p);
-            debug_assert_eq!(fanouts.len(), 1, "non-root with fanout != 1");
-            let g = fanouts[0];
-            let pin = view
-                .fanins_at(g as usize)
-                .iter()
-                .position(|&f| f == p as u32)
-                .expect("reader lists driver among fanins");
-            reader[p] = (g, pin as u16);
-        }
-
-        let mut fault_info = Vec::with_capacity(faults.len());
-        let mut root_pos_of = Vec::with_capacity(faults.len());
-        for (_, fault) in faults.iter() {
-            assert!(
-                fault.effect_node().index() < n,
-                "fault {fault} outside netlist"
-            );
-            let stuck_word = if fault.stuck_value() { !0u64 } else { 0u64 };
-            let site = match fault.site() {
-                FaultSite::Stem(node) => PosSite::Stem {
-                    pos: view.position(node) as u32,
-                },
-                FaultSite::Branch { gate, pin } => PosSite::Branch {
-                    gate_pos: view.position(gate) as u32,
-                    pin: u16::from(pin),
-                },
-            };
-            fault_info.push(FaultInfo { site, stuck_word });
-            let root = ffr.root_of(fault.effect_node());
-            root_pos_of.push(view.position(root) as u32);
-        }
-
-        // Sensitization is only read at fault sites and along their
-        // unique paths to their roots; mark those positions so the
-        // per-block reverse sweep can skip the rest of the circuit.
-        let mut sens_needed = vec![false; n];
-        for (_, fault) in faults.iter() {
-            let mut p = view.position(fault.effect_node());
-            loop {
-                if sens_needed[p] {
-                    break;
-                }
-                sens_needed[p] = true;
-                if is_root[p] {
-                    break;
-                }
-                p = reader[p].0 as usize;
-            }
-        }
-
-        // Group faults by root position with a counting sort: a count
-        // per root, prefix sums into group starts, then a scatter in
-        // fault-id order (so ids stay ascending within each group).
-        let mut next = vec![0u32; n + 1];
-        for &root in &root_pos_of {
-            next[root as usize + 1] += 1;
-        }
-        let mut group_roots = Vec::new();
-        let mut group_index = Vec::new();
-        for p in 0..n {
-            if next[p + 1] > 0 {
-                group_roots.push(p as u32);
-                group_index.push(next[p]);
-            }
-            next[p + 1] += next[p];
-        }
-        group_index.push(faults.len() as u32);
-        let mut group_faults = vec![0u32; faults.len()];
-        for (f, &root) in root_pos_of.iter().enumerate() {
-            let slot = &mut next[root as usize];
-            group_faults[*slot as usize] = f as u32;
-            *slot += 1;
-        }
-
-        // Fanout-cone size estimate per position (reverse-topological
-        // accumulation; reconvergence double-counts, which is fine for a
-        // load-balancing weight — saturate and cap so skewed circuits
-        // cannot overflow the prefix sums).
-        const CONE_CAP: u64 = 1 << 20;
-        let mut cone = vec![1u64; n];
-        for p in (0..n).rev() {
-            let mut acc = 1u64;
-            for &q in view.fanouts_at(p) {
-                acc = acc.saturating_add(cone[q as usize]);
-            }
-            cone[p] = acc.min(CONE_CAP);
-        }
-        let group_weights: Vec<u64> = group_roots
-            .iter()
-            .zip(group_index.windows(2))
-            .map(|(&root, w)| u64::from(w[1] - w[0]) + cone[root as usize])
-            .collect();
-
         StemRegionEngine {
             circuit: circuit.clone(),
             faults,
-            fault_info,
-            is_root,
-            reader,
-            sens_needed,
-            group_roots,
-            group_index,
-            group_faults,
-            group_weights,
+            regions: circuit.fault_region_index(faults),
             width: SimWidth::default(),
         }
     }
@@ -528,7 +371,13 @@ impl<'a> StemRegionEngine<'a> {
 
     /// Number of fanout-free regions containing at least one fault.
     pub fn num_fault_regions(&self) -> usize {
-        self.group_roots.len()
+        self.regions.num_groups()
+    }
+
+    /// The fault-region index the engine runs on: the compilation's
+    /// shared index when the fault list is one of its own.
+    pub fn fault_regions(&self) -> &Arc<FaultRegionIndex> {
+        &self.regions
     }
 
     /// Simulates every fault under every pattern **without dropping**,
@@ -710,7 +559,7 @@ impl<'a> StemRegionEngine<'a> {
     ) -> DetectionMatrix {
         self.assert_width(patterns);
         let n_superblocks = patterns.num_superblocks(N);
-        let n_groups = self.group_roots.len();
+        let n_groups = self.regions.num_groups();
         let threads = threads.min(n_groups.max(1));
         if threads <= 1 || n_superblocks == 0 {
             return self.no_drop_matrix_w::<N>(patterns);
@@ -762,17 +611,13 @@ impl<'a> StemRegionEngine<'a> {
                             break;
                         }
                         let (g0, g1) = chunks[c];
-                        let f_lo = self.group_index[g0] as usize;
-                        let f_hi = self.group_index[g1] as usize;
                         // Sensitization marking restricted to the
                         // chunk's faults: the reverse sweep skips every
                         // other region.
                         ids.clear();
-                        ids.extend(
-                            self.group_faults[f_lo..f_hi]
-                                .iter()
-                                .map(|&f| FaultId::new(f as usize)),
-                        );
+                        for g in g0..g1 {
+                            ids.extend_from_slice(self.regions.group_faults(g));
+                        }
                         self.mark_sens_needed(&ids, &mut marking);
                         for sb in 0..n_superblocks {
                             let good = &good_ref[sb * n_pos..(sb + 1) * n_pos];
@@ -809,16 +654,17 @@ impl<'a> StemRegionEngine<'a> {
     }
 
     /// Splits the group range into at most `chunks` contiguous,
-    /// non-empty sub-ranges of roughly equal total *weight* (fault count
-    /// plus capped root-cone size, computed at build time). Workers pull
-    /// chunk indices from a shared atomic cursor, so oversplitting
-    /// relative to the thread count (several chunks per thread) is what
-    /// turns the static split into a work-stealing one: a thread that
-    /// lands on a cheap chunk simply takes another.
+    /// non-empty sub-ranges of roughly equal total *weight* (see
+    /// [`group_weights`](Self::group_weights)). Workers pull chunk
+    /// indices from a shared atomic cursor, so oversplitting relative to
+    /// the thread count (several chunks per thread) is what turns the
+    /// static split into a work-stealing one: a thread that lands on a
+    /// cheap chunk simply takes another.
     pub(crate) fn chunk_group_ranges(&self, chunks: usize) -> Vec<(usize, usize)> {
-        let n_groups = self.group_roots.len();
+        let weights = self.group_weights();
+        let n_groups = weights.len();
         let chunks = chunks.clamp(1, n_groups.max(1));
-        let total: u64 = self.group_weights.iter().sum();
+        let total: u64 = weights.iter().sum();
         let mut out = Vec::with_capacity(chunks);
         let mut g = 0usize;
         let mut acc = 0u64;
@@ -826,7 +672,7 @@ impl<'a> StemRegionEngine<'a> {
             let start = g;
             let target = total / chunks as u64 * (c as u64 + 1);
             while g < n_groups && (acc < target || g == start) {
-                acc += self.group_weights[g];
+                acc += weights[g];
                 g += 1;
             }
             if c + 1 == chunks {
@@ -838,6 +684,30 @@ impl<'a> StemRegionEngine<'a> {
         }
         debug_assert_eq!(out.iter().map(|&(a, b)| b - a).sum::<usize>(), n_groups);
         out
+    }
+
+    /// Per-group work estimate: fault count plus the root's (capped)
+    /// fanout-cone size, the two terms a group's detection cost grows
+    /// with (one stem-difference word per fault, one observability walk
+    /// per root). Only the region-parallel splits read it.
+    fn group_weights(&self) -> Vec<u64> {
+        // Fanout-cone size estimate per position (reverse-topological
+        // accumulation; reconvergence double-counts, which is fine for a
+        // load-balancing weight — saturate and cap so skewed circuits
+        // cannot overflow the prefix sums).
+        const CONE_CAP: u64 = 1 << 20;
+        let view = self.view();
+        let mut cone = vec![1u64; view.num_nodes()];
+        for p in (0..view.num_nodes()).rev() {
+            let mut acc = 1u64;
+            for &q in view.fanouts_at(p) {
+                acc = acc.saturating_add(cone[q as usize]);
+            }
+            cone[p] = acc.min(CONE_CAP);
+        }
+        (0..self.regions.num_groups())
+            .map(|g| self.regions.group_faults(g).len() as u64 + cone[self.regions.group_root(g)])
+            .collect()
     }
 
     /// Simulates with fault dropping, matching the per-fault engine's
@@ -867,7 +737,7 @@ impl<'a> StemRegionEngine<'a> {
             self.sim_superblock(patterns, sb, &mut scratch);
             let mask = patterns.valid_mask_wide::<N>(sb);
             let StemScratch { good, sens, region, .. } = &mut scratch;
-            for g in 0..self.group_roots.len() {
+            for g in 0..self.regions.num_groups() {
                 let wants = |f: u32| first[f as usize].is_none();
                 let (rds, obs) = self.walk_region(g, mask, good, sens, region, wants, Need::First);
                 for &(fault, rd) in rds {
@@ -916,7 +786,7 @@ impl<'a> StemRegionEngine<'a> {
             self.sim_superblock(patterns, sb, &mut scratch);
             let mask = patterns.valid_mask_wide::<N>(sb);
             let StemScratch { good, sens, region, .. } = &mut scratch;
-            for g in 0..self.group_roots.len() {
+            for g in 0..self.regions.num_groups() {
                 // Saturated faults are dropped.
                 let wants = |f: u32| counts[f as usize] < n;
                 let need = Need::Count {
@@ -963,7 +833,7 @@ impl<'a> StemRegionEngine<'a> {
     ) {
         logic::load_input_words_w(patterns, superblock, &mut s.input_words);
         logic::simulate_superblock_csr(self.view(), &s.input_words, &mut s.good);
-        self.prepare_block_with(s, &self.sens_needed);
+        self.prepare_block_with(s, self.regions.sens_needed());
     }
 
     /// Prepares detection for a superblock whose good-machine words are
@@ -995,27 +865,16 @@ impl<'a> StemRegionEngine<'a> {
         // sensitization word is final before its drivers are visited.
         // Only positions on some covered fault's path to its root are
         // consumed; everything else is skipped.
-        for p in (0..self.view().num_nodes()).rev() {
-            if self.is_root[p] {
-                sens[p] = SimWord::ONES;
-            } else if sens_needed[p] {
-                let (g, pin) = self.reader[p];
-                sens[p] = sens[g as usize]
-                    & pin_sens(
-                        good,
-                        self.view().kind_at(g as usize),
-                        self.view().fanins_at(g as usize),
-                        pin as usize,
-                    );
+        let view = self.view();
+        for p in (0..view.num_nodes()).rev() {
+            match self.regions.reader(p) {
+                None => sens[p] = SimWord::ONES,
+                Some((g, pin)) if sens_needed[p] => {
+                    sens[p] = sens[g] & pin_sens(good, view.kind_at(g), view.fanins_at(g), pin);
+                }
+                Some(_) => {}
             }
         }
-    }
-
-    /// The engine's whole-fault-list path marking (positions whose
-    /// sensitization word some fault's stem-difference computation
-    /// reads).
-    pub(crate) fn sens_needed(&self) -> &[bool] {
-        &self.sens_needed
     }
 
     /// Rewrites `out` as the path marking restricted to `active`: for
@@ -1026,20 +885,8 @@ impl<'a> StemRegionEngine<'a> {
         out.clear();
         out.resize(self.view().num_nodes(), false);
         for &id in active {
-            let mut p = match self.fault_info[id.index()].site {
-                PosSite::Stem { pos } => pos as usize,
-                PosSite::Branch { gate_pos, .. } => gate_pos as usize,
-            };
-            loop {
-                if out[p] {
-                    break;
-                }
-                out[p] = true;
-                if self.is_root[p] {
-                    break;
-                }
-                p = self.reader[p].0 as usize;
-            }
+            let p = self.view().position(self.faults.fault(id).effect_node());
+            self.regions.mark_path(p, out);
         }
     }
 
@@ -1048,19 +895,23 @@ impl<'a> StemRegionEngine<'a> {
     /// fault flips that position.
     #[inline]
     fn site_diff<const N: usize>(&self, fault: u32, good: &[SimWord<N>]) -> (usize, SimWord<N>) {
-        let info = self.fault_info[fault as usize];
-        let stuck = SimWord::splat(info.stuck_word);
-        match info.site {
-            PosSite::Stem { pos } => {
-                let p = pos as usize;
+        let fault = self.faults.fault(FaultId::new(fault as usize));
+        let stuck = if fault.stuck_value() {
+            SimWord::ONES
+        } else {
+            SimWord::ZERO
+        };
+        let view = self.view();
+        match fault.site() {
+            FaultSite::Stem(node) => {
+                let p = view.position(node);
                 (p, good[p] ^ stuck)
             }
-            PosSite::Branch { gate_pos, pin } => {
-                let g = gate_pos as usize;
-                let fanins = self.view().fanins_at(g);
-                let src = fanins[pin as usize] as usize;
-                let diff = (good[src] ^ stuck)
-                    & pin_sens(good, self.view().kind_at(g), fanins, pin as usize);
+            FaultSite::Branch { gate, pin } => {
+                let (g, pin) = (view.position(gate), usize::from(pin));
+                let fanins = view.fanins_at(g);
+                let src = fanins[pin] as usize;
+                let diff = (good[src] ^ stuck) & pin_sens(good, view.kind_at(g), fanins, pin);
                 (g, diff)
             }
         }
@@ -1113,7 +964,7 @@ impl<'a> StemRegionEngine<'a> {
         let StemScratch { good, sens, region, .. } = s;
         self.detect_groups(
             0,
-            self.group_roots.len(),
+            self.regions.num_groups(),
             valid_mask,
             good,
             sens,
@@ -1205,11 +1056,10 @@ impl<'a> StemRegionEngine<'a> {
         wants: impl Fn(u32) -> bool,
         need: Need<'_>,
     ) -> (&'s [(u32, SimWord<N>)], SimWord<N>) {
-        let lo = self.group_index[g] as usize;
-        let hi = self.group_index[g + 1] as usize;
         s.rds.clear();
         let mut seed = SimWord::ZERO;
-        for &fault in &self.group_faults[lo..hi] {
+        for &id in self.regions.group_faults(g) {
+            let fault = id.index() as u32;
             if !wants(fault) {
                 continue;
             }
@@ -1220,7 +1070,7 @@ impl<'a> StemRegionEngine<'a> {
             }
         }
         let RegionScratch { walk, rds } = s;
-        let root = self.group_roots[g] as usize;
+        let root = self.regions.group_root(g);
         let obs = walk.run(self.view(), good, root, seed, |observed| {
             need.lanes(rds, observed)
         });
@@ -1375,7 +1225,7 @@ pub(crate) mod tests {
             engine.sim_superblock(patterns, sb, &mut scratch);
             let valid = patterns.valid_mask_wide::<N>(sb);
             for (p, ids) in stem_faults.iter().enumerate() {
-                if !engine.is_root[p] || view.is_output_at(p) || !view.reaches_output(p) {
+                if engine.regions.reader(p).is_some() || view.is_output_at(p) || !view.reaches_output(p) {
                     continue;
                 }
                 assert_eq!(ids.len(), 2, "{} position {p}", netlist.name());
@@ -1519,23 +1369,31 @@ pub(crate) mod tests {
 
     #[test]
     fn groups_partition_the_fault_list() {
-        let src = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ns = AND(a, b)\np = NOT(s)\nq = BUF(s)\ny = AND(p, q)\n";
+        let src =
+            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ns = AND(a, b)\np = NOT(s)\nq = BUF(s)\ny = AND(p, q)\n";
         let n = bench_format::parse(src, "reconv").unwrap();
+        let circuit = compile(&n);
         let faults = FaultList::full(&n);
-        let engine = StemRegionEngine::for_circuit(&compile(&n), &faults);
-        let total: usize = (0..engine.group_roots.len())
-            .map(|g| (engine.group_index[g + 1] - engine.group_index[g]) as usize)
-            .sum();
-        assert_eq!(total, faults.len());
-        assert_eq!(engine.group_faults.len(), faults.len());
-        assert!(engine.num_fault_regions() <= faults.len());
-        // Roots strictly ascend, fault ids ascend within groups.
-        assert!(engine.group_roots.windows(2).all(|w| w[0] < w[1]));
-        for g in 0..engine.group_roots.len() {
-            let lo = engine.group_index[g] as usize;
-            let hi = engine.group_index[g + 1] as usize;
-            assert!(engine.group_faults[lo..hi].windows(2).all(|w| w[0] < w[1]));
+        let engine = StemRegionEngine::for_circuit(&circuit, &faults);
+        let regions = engine.fault_regions();
+        let mut grouped = vec![false; faults.len()];
+        for g in 0..regions.num_groups() {
+            // Fault ids ascend within a group, and each fault sits in
+            // the group of its FFR root.
+            let ids = regions.group_faults(g);
+            assert!(ids.windows(2).all(|w| w[0] < w[1]));
+            for &id in ids {
+                let root = circuit.ffr().root_of(faults.fault(id).effect_node());
+                assert_eq!(circuit.view().position(root), regions.group_root(g));
+                assert!(!std::mem::replace(&mut grouped[id.index()], true));
+            }
         }
+        assert!(grouped.iter().all(|&g| g), "every fault is grouped");
+        assert_eq!(engine.num_fault_regions(), regions.num_groups());
+        // Roots strictly ascend.
+        assert!(
+            (1..regions.num_groups()).all(|g| regions.group_root(g - 1) < regions.group_root(g))
+        );
     }
 
     #[test]

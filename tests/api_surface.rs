@@ -9,6 +9,7 @@
 
 #![deny(deprecated)]
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use adi::atpg::{
@@ -22,7 +23,7 @@ use adi::core::{
     ExperimentConfig, FaultOrdering, OrderingRun, USelection, USetConfig,
 };
 use adi::netlist::fault::{Fault, FaultId, FaultList};
-use adi::netlist::{CompiledCircuit, FfrPartition, LevelizedCsr, Netlist};
+use adi::netlist::{CompiledCircuit, FaultRegionIndex, FfrPartition, LevelizedCsr, Netlist};
 use adi::sim::{
     DetectionMatrix, DropOutcome, DropSession, DualMachineSim, FaultSimulator, GoodValues,
     NDetectOutcome, Pattern, PatternSet, SimScratch, SimWidth, SimWord, StemRegionEngine,
@@ -72,6 +73,8 @@ fn compiled_circuit_surface_is_stable() {
     let _: fn(&CompiledCircuit) -> &Scoap = CompiledCircuit::scoap;
     let _: fn(&CompiledCircuit, &CompiledCircuit) -> bool = CompiledCircuit::same_compilation;
     let _: fn() -> u64 = LevelizedCsr::build_count;
+    let _: fn(&CompiledCircuit, &FaultList) -> Arc<FaultRegionIndex> =
+        CompiledCircuit::fault_region_index;
     // Cheap clonability is part of the contract.
     fn assert_clone<T: Clone>() {}
     assert_clone::<CompiledCircuit>();
@@ -105,6 +108,28 @@ fn pin_compiled_entry_points<'a>(_: &'a ()) {
     let _: fn(&CompiledCircuit, &FaultList, &PatternSet) -> Vec<usize> =
         adi::core::reorder::reverse_order_compaction_for;
     let _: fn(&PaperCircuit) -> CompiledCircuit = PaperCircuit::compiled;
+}
+
+/// The stem-region engine's fault index: built from the view, the FFR
+/// partition and a fault list, memoized per compilation for its own
+/// lists, and shared by every engine over them.
+fn pin_fault_region_index<'a>(_: &'a ()) {
+    let _: fn(&LevelizedCsr, &FfrPartition, &FaultList) -> FaultRegionIndex =
+        FaultRegionIndex::build;
+    let _: fn(&FaultRegionIndex) -> usize = FaultRegionIndex::num_groups;
+    let _: fn(&FaultRegionIndex, usize) -> usize = FaultRegionIndex::group_root;
+    let _: fn(&FaultRegionIndex, usize) -> &[FaultId] = FaultRegionIndex::group_faults;
+    let _: fn(&FaultRegionIndex, usize) -> Option<(usize, usize)> = FaultRegionIndex::reader;
+    let _: fn(&FaultRegionIndex) -> &[bool] = FaultRegionIndex::sens_needed;
+    let _: fn(&FaultRegionIndex, usize, &mut [bool]) = FaultRegionIndex::mark_path;
+    let _: fn(&FaultRegionIndex) -> usize = FaultRegionIndex::resident_bytes;
+    let _: for<'e> fn(&'e StemRegionEngine<'a>) -> &'e Arc<FaultRegionIndex> =
+        StemRegionEngine::fault_regions;
+}
+
+#[test]
+fn fault_region_index_surface_is_stable() {
+    pin_fault_region_index(&());
 }
 
 #[test]
