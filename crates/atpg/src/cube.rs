@@ -83,15 +83,6 @@ impl TestCube {
         self.values.iter().filter(|v| v.is_some()).count()
     }
 
-    /// Fraction of inputs left unspecified. Zero for an empty cube.
-    pub fn x_ratio(&self) -> f64 {
-        if self.values.is_empty() {
-            0.0
-        } else {
-            1.0 - self.specified_count() as f64 / self.values.len() as f64
-        }
-    }
-
     /// Returns `true` if `pattern` is a completion of this cube (agrees on
     /// every specified input).
     ///
@@ -133,11 +124,9 @@ mod tests {
     fn construction_and_counters() {
         let mut c = TestCube::unspecified(4);
         assert_eq!(c.specified_count(), 0);
-        assert!((c.x_ratio() - 1.0).abs() < 1e-12);
         c.set(0, Some(true));
         c.set(3, Some(false));
         assert_eq!(c.specified_count(), 2);
-        assert!((c.x_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //!
 //! The parallel loop produces the same tests, classifications, coverage
 //! curve, and deterministic PODEM counters as
-//! `TestGenConfig { atpg_threads: 1, .. }` for every seed, width, and
-//! thread count, because each of the three inputs to every commit
+//! `TestGenConfig { atpg_threads: 1, .. }` for every seed, thread
+//! count and speculation depth, because each of the three inputs to every commit
 //! decision is history-independent or committer-owned:
 //!
 //! 1. **Per-target PODEM purity.** `Podem::generate` starts from the
@@ -170,7 +170,7 @@ impl Drop for FailOnUnwind<'_, '_> {
 /// commit rule and the determinism argument). Called by
 /// `TestGenerator::run_phase` when
 /// `TestGenConfig::atpg_threads > 1`.
-pub(crate) fn run_speculative<const N: usize>(
+pub(crate) fn run_speculative(
     g: &TestGenerator<'_>,
     order: &[FaultId],
     predropped: &[bool],
@@ -208,7 +208,7 @@ pub(crate) fn run_speculative<const N: usize>(
             scope.spawn(|| worker_loop(g, order, &shared, &resolved, &speculated, &generate_ns, &window));
         }
         let _stop = StopOnDrop(&shared);
-        committed = Some(commit_loop::<N>(
+        committed = Some(commit_loop(
             g, order, predropped, &shared, &resolved, &generate_ns, &window, depth,
         ));
     });
@@ -330,7 +330,7 @@ fn adapt_window(window: &AtomicUsize, cap: usize, streak: &mut i64, useful: bool
 /// The committer: replays the sequential batched loop in ordering
 /// position, consuming speculated outcomes under the first-win rule.
 #[allow(clippy::too_many_arguments)]
-fn commit_loop<'g, const N: usize>(
+fn commit_loop<'g>(
     g: &'g TestGenerator<'_>,
     order: &[FaultId],
     predropped: &[bool],
@@ -341,8 +341,7 @@ fn commit_loop<'g, const N: usize>(
     depth: usize,
 ) -> Committed {
     let n_faults = g.faults.len();
-    let mut session = DropSession::<N>::for_circuit(&g.circuit, g.faults)
-        .with_threads(g.config.threads.max(1));
+    let mut session = DropSession::for_circuit(&g.circuit, g.faults);
     let mut status: Vec<Option<FaultStatus>> = vec![None; n_faults];
     let mut active: Vec<FaultId> = g
         .faults
@@ -499,7 +498,7 @@ mod tests {
 
     use adi_netlist::fault::FaultList;
     use adi_netlist::{bench_format, CompiledCircuit};
-    use adi_sim::{PatternSet, SimWidth};
+    use adi_sim::PatternSet;
 
     use crate::{TestGenConfig, TestGenerator};
 
@@ -628,15 +627,14 @@ G23 = NAND(G16, G19)
     }
 
     #[test]
-    fn narrow_width_and_deep_window_still_agree() {
-        // W1 blocks flush every 64 tests, maximizing commit/flush
-        // interleaving against a deep speculation window.
+    fn deep_window_still_agrees() {
+        // A window deeper than the drop loop's flush cadence keeps
+        // workers claiming across every commit and flush.
         let n = bench_format::parse(C17, "c17").unwrap();
         let circuit = CompiledCircuit::compile(n);
         let faults = FaultList::collapsed(circuit.netlist());
         let order: Vec<_> = faults.ids().collect();
         let cfg = |atpg_threads| TestGenConfig {
-            width: SimWidth::W1,
             atpg_threads,
             speculation_depth: 64,
             ..TestGenConfig::default()

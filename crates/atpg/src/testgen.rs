@@ -19,9 +19,8 @@
 //! **speculatively**: a pool of worker threads generates tests for
 //! upcoming targets while the calling thread commits outcomes strictly
 //! in ordering position under the first-win rule (see the
-//! [`speculate`] module docs for the invariants). Every knob
-//! combination — width, threads, speculation — produces the same
-//! [`TestGenResult`].
+//! [`speculate`] module docs for the invariants). Every thread count
+//! and speculation depth produces the same [`TestGenResult`].
 //!
 //! [`TestGenerator::run_reference`] is the differential oracle for both
 //! `run` and [`run_with_random_phase`](TestGenerator::run_with_random_phase):
@@ -38,7 +37,7 @@ use adi_netlist::fault::{FaultId, FaultList};
 use adi_netlist::CompiledCircuit;
 use adi_obs::SpanSite;
 use adi_sim::faultsim::SimScratch;
-use adi_sim::{CoverageCurve, DropSession, FaultSimulator, Pattern, SimWidth};
+use adi_sim::{CoverageCurve, DropSession, FaultSimulator, Pattern};
 
 use crate::{speculate, FillStrategy, Podem, PodemConfig, PodemOutcome, PodemStats, SatFallback, SatResolved};
 
@@ -70,13 +69,6 @@ pub struct TestGenConfig {
     pub fill: FillStrategy,
     /// Seed for random fill (each test uses `seed + test_index`).
     pub fill_seed: u64,
-    /// Simulation word width of the drop loop (blocks hold
-    /// `width.bits()` pending tests). All widths are bit-identical; the
-    /// reference loop ignores this.
-    pub width: SimWidth,
-    /// Threads the drop loop's flushes split across (region-parallel;
-    /// results identical at every count).
-    pub threads: usize,
     /// Total threads of the ATPG loop itself. `1` runs the sequential
     /// loop; `>= 2` runs the speculative first-win loop with
     /// `atpg_threads - 1` PODEM workers plus the committing caller.
@@ -122,8 +114,6 @@ impl Default for TestGenConfig {
             },
             fill: FillStrategy::Random,
             fill_seed: 0x0AD1_F111,
-            width: SimWidth::default(),
-            threads: 1,
             atpg_threads: atpg_threads_from_env(),
             speculation_depth: 16,
         }
@@ -169,8 +159,8 @@ impl FaultStatus {
 ///
 /// Timing is a measurement, not an output: it is **excluded from
 /// [`TestGenResult`] equality** so the determinism contracts (sequential
-/// vs speculative, every width and thread count) can keep comparing
-/// whole results.
+/// vs speculative, every thread count) can keep comparing whole
+/// results.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTimings {
     /// Nanoseconds spent getting each target's PODEM outcome: a
@@ -211,7 +201,7 @@ impl PhaseTimings {
 /// (wall-clock measurement) and the scheduling-dependent
 /// [`PodemStats::wasted_speculations`] diagnostic are excluded, which is
 /// what lets the determinism lattice assert whole-result equality
-/// across widths and thread counts.
+/// across thread counts and speculation depths.
 ///
 /// [`timing`]: TestGenResult::timing
 #[derive(Clone, Debug)]
@@ -480,32 +470,17 @@ impl<'a> TestGenerator<'a> {
     /// every [`FLUSH_PENDING`] tests the block is drained through the
     /// stem-region engine. The resulting test set, classifications, and
     /// per-test detection counts are bit-identical to the reference
-    /// loop's at every width, thread count and flush cadence.
+    /// loop's at every thread count and flush cadence.
     fn run_phase(&self, order: &[FaultId], predropped: &[bool]) -> TestGenResult {
         if self.config.atpg_threads > 1 {
-            return match self.config.width {
-                SimWidth::W1 => speculate::run_speculative::<1>(self, order, predropped),
-                SimWidth::W2 => speculate::run_speculative::<2>(self, order, predropped),
-                SimWidth::W4 => speculate::run_speculative::<4>(self, order, predropped),
-                SimWidth::W8 => speculate::run_speculative::<8>(self, order, predropped),
-            };
+            return speculate::run_speculative(self, order, predropped);
         }
-        match self.config.width {
-            SimWidth::W1 => self.run_phase_w::<1>(order, predropped),
-            SimWidth::W2 => self.run_phase_w::<2>(order, predropped),
-            SimWidth::W4 => self.run_phase_w::<4>(order, predropped),
-            SimWidth::W8 => self.run_phase_w::<8>(order, predropped),
-        }
-    }
-
-    fn run_phase_w<const N: usize>(&self, order: &[FaultId], predropped: &[bool]) -> TestGenResult {
         let n_faults = self.faults.len();
         assert_eq!(predropped.len(), n_faults);
         self.validate_order(order);
 
         let mut podem = Podem::for_circuit(&self.circuit, self.config.podem);
-        let mut session = DropSession::<N>::for_circuit(&self.circuit, self.faults)
-            .with_threads(self.config.threads.max(1));
+        let mut session = DropSession::for_circuit(&self.circuit, self.faults);
 
         let mut status: Vec<Option<FaultStatus>> = vec![None; n_faults];
         let mut active: Vec<FaultId> = self
@@ -620,25 +595,19 @@ impl<'a> TestGenerator<'a> {
     ) -> TestGenResult {
         let warm_start = Instant::now();
         let mut warm = Warmup::new(self.faults);
-        match self.config.width {
-            SimWidth::W1 => self.warmup_w::<1>(warmup, &mut warm),
-            SimWidth::W2 => self.warmup_w::<2>(warmup, &mut warm),
-            SimWidth::W4 => self.warmup_w::<4>(warmup, &mut warm),
-            SimWidth::W8 => self.warmup_w::<8>(warmup, &mut warm),
-        }
+        self.admit_warmup(warmup, &mut warm);
         let warm_ns = warm_start.elapsed().as_nanos() as u64;
         let tail = self.run_phase(&warm.remaining(order), &warm.dropped);
         warm.stitch(tail, warm_ns)
     }
 
-    /// The warm-up admission loop at width `N`. Detection of a fault by a
-    /// vector is independent of what was dropped before, so whole wide
-    /// blocks are simulated at once and the admission bookkeeping is
-    /// replayed lane by lane — bit-identical to the reference loop's
-    /// per-vector admission at every width.
-    fn warmup_w<const N: usize>(&self, warmup: &adi_sim::PatternSet, warm: &mut Warmup) {
-        let mut session = DropSession::<N>::for_circuit(&self.circuit, self.faults)
-            .with_threads(self.config.threads.max(1));
+    /// The warm-up admission loop. Detection of a fault by a vector is
+    /// independent of what was dropped before, so whole wide blocks are
+    /// simulated at once and the admission bookkeeping is replayed lane
+    /// by lane — bit-identical to the reference loop's per-vector
+    /// admission.
+    fn admit_warmup(&self, warmup: &adi_sim::PatternSet, warm: &mut Warmup) {
+        let mut session = DropSession::for_circuit(&self.circuit, self.faults);
         let mut p = 0;
         while p < warmup.len() {
             let base = p;
@@ -660,8 +629,8 @@ impl<'a> TestGenerator<'a> {
     /// [`detect_pattern`](adi_sim::FaultSimulator::detect_pattern) call
     /// (a cone walk per active fault) per warm-up vector and per
     /// generated test, with every target searched by
-    /// [`Podem::generate_reference`]. `width`, `threads`, `atpg_threads`
-    /// and `speculation_depth` are ignored, and every call searches every
+    /// [`Podem::generate_reference`]. `atpg_threads` and
+    /// `speculation_depth` are ignored, and every call searches every
     /// target afresh: the oracle neither reads nor fills the memo.
     ///
     /// Tests, targets, per-test detection counts, classifications and
@@ -877,7 +846,7 @@ pub(crate) fn finalize_status(status: Vec<Option<FaultStatus>>) -> Vec<FaultStat
 }
 
 /// Pending tests at which the drop loops flush their [`DropSession`],
-/// well below its smallest capacity of 64. A flushed test settles every
+/// well below its capacity of 256. A flushed test settles every
 /// fault it detects, so later targets skip the pending-cover cone walk
 /// that a still-pending test costs them; results are the same at any
 /// cadence.
@@ -893,8 +862,8 @@ pub(crate) const FLUSH_PENDING: usize = 32;
 /// fault classified here is flagged so in-flight workers stop targeting
 /// it. Hints are advisory (the committer re-checks `status` at commit
 /// time), so the sequential loops pass `None`.
-pub(crate) fn apply_flush<const N: usize>(
-    session: &mut DropSession<'_, N>,
+pub(crate) fn apply_flush(
+    session: &mut DropSession<'_>,
     targets: &[FaultId],
     status: &mut [Option<FaultStatus>],
     active: &mut Vec<FaultId>,
@@ -1177,32 +1146,47 @@ G23 = NAND(G16, G19)
         }
     }
 
+    /// With one simulation word left, the width axis is where the
+    /// 256-lane word boundary falls: a warm-up of 256 copies of one
+    /// vector and then random ones admits all but its first test from
+    /// the second word. Every ATPG thread count, with and without that
+    /// warm-up, must reproduce the scalar reference loop.
     #[test]
     fn batched_loop_is_width_and_thread_invariant() {
         let n = c17();
         let circuit = compile(&n);
         let faults = FaultList::collapsed(&n);
         let order: Vec<FaultId> = faults.ids().collect();
-        let scalar = TestGenerator::for_circuit(&circuit, &faults, TestGenConfig::default())
-            .run_reference(&order, &PatternSet::new(5));
-        for width in SimWidth::ALL {
-            for threads in [1usize, 2, 4] {
-                let batched = TestGenerator::for_circuit(
-                    &circuit,
-                    &faults,
-                    TestGenConfig {
-                        width,
-                        threads,
-                        ..TestGenConfig::default()
-                    },
-                )
-                .run(&order);
-                assert_eq!(
-                    outputs(batched),
-                    outputs(scalar.clone()),
-                    "width {width} threads {threads}"
-                );
-            }
+        let mut boundary = PatternSet::new(5);
+        for _ in 0..256 {
+            boundary.push(&Pattern::from_value(5, 0));
+        }
+        for p in PatternSet::random(5, 44, 3).iter() {
+            boundary.push(&p);
+        }
+        let reference = TestGenerator::for_circuit(&circuit, &faults, TestGenConfig::default());
+        let plain = outputs(reference.run_reference(&order, &PatternSet::new(5)));
+        let warmed = outputs(reference.run_reference(&order, &boundary));
+        let first_word = reference.run_reference(&order, &boundary.truncated(256));
+        assert_ne!(
+            warmed.tests, first_word.tests,
+            "the second word admits tests"
+        );
+        for atpg_threads in [1usize, 2, 4] {
+            let gen = TestGenerator::for_circuit(
+                &circuit,
+                &faults,
+                TestGenConfig {
+                    atpg_threads,
+                    ..TestGenConfig::default()
+                },
+            );
+            assert_eq!(outputs(gen.run(&order)), plain, "threads {atpg_threads}");
+            assert_eq!(
+                outputs(gen.run_with_random_phase(&order, &boundary)),
+                warmed,
+                "threads {atpg_threads}, warm-up across the word boundary"
+            );
         }
     }
 

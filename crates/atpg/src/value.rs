@@ -7,7 +7,7 @@
 //!
 //! PODEM tracks two 3-valued simulations per decision state: the **good**
 //! machine and the **faulty** machine (with the target fault injected). A
-//! node carries the composite D-calculus value ([`V5`]):
+//! node carries the composite D-calculus value:
 //!
 //! | good | faulty | composite |
 //! |------|--------|-----------|
@@ -17,4 +17,4 @@
 //! | 0    | 1      | D̄         |
 //! | any X | —     | X         |
 
-pub use adi_sim::t3::{eval_t3, eval_t3_branch, eval_t3_pos, T3, V5};
+pub use adi_sim::t3::{eval_t3, eval_t3_branch, eval_t3_pos, T3};

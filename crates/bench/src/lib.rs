@@ -20,7 +20,6 @@ use std::fmt::Write as _;
 use adi_circuits::{paper_suite, PaperCircuit};
 use adi_core::pipeline::Experiment;
 use adi_core::{ExperimentConfig, FaultOrdering};
-use adi_sim::SimWidth;
 
 /// Command-line options shared by all table binaries.
 #[derive(Clone, Debug)]
@@ -31,8 +30,6 @@ pub struct HarnessOptions {
     pub threads: usize,
     /// Shrink the random-vector pool (quick smoke runs).
     pub quick: bool,
-    /// Simulation word width (lanes) of the fault simulation.
-    pub width: SimWidth,
 }
 
 impl Default for HarnessOptions {
@@ -43,7 +40,6 @@ impl Default for HarnessOptions {
             max_gates: 600,
             threads: default_threads(),
             quick: false,
-            width: SimWidth::default(),
         }
     }
 }
@@ -93,13 +89,6 @@ impl HarnessOptions {
                         .and_then(|s| s.parse().ok())
                         .ok_or_else(|| "--threads requires a number".to_string())?;
                 }
-                "--width" => {
-                    opts.width = args
-                        .next()
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .and_then(SimWidth::from_lanes)
-                        .ok_or_else(|| "--width requires 1, 2, 4, or 8 (lanes)".to_string())?;
-                }
                 other => return Err(format!("unknown argument `{other}`")),
             }
         }
@@ -110,7 +99,6 @@ impl HarnessOptions {
     pub fn experiment_config(&self) -> ExperimentConfig {
         let mut cfg = ExperimentConfig::default();
         cfg.adi.threads = self.threads;
-        cfg.adi.width = self.width;
         if self.quick {
             cfg.uset.max_vectors = 1000;
         }
@@ -128,10 +116,7 @@ impl HarnessOptions {
 
 fn usage(message: &str) -> ! {
     eprintln!("error: {message}");
-    eprintln!(
-        "usage: <table-binary> [--max-gates N | --all] [--quick] [--threads N] \
-         [--width 1|2|4|8]"
-    );
+    eprintln!("usage: <table-binary> [--max-gates N | --all] [--quick] [--threads N]");
     std::process::exit(2);
 }
 
@@ -272,19 +257,13 @@ mod tests {
         assert_eq!(ok(&["--threads", "2"]).threads, 2);
         let combo = ok(&["--quick", "--max-gates", "9", "--threads", "3"]);
         assert!(combo.quick && combo.max_gates == 9 && combo.threads == 3);
-        assert_eq!(ok(&["--width", "8"]).width, SimWidth::W8);
-        assert_eq!(ok(&[]).width, SimWidth::default());
-        let err = HarnessOptions::try_from_iter(
-            ["--width", "3"].iter().map(|s| s.to_string()),
-        )
-        .unwrap_err();
-        assert!(err.contains("1, 2, 4, or 8"));
-        // `--engine` is rejected like any unknown flag.
-        let err = HarnessOptions::try_from_iter(
-            ["--engine", "per-fault"].iter().map(|s| s.to_string()),
-        )
-        .unwrap_err();
-        assert!(err.contains("unknown argument `--engine`"));
+        // The retired `--engine` and `--width` are rejected like any
+        // unknown flag.
+        for (flag, value) in [("--engine", "per-fault"), ("--width", "4")] {
+            let err = HarnessOptions::try_from_iter([flag.to_string(), value.to_string()])
+                .unwrap_err();
+            assert!(err.contains(&format!("unknown argument `{flag}`")), "{err}");
+        }
     }
 
     #[test]

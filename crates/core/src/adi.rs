@@ -2,7 +2,7 @@
 
 use adi_netlist::fault::{FaultId, FaultList};
 use adi_netlist::CompiledCircuit;
-use adi_sim::{DetectionMatrix, FaultSimulator, PatternSet, SimWidth};
+use adi_sim::{DetectionMatrix, FaultSimulator, PatternSet};
 
 /// How `ADI(f)` is aggregated from the detection counts of the vectors in
 /// `D(f)`.
@@ -48,10 +48,6 @@ pub struct AdiConfig {
     /// Number of OS threads for the underlying no-drop fault simulation
     /// (0 or 1 = serial).
     pub threads: usize,
-    /// Simulation word width of the fault simulation (every width is
-    /// bit-identical; wider words amortize the per-block sweeps over
-    /// more patterns).
-    pub width: SimWidth,
 }
 
 /// Summary statistics for one circuit's ADI values (the paper's Table 4
@@ -99,7 +95,7 @@ impl AdiAnalysis {
         patterns: &PatternSet,
         config: AdiConfig,
     ) -> Self {
-        let sim = FaultSimulator::for_circuit(circuit, faults).with_width(config.width);
+        let sim = FaultSimulator::for_circuit(circuit, faults);
         let mut matrix = if config.threads > 1 {
             sim.no_drop_matrix_parallel(patterns, config.threads)
         } else {
@@ -369,25 +365,6 @@ mod tests {
         assert_eq!(stem.matrix(), per_fault.matrix());
         assert_eq!(stem.adi_values(), per_fault.adi_values());
         assert_eq!(stem.ndet_counts(), per_fault.ndet_counts());
-    }
-
-    #[test]
-    fn every_width_matches_the_default_analysis() {
-        let (n, faults, base) = and2_analysis();
-        let u = PatternSet::exhaustive(2);
-        for width in SimWidth::ALL {
-            let wide = AdiAnalysis::for_circuit(
-                &CompiledCircuit::compile(n.clone()),
-                &faults,
-                &u,
-                AdiConfig {
-                    width,
-                    ..AdiConfig::default()
-                },
-            );
-            assert_eq!(base.matrix(), wide.matrix(), "width {width}");
-            assert_eq!(base.adi_values(), wide.adi_values(), "width {width}");
-        }
     }
 
     #[test]

@@ -34,17 +34,6 @@ pub fn average_detection_position(curve: &CoverageCurve) -> f64 {
     weighted / detected as f64
 }
 
-/// `AVE_ord / AVE_orig`: the paper's Table-7 normalization. Returns
-/// `f64::NAN` if the baseline detects nothing.
-pub fn normalized_ave(ord: &CoverageCurve, orig: &CoverageCurve) -> f64 {
-    let base = average_detection_position(orig);
-    if base == 0.0 {
-        f64::NAN
-    } else {
-        average_detection_position(ord) / base
-    }
-}
-
 /// One labelled curve for plotting.
 #[derive(Clone, PartialEq, Debug)]
 pub struct LabelledCurve {
@@ -137,19 +126,6 @@ mod tests {
         assert!(
             average_detection_position(&steep) < average_detection_position(&flat)
         );
-    }
-
-    #[test]
-    fn normalized_ave_baseline_is_one() {
-        let c = CoverageCurve::from_new_detections(&[2, 2, 2], 6);
-        assert!((normalized_ave(&c, &c) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalized_ave_handles_empty_baseline() {
-        let c = CoverageCurve::from_new_detections(&[1], 2);
-        let empty = CoverageCurve::from_new_detections(&[0], 2);
-        assert!(normalized_ave(&c, &empty).is_nan());
     }
 
     #[test]

@@ -141,23 +141,19 @@ pub fn reverse_order_compaction_for(
     faults: &FaultList,
     tests: &PatternSet,
 ) -> Vec<usize> {
-    use adi_sim::faultsim::SimScratch;
-
-    let sim = FaultSimulator::for_circuit(circuit, faults);
-    let mut scratch = SimScratch::for_circuit(circuit);
-    let mut active: Vec<FaultId> = faults.ids().collect();
-    let mut kept = Vec::new();
-    for t in (0..tests.len()).rev() {
-        if active.is_empty() {
-            break;
-        }
-        let detected = sim.detect_pattern(&tests.get(t), &active, &mut scratch);
-        if !detected.is_empty() {
-            kept.push(t);
-            active.retain(|id| !detected.contains(id));
-        }
-    }
-    kept.reverse();
+    // A test is kept iff it is the first, in reverse order, to detect
+    // some fault: exactly the tests dropping simulation credits.
+    let last = tests.len().saturating_sub(1);
+    let reversed: Vec<usize> = (0..tests.len()).rev().collect();
+    let drop = FaultSimulator::for_circuit(circuit, faults).with_dropping(&tests.subset(&reversed));
+    let mut kept: Vec<usize> = drop
+        .first_detection
+        .iter()
+        .flatten()
+        .map(|&r| last - r as usize)
+        .collect();
+    kept.sort_unstable();
+    kept.dedup();
     kept
 }
 

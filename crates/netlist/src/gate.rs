@@ -147,13 +147,6 @@ impl GateKind {
         )
     }
 
-    /// Returns `true` for the XOR/XNOR family (no controlling value, every
-    /// input always observable).
-    #[inline]
-    pub fn is_parity(self) -> bool {
-        matches!(self, GateKind::Xor | GateKind::Xnor)
-    }
-
     /// The canonical upper-case `.bench` name for this gate kind.
     ///
     /// [`GateKind::Input`] has no gate syntax in `.bench` (it is declared by

@@ -51,7 +51,6 @@ pub mod bench_format;
 mod builder;
 mod compiled;
 mod cone;
-mod dot;
 mod error;
 pub mod fault;
 mod fault_regions;
@@ -67,7 +66,6 @@ mod stats;
 pub use builder::NetlistBuilder;
 pub use compiled::CompiledCircuit;
 pub use cone::{fanin_cone, fanout_cone, NodeSet};
-pub use dot::to_dot;
 pub use error::NetlistError;
 pub use fault_regions::FaultRegionIndex;
 pub use ffr::FfrPartition;

@@ -19,10 +19,9 @@
 //! `--scenario-cache-bytes` budgets the response-payload cache
 //! (default 64 MiB; `0` disables scenario caching entirely).
 //!
-//! Requests carry no lane width or thread count. Each simulates on one
-//! thread at the process default width (`ADI_SIM_WIDTH`, 4 lanes when
-//! unset); ATPG speculates when `ADI_ATPG_THREADS` is above 1; and
-//! `--workers` runs requests in parallel.
+//! Requests carry no thread count. Each simulates on one thread; ATPG
+//! speculates when `ADI_ATPG_THREADS` is above 1; and `--workers` runs
+//! requests in parallel.
 //!
 //! Observability: metrics/span collection is on by default (set
 //! `ADI_OBS=0` to disable; requests then pay one relaxed atomic load

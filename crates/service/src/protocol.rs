@@ -445,10 +445,10 @@ fn parse_ordering(req: &Value) -> RequestResult<FaultOrdering> {
 /// (which resolves backtrack-aborted faults through the SAT layer —
 /// pass `"sat_fallback": "off"` for raw PODEM aborts).
 ///
-/// The performance fields (`width`, `threads`, `atpg_threads`,
+/// The retired performance fields (`width`, `threads`, `atpg_threads`,
 /// `speculation_depth`) are not read: no value changes a result, so
-/// every request runs the library defaults (which take `ADI_SIM_WIDTH`
-/// and `ADI_ATPG_THREADS` from the server's environment), and a request
+/// every request runs the library defaults (whose `atpg_threads` comes
+/// from `ADI_ATPG_THREADS` in the server's environment), and a request
 /// naming them is answered like one without them.
 fn parse_testgen_config(req: &Value) -> RequestResult<TestGenConfig> {
     let mut config = TestGenConfig::default();

@@ -14,7 +14,7 @@ use adi_circuits::paper_suite_up_to;
 use adi_netlist::bench_format;
 use adi_obs::SpanSite;
 use adi_service::{ServiceState, StoreConfig, WorkerPool};
-use adi_sim::{FaultSimulator, PatternSet, SimWidth};
+use adi_sim::{FaultSimulator, PatternSet};
 use json::Value;
 
 const COVERAGE: &str = r#"{"id": 1, "op": "coverage", "bench": "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n", "exhaustive": true}"#;
@@ -156,8 +156,8 @@ fn metrics_endpoint_renders_both_formats() {
 }
 
 /// Instrumentation stays out of the inner loops: a no-drop matrix opens
-/// one `sim.no_drop` span and one `sim.block` span per superblock,
-/// whatever the circuit's gate or fault count, so a span opened per
+/// one `sim.no_drop` span and one `sim.block` span per 256-pattern
+/// superblock, whatever the circuit's gate or fault count, so a span opened per
 /// fault or per gate shows up as extra nodes (or as dropped ones past
 /// the per-trace cap).
 #[test]
@@ -167,19 +167,17 @@ fn no_drop_matrix_opens_one_span_per_superblock() {
         let compiled = circuit.compiled();
         let faults = compiled.collapsed_faults();
         let patterns = PatternSet::random(circuit.inputs, PATTERNS, circuit.seed);
-        for width in [SimWidth::W1, SimWidth::W4] {
-            let sim = FaultSimulator::for_circuit(&compiled, faults).with_width(width);
-            let guard = adi_obs::start_trace();
-            sim.no_drop_matrix(&patterns);
-            let trace = guard.finish();
-            let count = |name: &str| trace.nodes.iter().filter(|n| n.name == name).count();
-            let blocks = PATTERNS.div_ceil(64 * width.lanes());
-            let label = format!("{} {width}", circuit.name);
-            assert_eq!(trace.dropped, 0, "{label}");
-            assert_eq!(count("sim.no_drop"), 1, "{label}");
-            assert_eq!(count("sim.block"), blocks, "{label}");
-            assert_eq!(trace.nodes.len(), 1 + blocks, "{label}");
-        }
+        let sim = FaultSimulator::for_circuit(&compiled, faults);
+        let guard = adi_obs::start_trace();
+        sim.no_drop_matrix(&patterns);
+        let trace = guard.finish();
+        let count = |name: &str| trace.nodes.iter().filter(|n| n.name == name).count();
+        let blocks = PATTERNS.div_ceil(256);
+        let label = circuit.name;
+        assert_eq!(trace.dropped, 0, "{label}");
+        assert_eq!(count("sim.no_drop"), 1, "{label}");
+        assert_eq!(count("sim.block"), blocks, "{label}");
+        assert_eq!(trace.nodes.len(), 1 + blocks, "{label}");
     }
 }
 

@@ -110,13 +110,6 @@ impl CoverageCurve {
         self.cumulative[i] - self.cumulative[i - 1]
     }
 
-    /// Number of tests needed to reach `fraction` of the *detected* faults
-    /// (e.g. 0.95), or `None` if the curve never reaches it.
-    pub fn tests_to_reach(&self, fraction: f64) -> Option<usize> {
-        let goal = (fraction * self.final_detected() as f64).ceil() as usize;
-        (0..self.cumulative.len()).find(|&i| self.cumulative[i] >= goal)
-    }
-
     /// Serializes the curve as CSV rows `test_index,detected,coverage`.
     pub fn to_csv(&self) -> String {
         use std::fmt::Write as _;
@@ -177,16 +170,6 @@ mod tests {
         for i in 1..=c.num_tests() {
             assert!(c.cumulative(i) >= c.cumulative(i - 1));
         }
-    }
-
-    #[test]
-    fn tests_to_reach_goal() {
-        let c = CoverageCurve::from_new_detections(&[5, 3, 1, 1], 10);
-        assert_eq!(c.tests_to_reach(0.5), Some(1)); // 5 of 10 detected
-        assert_eq!(c.tests_to_reach(0.8), Some(2)); // 8 of 10 detected
-        assert_eq!(c.tests_to_reach(1.0), Some(4));
-        let empty = CoverageCurve::from_new_detections(&[], 10);
-        assert_eq!(empty.tests_to_reach(1.0), Some(0)); // goal 0 is trivially met
     }
 
     #[test]

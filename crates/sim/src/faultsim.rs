@@ -31,7 +31,6 @@ use adi_netlist::{CompiledCircuit, GateKind, LevelizedCsr, Netlist};
 
 use crate::logic::{self, eval_with_pos};
 use crate::stem::StemRegionEngine;
-use crate::word::SimWidth;
 use crate::{DetectionMatrix, Pattern, PatternSet};
 
 /// Reusable per-thread scratch buffers for per-fault injection, bound to
@@ -175,7 +174,6 @@ impl NDetectOutcome {
 pub struct FaultSimulator<'a> {
     circuit: CompiledCircuit,
     faults: &'a FaultList,
-    width: SimWidth,
 }
 
 impl<'a> FaultSimulator<'a> {
@@ -194,21 +192,7 @@ impl<'a> FaultSimulator<'a> {
         FaultSimulator {
             circuit: circuit.clone(),
             faults,
-            width: SimWidth::default(),
         }
-    }
-
-    /// Returns the simulator with its simulation word width set to
-    /// `width` (builder style). All widths are bit-identical.
-    #[must_use]
-    pub fn with_width(mut self, width: SimWidth) -> Self {
-        self.width = width;
-        self
-    }
-
-    /// The simulation word width the stem-region engine runs at.
-    pub fn width(&self) -> SimWidth {
-        self.width
     }
 
     /// The compiled circuit being simulated.
@@ -227,7 +211,7 @@ impl<'a> FaultSimulator<'a> {
     }
 
     fn engine(&self) -> StemRegionEngine<'a> {
-        StemRegionEngine::for_circuit(&self.circuit, self.faults).with_width(self.width)
+        StemRegionEngine::for_circuit(&self.circuit, self.faults)
     }
 
     /// Simulates every fault under every pattern **without dropping** and
@@ -274,8 +258,8 @@ impl<'a> FaultSimulator<'a> {
     /// Simulates a single input vector against a subset of faults and
     /// returns the detected ones, preserving `active` order.
     ///
-    /// This is the single-pattern primitive (used by test-set
-    /// reordering and the reference ATPG drop loop). It runs per-fault
+    /// This is the single-pattern primitive of the reference ATPG drop
+    /// loop (`adi_atpg::TestGenerator::run_reference`). It runs per-fault
     /// propagation: for a single vector the stem-region engine's
     /// per-block setup cost cannot amortize.
     ///

@@ -18,10 +18,8 @@
 //!   same three drive modes: the bit-identical oracle the differential
 //!   tests hold the stem-region engine to. Production code never calls
 //!   them.
-//! * [`SimWord`] / [`SimWidth`] — the configurable simulation word:
-//!   every stem-region hot path is generic over the lane count
-//!   (64/128/256/512 patterns per word) and runtime-dispatched, so one
-//!   binary serves all widths bit-identically.
+//! * [`SimWord`] — the 256-pattern simulation word (four 64-bit lanes)
+//!   every stem-region hot path runs on.
 //! * [`DropSession`] — wide-word batching of *sequentially generated*
 //!   tests (the ATPG drop loop) through the stem-region engine, with
 //!   drop-for-drop scalar semantics.
@@ -95,6 +93,6 @@ pub use logic::GoodValues;
 pub use pattern::{Pattern, PatternSet};
 pub use session::DropSession;
 pub use stem::StemRegionEngine;
-pub use t3::{T3, V5};
+pub use t3::T3;
 pub use t3event::DualMachineSim;
-pub use word::{SimWord, SimWidth};
+pub use word::SimWord;

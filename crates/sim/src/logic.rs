@@ -107,15 +107,13 @@ pub fn simulate_block_csr(view: &LevelizedCsr, input_words: &[u64], out: &mut [u
 }
 
 /// Wide counterpart of [`eval_with_pos`]: the same gate semantics over
-/// [`SimWord`] lanes. Kept as a separate monomorphized fold (rather
-/// than an abstraction both widths share) so the `u64` oracle path
-/// stays byte-for-byte what PR 2 shipped.
+/// the four lanes of a [`SimWord`].
 #[inline]
-pub(crate) fn eval_with_pos_w<const N: usize>(
+pub(crate) fn eval_with_pos_w(
     kind: GateKind,
     fanins: &[u32],
-    value: impl Fn(u32) -> SimWord<N>,
-) -> SimWord<N> {
+    value: impl Fn(u32) -> SimWord,
+) -> SimWord {
     match kind {
         GateKind::Input => panic!("inputs are loaded, not evaluated"),
         GateKind::Buf => value(fanins[0]),
@@ -131,7 +129,7 @@ pub(crate) fn eval_with_pos_w<const N: usize>(
     }
 }
 
-/// Simulates one superblock of up to `N * 64` patterns over a
+/// Simulates one superblock of up to 256 patterns over a
 /// [`LevelizedCsr`] view — the wide counterpart of
 /// [`simulate_block_csr`].
 ///
@@ -139,10 +137,10 @@ pub(crate) fn eval_with_pos_w<const N: usize>(
 ///
 /// Panics if `input_words.len() != view.inputs().len()` or
 /// `out.len() != view.num_nodes()`.
-pub(crate) fn simulate_superblock_csr<const N: usize>(
+pub(crate) fn simulate_superblock_csr(
     view: &LevelizedCsr,
-    input_words: &[SimWord<N>],
-    out: &mut [SimWord<N>],
+    input_words: &[SimWord],
+    out: &mut [SimWord],
 ) {
     assert_eq!(input_words.len(), view.inputs().len());
     assert_eq!(out.len(), view.num_nodes());
@@ -165,10 +163,10 @@ pub(crate) fn simulate_superblock_csr<const N: usize>(
 /// # Panics
 ///
 /// Panics if `input_words.len() != patterns.num_inputs()`.
-pub(crate) fn load_input_words_w<const N: usize>(
+pub(crate) fn load_input_words_w(
     patterns: &PatternSet,
     superblock: usize,
-    input_words: &mut [SimWord<N>],
+    input_words: &mut [SimWord],
 ) {
     assert_eq!(input_words.len(), patterns.num_inputs());
     for (i, w) in input_words.iter_mut().enumerate() {
@@ -465,15 +463,15 @@ y = OR(t0, t1)
         let n = bench_format::parse(MUX, "mux").unwrap();
         let view = LevelizedCsr::build(&n);
         let pats = PatternSet::random(3, 300, 11); // 5 blocks: a ragged tail lane
-        let mut wide_in = vec![SimWord::<4>::ZERO; n.num_inputs()];
-        let mut wide_out = vec![SimWord::<4>::ZERO; n.num_nodes()];
+        let mut wide_in = vec![SimWord::ZERO; n.num_inputs()];
+        let mut wide_out = vec![SimWord::ZERO; n.num_nodes()];
         let mut scalar_in = vec![0u64; n.num_inputs()];
         let mut scalar_out = vec![0u64; n.num_nodes()];
-        for sb in 0..pats.num_superblocks(4) {
+        for sb in 0..pats.num_superblocks() {
             load_input_words_w(&pats, sb, &mut wide_in);
             simulate_superblock_csr(&view, &wide_in, &mut wide_out);
-            for k in 0..4 {
-                let block = sb * 4 + k;
+            for k in 0..SimWord::LANES {
+                let block = sb * SimWord::LANES + k;
                 if block >= pats.num_blocks() {
                     continue;
                 }

@@ -348,25 +348,25 @@ impl PatternSet {
         }
     }
 
-    /// Number of `N`-lane superblocks (`N * 64` patterns each) covering
-    /// the set.
-    pub fn num_superblocks(&self, lanes: usize) -> usize {
-        self.num_patterns.div_ceil(lanes * 64)
+    /// Number of 256-pattern superblocks (one [`SimWord`] each)
+    /// covering the set.
+    pub fn num_superblocks(&self) -> usize {
+        self.num_patterns.div_ceil(SimWord::BITS)
     }
 
     /// The packed [`SimWord`] of `input` for superblock `superblock`
-    /// (lane `k` = 64-pattern block `superblock * N + k`). Lanes past
+    /// (lane `k` = 64-pattern block `superblock * 4 + k`). Lanes past
     /// the final block are zero.
     ///
     /// # Panics
     ///
     /// Panics if `input` is out of range.
     #[inline]
-    pub fn input_word_wide<const N: usize>(&self, input: usize, superblock: usize) -> SimWord<N> {
+    pub fn input_word_wide(&self, input: usize, superblock: usize) -> SimWord {
         let blocks = &self.words[input];
         let mut w = SimWord::ZERO;
-        for k in 0..N {
-            let b = superblock * N + k;
+        for k in 0..SimWord::LANES {
+            let b = superblock * SimWord::LANES + k;
             if b < blocks.len() {
                 w.0[k] = blocks[b];
             }
@@ -377,11 +377,11 @@ impl PatternSet {
     /// Mask of valid pattern bits within superblock `superblock`: the
     /// wide counterpart of [`valid_mask`](Self::valid_mask), with lanes
     /// past the final block zeroed.
-    pub fn valid_mask_wide<const N: usize>(&self, superblock: usize) -> SimWord<N> {
+    pub fn valid_mask_wide(&self, superblock: usize) -> SimWord {
         let n_blocks = self.num_blocks();
         let mut m = SimWord::ZERO;
-        for k in 0..N {
-            let b = superblock * N + k;
+        for k in 0..SimWord::LANES {
+            let b = superblock * SimWord::LANES + k;
             if b < n_blocks {
                 m.0[k] = self.valid_mask(b);
             }
@@ -447,63 +447,6 @@ impl PatternSet {
     /// Iterates over all patterns in order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = Pattern> + '_ {
         (0..self.num_patterns).map(|i| self.get(i))
-    }
-
-    /// Serializes the set as text: one pattern per line, `0`/`1` per
-    /// input (first input leftmost), with `#` comment support on read.
-    ///
-    /// This is the usual ATE-exchange text form for scan test sets.
-    pub fn to_text(&self) -> String {
-        let mut out = String::with_capacity(self.num_patterns * (self.num_inputs + 1));
-        for p in self.iter() {
-            out.push_str(&p.to_string());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses the text form produced by [`to_text`](Self::to_text).
-    /// Blank lines and `#` comments are ignored.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed line: a character
-    /// other than `0`/`1`, or a width differing from `num_inputs`.
-    pub fn from_text(num_inputs: usize, text: &str) -> Result<Self, String> {
-        let mut set = PatternSet::new(num_inputs);
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = match raw.find('#') {
-                Some(i) => &raw[..i],
-                None => raw,
-            }
-            .trim();
-            if line.is_empty() {
-                continue;
-            }
-            if line.len() != num_inputs {
-                return Err(format!(
-                    "line {}: expected {} bits, found {}",
-                    lineno + 1,
-                    num_inputs,
-                    line.len()
-                ));
-            }
-            let mut bits = Vec::with_capacity(num_inputs);
-            for ch in line.chars() {
-                match ch {
-                    '0' => bits.push(false),
-                    '1' => bits.push(true),
-                    other => {
-                        return Err(format!(
-                            "line {}: invalid character `{other}`",
-                            lineno + 1
-                        ))
-                    }
-                }
-            }
-            set.push(&Pattern::new(bits));
-        }
-        Ok(set)
     }
 }
 
@@ -800,57 +743,28 @@ mod tests {
     fn wide_accessors_stack_blocks_in_pattern_order() {
         let set = PatternSet::random(4, 300, 17);
         assert_eq!(set.num_blocks(), 5);
-        assert_eq!(set.num_superblocks(1), 5);
-        assert_eq!(set.num_superblocks(2), 3);
-        assert_eq!(set.num_superblocks(4), 2);
-        assert_eq!(set.num_superblocks(8), 1);
+        assert_eq!(set.num_superblocks(), 2);
+        assert_eq!(PatternSet::random(4, 256, 17).num_superblocks(), 1);
+        assert_eq!(PatternSet::new(4).num_superblocks(), 0);
         for input in 0..4 {
-            let w: SimWord<4> = set.input_word_wide(input, 0);
+            let w = set.input_word_wide(input, 0);
             for k in 0..4 {
                 assert_eq!(w.lane(k), set.input_word(input, k), "lane {k}");
             }
             // Second superblock: block 4 then three zero lanes.
-            let w: SimWord<4> = set.input_word_wide(input, 1);
+            let w = set.input_word_wide(input, 1);
             assert_eq!(w.lane(0), set.input_word(input, 4));
             assert_eq!(w.lane(1), 0);
             assert_eq!(w.lane(3), 0);
         }
-        let m: SimWord<4> = set.valid_mask_wide(1);
-        assert_eq!(m.lane(0), set.valid_mask(4)); // 300 % 64 = 44 bits
-        assert_eq!(m.lane(1), 0);
-        let m: SimWord<8> = set.valid_mask_wide(0);
-        for k in 0..5 {
+        let m = set.valid_mask_wide(0);
+        for k in 0..4 {
             assert_eq!(m.lane(k), set.valid_mask(k));
         }
-        for k in 5..8 {
+        let m = set.valid_mask_wide(1);
+        assert_eq!(m.lane(0), set.valid_mask(4)); // 300 % 64 = 44 bits
+        for k in 1..4 {
             assert_eq!(m.lane(k), 0);
         }
-    }
-
-    #[test]
-    fn text_roundtrip() {
-        let set = PatternSet::random(7, 33, 5);
-        let text = set.to_text();
-        let back = PatternSet::from_text(7, &text).unwrap();
-        assert_eq!(set, back);
-    }
-
-    #[test]
-    fn text_parsing_skips_comments_and_blanks() {
-        let text = "# test set\n101\n\n 010  # trailing\n";
-        let set = PatternSet::from_text(3, text).unwrap();
-        assert_eq!(set.len(), 2);
-        assert_eq!(set.get(0).value(), Some(5));
-        assert_eq!(set.get(1).value(), Some(2));
-    }
-
-    #[test]
-    fn text_parsing_rejects_bad_lines() {
-        assert!(PatternSet::from_text(3, "10")
-            .unwrap_err()
-            .contains("expected 3 bits"));
-        assert!(PatternSet::from_text(2, "1x")
-            .unwrap_err()
-            .contains("invalid character"));
     }
 }

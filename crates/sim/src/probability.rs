@@ -10,7 +10,7 @@
 //! approximate under reconvergence), and a sampling estimator using the
 //! bit-parallel simulator (asymptotically exact everywhere).
 
-use adi_netlist::{CompiledCircuit, GateKind, Netlist, NodeId};
+use adi_netlist::{CompiledCircuit, GateKind, Netlist};
 
 use crate::logic::PosGood;
 use crate::PatternSet;
@@ -105,21 +105,6 @@ pub fn sampled_probabilities_for(
         .collect()
 }
 
-/// Nodes whose signal probability is within `epsilon` of constant 0 or 1
-/// — the classic random-pattern-resistant sites (their stuck-at faults at
-/// the dominant value are hard to excite, those at the rare value hard to
-/// propagate).
-pub fn near_constant_nodes(netlist: &Netlist, epsilon: f64) -> Vec<NodeId> {
-    let p = independent_probabilities(netlist);
-    netlist
-        .node_ids()
-        .filter(|n| {
-            let q = p[n.index()];
-            q <= epsilon || q >= 1.0 - epsilon
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,25 +160,6 @@ y = XOR(t, u)
         let y = n.find_node("y").unwrap();
         assert!((exact[y.index()] - 0.25).abs() < 1e-12);
         assert_eq!(sampled[y.index()], 0.0);
-    }
-
-    #[test]
-    fn near_constant_detection() {
-        // A wide AND is a classic random-pattern-resistant site.
-        let src = "
-INPUT(a)
-INPUT(b)
-INPUT(c)
-INPUT(d)
-INPUT(e)
-OUTPUT(y)
-y = AND(a, b, c, d, e)
-";
-        let n = bench_format::parse(src, "wide").unwrap();
-        let rpr = near_constant_nodes(&n, 0.05);
-        let y = n.find_node("y").unwrap();
-        assert!(rpr.contains(&y)); // p = 1/32
-        assert_eq!(rpr.len(), 1);
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //! walk *per active fault* per test; with thousands of active faults
 //! early in a run, the cone walks dominate end-to-end ATPG time.
 //!
-//! [`DropSession`] batches the generated tests into wide pattern blocks
-//! (`N * 64` lanes for a [`SimWord<N>`] session; the default `N = 1`
-//! keeps the classic 64-wide block) and runs the detection through the
-//! stem-region engine, while preserving the scalar loop's semantics
+//! [`DropSession`] batches the generated tests into one pending block
+//! of up to 256 lanes (one [`SimWord`]) and runs the detection through
+//! the stem-region engine, while preserving the scalar loop's semantics
 //! **exactly**:
 //!
 //! * [`DropSession::push`] appends a generated test as the next lane of
@@ -37,11 +36,7 @@
 //!   it, in the order the scalar loop would have reported. Only that
 //!   first lane matters, so each region's walk retires every lane no
 //!   fault of the region still needs: a fault needs only its lanes
-//!   below its lowest observed one. With
-//!   [`with_threads`](DropSession::with_threads) the flush detection is
-//!   split region-parallel across threads (disjoint faults per thread,
-//!   merged without locks) — same results, useful when wide blocks make
-//!   single flushes heavy.
+//!   below its lowest observed one.
 //!
 //! Detection of a fault by a pattern does not depend on which other
 //! faults have been dropped, so deferring the bookkeeping to the flush
@@ -61,11 +56,7 @@ use crate::Pattern;
 /// tests, bit-identical to the scalar
 /// [`detect_pattern`](crate::FaultSimulator::detect_pattern) loop.
 ///
-/// The const parameter `N` is the lane count of the session's
-/// [`SimWord`]: the pending block holds up to `N * 64` tests. The
-/// default `N = 1` is the classic 64-wide block; the batched ATPG
-/// driver instantiates the width its
-/// [`TestGenConfig`](../../adi_atpg/struct.TestGenConfig.html) asks for.
+/// The pending block is one [`SimWord`]: it holds up to 256 tests.
 ///
 /// # Examples
 ///
@@ -79,7 +70,7 @@ use crate::Pattern;
 /// let faults = circuit.collapsed_faults();
 /// let active: Vec<FaultId> = faults.ids().collect();
 ///
-/// let mut session: DropSession = DropSession::for_circuit(&circuit, faults);
+/// let mut session = DropSession::for_circuit(&circuit, faults);
 /// session.push(&Pattern::new(vec![true, true]));   // lane 0: detects the s-a-0 class
 /// session.push(&Pattern::new(vec![false, true]));  // lane 1: detects a/1 and y/1
 /// let per_test = session.flush(&active);
@@ -90,28 +81,22 @@ use crate::Pattern;
 /// # }
 /// ```
 #[derive(Clone, Debug)]
-pub struct DropSession<'a, const N: usize = 1> {
+pub struct DropSession<'a> {
     stem: StemRegionEngine<'a>,
     /// Stem-region block scratch; `scratch.good` always holds the good
     /// words of the pending block, and its walk buffers also serve
     /// [`covers`](Self::covers) and
     /// [`pending_detections`](Self::pending_detections).
-    scratch: StemScratch<N>,
+    scratch: StemScratch,
     /// Packed input words of the pending block, one per primary input.
-    lane_words: Vec<SimWord<N>>,
+    lane_words: Vec<SimWord>,
     /// Number of pending lanes (tests pushed since the last flush).
     lanes: u32,
-    /// Threads the flush detection splits across (region-parallel),
-    /// at most one per fault region.
-    threads: usize,
-    /// The weight-balanced group chunks those threads pull from, when
-    /// there are at least two of them.
-    chunks: Vec<(usize, usize)>,
     /// Active flags by fault id, populated transiently per flush.
     active_flags: Vec<bool>,
     /// Per-fault detection words of the current flush, exact in their
     /// lowest lane only.
-    words: Vec<SimWord<N>>,
+    words: Vec<SimWord>,
     /// Sensitization path marking used by flushes: the engine's
     /// whole-fault-list marking initially, lazily rebuilt for just the
     /// still-active faults as the active set shrinks (the late-ATPG
@@ -125,7 +110,7 @@ pub struct DropSession<'a, const N: usize = 1> {
     sens_covered_count: usize,
 }
 
-impl<'a, const N: usize> DropSession<'a, N> {
+impl<'a> DropSession<'a> {
     /// Creates a session for `faults` of `circuit`, reusing the
     /// compilation's levelized view, FFR decomposition and, for its own
     /// fault lists, fault-region index.
@@ -142,8 +127,6 @@ impl<'a, const N: usize> DropSession<'a, N> {
             scratch,
             lane_words: vec![SimWord::ZERO; circuit.view().inputs().len()],
             lanes: 0,
-            threads: 1,
-            chunks: Vec::new(),
             active_flags: vec![false; faults.len()],
             words: vec![SimWord::ZERO; faults.len()],
             sens_active,
@@ -152,29 +135,10 @@ impl<'a, const N: usize> DropSession<'a, N> {
         }
     }
 
-    /// Returns the session with its flush detection split across
-    /// `threads` OS threads, region-parallel (builder style). Results
-    /// are identical at every thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "at least one thread required");
-        self.threads = threads.min(self.stem.num_fault_regions()).max(1);
-        self.chunks = if self.threads > 1 {
-            self.stem.chunk_group_ranges(self.threads * 4)
-        } else {
-            Vec::new()
-        };
-        self
-    }
-
-    /// Lane capacity of the pending block (`N * 64`).
+    /// Lane capacity of the pending block (256).
     #[inline]
     pub fn capacity(&self) -> usize {
-        N * 64
+        SimWord::BITS
     }
 
     /// Number of tests pushed since the last flush.
@@ -188,11 +152,11 @@ impl<'a, const N: usize> DropSession<'a, N> {
     /// [`flush`](Self::flush) first.
     #[inline]
     pub fn is_full(&self) -> bool {
-        self.lanes as usize == N * 64
+        self.lanes as usize == SimWord::BITS
     }
 
     #[inline]
-    fn lane_mask(&self) -> SimWord<N> {
+    fn lane_mask(&self) -> SimWord {
         SimWord::low_mask(self.lanes as usize)
     }
 
@@ -205,7 +169,7 @@ impl<'a, const N: usize> DropSession<'a, N> {
     /// the circuit.
     pub fn push(&mut self, pattern: &Pattern) {
         assert!(
-            (self.lanes as usize) < N * 64,
+            (self.lanes as usize) < SimWord::BITS,
             "pending block full: flush before pushing"
         );
         let view = self.stem.view();
@@ -233,7 +197,7 @@ impl<'a, const N: usize> DropSession<'a, N> {
     /// To ask only whether some pending test detects `fault`, use
     /// [`covers`](Self::covers), whose walk stops at the first observed
     /// lane.
-    pub fn pending_detections(&mut self, fault: FaultId) -> SimWord<N> {
+    pub fn pending_detections(&mut self, fault: FaultId) -> SimWord {
         if self.lanes == 0 {
             return SimWord::ZERO;
         }
@@ -288,62 +252,16 @@ impl<'a, const N: usize> DropSession<'a, N> {
             active_flags,
             words,
             sens_active,
-            threads,
-            chunks,
             ..
         } = self;
         for &id in active {
             active_flags[id.index()] = true;
         }
         words.fill(SimWord::ZERO);
-        let threads = *threads;
-        if threads > 1 {
-            // Work-stealing region-parallel flush: weight-balanced group
-            // chunks pulled from a shared cursor read the shared good
-            // words of the pending block; the (fault, word) hits are
-            // merged serially (every fault lives in exactly one chunk,
-            // so order within and across buckets is irrelevant).
-            let good: &[SimWord<N>] = &scratch.good;
-            let chunks: &[(usize, usize)] = chunks;
-            let cursor = std::sync::atomic::AtomicUsize::new(0);
-            let flags: &[bool] = active_flags;
-            let marking: &[bool] = sens_active;
-            let stem_ref: &StemRegionEngine<'_> = stem;
-            let mut buckets: Vec<Vec<(u32, SimWord<N>)>> = Vec::with_capacity(threads);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(threads);
-                for _ in 0..threads {
-                    let cursor = &cursor;
-                    handles.push(scope.spawn(move || {
-                        let mut out = Vec::new();
-                        stem_ref.detect_chunks_shared_good(
-                            chunks,
-                            cursor,
-                            mask,
-                            good,
-                            marking,
-                            Some(flags),
-                            Need::First,
-                            &mut out,
-                        );
-                        out
-                    }));
-                }
-                for h in handles {
-                    buckets.push(h.join().expect("flush worker panicked"));
-                }
-            });
-            for bucket in buckets {
-                for (fault, word) in bucket {
-                    words[fault as usize] = word;
-                }
-            }
-        } else {
-            stem.prepare_block_with(scratch, sens_active);
-            stem.for_each_detection(mask, scratch, Some(active_flags), Need::First, |fault, word| {
-                words[fault as usize] = word;
-            });
-        }
+        stem.prepare_block_with(scratch, sens_active);
+        stem.for_each_detection(mask, scratch, Some(active_flags), Need::First, |fault, word| {
+            words[fault as usize] = word;
+        });
         for &id in active {
             active_flags[id.index()] = false;
         }
@@ -433,14 +351,12 @@ G23 = NAND(G16, G19)
 
     /// Drives a session over the whole pattern set with flush-when-full,
     /// returning the concatenated per-test drop lists.
-    fn session_drop_lists<const N: usize>(
+    fn session_drop_lists(
         circuit: &CompiledCircuit,
         faults: &FaultList,
         patterns: &PatternSet,
-        threads: usize,
     ) -> Vec<Vec<FaultId>> {
-        let mut session =
-            DropSession::<N>::for_circuit(circuit, faults).with_threads(threads);
+        let mut session = DropSession::for_circuit(circuit, faults);
         let mut active: Vec<FaultId> = faults.ids().collect();
         let mut got: Vec<Vec<FaultId>> = Vec::new();
         for p in 0..patterns.len() {
@@ -459,33 +375,48 @@ G23 = NAND(G16, G19)
 
     #[test]
     fn flush_matches_scalar_loop_exactly() {
+        // 150 patterns fill a partial block only; 600 flush two full
+        // 256-lane blocks and then a partial one.
         let circuit = c17();
         let faults = circuit.full_faults();
-        let patterns = PatternSet::random(5, 150, 42);
-        let expected = scalar_drop_lists(&circuit, faults, &patterns);
-        assert_eq!(session_drop_lists::<1>(&circuit, faults, &patterns, 1), expected);
+        for count in [150, 600] {
+            let patterns = PatternSet::random(5, count, 42);
+            let expected = scalar_drop_lists(&circuit, faults, &patterns);
+            assert_eq!(session_drop_lists(&circuit, faults, &patterns), expected, "{count}");
+        }
     }
 
     #[test]
     fn wide_and_threaded_sessions_match_scalar_loop() {
-        // 150 patterns: the 4-lane session flushes one full 256-lane
-        // block never, the 2-lane one once — exercising partial blocks
-        // at every width, with and without region-parallel flushes.
-        let circuit = c17();
-        let faults = circuit.full_faults();
-        let patterns = PatternSet::random(5, 150, 42);
-        let expected = scalar_drop_lists(&circuit, faults, &patterns);
-        assert_eq!(session_drop_lists::<2>(&circuit, faults, &patterns, 1), expected);
-        assert_eq!(session_drop_lists::<4>(&circuit, faults, &patterns, 1), expected);
-        assert_eq!(session_drop_lists::<8>(&circuit, faults, &patterns, 1), expected);
-        assert_eq!(session_drop_lists::<1>(&circuit, faults, &patterns, 4), expected);
-        assert_eq!(session_drop_lists::<4>(&circuit, faults, &patterns, 4), expected);
+        // 600 patterns flush two full 256-lane blocks and a partial one.
+        // Four sessions per circuit run on their own threads at once,
+        // sharing one compilation and so racing to build its memoized
+        // fault region index; each must still match the scalar loop.
+        let mut circuits = vec![c17()];
+        circuits.extend((0..3).map(|seed| {
+            CompiledCircuit::compile(random_netlist(seed, 7, 60 + 20 * seed as usize))
+        }));
+        for circuit in &circuits {
+            let faults = circuit.full_faults();
+            let inputs = circuit.netlist().num_inputs();
+            let patterns = PatternSet::random(inputs, 600, 42);
+            let expected = scalar_drop_lists(circuit, faults, &patterns);
+            std::thread::scope(|s| {
+                let runs: Vec<_> = (0..4)
+                    .map(|_| s.spawn(|| session_drop_lists(circuit, faults, &patterns)))
+                    .collect();
+                for run in runs {
+                    let name = circuit.netlist().name();
+                    assert_eq!(run.join().unwrap(), expected, "{name}");
+                }
+            });
+        }
     }
 
     /// After each of 40 pushes, every fault's pending word must equal
     /// the scalar per-pattern verdicts of the tests pushed so far, and
     /// `covers` must say whether that word is non-zero.
-    fn pending_detections_match_w<const N: usize>(circuit: &CompiledCircuit) {
+    fn pending_detections_match(circuit: &CompiledCircuit) {
         const LANES: usize = 40;
         let faults = circuit.full_faults();
         let patterns = PatternSet::random(circuit.netlist().num_inputs(), LANES, 5);
@@ -495,8 +426,8 @@ G23 = NAND(G16, G19)
         let scalar: Vec<Vec<FaultId>> = (0..LANES)
             .map(|p| sim.detect_pattern(&patterns.get(p), &all, &mut scratch))
             .collect();
-        let mut session = DropSession::<N>::for_circuit(circuit, faults);
-        let mut expect = vec![SimWord::<N>::ZERO; faults.len()];
+        let mut session = DropSession::for_circuit(circuit, faults);
+        let mut expect = vec![SimWord::ZERO; faults.len()];
         for (p, detected) in scalar.iter().enumerate() {
             session.push(&patterns.get(p));
             for id in detected {
@@ -504,7 +435,7 @@ G23 = NAND(G16, G19)
             }
             for id in faults.ids() {
                 let name = circuit.netlist().name();
-                let label = format!("{name} W{N} {} pending, fault {id}", p + 1);
+                let label = format!("{name} {} pending, fault {id}", p + 1);
                 assert_eq!(session.pending_detections(id), expect[id.index()], "{label}");
                 assert_eq!(session.covers(id), !expect[id.index()].is_zero(), "{label}");
             }
@@ -518,31 +449,29 @@ G23 = NAND(G16, G19)
             CompiledCircuit::compile(random_netlist(seed, 7, 50 + 15 * seed as usize))
         }));
         for circuit in &circuits {
-            pending_detections_match_w::<1>(circuit);
-            pending_detections_match_w::<4>(circuit);
-            pending_detections_match_w::<8>(circuit);
+            pending_detections_match(circuit);
         }
     }
 
     #[test]
     fn wide_pending_detections_cross_lane_boundaries() {
-        // Push past lane 64 of a 2-lane session so pending detections
-        // must read the second u64 lane.
+        // Push past lane 192 so pending detections must read every u64
+        // lane of the word.
         let circuit = c17();
         let faults = circuit.collapsed_faults();
-        let patterns = PatternSet::random(5, 100, 17);
+        let patterns = PatternSet::random(5, 200, 17);
         let sim = FaultSimulator::for_circuit(&circuit, faults);
         let mut scratch = crate::faultsim::SimScratch::for_circuit(&circuit);
 
-        let mut session = DropSession::<2>::for_circuit(&circuit, faults);
-        for p in 0..100 {
+        let mut session = DropSession::for_circuit(&circuit, faults);
+        for p in 0..200 {
             session.push(&patterns.get(p));
         }
-        assert_eq!(session.pending(), 100);
-        assert_eq!(session.capacity(), 128);
+        assert_eq!(session.pending(), 200);
+        assert_eq!(session.capacity(), 256);
         for id in faults.ids() {
             let word = session.pending_detections(id);
-            for p in [0usize, 63, 64, 65, 99] {
+            for p in [0usize, 63, 64, 65, 127, 128, 191, 192, 199] {
                 let scalar = sim
                     .detect_pattern(&patterns.get(p), &[id], &mut scratch)
                     .contains(&id);
@@ -555,7 +484,7 @@ G23 = NAND(G16, G19)
     fn empty_flush_is_a_noop() {
         let circuit = c17();
         let faults = circuit.collapsed_faults();
-        let mut session: DropSession = DropSession::for_circuit(&circuit, faults);
+        let mut session = DropSession::for_circuit(&circuit, faults);
         let active: Vec<FaultId> = faults.ids().collect();
         assert_eq!(session.pending(), 0);
         assert!(session.flush(&active).is_empty());
@@ -567,15 +496,16 @@ G23 = NAND(G16, G19)
     fn full_block_boundary() {
         let circuit = c17();
         let faults = circuit.collapsed_faults();
-        let patterns = PatternSet::random(5, 64, 7);
-        let mut session: DropSession = DropSession::for_circuit(&circuit, faults);
-        for p in 0..64 {
+        let patterns = PatternSet::random(5, 256, 7);
+        let mut session = DropSession::for_circuit(&circuit, faults);
+        for p in 0..256 {
+            assert!(!session.is_full());
             session.push(&patterns.get(p));
         }
         assert!(session.is_full());
         let active: Vec<FaultId> = faults.ids().collect();
         let lists = session.flush(&active);
-        assert_eq!(lists.len(), 64);
+        assert_eq!(lists.len(), 256);
         assert_eq!(session.pending(), 0);
         assert_eq!(lists, scalar_drop_lists(&circuit, faults, &patterns));
     }
@@ -589,13 +519,13 @@ G23 = NAND(G16, G19)
         let patterns = PatternSet::random(5, 200, 11);
         let expected = scalar_drop_lists(&circuit, faults, &patterns);
 
-        let mut session: DropSession = DropSession::for_circuit(&circuit, faults);
+        let mut session = DropSession::for_circuit(&circuit, faults);
         let mut active: Vec<FaultId> = faults.ids().collect();
         let mut got: Vec<Vec<FaultId>> = Vec::new();
         for p in 0..patterns.len() {
             session.push(&patterns.get(p));
             // Flush after every push: the active set shrinks while
-            // blocks stay 1-wide, maximizing rebuild churn.
+            // blocks hold one test, maximizing rebuild churn.
             let lists = session.flush(&active);
             for detected in &lists {
                 active.retain(|id| !detected.contains(id));
@@ -620,7 +550,7 @@ G23 = NAND(G16, G19)
         let all: Vec<FaultId> = faults.ids().collect();
         let few: Vec<FaultId> = faults.ids().take(2).collect();
 
-        let mut session: DropSession = DropSession::for_circuit(&circuit, faults);
+        let mut session = DropSession::for_circuit(&circuit, faults);
         session.push(&patterns.get(3));
         let _ = session.flush(&few); // shrink the marking
         session.push(&patterns.get(3));
@@ -637,7 +567,7 @@ G23 = NAND(G16, G19)
     fn width_mismatch_panics() {
         let circuit = c17();
         let faults = circuit.collapsed_faults();
-        let mut session: DropSession = DropSession::for_circuit(&circuit, faults);
+        let mut session = DropSession::for_circuit(&circuit, faults);
         session.push(&Pattern::new(vec![true]));
     }
 }

@@ -1,4 +1,4 @@
-//! Two-level stem-region fault simulation on configurable-width words.
+//! Two-level stem-region fault simulation on 256-pattern words.
 //!
 //! The per-fault PPSFP engine pays one event-driven cone propagation *per
 //! fault* per 64-pattern block. This module collapses that to one
@@ -45,12 +45,10 @@
 //!
 //! Two further multipliers sit on top of the two-level scheme:
 //!
-//! * **Wide words.** Every per-superblock kernel is generic over
-//!   [`SimWord<N>`] (`N` ∈ {1, 2, 4, 8} lanes, selected at runtime by
-//!   [`SimWidth`] — see the [`word`](crate::word) module for the
-//!   dispatch strategy). A superblock is `N` consecutive 64-pattern
+//! * **Wide words.** Every per-superblock kernel runs on a [`SimWord`]
+//!   of four 64-bit lanes. A superblock is four consecutive 64-pattern
 //!   blocks, so one sensitization sweep and one observability walk
-//!   serve `N * 64` patterns.
+//!   serve 256 patterns.
 //! * **Two-dimensional parallelism.** The block-parallel split carves
 //!   the superblock range across threads (best when there are plenty of
 //!   blocks); the region-parallel split carves the *stem-region groups*
@@ -61,7 +59,7 @@
 //!   picks automatically; both variants are also exposed directly.
 //!
 //! The combination is bit-identical to per-fault simulation at every
-//! width and thread count (asserted by differential tests against both
+//! thread count (asserted by differential tests against both
 //! the per-fault [`reference`](mod@crate::reference) and a scalar
 //! brute-force oracle) while the
 //! expensive cone walk is paid once per stem with a non-zero difference
@@ -87,7 +85,7 @@ const CHUNKS_PER_THREAD: usize = 4;
 
 use crate::faultsim::{DropOutcome, NDetectOutcome};
 use crate::logic::{self, eval_with_pos_w};
-use crate::word::{SimWord, SimWidth};
+use crate::word::SimWord;
 use crate::{DetectionMatrix, PatternSet};
 
 /// The two-level stem-region fault-simulation engine for one compiled
@@ -99,21 +97,17 @@ use crate::{DetectionMatrix, PatternSet};
 /// builds the index once per list and shares it with every engine after.
 /// Any other list gets its index built with the engine.
 ///
-/// The engine carries a [`SimWidth`] (default: the process-wide
-/// environment default) selecting the lane count of every simulation;
-/// all widths produce bit-identical results.
-///
 /// # Examples
 ///
 /// ```
 /// use adi_netlist::{bench_format, CompiledCircuit};
-/// use adi_sim::{stem::StemRegionEngine, PatternSet, SimWidth};
+/// use adi_sim::{stem::StemRegionEngine, PatternSet};
 ///
 /// # fn main() -> Result<(), adi_netlist::NetlistError> {
 /// let n = bench_format::parse("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n", "and2")?;
 /// let circuit = CompiledCircuit::compile(n);
 /// let faults = circuit.collapsed_faults();
-/// let engine = StemRegionEngine::for_circuit(&circuit, faults).with_width(SimWidth::W4);
+/// let engine = StemRegionEngine::for_circuit(&circuit, faults);
 /// let matrix = engine.no_drop_matrix(&PatternSet::exhaustive(2));
 /// assert_eq!(matrix.num_detected_faults(), faults.len());
 /// # Ok(())
@@ -126,32 +120,29 @@ pub struct StemRegionEngine<'a> {
     /// The fault list grouped by FFR root, with its sensitization path
     /// marks and the per-position readers.
     regions: Arc<FaultRegionIndex>,
-    /// Simulation word width every drive mode runs at.
-    width: SimWidth,
 }
 
-/// Reusable per-superblock buffers for the stem-region engine, generic
-/// over the lane count.
+/// Reusable per-superblock buffers for the stem-region engine.
 #[derive(Clone, Debug)]
-pub(crate) struct StemScratch<const N: usize> {
+pub(crate) struct StemScratch {
     /// Good-machine words by position.
-    pub(crate) good: Vec<SimWord<N>>,
+    pub(crate) good: Vec<SimWord>,
     /// Sensitization-to-root words by position.
-    sens: Vec<SimWord<N>>,
+    sens: Vec<SimWord>,
     /// Packed input words for the current superblock.
-    input_words: Vec<SimWord<N>>,
+    input_words: Vec<SimWord>,
     /// Buffers of one region's walk.
-    region: RegionScratch<N>,
+    region: RegionScratch,
 }
 
 /// Buffers of one region's detection ([`StemRegionEngine::walk_region`]):
 /// the fault-effect walk and the region's stem-difference words.
 #[derive(Clone, Debug)]
-struct RegionScratch<const N: usize> {
-    walk: EffectWalk<N>,
+struct RegionScratch {
+    walk: EffectWalk,
     /// `(fault, stem-difference word)` of the current region's wanted
     /// faults whose word is non-zero, in fault-id order.
-    rds: Vec<(u32, SimWord<N>)>,
+    rds: Vec<(u32, SimWord)>,
 }
 
 /// What a drive mode still needs from a region's walk: given the lanes
@@ -172,7 +163,7 @@ pub(crate) enum Need<'c> {
 impl Need<'_> {
     /// The lanes of the difference words `rds` that some fault still
     /// needs once the lanes of `observed` are known to be detecting.
-    fn lanes<const N: usize>(self, rds: &[(u32, SimWord<N>)], observed: SimWord<N>) -> SimWord<N> {
+    fn lanes(self, rds: &[(u32, SimWord)], observed: SimWord) -> SimWord {
         let mut need = SimWord::ZERO;
         match self {
             Need::Every => return SimWord::ONES,
@@ -200,11 +191,11 @@ impl Need<'_> {
 
 /// Reusable buffers of the fault-effect walk ([`EffectWalk::run`]).
 #[derive(Clone, Debug)]
-struct EffectWalk<const N: usize> {
+struct EffectWalk {
     /// Faulty-machine words, valid only where `stamp` holds the current
     /// walk's `version`; everywhere else the faulty machine equals the
     /// good one.
-    faulty: Vec<SimWord<N>>,
+    faulty: Vec<SimWord>,
     stamp: Vec<u32>,
     version: u32,
     /// Pending evaluations: bit `p % 64` of word `p / 64` schedules
@@ -212,7 +203,7 @@ struct EffectWalk<const N: usize> {
     pending: Vec<u64>,
 }
 
-impl<const N: usize> StemScratch<N> {
+impl StemScratch {
     pub(crate) fn new(view: &LevelizedCsr) -> Self {
         let n = view.num_nodes();
         StemScratch {
@@ -232,7 +223,7 @@ impl<const N: usize> StemScratch<N> {
     }
 }
 
-impl<const N: usize> EffectWalk<N> {
+impl EffectWalk {
     /// Propagates a fault effect from `start` through its fanout cone
     /// and returns lanes in which it reaches a primary output.
     ///
@@ -255,11 +246,11 @@ impl<const N: usize> EffectWalk<N> {
     fn run(
         &mut self,
         view: &LevelizedCsr,
-        good: &[SimWord<N>],
+        good: &[SimWord],
         start: usize,
-        seed: SimWord<N>,
-        mut need: impl FnMut(SimWord<N>) -> SimWord<N>,
-    ) -> SimWord<N> {
+        seed: SimWord,
+        mut need: impl FnMut(SimWord) -> SimWord,
+    ) -> SimWord {
         if seed.is_zero() || !view.reaches_output(start) {
             return SimWord::ZERO;
         }
@@ -346,22 +337,7 @@ impl<'a> StemRegionEngine<'a> {
             circuit: circuit.clone(),
             faults,
             regions: circuit.fault_region_index(faults),
-            width: SimWidth::default(),
         }
-    }
-
-    /// Returns the engine with its simulation word width set to `width`
-    /// (builder style). All widths are bit-identical; wider words
-    /// amortize the per-superblock sweeps and walks over more patterns.
-    #[must_use]
-    pub fn with_width(mut self, width: SimWidth) -> Self {
-        self.width = width;
-        self
-    }
-
-    /// The simulation word width every drive mode runs at.
-    pub fn width(&self) -> SimWidth {
-        self.width
     }
 
     /// The levelized view the engine runs on.
@@ -381,31 +357,22 @@ impl<'a> StemRegionEngine<'a> {
     }
 
     /// Simulates every fault under every pattern **without dropping**,
-    /// bit-identical to the per-fault engine's matrix at every width.
+    /// bit-identical to the per-fault engine's matrix.
     ///
     /// # Panics
     ///
     /// Panics if the pattern width does not match the circuit.
     pub fn no_drop_matrix(&self, patterns: &PatternSet) -> DetectionMatrix {
-        match self.width {
-            SimWidth::W1 => self.no_drop_matrix_w::<1>(patterns),
-            SimWidth::W2 => self.no_drop_matrix_w::<2>(patterns),
-            SimWidth::W4 => self.no_drop_matrix_w::<4>(patterns),
-            SimWidth::W8 => self.no_drop_matrix_w::<8>(patterns),
-        }
-    }
-
-    fn no_drop_matrix_w<const N: usize>(&self, patterns: &PatternSet) -> DetectionMatrix {
         static SPAN_NO_DROP: SpanSite = SpanSite::new("sim.no_drop");
         static SPAN_BLOCK: SpanSite = SpanSite::new("sim.block");
         let _span = SPAN_NO_DROP.enter();
         self.assert_width(patterns);
         let mut matrix = DetectionMatrix::new(self.faults.len(), patterns.len());
-        let mut scratch = StemScratch::<N>::new(self.view());
-        for sb in 0..patterns.num_superblocks(N) {
+        let mut scratch = StemScratch::new(self.view());
+        for sb in 0..patterns.num_superblocks() {
             let _block_span = SPAN_BLOCK.enter();
             self.sim_superblock(patterns, sb, &mut scratch);
-            let mask = patterns.valid_mask_wide::<N>(sb);
+            let mask = patterns.valid_mask_wide(sb);
             self.for_each_detection(mask, &mut scratch, None, Need::Every, |fault, word| {
                 or_word_wide(&mut matrix, fault, sb, word);
             });
@@ -435,7 +402,7 @@ impl<'a> StemRegionEngine<'a> {
         if threads == 1 {
             return self.no_drop_matrix(patterns);
         }
-        let n_superblocks = patterns.num_superblocks(self.width.lanes());
+        let n_superblocks = patterns.num_superblocks();
         if n_superblocks >= threads {
             self.no_drop_matrix_block_parallel(patterns, threads)
         } else {
@@ -456,30 +423,17 @@ impl<'a> StemRegionEngine<'a> {
         threads: usize,
     ) -> DetectionMatrix {
         assert!(threads > 0, "at least one thread required");
-        match self.width {
-            SimWidth::W1 => self.block_parallel_w::<1>(patterns, threads),
-            SimWidth::W2 => self.block_parallel_w::<2>(patterns, threads),
-            SimWidth::W4 => self.block_parallel_w::<4>(patterns, threads),
-            SimWidth::W8 => self.block_parallel_w::<8>(patterns, threads),
-        }
-    }
-
-    fn block_parallel_w<const N: usize>(
-        &self,
-        patterns: &PatternSet,
-        threads: usize,
-    ) -> DetectionMatrix {
         self.assert_width(patterns);
-        let n_superblocks = patterns.num_superblocks(N);
+        let n_superblocks = patterns.num_superblocks();
         let threads = threads.min(n_superblocks.max(1));
         if threads <= 1 {
-            return self.no_drop_matrix_w::<N>(patterns);
+            return self.no_drop_matrix(patterns);
         }
         let n_faults = self.faults.len();
         let chunk = n_superblocks.div_ceil(threads);
         // Each thread fills a fault-major stripe over its superblock
         // range; stripes are scattered into the matrix afterwards.
-        let mut stripes: Vec<(usize, Vec<SimWord<N>>)> = Vec::with_capacity(threads);
+        let mut stripes: Vec<(usize, Vec<SimWord>)> = Vec::with_capacity(threads);
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(threads);
             for t in 0..threads {
@@ -490,11 +444,11 @@ impl<'a> StemRegionEngine<'a> {
                 }
                 handles.push(scope.spawn(move || {
                     let len = b1 - b0;
-                    let mut local = vec![SimWord::<N>::ZERO; n_faults * len];
-                    let mut scratch = StemScratch::<N>::new(self.view());
+                    let mut local = vec![SimWord::ZERO; n_faults * len];
+                    let mut scratch = StemScratch::new(self.view());
                     for sb in b0..b1 {
                         self.sim_superblock(patterns, sb, &mut scratch);
-                        let mask = patterns.valid_mask_wide::<N>(sb);
+                        let mask = patterns.valid_mask_wide(sb);
                         let off = sb - b0;
                         self.for_each_detection(
                             mask,
@@ -544,25 +498,12 @@ impl<'a> StemRegionEngine<'a> {
         threads: usize,
     ) -> DetectionMatrix {
         assert!(threads > 0, "at least one thread required");
-        match self.width {
-            SimWidth::W1 => self.region_parallel_w::<1>(patterns, threads),
-            SimWidth::W2 => self.region_parallel_w::<2>(patterns, threads),
-            SimWidth::W4 => self.region_parallel_w::<4>(patterns, threads),
-            SimWidth::W8 => self.region_parallel_w::<8>(patterns, threads),
-        }
-    }
-
-    fn region_parallel_w<const N: usize>(
-        &self,
-        patterns: &PatternSet,
-        threads: usize,
-    ) -> DetectionMatrix {
         self.assert_width(patterns);
-        let n_superblocks = patterns.num_superblocks(N);
+        let n_superblocks = patterns.num_superblocks();
         let n_groups = self.regions.num_groups();
         let threads = threads.min(n_groups.max(1));
         if threads <= 1 || n_superblocks == 0 {
-            return self.no_drop_matrix_w::<N>(patterns);
+            return self.no_drop_matrix(patterns);
         }
         let n_pos = self.view().num_nodes();
         let n_faults = self.faults.len();
@@ -570,12 +511,12 @@ impl<'a> StemRegionEngine<'a> {
         // Phase 1: the shared good machine, superblock-major. The
         // superblock ranges are disjoint slices, so this phase is
         // embarrassingly parallel too.
-        let mut good_all = vec![SimWord::<N>::ZERO; n_pos * n_superblocks];
+        let mut good_all = vec![SimWord::ZERO; n_pos * n_superblocks];
         let sb_chunk = n_superblocks.div_ceil(threads);
         std::thread::scope(|scope| {
             for (ci, chunk) in good_all.chunks_mut(n_pos * sb_chunk).enumerate() {
                 scope.spawn(move || {
-                    let mut input_words = vec![SimWord::<N>::ZERO; self.view().inputs().len()];
+                    let mut input_words = vec![SimWord::ZERO; self.view().inputs().len()];
                     for (off, out) in chunk.chunks_mut(n_pos).enumerate() {
                         let sb = ci * sb_chunk + off;
                         logic::load_input_words_w(patterns, sb, &mut input_words);
@@ -593,16 +534,16 @@ impl<'a> StemRegionEngine<'a> {
         // and the final scatter is order-independent.
         let chunks = self.chunk_group_ranges(threads * CHUNKS_PER_THREAD);
         let cursor = AtomicUsize::new(0);
-        let good_ref: &[SimWord<N>] = &good_all;
-        let mut hit_lists: Vec<Vec<(u32, u32, SimWord<N>)>> = Vec::with_capacity(threads);
+        let good_ref: &[SimWord] = &good_all;
+        let mut hit_lists: Vec<Vec<(u32, u32, SimWord)>> = Vec::with_capacity(threads);
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(threads);
             for _ in 0..threads {
                 let cursor = &cursor;
                 let chunks = &chunks;
                 handles.push(scope.spawn(move || {
-                    let mut hits: Vec<(u32, u32, SimWord<N>)> = Vec::new();
-                    let mut scratch = StemScratch::<N>::new(self.view());
+                    let mut hits: Vec<(u32, u32, SimWord)> = Vec::new();
+                    let mut scratch = StemScratch::new(self.view());
                     let mut marking = Vec::new();
                     let mut ids: Vec<FaultId> = Vec::new();
                     loop {
@@ -622,7 +563,7 @@ impl<'a> StemRegionEngine<'a> {
                         for sb in 0..n_superblocks {
                             let good = &good_ref[sb * n_pos..(sb + 1) * n_pos];
                             self.prepare_sens(good, &mut scratch.sens, &marking);
-                            let mask = patterns.valid_mask_wide::<N>(sb);
+                            let mask = patterns.valid_mask_wide(sb);
                             let StemScratch { sens, region, .. } = &mut scratch;
                             self.detect_groups(
                                 g0,
@@ -660,7 +601,7 @@ impl<'a> StemRegionEngine<'a> {
     /// the thread count (several chunks per thread) is what turns the
     /// static split into a work-stealing one: a thread that lands on a
     /// cheap chunk simply takes another.
-    pub(crate) fn chunk_group_ranges(&self, chunks: usize) -> Vec<(usize, usize)> {
+    fn chunk_group_ranges(&self, chunks: usize) -> Vec<(usize, usize)> {
         let weights = self.group_weights();
         let n_groups = weights.len();
         let chunks = chunks.clamp(1, n_groups.max(1));
@@ -689,7 +630,7 @@ impl<'a> StemRegionEngine<'a> {
     /// Per-group work estimate: fault count plus the root's (capped)
     /// fanout-cone size, the two terms a group's detection cost grows
     /// with (one stem-difference word per fault, one observability walk
-    /// per root). Only the region-parallel splits read it.
+    /// per root). Only the region-parallel split reads it.
     fn group_weights(&self) -> Vec<u64> {
         // Fanout-cone size estimate per position (reverse-topological
         // accumulation; reconvergence double-counts, which is fine for a
@@ -711,31 +652,22 @@ impl<'a> StemRegionEngine<'a> {
     }
 
     /// Simulates with fault dropping, matching the per-fault engine's
-    /// [`DropOutcome`] exactly at every width.
+    /// [`DropOutcome`] exactly.
     ///
     /// # Panics
     ///
     /// Panics if the pattern width does not match the circuit.
     pub fn with_dropping(&self, patterns: &PatternSet) -> DropOutcome {
-        match self.width {
-            SimWidth::W1 => self.with_dropping_w::<1>(patterns),
-            SimWidth::W2 => self.with_dropping_w::<2>(patterns),
-            SimWidth::W4 => self.with_dropping_w::<4>(patterns),
-            SimWidth::W8 => self.with_dropping_w::<8>(patterns),
-        }
-    }
-
-    fn with_dropping_w<const N: usize>(&self, patterns: &PatternSet) -> DropOutcome {
         self.assert_width(patterns);
-        let mut scratch = StemScratch::<N>::new(self.view());
+        let mut scratch = StemScratch::new(self.view());
         let mut first: Vec<Option<u32>> = vec![None; self.faults.len()];
         let mut remaining = self.faults.len();
-        for sb in 0..patterns.num_superblocks(N) {
+        for sb in 0..patterns.num_superblocks() {
             if remaining == 0 {
                 break;
             }
             self.sim_superblock(patterns, sb, &mut scratch);
-            let mask = patterns.valid_mask_wide::<N>(sb);
+            let mask = patterns.valid_mask_wide(sb);
             let StemScratch { good, sens, region, .. } = &mut scratch;
             for g in 0..self.regions.num_groups() {
                 let wants = |f: u32| first[f as usize].is_none();
@@ -747,7 +679,7 @@ impl<'a> StemRegionEngine<'a> {
                         // bit is the earliest detecting pattern — the
                         // same index the 64-bit loop reports.
                         first[fault as usize] =
-                            Some((sb * N * 64) as u32 + det.first_set_bit());
+                            Some((sb * SimWord::BITS) as u32 + det.first_set_bit());
                         remaining -= 1;
                     }
                 }
@@ -758,33 +690,23 @@ impl<'a> StemRegionEngine<'a> {
         }
     }
 
-    /// n-detection simulation, matching the per-fault engine exactly at
-    /// every width.
+    /// n-detection simulation, matching the per-fault engine exactly.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0` or the pattern width does not match.
     pub fn n_detect(&self, patterns: &PatternSet, n: u32) -> NDetectOutcome {
         assert!(n > 0, "n-detection requires n >= 1");
-        match self.width {
-            SimWidth::W1 => self.n_detect_w::<1>(patterns, n),
-            SimWidth::W2 => self.n_detect_w::<2>(patterns, n),
-            SimWidth::W4 => self.n_detect_w::<4>(patterns, n),
-            SimWidth::W8 => self.n_detect_w::<8>(patterns, n),
-        }
-    }
-
-    fn n_detect_w<const N: usize>(&self, patterns: &PatternSet, n: u32) -> NDetectOutcome {
         self.assert_width(patterns);
-        let mut scratch = StemScratch::<N>::new(self.view());
+        let mut scratch = StemScratch::new(self.view());
         let mut counts = vec![0u32; self.faults.len()];
         let mut remaining = self.faults.len();
-        for sb in 0..patterns.num_superblocks(N) {
+        for sb in 0..patterns.num_superblocks() {
             if remaining == 0 {
                 break;
             }
             self.sim_superblock(patterns, sb, &mut scratch);
-            let mask = patterns.valid_mask_wide::<N>(sb);
+            let mask = patterns.valid_mask_wide(sb);
             let StemScratch { good, sens, region, .. } = &mut scratch;
             for g in 0..self.regions.num_groups() {
                 // Saturated faults are dropped.
@@ -825,12 +747,7 @@ impl<'a> StemRegionEngine<'a> {
     /// Loads one superblock: good-machine sweep forward, then the
     /// sensitization sweep backward with the engine's whole-fault-list
     /// path marking.
-    fn sim_superblock<const N: usize>(
-        &self,
-        patterns: &PatternSet,
-        superblock: usize,
-        s: &mut StemScratch<N>,
-    ) {
+    fn sim_superblock(&self, patterns: &PatternSet, superblock: usize, s: &mut StemScratch) {
         logic::load_input_words_w(patterns, superblock, &mut s.input_words);
         logic::simulate_superblock_csr(self.view(), &s.input_words, &mut s.good);
         self.prepare_block_with(s, self.regions.sens_needed());
@@ -842,11 +759,7 @@ impl<'a> StemRegionEngine<'a> {
     /// every fault whose detection words will be read for this block —
     /// the batched ATPG drop session passes a marking restricted to its
     /// still-active faults so the reverse sweep skips retired regions.
-    pub(crate) fn prepare_block_with<const N: usize>(
-        &self,
-        s: &mut StemScratch<N>,
-        sens_needed: &[bool],
-    ) {
+    pub(crate) fn prepare_block_with(&self, s: &mut StemScratch, sens_needed: &[bool]) {
         self.prepare_sens(&s.good, &mut s.sens, sens_needed);
     }
 
@@ -854,12 +767,7 @@ impl<'a> StemRegionEngine<'a> {
     /// words from `good` (which may be a shared slice rather than the
     /// scratch's own buffer — the region-parallel split shares one good
     /// machine across threads).
-    fn prepare_sens<const N: usize>(
-        &self,
-        good: &[SimWord<N>],
-        sens: &mut [SimWord<N>],
-        sens_needed: &[bool],
-    ) {
+    fn prepare_sens(&self, good: &[SimWord], sens: &mut [SimWord], sens_needed: &[bool]) {
         debug_assert_eq!(sens_needed.len(), self.view().num_nodes());
         // Reverse sweep: every reader sits at a higher position, so its
         // sensitization word is final before its drivers are visited.
@@ -894,7 +802,7 @@ impl<'a> StemRegionEngine<'a> {
     /// its branch) and the word of patterns (unmasked) on which the
     /// fault flips that position.
     #[inline]
-    fn site_diff<const N: usize>(&self, fault: u32, good: &[SimWord<N>]) -> (usize, SimWord<N>) {
+    fn site_diff(&self, fault: u32, good: &[SimWord]) -> (usize, SimWord) {
         let fault = self.faults.fault(FaultId::new(fault as usize));
         let stuck = if fault.stuck_value() {
             SimWord::ONES
@@ -920,12 +828,7 @@ impl<'a> StemRegionEngine<'a> {
     /// The word of patterns (unmasked) on which `fault` flips its FFR
     /// stem.
     #[inline]
-    fn stem_diff<const N: usize>(
-        &self,
-        fault: u32,
-        good: &[SimWord<N>],
-        sens: &[SimWord<N>],
-    ) -> SimWord<N> {
+    fn stem_diff(&self, fault: u32, good: &[SimWord], sens: &[SimWord]) -> SimWord {
         let (p, diff) = self.site_diff(fault, good);
         diff & sens[p]
     }
@@ -935,13 +838,13 @@ impl<'a> StemRegionEngine<'a> {
     /// `need` leaves out (see [`EffectWalk::run`]). Needs no
     /// sensitization sweep, so it answers for a block whose good words
     /// change between queries (the drop session's pending block).
-    pub(crate) fn detect_fault<const N: usize>(
+    pub(crate) fn detect_fault(
         &self,
         fault: FaultId,
-        valid_mask: SimWord<N>,
-        s: &mut StemScratch<N>,
-        need: impl FnMut(SimWord<N>) -> SimWord<N>,
-    ) -> SimWord<N> {
+        valid_mask: SimWord,
+        s: &mut StemScratch,
+        need: impl FnMut(SimWord) -> SimWord,
+    ) -> SimWord {
         let (p, diff) = self.site_diff(fault.index() as u32, &s.good);
         s.region
             .walk
@@ -953,13 +856,13 @@ impl<'a> StemRegionEngine<'a> {
     /// asks. With `active`, faults whose flag is `false` are skipped
     /// entirely (no stem-difference computation, and regions with only
     /// inactive faults never pay an observability walk).
-    pub(crate) fn for_each_detection<const N: usize>(
+    pub(crate) fn for_each_detection(
         &self,
-        valid_mask: SimWord<N>,
-        s: &mut StemScratch<N>,
+        valid_mask: SimWord,
+        s: &mut StemScratch,
         active: Option<&[bool]>,
         need: Need<'_>,
-        mut visit: impl FnMut(u32, SimWord<N>),
+        mut visit: impl FnMut(u32, SimWord),
     ) {
         let StemScratch { good, sens, region, .. } = s;
         self.detect_groups(
@@ -975,55 +878,21 @@ impl<'a> StemRegionEngine<'a> {
         );
     }
 
-    /// Prepares its own scratch once, then detects group chunks pulled
-    /// from the shared `cursor` against a **shared** good-machine slice,
-    /// appending every `(fault, word)` hit to `out`. This is the
-    /// work-stealing region-parallel flush primitive: every fault lives
-    /// in exactly one chunk, so concurrent callers (each with its own
-    /// `out`) produce hits for disjoint faults and the caller's merge
-    /// is order-independent.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn detect_chunks_shared_good<const N: usize>(
-        &self,
-        chunks: &[(usize, usize)],
-        cursor: &AtomicUsize,
-        valid_mask: SimWord<N>,
-        good: &[SimWord<N>],
-        sens_needed: &[bool],
-        active: Option<&[bool]>,
-        need: Need<'_>,
-        out: &mut Vec<(u32, SimWord<N>)>,
-    ) {
-        let mut scratch = StemScratch::<N>::new(self.view());
-        self.prepare_sens(good, &mut scratch.sens, sens_needed);
-        let StemScratch { sens, region, .. } = &mut scratch;
-        loop {
-            let c = cursor.fetch_add(1, Ordering::Relaxed);
-            if c >= chunks.len() {
-                break;
-            }
-            let (g0, g1) = chunks[c];
-            self.detect_groups(g0, g1, valid_mask, good, sens, region, active, need, &mut |f, w| {
-                out.push((f, w));
-            });
-        }
-    }
-
     /// [`for_each_detection`](Self::for_each_detection) over the group
     /// range `g0..g1` only — the region-parallel primitive (each thread
     /// owns a disjoint range, hence disjoint faults).
     #[allow(clippy::too_many_arguments)]
-    fn detect_groups<const N: usize>(
+    fn detect_groups(
         &self,
         g0: usize,
         g1: usize,
-        valid_mask: SimWord<N>,
-        good: &[SimWord<N>],
-        sens: &[SimWord<N>],
-        region: &mut RegionScratch<N>,
+        valid_mask: SimWord,
+        good: &[SimWord],
+        sens: &[SimWord],
+        region: &mut RegionScratch,
         active: Option<&[bool]>,
         need: Need<'_>,
-        visit: &mut impl FnMut(u32, SimWord<N>),
+        visit: &mut impl FnMut(u32, SimWord),
     ) {
         let wants = |f: u32| active.is_none_or(|flags| flags[f as usize]);
         for g in g0..g1 {
@@ -1046,16 +915,16 @@ impl<'a> StemRegionEngine<'a> {
     /// asks: exactly (`Every`), at the same lowest lane (`First`), or
     /// with at least its missing detections (`Count`).
     #[allow(clippy::too_many_arguments)]
-    fn walk_region<'s, const N: usize>(
+    fn walk_region<'s>(
         &self,
         g: usize,
-        valid_mask: SimWord<N>,
-        good: &[SimWord<N>],
-        sens: &[SimWord<N>],
-        s: &'s mut RegionScratch<N>,
+        valid_mask: SimWord,
+        good: &[SimWord],
+        sens: &[SimWord],
+        s: &'s mut RegionScratch,
         wants: impl Fn(u32) -> bool,
         need: Need<'_>,
-    ) -> (&'s [(u32, SimWord<N>)], SimWord<N>) {
+    ) -> (&'s [(u32, SimWord)], SimWord) {
         s.rds.clear();
         let mut seed = SimWord::ZERO;
         for &id in self.regions.group_faults(g) {
@@ -1079,18 +948,13 @@ impl<'a> StemRegionEngine<'a> {
 }
 
 /// ORs a wide detection word into the 64-bit-blocked matrix: lane `k`
-/// of superblock `sb` is block `sb * N + k`. Invalid lanes are zero
+/// of superblock `sb` is block `sb * 4 + k`. Invalid lanes are zero
 /// (masked upstream), so no lane ever lands outside the matrix.
-fn or_word_wide<const N: usize>(
-    matrix: &mut DetectionMatrix,
-    fault: u32,
-    superblock: usize,
-    word: SimWord<N>,
-) {
-    for k in 0..N {
+fn or_word_wide(matrix: &mut DetectionMatrix, fault: u32, superblock: usize, word: SimWord) {
+    for k in 0..SimWord::LANES {
         let w = word.lane(k);
         if w != 0 {
-            matrix.or_word(FaultId::new(fault as usize), superblock * N + k, w);
+            matrix.or_word(FaultId::new(fault as usize), superblock * SimWord::LANES + k, w);
         }
     }
 }
@@ -1098,12 +962,7 @@ fn or_word_wide<const N: usize>(
 /// The word of patterns on which a change at `pin` of the gate (alone)
 /// changes the gate's output, given good values of the other pins.
 #[inline]
-fn pin_sens<const N: usize>(
-    good: &[SimWord<N>],
-    kind: GateKind,
-    fanins: &[u32],
-    pin: usize,
-) -> SimWord<N> {
+fn pin_sens(good: &[SimWord], kind: GateKind, fanins: &[u32], pin: usize) -> SimWord {
     match kind {
         GateKind::Buf | GateKind::Not | GateKind::Xor | GateKind::Xnor => SimWord::ONES,
         GateKind::And | GateKind::Nand => {
@@ -1207,7 +1066,7 @@ pub(crate) mod tests {
     /// and keep what their `need` asks for: its emptiness when nothing
     /// is needed after the first observation, and its lowest lane when
     /// only the lanes below the lowest observed one are needed.
-    fn walk_matches_reference_w<const N: usize>(netlist: &Netlist, patterns: &PatternSet) {
+    fn walk_matches_reference(netlist: &Netlist, patterns: &PatternSet) {
         let circuit = compile(netlist);
         let faults = FaultList::full(netlist);
         let matrix = reference::no_drop_matrix(&circuit, &faults, patterns);
@@ -1219,19 +1078,19 @@ pub(crate) mod tests {
             }
         }
         let engine = StemRegionEngine::for_circuit(&circuit, &faults);
-        let mut scratch = StemScratch::<N>::new(view);
+        let mut scratch = StemScratch::new(view);
         let mut walked = 0usize;
-        for sb in 0..patterns.num_superblocks(N) {
+        for sb in 0..patterns.num_superblocks() {
             engine.sim_superblock(patterns, sb, &mut scratch);
-            let valid = patterns.valid_mask_wide::<N>(sb);
+            let valid = patterns.valid_mask_wide(sb);
             for (p, ids) in stem_faults.iter().enumerate() {
                 if engine.regions.reader(p).is_some() || view.is_output_at(p) || !view.reaches_output(p) {
                     continue;
                 }
                 assert_eq!(ids.len(), 2, "{} position {p}", netlist.name());
-                let mut expect = SimWord::<N>::ZERO;
-                for k in 0..N {
-                    let block = sb * N + k;
+                let mut expect = SimWord::ZERO;
+                for k in 0..SimWord::LANES {
+                    let block = sb * SimWord::LANES + k;
                     if block < matrix.num_blocks() {
                         expect.0[k] = ids
                             .iter()
@@ -1239,7 +1098,7 @@ pub(crate) mod tests {
                             .fold(0, |a, w| a | w);
                     }
                 }
-                let label = format!("{} W{N} superblock {sb} position {p}", netlist.name());
+                let label = format!("{} superblock {sb} position {p}", netlist.name());
                 let StemScratch { good, region, .. } = &mut scratch;
                 let walk = &mut region.walk;
                 let every = walk.run(view, good, p, valid, |_| SimWord::ONES);
@@ -1268,12 +1127,9 @@ pub(crate) mod tests {
     fn effect_walk_matches_reference_on_random_circuits() {
         for seed in 0..12u64 {
             let netlist = random_netlist(seed, 6 + seed as usize % 5, 40 + 13 * seed as usize);
-            // 600 patterns: a partial last superblock at every width.
+            // 600 patterns: two full superblocks and a partial one.
             let patterns = PatternSet::random(netlist.num_inputs(), 600, seed);
-            walk_matches_reference_w::<1>(&netlist, &patterns);
-            walk_matches_reference_w::<2>(&netlist, &patterns);
-            walk_matches_reference_w::<4>(&netlist, &patterns);
-            walk_matches_reference_w::<8>(&netlist, &patterns);
+            walk_matches_reference(&netlist, &patterns);
         }
     }
 
@@ -1282,12 +1138,8 @@ pub(crate) mod tests {
         let faults = FaultList::full(&n);
         let patterns = PatternSet::exhaustive(inputs);
         let per_fault = reference::no_drop_matrix(&compile(&n), &faults, &patterns);
-        for width in SimWidth::ALL {
-            let stem = StemRegionEngine::for_circuit(&compile(&n), &faults)
-                .with_width(width)
-                .no_drop_matrix(&patterns);
-            assert_eq!(per_fault, stem, "{name} width {width}");
-        }
+        let stem = StemRegionEngine::for_circuit(&compile(&n), &faults).no_drop_matrix(&patterns);
+        assert_eq!(per_fault, stem, "{name}");
     }
 
     #[test]
@@ -1417,14 +1269,11 @@ pub(crate) mod tests {
         let n = bench_format::parse(src, "inv").unwrap();
         let faults = FaultList::collapsed(&n);
         let engine = StemRegionEngine::for_circuit(&compile(&n), &faults);
-        for width in SimWidth::ALL {
-            let engine = engine.clone().with_width(width);
-            let matrix = engine.no_drop_matrix(&PatternSet::new(1));
-            assert_eq!(matrix.num_patterns(), 0);
-            assert_eq!(matrix.num_detected_faults(), 0);
-            let par = engine.no_drop_matrix_parallel(&PatternSet::new(1), 4);
-            assert_eq!(par.num_detected_faults(), 0);
-        }
+        let matrix = engine.no_drop_matrix(&PatternSet::new(1));
+        assert_eq!(matrix.num_patterns(), 0);
+        assert_eq!(matrix.num_detected_faults(), 0);
+        let par = engine.no_drop_matrix_parallel(&PatternSet::new(1), 4);
+        assert_eq!(par.num_detected_faults(), 0);
     }
 
     #[test]
@@ -1452,16 +1301,6 @@ pub(crate) mod tests {
                 "auto x{threads}"
             );
         }
-    }
-
-    #[test]
-    fn width_default_comes_from_environment() {
-        let src = "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n";
-        let n = bench_format::parse(src, "inv").unwrap();
-        let faults = FaultList::collapsed(&n);
-        let engine = StemRegionEngine::for_circuit(&compile(&n), &faults);
-        assert_eq!(engine.width(), SimWidth::from_env());
-        assert_eq!(engine.with_width(SimWidth::W8).width(), SimWidth::W8);
     }
 
     #[test]

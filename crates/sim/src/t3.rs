@@ -208,53 +208,6 @@ pub fn eval_t3_branch<I: Copy>(
     }
 }
 
-/// The composite D-calculus value of a node, combining the good and faulty
-/// machine values.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum V5 {
-    /// Both machines 0.
-    Zero,
-    /// Both machines 1.
-    One,
-    /// Good 1, faulty 0.
-    D,
-    /// Good 0, faulty 1.
-    Dbar,
-    /// Unknown in at least one machine.
-    X,
-}
-
-impl V5 {
-    /// Combines good/faulty ternary values into the composite view.
-    pub fn from_pair(good: T3, faulty: T3) -> V5 {
-        match (good, faulty) {
-            (T3::Zero, T3::Zero) => V5::Zero,
-            (T3::One, T3::One) => V5::One,
-            (T3::One, T3::Zero) => V5::D,
-            (T3::Zero, T3::One) => V5::Dbar,
-            _ => V5::X,
-        }
-    }
-
-    /// Returns `true` for [`V5::D`] or [`V5::Dbar`] — a visible fault
-    /// effect.
-    pub fn is_fault_effect(self) -> bool {
-        matches!(self, V5::D | V5::Dbar)
-    }
-}
-
-impl fmt::Display for V5 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            V5::Zero => write!(f, "0"),
-            V5::One => write!(f, "1"),
-            V5::D => write!(f, "D"),
-            V5::Dbar => write!(f, "D'"),
-            V5::X => write!(f, "X"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,18 +318,8 @@ mod tests {
     }
 
     #[test]
-    fn v5_composition() {
-        assert_eq!(V5::from_pair(T3::One, T3::Zero), V5::D);
-        assert_eq!(V5::from_pair(T3::Zero, T3::One), V5::Dbar);
-        assert_eq!(V5::from_pair(T3::One, T3::One), V5::One);
-        assert_eq!(V5::from_pair(T3::X, T3::Zero), V5::X);
-        assert!(V5::D.is_fault_effect());
-        assert!(!V5::X.is_fault_effect());
-    }
-
-    #[test]
     fn display_forms() {
         assert_eq!(T3::X.to_string(), "X");
-        assert_eq!(V5::Dbar.to_string(), "D'");
+        assert_eq!(T3::One.to_string(), "1");
     }
 }

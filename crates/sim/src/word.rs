@@ -1,45 +1,26 @@
-//! Configurable-width simulation words.
+//! The 256-pattern simulation word.
 //!
-//! Every bit-parallel hot path in this crate is generic over
-//! [`SimWord<N>`] — a stack of `N` machine words holding `N * 64`
-//! patterns. `N = 1` is the classic PPSFP block; `N = 4` and `N = 8`
-//! are 256/512-bit lanes that amortize the per-block bookkeeping
-//! (sensitization sweeps, observability cone walks, event-queue
-//! plumbing) over four or eight times as many patterns, and compile to
-//! straight-line element loops the optimizer vectorizes.
+//! Every bit-parallel hot path of the stem-region engine and the drop
+//! session runs on [`SimWord`]: four stacked `u64` lanes holding 256
+//! patterns. One superblock of four consecutive 64-pattern blocks
+//! shares one sensitization sweep and one observability walk, so the
+//! per-block bookkeeping (sweeps, cone walks, event-queue plumbing) is
+//! paid once per 256 patterns, and the fixed four-element loops compile
+//! to straight-line code the optimizer vectorizes.
 //!
-//! # Dispatch strategy
-//!
-//! The lane count is a **const generic**, so each width gets its own
-//! monomorphized kernel with no per-operation branching — but the width
-//! a caller wants is a **runtime** choice ([`SimWidth`], carried by
-//! `AdiConfig`, `TestGenConfig`, and the service protocol). The two
-//! meet at a single dispatch point per public entry: the engine holds a
-//! `SimWidth` and each public method performs one
-//! `match width { W1 => f::<1>(..), W2 => f::<2>(..), .. }` before
-//! entering the generic kernel. One binary therefore serves all four
-//! widths; nothing inside a kernel ever re-checks the width.
-//!
-//! Lane order is **pattern order**: bit `b` of lane word `k` holds
-//! pattern `k * 64 + b` of the superblock, so
-//! [`SimWord::first_set_bit`] returns the *earliest* matching pattern —
-//! the invariant that keeps wide fault dropping bit-identical to the
-//! 64-bit oracle.
-//!
-//! The process-wide default width comes from the `ADI_SIM_WIDTH`
-//! environment variable (`1`, `2`, `4`, `8`, or `auto`; read once,
-//! then cached); unset or unrecognized values fall back to
-//! [`SimWidth::W4`]. `auto` picks lanes from the machine's available
-//! parallelism ([`SimWidth::auto`]); callers that know their
-//! pattern-set size can clamp further with [`SimWidth::auto_for`].
-//! Any width is safe as a default because every width is
-//! differentially pinned to the `N = 1` oracle.
+//! Lane order is **pattern order**: bit `b` of lane `k` holds pattern
+//! `k * 64 + b` of the superblock, so [`SimWord::first_set_bit`]
+//! returns the *earliest* matching pattern — the invariant that keeps
+//! fault dropping on the wide word bit-identical to the per-fault
+//! [`reference`](crate::reference), which walks one 64-pattern block at
+//! a time.
 
-use std::fmt;
 use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, Not};
-use std::sync::OnceLock;
 
-/// A simulation word of `N * 64` patterns: `N` stacked `u64` lanes.
+/// Number of 64-bit lanes in a [`SimWord`].
+const LANES: usize = 4;
+
+/// A simulation word of 256 patterns: four stacked `u64` lanes.
 ///
 /// Lane `k` bit `b` holds pattern `k * 64 + b` — ascending lane index
 /// is ascending pattern order. All bitwise operators work lane-wise;
@@ -50,27 +31,31 @@ use std::sync::OnceLock;
 /// ```
 /// use adi_sim::SimWord;
 ///
-/// let mut w = SimWord::<4>::ZERO;
+/// let mut w = SimWord::ZERO;
 /// w.set_bit(130); // pattern 130 = lane 2, bit 2
 /// assert_eq!(w.lane(2), 0b100);
 /// assert_eq!(w.first_set_bit(), 130);
 /// assert_eq!((w | SimWord::ONES).count_ones(), 256);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct SimWord<const N: usize>(pub [u64; N]);
+pub struct SimWord(pub [u64; LANES]);
 
-impl<const N: usize> SimWord<N> {
+impl SimWord {
+    /// Number of 64-bit lanes.
+    pub const LANES: usize = LANES;
+    /// Patterns per word (`LANES * 64`).
+    pub const BITS: usize = LANES * 64;
     /// All bits clear.
-    pub const ZERO: Self = SimWord([0u64; N]);
+    pub const ZERO: Self = SimWord([0u64; LANES]);
     /// All bits set.
-    pub const ONES: Self = SimWord([!0u64; N]);
+    pub const ONES: Self = SimWord([!0u64; LANES]);
 
     /// Broadcasts one 64-bit word to every lane (stuck-at constants are
     /// per-pattern-uniform, so `splat(0)` / `splat(!0)` are the wide
     /// stuck words).
     #[inline]
     pub const fn splat(w: u64) -> Self {
-        SimWord([w; N])
+        SimWord([w; LANES])
     }
 
     /// Returns `true` if no bit is set.
@@ -98,10 +83,10 @@ impl<const N: usize> SimWord<N> {
             }
         }
         debug_assert!(false, "first_set_bit on a zero word");
-        N as u32 * 64
+        Self::BITS as u32
     }
 
-    /// The value of pattern bit `idx` (`idx < N * 64`).
+    /// The value of pattern bit `idx` (`idx < 256`).
     ///
     /// # Panics
     ///
@@ -125,21 +110,21 @@ impl<const N: usize> SimWord<N> {
     ///
     /// # Panics
     ///
-    /// Panics if `k >= N`.
+    /// Panics if `k >= 4`.
     #[inline]
     pub fn lane(&self, k: usize) -> u64 {
         self.0[k]
     }
 
-    /// Mask with the lowest `count` pattern bits set (`count <= N * 64`).
+    /// Mask with the lowest `count` pattern bits set (`count <= 256`).
     ///
     /// # Panics
     ///
-    /// Panics if `count > N * 64`.
+    /// Panics if `count > 256`.
     #[inline]
     pub fn low_mask(count: usize) -> Self {
-        assert!(count <= N * 64, "mask of {count} bits exceeds word width");
-        let mut w = [0u64; N];
+        assert!(count <= Self::BITS, "mask of {count} bits exceeds word width");
+        let mut w = [0u64; LANES];
         let full = count / 64;
         for lane in w.iter_mut().take(full) {
             *lane = !0;
@@ -151,214 +136,74 @@ impl<const N: usize> SimWord<N> {
     }
 }
 
-impl<const N: usize> Default for SimWord<N> {
+impl Default for SimWord {
     fn default() -> Self {
         Self::ZERO
     }
 }
 
-impl<const N: usize> BitAnd for SimWord<N> {
+impl BitAnd for SimWord {
     type Output = Self;
     #[inline]
     fn bitand(mut self, rhs: Self) -> Self {
-        for k in 0..N {
-            self.0[k] &= rhs.0[k];
-        }
+        self &= rhs;
         self
     }
 }
 
-impl<const N: usize> BitAndAssign for SimWord<N> {
+impl BitAndAssign for SimWord {
     #[inline]
     fn bitand_assign(&mut self, rhs: Self) {
-        for k in 0..N {
+        for k in 0..LANES {
             self.0[k] &= rhs.0[k];
         }
     }
 }
 
-impl<const N: usize> BitOr for SimWord<N> {
+impl BitOr for SimWord {
     type Output = Self;
     #[inline]
     fn bitor(mut self, rhs: Self) -> Self {
-        for k in 0..N {
-            self.0[k] |= rhs.0[k];
-        }
+        self |= rhs;
         self
     }
 }
 
-impl<const N: usize> BitOrAssign for SimWord<N> {
+impl BitOrAssign for SimWord {
     #[inline]
     fn bitor_assign(&mut self, rhs: Self) {
-        for k in 0..N {
+        for k in 0..LANES {
             self.0[k] |= rhs.0[k];
         }
     }
 }
 
-impl<const N: usize> BitXor for SimWord<N> {
+impl BitXor for SimWord {
     type Output = Self;
     #[inline]
     fn bitxor(mut self, rhs: Self) -> Self {
-        for k in 0..N {
-            self.0[k] ^= rhs.0[k];
-        }
+        self ^= rhs;
         self
     }
 }
 
-impl<const N: usize> BitXorAssign for SimWord<N> {
+impl BitXorAssign for SimWord {
     #[inline]
     fn bitxor_assign(&mut self, rhs: Self) {
-        for k in 0..N {
+        for k in 0..LANES {
             self.0[k] ^= rhs.0[k];
         }
     }
 }
 
-impl<const N: usize> Not for SimWord<N> {
+impl Not for SimWord {
     type Output = Self;
     #[inline]
     fn not(mut self) -> Self {
-        for k in 0..N {
+        for k in 0..LANES {
             self.0[k] = !self.0[k];
         }
         self
-    }
-}
-
-/// The runtime-selectable simulation word width (see the
-/// [module docs](self) for the dispatch strategy).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum SimWidth {
-    /// One 64-bit lane: the classic PPSFP block (the differential
-    /// oracle width).
-    W1,
-    /// Two lanes, 128 patterns per superblock.
-    W2,
-    /// Four lanes, 256 patterns per superblock.
-    W4,
-    /// Eight lanes, 512 patterns per superblock.
-    W8,
-}
-
-impl SimWidth {
-    /// All widths, ascending — the axis differential test lattices
-    /// iterate over.
-    pub const ALL: [SimWidth; 4] = [SimWidth::W1, SimWidth::W2, SimWidth::W4, SimWidth::W8];
-
-    /// Number of 64-bit lanes.
-    #[inline]
-    pub const fn lanes(self) -> usize {
-        match self {
-            SimWidth::W1 => 1,
-            SimWidth::W2 => 2,
-            SimWidth::W4 => 4,
-            SimWidth::W8 => 8,
-        }
-    }
-
-    /// Patterns per superblock (`lanes * 64`).
-    #[inline]
-    pub const fn bits(self) -> usize {
-        self.lanes() * 64
-    }
-
-    /// The width with `lanes` lanes, if `lanes` is 1, 2, 4, or 8.
-    pub const fn from_lanes(lanes: usize) -> Option<SimWidth> {
-        match lanes {
-            1 => Some(SimWidth::W1),
-            2 => Some(SimWidth::W2),
-            4 => Some(SimWidth::W4),
-            8 => Some(SimWidth::W8),
-            _ => None,
-        }
-    }
-
-    /// The process-wide default width: `ADI_SIM_WIDTH` (`1`/`2`/`4`/`8`
-    /// or `auto`, read once and cached), falling back to
-    /// [`SimWidth::W4`] when unset or unrecognized. `auto` resolves via
-    /// [`SimWidth::auto`].
-    pub fn from_env() -> SimWidth {
-        static DEFAULT: OnceLock<SimWidth> = OnceLock::new();
-        *DEFAULT.get_or_init(|| {
-            std::env::var("ADI_SIM_WIDTH")
-                .ok()
-                .and_then(|v| v.trim().parse::<SimWidth>().ok())
-                .unwrap_or(SimWidth::W4)
-        })
-    }
-
-    /// A machine-derived width: one 64-bit lane per available hardware
-    /// thread (`std::thread::available_parallelism`), rounded down to a
-    /// supported lane count and capped at [`SimWidth::W8`].
-    ///
-    /// The rationale: wide lanes amortize per-superblock bookkeeping but
-    /// shrink the number of superblocks the block-parallel sweeps can
-    /// split across threads, so a machine with few hardware threads
-    /// keeps narrower words (more superblocks per sweep) while a big
-    /// machine takes the full 512-bit lane. When the pattern-set size is
-    /// known, prefer [`SimWidth::auto_for`], which also clamps by it.
-    pub fn auto() -> SimWidth {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        Self::widest_lanes_at_most(cores)
-    }
-
-    /// The widest width that keeps every lane populated **and** leaves
-    /// at least one superblock per thread for the block-parallel sweeps:
-    /// the widest `w` with `w.bits() * threads <= num_patterns`, falling
-    /// back to the widest `w` with `w.bits() <= num_patterns` for small
-    /// sets, and [`SimWidth::W1`] for tiny ones.
-    pub fn auto_for(num_patterns: usize, threads: usize) -> SimWidth {
-        let threads = threads.max(1);
-        for w in Self::ALL.iter().rev() {
-            if num_patterns >= w.bits() * threads {
-                return *w;
-            }
-        }
-        Self::widest_lanes_at_most(num_patterns / 64)
-    }
-
-    /// The widest supported width with at most `lanes` lanes (minimum
-    /// [`SimWidth::W1`]).
-    const fn widest_lanes_at_most(lanes: usize) -> SimWidth {
-        match lanes {
-            0 | 1 => SimWidth::W1,
-            2 | 3 => SimWidth::W2,
-            4..=7 => SimWidth::W4,
-            _ => SimWidth::W8,
-        }
-    }
-}
-
-impl Default for SimWidth {
-    /// The environment-selected default ([`SimWidth::from_env`]).
-    fn default() -> Self {
-        SimWidth::from_env()
-    }
-}
-
-impl fmt::Display for SimWidth {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.lanes())
-    }
-}
-
-impl std::str::FromStr for SimWidth {
-    type Err = String;
-
-    /// Parses a lane count (`1`, `2`, `4`, or `8`) or the literal
-    /// `auto`, which resolves through [`SimWidth::auto`].
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let s = s.trim();
-        if s.eq_ignore_ascii_case("auto") {
-            return Ok(SimWidth::auto());
-        }
-        s.parse::<usize>()
-            .ok()
-            .and_then(SimWidth::from_lanes)
-            .ok_or_else(|| format!("invalid simulation width `{s}` (expected 1, 2, 4, 8, or auto)"))
     }
 }
 
@@ -368,7 +213,7 @@ mod tests {
 
     #[test]
     fn lane_major_bit_order() {
-        let mut w = SimWord::<4>::ZERO;
+        let mut w = SimWord::ZERO;
         w.set_bit(0);
         w.set_bit(63);
         w.set_bit(64);
@@ -383,23 +228,23 @@ mod tests {
 
     #[test]
     fn first_set_bit_is_earliest_pattern() {
-        let mut w = SimWord::<8>::ZERO;
-        w.set_bit(400);
+        let mut w = SimWord::ZERO;
+        w.set_bit(200);
         w.set_bit(130);
         assert_eq!(w.first_set_bit(), 130);
-        let mut one = SimWord::<2>::ZERO;
+        let mut one = SimWord::ZERO;
         one.set_bit(0);
         assert_eq!(one.first_set_bit(), 0);
     }
 
     #[test]
     fn bitwise_ops_are_lane_wise() {
-        let a = SimWord::<2>([0b1100, 0b1010]);
-        let b = SimWord::<2>([0b1010, 0b0110]);
-        assert_eq!((a & b).0, [0b1000, 0b0010]);
-        assert_eq!((a | b).0, [0b1110, 0b1110]);
-        assert_eq!((a ^ b).0, [0b0110, 0b1100]);
-        assert_eq!((!SimWord::<2>::ZERO), SimWord::<2>::ONES);
+        let a = SimWord([0b1100, 0b1010, 0, !0]);
+        let b = SimWord([0b1010, 0b0110, !0, !0]);
+        assert_eq!((a & b).0, [0b1000, 0b0010, 0, !0]);
+        assert_eq!((a | b).0, [0b1110, 0b1110, !0, !0]);
+        assert_eq!((a ^ b).0, [0b0110, 0b1100, !0, 0]);
+        assert_eq!(!SimWord::ZERO, SimWord::ONES);
         let mut c = a;
         c &= b;
         c |= b;
@@ -409,55 +254,13 @@ mod tests {
 
     #[test]
     fn splat_and_masks() {
-        assert_eq!(SimWord::<4>::splat(!0), SimWord::<4>::ONES);
-        assert_eq!(SimWord::<4>::splat(0), SimWord::<4>::ZERO);
-        assert_eq!(SimWord::<2>::low_mask(0), SimWord::<2>::ZERO);
-        assert_eq!(SimWord::<2>::low_mask(128), SimWord::<2>::ONES);
-        assert_eq!(SimWord::<2>::low_mask(65).0, [!0, 1]);
-        assert_eq!(SimWord::<1>::low_mask(3).0, [0b111]);
-    }
-
-    #[test]
-    fn width_lanes_roundtrip() {
-        for w in SimWidth::ALL {
-            assert_eq!(SimWidth::from_lanes(w.lanes()), Some(w));
-            assert_eq!(w.bits(), w.lanes() * 64);
-            assert_eq!(w.to_string().parse::<SimWidth>().unwrap(), w);
-        }
-        assert_eq!(SimWidth::from_lanes(3), None);
-        assert!("16".parse::<SimWidth>().is_err());
-        assert!("x".parse::<SimWidth>().is_err());
-    }
-
-    #[test]
-    fn auto_width_tracks_parallelism_and_pattern_count() {
-        // `auto()` must always be a supported width, whatever machine
-        // the tests run on.
-        assert!(SimWidth::ALL.contains(&SimWidth::auto()));
-        assert_eq!("auto".parse::<SimWidth>().unwrap(), SimWidth::auto());
-        assert_eq!(" AUTO ".parse::<SimWidth>().unwrap(), SimWidth::auto());
-
-        // Plenty of patterns: widest lane that still leaves one
-        // superblock per thread.
-        assert_eq!(SimWidth::auto_for(4096, 1), SimWidth::W8);
-        assert_eq!(SimWidth::auto_for(4096, 8), SimWidth::W8);
-        assert_eq!(SimWidth::auto_for(1024, 4), SimWidth::W4);
-        assert_eq!(SimWidth::auto_for(512, 4), SimWidth::W2);
-        assert_eq!(SimWidth::auto_for(256, 4), SimWidth::W1);
-        // Small sets: never pick a width with a fully masked lane.
-        assert_eq!(SimWidth::auto_for(512, 1), SimWidth::W8);
-        assert_eq!(SimWidth::auto_for(300, 1), SimWidth::W4);
-        assert_eq!(SimWidth::auto_for(128, 1), SimWidth::W2);
-        assert_eq!(SimWidth::auto_for(64, 1), SimWidth::W1);
-        assert_eq!(SimWidth::auto_for(1, 1), SimWidth::W1);
-        assert_eq!(SimWidth::auto_for(0, 0), SimWidth::W1);
-    }
-
-    #[test]
-    fn env_default_is_a_valid_width() {
-        // The cached value depends on the test environment; it must be
-        // one of the four supported widths either way.
-        assert!(SimWidth::ALL.contains(&SimWidth::from_env()));
-        assert_eq!(SimWidth::default(), SimWidth::from_env());
+        assert_eq!(SimWord::splat(!0), SimWord::ONES);
+        assert_eq!(SimWord::splat(0), SimWord::ZERO);
+        assert_eq!(SimWord::splat(5).0, [5; 4]);
+        assert_eq!(SimWord::low_mask(0), SimWord::ZERO);
+        assert_eq!(SimWord::low_mask(256), SimWord::ONES);
+        assert_eq!(SimWord::low_mask(65).0, [!0, 1, 0, 0]);
+        assert_eq!(SimWord::low_mask(3).0, [0b111, 0, 0, 0]);
+        assert_eq!(SimWord::low_mask(192).0, [!0, !0, !0, 0]);
     }
 }

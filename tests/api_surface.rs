@@ -26,7 +26,7 @@ use adi::netlist::fault::{Fault, FaultId, FaultList};
 use adi::netlist::{CompiledCircuit, FaultRegionIndex, FfrPartition, LevelizedCsr, Netlist};
 use adi::sim::{
     DetectionMatrix, DropOutcome, DropSession, DualMachineSim, FaultSimulator, GoodValues,
-    NDetectOutcome, Pattern, PatternSet, SimScratch, SimWidth, SimWord, StemRegionEngine,
+    NDetectOutcome, Pattern, PatternSet, SimScratch, SimWord, StemRegionEngine,
 };
 
 /// The content-hash and serving surface added in 0.4.0: the canonical
@@ -186,11 +186,10 @@ fn pin_simulation_surface<'a>(_: &'a ()) {
     let _: fn(&FaultSimulator<'a>, &Pattern, &[FaultId], &mut SimScratch) -> Vec<FaultId> =
         FaultSimulator::detect_pattern;
     let _: fn(&'a FaultSimulator<'a>) -> &'a CompiledCircuit = FaultSimulator::circuit;
-    let _: fn(FaultSimulator<'a>, SimWidth) -> FaultSimulator<'a> = FaultSimulator::with_width;
     let _: fn(&DropSession<'a>) -> usize = DropSession::pending;
     let _: fn(&DropSession<'a>) -> bool = DropSession::is_full;
     let _: fn(&mut DropSession<'a>, &Pattern) = DropSession::push;
-    let _: fn(&mut DropSession<'a>, FaultId) -> SimWord<1> = DropSession::pending_detections;
+    let _: fn(&mut DropSession<'a>, FaultId) -> SimWord = DropSession::pending_detections;
     let _: fn(&mut DropSession<'a>, FaultId) -> bool = DropSession::covers;
     let _: fn(&mut DropSession<'a>, &[FaultId]) -> Vec<Vec<FaultId>> = DropSession::flush;
     let _: fn(&TestGenResult) -> usize = TestGenResult::num_tests;
@@ -211,14 +210,9 @@ fn pin_simulation_surface<'a>(_: &'a ()) {
 #[test]
 fn simulation_surface_is_stable() {
     pin_simulation_surface(&());
-    // The wide-word surface: runtime width selection and its bounds.
-    assert_eq!(SimWidth::from_lanes(4), Some(SimWidth::W4));
-    assert_eq!(SimWidth::from_lanes(3), None);
-    assert_eq!(SimWidth::ALL.len(), 4);
-    assert_eq!(SimWord::<4>::ZERO.0, [0u64; 4]);
-    // Auto width selection (0.7.0): thread- and pattern-aware pickers.
-    let _: fn() -> SimWidth = SimWidth::auto;
-    let _: fn(usize, usize) -> SimWidth = SimWidth::auto_for;
+    // The one simulation word: four 64-bit lanes, 256 patterns.
+    assert_eq!(SimWord::ZERO.0, [0u64; 4]);
+    assert_eq!((SimWord::LANES, SimWord::BITS), (4, 256));
     let _ = FillStrategy::Random;
     let _ = PodemOutcome::Aborted;
     let _ = FaultStatus::Redundant;

@@ -143,14 +143,13 @@ proptest! {
             expected.push(detected);
         }
 
-        // Batched: flush at an arbitrary cadence (<= the 64-lane cap).
-        let cadence = flush_every.min(64);
-        let mut session: DropSession = DropSession::for_circuit(&circuit, faults);
+        // Batched: flush at an arbitrary cadence (below the 256-lane cap).
+        let mut session = DropSession::for_circuit(&circuit, faults);
         let mut active: Vec<FaultId> = faults.ids().collect();
         let mut got = Vec::new();
         for p in 0..patterns.len() {
             session.push(&patterns.get(p));
-            if session.pending() == cadence {
+            if session.pending() == flush_every {
                 let lists = session.flush(&active);
                 for detected in &lists {
                     active.retain(|id| !detected.contains(id));

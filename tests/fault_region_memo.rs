@@ -13,8 +13,7 @@
 //! * **Equivalence.** An engine over the memo equals an engine over a
 //!   copied list (`FaultList::from_faults`, which cannot hit the memo) on
 //!   the no-drop matrix, its region-parallel split, `with_dropping`,
-//!   `n_detect` for every `n` in `1..=8` and `DropSession::flush`, at W1
-//!   and W4.
+//!   `n_detect` for every `n` in `1..=8` and `DropSession::flush`.
 //! * **Permutation.** A reversed copy of the compilation's list has the
 //!   same length but other ids, so an index matched by anything weaker
 //!   than the address hands it the wrong groups; its results must equal
@@ -25,14 +24,14 @@ use std::sync::Arc;
 use adi::circuits::{paper_suite, random_circuit, RandomCircuitConfig};
 use adi::netlist::fault::{FaultId, FaultList};
 use adi::netlist::{CompiledCircuit, Netlist};
-use adi::sim::{reference, DropSession, PatternSet, SimWidth, StemRegionEngine};
+use adi::sim::{reference, DropSession, PatternSet, StemRegionEngine};
 use proptest::prelude::*;
 
 /// The largest `n` checked; every `n` from 1 up is.
 const MAX_N: u32 = 8;
 
-/// Pattern counts: one short of a lane, and one past a W4 superblock,
-/// so results carry across superblocks at both widths.
+/// Pattern counts: one short of a lane, and one past a 256-pattern
+/// superblock, so results carry across superblocks.
 const PATTERN_COUNTS: [usize; 2] = [63, 257];
 
 /// An equal copy of `faults` that is not any compilation's own list.
@@ -74,10 +73,9 @@ fn engine_mismatch(
 fn reference_mismatch(
     circuit: &CompiledCircuit,
     faults: &FaultList,
-    width: SimWidth,
     patterns: &PatternSet,
 ) -> Option<String> {
-    let engine = StemRegionEngine::for_circuit(circuit, faults).with_width(width);
+    let engine = StemRegionEngine::for_circuit(circuit, faults);
     if engine.no_drop_matrix(patterns) != reference::no_drop_matrix(circuit, faults, patterns) {
         return Some("no-drop matrix".into());
     }
@@ -93,12 +91,12 @@ fn reference_mismatch(
 
 /// The per-test drop lists of a session over the pattern set, flushing
 /// whenever the block is full.
-fn flush_lists<const N: usize>(
+fn flush_lists(
     circuit: &CompiledCircuit,
     faults: &FaultList,
     patterns: &PatternSet,
 ) -> Vec<Vec<FaultId>> {
-    let mut session = DropSession::<N>::for_circuit(circuit, faults);
+    let mut session = DropSession::for_circuit(circuit, faults);
     let mut active: Vec<FaultId> = faults.ids().collect();
     let mut lists = Vec::new();
     for p in 0..patterns.len() {
@@ -126,32 +124,17 @@ fn memo_mismatch(
     let copy = copy_of(own);
     let reversed = reversed(own);
     for patterns in pattern_sets {
-        for width in [SimWidth::W1, SimWidth::W4] {
-            let at = format!("{label} W{width} {} patterns", patterns.len());
-            let memo = StemRegionEngine::for_circuit(circuit, own).with_width(width);
-            let fresh = StemRegionEngine::for_circuit(circuit, &copy).with_width(width);
-            if let Some(d) = engine_mismatch(&memo, &fresh, patterns) {
-                return Some(format!(
-                    "{at}: memo engine differs from a copied list's on {d}"
-                ));
-            }
-            if let Some(d) = reference_mismatch(circuit, &reversed, width, patterns) {
-                return Some(format!(
-                    "{at}: reversed list differs from the reference on {d}"
-                ));
-            }
+        let at = format!("{label} {} patterns", patterns.len());
+        let memo = StemRegionEngine::for_circuit(circuit, own);
+        let fresh = StemRegionEngine::for_circuit(circuit, &copy);
+        if let Some(d) = engine_mismatch(&memo, &fresh, patterns) {
+            return Some(format!("{at}: memo engine differs from a copied list's on {d}"));
         }
-        if flush_lists::<1>(circuit, own, patterns) != flush_lists::<1>(circuit, &copy, patterns) {
-            return Some(format!(
-                "{label} W1 {} patterns: flush lists",
-                patterns.len()
-            ));
+        if let Some(d) = reference_mismatch(circuit, &reversed, patterns) {
+            return Some(format!("{at}: reversed list differs from the reference on {d}"));
         }
-        if flush_lists::<4>(circuit, own, patterns) != flush_lists::<4>(circuit, &copy, patterns) {
-            return Some(format!(
-                "{label} W4 {} patterns: flush lists",
-                patterns.len()
-            ));
+        if flush_lists(circuit, own, patterns) != flush_lists(circuit, &copy, patterns) {
+            return Some(format!("{at}: flush lists"));
         }
     }
     None
@@ -170,7 +153,7 @@ fn engines_over_one_list_share_its_index() {
     let collapsed = circuit.collapsed_faults();
     let full = circuit.full_faults();
     let a = StemRegionEngine::for_circuit(&circuit, collapsed);
-    let b = StemRegionEngine::for_circuit(&circuit.clone(), collapsed).with_width(SimWidth::W4);
+    let b = StemRegionEngine::for_circuit(&circuit.clone(), collapsed);
     assert!(Arc::ptr_eq(a.fault_regions(), b.fault_regions()));
     assert!(Arc::ptr_eq(
         a.fault_regions(),

@@ -2,11 +2,11 @@
 //! loop must produce a test set, fault classifications, per-test
 //! detection counts, deterministic PODEM counters, and coverage curve
 //! **bit-identical** to the sequential loop at every point of the
-//! (atpg_threads × speculation_depth × sim width) lattice — on the
-//! embedded circuits, the paper-suite stand-ins, and random circuits.
+//! (atpg_threads × speculation_depth) lattice — on the embedded
+//! circuits, the paper-suite stand-ins, and random circuits.
 //!
-//! The oracle is the sequential batched loop (`atpg_threads: 1`) at
-//! `SimWidth::W1`; `compiled_circuit.rs` and `podem_equivalence.rs` pin
+//! The oracle is the sequential batched loop (`atpg_threads: 1`);
+//! `compiled_circuit.rs` and `podem_equivalence.rs` pin
 //! that loop to `TestGenerator::run_reference` (scalar drop loop over
 //! the full-resim PODEM reference), so this suite extends the chain of
 //! equivalence to the speculative first-win committer of
@@ -16,7 +16,6 @@ use adi::atpg::{TestGenConfig, TestGenResult, TestGenerator};
 use adi::circuits::{embedded, paper_suite, random_circuit, RandomCircuitConfig};
 use adi::netlist::fault::{FaultId, FaultList};
 use adi::netlist::{CompiledCircuit, Netlist};
-use adi::sim::SimWidth;
 use proptest::prelude::*;
 
 mod common;
@@ -24,7 +23,6 @@ use common::assert_same_result;
 
 const ATPG_THREADS: [usize; 3] = [1, 2, 4];
 const DEPTHS: [usize; 3] = [1, 4, 16];
-const WIDTHS: [SimWidth; 2] = [SimWidth::W1, SimWidth::W4];
 
 fn run_once(
     circuit: &CompiledCircuit,
@@ -32,10 +30,8 @@ fn run_once(
     order: &[FaultId],
     atpg_threads: usize,
     speculation_depth: usize,
-    width: SimWidth,
 ) -> TestGenResult {
     let config = TestGenConfig {
-        width,
         atpg_threads,
         speculation_depth,
         ..TestGenConfig::default()
@@ -44,31 +40,25 @@ fn run_once(
 }
 
 /// Asserts the full lattice for one circuit: every thread count and
-/// lookahead depth at every width against the single sequential oracle,
-/// including the deterministic stats counters and the coverage curve.
+/// lookahead depth against the single sequential oracle, including the
+/// deterministic stats counters and the coverage curve.
 fn assert_lattice(netlist: &Netlist, label: &str) {
     let circuit = CompiledCircuit::compile(netlist.clone());
     let faults = FaultList::collapsed(netlist);
     let order: Vec<FaultId> = faults.ids().collect();
-    let oracle = run_once(&circuit, &faults, &order, 1, 1, SimWidth::W1);
+    let oracle = run_once(&circuit, &faults, &order, 1, 1);
     let curve = oracle.coverage_curve();
-    for width in WIDTHS {
-        for threads in ATPG_THREADS {
-            for depth in DEPTHS {
-                let got = run_once(&circuit, &faults, &order, threads, depth, width);
-                let context = format!("{label} {width} atpg x{threads} depth {depth}");
-                assert_same_result(&context, &got, &oracle);
-                assert_eq!(
-                    got.podem_stats.deterministic(),
-                    oracle.podem_stats.deterministic(),
-                    "{context} stats"
-                );
-                assert_eq!(
-                    got.coverage_curve(),
-                    curve,
-                    "{label} {width} atpg x{threads} depth {depth} curve"
-                );
-            }
+    for threads in ATPG_THREADS {
+        for depth in DEPTHS {
+            let got = run_once(&circuit, &faults, &order, threads, depth);
+            let context = format!("{label} atpg x{threads} depth {depth}");
+            assert_same_result(&context, &got, &oracle);
+            assert_eq!(
+                got.podem_stats.deterministic(),
+                oracle.podem_stats.deterministic(),
+                "{context} stats"
+            );
+            assert_eq!(got.coverage_curve(), curve, "{context} curve");
         }
     }
 }
@@ -84,9 +74,9 @@ fn speculative_atpg_identical_on_embedded_circuits() {
         let faults = FaultList::collapsed(&netlist);
         let mut rev: Vec<FaultId> = faults.ids().collect();
         rev.reverse();
-        let oracle = run_once(&circuit, &faults, &rev, 1, 1, SimWidth::W1);
+        let oracle = run_once(&circuit, &faults, &rev, 1, 1);
         for threads in ATPG_THREADS {
-            let got = run_once(&circuit, &faults, &rev, threads, 16, SimWidth::W4);
+            let got = run_once(&circuit, &faults, &rev, threads, 16);
             let context = format!("{} reversed atpg x{threads}", netlist.name());
             assert_same_result(&context, &got, &oracle);
         }
@@ -113,26 +103,22 @@ fn speculative_atpg_identical_on_suite_circuits() {
         let compiled = CompiledCircuit::compile(netlist.clone());
         let faults = FaultList::collapsed(&netlist);
         let order: Vec<FaultId> = faults.ids().collect();
-        let oracle = run_once(&compiled, &faults, &order, 1, 1, SimWidth::W1);
-        let points: &[(usize, usize, SimWidth)] = if circuit.gates <= 600 {
-            &[
-                (2, 1, SimWidth::W1),
-                (4, 16, SimWidth::W4),
-                (4, 4, SimWidth::W1),
-            ]
+        let oracle = run_once(&compiled, &faults, &order, 1, 1);
+        let points: &[(usize, usize)] = if circuit.gates <= 600 {
+            &[(2, 1), (4, 16), (4, 4)]
         } else {
-            &[(4, 16, SimWidth::W4)]
+            &[(4, 16)]
         };
-        for &(threads, depth, width) in points {
-            let got = run_once(&compiled, &faults, &order, threads, depth, width);
-            let context = format!("{} {width} atpg x{threads} depth {depth}", circuit.name);
+        for &(threads, depth) in points {
+            let got = run_once(&compiled, &faults, &order, threads, depth);
+            let context = format!("{} atpg x{threads} depth {depth}", circuit.name);
             assert_same_result(&context, &got, &oracle);
         }
     }
 }
 
 /// The largest stand-in, which the suite test skips: irs13207's
-/// collapsed faults in list order at 4 ATPG threads, depth 16 and W4,
+/// collapsed faults in list order at 4 ATPG threads and depth 16,
 /// against the sequential loop. A sequential run takes about 5 s in a
 /// release build on a 2-vCPU host.
 #[test]
@@ -146,9 +132,9 @@ fn speculative_atpg_identical_on_irs13207() {
     let compiled = CompiledCircuit::compile(netlist.clone());
     let faults = FaultList::collapsed(&netlist);
     let order: Vec<FaultId> = faults.ids().collect();
-    let oracle = run_once(&compiled, &faults, &order, 1, 16, SimWidth::W4);
-    let got = run_once(&compiled, &faults, &order, 4, 16, SimWidth::W4);
-    assert_same_result("irs13207 W4 atpg x4 depth 16", &got, &oracle);
+    let oracle = run_once(&compiled, &faults, &order, 1, 16);
+    let got = run_once(&compiled, &faults, &order, 4, 16);
+    assert_same_result("irs13207 atpg x4 depth 16", &got, &oracle);
     assert_eq!(
         got.podem_stats.deterministic(),
         oracle.podem_stats.deterministic()
@@ -182,10 +168,10 @@ fn adaptive_claim_window_never_changes_output() {
             order.push(ids[hi]);
         }
     }
-    let oracle = run_once(&circuit, &faults, &order, 1, 1, SimWidth::W1);
+    let oracle = run_once(&circuit, &faults, &order, 1, 1);
     for depth in [2usize, 8, 64, 256] {
         for threads in [2usize, 4] {
-            let got = run_once(&circuit, &faults, &order, threads, depth, SimWidth::W4);
+            let got = run_once(&circuit, &faults, &order, threads, depth);
             let context = format!("adaptive atpg x{threads} depth {depth}");
             assert_same_result(&context, &got, &oracle);
             assert_eq!(
@@ -208,22 +194,19 @@ fn speculative_atpg_identical_after_random_warmup() {
     let faults = FaultList::collapsed(&netlist);
     let order: Vec<FaultId> = faults.ids().collect();
     let warmup = PatternSet::random(netlist.num_inputs(), 64, 0xBEE5);
-    let run = |threads: usize, depth: usize, width: SimWidth| {
+    let run = |threads: usize, depth: usize| {
         let config = TestGenConfig {
-            width,
             atpg_threads: threads,
             speculation_depth: depth,
             ..TestGenConfig::default()
         };
         TestGenerator::for_circuit(&circuit, &faults, config).run_with_random_phase(&order, &warmup)
     };
-    let oracle = run(1, 1, SimWidth::W1);
-    for width in WIDTHS {
-        for threads in ATPG_THREADS {
-            for depth in DEPTHS {
-                let context = format!("warmup {width} atpg x{threads} depth {depth}");
-                assert_same_result(&context, &run(threads, depth, width), &oracle);
-            }
+    let oracle = run(1, 1);
+    for threads in ATPG_THREADS {
+        for depth in DEPTHS {
+            let context = format!("warmup atpg x{threads} depth {depth}");
+            assert_same_result(&context, &run(threads, depth), &oracle);
         }
     }
 }
@@ -245,14 +228,12 @@ proptest! {
         seed in any::<u64>(),
         threads in (0usize..3).prop_map(|i| [2usize, 3, 4][i]),
         depth in (0usize..4).prop_map(|i| [1usize, 2, 7, 16][i]),
-        width in (0usize..2).prop_map(|i| [SimWidth::W1, SimWidth::W4][i]),
     ) {
         let circuit = CompiledCircuit::compile(netlist.clone());
         let faults = FaultList::collapsed(&netlist);
         let order: Vec<FaultId> = faults.ids().collect();
-        let run = |atpg_threads: usize, depth: usize, width: SimWidth| {
+        let run = |atpg_threads: usize, depth: usize| {
             let config = TestGenConfig {
-                width,
                 fill_seed: seed,
                 atpg_threads,
                 speculation_depth: depth,
@@ -260,8 +241,8 @@ proptest! {
             };
             TestGenerator::for_circuit(&circuit, &faults, config).run(&order)
         };
-        let oracle = run(1, 1, SimWidth::W1);
-        let got = run(threads, depth, width);
+        let oracle = run(1, 1);
+        let got = run(threads, depth);
         assert_same_result("random circuit", &got, &oracle);
         prop_assert_eq!(
             got.podem_stats.deterministic(),

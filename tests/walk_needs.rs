@@ -9,20 +9,20 @@
 //! so this suite pins those drive modes to oracles that share no code
 //! with the engine's walk:
 //!
-//! * `with_dropping` and `n_detect` for every `n` in `1..=8`, at every
-//!   width, against `adi::sim::reference` (one event-driven walk per
-//!   fault per 64-pattern block). The pattern counts (1, 63, 255, 257,
-//!   700) end inside a lane, at a superblock edge and past it, so counts
-//!   and first detections carry across superblocks at every width.
-//! * `DropSession::flush` at W1, W4 and W8, against the scalar
-//!   `detect_pattern` loop with immediate dropping.
+//! * `with_dropping` and `n_detect` for every `n` in `1..=8` against
+//!   `adi::sim::reference` (one event-driven walk per fault per
+//!   64-pattern block). The pattern counts (1, 63, 255, 257, 700) end
+//!   inside a lane, at a superblock edge and past it, so counts and
+//!   first detections carry across superblocks.
+//! * `DropSession::flush` against the scalar `detect_pattern` loop with
+//!   immediate dropping.
 
 use adi::circuits::{paper_suite, random_circuit, RandomCircuitConfig};
 use adi::netlist::fault::{FaultId, FaultList};
 use adi::netlist::{CompiledCircuit, Netlist};
 use adi::sim::{
     reference, DropOutcome, DropSession, FaultSimulator, NDetectOutcome, PatternSet, SimScratch,
-    SimWidth, StemRegionEngine,
+    StemRegionEngine,
 };
 use proptest::prelude::*;
 
@@ -68,9 +68,8 @@ fn count_mismatch(got: &NDetectOutcome, expect: &NDetectOutcome) -> Option<Strin
         })
 }
 
-/// Checks dropping and every n-detection count at every width, for
-/// each pattern set, against the reference; returns the first
-/// difference, named.
+/// Checks dropping and every n-detection count, for each pattern set,
+/// against the reference; returns the first difference, named.
 fn needs_mismatch(
     circuit: &CompiledCircuit,
     faults: &FaultList,
@@ -82,17 +81,15 @@ fn needs_mismatch(
         let counts: Vec<NDetectOutcome> = (1..=MAX_N)
             .map(|n| reference::n_detect(circuit, faults, patterns, n))
             .collect();
-        for width in SimWidth::ALL {
-            let engine = StemRegionEngine::for_circuit(circuit, faults).with_width(width);
-            let at = format!("{label} W{width} {} patterns", patterns.len());
-            if let Some(d) = drop_mismatch(&engine.with_dropping(patterns), &drop) {
-                return Some(format!("{at} dropping: {d}"));
-            }
-            for expect in &counts {
-                let got = engine.n_detect(patterns, expect.n);
-                if let Some(d) = count_mismatch(&got, expect) {
-                    return Some(format!("{at} n_detect({}): {d}", expect.n));
-                }
+        let engine = StemRegionEngine::for_circuit(circuit, faults);
+        let at = format!("{label} {} patterns", patterns.len());
+        if let Some(d) = drop_mismatch(&engine.with_dropping(patterns), &drop) {
+            return Some(format!("{at} dropping: {d}"));
+        }
+        for expect in &counts {
+            let got = engine.n_detect(patterns, expect.n);
+            if let Some(d) = count_mismatch(&got, expect) {
+                return Some(format!("{at} n_detect({}): {d}", expect.n));
             }
         }
     }
@@ -154,12 +151,12 @@ fn scalar_drop_lists(
 
 /// Drives a session over the pattern set, flushing whenever the block
 /// is full, and returns the per-test drop lists.
-fn session_drop_lists<const N: usize>(
+fn session_drop_lists(
     circuit: &CompiledCircuit,
     faults: &FaultList,
     patterns: &PatternSet,
 ) -> Vec<Vec<FaultId>> {
-    let mut session = DropSession::<N>::for_circuit(circuit, faults);
+    let mut session = DropSession::for_circuit(circuit, faults);
     let mut active: Vec<FaultId> = faults.ids().collect();
     let mut lists: Vec<Vec<FaultId>> = Vec::new();
     for p in 0..patterns.len() {
@@ -191,18 +188,12 @@ fn flush_mismatch(netlist: &Netlist, patterns: &PatternSet, label: &str) -> Opti
     let circuit = CompiledCircuit::compile(netlist.clone());
     let faults = circuit.full_faults();
     let expect = scalar_drop_lists(&circuit, faults, patterns);
-    let widths = [
-        (1, session_drop_lists::<1>(&circuit, faults, patterns)),
-        (4, session_drop_lists::<4>(&circuit, faults, patterns)),
-        (8, session_drop_lists::<8>(&circuit, faults, patterns)),
-    ];
-    widths.iter().find_map(|(w, got)| {
-        lists_mismatch(got, &expect).map(|d| format!("{label} W{w} session: {d}"))
-    })
+    let got = session_drop_lists(&circuit, faults, patterns);
+    lists_mismatch(&got, &expect).map(|d| format!("{label} session: {d}"))
 }
 
 /// Drop sessions over the suite's smaller circuits, with more tests
-/// than one W8 block holds, so flushes happen at every width.
+/// than two blocks hold, so full blocks flush before a partial one.
 #[test]
 fn flush_matches_scalar_loop_on_suite_circuits() {
     for circuit in paper_suite().into_iter().filter(|c| c.gates <= 300) {
@@ -224,7 +215,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random circuits over the full fault list: every drive mode at
-    /// every width and pattern count.
+    /// every pattern count.
     #[test]
     fn drive_modes_match_reference_on_random_circuits(
         netlist in tiny_circuit(),
@@ -236,8 +227,8 @@ proptest! {
         prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
     }
 
-    /// Random circuits: drop sessions at W1, W4 and W8 flush the same
-    /// per-test lists as the scalar loop.
+    /// Random circuits: drop sessions flush the same per-test lists as
+    /// the scalar loop.
     #[test]
     fn flush_matches_scalar_loop_on_random_circuits(
         netlist in tiny_circuit(),
