@@ -109,7 +109,8 @@ pub fn select_u_for(
 
     if netlist.num_inputs() <= config.exhaustive_threshold {
         let patterns = PatternSet::exhaustive(netlist.num_inputs());
-        let coverage = sim.with_dropping(&patterns).coverage();
+        // Only the coverage is read, so each fault needs one detection.
+        let coverage = sim.n_detect(&patterns, 1).coverage();
         return USelection {
             patterns,
             coverage,

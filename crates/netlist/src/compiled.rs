@@ -271,6 +271,8 @@ impl From<&Netlist> for CompiledCircuit {
 mod tests {
     use super::*;
     use crate::bench_format;
+    use crate::fault::FaultId;
+    use crate::PackedSite;
 
     const MUX: &str = "
 INPUT(a)
@@ -346,6 +348,15 @@ y = OR(t0, t1)
         assert_eq!(small.resident_bytes(), with_list + index.resident_bytes());
         let _ = small.fault_region_index(&small.collapsed_faults().clone());
         assert_eq!(small.resident_bytes(), with_list + index.resident_bytes());
+        // An index holds a fault id and an 8-byte packed site per fault,
+        // and the full list's memo counts beside the collapsed one's.
+        let per_fault = std::mem::size_of::<FaultId>() + std::mem::size_of::<PackedSite>();
+        assert!(index.resident_bytes() >= small.collapsed_faults().len() * per_fault);
+        let _ = small.full_faults();
+        let with_lists = small.resident_bytes();
+        let full = small.fault_region_index(small.full_faults());
+        assert!(full.resident_bytes() >= small.full_faults().len() * per_fault);
+        assert_eq!(small.resident_bytes(), with_lists + full.resident_bytes());
         // A structurally larger circuit reports a larger footprint.
         let mut text = String::from("INPUT(a)\nOUTPUT(y)\n");
         let mut prev = "a".to_string();

@@ -8,7 +8,10 @@
 //! fault list, and nothing that depends on patterns:
 //!
 //! * the fault groups: each FFR root holding a fault, with the ids of its
-//!   faults;
+//!   faults and, beside each id, its [`PackedSite`] (effect position,
+//!   branch pin and stuck value in 8 bytes), so the simulator computes a
+//!   fault's stem-difference word without reading the fault list or
+//!   mapping a node to its position;
 //! * the sensitization path marks: the positions whose sensitization word
 //!   some fault reads;
 //! * each non-root position's unique reader and the pin it reads through.
@@ -17,15 +20,85 @@
 //! [`FaultList`], and [`CompiledCircuit`](crate::CompiledCircuit) memoizes
 //! it for its own collapsed and full fault lists.
 
-use crate::fault::{FaultId, FaultList};
+use crate::fault::{Fault, FaultId, FaultList, FaultSite};
 use crate::{FfrPartition, LevelizedCsr};
 
 /// The reader entry of a position that roots its own FFR.
 const NO_READER: (u32, u16) = (u32::MAX, u16::MAX);
 
-/// A fault list grouped by FFR root, with the sensitization path marks
-/// and per-position readers the stem-region simulator runs on. Every
-/// position is a [`LevelizedCsr`] position.
+/// The pin of a stem fault's [`PackedSite`].
+const STEM_PIN: u16 = u16::MAX;
+
+/// A fault's site in [`LevelizedCsr`] position space, in 8 bytes: the
+/// position its effect appears at (its stem, or the gate reading its
+/// branch), the branch pin, and the stuck value.
+///
+/// # Examples
+///
+/// ```
+/// use adi_netlist::{bench_format, fault::Fault, CompiledCircuit, PackedSite};
+///
+/// # fn main() -> Result<(), adi_netlist::NetlistError> {
+/// let n = bench_format::parse("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n", "inv")?;
+/// let circuit = CompiledCircuit::compile(n);
+/// let y = circuit.netlist().find_node("y").unwrap();
+/// let site = PackedSite::of(circuit.view(), Fault::branch_at(y, 0, true));
+/// assert_eq!(site.position(), circuit.view().position(y));
+/// assert_eq!(site.pin(), Some(0));
+/// assert!(site.stuck_value());
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct PackedSite {
+    position: u32,
+    /// The branch pin, or [`STEM_PIN`] for a stem fault.
+    pin: u16,
+    stuck: bool,
+}
+
+impl PackedSite {
+    /// Packs the site of `fault` over `view`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fault references a node outside the view.
+    pub fn of(view: &LevelizedCsr, fault: Fault) -> Self {
+        let (node, pin) = match fault.site() {
+            FaultSite::Stem(node) => (node, STEM_PIN),
+            FaultSite::Branch { gate, pin } => (gate, u16::from(pin)),
+        };
+        PackedSite {
+            position: view.position(node) as u32,
+            pin,
+            stuck: fault.stuck_value(),
+        }
+    }
+
+    /// The effect position: the stem's own position, or that of the
+    /// gate reading the branch.
+    #[inline]
+    pub fn position(self) -> usize {
+        self.position as usize
+    }
+
+    /// The branch pin, `None` for a stem fault.
+    #[inline]
+    pub fn pin(self) -> Option<usize> {
+        (self.pin != STEM_PIN).then_some(usize::from(self.pin))
+    }
+
+    /// The stuck value.
+    #[inline]
+    pub fn stuck_value(self) -> bool {
+        self.stuck
+    }
+}
+
+/// A fault list grouped by FFR root, each fault beside its
+/// [`PackedSite`], with the sensitization path marks and per-position
+/// readers the stem-region simulator runs on. Every position is a
+/// [`LevelizedCsr`] position.
 ///
 /// # Examples
 ///
@@ -62,6 +135,8 @@ pub struct FaultRegionIndex {
     group_starts: Vec<u32>,
     /// Fault ids grouped by root, ascending within each group.
     group_faults: Vec<FaultId>,
+    /// The packed site of each fault of `group_faults`, in its order.
+    group_sites: Vec<PackedSite>,
 }
 
 impl FaultRegionIndex {
@@ -100,14 +175,18 @@ impl FaultRegionIndex {
             group_roots: Vec::new(),
             group_starts: Vec::new(),
             group_faults: vec![FaultId::default(); faults.len()],
+            group_sites: Vec::new(),
         };
         let mut sens_needed = vec![false; n];
         let mut root_pos_of = Vec::with_capacity(faults.len());
+        let mut sites = Vec::with_capacity(faults.len());
         for (_, fault) in faults.iter() {
             let node = fault.effect_node();
             assert!(node.index() < n, "fault {fault} outside netlist");
-            index.mark_path(view.position(node), &mut sens_needed);
+            let site = PackedSite::of(view, fault);
+            index.mark_path(site.position(), &mut sens_needed);
             root_pos_of.push(view.position(ffr.root_of(node)) as u32);
+            sites.push(site);
         }
         index.sens_needed = sens_needed;
 
@@ -131,6 +210,7 @@ impl FaultRegionIndex {
             index.group_faults[*slot as usize] = FaultId::new(f);
             *slot += 1;
         }
+        index.group_sites = index.group_faults.iter().map(|id| sites[id.index()]).collect();
         index
     }
 
@@ -158,6 +238,17 @@ impl FaultRegionIndex {
     #[inline]
     pub fn group_faults(&self, g: usize) -> &[FaultId] {
         &self.group_faults[self.group_starts[g] as usize..self.group_starts[g + 1] as usize]
+    }
+
+    /// The packed sites of group `g`'s faults, in the order of
+    /// [`group_faults`](Self::group_faults).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is out of range.
+    #[inline]
+    pub fn group_sites(&self, g: usize) -> &[PackedSite] {
+        &self.group_sites[self.group_starts[g] as usize..self.group_starts[g + 1] as usize]
     }
 
     /// The unique reader of a non-root position: the reading gate's
@@ -203,6 +294,7 @@ impl FaultRegionIndex {
             + self.sens_needed.len()
             + (self.group_roots.len() + self.group_starts.len()) * std::mem::size_of::<u32>()
             + self.group_faults.len() * std::mem::size_of::<FaultId>()
+            + self.group_sites.len() * std::mem::size_of::<PackedSite>()
     }
 }
 
@@ -256,6 +348,43 @@ mod tests {
         assert_eq!(marked, ["a", "s"]);
         assert_eq!(index.num_groups(), 1);
         assert_eq!(index.group_faults(0), [FaultId::new(0)]);
+    }
+
+    #[test]
+    fn packed_sites_decode_to_their_faults() {
+        // `s` and `c` fan out, so both lists hold branch faults at `y`
+        // and `z` beside the stem faults.
+        let src = "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nOUTPUT(z)\n\
+                   s = AND(a, b)\ny = AND(s, c)\nz = OR(s, c)\n";
+        let c = CompiledCircuit::compile(bench_format::parse(src, "fan").unwrap());
+        let view = c.view();
+        for (label, faults) in [("full", c.full_faults()), ("collapsed", c.collapsed_faults())] {
+            let index = FaultRegionIndex::build(view, c.ffr(), faults);
+            let (mut stems, mut branches) = (0, 0);
+            for g in 0..index.num_groups() {
+                let (ids, sites) = (index.group_faults(g), index.group_sites(g));
+                assert_eq!(ids.len(), sites.len(), "{label} group {g}");
+                for (&id, &site) in ids.iter().zip(sites) {
+                    let fault = faults.fault(id);
+                    let position = view.position(fault.effect_node());
+                    assert_eq!(site.position(), position, "{label} {fault}");
+                    assert_eq!(site.stuck_value(), fault.stuck_value(), "{label} {fault}");
+                    match fault.site() {
+                        FaultSite::Stem(_) => {
+                            assert_eq!(site.pin(), None, "{label} {fault}");
+                            stems += 1;
+                        }
+                        FaultSite::Branch { pin, .. } => {
+                            assert_eq!(site.pin(), Some(usize::from(pin)), "{label} {fault}");
+                            branches += 1;
+                        }
+                    }
+                }
+            }
+            assert_eq!(stems + branches, faults.len(), "{label}");
+            assert!(stems > 0 && branches > 0, "{label}: {stems} stems, {branches} branches");
+        }
+        assert_eq!(std::mem::size_of::<PackedSite>(), 8);
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub use builder::NetlistBuilder;
 pub use compiled::CompiledCircuit;
 pub use cone::{fanin_cone, fanout_cone, NodeSet};
 pub use error::NetlistError;
-pub use fault_regions::FaultRegionIndex;
+pub use fault_regions::{FaultRegionIndex, PackedSite};
 pub use ffr::FfrPartition;
 pub use gate::GateKind;
 pub use hash::NetlistHash;

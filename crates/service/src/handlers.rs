@@ -494,18 +494,30 @@ fn array<T: Into<Value>>(items: impl IntoIterator<Item = T>) -> Value {
     Value::Array(items.into_iter().map(Into::into).collect())
 }
 
+/// Fault coverage of a vector set. Only `include_detail`'s
+/// `new_detections` asks which vector detects a fault first, so only it
+/// runs the first-detection simulation; a count needs one detection per
+/// fault.
 fn op_coverage(c: Coverage) -> RequestResult<Object> {
     let faults = c.target.faults();
     let patterns = required_vectors(c.vectors, &c.target)?;
-    let drop = FaultSimulator::for_circuit(&c.target.circuit, faults).with_dropping(&patterns);
+    let sim = FaultSimulator::for_circuit(&c.target.circuit, faults);
+    let (num_detected, coverage, new_detections) = if c.include_detail {
+        let drop = sim.with_dropping(&patterns);
+        let news = drop.new_detections(patterns.len());
+        (drop.num_detected(), drop.coverage(), Some(news))
+    } else {
+        let once = sim.n_detect(&patterns, 1);
+        (once.num_detected(), once.coverage(), None)
+    };
     let mut o = Object::new();
     o.insert("hash", c.target.circuit.content_hash().to_hex());
     o.insert("num_patterns", patterns.len());
     o.insert("num_faults", faults.len());
-    o.insert("num_detected", drop.num_detected());
-    o.insert("coverage", drop.coverage());
-    if c.include_detail {
-        o.insert("new_detections", array(drop.new_detections(patterns.len())));
+    o.insert("num_detected", num_detected);
+    o.insert("coverage", coverage);
+    if let Some(news) = new_detections {
+        o.insert("new_detections", array(news));
     }
     Ok(o)
 }
@@ -648,11 +660,7 @@ fn op_equiv(e: Equiv) -> RequestResult<Object> {
 fn op_ndetect(nd: Ndetect) -> RequestResult<Object> {
     let faults = nd.target.faults();
     let patterns = required_vectors(nd.vectors, &nd.target)?;
-    if nd.n == 0 || nd.n > u32::MAX as u64 {
-        return Err(RequestError::new("`n` must be a positive integer"));
-    }
-    let outcome =
-        FaultSimulator::for_circuit(&nd.target.circuit, faults).n_detect(&patterns, nd.n as u32);
+    let outcome = FaultSimulator::for_circuit(&nd.target.circuit, faults).n_detect(&patterns, nd.n);
     let mut o = Object::new();
     o.insert("hash", nd.target.circuit.content_hash().to_hex());
     o.insert("n", nd.n);

@@ -122,8 +122,10 @@ pub(crate) enum Request {
 /// field added here enters the key by construction. Fields an op
 /// ignores are never read (`u` when vectors are given; vectors, `u` and
 /// `adi` for an `orig` `atpg` ordering).
-/// Checks that need the computation (vectors present, `n` in range,
-/// reorder `mode` and tests, `equiv` interfaces) are the executor's.
+/// Checks that need the computation (vectors present, reorder `mode`
+/// and tests, `equiv` interfaces) are the executor's; every other check,
+/// such as `ndetect`'s `n`, is the parser's, so no vector set is built
+/// for a request that is refused anyway.
 #[derive(Hash)]
 pub(crate) enum Scenario {
     Coverage(Coverage),
@@ -145,7 +147,8 @@ pub(crate) struct Coverage {
 pub(crate) struct Ndetect {
     pub(crate) target: Target,
     pub(crate) vectors: Option<PatternSpec>,
-    pub(crate) n: u64,
+    /// Positive, checked at parse.
+    pub(crate) n: u32,
 }
 
 #[derive(Hash)]
@@ -272,7 +275,7 @@ pub(crate) fn parse_request(op: &str, req: &Value, store: &CircuitStore) -> Requ
             let target = parse_target(req, store)?;
             Scenario::Ndetect(Ndetect {
                 vectors: parse_pattern_spec(req, target.num_inputs())?,
-                n: opt_u64(req, "n", 0)?,
+                n: parse_ndetect_n(req)?,
                 target,
             })
         }
@@ -378,6 +381,14 @@ fn parse_side(req: &Value, key: &str, store: &CircuitStore) -> RequestResult<Com
     resolve_circuit(spec, store)
         .map(|(circuit, _)| circuit)
         .map_err(|e| RequestError::new(format!("{key}: {e}")))
+}
+
+/// `ndetect`'s required `n`, a positive integer that fits a `u32`.
+fn parse_ndetect_n(req: &Value) -> RequestResult<u32> {
+    u32::try_from(opt_u64(req, "n", 0)?)
+        .ok()
+        .filter(|&n| n > 0)
+        .ok_or_else(|| RequestError::new("`n` must be a positive integer"))
 }
 
 /// The ADI vectors: the request's own, or (none given) its `u` config.
@@ -833,6 +844,37 @@ mod tests {
         // Unknown values of the string fields name their path too.
         let unknown = parse_testgen_config(&json::parse(r#"{"atpg": {"fill": "sideways"}}"#).unwrap());
         assert!(unknown.unwrap_err().0.contains("atpg.fill"));
+    }
+
+    #[test]
+    fn ndetect_n_is_checked_at_parse() {
+        // A 214-input circuit and the largest random set: were the set
+        // built before `n` is checked, each refusal would generate
+        // 2^20 vectors first. The parser builds no vectors at all.
+        let store = CircuitStore::new(crate::StoreConfig::default());
+        let mut bench = String::new();
+        for i in 0..214 {
+            bench.push_str(&format!("INPUT(i{i})\n"));
+        }
+        bench.push_str("OUTPUT(y)\ny = XOR(");
+        bench.push_str(&(0..214).map(|i| format!("i{i}")).collect::<Vec<_>>().join(", "));
+        bench.push_str(")\n");
+        let bench = Value::Str(bench).to_string();
+        let random = format!(r#""random": {{"count": {MAX_PATTERNS}}}"#);
+        for n in ["", r#", "n": 0"#, r#", "n": 4294967296"#] {
+            let line = format!(r#"{{"op": "ndetect", "bench": {bench}, {random}{n}}}"#);
+            let req = json::parse(&line).unwrap();
+            let err = parse_request("ndetect", &req, &store).err().expect("`n` is refused");
+            assert_eq!(err.0, "`n` must be a positive integer", "n = {n:?}");
+        }
+        let line = format!(r#"{{"op": "ndetect", "bench": {bench}, {random}, "n": 4294967295}}"#);
+        let Ok(Request::Scenario(Scenario::Ndetect(nd))) =
+            parse_request("ndetect", &json::parse(&line).unwrap(), &store)
+        else {
+            panic!("`n` = 2^32 - 1 parses");
+        };
+        assert_eq!(nd.n, u32::MAX);
+        assert!(matches!(nd.vectors, Some(PatternSpec::Random { count: MAX_PATTERNS, .. })));
     }
 
     #[test]

@@ -156,6 +156,44 @@ fn coverage_matches_direct_simulation() {
 }
 
 #[test]
+fn detail_free_coverage_counts_like_dropping() {
+    // Without `include_detail`, `coverage` counts detected faults
+    // without asking which vector detects each first: the count and the
+    // coverage must still be `with_dropping`'s, the coverage bit for
+    // bit, at pattern counts around the 256-pattern superblock.
+    let _guard = BUILD_COUNT_LOCK.lock().unwrap();
+    let s = state();
+    let random = reparsed(&random_circuit(&RandomCircuitConfig::new("svc_cover", 20, 400, 0xC0DE)));
+    let mut circuits = and_suite(medium());
+    circuits.push(random);
+    for (text, netlist) in circuits {
+        let name = netlist.name().to_string();
+        let hash = compile_via_service(&s, &text, &name);
+        let circuit = CompiledCircuit::compile(netlist);
+        let faults = circuit.collapsed_faults();
+        let sim = FaultSimulator::for_circuit(&circuit, faults);
+        for count in [1usize, 255, 256, 257, 700] {
+            let random = format!(r#""random": {{"count": {count}, "seed": 11}}"#);
+            let r = request_ok(&s, &format!(r#"{{"op": "coverage", "hash": "{hash}", {random}}}"#));
+            let patterns = PatternSet::random(circuit.netlist().num_inputs(), count, 11);
+            let direct = sim.with_dropping(&patterns);
+            let label = format!("{name}, {count} patterns");
+            assert_eq!(
+                r.get("num_detected").and_then(Value::as_u64),
+                Some(direct.num_detected() as u64),
+                "{label}"
+            );
+            assert_eq!(
+                r.get("coverage").and_then(Value::as_f64).map(f64::to_bits),
+                Some(direct.coverage().to_bits()),
+                "{label}"
+            );
+            assert!(r.get("new_detections").is_none(), "{label}");
+        }
+    }
+}
+
+#[test]
 fn adi_and_ordering_match_direct_analysis() {
     let _guard = BUILD_COUNT_LOCK.lock().unwrap();
     let s = state();

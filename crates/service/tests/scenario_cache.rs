@@ -448,6 +448,28 @@ fn semantic_differences_separate_scenarios() {
     assert_eq!(stat(&stats, "entries"), distinct.len() as u64);
 }
 
+#[test]
+fn coverage_detail_and_count_are_separate_scenarios() {
+    // `include_detail` selects the first-detection simulation, so the
+    // two requests cache apart, and each hit replays its own miss.
+    let s = state();
+    let hash = compile_c17(&s);
+    let random = r#""random": {"count": 40, "seed": 3}"#;
+    let count = format!(r#"{{"op": "coverage", "hash": "{hash}", {random}}}"#);
+    let detail = format!(r#"{}, "include_detail": true}}"#, count.strip_suffix('}').unwrap());
+    let (count_miss, detail_miss) = (raw(&s, &count), raw(&s, &detail));
+    assert!(!count_miss.contains("new_detections"), "{count_miss}");
+    assert!(detail_miss.contains("new_detections"), "{detail_miss}");
+    let stats = scenario_stats(&s);
+    assert_eq!(stat(&stats, "misses"), 2);
+    assert_eq!(stat(&stats, "entries"), 2);
+    assert_eq!(raw(&s, &count), count_miss, "the count hit replays its miss");
+    assert_eq!(raw(&s, &detail), detail_miss, "the detail hit replays its miss");
+    let stats = scenario_stats(&s);
+    assert_eq!(stat(&stats, "hits"), 2);
+    assert_eq!(stat(&stats, "misses"), 2);
+}
+
 /// One request per cacheable endpoint on the compiled circuit `hash`
 /// with `inputs` primary inputs. With `random`, that vector spec is the
 /// coverage set and `U`; without it, coverage is exhaustive and `adi`

@@ -19,9 +19,11 @@
 //!   dropping**, producing the [`DetectionMatrix`] from which the paper
 //!   computes `ndet(u)` and `D(f)`.
 //! * [`FaultSimulator::with_dropping`] — classic coverage simulation where
-//!   each fault is dropped at its first detection.
+//!   each fault is dropped at its first detection, reporting which
+//!   pattern that is.
 //! * [`FaultSimulator::n_detect`] — drop after `n` detections, the cheaper
 //!   estimate the paper mentions as an alternative to no-drop simulation.
+//!   At `n = 1` it is the cheapest way to a coverage figure.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -138,6 +140,17 @@ impl NDetectOutcome {
     pub fn num_saturated(&self) -> usize {
         self.counts.iter().filter(|&&c| c >= self.n).count()
     }
+
+    /// Fault coverage (detected at least once / total), computed as
+    /// [`DropOutcome::coverage`] computes it. Zero for an empty fault
+    /// list.
+    pub fn coverage(&self) -> f64 {
+        if self.counts.is_empty() {
+            0.0
+        } else {
+            self.num_detected() as f64 / self.counts.len() as f64
+        }
+    }
 }
 
 /// A stuck-at fault simulator bound to one compiled circuit and fault
@@ -239,7 +252,14 @@ impl<'a> FaultSimulator<'a> {
     }
 
     /// Simulates with fault dropping: each fault is retired at its first
-    /// detecting pattern.
+    /// detecting pattern, and the outcome says which pattern that is.
+    ///
+    /// Finding the first detecting pattern keeps every pattern below a
+    /// fault's lowest observed one alive in its region's walk. A caller
+    /// that needs only how many faults are detected, or the coverage,
+    /// should call [`n_detect(patterns, 1)`](Self::n_detect) instead:
+    /// the same count from walks that stop serving a fault at its first
+    /// observed detection, whichever pattern that is.
     pub fn with_dropping(&self, patterns: &PatternSet) -> DropOutcome {
         self.engine().with_dropping(patterns)
     }
@@ -640,6 +660,22 @@ G23 = NAND(G16, G19)
                 assert_eq!(nd.counts[id.index()], full.min(4), "fault {id}");
             }
             assert_eq!(nd.num_detected(), faults.len());
+        }
+    }
+
+    #[test]
+    fn detect_once_coverage_equals_dropping_coverage() {
+        let n = c17();
+        let circuit = compile(&n);
+        for faults in [FaultList::collapsed(&n), FaultList::from_faults(Vec::new())] {
+            let sim = FaultSimulator::for_circuit(&circuit, &faults);
+            let sets = [1, 7, 300].map(|count| PatternSet::random(5, count, 5));
+            for patterns in sets.iter().chain([&PatternSet::new(5)]) {
+                let (drop, once) = (sim.with_dropping(patterns), sim.n_detect(patterns, 1));
+                let label = format!("{} faults, {} patterns", faults.len(), patterns.len());
+                assert_eq!(once.num_detected(), drop.num_detected(), "{label}");
+                assert_eq!(once.coverage().to_bits(), drop.coverage().to_bits(), "{label}");
+            }
         }
     }
 

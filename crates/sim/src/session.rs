@@ -453,6 +453,40 @@ G23 = NAND(G16, G19)
         }
     }
 
+    /// `covers`, `pending_detections` and `flush` walk over the pending
+    /// block's good words in place; each must leave them equal to a
+    /// fresh sweep of the block.
+    #[test]
+    fn walks_leave_the_pending_good_words_as_they_found_them() {
+        for seed in 0..4u64 {
+            let netlist = random_netlist(seed, 7, 60 + 20 * seed as usize);
+            let circuit = CompiledCircuit::compile(netlist);
+            let faults = circuit.full_faults();
+            let view = circuit.view();
+            let patterns = PatternSet::random(circuit.netlist().num_inputs(), 100, seed);
+            let name = circuit.netlist().name();
+            let mut session = DropSession::for_circuit(&circuit, faults);
+            for p in 0..patterns.len() {
+                session.push(&patterns.get(p));
+            }
+            let mut fresh = vec![SimWord::ZERO; view.num_nodes()];
+            logic::simulate_superblock_csr(view, &session.lane_words, &mut fresh);
+            let mut covered = 0;
+            for id in faults.ids() {
+                covered += usize::from(session.covers(id));
+                assert_eq!(session.scratch.good, fresh, "{name}: covers({id})");
+            }
+            for id in faults.ids() {
+                session.pending_detections(id);
+                assert_eq!(session.scratch.good, fresh, "{name}: pending_detections({id})");
+            }
+            let active: Vec<FaultId> = faults.ids().collect();
+            let flushed: usize = session.flush(&active).iter().map(Vec::len).sum();
+            assert_eq!(session.scratch.good, fresh, "{name}: flush");
+            assert_eq!(flushed, covered, "{name}");
+        }
+    }
+
     #[test]
     fn wide_pending_detections_cross_lane_boundaries() {
         // Push past lane 192 so pending detections must read every u64

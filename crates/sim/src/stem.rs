@@ -12,7 +12,10 @@
 //!    `sens(u) = sens(reader) & pin_sens(reader, pin_of(u))`, with
 //!    `sens(stem) = ~0`. A fault's *stem difference word* is then its
 //!    local activation word ANDed with the sensitization along its path;
-//!    no event queue is involved.
+//!    no event queue is involved. The activation word is read at the
+//!    fault's [`PackedSite`], stored beside its id in the
+//!    [`FaultRegionIndex`], so the pass over a region's faults never
+//!    consults the fault list or maps a node to its position.
 //! 2. **Observability from a stem is fault-independent.** Whether a
 //!    flipped stem value reaches a primary output depends only on the
 //!    good-machine values outside the region. One propagation of the
@@ -42,6 +45,14 @@
 //!   short of `n`. Lanes evaluate independently and a live lane
 //!   propagates unchanged, so the walk's word is exact on every lane
 //!   the caller kept, and a retired lane cannot change any answer.
+//! * **In place over the good words.** A walk writes each faulty word
+//!   over its good word, so a fanin read is one load with no version
+//!   stamp to check, and restores every word it wrote from an undo
+//!   trail before it returns (the idiom
+//!   [`DualMachineSim`](crate::DualMachineSim) uses for PODEM). Callers
+//!   therefore hand the walk their own good words mutably, and the
+//!   region-parallel split copies each superblock's shared good words
+//!   into its thread's scratch before detecting.
 //!
 //! Two further multipliers sit on top of the two-level scheme:
 //!
@@ -73,9 +84,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use adi_netlist::fault::{FaultId, FaultList, FaultSite};
+use adi_netlist::fault::{FaultId, FaultList};
+use adi_netlist::{CompiledCircuit, FaultRegionIndex, GateKind, LevelizedCsr, PackedSite};
 use adi_obs::SpanSite;
-use adi_netlist::{CompiledCircuit, FaultRegionIndex, GateKind, LevelizedCsr};
 
 /// Oversplit factor for the work-stealing region split: each thread's
 /// share of the stem-region groups is cut into this many weight-balanced
@@ -192,12 +203,9 @@ impl Need<'_> {
 /// Reusable buffers of the fault-effect walk ([`EffectWalk::run`]).
 #[derive(Clone, Debug)]
 struct EffectWalk {
-    /// Faulty-machine words, valid only where `stamp` holds the current
-    /// walk's `version`; everywhere else the faulty machine equals the
-    /// good one.
-    faulty: Vec<SimWord>,
-    stamp: Vec<u32>,
-    version: u32,
+    /// `(position, good word)` of each position the current walk has
+    /// overwritten with its faulty word. Empty between walks.
+    trail: Vec<(u32, SimWord)>,
     /// Pending evaluations: bit `p % 64` of word `p / 64` schedules
     /// position `p`. All zero between walks.
     pending: Vec<u64>,
@@ -212,9 +220,7 @@ impl StemScratch {
             input_words: vec![SimWord::ZERO; view.inputs().len()],
             region: RegionScratch {
                 walk: EffectWalk {
-                    faulty: vec![SimWord::ZERO; n],
-                    stamp: vec![0; n],
-                    version: 0,
+                    trail: Vec::new(),
                     pending: vec![0; n.div_ceil(64)],
                 },
                 rds: Vec::new(),
@@ -228,16 +234,20 @@ impl EffectWalk {
     /// and returns lanes in which it reaches a primary output.
     ///
     /// `seed` is the effect at `start`: the faulty machine there is
-    /// `good[start] ^ seed`. Events drain from the position bitset
-    /// lowest position first, a topological order, so each gate is
-    /// evaluated once after all of its faulty fanins; gates that reach
-    /// no output are never scheduled. The walk keeps a word of live
-    /// lanes, at first `seed`. Each evaluation keeps only the difference
-    /// `d` in live lanes and stores `good ^ d`, so a retired lane
-    /// propagates no further. A lane retires once an output observes
-    /// it; after each new observation the walk passes every observed
-    /// lane to `need`, retires each lane `need` leaves out, and returns
-    /// once no lane is live.
+    /// `good[start] ^ seed`. The walk runs on `good` itself: it writes
+    /// each faulty word over its good word, so a fanin read is one load,
+    /// and restores every word it wrote from its trail before it
+    /// returns, so `good` is unchanged afterwards. Events drain from the
+    /// position bitset lowest position first, a topological order, so
+    /// each gate is evaluated once, after all of its faulty fanins and
+    /// before its own word is written; gates that reach no output are
+    /// never scheduled. The walk keeps a word of live lanes, at first
+    /// `seed`. Each evaluation keeps only the difference `d` in live
+    /// lanes and writes `good ^ d`, so a retired lane propagates no
+    /// further. A lane retires once an output observes it; after each
+    /// new observation the walk passes every observed lane to `need`,
+    /// retires each lane `need` leaves out, and returns once no lane is
+    /// live.
     ///
     /// Lanes evaluate independently and a live lane propagates
     /// unchanged, so every returned lane is a detecting lane, and the
@@ -246,7 +256,7 @@ impl EffectWalk {
     fn run(
         &mut self,
         view: &LevelizedCsr,
-        good: &[SimWord],
+        good: &mut [SimWord],
         start: usize,
         seed: SimWord,
         mut need: impl FnMut(SimWord) -> SimWord,
@@ -257,14 +267,8 @@ impl EffectWalk {
         if view.is_output_at(start) {
             return seed;
         }
-        self.version = self.version.wrapping_add(1);
-        if self.version == 0 {
-            self.stamp.fill(0);
-            self.version = 1;
-        }
-        let v = self.version;
-        self.faulty[start] = good[start] ^ seed;
-        self.stamp[start] = v;
+        self.trail.push((start as u32, good[start]));
+        good[start] ^= seed;
         // One past the highest pending word.
         let mut end = 0usize;
         self.schedule_fanouts(view, start, &mut end);
@@ -279,14 +283,7 @@ impl EffectWalk {
             }
             self.pending[w] = bits & (bits - 1);
             let p = w * 64 + bits.trailing_zeros() as usize;
-            let (faulty, stamp) = (&self.faulty, &self.stamp);
-            let val = eval_with_pos_w(view.kind_at(p), view.fanins_at(p), |f| {
-                if stamp[f as usize] == v {
-                    faulty[f as usize]
-                } else {
-                    good[f as usize]
-                }
-            });
+            let val = eval_with_pos_w(view.kind_at(p), view.fanins_at(p), |f| good[f as usize]);
             let d = (val ^ good[p]) & live;
             if d.is_zero() {
                 continue;
@@ -302,10 +299,14 @@ impl EffectWalk {
                 }
                 continue;
             }
-            self.faulty[p] = good[p] ^ d;
-            self.stamp[p] = v;
+            self.trail.push((p as u32, good[p]));
+            good[p] ^= d;
             self.schedule_fanouts(view, p, &mut end);
         }
+        for &(p, word) in &self.trail {
+            good[p as usize] = word;
+        }
+        self.trail.clear();
         observed
     }
 
@@ -371,13 +372,25 @@ impl<'a> StemRegionEngine<'a> {
         let mut scratch = StemScratch::new(self.view());
         for sb in 0..patterns.num_superblocks() {
             let _block_span = SPAN_BLOCK.enter();
-            self.sim_superblock(patterns, sb, &mut scratch);
-            let mask = patterns.valid_mask_wide(sb);
-            self.for_each_detection(mask, &mut scratch, None, Need::Every, |fault, word| {
-                or_word_wide(&mut matrix, fault, sb, word);
-            });
+            self.no_drop_superblock(patterns, sb, &mut scratch, &mut matrix);
         }
         matrix
+    }
+
+    /// One superblock of [`no_drop_matrix`](Self::no_drop_matrix): its
+    /// detection words ORed into `matrix`, simulated in `scratch`.
+    fn no_drop_superblock(
+        &self,
+        patterns: &PatternSet,
+        sb: usize,
+        scratch: &mut StemScratch,
+        matrix: &mut DetectionMatrix,
+    ) {
+        self.sim_superblock(patterns, sb, scratch);
+        let mask = patterns.valid_mask_wide(sb);
+        self.for_each_detection(mask, scratch, None, Need::Every, |fault, word| {
+            or_word_wide(matrix, fault, sb, word);
+        });
     }
 
     /// Like [`no_drop_matrix`](Self::no_drop_matrix) but parallel in
@@ -485,7 +498,10 @@ impl<'a> StemRegionEngine<'a> {
     /// The region-parallel split: the good machine is computed once
     /// (superblock ranges split across threads), then each thread
     /// detects a contiguous range of stem-region groups — a disjoint
-    /// set of matrix rows, so the stripes merge without locks. This is
+    /// set of matrix rows, so the stripes merge without locks. Each
+    /// thread copies a superblock's shared good words into its own
+    /// scratch before detecting, since the walks write faulty words
+    /// over them (and restore them) in place. This is
     /// the split that scales when the pattern set has fewer superblocks
     /// than threads. Identical to the serial result.
     ///
@@ -534,53 +550,16 @@ impl<'a> StemRegionEngine<'a> {
         // and the final scatter is order-independent.
         let chunks = self.chunk_group_ranges(threads * CHUNKS_PER_THREAD);
         let cursor = AtomicUsize::new(0);
-        let good_ref: &[SimWord] = &good_all;
         let mut hit_lists: Vec<Vec<(u32, u32, SimWord)>> = Vec::with_capacity(threads);
         std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for _ in 0..threads {
-                let cursor = &cursor;
-                let chunks = &chunks;
-                handles.push(scope.spawn(move || {
-                    let mut hits: Vec<(u32, u32, SimWord)> = Vec::new();
-                    let mut scratch = StemScratch::new(self.view());
-                    let mut marking = Vec::new();
-                    let mut ids: Vec<FaultId> = Vec::new();
-                    loop {
-                        let c = cursor.fetch_add(1, Ordering::Relaxed);
-                        if c >= chunks.len() {
-                            break;
-                        }
-                        let (g0, g1) = chunks[c];
-                        // Sensitization marking restricted to the
-                        // chunk's faults: the reverse sweep skips every
-                        // other region.
-                        ids.clear();
-                        for g in g0..g1 {
-                            ids.extend_from_slice(self.regions.group_faults(g));
-                        }
-                        self.mark_sens_needed(&ids, &mut marking);
-                        for sb in 0..n_superblocks {
-                            let good = &good_ref[sb * n_pos..(sb + 1) * n_pos];
-                            self.prepare_sens(good, &mut scratch.sens, &marking);
-                            let mask = patterns.valid_mask_wide(sb);
-                            let StemScratch { sens, region, .. } = &mut scratch;
-                            self.detect_groups(
-                                g0,
-                                g1,
-                                mask,
-                                good,
-                                sens,
-                                region,
-                                None,
-                                Need::Every,
-                                &mut |f, det| hits.push((f, sb as u32, det)),
-                            );
-                        }
-                    }
-                    hits
-                }));
-            }
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut scratch = StemScratch::new(self.view());
+                        self.detect_chunks(patterns, &good_all, &chunks, &cursor, &mut scratch)
+                    })
+                })
+                .collect();
             for h in handles {
                 hit_lists.push(h.join().expect("stem region worker panicked"));
             }
@@ -592,6 +571,52 @@ impl<'a> StemRegionEngine<'a> {
             }
         }
         matrix
+    }
+
+    /// One region-parallel worker: pulls group chunks from `cursor` until
+    /// none is left and returns the `(fault, superblock, word)` hits of
+    /// their faults. For each chunk and superblock it copies the shared
+    /// good words (`good_all`, superblock-major) into `scratch`, runs the
+    /// sensitization sweep restricted to the chunk's faults (so the
+    /// reverse sweep skips every other region) and detects the chunk's
+    /// groups.
+    fn detect_chunks(
+        &self,
+        patterns: &PatternSet,
+        good_all: &[SimWord],
+        chunks: &[(usize, usize)],
+        cursor: &AtomicUsize,
+        scratch: &mut StemScratch,
+    ) -> Vec<(u32, u32, SimWord)> {
+        let n_pos = self.view().num_nodes();
+        let mut hits = Vec::new();
+        let mut marking = Vec::new();
+        let mut ids: Vec<FaultId> = Vec::new();
+        while let Some(&(g0, g1)) = chunks.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            ids.clear();
+            for g in g0..g1 {
+                ids.extend_from_slice(self.regions.group_faults(g));
+            }
+            self.mark_sens_needed(&ids, &mut marking);
+            for (sb, good_sb) in good_all.chunks_exact(n_pos).enumerate() {
+                scratch.good.copy_from_slice(good_sb);
+                self.prepare_block_with(scratch, &marking);
+                let mask = patterns.valid_mask_wide(sb);
+                let StemScratch { good, sens, region, .. } = &mut *scratch;
+                self.detect_groups(
+                    g0,
+                    g1,
+                    mask,
+                    good,
+                    sens,
+                    region,
+                    None,
+                    Need::Every,
+                    &mut |f, det| hits.push((f, sb as u32, det)),
+                );
+            }
+        }
+        hits
     }
 
     /// Splits the group range into at most `chunks` contiguous,
@@ -658,17 +683,21 @@ impl<'a> StemRegionEngine<'a> {
     ///
     /// Panics if the pattern width does not match the circuit.
     pub fn with_dropping(&self, patterns: &PatternSet) -> DropOutcome {
+        self.with_dropping_in(patterns, &mut StemScratch::new(self.view()))
+    }
+
+    /// [`with_dropping`](Self::with_dropping), simulated in `scratch`.
+    fn with_dropping_in(&self, patterns: &PatternSet, scratch: &mut StemScratch) -> DropOutcome {
         self.assert_width(patterns);
-        let mut scratch = StemScratch::new(self.view());
         let mut first: Vec<Option<u32>> = vec![None; self.faults.len()];
         let mut remaining = self.faults.len();
         for sb in 0..patterns.num_superblocks() {
             if remaining == 0 {
                 break;
             }
-            self.sim_superblock(patterns, sb, &mut scratch);
+            self.sim_superblock(patterns, sb, scratch);
             let mask = patterns.valid_mask_wide(sb);
-            let StemScratch { good, sens, region, .. } = &mut scratch;
+            let StemScratch { good, sens, region, .. } = &mut *scratch;
             for g in 0..self.regions.num_groups() {
                 let wants = |f: u32| first[f as usize].is_none();
                 let (rds, obs) = self.walk_region(g, mask, good, sens, region, wants, Need::First);
@@ -696,18 +725,27 @@ impl<'a> StemRegionEngine<'a> {
     ///
     /// Panics if `n == 0` or the pattern width does not match.
     pub fn n_detect(&self, patterns: &PatternSet, n: u32) -> NDetectOutcome {
+        self.n_detect_in(patterns, n, &mut StemScratch::new(self.view()))
+    }
+
+    /// [`n_detect`](Self::n_detect), simulated in `scratch`.
+    fn n_detect_in(
+        &self,
+        patterns: &PatternSet,
+        n: u32,
+        scratch: &mut StemScratch,
+    ) -> NDetectOutcome {
         assert!(n > 0, "n-detection requires n >= 1");
         self.assert_width(patterns);
-        let mut scratch = StemScratch::new(self.view());
         let mut counts = vec![0u32; self.faults.len()];
         let mut remaining = self.faults.len();
         for sb in 0..patterns.num_superblocks() {
             if remaining == 0 {
                 break;
             }
-            self.sim_superblock(patterns, sb, &mut scratch);
+            self.sim_superblock(patterns, sb, scratch);
             let mask = patterns.valid_mask_wide(sb);
-            let StemScratch { good, sens, region, .. } = &mut scratch;
+            let StemScratch { good, sens, region, .. } = &mut *scratch;
             for g in 0..self.regions.num_groups() {
                 // Saturated faults are dropped.
                 let wants = |f: u32| counts[f as usize] < n;
@@ -760,14 +798,7 @@ impl<'a> StemRegionEngine<'a> {
     /// the batched ATPG drop session passes a marking restricted to its
     /// still-active faults so the reverse sweep skips retired regions.
     pub(crate) fn prepare_block_with(&self, s: &mut StemScratch, sens_needed: &[bool]) {
-        self.prepare_sens(&s.good, &mut s.sens, sens_needed);
-    }
-
-    /// The reverse sensitization sweep alone, reading good-machine
-    /// words from `good` (which may be a shared slice rather than the
-    /// scratch's own buffer — the region-parallel split shares one good
-    /// machine across threads).
-    fn prepare_sens(&self, good: &[SimWord], sens: &mut [SimWord], sens_needed: &[bool]) {
+        let (good, sens) = (&s.good, &mut s.sens);
         debug_assert_eq!(sens_needed.len(), self.view().num_nodes());
         // Reverse sweep: every reader sits at a higher position, so its
         // sensitization word is final before its drivers are visited.
@@ -798,39 +829,24 @@ impl<'a> StemRegionEngine<'a> {
         }
     }
 
-    /// The effect position of `fault` (its stem, or the gate reading
-    /// its branch) and the word of patterns (unmasked) on which the
-    /// fault flips that position.
+    /// The word of patterns (unmasked) on which the fault at `site`
+    /// flips its effect position.
     #[inline]
-    fn site_diff(&self, fault: u32, good: &[SimWord]) -> (usize, SimWord) {
-        let fault = self.faults.fault(FaultId::new(fault as usize));
-        let stuck = if fault.stuck_value() {
+    fn site_diff(&self, site: PackedSite, good: &[SimWord]) -> SimWord {
+        let stuck = if site.stuck_value() {
             SimWord::ONES
         } else {
             SimWord::ZERO
         };
-        let view = self.view();
-        match fault.site() {
-            FaultSite::Stem(node) => {
-                let p = view.position(node);
-                (p, good[p] ^ stuck)
-            }
-            FaultSite::Branch { gate, pin } => {
-                let (g, pin) = (view.position(gate), usize::from(pin));
-                let fanins = view.fanins_at(g);
-                let src = fanins[pin] as usize;
-                let diff = (good[src] ^ stuck) & pin_sens(good, view.kind_at(g), fanins, pin);
-                (g, diff)
+        let p = site.position();
+        match site.pin() {
+            None => good[p] ^ stuck,
+            Some(pin) => {
+                let view = self.view();
+                let fanins = view.fanins_at(p);
+                (good[fanins[pin] as usize] ^ stuck) & pin_sens(good, view.kind_at(p), fanins, pin)
             }
         }
-    }
-
-    /// The word of patterns (unmasked) on which `fault` flips its FFR
-    /// stem.
-    #[inline]
-    fn stem_diff(&self, fault: u32, good: &[SimWord], sens: &[SimWord]) -> SimWord {
-        let (p, diff) = self.site_diff(fault, good);
-        diff & sens[p]
     }
 
     /// Lanes of `valid_mask` that detect `fault`, by one walk from its
@@ -845,10 +861,11 @@ impl<'a> StemRegionEngine<'a> {
         s: &mut StemScratch,
         need: impl FnMut(SimWord) -> SimWord,
     ) -> SimWord {
-        let (p, diff) = self.site_diff(fault.index() as u32, &s.good);
+        let site = PackedSite::of(self.view(), self.faults.fault(fault));
+        let diff = self.site_diff(site, &s.good) & valid_mask;
         s.region
             .walk
-            .run(self.view(), &s.good, p, diff & valid_mask, need)
+            .run(self.view(), &mut s.good, site.position(), diff, need)
     }
 
     /// Visits every `(fault, detection_word)` pair with a non-zero word
@@ -887,7 +904,7 @@ impl<'a> StemRegionEngine<'a> {
         g0: usize,
         g1: usize,
         valid_mask: SimWord,
-        good: &[SimWord],
+        good: &mut [SimWord],
         sens: &[SimWord],
         region: &mut RegionScratch,
         active: Option<&[bool]>,
@@ -908,7 +925,8 @@ impl<'a> StemRegionEngine<'a> {
 
     /// Detects group `g`'s faults for one superblock with one walk. It
     /// collects the non-zero stem-difference words (within
-    /// `valid_mask`) of the faults `wants` selects, walks the flipped
+    /// `valid_mask`) of the faults `wants` selects, each from the
+    /// fault's packed site and the sensitization word there, walks the flipped
     /// root seeded with their union, retiring each lane once `need` no
     /// longer needs it, and returns the words with the walk's word
     /// `obs`. Each fault is detected on `rd & obs` as far as `need`
@@ -919,7 +937,7 @@ impl<'a> StemRegionEngine<'a> {
         &self,
         g: usize,
         valid_mask: SimWord,
-        good: &[SimWord],
+        good: &mut [SimWord],
         sens: &[SimWord],
         s: &'s mut RegionScratch,
         wants: impl Fn(u32) -> bool,
@@ -927,12 +945,13 @@ impl<'a> StemRegionEngine<'a> {
     ) -> (&'s [(u32, SimWord)], SimWord) {
         s.rds.clear();
         let mut seed = SimWord::ZERO;
-        for &id in self.regions.group_faults(g) {
+        let (ids, sites) = (self.regions.group_faults(g), self.regions.group_sites(g));
+        for (&id, &site) in ids.iter().zip(sites) {
             let fault = id.index() as u32;
             if !wants(fault) {
                 continue;
             }
-            let rd = self.stem_diff(fault, good, sens) & valid_mask;
+            let rd = self.site_diff(site, good) & sens[site.position()] & valid_mask;
             if !rd.is_zero() {
                 s.rds.push((fault, rd));
                 seed |= rd;
@@ -994,7 +1013,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::reference;
     use adi_netlist::bench_format;
-    use adi_netlist::fault::Fault;
+    use adi_netlist::fault::{Fault, FaultSite};
     use adi_netlist::{Netlist, NetlistBuilder, NodeId};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1130,6 +1149,61 @@ pub(crate) mod tests {
             // 600 patterns: two full superblocks and a partial one.
             let patterns = PatternSet::random(netlist.num_inputs(), 600, seed);
             walk_matches_reference(&netlist, &patterns);
+        }
+    }
+
+    /// The good words of superblock `sb`, by a fresh sweep.
+    fn fresh_good(view: &LevelizedCsr, patterns: &PatternSet, sb: usize) -> Vec<SimWord> {
+        let mut inputs = vec![SimWord::ZERO; view.inputs().len()];
+        let mut good = vec![SimWord::ZERO; view.num_nodes()];
+        logic::load_input_words_w(patterns, sb, &mut inputs);
+        logic::simulate_superblock_csr(view, &inputs, &mut good);
+        good
+    }
+
+    /// Every walk writes faulty words over the good ones and restores
+    /// them, so after each entry point that walks, its scratch must hold
+    /// the good words of the last superblock it simulated, as a fresh
+    /// sweep computes them.
+    #[test]
+    fn walks_leave_the_good_words_as_they_found_them() {
+        for seed in 0..6u64 {
+            let netlist = random_netlist(seed, 7 + seed as usize % 4, 60 + 20 * seed as usize);
+            let circuit = compile(&netlist);
+            let (faults, view) = (FaultList::full(&netlist), circuit.view());
+            let engine = StemRegionEngine::for_circuit(&circuit, &faults);
+            // Two full superblocks and a partial one.
+            let patterns = PatternSet::random(netlist.num_inputs(), 600, seed);
+            let last = patterns.num_superblocks() - 1;
+            let name = netlist.name();
+            let mut scratch = StemScratch::new(view);
+
+            let mut matrix = DetectionMatrix::new(faults.len(), patterns.len());
+            for sb in 0..patterns.num_superblocks() {
+                engine.no_drop_superblock(&patterns, sb, &mut scratch, &mut matrix);
+                assert_eq!(scratch.good, fresh_good(view, &patterns, sb), "{name} no-drop {sb}");
+            }
+            assert_eq!(matrix, engine.no_drop_matrix(&patterns), "{name}");
+
+            // Random circuits keep undetectable faults (dead logic), so
+            // neither drive mode stops before the last superblock.
+            let drop = engine.with_dropping_in(&patterns, &mut scratch);
+            assert!(drop.num_detected() < faults.len(), "{name}: test premise");
+            assert_eq!(scratch.good, fresh_good(view, &patterns, last), "{name} dropping");
+            for n in [1, 3] {
+                engine.n_detect_in(&patterns, n, &mut scratch);
+                assert_eq!(scratch.good, fresh_good(view, &patterns, last), "{name} n = {n}");
+            }
+
+            // The region-parallel worker, alone on one thread.
+            let good_all: Vec<SimWord> = (0..patterns.num_superblocks())
+                .flat_map(|sb| fresh_good(view, &patterns, sb))
+                .collect();
+            let chunks = engine.chunk_group_ranges(3);
+            let cursor = AtomicUsize::new(0);
+            let hits = engine.detect_chunks(&patterns, &good_all, &chunks, &cursor, &mut scratch);
+            assert!(!hits.is_empty(), "{name}");
+            assert_eq!(scratch.good, fresh_good(view, &patterns, last), "{name} region split");
         }
     }
 

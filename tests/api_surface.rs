@@ -23,7 +23,9 @@ use adi::core::{
     ExperimentConfig, FaultOrdering, OrderingRun, USelection, USetConfig,
 };
 use adi::netlist::fault::{Fault, FaultId, FaultList};
-use adi::netlist::{CompiledCircuit, FaultRegionIndex, FfrPartition, LevelizedCsr, Netlist};
+use adi::netlist::{
+    CompiledCircuit, FaultRegionIndex, FfrPartition, LevelizedCsr, Netlist, PackedSite,
+};
 use adi::sim::{
     DetectionMatrix, DropOutcome, DropSession, DualMachineSim, FaultSimulator, GoodValues,
     NDetectOutcome, Pattern, PatternSet, SimScratch, SimWord, StemRegionEngine,
@@ -119,6 +121,11 @@ fn pin_fault_region_index<'a>(_: &'a ()) {
     let _: fn(&FaultRegionIndex) -> usize = FaultRegionIndex::num_groups;
     let _: fn(&FaultRegionIndex, usize) -> usize = FaultRegionIndex::group_root;
     let _: fn(&FaultRegionIndex, usize) -> &[FaultId] = FaultRegionIndex::group_faults;
+    let _: fn(&FaultRegionIndex, usize) -> &[PackedSite] = FaultRegionIndex::group_sites;
+    let _: fn(&LevelizedCsr, Fault) -> PackedSite = PackedSite::of;
+    let _: fn(PackedSite) -> usize = PackedSite::position;
+    let _: fn(PackedSite) -> Option<usize> = PackedSite::pin;
+    let _: fn(PackedSite) -> bool = PackedSite::stuck_value;
     let _: fn(&FaultRegionIndex, usize) -> Option<(usize, usize)> = FaultRegionIndex::reader;
     let _: fn(&FaultRegionIndex) -> &[bool] = FaultRegionIndex::sens_needed;
     let _: fn(&FaultRegionIndex, usize, &mut [bool]) = FaultRegionIndex::mark_path;
@@ -183,6 +190,9 @@ fn pin_simulation_surface<'a>(_: &'a ()) {
         FaultSimulator::no_drop_matrix_parallel;
     let _: fn(&FaultSimulator<'a>, &PatternSet) -> DropOutcome = FaultSimulator::with_dropping;
     let _: fn(&FaultSimulator<'a>, &PatternSet, u32) -> NDetectOutcome = FaultSimulator::n_detect;
+    // A coverage figure from either drive mode, computed alike.
+    let _: fn(&DropOutcome) -> f64 = DropOutcome::coverage;
+    let _: fn(&NDetectOutcome) -> f64 = NDetectOutcome::coverage;
     let _: fn(&FaultSimulator<'a>, &Pattern, &[FaultId], &mut SimScratch) -> Vec<FaultId> =
         FaultSimulator::detect_pattern;
     let _: fn(&'a FaultSimulator<'a>) -> &'a CompiledCircuit = FaultSimulator::circuit;
