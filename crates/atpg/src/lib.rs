@@ -40,14 +40,14 @@
 //! Generate a test for a specific stuck-at fault:
 //!
 //! ```
-//! use adi_netlist::{bench_format, fault::Fault};
+//! use adi_netlist::{bench_format, fault::Fault, CompiledCircuit};
 //! use adi_atpg::{Podem, PodemConfig, PodemOutcome};
 //!
 //! # fn main() -> Result<(), adi_netlist::NetlistError> {
 //! let n = bench_format::parse("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n", "and2")?;
 //! let y = n.find_node("y").unwrap();
 //! let fault = Fault::stem_at(y, false); // y stuck-at-0
-//! let mut podem = Podem::new(&n, PodemConfig::default());
+//! let mut podem = Podem::for_circuit(&CompiledCircuit::compile(n), PodemConfig::default());
 //! match podem.generate(fault) {
 //!     PodemOutcome::Test(cube) => {
 //!         // Detecting y/0 requires a = b = 1.

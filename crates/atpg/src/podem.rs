@@ -356,16 +356,6 @@ struct Decision {
 }
 
 impl Podem {
-    /// Creates a generator for `netlist`, compiling a private copy
-    /// (levelized view, SCOAP measures included).
-    ///
-    /// Prefer [`Podem::for_circuit`] when a [`CompiledCircuit`] is at
-    /// hand — it shares the compilation's cached artifacts instead of
-    /// rebuilding them per generator.
-    pub fn new(netlist: &Netlist, config: PodemConfig) -> Self {
-        Self::for_circuit(&CompiledCircuit::compile(netlist.clone()), config)
-    }
-
     /// Creates a generator over a compiled circuit, sharing its cached
     /// SCOAP measures and levelized view (computed once per compilation,
     /// not per generator).
@@ -924,7 +914,7 @@ mod tests {
     use super::*;
     use adi_netlist::bench_format;
     use adi_netlist::fault::FaultList;
-    use adi_sim::faultsim::SimScratch;
+    use adi_sim::reference::PatternSim;
     use adi_sim::{FaultSimulator, PatternSet};
 
     fn compile(netlist: &Netlist) -> CompiledCircuit {
@@ -960,8 +950,7 @@ G23 = NAND(G16, G19)
         let n = bench_format::parse(C17, "c17").unwrap();
         let faults = FaultList::full(&n);
         let circuit = compile(&n);
-        let sim = FaultSimulator::for_circuit(&circuit, &faults);
-        let mut scratch = SimScratch::for_circuit(&circuit);
+        let mut sim = PatternSim::for_circuit(&circuit, &faults);
         for (label, generate) in SEARCHES {
             let mut podem = Podem::for_circuit(&circuit, PodemConfig::default());
             for (id, fault) in faults.iter() {
@@ -971,7 +960,7 @@ G23 = NAND(G16, G19)
                         for fill in [crate::FillStrategy::Zeros, crate::FillStrategy::Ones] {
                             let pattern = fill.fill(&cube, 0);
                             assert!(
-                                sim.detects(&pattern, id, Some(&mut scratch)),
+                                sim.detect(&pattern, &[id]) == [id],
                                 "[{label}] cube {cube} (filled {fill:?}) misses fault {fault}"
                             );
                         }
@@ -1013,7 +1002,7 @@ G23 = NAND(G16, G19)
         let n = bench_format::parse(src, "taut").unwrap();
         let y = n.find_node("y").unwrap();
         for (label, generate) in SEARCHES {
-            let mut podem = Podem::new(&n, PodemConfig::default());
+            let mut podem = Podem::for_circuit(&compile(&n), PodemConfig::default());
             assert_eq!(
                 generate(&mut podem, Fault::stem_at(y, true)),
                 PodemOutcome::Untestable,
@@ -1042,15 +1031,14 @@ y = XOR(p, q)
         let n = bench_format::parse(src, "reconv").unwrap();
         let faults = FaultList::full(&n);
         let circuit = compile(&n);
-        let sim = FaultSimulator::for_circuit(&circuit, &faults);
-        let mut scratch = SimScratch::for_circuit(&circuit);
+        let mut sim = PatternSim::for_circuit(&circuit, &faults);
         for (label, generate) in SEARCHES {
             let mut podem = Podem::for_circuit(&circuit, PodemConfig::default());
             for (id, fault) in faults.iter() {
                 if let PodemOutcome::Test(cube) = generate(&mut podem, fault) {
                     let pattern = crate::FillStrategy::Zeros.fill(&cube, 0);
                     assert!(
-                        sim.detects(&pattern, id, Some(&mut scratch)),
+                        sim.detect(&pattern, &[id]) == [id],
                         "[{label}] fault {fault}"
                     );
                 }
@@ -1076,9 +1064,8 @@ y = OR(t, v)
         let faults = FaultList::full(&n);
         let patterns = PatternSet::exhaustive(3);
         let circuit = compile(&n);
-        let sim = FaultSimulator::for_circuit(&circuit, &faults);
-        let mut scratch = SimScratch::for_circuit(&circuit);
-        let matrix = sim.no_drop_matrix(&patterns);
+        let mut sim = PatternSim::for_circuit(&circuit, &faults);
+        let matrix = FaultSimulator::for_circuit(&circuit, &faults).no_drop_matrix(&patterns);
         for (label, generate) in SEARCHES {
             let mut podem = Podem::for_circuit(&circuit, PodemConfig::default());
             for (id, fault) in faults.iter() {
@@ -1091,7 +1078,7 @@ y = OR(t, v)
                         );
                         let p = crate::FillStrategy::Random.fill(&cube, 5);
                         assert!(
-                            sim.detects(&p, id, Some(&mut scratch)),
+                            sim.detect(&p, &[id]) == [id],
                             "[{label}] bad test for {fault}"
                         );
                     }
@@ -1114,8 +1101,7 @@ y = OR(t, v)
         let n = bench_format::parse(C17, "c17").unwrap();
         let faults = FaultList::full(&n);
         let circuit = compile(&n);
-        let sim = FaultSimulator::for_circuit(&circuit, &faults);
-        let mut scratch = SimScratch::for_circuit(&circuit);
+        let mut sim = PatternSim::for_circuit(&circuit, &faults);
         for (label, generate) in SEARCHES {
             let mut podem = Podem::for_circuit(
                 &circuit,
@@ -1129,7 +1115,7 @@ y = OR(t, v)
             for (id, fault) in faults.iter() {
                 if let PodemOutcome::Test(cube) = generate(&mut podem, fault) {
                     let p = crate::FillStrategy::Zeros.fill(&cube, 0);
-                    assert!(sim.detects(&p, id, Some(&mut scratch)), "[{label}]");
+                    assert!(sim.detect(&p, &[id]) == [id], "[{label}]");
                 }
             }
         }
@@ -1141,7 +1127,7 @@ y = OR(t, v)
         let n = bench_format::parse(src, "x2").unwrap();
         let a = n.find_node("a").unwrap();
         for (_, generate) in SEARCHES {
-            let mut podem = Podem::new(&n, PodemConfig::default());
+            let mut podem = Podem::for_circuit(&compile(&n), PodemConfig::default());
             let outcome = generate(&mut podem, Fault::stem_at(a, false));
             let cube = outcome.test().expect("a/0 is testable through XOR");
             assert_eq!(cube.get(0), Some(true)); // a must be 1 to excite s-a-0
@@ -1155,7 +1141,7 @@ y = OR(t, v)
         let n = bench_format::parse(src, "wire").unwrap();
         let a = n.find_node("a").unwrap();
         for (_, generate) in SEARCHES {
-            let mut podem = Podem::new(&n, PodemConfig::default());
+            let mut podem = Podem::for_circuit(&compile(&n), PodemConfig::default());
             let cube = generate(&mut podem, Fault::stem_at(a, false))
                 .test()
                 .expect("testable");

@@ -25,8 +25,8 @@
 //! [`TestGenerator::run_reference`] is the differential oracle for both
 //! `run` and [`run_with_random_phase`](TestGenerator::run_with_random_phase):
 //! the scalar loop, one
-//! [`detect_pattern`](adi_sim::FaultSimulator::detect_pattern) call per
-//! generated test, over [`Podem::generate_reference`]. Its tests,
+//! [`PatternSim::detect`](adi_sim::reference::PatternSim::detect) call
+//! per generated test, over [`Podem::generate_reference`]. Its tests,
 //! classifications, per-test detection counts and PODEM search counters
 //! are bit-identical to `run`'s; production code does not call it.
 
@@ -36,8 +36,8 @@ use std::time::Instant;
 use adi_netlist::fault::{FaultId, FaultList};
 use adi_netlist::CompiledCircuit;
 use adi_obs::SpanSite;
-use adi_sim::faultsim::SimScratch;
-use adi_sim::{CoverageCurve, DropSession, FaultSimulator, Pattern};
+use adi_sim::reference::PatternSim;
+use adi_sim::{CoverageCurve, DropSession, Pattern};
 
 use crate::{speculate, FillStrategy, Podem, PodemConfig, PodemOutcome, PodemStats, SatFallback, SatResolved};
 
@@ -626,7 +626,7 @@ impl<'a> TestGenerator<'a> {
     /// The reference for both [`run`](Self::run) (pass an empty
     /// `warmup`) and [`run_with_random_phase`](Self::run_with_random_phase):
     /// the scalar drop loop, one
-    /// [`detect_pattern`](adi_sim::FaultSimulator::detect_pattern) call
+    /// [`PatternSim::detect`](adi_sim::reference::PatternSim::detect) call
     /// (a cone walk per active fault) per warm-up vector and per
     /// generated test, with every target searched by
     /// [`Podem::generate_reference`]. `atpg_threads` and
@@ -646,11 +646,10 @@ impl<'a> TestGenerator<'a> {
     pub fn run_reference(&self, order: &[FaultId], warmup: &adi_sim::PatternSet) -> TestGenResult {
         let warm_start = Instant::now();
         let mut warm = Warmup::new(self.faults);
-        let sim = FaultSimulator::for_circuit(&self.circuit, self.faults);
-        let mut scratch = SimScratch::for_circuit(&self.circuit);
+        let mut sim = PatternSim::for_circuit(&self.circuit, self.faults);
         for p in 0..warmup.len() {
             let pattern = warmup.get(p);
-            let detected = sim.detect_pattern(&pattern, &warm.active, &mut scratch);
+            let detected = sim.detect(&pattern, &warm.active);
             warm.admit(pattern, &detected);
             warm.prune();
         }
@@ -659,7 +658,7 @@ impl<'a> TestGenerator<'a> {
         warm.stitch(tail, warm_ns)
     }
 
-    /// The reference loop's deterministic phase: one `detect_pattern`
+    /// The reference loop's deterministic phase: one `PatternSim::detect`
     /// call (a cone walk per active fault) per generated test.
     fn run_phase_reference(&self, order: &[FaultId], predropped: &[bool]) -> TestGenResult {
         let n_faults = self.faults.len();
@@ -667,8 +666,7 @@ impl<'a> TestGenerator<'a> {
         self.validate_order(order);
 
         let mut podem = Podem::for_circuit(&self.circuit, self.config.podem);
-        let sim = FaultSimulator::for_circuit(&self.circuit, self.faults);
-        let mut scratch = SimScratch::for_circuit(&self.circuit);
+        let mut sim = PatternSim::for_circuit(&self.circuit, self.faults);
 
         // `status[f]` is None while f is undetected and unresolved.
         let mut status: Vec<Option<FaultStatus>> = vec![None; n_faults];
@@ -696,7 +694,7 @@ impl<'a> TestGenerator<'a> {
                     let seed = self.config.fill_seed.wrapping_add(u64::from(test_index));
                     let pattern = self.config.fill.fill(&cube, seed);
                     let t0 = Instant::now();
-                    let detected = sim.detect_pattern(&pattern, &active, &mut scratch);
+                    let detected = sim.detect(&pattern, &active);
                     timing.drop_ns += t0.elapsed().as_nanos() as u64;
                     debug_assert!(
                         detected.contains(&target),
@@ -897,7 +895,7 @@ pub(crate) fn apply_flush(
 mod tests {
     use super::*;
     use adi_netlist::{bench_format, Netlist};
-    use adi_sim::PatternSet;
+    use adi_sim::{FaultSimulator, PatternSet};
 
     const C17: &str = "
 INPUT(G1)
@@ -943,11 +941,10 @@ G23 = NAND(G16, G19)
         let faults = FaultList::collapsed(&n);
         let order: Vec<FaultId> = faults.ids().collect();
         let result = TestGenerator::for_circuit(&compile(&n), &faults, TestGenConfig::default()).run(&order);
-        let sim = FaultSimulator::for_circuit(&compile(&n), &faults);
-        let mut scratch = SimScratch::for_circuit(&compile(&n));
+        let mut sim = PatternSim::for_circuit(&compile(&n), &faults);
         for (i, (test, &target)) in result.tests.iter().zip(&result.targets).enumerate() {
             assert!(
-                sim.detects(test, target, Some(&mut scratch)),
+                sim.detect(test, &[target]) == [target],
                 "test {i} misses its target"
             );
         }

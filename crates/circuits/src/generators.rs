@@ -77,79 +77,6 @@ pub fn parity_tree(width: usize) -> Netlist {
     b.build().expect("parity tree is structurally valid")
 }
 
-/// Generates a `2^select_bits`-to-1 multiplexer (`2^k + k` inputs,
-/// 1 output).
-///
-/// # Panics
-///
-/// Panics if `select_bits == 0` or `select_bits > 6`.
-pub fn mux_tree(select_bits: usize) -> Netlist {
-    assert!((1..=6).contains(&select_bits), "1..=6 select bits supported");
-    let k = select_bits;
-    let mut b = NetlistBuilder::new(format!("mux{}", 1 << k));
-    let data: Vec<NodeId> = (0..1usize << k)
-        .map(|i| b.add_input(format!("d{i}")))
-        .collect();
-    let sel: Vec<NodeId> = (0..k).map(|i| b.add_input(format!("s{i}"))).collect();
-    let nsel: Vec<NodeId> = (0..k)
-        .map(|i| {
-            b.add_gate(GateKind::Not, format!("ns{i}"), &[sel[i]])
-                .expect("valid arity")
-        })
-        .collect();
-    let mut layer = data;
-    for level in 0..k {
-        let mut next = Vec::with_capacity(layer.len() / 2);
-        for (j, pair) in layer.chunks(2).enumerate() {
-            let low = b
-                .add_gate(
-                    GateKind::And,
-                    format!("lo_{level}_{j}"),
-                    &[pair[0], nsel[level]],
-                )
-                .expect("valid arity");
-            let high = b
-                .add_gate(
-                    GateKind::And,
-                    format!("hi_{level}_{j}"),
-                    &[pair[1], sel[level]],
-                )
-                .expect("valid arity");
-            let or = b
-                .add_gate(GateKind::Or, format!("or_{level}_{j}"), &[low, high])
-                .expect("valid arity");
-            next.push(or);
-        }
-        layer = next;
-    }
-    b.mark_output(layer[0]);
-    b.build().expect("mux tree is structurally valid")
-}
-
-/// Generates an `n`-bit equality comparator (`2n` inputs, 1 output that is
-/// 1 iff `a == b`).
-///
-/// # Panics
-///
-/// Panics if `bits == 0`.
-pub fn equality_comparator(bits: usize) -> Netlist {
-    assert!(bits > 0, "comparator needs at least one bit");
-    let mut b = NetlistBuilder::new(format!("eq{bits}"));
-    let a_in: Vec<NodeId> = (0..bits).map(|i| b.add_input(format!("a{i}"))).collect();
-    let b_in: Vec<NodeId> = (0..bits).map(|i| b.add_input(format!("b{i}"))).collect();
-    let eqs: Vec<NodeId> = (0..bits)
-        .map(|i| {
-            b.add_gate(GateKind::Xnor, format!("eq{i}"), &[a_in[i], b_in[i]])
-                .expect("valid arity")
-        })
-        .collect();
-    let y = b
-        .add_gate(GateKind::And, "all_eq", &eqs)
-        .expect("valid arity");
-    b.mark_output(y);
-    b.build().expect("comparator is structurally valid")
-}
-
 /// Configuration for [`random_circuit`].
 #[derive(Clone, Debug)]
 pub struct RandomCircuitConfig {
@@ -354,41 +281,6 @@ mod tests {
             let vals = evaluate(&n, &assignment);
             let out = n.outputs()[0];
             assert_eq!(vals[out.index()], v.count_ones() % 2 == 1, "v={v}");
-        }
-    }
-
-    #[test]
-    fn mux_selects() {
-        let n = mux_tree(2);
-        // Inputs: d0..d3, s0, s1. Selector (s1 s0) picks d_{s}.
-        for sel in 0..4usize {
-            for data in 0..16u32 {
-                let mut assignment: Vec<bool> =
-                    (0..4).map(|i| (data >> i) & 1 == 1).collect();
-                assignment.push(sel & 1 == 1); // s0: level-0 select
-                assignment.push(sel >> 1 & 1 == 1); // s1
-                let vals = evaluate(&n, &assignment);
-                let out = n.outputs()[0];
-                assert_eq!(
-                    vals[out.index()],
-                    (data >> sel) & 1 == 1,
-                    "sel={sel} data={data:04b}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn comparator_detects_equality() {
-        let n = equality_comparator(3);
-        for a in 0..8u32 {
-            for bb in 0..8u32 {
-                let mut assignment: Vec<bool> = (0..3).map(|i| (a >> i) & 1 == 1).collect();
-                assignment.extend((0..3).map(|i| (bb >> i) & 1 == 1));
-                let vals = evaluate(&n, &assignment);
-                let out = n.outputs()[0];
-                assert_eq!(vals[out.index()], a == bb);
-            }
         }
     }
 

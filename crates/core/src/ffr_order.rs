@@ -15,41 +15,32 @@
 //! score, ties by original order.
 
 use adi_netlist::fault::{FaultId, FaultList, FaultSite};
-use adi_netlist::{CompiledCircuit, FfrPartition, Netlist, NodeId};
+use adi_netlist::{CompiledCircuit, NodeId};
 
-/// Computes the COMPACTEST-style fault order, recomputing the FFR
-/// decomposition from the bare netlist. Prefer
-/// [`ffr_independent_order_for`] when a compilation is at hand.
+/// Computes the COMPACTEST-style fault order over a compiled circuit,
+/// reusing the compilation's cached FFR decomposition.
 ///
 /// # Examples
 ///
 /// ```
-/// use adi_core::ffr_order::ffr_independent_order;
-/// use adi_netlist::{bench_format, fault::FaultList};
+/// use adi_core::ffr_order::ffr_independent_order_for;
+/// use adi_netlist::{bench_format, CompiledCircuit};
 ///
 /// # fn main() -> Result<(), adi_netlist::NetlistError> {
 /// let n = bench_format::parse(
 ///     "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nt = AND(a, b)\ny = OR(t, c)\n", "c")?;
-/// let faults = FaultList::collapsed(&n);
-/// let order = ffr_independent_order(&n, &faults);
+/// let circuit = CompiledCircuit::compile(n);
+/// let faults = circuit.collapsed_faults();
+/// let order = ffr_independent_order_for(&circuit, faults);
 /// assert_eq!(order.len(), faults.len());
 /// # Ok(())
 /// # }
 /// ```
-pub fn ffr_independent_order(netlist: &Netlist, faults: &FaultList) -> Vec<FaultId> {
-    with_partition(netlist, &FfrPartition::compute(netlist), faults)
-}
-
-/// [`ffr_independent_order`] over an already-compiled circuit, reusing
-/// the compilation's cached FFR decomposition.
 pub fn ffr_independent_order_for(
     circuit: &CompiledCircuit,
     faults: &FaultList,
 ) -> Vec<FaultId> {
-    with_partition(circuit.netlist(), circuit.ffr(), faults)
-}
-
-fn with_partition(netlist: &Netlist, ffr: &FfrPartition, faults: &FaultList) -> Vec<FaultId> {
+    let (netlist, ffr) = (circuit.netlist(), circuit.ffr());
     // Leaf count per FFR root: members whose fanins all lie outside the
     // region (inputs of the region).
     let mut leaf_count = vec![0usize; netlist.num_nodes()];
@@ -83,7 +74,12 @@ fn with_partition(netlist: &Netlist, ffr: &FfrPartition, faults: &FaultList) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adi_netlist::bench_format;
+    use adi_netlist::{bench_format, Netlist};
+
+    /// The order over a fresh compilation of `netlist`.
+    fn order_of(netlist: &Netlist, faults: &FaultList) -> Vec<FaultId> {
+        ffr_independent_order_for(&CompiledCircuit::compile(netlist.clone()), faults)
+    }
 
     #[test]
     fn order_is_a_permutation() {
@@ -93,7 +89,7 @@ mod tests {
         )
         .unwrap();
         let faults = FaultList::collapsed(&n);
-        let order = ffr_independent_order(&n, &faults);
+        let order = order_of(&n, &faults);
         let mut sorted: Vec<usize> = order.iter().map(|f| f.index()).collect();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..faults.len()).collect::<Vec<_>>());
@@ -118,7 +114,7 @@ z = BUF(e)
 ";
         let n = bench_format::parse(src, "c").unwrap();
         let faults = FaultList::collapsed(&n);
-        let order = ffr_independent_order(&n, &faults);
+        let order = order_of(&n, &faults);
         let z = n.find_node("z").unwrap();
         let e = n.find_node("e").unwrap();
         let first_small = order
@@ -147,8 +143,8 @@ z = BUF(e)
         .unwrap();
         let faults = FaultList::collapsed(&n);
         assert_eq!(
-            ffr_independent_order(&n, &faults),
-            ffr_independent_order(&n, &faults)
+            order_of(&n, &faults),
+            order_of(&n, &faults)
         );
     }
 }

@@ -145,20 +145,6 @@ pub fn fanin_cone(netlist: &Netlist, roots: &[NodeId]) -> NodeSet {
     set
 }
 
-/// Computes the transitive fanout cone of `roots` (including the roots).
-///
-/// The result contains every node that any root can influence.
-pub fn fanout_cone(netlist: &Netlist, roots: &[NodeId]) -> NodeSet {
-    let mut set = NodeSet::new(netlist.num_nodes());
-    let mut stack: Vec<NodeId> = roots.to_vec();
-    while let Some(u) = stack.pop() {
-        if set.insert(u) {
-            stack.extend_from_slice(netlist.fanouts(u));
-        }
-    }
-    set
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,11 +200,8 @@ mod tests {
         let (n, ids) = chain(5);
         let mid = ids[2];
         let fi = fanin_cone(&n, &[mid]);
-        let fo = fanout_cone(&n, &[mid]);
         assert_eq!(fi.len(), 3); // i, g1, g2
-        assert_eq!(fo.len(), 3); // g2, g3, g4
         assert!(fi.contains(ids[0]) && !fi.contains(ids[3]));
-        assert!(fo.contains(ids[4]) && !fo.contains(ids[1]));
     }
 
     #[test]

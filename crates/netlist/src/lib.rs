@@ -65,7 +65,7 @@ mod stats;
 
 pub use builder::NetlistBuilder;
 pub use compiled::CompiledCircuit;
-pub use cone::{fanin_cone, fanout_cone, NodeSet};
+pub use cone::{fanin_cone, NodeSet};
 pub use error::NetlistError;
 pub use fault_regions::{FaultRegionIndex, PackedSite};
 pub use ffr::FfrPartition;

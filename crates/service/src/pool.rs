@@ -13,7 +13,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -97,23 +97,6 @@ impl WorkerPool {
             self.queued.fetch_sub(1, Ordering::SeqCst);
             PoolClosed
         })
-    }
-
-    /// Enqueues `job` without blocking; `Ok(false)` means the queue was
-    /// full and the job was dropped.
-    pub fn try_submit(&self, job: impl FnOnce() + Send + 'static) -> Result<bool, PoolClosed> {
-        let wrapped = self.count_queued(job);
-        match self.sender().try_send(wrapped) {
-            Ok(()) => Ok(true),
-            Err(TrySendError::Full(_)) => {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                Ok(false)
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                Err(PoolClosed)
-            }
-        }
     }
 
     /// Counts `job` as queued until the moment a worker starts it, so
@@ -211,31 +194,6 @@ mod tests {
         }
         pool.shutdown();
         assert_eq!(count.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
-    fn try_submit_reports_a_full_queue() {
-        let pool = WorkerPool::new(1, 1);
-        let gate = Arc::new(Mutex::new(()));
-        let hold = gate.lock().unwrap();
-        // Occupy the single worker...
-        let blocker = Arc::clone(&gate);
-        pool.submit(move || {
-            let _unused = blocker.lock();
-        })
-        .unwrap();
-        // ...then stuff the queue until `Full` shows up.
-        let mut saw_full = false;
-        for _ in 0..50 {
-            if !pool.try_submit(|| {}).unwrap() {
-                saw_full = true;
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(saw_full, "bounded queue never reported Full");
-        drop(hold);
-        pool.shutdown();
     }
 
     #[test]

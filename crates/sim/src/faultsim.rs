@@ -1,23 +1,24 @@
 //! Stuck-at fault simulation.
 //!
-//! [`FaultSimulator`] drives the two-level stem-region engine
-//! ([`StemRegionEngine`]) on the cache-friendly [`LevelizedCsr`]
-//! position space: inside each fanout-free region every fault's
-//! detectability at the FFR stem is computed bit-parallelly from forward
-//! sensitization words (no event queue), then a single observability
-//! propagation *per stem* carries the effect to the outputs. Cost: one
-//! cone walk *per FFR* per block, an asymptotic win over classic PPSFP
-//! (one cone walk *per fault* per block) since regions average several
-//! faults each. PPSFP survives as the differential oracle in
-//! [`reference`](mod@crate::reference), and as the single-pattern
-//! [`FaultSimulator::detect_pattern`] primitive, where a lone vector
-//! cannot amortize the stem-region engine's per-block sweeps.
+//! [`FaultSimulator`] is the two-level stem-region engine, whose drive
+//! modes and hot loops live in [`stem`](mod@crate::stem), on the
+//! cache-friendly [`LevelizedCsr`](adi_netlist::LevelizedCsr) position
+//! space: inside each fanout-free region every fault's detectability at
+//! the FFR stem is computed bit-parallelly from forward sensitization
+//! words (no event queue), then a single observability propagation *per
+//! stem* carries the effect to the outputs. Cost: one cone walk *per
+//! FFR* per superblock, an asymptotic win over classic PPSFP (one cone
+//! walk *per fault* per block) since regions average several faults
+//! each. PPSFP survives only in [`reference`](mod@crate::reference), as
+//! the differential oracle of every drive mode and as the single-pattern
+//! [`PatternSim`](crate::reference::PatternSim) of the reference ATPG
+//! drop loop.
 //!
 //! Three drive modes are offered by [`FaultSimulator`]:
 //!
 //! * [`FaultSimulator::no_drop_matrix`] — full simulation **without fault
-//!   dropping**, producing the [`DetectionMatrix`] from which the paper
-//!   computes `ndet(u)` and `D(f)`.
+//!   dropping**, producing the [`DetectionMatrix`](crate::DetectionMatrix)
+//!   from which the paper computes `ndet(u)` and `D(f)`.
 //! * [`FaultSimulator::with_dropping`] — classic coverage simulation where
 //!   each fault is dropped at its first detection, reporting which
 //!   pattern that is.
@@ -25,68 +26,10 @@
 //!   estimate the paper mentions as an alternative to no-drop simulation.
 //!   At `n = 1` it is the cheapest way to a coverage figure.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::sync::Arc;
 
-use adi_netlist::fault::{Fault, FaultId, FaultList, FaultSite};
-use adi_netlist::{CompiledCircuit, GateKind, LevelizedCsr, Netlist};
-
-use crate::logic::{self, eval_with_pos};
-use crate::stem::StemRegionEngine;
-use crate::{DetectionMatrix, Pattern, PatternSet};
-
-/// Reusable per-thread scratch buffers for per-fault injection, bound to
-/// one compiled circuit (whose [`LevelizedCsr`] view the hot loops run
-/// on).
-///
-/// Create one with [`SimScratch::for_circuit`] and reuse it across calls
-/// to the single-pattern API to avoid repeated allocation.
-#[derive(Clone, Debug)]
-pub struct SimScratch {
-    pub(crate) circuit: CompiledCircuit,
-    pub(crate) buf: ScratchBuf,
-}
-
-/// The allocation-heavy part of [`SimScratch`], split out so the view
-/// and the buffers can be borrowed independently.
-#[derive(Clone, Debug)]
-pub(crate) struct ScratchBuf {
-    faulty: Vec<u64>,
-    stamp: Vec<u32>,
-    queued: Vec<u32>,
-    version: u32,
-    queue: BinaryHeap<Reverse<u32>>,
-    good_single: Vec<u64>,
-    input_words: Vec<u64>,
-}
-
-impl SimScratch {
-    /// Allocates scratch buffers for `circuit`, sharing its levelized
-    /// view (an `Arc` bump, no per-call setup).
-    pub fn for_circuit(circuit: &CompiledCircuit) -> Self {
-        let buf = ScratchBuf::new(circuit.view());
-        SimScratch {
-            circuit: circuit.clone(),
-            buf,
-        }
-    }
-
-}
-
-impl ScratchBuf {
-    pub(crate) fn new(view: &LevelizedCsr) -> Self {
-        let n = view.num_nodes();
-        ScratchBuf {
-            faulty: vec![0; n],
-            stamp: vec![0; n],
-            queued: vec![0; n],
-            version: 0,
-            queue: BinaryHeap::new(),
-            good_single: vec![0; n],
-            input_words: Vec::with_capacity(view.inputs().len()),
-        }
-    }
-}
+use adi_netlist::fault::FaultList;
+use adi_netlist::{CompiledCircuit, FaultRegionIndex};
 
 /// Result of fault simulation with dropping.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -153,12 +96,13 @@ impl NDetectOutcome {
     }
 }
 
-/// A stuck-at fault simulator bound to one compiled circuit and fault
-/// list.
+/// The stuck-at fault simulator for one compiled circuit and fault list:
+/// the two-level stem-region engine.
 ///
-/// Construction is cheap (an `Arc` bump of the compilation), so building
-/// one simulator per pattern set is fine — the expensive artifacts live
-/// in the [`CompiledCircuit`].
+/// Building one is cheap for the compilation's own fault lists (an `Arc`
+/// bump of the compilation and of its memoized [`FaultRegionIndex`]), so
+/// building one simulator per pattern set is fine. Any other list gets
+/// its index built with the simulator.
 ///
 /// # Examples
 ///
@@ -185,12 +129,18 @@ impl NDetectOutcome {
 /// ```
 #[derive(Clone, Debug)]
 pub struct FaultSimulator<'a> {
-    circuit: CompiledCircuit,
-    faults: &'a FaultList,
+    pub(crate) circuit: CompiledCircuit,
+    pub(crate) faults: &'a FaultList,
+    /// The fault list grouped by FFR root, with its sensitization path
+    /// marks and the per-position readers.
+    pub(crate) regions: Arc<FaultRegionIndex>,
 }
 
 impl<'a> FaultSimulator<'a> {
-    /// Creates a simulator for `faults` of `circuit`.
+    /// Creates a simulator for `faults` of `circuit`. The levelized view,
+    /// the FFR decomposition and, for the compilation's own fault lists,
+    /// the [`FaultRegionIndex`] are shared from the compilation (see
+    /// [`CompiledCircuit::fault_region_index`]).
     ///
     /// # Panics
     ///
@@ -205,286 +155,25 @@ impl<'a> FaultSimulator<'a> {
         FaultSimulator {
             circuit: circuit.clone(),
             faults,
+            regions: circuit.fault_region_index(faults),
         }
     }
 
-    /// The compiled circuit being simulated.
-    pub fn circuit(&self) -> &CompiledCircuit {
-        &self.circuit
+    /// The fault-region index the simulator runs on: the compilation's
+    /// shared index when the fault list is one of its own.
+    pub fn fault_regions(&self) -> &Arc<FaultRegionIndex> {
+        &self.regions
     }
-
-    /// The netlist being simulated.
-    pub fn netlist(&self) -> &Netlist {
-        self.circuit.netlist()
-    }
-
-    /// The fault list being simulated.
-    pub fn faults(&self) -> &'a FaultList {
-        self.faults
-    }
-
-    fn engine(&self) -> StemRegionEngine<'a> {
-        StemRegionEngine::for_circuit(&self.circuit, self.faults)
-    }
-
-    /// Simulates every fault under every pattern **without dropping** and
-    /// returns the full detection matrix.
-    pub fn no_drop_matrix(&self, patterns: &PatternSet) -> DetectionMatrix {
-        self.engine().no_drop_matrix(patterns)
-    }
-
-    /// Like [`no_drop_matrix`](Self::no_drop_matrix) but splits the work
-    /// across `threads` OS threads (see
-    /// [`StemRegionEngine::no_drop_matrix_parallel`]).
-    ///
-    /// The result is identical to the serial version.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn no_drop_matrix_parallel(
-        &self,
-        patterns: &PatternSet,
-        threads: usize,
-    ) -> DetectionMatrix {
-        assert!(threads > 0, "at least one thread required");
-        self.engine().no_drop_matrix_parallel(patterns, threads)
-    }
-
-    /// Simulates with fault dropping: each fault is retired at its first
-    /// detecting pattern, and the outcome says which pattern that is.
-    ///
-    /// Finding the first detecting pattern keeps every pattern below a
-    /// fault's lowest observed one alive in its region's walk. A caller
-    /// that needs only how many faults are detected, or the coverage,
-    /// should call [`n_detect(patterns, 1)`](Self::n_detect) instead:
-    /// the same count from walks that stop serving a fault at its first
-    /// observed detection, whichever pattern that is.
-    pub fn with_dropping(&self, patterns: &PatternSet) -> DropOutcome {
-        self.engine().with_dropping(patterns)
-    }
-
-    /// n-detection simulation: a fault is retired once detected by `n`
-    /// distinct patterns. Counts saturate at `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn n_detect(&self, patterns: &PatternSet, n: u32) -> NDetectOutcome {
-        assert!(n > 0, "n-detection requires n >= 1");
-        self.engine().n_detect(patterns, n)
-    }
-
-    /// Simulates a single input vector against a subset of faults and
-    /// returns the detected ones, preserving `active` order.
-    ///
-    /// This is the single-pattern primitive of the reference ATPG drop
-    /// loop (`adi_atpg::TestGenerator::run_reference`). It runs per-fault
-    /// propagation: for a single vector the stem-region engine's
-    /// per-block setup cost cannot amortize.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pattern width does not match the circuit, or if
-    /// `scratch` was built for a different netlist (the scratch embeds
-    /// the levelized view of its circuit).
-    pub fn detect_pattern(
-        &self,
-        pattern: &Pattern,
-        active: &[FaultId],
-        scratch: &mut SimScratch,
-    ) -> Vec<FaultId> {
-        assert_eq!(pattern.len(), self.circuit.netlist().num_inputs());
-        let SimScratch { circuit, buf } = scratch;
-        let view = circuit.view();
-        assert_eq!(
-            view.num_nodes(),
-            self.circuit.netlist().num_nodes(),
-            "scratch built for a different netlist"
-        );
-        let mut words = std::mem::take(&mut buf.input_words);
-        words.clear();
-        words.extend(pattern.iter().map(u64::from));
-        let mut good = std::mem::take(&mut buf.good_single);
-        logic::simulate_block_csr(view, &words, &mut good);
-        let detected = active
-            .iter()
-            .copied()
-            .filter(|&id| {
-                let fault = self.faults.fault(id);
-                detect_block_impl(view, &good, fault, 1, buf) != 0
-            })
-            .collect();
-        buf.good_single = good;
-        buf.input_words = words;
-        detected
-    }
-
-    /// Convenience: does `pattern` detect `fault`?
-    ///
-    /// Pass a reusable scratch when querying in a loop; with `None` a
-    /// fresh [`SimScratch`] over this simulator's compiled circuit is
-    /// allocated for this one query.
-    pub fn detects(
-        &self,
-        pattern: &Pattern,
-        fault_id: FaultId,
-        scratch: Option<&mut SimScratch>,
-    ) -> bool {
-        match scratch {
-            Some(s) => !self.detect_pattern(pattern, &[fault_id], s).is_empty(),
-            None => {
-                let mut s = SimScratch::for_circuit(&self.circuit);
-                !self.detect_pattern(pattern, &[fault_id], &mut s).is_empty()
-            }
-        }
-    }
-}
-
-/// Evaluates a gate with one pin overridden to a constant word; `good`
-/// and `fanins` are in CSR position space.
-#[inline]
-pub(crate) fn eval_override_pos(
-    good: &[u64],
-    kind: GateKind,
-    fanins: &[u32],
-    pin: usize,
-    ov: u64,
-) -> u64 {
-    match kind {
-        GateKind::Buf => {
-            debug_assert_eq!(pin, 0);
-            ov
-        }
-        GateKind::Not => {
-            debug_assert_eq!(pin, 0);
-            !ov
-        }
-        GateKind::And | GateKind::Nand => {
-            let mut acc = !0u64;
-            for (i, &f) in fanins.iter().enumerate() {
-                acc &= if i == pin { ov } else { good[f as usize] };
-            }
-            if kind == GateKind::Nand {
-                !acc
-            } else {
-                acc
-            }
-        }
-        GateKind::Or | GateKind::Nor => {
-            let mut acc = 0u64;
-            for (i, &f) in fanins.iter().enumerate() {
-                acc |= if i == pin { ov } else { good[f as usize] };
-            }
-            if kind == GateKind::Nor {
-                !acc
-            } else {
-                acc
-            }
-        }
-        GateKind::Xor | GateKind::Xnor => {
-            let mut acc = 0u64;
-            for (i, &f) in fanins.iter().enumerate() {
-                acc ^= if i == pin { ov } else { good[f as usize] };
-            }
-            if kind == GateKind::Xnor {
-                !acc
-            } else {
-                acc
-            }
-        }
-        GateKind::Input | GateKind::Const0 | GateKind::Const1 => {
-            panic!("{kind:?} has no fanin pins")
-        }
-    }
-}
-
-/// Event-driven per-fault propagation in CSR position space: positions
-/// are assigned in topological level order, so the position itself is
-/// the event priority.
-pub(crate) fn detect_block_impl(
-    view: &LevelizedCsr,
-    good: &[u64],
-    fault: Fault,
-    valid_mask: u64,
-    s: &mut ScratchBuf,
-) -> u64 {
-    s.version = s.version.wrapping_add(1);
-    if s.version == 0 {
-        s.stamp.fill(0);
-        s.queued.fill(0);
-        s.version = 1;
-    }
-    let v = s.version;
-    let stuck_word = if fault.stuck_value() { !0u64 } else { 0u64 };
-
-    let (inject, faulty_word) = match fault.site() {
-        FaultSite::Stem(n) => (view.position(n), stuck_word),
-        FaultSite::Branch { gate, pin } => {
-            let gp = view.position(gate);
-            let w = eval_override_pos(
-                good,
-                view.kind_at(gp),
-                view.fanins_at(gp),
-                pin as usize,
-                stuck_word,
-            );
-            (gp, w)
-        }
-    };
-
-    let diff = (faulty_word ^ good[inject]) & valid_mask;
-    // A fault whose effect site reaches no primary output can never be
-    // observed: exit before any propagation.
-    if diff == 0 || !view.reaches_output(inject) {
-        return 0;
-    }
-    s.faulty[inject] = faulty_word;
-    s.stamp[inject] = v;
-    let mut detected = if view.is_output_at(inject) { diff } else { 0 };
-
-    debug_assert!(s.queue.is_empty());
-    for &g in view.fanouts_at(inject) {
-        if s.queued[g as usize] != v && view.reaches_output(g as usize) {
-            s.queued[g as usize] = v;
-            s.queue.push(Reverse(g));
-        }
-    }
-
-    while let Some(Reverse(p)) = s.queue.pop() {
-        let p = p as usize;
-        let kind = view.kind_at(p);
-        let val = eval_with_pos(kind, view.fanins_at(p), |f| {
-            if s.stamp[f as usize] == v {
-                s.faulty[f as usize]
-            } else {
-                good[f as usize]
-            }
-        });
-        let d = (val ^ good[p]) & valid_mask;
-        if d != 0 {
-            s.faulty[p] = val;
-            s.stamp[p] = v;
-            if view.is_output_at(p) {
-                detected |= d;
-            }
-            for &g in view.fanouts_at(p) {
-                if s.queued[g as usize] != v && view.reaches_output(g as usize) {
-                    s.queued[g as usize] = v;
-                    s.queue.push(Reverse(g));
-                }
-            }
-        }
-    }
-    detected
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference;
+    use crate::reference::{self, PatternSim};
+    use crate::{logic, Pattern, PatternSet};
     use adi_netlist::bench_format;
-    use adi_netlist::fault::Fault;
+    use adi_netlist::fault::{Fault, FaultId, FaultSite};
+    use adi_netlist::{GateKind, Netlist};
 
     const C17: &str = "
 INPUT(G1)
@@ -683,13 +372,13 @@ G23 = NAND(G16, G19)
     fn detect_pattern_subset() {
         let n = c17();
         let faults = FaultList::collapsed(&n);
-        let sim = FaultSimulator::for_circuit(&compile(&n), &faults);
+        let circuit = compile(&n);
         let patterns = PatternSet::exhaustive(5);
-        let matrix = sim.no_drop_matrix(&patterns);
-        let mut scratch = SimScratch::for_circuit(&compile(&n));
+        let matrix = FaultSimulator::for_circuit(&circuit, &faults).no_drop_matrix(&patterns);
+        let mut sim = PatternSim::for_circuit(&circuit, &faults);
         let active: Vec<FaultId> = faults.ids().collect();
         for p in [0usize, 7, 19, 31] {
-            let detected = sim.detect_pattern(&patterns.get(p), &active, &mut scratch);
+            let detected = sim.detect(&patterns.get(p), &active);
             let expected: Vec<FaultId> = faults
                 .ids()
                 .filter(|&id| matrix.detected(id, p))
@@ -724,31 +413,34 @@ G23 = NAND(G16, G19)
         let ygate = n.find_node("y").unwrap();
         let branch = Fault::branch_at(ygate, 0, false);
         let faults = FaultList::from_faults(vec![branch]);
-        let sim = FaultSimulator::for_circuit(&compile(&n), &faults);
-        let mut scratch = SimScratch::for_circuit(&compile(&n));
+        let mut sim = PatternSim::for_circuit(&compile(&n), &faults);
         let p1 = Pattern::new(vec![true]);
-        let det = sim.detect_pattern(&p1, &[FaultId::new(0)], &mut scratch);
+        let det = sim.detect(&p1, &[FaultId::new(0)]);
         assert_eq!(det.len(), 1);
         // With a=0 the branch fault is invisible.
         let p0 = Pattern::new(vec![false]);
-        let det = sim.detect_pattern(&p0, &[FaultId::new(0)], &mut scratch);
+        let det = sim.detect(&p0, &[FaultId::new(0)]);
         assert!(det.is_empty());
     }
 
     #[test]
     fn detects_with_and_without_scratch() {
+        // One single-pattern simulator reused across queries (its
+        // scratch stamps carry over) and a fresh one per query must
+        // both answer as the matrix does.
         let n = c17();
+        let circuit = compile(&n);
         let faults = FaultList::collapsed(&n);
-        let sim = FaultSimulator::for_circuit(&compile(&n), &faults);
         let patterns = PatternSet::exhaustive(5);
-        let matrix = sim.no_drop_matrix(&patterns);
-        let mut scratch = SimScratch::for_circuit(&compile(&n));
+        let matrix = FaultSimulator::for_circuit(&circuit, &faults).no_drop_matrix(&patterns);
+        let mut reused = PatternSim::for_circuit(&circuit, &faults);
         for p in [0usize, 13, 31] {
             let pattern = patterns.get(p);
             for id in faults.ids() {
                 let expect = matrix.detected(id, p);
-                assert_eq!(sim.detects(&pattern, id, None), expect);
-                assert_eq!(sim.detects(&pattern, id, Some(&mut scratch)), expect);
+                let fresh = PatternSim::for_circuit(&circuit, &faults).detect(&pattern, &[id]);
+                assert_eq!(!fresh.is_empty(), expect);
+                assert_eq!(!reused.detect(&pattern, &[id]).is_empty(), expect);
             }
         }
     }
@@ -789,5 +481,13 @@ G23 = NAND(G16, G19)
         let news = drop.new_detections(patterns.len());
         let total: u32 = news.iter().sum();
         assert_eq!(total as usize, drop.num_detected());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside netlist")]
+    fn faults_of_a_larger_netlist_panic() {
+        let larger = FaultList::full(&c17());
+        let small = bench_format::parse("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n", "inv").unwrap();
+        let _ = FaultSimulator::for_circuit(&compile(&small), &larger);
     }
 }

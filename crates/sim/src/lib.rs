@@ -4,20 +4,22 @@
 //!
 //! * [`Pattern`] / [`PatternSet`] — bit-packed input vectors, 64 patterns
 //!   per machine word, with seeded random and exhaustive generators.
-//! * [`logic`] — parallel-pattern good-machine simulation
-//!   ([`GoodValues`]) and a scalar evaluator, with the hot path running
-//!   on the flattened levelized CSR view
-//!   ([`LevelizedCsr`](adi_netlist::LevelizedCsr)).
-//! * [`FaultSimulator`] — stuck-at fault simulation on the two-level
+//! * [`logic`] — a scalar evaluator, and the 256-pattern good-machine
+//!   sweep over the flattened levelized CSR view
+//!   ([`LevelizedCsr`](adi_netlist::LevelizedCsr)) every fault
+//!   simulation runs on.
+//! * [`FaultSimulator`] — stuck-at fault simulation: the two-level
 //!   [`stem`]-region engine, which computes in-region detectability
 //!   bit-parallelly and pays the cone walk once per fanout-free region
 //!   instead of once per fault. Drive modes: with dropping, without
 //!   dropping (producing the [`DetectionMatrix`] that the accidental
 //!   detection index is computed from), and n-detection.
-//! * [`reference`](mod@reference) — the classic per-fault PPSFP implementations of the
-//!   same three drive modes: the bit-identical oracle the differential
-//!   tests hold the stem-region engine to. Production code never calls
-//!   them.
+//! * [`reference`](mod@reference) — every 64-bit per-fault path: the
+//!   classic PPSFP implementations of the same three drive modes, the
+//!   single-pattern [`PatternSim`](reference::PatternSim) and the
+//!   64-pattern [`GoodValues`](reference::GoodValues) table. They are
+//!   the bit-identical oracles the differential tests hold the
+//!   production paths to; production code never calls them.
 //! * [`SimWord`] — the 256-pattern simulation word (four 64-bit lanes)
 //!   every stem-region hot path runs on.
 //! * [`DropSession`] — wide-word batching of *sequentially generated*
@@ -39,15 +41,17 @@
 //!
 //! ## One engine
 //!
-//! The stem-region engine wins whenever several faults share a
+//! [`FaultSimulator`] is the stem-region engine; no other production
+//! fault simulator exists. It wins whenever several faults share a
 //! fanout-free region — true for every realistic circuit, and
 //! increasingly so for no-drop workloads where no fault ever retires:
-//! its per-block cost is `O(circuit)` for the good-value and
+//! its per-superblock cost is `O(circuit)` for the good-value and
 //! sensitization sweeps plus one cone propagation per *region* with an
 //! active fault, versus one cone propagation per *fault* for the
-//! [`reference`](mod@reference) PPSFP functions. Per-fault propagation remains what the
-//! single-pattern [`FaultSimulator::detect_pattern`] primitive uses (a
-//! lone vector cannot amortize the per-block sweeps).
+//! [`reference`](mod@reference) PPSFP functions. The ATPG drop loop
+//! batches its tests into a [`DropSession`] over the same engine, so
+//! per-fault propagation of a lone vector survives only in the
+//! reference drop loop's [`PatternSim`](reference::PatternSim).
 //!
 //! # Examples
 //!
@@ -88,11 +92,9 @@ pub mod word;
 
 pub use coverage::CoverageCurve;
 pub use detection::DetectionMatrix;
-pub use faultsim::{DropOutcome, FaultSimulator, NDetectOutcome, SimScratch};
-pub use logic::GoodValues;
+pub use faultsim::{DropOutcome, FaultSimulator, NDetectOutcome};
 pub use pattern::{Pattern, PatternSet};
 pub use session::DropSession;
-pub use stem::StemRegionEngine;
 pub use t3::T3;
 pub use t3event::DualMachineSim;
 pub use word::SimWord;

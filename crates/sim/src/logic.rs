@@ -1,113 +1,22 @@
 //! Fault-free ("good machine") simulation.
 //!
-//! Two entry points are offered: [`simulate_block`] walks the netlist's
-//! `topo_order()` in node-id space (the convenient layout for scalar
-//! tooling), while [`simulate_block_csr`] is the hot path — a single
-//! linear sweep over a [`LevelizedCsr`] view whose `kinds`/fanin arrays
-//! are contiguous in evaluation order. [`GoodValues::for_circuit`] runs
-//! on the CSR path internally and scatters back to node-id layout.
+//! The crate-internal superblock sweep is the hot path every
+//! stem-region drive mode and the drop session run on: a single linear
+//! sweep of 256-pattern [`SimWord`]s over a [`LevelizedCsr`] view whose
+//! `kinds`/fanin arrays are contiguous in evaluation order. [`evaluate`]
+//! is the scalar evaluator in node-id space, one input assignment at a
+//! time, on the gate semantics of [`GateKind::eval_words`]. The
+//! 64-pattern table lives in [`reference`](mod@crate::reference) as
+//! [`GoodValues`](crate::reference::GoodValues).
 
-use adi_netlist::{CompiledCircuit, GateKind, LevelizedCsr, Netlist, NodeId};
+use adi_netlist::{GateKind, LevelizedCsr, Netlist};
 
 use crate::word::SimWord;
 use crate::PatternSet;
 
-/// Evaluates one node from already-computed fanin values.
-#[inline]
-pub(crate) fn eval_node(values: &[u64], kind: GateKind, fanins: &[NodeId]) -> u64 {
-    match kind {
-        GateKind::Input => panic!("inputs are loaded, not evaluated"),
-        GateKind::Buf => values[fanins[0].index()],
-        GateKind::Not => !values[fanins[0].index()],
-        GateKind::And => fanins
-            .iter()
-            .fold(!0u64, |acc, f| acc & values[f.index()]),
-        GateKind::Nand => !fanins
-            .iter()
-            .fold(!0u64, |acc, f| acc & values[f.index()]),
-        GateKind::Or => fanins.iter().fold(0u64, |acc, f| acc | values[f.index()]),
-        GateKind::Nor => !fanins.iter().fold(0u64, |acc, f| acc | values[f.index()]),
-        GateKind::Xor => fanins.iter().fold(0u64, |acc, f| acc ^ values[f.index()]),
-        GateKind::Xnor => !fanins.iter().fold(0u64, |acc, f| acc ^ values[f.index()]),
-        GateKind::Const0 => 0,
-        GateKind::Const1 => !0,
-    }
-}
-
-/// Simulates one block of up to 64 patterns.
-///
-/// `input_words[i]` is the packed word for the `i`-th primary input (in
-/// [`Netlist::inputs`] order); `out` receives one word per node.
-///
-/// # Panics
-///
-/// Panics if `input_words.len() != netlist.num_inputs()` or
-/// `out.len() != netlist.num_nodes()`.
-pub fn simulate_block(netlist: &Netlist, input_words: &[u64], out: &mut [u64]) {
-    assert_eq!(input_words.len(), netlist.num_inputs());
-    assert_eq!(out.len(), netlist.num_nodes());
-    for (i, &pi) in netlist.inputs().iter().enumerate() {
-        out[pi.index()] = input_words[i];
-    }
-    for &node in netlist.topo_order() {
-        let kind = netlist.kind(node);
-        if kind == GateKind::Input {
-            continue;
-        }
-        out[node.index()] = eval_node(out, kind, netlist.fanins(node));
-    }
-}
-
 /// Evaluates `kind` over [`LevelizedCsr`]-position fanins with values
-/// supplied by `value` — the single source of truth for word-parallel
-/// gate semantics in position space.
-#[inline]
-pub(crate) fn eval_with_pos(kind: GateKind, fanins: &[u32], value: impl Fn(u32) -> u64) -> u64 {
-    match kind {
-        GateKind::Input => panic!("inputs are loaded, not evaluated"),
-        GateKind::Buf => value(fanins[0]),
-        GateKind::Not => !value(fanins[0]),
-        GateKind::And => fanins.iter().fold(!0u64, |acc, &f| acc & value(f)),
-        GateKind::Nand => !fanins.iter().fold(!0u64, |acc, &f| acc & value(f)),
-        GateKind::Or => fanins.iter().fold(0u64, |acc, &f| acc | value(f)),
-        GateKind::Nor => !fanins.iter().fold(0u64, |acc, &f| acc | value(f)),
-        GateKind::Xor => fanins.iter().fold(0u64, |acc, &f| acc ^ value(f)),
-        GateKind::Xnor => !fanins.iter().fold(0u64, |acc, &f| acc ^ value(f)),
-        GateKind::Const0 => 0,
-        GateKind::Const1 => !0,
-    }
-}
-
-/// Simulates one block of up to 64 patterns over a [`LevelizedCsr`] view.
-///
-/// This is the cache-friendly counterpart of [`simulate_block`]: values
-/// are indexed by CSR *position* (topological level order), so the sweep
-/// reads the kind and fanin arrays strictly forward and writes `out`
-/// strictly forward. `input_words[i]` is the packed word for the `i`-th
-/// primary input; `out` receives one word per position.
-///
-/// # Panics
-///
-/// Panics if `input_words.len() != view.inputs().len()` or
-/// `out.len() != view.num_nodes()`.
-pub fn simulate_block_csr(view: &LevelizedCsr, input_words: &[u64], out: &mut [u64]) {
-    assert_eq!(input_words.len(), view.inputs().len());
-    assert_eq!(out.len(), view.num_nodes());
-    for (i, &p) in view.inputs().iter().enumerate() {
-        out[p as usize] = input_words[i];
-    }
-    for p in 0..view.num_nodes() {
-        let kind = view.kind_at(p);
-        if kind == GateKind::Input {
-            continue;
-        }
-        let v = eval_with_pos(kind, view.fanins_at(p), |f| out[f as usize]);
-        out[p] = v;
-    }
-}
-
-/// Wide counterpart of [`eval_with_pos`]: the same gate semantics over
-/// the four lanes of a [`SimWord`].
+/// supplied by `value` — the production gate semantics in position
+/// space, over the four lanes of a [`SimWord`].
 #[inline]
 pub(crate) fn eval_with_pos_w(
     kind: GateKind,
@@ -130,8 +39,11 @@ pub(crate) fn eval_with_pos_w(
 }
 
 /// Simulates one superblock of up to 256 patterns over a
-/// [`LevelizedCsr`] view — the wide counterpart of
-/// [`simulate_block_csr`].
+/// [`LevelizedCsr`] view: values are indexed by CSR *position*
+/// (topological level order), so the sweep reads the kind and fanin
+/// arrays strictly forward and writes `out` strictly forward.
+/// `input_words[i]` is the packed word for the `i`-th primary input;
+/// `out` receives one word per position.
 ///
 /// # Panics
 ///
@@ -158,7 +70,7 @@ pub(crate) fn simulate_superblock_csr(
 }
 
 /// Fills `input_words` with the packed superblock words of
-/// `superblock` — the wide counterpart of [`load_input_words`].
+/// `superblock`.
 ///
 /// # Panics
 ///
@@ -171,58 +83,6 @@ pub(crate) fn load_input_words_w(
     assert_eq!(input_words.len(), patterns.num_inputs());
     for (i, w) in input_words.iter_mut().enumerate() {
         *w = patterns.input_word_wide(i, superblock);
-    }
-}
-
-/// Good-machine values in CSR position space, block-major, for every
-/// pattern of a [`PatternSet`] — the layout both fault-simulation
-/// engines consume directly.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub(crate) struct PosGood {
-    n_pos: usize,
-    data: Vec<u64>,
-}
-
-impl PosGood {
-    /// Simulates all blocks of `patterns` over `view`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pattern width does not match the circuit.
-    pub(crate) fn compute(view: &LevelizedCsr, patterns: &PatternSet) -> Self {
-        assert_eq!(
-            patterns.num_inputs(),
-            view.inputs().len(),
-            "pattern width does not match circuit input count"
-        );
-        let n_pos = view.num_nodes();
-        let n_blocks = patterns.num_blocks();
-        let mut data = vec![0u64; n_pos * n_blocks];
-        let mut input_words = vec![0u64; view.inputs().len()];
-        for block in 0..n_blocks {
-            load_input_words(patterns, block, &mut input_words);
-            let slice = &mut data[block * n_pos..(block + 1) * n_pos];
-            simulate_block_csr(view, &input_words, slice);
-        }
-        PosGood { n_pos, data }
-    }
-
-    /// All position values for one block.
-    #[inline]
-    pub(crate) fn block(&self, block: usize) -> &[u64] {
-        &self.data[block * self.n_pos..(block + 1) * self.n_pos]
-    }
-}
-
-/// Fills `input_words` with the packed words of `block`.
-///
-/// # Panics
-///
-/// Panics if `input_words.len() != patterns.num_inputs()`.
-pub(crate) fn load_input_words(patterns: &PatternSet, block: usize, input_words: &mut [u64]) {
-    assert_eq!(input_words.len(), patterns.num_inputs());
-    for (i, w) in input_words.iter_mut().enumerate() {
-        *w = patterns.input_word(i, block);
     }
 }
 
@@ -250,125 +110,30 @@ pub(crate) fn load_input_words(patterns: &PatternSet, block: usize, input_words:
 /// # }
 /// ```
 pub fn evaluate(netlist: &Netlist, assignment: &[bool]) -> Vec<bool> {
-    let words: Vec<u64> = assignment.iter().map(|&b| u64::from(b)).collect();
-    let mut out = vec![0u64; netlist.num_nodes()];
-    simulate_block(netlist, &words, &mut out);
-    out.into_iter().map(|w| w & 1 == 1).collect()
-}
-
-/// Good-machine values for every node under every pattern of a
-/// [`PatternSet`], stored block-major so each block's node values are
-/// contiguous (the layout the fault simulator wants).
-///
-/// # Examples
-///
-/// ```
-/// use adi_netlist::{bench_format, CompiledCircuit};
-/// use adi_sim::{GoodValues, PatternSet};
-///
-/// # fn main() -> Result<(), adi_netlist::NetlistError> {
-/// let n = bench_format::parse("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n", "inv")?;
-/// let circuit = CompiledCircuit::compile(n);
-/// let pats = PatternSet::exhaustive(1);
-/// let good = GoodValues::for_circuit(&circuit, &pats);
-/// let y = circuit.netlist().find_node("y").unwrap();
-/// assert_eq!(good.value(y, 0), true); // pattern 0 has a=0, so y = NOT(a) = 1
-/// assert_eq!(good.value(y, 1), false);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct GoodValues {
-    n_nodes: usize,
-    n_blocks: usize,
-    n_patterns: usize,
-    data: Vec<u64>,
-}
-
-impl GoodValues {
-    /// Simulates all patterns over a [`CompiledCircuit`], reusing its
-    /// levelized view (one linear sweep per block, scattered back to
-    /// node-id layout). This is the primary entry point; it performs no
-    /// per-call setup beyond the value buffers themselves.
-    pub fn for_circuit(circuit: &CompiledCircuit, patterns: &PatternSet) -> Self {
-        Self::with_view(circuit.netlist(), circuit.view(), patterns)
+    assert_eq!(assignment.len(), netlist.num_inputs());
+    let mut values = vec![0u64; netlist.num_nodes()];
+    for (&pi, &v) in netlist.inputs().iter().zip(assignment) {
+        values[pi.index()] = u64::from(v);
     }
-
-    /// The shared implementation: one CSR sweep per block over `view`,
-    /// scattered back to node-id layout.
-    fn with_view(netlist: &Netlist, view: &LevelizedCsr, patterns: &PatternSet) -> Self {
-        assert_eq!(
-            patterns.num_inputs(),
-            netlist.num_inputs(),
-            "pattern width does not match circuit input count"
-        );
-        let n_nodes = netlist.num_nodes();
-        let n_blocks = patterns.num_blocks();
-        let mut data = vec![0u64; n_nodes * n_blocks];
-        let mut input_words = vec![0u64; netlist.num_inputs()];
-        let mut pos_buf = vec![0u64; n_nodes];
-        for block in 0..n_blocks {
-            load_input_words(patterns, block, &mut input_words);
-            simulate_block_csr(view, &input_words, &mut pos_buf);
-            let slice = &mut data[block * n_nodes..(block + 1) * n_nodes];
-            for (p, &w) in pos_buf.iter().enumerate() {
-                slice[view.node_at(p).index()] = w;
-            }
+    let mut fanin_words = Vec::new();
+    for &node in netlist.topo_order() {
+        let kind = netlist.kind(node);
+        if kind == GateKind::Input {
+            continue;
         }
-        GoodValues {
-            n_nodes,
-            n_blocks,
-            n_patterns: patterns.len(),
-            data,
-        }
+        fanin_words.clear();
+        fanin_words.extend(netlist.fanins(node).iter().map(|f| values[f.index()]));
+        values[node.index()] = kind.eval_words(&fanin_words);
     }
-
-    /// Number of pattern blocks.
-    pub fn num_blocks(&self) -> usize {
-        self.n_blocks
-    }
-
-    /// Number of patterns simulated.
-    pub fn num_patterns(&self) -> usize {
-        self.n_patterns
-    }
-
-    /// The packed word of values of `node` for pattern block `block`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block` is out of range.
-    #[inline]
-    pub fn word(&self, node: NodeId, block: usize) -> u64 {
-        self.block(block)[node.index()]
-    }
-
-    /// All node values for one block, indexed by node id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block` is out of range.
-    #[inline]
-    pub fn block(&self, block: usize) -> &[u64] {
-        &self.data[block * self.n_nodes..(block + 1) * self.n_nodes]
-    }
-
-    /// The boolean value of `node` under pattern `pattern`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pattern` is out of range.
-    pub fn value(&self, node: NodeId, pattern: usize) -> bool {
-        assert!(pattern < self.n_patterns, "pattern index out of range");
-        self.word(node, pattern / 64) >> (pattern % 64) & 1 == 1
-    }
+    values.into_iter().map(|w| w & 1 == 1).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adi_netlist::bench_format;
+    use crate::reference::{load_input_words, simulate_block_csr, GoodValues};
     use crate::Pattern;
+    use adi_netlist::{bench_format, CompiledCircuit};
 
     const MUX: &str = "
 INPUT(a)
@@ -426,13 +191,12 @@ y = OR(t0, t1)
         let n = c.netlist();
         let pats = PatternSet::random(3, 200, 5);
         let good = GoodValues::for_circuit(&c, &pats);
-        assert_eq!(good.num_blocks(), 4);
-        assert_eq!(good.num_patterns(), 200);
-        // Spot-check the last pattern.
-        let last = pats.get(199);
-        let scalar = evaluate(n, last.as_slice());
-        for node in n.node_ids() {
-            assert_eq!(good.value(node, 199), scalar[node.index()]);
+        // Spot-check both ends of each of the four blocks.
+        for p in [0, 63, 64, 127, 128, 191, 192, 199] {
+            let scalar = evaluate(n, pats.get(p).as_slice());
+            for node in n.node_ids() {
+                assert_eq!(good.value(node, p), scalar[node.index()], "pattern {p}");
+            }
         }
     }
 
@@ -442,18 +206,16 @@ y = OR(t0, t1)
         let view = LevelizedCsr::build(&n);
         let pats = PatternSet::random(3, 150, 11);
         let mut input_words = vec![0u64; n.num_inputs()];
-        let mut by_id = vec![0u64; n.num_nodes()];
         let mut by_pos = vec![0u64; n.num_nodes()];
         for block in 0..pats.num_blocks() {
             load_input_words(&pats, block, &mut input_words);
-            simulate_block(&n, &input_words, &mut by_id);
             simulate_block_csr(&view, &input_words, &mut by_pos);
-            for node in n.node_ids() {
-                assert_eq!(
-                    by_id[node.index()],
-                    by_pos[view.position(node)],
-                    "node {node} block {block}"
-                );
+            for p in block * 64..pats.len().min((block + 1) * 64) {
+                let by_id = evaluate(&n, pats.get(p).as_slice());
+                for node in n.node_ids() {
+                    let lane = by_pos[view.position(node)] >> (p % 64) & 1 == 1;
+                    assert_eq!(by_id[node.index()], lane, "node {node} pattern {p}");
+                }
             }
         }
     }
@@ -486,17 +248,22 @@ y = OR(t0, t1)
 
     #[test]
     fn pos_good_matches_good_values() {
+        // The production sweep, by position, against the reference
+        // table, which reads each node through its position.
         let c = compiled(MUX, "mux");
         let view = c.view();
-        let pats = PatternSet::random(3, 100, 21);
+        let pats = PatternSet::random(3, 300, 21); // a partial second superblock
         let good = GoodValues::for_circuit(&c, &pats);
-        let pos = PosGood::compute(view, &pats);
-        for block in 0..pats.num_blocks() {
-            for node in c.netlist().node_ids() {
-                assert_eq!(
-                    good.word(node, block),
-                    pos.block(block)[view.position(node)]
-                );
+        let mut inputs = vec![SimWord::ZERO; view.inputs().len()];
+        let mut words = vec![SimWord::ZERO; view.num_nodes()];
+        for sb in 0..pats.num_superblocks() {
+            load_input_words_w(&pats, sb, &mut inputs);
+            simulate_superblock_csr(view, &inputs, &mut words);
+            for p in sb * SimWord::BITS..pats.len().min((sb + 1) * SimWord::BITS) {
+                for node in c.netlist().node_ids() {
+                    let lane = words[view.position(node)].bit(p % SimWord::BITS);
+                    assert_eq!(lane, good.value(node, p), "node {node} pattern {p}");
+                }
             }
         }
     }

@@ -5,15 +5,11 @@
 //! quantity behind the paper's observation that a small random `U`
 //! reaches ~90% coverage quickly and then stalls on the hard faults.
 //!
-//! Two estimators are provided: the classic topological product formula
-//! under the **independence assumption** (exact for fanout-free trees,
-//! approximate under reconvergence), and a sampling estimator using the
-//! bit-parallel simulator (asymptotically exact everywhere).
+//! The estimator is the classic topological product formula under the
+//! **independence assumption**: exact for fanout-free trees, approximate
+//! under reconvergence.
 
-use adi_netlist::{CompiledCircuit, GateKind, Netlist};
-
-use crate::logic::PosGood;
-use crate::PatternSet;
+use adi_netlist::{GateKind, Netlist};
 
 /// Topological signal probabilities under the independence assumption.
 ///
@@ -73,38 +69,6 @@ pub fn independent_probabilities(netlist: &Netlist) -> Vec<f64> {
     p
 }
 
-/// Sampled signal probabilities over `samples` random vectors from
-/// `seed`, using the bit-parallel simulator on the compiled circuit's
-/// shared levelized view (no per-call levelization).
-pub fn sampled_probabilities_for(
-    circuit: &CompiledCircuit,
-    samples: usize,
-    seed: u64,
-) -> Vec<f64> {
-    let view = circuit.view();
-    let patterns = PatternSet::random(view.inputs().len(), samples, seed);
-    let good = PosGood::compute(view, &patterns);
-    let n_blocks = patterns.num_blocks();
-    circuit
-        .netlist()
-        .node_ids()
-        .map(|node| {
-            let pos = view.position(node);
-            let ones: usize = (0..n_blocks)
-                .map(|block| {
-                    let mut w = good.block(block)[pos];
-                    let rem = samples - block * 64;
-                    if rem < 64 {
-                        w &= (1u64 << rem) - 1;
-                    }
-                    w.count_ones() as usize
-                })
-                .sum();
-            ones as f64 / samples as f64
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,32 +98,17 @@ y = XOR(t, u)
     }
 
     #[test]
-    fn sampling_converges_to_exact_on_trees() {
-        let src = "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nt = NAND(a, b)\ny = NOR(t, c)\n";
-        let n = bench_format::parse(src, "t2").unwrap();
-        let exact = independent_probabilities(&n);
-        let sampled = sampled_probabilities_for(&CompiledCircuit::compile(n.clone()), 8192, 1);
-        for node in n.node_ids() {
-            assert!(
-                (exact[node.index()] - sampled[node.index()]).abs() < 0.03,
-                "{node}: exact {} sampled {}",
-                exact[node.index()],
-                sampled[node.index()]
-            );
-        }
-    }
-
-    #[test]
     fn reconvergence_breaks_independence() {
         // y = AND(a, NOT(a)) is constant 0, but the independence
         // assumption reports 0.25.
         let src = "INPUT(a)\nOUTPUT(y)\nna = NOT(a)\ny = AND(a, na)\n";
         let n = bench_format::parse(src, "rc").unwrap();
-        let exact = independent_probabilities(&n);
-        let sampled = sampled_probabilities_for(&CompiledCircuit::compile(n.clone()), 4096, 3);
+        let estimate = independent_probabilities(&n);
         let y = n.find_node("y").unwrap();
-        assert!((exact[y.index()] - 0.25).abs() < 1e-12);
-        assert_eq!(sampled[y.index()], 0.0);
+        assert!((estimate[y.index()] - 0.25).abs() < 1e-12);
+        for a in [false, true] {
+            assert!(!crate::logic::evaluate(&n, &[a])[y.index()]);
+        }
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! The ATPG driver generates one test at a time, and after every test it
 //! must know which still-active faults the test detects (to drop them
 //! and skip them as future targets). The scalar way to do that —
-//! [`FaultSimulator::detect_pattern`](crate::FaultSimulator::detect_pattern)
-//! per test — pays one good-machine sweep plus one event-driven cone
-//! walk *per active fault* per test; with thousands of active faults
-//! early in a run, the cone walks dominate end-to-end ATPG time.
+//! [`PatternSim::detect`](crate::reference::PatternSim::detect) per
+//! test, which the reference drop loop still runs — pays one
+//! good-machine sweep plus one event-driven cone walk *per active fault*
+//! per test; with thousands of active faults early in a run, the cone
+//! walks dominate end-to-end ATPG time.
 //!
 //! [`DropSession`] batches the generated tests into one pending block
 //! of up to 256 lanes (one [`SimWord`]) and runs the detection through
@@ -48,13 +49,13 @@ use adi_netlist::fault::{FaultId, FaultList};
 use adi_netlist::CompiledCircuit;
 
 use crate::logic;
-use crate::stem::{Need, StemRegionEngine, StemScratch};
+use crate::stem::{Need, StemScratch};
 use crate::word::SimWord;
-use crate::Pattern;
+use crate::{FaultSimulator, Pattern};
 
 /// A wide batched drop-simulation session for sequentially generated
 /// tests, bit-identical to the scalar
-/// [`detect_pattern`](crate::FaultSimulator::detect_pattern) loop.
+/// [`PatternSim::detect`](crate::reference::PatternSim::detect) loop.
 ///
 /// The pending block is one [`SimWord`]: it holds up to 256 tests.
 ///
@@ -82,7 +83,7 @@ use crate::Pattern;
 /// ```
 #[derive(Clone, Debug)]
 pub struct DropSession<'a> {
-    stem: StemRegionEngine<'a>,
+    sim: FaultSimulator<'a>,
     /// Stem-region block scratch; `scratch.good` always holds the good
     /// words of the pending block, and its walk buffers also serve
     /// [`covers`](Self::covers) and
@@ -119,11 +120,11 @@ impl<'a> DropSession<'a> {
     ///
     /// Panics if any fault references a node outside the circuit.
     pub fn for_circuit(circuit: &CompiledCircuit, faults: &'a FaultList) -> Self {
-        let stem = StemRegionEngine::for_circuit(circuit, faults);
+        let sim = FaultSimulator::for_circuit(circuit, faults);
         let scratch = StemScratch::new(circuit.view());
-        let sens_active = stem.fault_regions().sens_needed().to_vec();
+        let sens_active = sim.fault_regions().sens_needed().to_vec();
         DropSession {
-            stem,
+            sim,
             scratch,
             lane_words: vec![SimWord::ZERO; circuit.view().inputs().len()],
             lanes: 0,
@@ -172,7 +173,7 @@ impl<'a> DropSession<'a> {
             (self.lanes as usize) < SimWord::BITS,
             "pending block full: flush before pushing"
         );
-        let view = self.stem.view();
+        let view = self.sim.view();
         assert_eq!(
             pattern.len(),
             view.inputs().len(),
@@ -202,7 +203,7 @@ impl<'a> DropSession<'a> {
             return SimWord::ZERO;
         }
         let mask = self.lane_mask();
-        self.stem
+        self.sim
             .detect_fault(fault, mask, &mut self.scratch, |_| SimWord::ONES)
     }
 
@@ -219,7 +220,7 @@ impl<'a> DropSession<'a> {
         }
         let mask = self.lane_mask();
         !self
-            .stem
+            .sim
             .detect_fault(fault, mask, &mut self.scratch, |_| SimWord::ZERO)
             .is_zero()
     }
@@ -247,7 +248,7 @@ impl<'a> DropSession<'a> {
         self.refresh_sens_marking(active);
 
         let DropSession {
-            stem,
+            sim,
             scratch,
             active_flags,
             words,
@@ -258,8 +259,8 @@ impl<'a> DropSession<'a> {
             active_flags[id.index()] = true;
         }
         words.fill(SimWord::ZERO);
-        stem.prepare_block_with(scratch, sens_active);
-        stem.for_each_detection(mask, scratch, Some(active_flags), Need::First, |fault, word| {
+        sim.prepare_block_with(scratch, sens_active);
+        sim.for_each_detection(mask, scratch, Some(active_flags), Need::First, |fault, word| {
             words[fault as usize] = word;
         });
         for &id in active {
@@ -292,7 +293,7 @@ impl<'a> DropSession<'a> {
         if covered && active.len() * 2 > self.sens_covered_count {
             return;
         }
-        self.stem.mark_sens_needed(active, &mut self.sens_active);
+        self.sim.mark_sens_needed(active, &mut self.sens_active);
         self.sens_covers.fill(false);
         for &id in active {
             self.sens_covers[id.index()] = true;
@@ -304,8 +305,9 @@ impl<'a> DropSession<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::PatternSim;
     use crate::stem::tests::random_netlist;
-    use crate::{FaultSimulator, PatternSet};
+    use crate::PatternSet;
     use adi_netlist::bench_format;
     use adi_netlist::Netlist;
 
@@ -330,19 +332,18 @@ G23 = NAND(G16, G19)
         CompiledCircuit::compile(n)
     }
 
-    /// The scalar reference: detect_pattern per test with immediate
-    /// dropping.
+    /// The scalar reference: one single-pattern simulation per test
+    /// with immediate dropping.
     fn scalar_drop_lists(
         circuit: &CompiledCircuit,
         faults: &FaultList,
         patterns: &PatternSet,
     ) -> Vec<Vec<FaultId>> {
-        let sim = FaultSimulator::for_circuit(circuit, faults);
-        let mut scratch = crate::faultsim::SimScratch::for_circuit(circuit);
+        let mut sim = PatternSim::for_circuit(circuit, faults);
         let mut active: Vec<FaultId> = faults.ids().collect();
         let mut out = Vec::new();
         for p in 0..patterns.len() {
-            let detected = sim.detect_pattern(&patterns.get(p), &active, &mut scratch);
+            let detected = sim.detect(&patterns.get(p), &active);
             active.retain(|id| !detected.contains(id));
             out.push(detected);
         }
@@ -420,11 +421,10 @@ G23 = NAND(G16, G19)
         const LANES: usize = 40;
         let faults = circuit.full_faults();
         let patterns = PatternSet::random(circuit.netlist().num_inputs(), LANES, 5);
-        let sim = FaultSimulator::for_circuit(circuit, faults);
-        let mut scratch = crate::faultsim::SimScratch::for_circuit(circuit);
+        let mut sim = PatternSim::for_circuit(circuit, faults);
         let all: Vec<FaultId> = faults.ids().collect();
         let scalar: Vec<Vec<FaultId>> = (0..LANES)
-            .map(|p| sim.detect_pattern(&patterns.get(p), &all, &mut scratch))
+            .map(|p| sim.detect(&patterns.get(p), &all))
             .collect();
         let mut session = DropSession::for_circuit(circuit, faults);
         let mut expect = vec![SimWord::ZERO; faults.len()];
@@ -494,8 +494,7 @@ G23 = NAND(G16, G19)
         let circuit = c17();
         let faults = circuit.collapsed_faults();
         let patterns = PatternSet::random(5, 200, 17);
-        let sim = FaultSimulator::for_circuit(&circuit, faults);
-        let mut scratch = crate::faultsim::SimScratch::for_circuit(&circuit);
+        let mut sim = PatternSim::for_circuit(&circuit, faults);
 
         let mut session = DropSession::for_circuit(&circuit, faults);
         for p in 0..200 {
@@ -506,9 +505,7 @@ G23 = NAND(G16, G19)
         for id in faults.ids() {
             let word = session.pending_detections(id);
             for p in [0usize, 63, 64, 65, 127, 128, 191, 192, 199] {
-                let scalar = sim
-                    .detect_pattern(&patterns.get(p), &[id], &mut scratch)
-                    .contains(&id);
+                let scalar = sim.detect(&patterns.get(p), &[id]).contains(&id);
                 assert_eq!(word.bit(p), scalar, "fault {id} lane {p}");
             }
         }
@@ -590,9 +587,7 @@ G23 = NAND(G16, G19)
         session.push(&patterns.get(3));
         let got = session.flush(&all); // regrow: needs a rebuild
 
-        let sim = FaultSimulator::for_circuit(&circuit, faults);
-        let mut scratch = crate::faultsim::SimScratch::for_circuit(&circuit);
-        let expected = sim.detect_pattern(&patterns.get(3), &all, &mut scratch);
+        let expected = PatternSim::for_circuit(&circuit, faults).detect(&patterns.get(3), &all);
         assert_eq!(got, vec![expected]);
     }
 
@@ -603,5 +598,13 @@ G23 = NAND(G16, G19)
         let faults = circuit.collapsed_faults();
         let mut session = DropSession::for_circuit(&circuit, faults);
         session.push(&Pattern::new(vec![true]));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside netlist")]
+    fn faults_of_a_larger_netlist_panic() {
+        let larger = c17();
+        let small = bench_format::parse("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n", "inv").unwrap();
+        let _ = DropSession::for_circuit(&CompiledCircuit::compile(small), larger.full_faults());
     }
 }

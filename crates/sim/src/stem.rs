@@ -1,9 +1,10 @@
-//! Two-level stem-region fault simulation on 256-pattern words.
+//! Two-level stem-region fault simulation on 256-pattern words: the
+//! drive modes and hot loops of [`FaultSimulator`].
 //!
-//! The per-fault PPSFP engine pays one event-driven cone propagation *per
-//! fault* per 64-pattern block. This module collapses that to one
-//! propagation *per fanout-free region (FFR)*, exploiting two classical
-//! facts:
+//! The per-fault PPSFP [`reference`](mod@crate::reference) pays one
+//! event-driven cone propagation *per fault* per 64-pattern block. This
+//! module collapses that to one propagation *per fanout-free region
+//! (FFR)*, exploiting two classical facts:
 //!
 //! 1. **Inside an FFR, critical path tracing is exact.** Every internal
 //!    node has a unique path to the region's stem (its root), so the word
@@ -14,8 +15,9 @@
 //!    local activation word ANDed with the sensitization along its path;
 //!    no event queue is involved. The activation word is read at the
 //!    fault's [`PackedSite`], stored beside its id in the
-//!    [`FaultRegionIndex`], so the pass over a region's faults never
-//!    consults the fault list or maps a node to its position.
+//!    [`FaultRegionIndex`](adi_netlist::FaultRegionIndex), so the pass
+//!    over a region's faults never consults the fault list or maps a
+//!    node to its position.
 //! 2. **Observability from a stem is fault-independent.** Whether a
 //!    flipped stem value reaches a primary output depends only on the
 //!    good-machine values outside the region. One propagation of the
@@ -66,8 +68,8 @@
 //!   across threads, each writing a disjoint set of matrix rows merged
 //!   without locks (best for few-block, small-`U` workloads — the
 //!   paper's actual experiment shape).
-//!   [`no_drop_matrix_parallel`](StemRegionEngine::no_drop_matrix_parallel)
-//!   picks automatically; both variants are also exposed directly.
+//!   [`FaultSimulator::no_drop_matrix_parallel`] picks between them from
+//!   the superblock count against the thread count.
 //!
 //! The combination is bit-identical to per-fault simulation at every
 //! thread count (asserted by differential tests against both
@@ -82,10 +84,9 @@
 //! contiguous arrays in evaluation order.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
-use adi_netlist::fault::{FaultId, FaultList};
-use adi_netlist::{CompiledCircuit, FaultRegionIndex, GateKind, LevelizedCsr, PackedSite};
+use adi_netlist::fault::FaultId;
+use adi_netlist::{GateKind, LevelizedCsr, PackedSite};
 use adi_obs::SpanSite;
 
 /// Oversplit factor for the work-stealing region split: each thread's
@@ -94,44 +95,10 @@ use adi_obs::SpanSite;
 /// shared cursor instead of idling while a skewed chunk finishes.
 const CHUNKS_PER_THREAD: usize = 4;
 
-use crate::faultsim::{DropOutcome, NDetectOutcome};
+use crate::faultsim::{DropOutcome, FaultSimulator, NDetectOutcome};
 use crate::logic::{self, eval_with_pos_w};
 use crate::word::SimWord;
 use crate::{DetectionMatrix, PatternSet};
-
-/// The two-level stem-region fault-simulation engine for one compiled
-/// circuit and fault list.
-///
-/// Building one is cheap for the compilation's own fault lists: the
-/// levelized view, the FFR decomposition and the list's
-/// [`FaultRegionIndex`] all come from the [`CompiledCircuit`], which
-/// builds the index once per list and shares it with every engine after.
-/// Any other list gets its index built with the engine.
-///
-/// # Examples
-///
-/// ```
-/// use adi_netlist::{bench_format, CompiledCircuit};
-/// use adi_sim::{stem::StemRegionEngine, PatternSet};
-///
-/// # fn main() -> Result<(), adi_netlist::NetlistError> {
-/// let n = bench_format::parse("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n", "and2")?;
-/// let circuit = CompiledCircuit::compile(n);
-/// let faults = circuit.collapsed_faults();
-/// let engine = StemRegionEngine::for_circuit(&circuit, faults);
-/// let matrix = engine.no_drop_matrix(&PatternSet::exhaustive(2));
-/// assert_eq!(matrix.num_detected_faults(), faults.len());
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Clone, Debug)]
-pub struct StemRegionEngine<'a> {
-    circuit: CompiledCircuit,
-    faults: &'a FaultList,
-    /// The fault list grouped by FFR root, with its sensitization path
-    /// marks and the per-position readers.
-    regions: Arc<FaultRegionIndex>,
-}
 
 /// Reusable per-superblock buffers for the stem-region engine.
 #[derive(Clone, Debug)]
@@ -146,7 +113,7 @@ pub(crate) struct StemScratch {
     region: RegionScratch,
 }
 
-/// Buffers of one region's detection ([`StemRegionEngine::walk_region`]):
+/// Buffers of one region's detection ([`FaultSimulator::walk_region`]):
 /// the fault-effect walk and the region's stem-difference words.
 #[derive(Clone, Debug)]
 struct RegionScratch {
@@ -324,41 +291,15 @@ impl EffectWalk {
     }
 }
 
-impl<'a> StemRegionEngine<'a> {
-    /// Builds the engine for `faults` of `circuit`. The levelized view,
-    /// the FFR decomposition and, for the compilation's own fault lists,
-    /// the [`FaultRegionIndex`] are shared from the compilation (see
-    /// [`CompiledCircuit::fault_region_index`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any fault references a node outside the circuit.
-    pub fn for_circuit(circuit: &CompiledCircuit, faults: &'a FaultList) -> Self {
-        StemRegionEngine {
-            circuit: circuit.clone(),
-            faults,
-            regions: circuit.fault_region_index(faults),
-        }
-    }
-
-    /// The levelized view the engine runs on.
-    pub fn view(&self) -> &LevelizedCsr {
+impl FaultSimulator<'_> {
+    /// The levelized view the simulator runs on.
+    pub(crate) fn view(&self) -> &LevelizedCsr {
         self.circuit.view()
     }
 
-    /// Number of fanout-free regions containing at least one fault.
-    pub fn num_fault_regions(&self) -> usize {
-        self.regions.num_groups()
-    }
-
-    /// The fault-region index the engine runs on: the compilation's
-    /// shared index when the fault list is one of its own.
-    pub fn fault_regions(&self) -> &Arc<FaultRegionIndex> {
-        &self.regions
-    }
-
-    /// Simulates every fault under every pattern **without dropping**,
-    /// bit-identical to the per-fault engine's matrix.
+    /// Simulates every fault under every pattern **without dropping** and
+    /// returns the full detection matrix, bit-identical to the per-fault
+    /// reference's.
     ///
     /// # Panics
     ///
@@ -393,14 +334,12 @@ impl<'a> StemRegionEngine<'a> {
         });
     }
 
-    /// Like [`no_drop_matrix`](Self::no_drop_matrix) but parallel in
-    /// two dimensions: when the pattern set has at least one superblock
-    /// per thread the superblock range is split
-    /// ([`no_drop_matrix_block_parallel`](Self::no_drop_matrix_block_parallel));
-    /// otherwise — the few-block, small-`U` shape — the stem-region
-    /// groups are split
-    /// ([`no_drop_matrix_region_parallel`](Self::no_drop_matrix_region_parallel)).
-    /// The result is identical to the serial version either way.
+    /// Like [`no_drop_matrix`](Self::no_drop_matrix) but split across
+    /// `threads` OS threads in one of two dimensions: when the pattern
+    /// set has at least one superblock per thread the superblock range
+    /// is split; otherwise — the few-block, small-`U` shape — the
+    /// stem-region groups are. The result is identical to the serial
+    /// version either way.
     ///
     /// # Panics
     ///
@@ -426,17 +365,11 @@ impl<'a> StemRegionEngine<'a> {
     /// The block-parallel split: each thread simulates a contiguous
     /// superblock range into a fault-major stripe, scattered into the
     /// matrix afterwards. Identical to the serial result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or the pattern width does not match.
-    pub fn no_drop_matrix_block_parallel(
+    fn no_drop_matrix_block_parallel(
         &self,
         patterns: &PatternSet,
         threads: usize,
     ) -> DetectionMatrix {
-        assert!(threads > 0, "at least one thread required");
-        self.assert_width(patterns);
         let n_superblocks = patterns.num_superblocks();
         let threads = threads.min(n_superblocks.max(1));
         if threads <= 1 {
@@ -504,17 +437,11 @@ impl<'a> StemRegionEngine<'a> {
     /// over them (and restore them) in place. This is
     /// the split that scales when the pattern set has fewer superblocks
     /// than threads. Identical to the serial result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or the pattern width does not match.
-    pub fn no_drop_matrix_region_parallel(
+    fn no_drop_matrix_region_parallel(
         &self,
         patterns: &PatternSet,
         threads: usize,
     ) -> DetectionMatrix {
-        assert!(threads > 0, "at least one thread required");
-        self.assert_width(patterns);
         let n_superblocks = patterns.num_superblocks();
         let n_groups = self.regions.num_groups();
         let threads = threads.min(n_groups.max(1));
@@ -676,8 +603,16 @@ impl<'a> StemRegionEngine<'a> {
             .collect()
     }
 
-    /// Simulates with fault dropping, matching the per-fault engine's
-    /// [`DropOutcome`] exactly.
+    /// Simulates with fault dropping: each fault is retired at its first
+    /// detecting pattern, and the outcome says which pattern that is,
+    /// matching the per-fault reference's [`DropOutcome`] exactly.
+    ///
+    /// Finding the first detecting pattern keeps every pattern below a
+    /// fault's lowest observed one alive in its region's walk. A caller
+    /// that needs only how many faults are detected, or the coverage,
+    /// should call [`n_detect(patterns, 1)`](Self::n_detect) instead:
+    /// the same count from walks that stop serving a fault at its first
+    /// observed detection, whichever pattern that is.
     ///
     /// # Panics
     ///
@@ -719,7 +654,9 @@ impl<'a> StemRegionEngine<'a> {
         }
     }
 
-    /// n-detection simulation, matching the per-fault engine exactly.
+    /// n-detection simulation: a fault is retired once detected by `n`
+    /// distinct patterns, and counts saturate at `n`, matching the
+    /// per-fault reference exactly.
     ///
     /// # Panics
     ///
@@ -1013,8 +950,8 @@ pub(crate) mod tests {
     use super::*;
     use crate::reference;
     use adi_netlist::bench_format;
-    use adi_netlist::fault::{Fault, FaultSite};
-    use adi_netlist::{Netlist, NetlistBuilder, NodeId};
+    use adi_netlist::fault::{Fault, FaultList, FaultSite};
+    use adi_netlist::{CompiledCircuit, Netlist, NetlistBuilder, NodeId};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1096,7 +1033,7 @@ pub(crate) mod tests {
                 stem_faults[view.position(node)].push(id);
             }
         }
-        let engine = StemRegionEngine::for_circuit(&circuit, &faults);
+        let engine = FaultSimulator::for_circuit(&circuit, &faults);
         let mut scratch = StemScratch::new(view);
         let mut walked = 0usize;
         for sb in 0..patterns.num_superblocks() {
@@ -1171,7 +1108,7 @@ pub(crate) mod tests {
             let netlist = random_netlist(seed, 7 + seed as usize % 4, 60 + 20 * seed as usize);
             let circuit = compile(&netlist);
             let (faults, view) = (FaultList::full(&netlist), circuit.view());
-            let engine = StemRegionEngine::for_circuit(&circuit, &faults);
+            let engine = FaultSimulator::for_circuit(&circuit, &faults);
             // Two full superblocks and a partial one.
             let patterns = PatternSet::random(netlist.num_inputs(), 600, seed);
             let last = patterns.num_superblocks() - 1;
@@ -1212,7 +1149,7 @@ pub(crate) mod tests {
         let faults = FaultList::full(&n);
         let patterns = PatternSet::exhaustive(inputs);
         let per_fault = reference::no_drop_matrix(&compile(&n), &faults, &patterns);
-        let stem = StemRegionEngine::for_circuit(&compile(&n), &faults).no_drop_matrix(&patterns);
+        let stem = FaultSimulator::for_circuit(&compile(&n), &faults).no_drop_matrix(&patterns);
         assert_eq!(per_fault, stem, "{name}");
     }
 
@@ -1289,7 +1226,7 @@ pub(crate) mod tests {
         let faults = FaultList::full(&n);
         let patterns = PatternSet::exhaustive(1);
         let per_fault = reference::no_drop_matrix(&compile(&n), &faults, &patterns);
-        let stem = StemRegionEngine::for_circuit(&compile(&n), &faults).no_drop_matrix(&patterns);
+        let stem = FaultSimulator::for_circuit(&compile(&n), &faults).no_drop_matrix(&patterns);
         assert_eq!(per_fault, stem);
     }
 
@@ -1300,7 +1237,7 @@ pub(crate) mod tests {
         let n = bench_format::parse(src, "reconv").unwrap();
         let circuit = compile(&n);
         let faults = FaultList::full(&n);
-        let engine = StemRegionEngine::for_circuit(&circuit, &faults);
+        let engine = FaultSimulator::for_circuit(&circuit, &faults);
         let regions = engine.fault_regions();
         let mut grouped = vec![false; faults.len()];
         for g in 0..regions.num_groups() {
@@ -1315,7 +1252,6 @@ pub(crate) mod tests {
             }
         }
         assert!(grouped.iter().all(|&g| g), "every fault is grouped");
-        assert_eq!(engine.num_fault_regions(), regions.num_groups());
         // Roots strictly ascend.
         assert!(
             (1..regions.num_groups()).all(|g| regions.group_root(g - 1) < regions.group_root(g))
@@ -1333,7 +1269,7 @@ pub(crate) mod tests {
         ]);
         let patterns = PatternSet::exhaustive(1);
         let per_fault = reference::no_drop_matrix(&compile(&n), &faults, &patterns);
-        let stem = StemRegionEngine::for_circuit(&compile(&n), &faults).no_drop_matrix(&patterns);
+        let stem = FaultSimulator::for_circuit(&compile(&n), &faults).no_drop_matrix(&patterns);
         assert_eq!(per_fault, stem);
     }
 
@@ -1342,7 +1278,7 @@ pub(crate) mod tests {
         let src = "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n";
         let n = bench_format::parse(src, "inv").unwrap();
         let faults = FaultList::collapsed(&n);
-        let engine = StemRegionEngine::for_circuit(&compile(&n), &faults);
+        let engine = FaultSimulator::for_circuit(&compile(&n), &faults);
         let matrix = engine.no_drop_matrix(&PatternSet::new(1));
         assert_eq!(matrix.num_patterns(), 0);
         assert_eq!(matrix.num_detected_faults(), 0);
@@ -1361,7 +1297,7 @@ pub(crate) mod tests {
         let n = bench_format::parse(src, "c17").unwrap();
         let faults = FaultList::full(&n);
         let patterns = PatternSet::random(5, 60, 3);
-        let engine = StemRegionEngine::for_circuit(&compile(&n), &faults);
+        let engine = FaultSimulator::for_circuit(&compile(&n), &faults);
         let serial = engine.no_drop_matrix(&patterns);
         for threads in [2, 3, 7, 16] {
             assert_eq!(
@@ -1383,7 +1319,7 @@ pub(crate) mod tests {
         let src = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n";
         let n = bench_format::parse(src, "and2").unwrap();
         let faults = FaultList::collapsed(&n);
-        let engine = StemRegionEngine::for_circuit(&compile(&n), &faults);
+        let engine = FaultSimulator::for_circuit(&compile(&n), &faults);
         let _ = engine.no_drop_matrix(&PatternSet::exhaustive(3));
     }
 }

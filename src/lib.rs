@@ -7,7 +7,7 @@
 //! | Crate | Contents |
 //! |-------|----------|
 //! | [`netlist`] | gate-level circuits, `.bench` I/O, stuck-at fault model with collapsing |
-//! | [`sim`] | bit-parallel logic simulation, PPSFP fault simulation, the incremental dual-machine PODEM evaluator, coverage curves |
+//! | [`sim`] | bit-parallel logic simulation, stem-region fault simulation (per-fault PPSFP kept as its reference), the incremental dual-machine PODEM evaluator, coverage curves |
 //! | [`atpg`] | event-driven PODEM test generation with SCOAP guidance and an ordered-fault-list driver |
 //! | [`core`] | the paper itself: `U` selection, `ADI(f)`, the six fault orders, metrics, pipeline |
 //! | [`circuits`] | embedded benchmark circuits and the synthetic paper suite |

@@ -26,9 +26,10 @@ use adi::netlist::fault::{Fault, FaultId, FaultList};
 use adi::netlist::{
     CompiledCircuit, FaultRegionIndex, FfrPartition, LevelizedCsr, Netlist, PackedSite,
 };
+use adi::sim::reference::{GoodValues, PatternSim};
 use adi::sim::{
-    DetectionMatrix, DropOutcome, DropSession, DualMachineSim, FaultSimulator, GoodValues,
-    NDetectOutcome, Pattern, PatternSet, SimScratch, SimWord, StemRegionEngine,
+    DetectionMatrix, DropOutcome, DropSession, DualMachineSim, FaultSimulator, NDetectOutcome,
+    Pattern, PatternSet, SimWord,
 };
 
 /// The content-hash and serving surface added in 0.4.0: the canonical
@@ -87,15 +88,9 @@ fn compiled_circuit_surface_is_stable() {
 /// lifetime-generic function so the fn-item-to-fn-pointer coercions use
 /// one concrete lifetime instead of higher-ranked ones).
 fn pin_compiled_entry_points<'a>(_: &'a ()) {
-    let _: fn(&CompiledCircuit, &PatternSet) -> GoodValues = GoodValues::for_circuit;
     let _: fn(&'a CompiledCircuit, &'a FaultList) -> FaultSimulator<'a> =
         FaultSimulator::for_circuit;
-    let _: fn(&'a CompiledCircuit, &'a FaultList) -> StemRegionEngine<'a> =
-        StemRegionEngine::for_circuit;
-    let _: fn(&CompiledCircuit) -> SimScratch = SimScratch::for_circuit;
     let _: fn(&'a CompiledCircuit, &'a FaultList) -> DropSession<'a> = DropSession::for_circuit;
-    let _: fn(&CompiledCircuit, usize, u64) -> Vec<f64> =
-        adi::sim::probability::sampled_probabilities_for;
     let _: fn(&CompiledCircuit, PodemConfig) -> Podem = Podem::for_circuit;
     let _: fn(&CompiledCircuit) -> DualMachineSim = DualMachineSim::for_circuit;
     let _: fn(&'a CompiledCircuit, &'a FaultList, TestGenConfig) -> TestGenerator<'a> =
@@ -109,12 +104,14 @@ fn pin_compiled_entry_points<'a>(_: &'a ()) {
         adi::core::reorder::reorder_tests_for;
     let _: fn(&CompiledCircuit, &FaultList, &PatternSet) -> Vec<usize> =
         adi::core::reorder::reverse_order_compaction_for;
+    let _: fn(&CompiledCircuit, &FaultList) -> Vec<FaultId> =
+        adi::core::ffr_order::ffr_independent_order_for;
     let _: fn(&PaperCircuit) -> CompiledCircuit = PaperCircuit::compiled;
 }
 
-/// The stem-region engine's fault index: built from the view, the FFR
+/// The fault simulator's fault index: built from the view, the FFR
 /// partition and a fault list, memoized per compilation for its own
-/// lists, and shared by every engine over them.
+/// lists, and shared by every simulator over them.
 fn pin_fault_region_index<'a>(_: &'a ()) {
     let _: fn(&LevelizedCsr, &FfrPartition, &FaultList) -> FaultRegionIndex =
         FaultRegionIndex::build;
@@ -130,8 +127,8 @@ fn pin_fault_region_index<'a>(_: &'a ()) {
     let _: fn(&FaultRegionIndex) -> &[bool] = FaultRegionIndex::sens_needed;
     let _: fn(&FaultRegionIndex, usize, &mut [bool]) = FaultRegionIndex::mark_path;
     let _: fn(&FaultRegionIndex) -> usize = FaultRegionIndex::resident_bytes;
-    let _: for<'e> fn(&'e StemRegionEngine<'a>) -> &'e Arc<FaultRegionIndex> =
-        StemRegionEngine::fault_regions;
+    let _: for<'e> fn(&'e FaultSimulator<'a>) -> &'e Arc<FaultRegionIndex> =
+        FaultSimulator::fault_regions;
 }
 
 #[test]
@@ -193,9 +190,6 @@ fn pin_simulation_surface<'a>(_: &'a ()) {
     // A coverage figure from either drive mode, computed alike.
     let _: fn(&DropOutcome) -> f64 = DropOutcome::coverage;
     let _: fn(&NDetectOutcome) -> f64 = NDetectOutcome::coverage;
-    let _: fn(&FaultSimulator<'a>, &Pattern, &[FaultId], &mut SimScratch) -> Vec<FaultId> =
-        FaultSimulator::detect_pattern;
-    let _: fn(&'a FaultSimulator<'a>) -> &'a CompiledCircuit = FaultSimulator::circuit;
     let _: fn(&DropSession<'a>) -> usize = DropSession::pending;
     let _: fn(&DropSession<'a>) -> bool = DropSession::is_full;
     let _: fn(&mut DropSession<'a>, &Pattern) = DropSession::push;
@@ -213,6 +207,10 @@ fn pin_simulation_surface<'a>(_: &'a ()) {
         adi::sim::reference::with_dropping;
     let _: fn(&CompiledCircuit, &FaultList, &PatternSet, u32) -> NDetectOutcome =
         adi::sim::reference::n_detect;
+    let _: fn(&'a CompiledCircuit, &'a FaultList) -> PatternSim<'a> = PatternSim::for_circuit;
+    let _: fn(&mut PatternSim<'a>, &Pattern, &[FaultId]) -> Vec<FaultId> = PatternSim::detect;
+    let _: fn(&CompiledCircuit, &PatternSet) -> GoodValues = GoodValues::for_circuit;
+    let _: fn(&GoodValues, adi::netlist::NodeId, usize) -> bool = GoodValues::value;
     let _: fn(&TestGenerator<'a>, &[FaultId], &PatternSet) -> TestGenResult =
         TestGenerator::run_reference;
 }
@@ -279,7 +277,6 @@ fn simulation_surface_is_stable() {
 /// is built on.
 #[test]
 fn podem_engine_surface_is_stable() {
-    let _: fn(&Netlist, PodemConfig) -> Podem = Podem::new;
     let _: fn(&mut Podem, Fault) -> PodemOutcome = Podem::generate;
     let _: fn(&mut Podem, Fault) -> PodemOutcome = Podem::generate_reference;
     let _: fn(&Podem) -> PodemStats = Podem::stats;

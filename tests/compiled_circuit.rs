@@ -8,7 +8,8 @@ use adi::atpg::{PodemStats, Scoap, TestGenConfig, TestGenResult, TestGenerator};
 use adi::circuits::{embedded, paper_suite, random_circuit, RandomCircuitConfig};
 use adi::netlist::fault::{FaultId, FaultList};
 use adi::netlist::{CompiledCircuit, FfrPartition, LevelizedCsr, Netlist};
-use adi::sim::{DropSession, FaultSimulator, PatternSet, SimScratch};
+use adi::sim::reference::PatternSim;
+use adi::sim::{DropSession, PatternSet};
 use proptest::prelude::*;
 
 mod common;
@@ -132,13 +133,13 @@ proptest! {
         let faults = circuit.full_faults();
         let patterns = PatternSet::random(netlist.num_inputs(), n_patterns, seed);
 
-        // Scalar reference: detect_pattern per test, dropping inline.
-        let sim = FaultSimulator::for_circuit(&circuit, faults);
-        let mut scratch = SimScratch::for_circuit(&circuit);
+        // Scalar reference: one single-pattern simulation per test,
+        // dropping inline.
+        let mut sim = PatternSim::for_circuit(&circuit, faults);
         let mut active: Vec<FaultId> = faults.ids().collect();
         let mut expected = Vec::new();
         for p in 0..patterns.len() {
-            let detected = sim.detect_pattern(&patterns.get(p), &active, &mut scratch);
+            let detected = sim.detect(&patterns.get(p), &active);
             active.retain(|id| !detected.contains(id));
             expected.push(detected);
         }

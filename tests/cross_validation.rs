@@ -6,7 +6,8 @@ use adi::atpg::{FillStrategy, Podem, PodemConfig, PodemOutcome};
 use adi::circuits::{random_circuit, RandomCircuitConfig};
 use adi::netlist::fault::FaultList;
 use adi::netlist::{CompiledCircuit, Netlist};
-use adi::sim::{logic, FaultSimulator, GoodValues, PatternSet};
+use adi::sim::reference::{GoodValues, PatternSim};
+use adi::sim::{logic, FaultSimulator, PatternSet};
 use proptest::prelude::*;
 
 /// Strategy: a random circuit recipe small enough for exhaustive checks.
@@ -37,15 +38,14 @@ proptest! {
         // both all-zeros and all-ones completion.
         let circuit = CompiledCircuit::compile(netlist.clone());
         let faults = FaultList::collapsed(&netlist);
-        let sim = FaultSimulator::for_circuit(&circuit, &faults);
-        let mut scratch = adi::sim::SimScratch::for_circuit(&circuit);
+        let mut sim = PatternSim::for_circuit(&circuit, &faults);
         let mut podem = Podem::for_circuit(&circuit, PodemConfig::default());
         for (id, fault) in faults.iter() {
             if let PodemOutcome::Test(cube) = podem.generate(fault) {
                 for fill in [FillStrategy::Zeros, FillStrategy::Ones] {
                     let pattern = fill.fill(&cube, 0);
                     prop_assert!(
-                        sim.detects(&pattern, id, Some(&mut scratch)),
+                        sim.detect(&pattern, &[id]) == [id],
                         "fault {} escaped its own test", fault
                     );
                 }

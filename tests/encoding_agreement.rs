@@ -17,8 +17,8 @@ use adi::atpg::FaultVerdict;
 use adi::circuits::{embedded, paper_suite, random_circuit, RandomCircuitConfig};
 use adi::netlist::fault::{Fault, FaultId};
 use adi::netlist::CompiledCircuit;
-use adi::sim::faultsim::SimScratch;
-use adi::sim::{FaultSimulator, Pattern};
+use adi::sim::reference::PatternSim;
+use adi::sim::Pattern;
 
 /// Verdict counts of one circuit: `(testable, redundant)`.
 fn assert_encodings_agree(
@@ -26,8 +26,7 @@ fn assert_encodings_agree(
     faults: impl IntoIterator<Item = (FaultId, Fault)>,
 ) -> (usize, usize) {
     let name = circuit.netlist().name();
-    let sim = FaultSimulator::for_circuit(circuit, circuit.collapsed_faults());
-    let mut scratch = SimScratch::for_circuit(circuit);
+    let mut sim = PatternSim::for_circuit(circuit, circuit.collapsed_faults());
     let (mut testable, mut redundant) = (0, 0);
     for (id, fault) in faults {
         let verdict = prove_fault(circuit, fault, DEFAULT_CONFLICT_LIMIT);
@@ -42,7 +41,7 @@ fn assert_encodings_agree(
                 let pattern =
                     Pattern::new((0..cube.len()).map(|i| cube.get(i) == Some(true)).collect());
                 assert!(
-                    sim.detects(&pattern, id, Some(&mut scratch)),
+                    sim.detect(&pattern, &[id]) == [id],
                     "{name}: the cube for {fault} does not detect it: {cube:?}"
                 );
                 testable += 1;

@@ -1,5 +1,5 @@
-//! Exact-equivalence obligations of the stem-region engine behind
-//! `FaultSimulator`: its `DetectionMatrix` (and dropping / n-detection
+//! Exact-equivalence obligations of `FaultSimulator`, the stem-region
+//! engine: its `DetectionMatrix` (and dropping / n-detection
 //! outcomes) must be bit-identical to the per-fault PPSFP reference
 //! (`adi::sim::reference`) on every circuit, and both must match a
 //! scalar brute-force oracle on small cases.
@@ -7,7 +7,7 @@
 use adi::circuits::{embedded, paper_suite, random_circuit, RandomCircuitConfig};
 use adi::netlist::fault::{Fault, FaultList, FaultSite};
 use adi::netlist::{CompiledCircuit, GateKind, Netlist};
-use adi::sim::{logic, reference, FaultSimulator, Pattern, PatternSet, StemRegionEngine};
+use adi::sim::{logic, reference, FaultSimulator, Pattern, PatternSet};
 use proptest::prelude::*;
 
 fn matrices_for(
@@ -138,13 +138,13 @@ fn parallel_identical_across_engines_and_threads() {
     }
 }
 
-/// A prebuilt engine reused across pattern sets behaves like fresh ones.
+/// A simulator reused across pattern sets behaves like fresh ones.
 #[test]
 fn prebuilt_engine_is_reusable() {
     let netlist = embedded::c17();
     let circuit = CompiledCircuit::compile(netlist.clone());
     let faults = FaultList::full(&netlist);
-    let engine = StemRegionEngine::for_circuit(&circuit, &faults);
+    let engine = FaultSimulator::for_circuit(&circuit, &faults);
     for seed in [1u64, 2, 3] {
         let patterns = PatternSet::random(netlist.num_inputs(), 100, seed);
         let fresh = reference::no_drop_matrix(&circuit, &faults, &patterns);

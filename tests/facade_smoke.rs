@@ -18,7 +18,7 @@ fn all_reexports_resolve_under_facade_paths() {
     assert!(!faults.is_empty());
 
     let patterns = adi::sim::PatternSet::exhaustive(circuit.netlist().num_inputs());
-    let good = adi::sim::GoodValues::for_circuit(&circuit, &patterns);
+    let good = adi::sim::reference::GoodValues::for_circuit(&circuit, &patterns);
     let first_output = *circuit.netlist().outputs().first().expect("c17 has outputs");
     // Force evaluation of the simulator result.
     let _ = good.value(first_output, 0);

@@ -1,16 +1,16 @@
 //! The compilation's memoized fault-region index against fresh builds.
 //!
-//! `CompiledCircuit::fault_region_index` builds the stem-region engine's
+//! `CompiledCircuit::fault_region_index` builds the fault simulator's
 //! `FaultRegionIndex` once for each of the compilation's own fault lists,
-//! matched by address, and every engine over that list shares it. Any
+//! matched by address, and every simulator over that list shares it. Any
 //! other list, an equal copy included, gets a fresh index from the same
 //! function. This suite pins both halves:
 //!
-//! * **Identity.** Engines over one compilation's list share one index;
+//! * **Identity.** Simulators over one compilation's list share one index;
 //!   the collapsed and full lists get different ones; a copied list and
 //!   another compilation get their own, and asking for them builds
 //!   nothing in the compilation.
-//! * **Equivalence.** An engine over the memo equals an engine over a
+//! * **Equivalence.** A simulator over the memo equals one over a
 //!   copied list (`FaultList::from_faults`, which cannot hit the memo) on
 //!   the no-drop matrix, its region-parallel split, `with_dropping`,
 //!   `n_detect` for every `n` in `1..=8` and `DropSession::flush`.
@@ -24,7 +24,7 @@ use std::sync::Arc;
 use adi::circuits::{paper_suite, random_circuit, RandomCircuitConfig};
 use adi::netlist::fault::{FaultId, FaultList};
 use adi::netlist::{CompiledCircuit, Netlist};
-use adi::sim::{reference, DropSession, PatternSet, StemRegionEngine};
+use adi::sim::{reference, DropSession, FaultSimulator, PatternSet};
 use proptest::prelude::*;
 
 /// The largest `n` checked; every `n` from 1 up is.
@@ -45,10 +45,10 @@ fn reversed(faults: &FaultList) -> FaultList {
 }
 
 /// Names the first drive mode on which `got` differs from `expect`
-/// (both engines over equal fault lists), or `None`.
+/// (both simulators over equal fault lists), or `None`.
 fn engine_mismatch(
-    got: &StemRegionEngine<'_>,
-    expect: &StemRegionEngine<'_>,
+    got: &FaultSimulator<'_>,
+    expect: &FaultSimulator<'_>,
     patterns: &PatternSet,
 ) -> Option<String> {
     let matrix = expect.no_drop_matrix(patterns);
@@ -68,14 +68,14 @@ fn engine_mismatch(
         .map(|n| format!("n_detect({n})"))
 }
 
-/// Names the first drive mode on which the engine over `faults` differs
+/// Names the first drive mode on which the simulator over `faults` differs
 /// from the per-fault reference, or `None`.
 fn reference_mismatch(
     circuit: &CompiledCircuit,
     faults: &FaultList,
     patterns: &PatternSet,
 ) -> Option<String> {
-    let engine = StemRegionEngine::for_circuit(circuit, faults);
+    let engine = FaultSimulator::for_circuit(circuit, faults);
     if engine.no_drop_matrix(patterns) != reference::no_drop_matrix(circuit, faults, patterns) {
         return Some("no-drop matrix".into());
     }
@@ -125,10 +125,10 @@ fn memo_mismatch(
     let reversed = reversed(own);
     for patterns in pattern_sets {
         let at = format!("{label} {} patterns", patterns.len());
-        let memo = StemRegionEngine::for_circuit(circuit, own);
-        let fresh = StemRegionEngine::for_circuit(circuit, &copy);
+        let memo = FaultSimulator::for_circuit(circuit, own);
+        let fresh = FaultSimulator::for_circuit(circuit, &copy);
         if let Some(d) = engine_mismatch(&memo, &fresh, patterns) {
-            return Some(format!("{at}: memo engine differs from a copied list's on {d}"));
+            return Some(format!("{at}: memo simulator differs from a copied list's on {d}"));
         }
         if let Some(d) = reference_mismatch(circuit, &reversed, patterns) {
             return Some(format!("{at}: reversed list differs from the reference on {d}"));
@@ -152,15 +152,15 @@ fn engines_over_one_list_share_its_index() {
     let circuit = paper_suite()[0].compiled();
     let collapsed = circuit.collapsed_faults();
     let full = circuit.full_faults();
-    let a = StemRegionEngine::for_circuit(&circuit, collapsed);
-    let b = StemRegionEngine::for_circuit(&circuit.clone(), collapsed);
+    let a = FaultSimulator::for_circuit(&circuit, collapsed);
+    let b = FaultSimulator::for_circuit(&circuit.clone(), collapsed);
     assert!(Arc::ptr_eq(a.fault_regions(), b.fault_regions()));
     assert!(Arc::ptr_eq(
         a.fault_regions(),
         &circuit.fault_region_index(collapsed)
     ));
 
-    let f = StemRegionEngine::for_circuit(&circuit, full);
+    let f = FaultSimulator::for_circuit(&circuit, full);
     assert!(!Arc::ptr_eq(a.fault_regions(), f.fault_regions()));
     assert!(Arc::ptr_eq(
         f.fault_regions(),
@@ -172,14 +172,14 @@ fn engines_over_one_list_share_its_index() {
     // its own, equal in content, and the compilation keeps nothing.
     let bytes = circuit.resident_bytes();
     let copy = copy_of(collapsed);
-    let c = StemRegionEngine::for_circuit(&circuit, &copy);
+    let c = FaultSimulator::for_circuit(&circuit, &copy);
     assert!(!Arc::ptr_eq(a.fault_regions(), c.fault_regions()));
     assert!(a.fault_regions() == c.fault_regions());
     assert_eq!(circuit.resident_bytes(), bytes);
 
     // Another compilation of the same netlist keeps its own index.
     let other = CompiledCircuit::compile(circuit.netlist().clone());
-    let o = StemRegionEngine::for_circuit(&other, other.collapsed_faults());
+    let o = FaultSimulator::for_circuit(&other, other.collapsed_faults());
     assert!(!Arc::ptr_eq(a.fault_regions(), o.fault_regions()));
     assert!(a.fault_regions() == o.fault_regions());
 }
@@ -192,7 +192,7 @@ fn a_list_that_is_not_the_compilations_own_builds_nothing_in_it() {
     let circuit = CompiledCircuit::compile(netlist.clone());
     let bytes = circuit.resident_bytes();
     let list = FaultList::collapsed(&netlist);
-    let engine = StemRegionEngine::for_circuit(&circuit, &list);
+    let engine = FaultSimulator::for_circuit(&circuit, &list);
     assert_eq!(circuit.resident_bytes(), bytes);
     assert!(!Arc::ptr_eq(
         engine.fault_regions(),

@@ -3,9 +3,10 @@
 //! `adi::core::reorder::reverse_order_compaction_for` keeps a test iff
 //! it detects some fault that no later test detects: one dropping
 //! simulation of the reversed set on the stem-region engine. The oracle
-//! here is the loop the function used to run: one `detect_pattern` call
-//! per test, last to first, over the faults no later test has detected.
-//! The kept indices must be identical, on the paper suite through
+//! here is the loop the function used to run: one single-pattern
+//! simulation (`reference::PatternSim::detect`) per test, last to
+//! first, over the faults no later test has detected. The kept indices
+//! must be identical, on the paper suite through
 //! irs1196, for ATPG test sets and random sets, with and without
 //! duplicate tests.
 
@@ -14,7 +15,8 @@ use adi::circuits::paper_suite_up_to;
 use adi::core::reorder::reverse_order_compaction_for;
 use adi::netlist::fault::{FaultId, FaultList};
 use adi::netlist::CompiledCircuit;
-use adi::sim::{FaultSimulator, PatternSet, SimScratch};
+use adi::sim::reference::PatternSim;
+use adi::sim::PatternSet;
 
 /// The per-test reverse loop: the kept indices, ascending.
 fn per_test_loop(
@@ -22,15 +24,14 @@ fn per_test_loop(
     faults: &FaultList,
     tests: &PatternSet,
 ) -> Vec<usize> {
-    let sim = FaultSimulator::for_circuit(circuit, faults);
-    let mut scratch = SimScratch::for_circuit(circuit);
+    let mut sim = PatternSim::for_circuit(circuit, faults);
     let mut active: Vec<FaultId> = faults.ids().collect();
     let mut kept = Vec::new();
     for t in (0..tests.len()).rev() {
         if active.is_empty() {
             break;
         }
-        let detected = sim.detect_pattern(&tests.get(t), &active, &mut scratch);
+        let detected = sim.detect(&tests.get(t), &active);
         if !detected.is_empty() {
             kept.push(t);
             active.retain(|id| !detected.contains(id));

@@ -27,7 +27,8 @@ use adi::atpg::{
 use adi::circuits::{embedded, paper_suite, random_circuit, RandomCircuitConfig};
 use adi::netlist::fault::{Fault, FaultList};
 use adi::netlist::{bench_format, CompiledCircuit, Netlist};
-use adi::sim::{reference, FaultSimulator, GoodValues, Pattern, PatternSet};
+use adi::sim::reference::{self, GoodValues};
+use adi::sim::{FaultSimulator, Pattern, PatternSet};
 use proptest::prelude::*;
 
 /// Completes `cube` with `fill` in every unspecified position.

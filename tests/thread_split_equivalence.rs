@@ -1,24 +1,31 @@
-//! The thread-split lattice: the stem-region engine's serial run and
-//! every parallel split of its no-drop matrix (automatic,
-//! block-parallel and region-parallel) at every thread count (1, 2, 4)
-//! must produce detection matrices, dropping outcomes, and n-detection
-//! counts **bit-identical** to the per-fault reference
-//! (`adi::sim::reference`, one event-driven walk per fault per
-//! 64-pattern block) — on the embedded circuits, the paper-suite
-//! stand-ins, and random circuits, at pattern counts on both sides of
-//! every 64-pattern lane and 256-pattern superblock boundary.
+//! The thread-split lattice: `FaultSimulator`'s serial run and its
+//! parallel no-drop matrix at every thread count (1, 2, 4) must produce
+//! detection matrices, dropping outcomes, and n-detection counts
+//! **bit-identical** to the per-fault reference (`adi::sim::reference`,
+//! one event-driven walk per fault per 64-pattern block) — on the
+//! embedded circuits, the paper-suite stand-ins, and random circuits,
+//! at pattern counts on both sides of every 64-pattern lane and
+//! 256-pattern superblock boundary.
+//!
+//! `no_drop_matrix_parallel` splits the superblock range when there is
+//! at least one superblock per thread and the stem-region groups
+//! otherwise, so the pattern counts below reach both splits: one
+//! superblock (up to 256 patterns) splits the groups at 2 and 4
+//! threads, two or three split the blocks at 2 threads and the groups
+//! at 4, and four or more (from 769 patterns) split the blocks at
+//! both.
 
 use adi::circuits::{embedded, paper_suite, random_circuit, RandomCircuitConfig};
 use adi::netlist::fault::FaultList;
 use adi::netlist::{CompiledCircuit, Netlist};
-use adi::sim::{reference, FaultSimulator, PatternSet, StemRegionEngine};
+use adi::sim::{reference, FaultSimulator, PatternSet};
 use proptest::prelude::*;
 
 const THREADS: [usize; 3] = [1, 2, 4];
 
 /// Asserts the full lattice for one circuit/fault/pattern workload: the
-/// serial run, dropping order and n-detect counts, and the automatic,
-/// block-parallel and region-parallel splits at every thread count.
+/// serial run, dropping order and n-detect counts, and the parallel
+/// matrix at every thread count.
 fn assert_lattice(netlist: &Netlist, patterns: &PatternSet, collapse: bool, label: &str) {
     let circuit = CompiledCircuit::compile(netlist.clone());
     let faults = if collapse {
@@ -39,22 +46,11 @@ fn assert_lattice(netlist: &Netlist, patterns: &PatternSet, collapse: bool, labe
         reference::n_detect(&circuit, &faults, patterns, 3),
         "{label} n-detect"
     );
-    let engine = StemRegionEngine::for_circuit(&circuit, &faults);
     for threads in THREADS {
         assert_eq!(
             sim.no_drop_matrix_parallel(patterns, threads),
             matrix,
-            "{label} auto x{threads}"
-        );
-        assert_eq!(
-            engine.no_drop_matrix_block_parallel(patterns, threads),
-            matrix,
-            "{label} block x{threads}"
-        );
-        assert_eq!(
-            engine.no_drop_matrix_region_parallel(patterns, threads),
-            matrix,
-            "{label} region x{threads}"
+            "{label} x{threads}"
         );
     }
 }
@@ -92,7 +88,7 @@ fn splits_match_reference_on_suite_circuits() {
 #[test]
 fn splits_match_reference_at_block_boundaries() {
     let netlist = embedded::c17();
-    for n_patterns in [1, 63, 64, 65, 127, 128, 129, 255, 256, 257, 511, 512, 513] {
+    for n_patterns in [1, 63, 64, 65, 127, 128, 129, 255, 256, 257, 511, 512, 513, 769, 1025] {
         let patterns = PatternSet::random(netlist.num_inputs(), n_patterns, n_patterns as u64);
         assert_lattice(&netlist, &patterns, false, &format!("c17@{n_patterns}"));
     }

@@ -14,16 +14,14 @@
 //!   64-pattern block). The pattern counts (1, 63, 255, 257, 700) end
 //!   inside a lane, at a superblock edge and past it, so counts and
 //!   first detections carry across superblocks.
-//! * `DropSession::flush` against the scalar `detect_pattern` loop with
-//!   immediate dropping.
+//! * `DropSession::flush` against the scalar loop of
+//!   `reference::PatternSim::detect` with immediate dropping.
 
 use adi::circuits::{paper_suite, random_circuit, RandomCircuitConfig};
 use adi::netlist::fault::{FaultId, FaultList};
 use adi::netlist::{CompiledCircuit, Netlist};
-use adi::sim::{
-    reference, DropOutcome, DropSession, FaultSimulator, NDetectOutcome, PatternSet, SimScratch,
-    StemRegionEngine,
-};
+use adi::sim::reference::{self, PatternSim};
+use adi::sim::{DropOutcome, DropSession, FaultSimulator, NDetectOutcome, PatternSet};
 use proptest::prelude::*;
 
 /// Pattern counts: inside the first lane, one short of a full lane,
@@ -81,7 +79,7 @@ fn needs_mismatch(
         let counts: Vec<NDetectOutcome> = (1..=MAX_N)
             .map(|n| reference::n_detect(circuit, faults, patterns, n))
             .collect();
-        let engine = StemRegionEngine::for_circuit(circuit, faults);
+        let engine = FaultSimulator::for_circuit(circuit, faults);
         let at = format!("{label} {} patterns", patterns.len());
         if let Some(d) = drop_mismatch(&engine.with_dropping(patterns), &drop) {
             return Some(format!("{at} dropping: {d}"));
@@ -130,19 +128,18 @@ fn drive_modes_match_reference_on_a_serving_size_circuit() {
     }
 }
 
-/// The scalar reference for a drop session: `detect_pattern` per test,
-/// dropping each detected fault at once.
+/// The scalar reference for a drop session: one single-pattern
+/// simulation per test, dropping each detected fault at once.
 fn scalar_drop_lists(
     circuit: &CompiledCircuit,
     faults: &FaultList,
     patterns: &PatternSet,
 ) -> Vec<Vec<FaultId>> {
-    let sim = FaultSimulator::for_circuit(circuit, faults);
-    let mut scratch = SimScratch::for_circuit(circuit);
+    let mut sim = PatternSim::for_circuit(circuit, faults);
     let mut active: Vec<FaultId> = faults.ids().collect();
     (0..patterns.len())
         .map(|p| {
-            let detected = sim.detect_pattern(&patterns.get(p), &active, &mut scratch);
+            let detected = sim.detect(&patterns.get(p), &active);
             active.retain(|id| !detected.contains(id));
             detected
         })
